@@ -211,7 +211,8 @@ def _lift(value, requires_grad=False) -> Tensor:
 
 
 def forward(model: ModelGraph, x, switches: dict | None = None,
-            params: dict | None = None, collect_preacts: bool = False):
+            params: dict | None = None, collect_preacts: bool = False,
+            *, start: int = 0, stop: int | None = None):
     """Run the graph on a batch.
 
     x is (N, C, H, W) for conv models or (N, d) for dense ones. ``switches``
@@ -220,6 +221,10 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     Tensors, for gradient-carrying passes. With collect_preacts=True returns
     (logits, preacts) where preacts maps each prunable layer index to its
     pre-activation Tensor with retain_grad set.
+
+    ``start`` and ``stop`` run only layers[start:stop]; x is then the
+    activation that enters layer ``start``, and the result is the one that
+    leaves layer ``stop - 1``. The default runs the whole graph.
     """
     switches = switches or {}
     params = params or {}
@@ -234,7 +239,12 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             return params[name]
         return _lift(model.weights[name])
 
-    for i, spec in enumerate(model.layers):
+    stop = len(model.layers) if stop is None else stop
+    if not 0 <= start <= stop <= len(model.layers):
+        raise ContractError(
+            f"layer range [{start}, {stop}) outside a graph of {len(model.layers)} layers")
+    for i in range(start, stop):
+        spec = model.layers[i]
         if isinstance(spec, Conv2d):
             h = T.conv2d(h, weight(f"layer{i}.weight"), stride=spec.stride, padding=spec.pad)
             h = T.broadcast_add_channels(h, weight(f"layer{i}.bias"))

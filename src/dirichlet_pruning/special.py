@@ -4,6 +4,8 @@ Everything here is scale-1 Gamma: density x^(a-1) e^(-x) / Gamma(a).  The
 scalar entry points carry the documented accuracy contracts; the ``*_batch``
 variants are vectorized equivalents used on hot paths (sampling-based switch
 training, Monte Carlo tests) and agree with the scalar ones to rounding.
+The implicit gradient exists only in batch form; ``gamma_implicit_grad`` is
+its scalar wrapper.
 """
 
 from __future__ import annotations
@@ -211,6 +213,104 @@ def gamma_regularized_P(shape: float, x: float) -> float:
     return max(0.0, 1.0 - q)
 
 
+def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
+    """The one series / continued-fraction loop behind P(a, x) and dP/da.
+
+    ``a`` and ``x`` are flat arrays with x > 0. For x < a + 1 the series
+    gives F = sum_n x^n / (a (a+1) ... (a+n)) and P = front * F; otherwise
+    the modified Lentz continued fraction gives F with Q = 1 - P = front * F.
+    Here front = exp(a log x - x - lgamma(a)). With ``with_grad``, dF/da is
+    carried forward-mode through the same recurrence (Moore, AS 187, 1982),
+    and each element iterates until both F and dF/da have converged.
+
+    Returns (series, F, dF) with ``series`` the mask of elements on the
+    series branch; dF is None without ``with_grad``.
+    """
+    series = x < a + 1.0
+    f = np.empty_like(a)
+    df = np.empty_like(a) if with_grad else None
+
+    if np.any(series):
+        aa = a[series]
+        xx = x[series]
+        term = 1.0 / aa
+        total = term.copy()
+        denom = aa.copy()
+        live = np.ones(aa.shape, dtype=bool)
+        if with_grad:
+            dterm = -term / aa
+            dtotal = dterm.copy()
+            live_d = live.copy()
+        else:
+            live_d = np.zeros(aa.shape, dtype=bool)
+        for _ in range(_P_MAX_ITER):
+            denom += 1.0
+            ratio = xx / denom
+            if with_grad:
+                # t_n = t_(n-1) x/(a+n), so dt_n = x/(a+n) (dt_(n-1) - t_(n-1)/(a+n))
+                dterm = ratio * (dterm - term / denom)
+                dtotal = np.where(live_d, dtotal + dterm, dtotal)
+                live_d &= np.abs(dterm) >= np.abs(dtotal) * _P_EPS
+            term *= ratio
+            total = np.where(live, total + term, total)
+            live &= np.abs(term) >= np.abs(total) * _P_EPS
+            if not (live.any() or live_d.any()):
+                break
+        else:
+            raise NumericError("P series failed to converge on a batch element")
+        f[series] = total
+        if with_grad:
+            df[series] = dtotal
+
+    frac = ~series
+    if np.any(frac):
+        aa = a[frac]
+        xx = x[frac]
+        tiny = 1e-300
+        b = xx + 1.0 - aa
+        c = np.full_like(xx, 1.0 / tiny)
+        d = np.where(b != 0.0, 1.0 / np.where(b == 0.0, 1.0, b), 1.0 / tiny)
+        h = d.copy()
+        live = np.ones(aa.shape, dtype=bool)
+        if with_grad:
+            # every b_i has db/da = -1 and a_i = -i (i - a) has da_i/da = i;
+            # c_0 does not depend on a, d_0 = 1/b_0 has dd/da = d_0^2
+            dc = np.zeros_like(xx)
+            dd = d * d
+            dh = dd.copy()
+            live_d = live.copy()
+        else:
+            live_d = np.zeros(aa.shape, dtype=bool)
+        for i in range(1, _P_MAX_ITER + 1):
+            an = -i * (i - aa)
+            b += 2.0
+            if with_grad:
+                dden = i * d + an * dd - 1.0
+                dc = (i - an / c * dc) / c - 1.0
+            d = an * d + b
+            np.copyto(d, tiny, where=np.abs(d) < tiny)
+            c = b + an / c
+            np.copyto(c, tiny, where=np.abs(c) < tiny)
+            d = 1.0 / d
+            delta = d * c
+            if with_grad:
+                dd = -dden * d * d
+                step = dh * (delta - 1.0) + h * (dc * d + c * dd)
+                dh = np.where(live_d, dh + step, dh)
+                live_d &= np.abs(step) >= np.abs(dh) * _P_EPS
+            h = np.where(live, h * delta, h)
+            live &= np.abs(delta - 1.0) >= _P_EPS
+            if not (live.any() or live_d.any()):
+                break
+        else:
+            raise NumericError("P continued fraction failed to converge on a batch element")
+        f[frac] = h
+        if with_grad:
+            df[frac] = dh
+
+    return series, f, df
+
+
 def gamma_regularized_P_batch(shape: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vectorized P(shape, x); shapes broadcast."""
     shape = np.asarray(shape, dtype=np.float64)
@@ -220,63 +320,14 @@ def gamma_regularized_P_batch(shape: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise DomainError("gamma_regularized_P requires shape > 0")
     if np.any(x < 0.0):
         raise DomainError("gamma_regularized_P requires x >= 0")
-    out = np.empty(shape.shape)
-    flat_a = shape.ravel()
-    flat_x = x.ravel()
-    flat_o = out.ravel()
-
-    zero = flat_x == 0.0
-    flat_o[zero] = 0.0
-    series = (~zero) & (flat_x < flat_a + 1.0)
-    frac = (~zero) & ~series
-
-    if np.any(series):
-        a = flat_a[series]
-        xx = flat_x[series]
-        log_front = a * np.log(xx) - xx - lgamma_batch(a)
-        term = 1.0 / a
-        total = term.copy()
-        denom = a.copy()
-        live = np.ones(a.shape, dtype=bool)
-        for _ in range(_P_MAX_ITER):
-            denom[live] += 1.0
-            term[live] *= xx[live] / denom[live]
-            total[live] += term[live]
-            live &= np.abs(term) >= np.abs(total) * _P_EPS
-            if not live.any():
-                break
-        else:
-            raise NumericError("P series failed to converge on a batch element")
-        flat_o[series] = np.minimum(1.0, np.exp(log_front) * total)
-
-    if np.any(frac):
-        a = flat_a[frac]
-        xx = flat_x[frac]
-        log_front = a * np.log(xx) - xx - lgamma_batch(a)
-        tiny = 1e-300
-        b = xx + 1.0 - a
-        c = np.full_like(xx, 1.0 / tiny)
-        d = np.where(b != 0.0, 1.0 / np.where(b == 0.0, 1.0, b), 1.0 / tiny)
-        h = d.copy()
-        live = np.ones(a.shape, dtype=bool)
-        for i in range(1, _P_MAX_ITER + 1):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            np.copyto(d, tiny, where=np.abs(d) < tiny)
-            c = b + an / c
-            np.copyto(c, tiny, where=np.abs(c) < tiny)
-            d = 1.0 / d
-            delta = d * c
-            h = np.where(live, h * delta, h)
-            live &= np.abs(delta - 1.0) >= _P_EPS
-            if not live.any():
-                break
-        else:
-            raise NumericError("P continued fraction failed to converge on a batch element")
-        q = np.exp(log_front) * h
-        flat_o[frac] = np.maximum(0.0, 1.0 - q)
-
+    out = np.zeros(shape.shape)
+    pos = x > 0.0
+    if np.any(pos):
+        a = shape[pos]
+        xx = x[pos]
+        series, f, _ = _incomplete_gamma_terms(a, xx, with_grad=False)
+        front_f = np.exp(a * np.log(xx) - xx - lgamma_batch(a)) * f
+        out[pos] = np.where(series, np.minimum(1.0, front_f), np.maximum(0.0, 1.0 - front_f))
     return out
 
 
@@ -352,12 +403,15 @@ class GammaSample:
     """One scale-1 Gamma draw with the implicit shape-gradient attached.
 
     ``u`` is the effective uniform P(shape, value); ``dvalue_dshape`` is the
-    derivative of the quantile at that fixed u.
+    derivative of the quantile at that fixed u, computed on access.
     """
     value: float
     shape: float
     u: float
-    dvalue_dshape: float
+
+    @property
+    def dvalue_dshape(self) -> float:
+        return gamma_implicit_grad(self.shape, self.value)
 
 
 def _marsaglia_tsang(shape: float, rng) -> float:
@@ -391,9 +445,7 @@ def gamma_sample(shape: float, rng) -> GammaSample:
         boost = rng.random() ** (1.0 / shape)
         value = _marsaglia_tsang(shape + 1.0, rng) * boost
     value = max(value, 5e-324)
-    u = gamma_regularized_P(shape, value)
-    grad = gamma_implicit_grad(shape, value)
-    return GammaSample(value=value, shape=shape, u=u, dvalue_dshape=grad)
+    return GammaSample(value=value, shape=shape, u=gamma_regularized_P(shape, value))
 
 
 def gamma_sample_batch(shapes: np.ndarray, rng, with_grad: bool = False):
@@ -439,45 +491,40 @@ def gamma_sample_batch(shapes: np.ndarray, rng, with_grad: bool = False):
 # ---------------------------------------------------------------------------
 # implicit reparameterization gradient
 
-_FD_REL_STEP = 1e-5
-
 
 def gamma_implicit_grad(shape: float, value: float) -> float:
-    """d(value)/d(shape) at fixed underlying uniform, by implicit differentiation.
-
-    Differentiating P(shape, y(shape)) = u gives
-    dy/dshape = -(dP/dshape) / (dP/dy); the numerator uses a central finite
-    difference in shape, the denominator is the Gamma density.
-    """
+    """d(value)/d(shape) at fixed underlying uniform; scalar form of
+    ``gamma_implicit_grad_batch``."""
     if not shape > 0.0:
         raise DomainError(f"gamma_implicit_grad requires shape > 0, got {shape}")
     if not value > 0.0:
         raise DomainError(f"gamma_implicit_grad requires value > 0, got {value}")
-    log_pdf = gamma_log_pdf(shape, value)
-    if log_pdf < -700.0:
-        raise NumericError(
-            f"gamma density underflow at shape={shape}, value={value}")
-    h = _FD_REL_STEP * max(1.0, shape)
-    if shape - h <= 0.0:
-        h = 0.5 * shape
-    dp_da = (gamma_regularized_P(shape + h, value)
-             - gamma_regularized_P(shape - h, value)) / (2.0 * h)
-    return -dp_da / math.exp(log_pdf)
+    return float(gamma_implicit_grad_batch(np.array([shape]), np.array([value]))[0])
 
 
 def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """d(value)/d(shape) at fixed underlying uniform, by implicit differentiation.
+
+    Differentiating P(shape, y(shape)) = u gives dy/dshape = -(dP/dshape) / pdf(y)
+    (Figurnov et al., 2018). dP/dshape is analytic: with P = front * F on the
+    series branch and 1 - P = front * F on the continued-fraction branch,
+    d(log front)/dshape = log y - psi(shape), and pdf(y) = front / y. The front
+    factor cancels, leaving dy/dshape = -/+ y (F (log y - psi(shape)) + dF/dshape).
+    Raises NumericError where the density underflows.
+    """
     shapes = np.asarray(shapes, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if np.any(shapes <= 0.0) or np.any(values <= 0.0):
         raise DomainError("gamma_implicit_grad requires shape > 0 and value > 0")
+    shapes, values = np.broadcast_arrays(shapes, values)
     log_pdf = (shapes - 1.0) * np.log(values) - values - lgamma_batch(shapes)
     if np.any(log_pdf < -700.0):
         bad = np.argwhere(log_pdf < -700.0)[0]
         raise NumericError(
             f"gamma density underflow at shape={shapes[tuple(bad)]}, "
             f"value={values[tuple(bad)]}")
-    h = _FD_REL_STEP * np.maximum(1.0, shapes)
-    h = np.where(shapes - h <= 0.0, 0.5 * shapes, h)
-    dp_da = (gamma_regularized_P_batch(shapes + h, values)
-             - gamma_regularized_P_batch(shapes - h, values)) / (2.0 * h)
-    return -dp_da / np.exp(log_pdf)
+    a = shapes.ravel()
+    y = values.ravel()
+    series, f, df = _incomplete_gamma_terms(a, y, with_grad=True)
+    scaled = y * (f * (np.log(y) - digamma_batch(a)) + df)
+    return np.where(series, -scaled, scaled).reshape(shapes.shape)

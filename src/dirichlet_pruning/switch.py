@@ -13,7 +13,10 @@ with kl_weight defaulting to 1/dataset_size. Two gradient estimators:
     plug-in objective; the KL gradient is added in closed form.
   - ImplicitMC(k): averages k reparameterized posterior samples. Each switch
     sample is s = y / sum(y) with y ~ Gamma(phi, 1); backprop stops at s and
-    the chain to phi uses the implicit gradients dy/dphi of the Gamma draws.
+    the chain to phi uses the implicit gradients dy/dphi of the Gamma draws,
+    which are analytic. Per batch it costs one untaped pass through the
+    layers before the first trained switch, one (k, D) draw per trained
+    layer, and k taped passes through the rest of the graph.
 
 Model weights stay frozen throughout; only theta moves.
 """
@@ -27,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .dirichlet import dirichlet_kl, dirichlet_kl_grad, dirichlet_marginal_std
+from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_marginal_std,
+                        dirichlet_sample_batch)
 from .errors import ContractError, ShapeError
 from .models import ModelGraph, Switch, forward, switch_layer_indices
-from .special import gamma_implicit_grad_batch, gamma_sample_batch
 from .tensor import Tape, Tensor
 
 _PHI_SHIFT = 1e-6
@@ -193,40 +196,43 @@ def _nll_and_grads_analytic(model, states, train_set, xb, yb):
 
 
 def _nll_and_grads_implicit(model, states, train_set, xb, yb, k, rng):
-    """k-sample Monte Carlo estimate; one backward per sample keeps memory
-    at single-sample footprint."""
+    """k-sample Monte Carlo estimate of E_q[NLL] and its theta gradients.
+
+    The layers before the first trained switch do not depend on the sample,
+    so they run once per batch, untaped, with the other switches at their
+    posterior mean. Each trained layer takes its k draws, with the implicit
+    gradients dy/dphi, from one dirichlet_sample_batch call. Only the suffix
+    from the first trained switch on runs per sample, each on its own tape:
+    one prefix pass plus k suffix passes per batch, and the memory of one
+    suffix tape. The per-sample dL/ds rows are collected into (k, D) arrays
+    and pushed to phi in one vectorized chain rule.
+    """
+    by_index = {st.layer_index: st for st in states}
     mean_switches = {st.layer_index: st.posterior_mean()
                      for st in states if st.layer_index not in train_set}
-    by_index = {st.layer_index: st for st in states}
+    first = min(train_set)
+    h = forward(model, xb, switches=mean_switches, stop=first)
+    draws = {idx: dirichlet_sample_batch(by_index[idx].phi(), k, rng)
+             for idx in sorted(train_set)}
+    g_s = {idx: np.zeros_like(s) for idx, (s, _, _) in draws.items()}
     nll_acc = 0.0
-    grads = {idx: np.zeros_like(by_index[idx].theta) for idx in train_set}
-    for _ in range(k):
-        leaves = {}
-        switches = dict(mean_switches)
-        for idx in train_set:
-            st = by_index[idx]
-            phi = st.phi()
-            y, dy_dphi = gamma_sample_batch(phi[None, :], rng, with_grad=True)
-            y, dy_dphi = y[0], dy_dphi[0]
-            total = y.sum()
-            s_t = Tensor(y / total, requires_grad=True)
-            switches[idx] = s_t
-            leaves[idx] = (s_t, total, dy_dphi, st)
+    for j in range(k):
+        leaves = {idx: Tensor(s[j], requires_grad=True) for idx, (s, _, _) in draws.items()}
         with Tape():
-            logits = forward(model, xb, switches=switches)
+            logits = forward(model, h, switches={**mean_switches, **leaves}, start=first)
             nll = T.softmax_cross_entropy(logits, yb)
         T.backward(nll)
         nll_acc += nll.item()
-        for idx, (s_t, total, dy_dphi, st) in leaves.items():
-            g_s = s_t.grad
-            if g_s is None:
-                continue
-            s = s_t.data
-            # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
-            dphi = dy_dphi * (g_s - float(g_s @ s)) / total
-            grads[idx] += dphi * _sigmoid_np(st.theta)
-    inv_k = 1.0 / k
-    return nll_acc * inv_k, {idx: g * inv_k for idx, g in grads.items()}
+        for idx, leaf in leaves.items():
+            if leaf.grad is not None:
+                g_s[idx][j] = leaf.grad
+    grads = {}
+    for idx, (s, y, dy_dphi) in draws.items():
+        g = g_s[idx]
+        # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
+        dphi = dy_dphi * (g - (g * s).sum(axis=1, keepdims=True)) / y.sum(axis=1, keepdims=True)
+        grads[idx] = dphi.sum(axis=0) / k * _sigmoid_np(by_index[idx].theta)
+    return nll_acc / k, grads
 
 
 def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,

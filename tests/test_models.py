@@ -165,6 +165,23 @@ def test_forward_collect_preacts():
     assert out.shape == (3, 2)
 
 
+def test_forward_layer_range_composes_to_full_graph():
+    model = build_lenet5([3, 4, 10, 6], rng=np.random.default_rng(10))
+    x = np.random.default_rng(11).standard_normal((2, 1, 28, 28))
+    rng = np.random.default_rng(12)
+    switches = {i: rng.dirichlet(np.ones(model.layers[i].d))
+                for i in switch_layer_indices(model)}
+    full = forward(model, x, switches=switches).data
+    for cut in (1, 5, 9, 10, len(model.layers)):
+        head = forward(model, x, switches=switches, stop=cut)
+        tail = forward(model, head, switches=switches, start=cut)
+        assert np.array_equal(tail.data, full), cut
+    with pytest.raises(ContractError):
+        forward(model, x, start=3, stop=2)
+    with pytest.raises(ContractError):
+        forward(model, x, stop=len(model.layers) + 1)
+
+
 def test_forward_rejects_bad_rank():
     model = build_mlp(5, 4, 2, rng=np.random.default_rng(9))
     with pytest.raises(ShapeError):

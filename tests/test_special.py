@@ -319,6 +319,27 @@ def test_implicit_grad_positive_on_random_draws():
     assert np.all(grads > 0)
 
 
+def test_implicit_grad_against_mpmath_shape_derivative():
+    # dy/da = -(dP/da) / pdf(y), with dP/da from mpmath.diff of the
+    # regularized lower incomplete gamma and the density from mpmath too
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    shapes, values, refs = [], [], []
+    for a in [0.05, 0.3, 1.0, 3.0, 10.0, 50.0]:
+        for u in [0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999]:
+            y = float(scipy.special.gammaincinv(a, u))
+            a_mp, y_mp = mpmath.mpf(a), mpmath.mpf(y)
+            dp_da = mpmath.diff(lambda t: mpmath.gammainc(t, 0, y_mp, regularized=True), a_mp)
+            pdf = y_mp ** (a_mp - 1) * mpmath.exp(-y_mp) / mpmath.gamma(a_mp)
+            shapes.append(a)
+            values.append(y)
+            refs.append(float(-dp_da / pdf))
+    grads = gamma_implicit_grad_batch(np.array(shapes), np.array(values))
+    rel = np.abs(grads - np.array(refs)) / np.abs(np.array(refs))
+    worst = int(rel.argmax())
+    assert rel[worst] <= 1e-10, (shapes[worst], values[worst], rel[worst])
+
+
 def test_implicit_grad_tail_raises_numeric_error():
     with pytest.raises(NumericError) as e:
         gamma_implicit_grad(1.0, 50_000.0)

@@ -2,16 +2,18 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from dirichlet_pruning import switch as switch_module
 from dirichlet_pruning import tensor as T
 from dirichlet_pruning.dirichlet import dirichlet_kl
-from dirichlet_pruning.errors import ContractError, ShapeError
+from dirichlet_pruning.errors import ContractError, NumericError, ShapeError
 from dirichlet_pruning.models import (FullyConnected, ModelGraph, Relu,
-                                      Switch, build_mlp, forward,
+                                      Switch, build_lenet5, build_mlp, forward,
                                       switch_layer_indices)
 from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
                                       SwitchTrainSchedule, init_switch_states,
@@ -222,6 +224,113 @@ def test_implicit_mc_concentrates_with_k():
         return vals.std(ddof=1) / math.sqrt(reps)
 
     assert stderr(500) < stderr(50)
+
+
+def test_implicit_mc_underflowed_draws_raise_numeric_error():
+    # phi ~ 1e-6 floors every Gamma draw at the smallest subnormal; the step
+    # must fail loudly instead of training on uniform switches
+    model, x, y = _small_problem(seed=52)
+    states = init_switch_states(model, estimator=ImplicitMC(4))
+    states[0].theta = np.full(states[0].theta.shape, -60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError):
+            neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))
+
+
+def _per_sample_oracle(model, states, train_set, xb, yb, draws):
+    """The estimator before batching: k full forward passes, each on its own
+    tape, with the chain rule to theta applied sample by sample. ``draws``
+    maps layer index to the (S, Y, dY/dphi) arrays the batched estimator
+    drew; only the raw Gamma values and their gradients are used."""
+    by_index = {st.layer_index: st for st in states}
+    mean_switches = {st.layer_index: st.posterior_mean()
+                     for st in states if st.layer_index not in train_set}
+    k = len(next(iter(draws.values()))[1])
+    nll_acc = 0.0
+    grads = {idx: np.zeros_like(by_index[idx].theta) for idx in train_set}
+    for j in range(k):
+        leaves = {}
+        switches = dict(mean_switches)
+        for idx in train_set:
+            _, y_all, dy_all = draws[idx]
+            y, dy_dphi = y_all[j], dy_all[j]
+            total = y.sum()
+            s_t = Tensor(y / total, requires_grad=True)
+            switches[idx] = s_t
+            leaves[idx] = (s_t, total, dy_dphi, by_index[idx])
+        with Tape():
+            logits = forward(model, xb, switches=switches)
+            nll = T.softmax_cross_entropy(logits, yb)
+        T.backward(nll)
+        nll_acc += nll.item()
+        for idx, (s_t, total, dy_dphi, st) in leaves.items():
+            if s_t.grad is None:
+                continue
+            g_s = s_t.grad
+            dphi = dy_dphi * (g_s - float(g_s @ s_t.data)) / total
+            grads[idx] += dphi * (1.0 / (1.0 + np.exp(-st.theta)))
+    return nll_acc / k, {idx: g / k for idx, g in grads.items()}
+
+
+def _assert_matches_per_sample_oracle(monkeypatch, model, states, train_set, xb, yb, k):
+    recorded = []
+    sample = switch_module.dirichlet_sample_batch
+
+    def recording(conc, k, rng):
+        out = sample(conc, k, rng)
+        recorded.append((conc, out))
+        return out
+
+    monkeypatch.setattr(switch_module, "dirichlet_sample_batch", recording)
+    nll, grads = switch_module._nll_and_grads_implicit(
+        model, states, train_set, xb, yb, k, np.random.default_rng(60))
+    assert len(recorded) == len(train_set)
+    draws = {}
+    for st in states:
+        if st.layer_index in train_set:
+            (out,) = [o for conc, o in recorded if np.array_equal(conc, st.phi())]
+            draws[st.layer_index] = out
+    nll_ref, grads_ref = _per_sample_oracle(model, states, train_set, xb, yb, draws)
+    np.testing.assert_allclose(nll, nll_ref, rtol=1e-10, atol=0)
+    assert set(grads) == set(train_set)
+    for idx in train_set:
+        assert np.any(grads_ref[idx] != 0.0)
+        np.testing.assert_allclose(grads[idx], grads_ref[idx], rtol=1e-10, atol=0)
+
+
+def _spread_thetas(states, seed):
+    rng = np.random.default_rng(seed)
+    for st in states:
+        st.theta = rng.normal(0.5, 0.8, st.theta.shape)
+
+
+def test_implicit_mc_matches_per_sample_oracle_mlp_per_layer(monkeypatch):
+    model, x, y = _small_problem(seed=53, d_x=7, d_h=6, n=30, k_classes=3)
+    states = init_switch_states(model, estimator=ImplicitMC(9))
+    _spread_thetas(states, 54)
+    _assert_matches_per_sample_oracle(monkeypatch, model, states, {1}, x, y, 9)
+
+
+def test_implicit_mc_matches_per_sample_oracle_mlp_joint(monkeypatch):
+    model, x, y = _two_switch_model()
+    states = init_switch_states(model, estimator=ImplicitMC(7))
+    _spread_thetas(states, 55)
+    _assert_matches_per_sample_oracle(monkeypatch, model, states, {1, 4},
+                                      x[:40], y[:40], 7)
+
+
+def test_implicit_mc_matches_per_sample_oracle_lenet_third_switch(monkeypatch):
+    # the prefix holds conv, pool and the first two switches at their means
+    rng = np.random.default_rng(56)
+    model = build_lenet5([3, 4, 8, 6], rng=rng)
+    x = rng.standard_normal((6, 1, 28, 28))
+    y = rng.integers(0, 10, 6)
+    states = init_switch_states(model, estimator=ImplicitMC(5))
+    _spread_thetas(states, 57)
+    third = switch_layer_indices(model)[2]
+    assert any(st.layer_index < third for st in states)
+    _assert_matches_per_sample_oracle(monkeypatch, model, states, {third}, x, y, 5)
 
 
 def test_no_model_weight_gradients_with_frozen_weights():
