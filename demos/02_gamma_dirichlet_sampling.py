@@ -14,7 +14,8 @@ from dirichlet_pruning.dirichlet import (
     dirichlet_log_pdf_batch,
     dirichlet_sample_batch,
 )
-from dirichlet_pruning.special import gamma_quantile, gamma_sample, gamma_sample_batch
+from dirichlet_pruning.special import (gamma_quantile, gamma_regularized_P,
+                                       gamma_sample_batch)
 
 rng = np.random.default_rng(42)
 
@@ -27,17 +28,19 @@ for shape in (0.5, 2.0, 7.5):
     )
 
 # One draw with its implicit gradient, checked against the quantile function:
-# dvalue_dshape should match d/da of the quantile at the draw's fixed u.
+# the implicit dy/da should match d/da of the quantile at the draw's fixed u.
 a0, h = 2.3, 1e-4
-s = gamma_sample(a0, rng)
-numeric = (gamma_quantile(a0 + h, s.u) - gamma_quantile(a0 - h, s.u)) / (2 * h)
-print(f"\ndraw y={s.value:.5f} at u={s.u:.5f}")
-print(f"dy/da implicit {s.dvalue_dshape:.6f}  quantile finite-diff {numeric:.6f}")
+values, grads = gamma_sample_batch(np.array([a0]), rng, with_grad=True)
+y, dy_da = float(values[0]), float(grads[0])
+u = gamma_regularized_P(a0, y)
+numeric = (gamma_quantile(a0 + h, u) - gamma_quantile(a0 - h, u)) / (2 * h)
+print(f"\ndraw y={y:.5f} at u={u:.5f}")
+print(f"dy/da implicit {dy_da:.6f}  quantile finite-diff {numeric:.6f}")
 
 # Dirichlet draws are normalized gammas; the batch sampler also returns the
-# raw gammas and their totals so gradients can be assembled later.
+# raw gammas and their implicit gradients so gradients can be assembled later.
 conc = np.array([4.0, 1.0, 0.5, 2.5])
-samples, raw, totals = dirichlet_sample_batch(conc, 50000, rng)
+samples, raw, raw_grads = dirichlet_sample_batch(conc, 50000, rng)
 print("\ndirichlet mean  ", np.round(samples.mean(axis=0), 4))
 print("theory          ", np.round(conc / conc.sum(), 4))
 print("rows sum to one ", bool(np.allclose(samples.sum(axis=1), 1.0)))

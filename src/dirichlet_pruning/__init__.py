@@ -8,7 +8,7 @@ physical pruning, and a batch CLI harness.
 """
 
 from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_log_pdf,
-                        dirichlet_marginal_std, dirichlet_mean, dirichlet_sample,
+                        dirichlet_marginal_std, dirichlet_mean,
                         dirichlet_sample_batch)
 from .errors import (ConfigError, ContractError, DomainError, FormatError,
                      NumericError, PipelineError, ShapeError)
@@ -20,7 +20,7 @@ from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
                       make_plan, masked_logits, rank_derivative, rank_dirichlet,
                       rank_magnitude, rank_random)
 from .special import (digamma, gamma_implicit_grad, gamma_quantile,
-                      gamma_regularized_P, gamma_sample, lgamma, trigamma)
+                      gamma_regularized_P, gamma_sample_batch, lgamma, trigamma)
 from .switch import (AnalyticMean, ImplicitMC, SwitchState, SwitchTrainSchedule,
                      init_switch_states, neg_elbo_minibatch, posterior_report,
                      switch_forward, train_switches)

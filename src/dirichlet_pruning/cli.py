@@ -14,14 +14,15 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, require, resolved_text
+from .config import ExperimentConfig, load_config, require
 from .errors import ConfigError, ContractError, FormatError, PipelineError
 from .models import (TrainSchedule, evaluate, load_model, save_model, train_model)
 from .pipeline import (build_or_load_model, estimator_from, export_feature_maps,
-                       load_dataset, rank_by_method, run_pipeline,
-                       run_posterior_compare)
-from .pruning import (apply_plan, finetune, make_plan, plan_from_json,
-                      plan_to_json, ranking_to_csv)
+                       kl_weight_from, load_dataset, plan_from_config,
+                       rank_by_method, run_pipeline, run_posterior_compare,
+                       write_resolved_config)
+from .pruning import (apply_plan, finetune, plan_from_json, plan_to_json,
+                      ranking_from_csv, ranking_to_csv)
 from .switch import (SwitchTrainSchedule, init_switch_states, load_states,
                      posterior_report, save_states, train_switches)
 
@@ -47,12 +48,6 @@ def _in_path(cfg, attr, default_name):
     return path
 
 
-def _log_config(cfg) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w") as f:
-        f.write(resolved_text(cfg))
-
-
 def cmd_train(cfg: ExperimentConfig) -> None:
     rng = np.random.default_rng(cfg.seed)
     dataset = load_dataset(cfg, rng)
@@ -73,7 +68,7 @@ def cmd_switch_train(cfg: ExperimentConfig) -> None:
     model = build_or_load_model(cfg, dataset, rng)
     states = init_switch_states(model, alpha0=cfg.alpha0,
                                 estimator=estimator_from(cfg),
-                                kl_weight=None if cfg.kl_weight < 0 else cfg.kl_weight)
+                                kl_weight=kl_weight_from(cfg))
     if not states:
         raise ContractError("model has no switch layers")
     train_switches(model, states, dataset.x_train, dataset.y_train,
@@ -113,16 +108,10 @@ def cmd_prune(cfg: ExperimentConfig) -> None:
     else:
         ranking_path = cfg.ranking_path or os.path.join(cfg.out_dir, "ranking.csv")
         if os.path.exists(ranking_path):
-            from .pruning import ranking_from_csv
             report = ranking_from_csv(ranking_path)
         else:
             report = rank_by_method(cfg, model, states, dataset, rng)
-        if cfg.rate > 0.0:
-            plan = make_plan(report, rate=cfg.rate)
-        elif cfg.keep_counts:
-            plan = make_plan(report, keep_counts=list(cfg.keep_counts))
-        else:
-            raise ConfigError("need keep_counts, rate, or an existing plan_path")
+        plan = plan_from_config(cfg, report)
         plan_to_json(plan, _out_path(cfg, "plan_path", "plan.json"))
     means = {st.layer_index: st.posterior_mean() for st in states}
     pruned = apply_plan(model, plan, switch_means=means)
@@ -170,7 +159,6 @@ def cmd_export_maps(cfg: ExperimentConfig) -> None:
     model = load_model(cfg.model_in)
     report = None
     if cfg.ranking_path and os.path.exists(cfg.ranking_path):
-        from .pruning import ranking_from_csv
         report = ranking_from_csv(cfg.ranking_path)
     image = dataset.x_test[cfg.image_index]
     paths = export_feature_maps(model, image, cfg.layer, cfg.out_dir, report)
@@ -212,7 +200,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        _log_config(cfg)
+        write_resolved_config(cfg)
         _COMMANDS[args.command](cfg)
     except (ConfigError, ContractError, FormatError, PipelineError,
             FileNotFoundError) as e:

@@ -7,22 +7,10 @@ Concentration vectors are plain float64 arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .special import (
-    GammaSample,
-    digamma,
-    digamma_batch,
-    gamma_sample,
-    gamma_sample_batch,
-    lgamma,
-    lgamma_batch,
-    trigamma,
-    trigamma_batch,
-)
+from .special import digamma_batch, gamma_sample_batch, lgamma_batch, trigamma_batch
 
 _INTERIOR_CLAMP = 1e-12
 _SIMPLEX_TOL = 1e-9
@@ -63,17 +51,6 @@ def dirichlet_marginal_std(conc) -> np.ndarray:
     return np.sqrt(var)
 
 
-def dirichlet_sample(conc, rng) -> tuple[np.ndarray, list[GammaSample]]:
-    """One draw s_j = y_j / sum(y), returning the Gamma draws for gradient use."""
-    conc = validate_concentration(conc)
-    draws = [gamma_sample(float(a), rng) for a in conc]
-    y = np.array([d.value for d in draws])
-    total = y.sum()
-    if total < _UNDERFLOW_TOTAL or not np.isfinite(total):
-        raise NumericError(f"all Gamma draws underflowed for concentration {conc}")
-    return y / total, draws
-
-
 def dirichlet_sample_batch(conc, k: int, rng):
     """k draws at once: returns (S, Y, G) with rows s = y/sum(y), the raw Gamma
     values y, and the implicit gradients dy/dconcentration, each (k, D)."""
@@ -95,14 +72,16 @@ def dirichlet_kl(q_conc, p_conc) -> float:
     p = validate_concentration(p_conc)
     if q.shape != p.shape:
         raise ShapeError(f"concentration length mismatch: {q.shape} vs {p.shape}")
-    sq = q.sum()
-    sp = p.sum()
-    kl = lgamma(sq) - lgamma(sp)
-    kl -= float(lgamma_batch(q).sum())
-    kl += float(lgamma_batch(p).sum())
-    psi_q = digamma_batch(q)
-    kl += float(((q - p) * (psi_q - digamma(sq))).sum())
-    return kl
+    # one kernel call per function: the concentrations with their total last
+    q_ext = np.append(q, q.sum())
+    lg_q = lgamma_batch(q_ext)
+    lg_p = lgamma_batch(np.append(p, p.sum()))
+    psi_q = digamma_batch(q_ext)
+    kl = lg_q[-1] - lg_p[-1]
+    kl -= lg_q[:-1].sum()
+    kl += lg_p[:-1].sum()
+    kl += ((q - p) * (psi_q[:-1] - psi_q[-1])).sum()
+    return float(kl)
 
 
 def dirichlet_kl_grad(q_conc, p_conc) -> np.ndarray:
@@ -115,11 +94,13 @@ def dirichlet_kl_grad(q_conc, p_conc) -> np.ndarray:
     if q.shape != p.shape:
         raise ShapeError(f"concentration length mismatch: {q.shape} vs {p.shape}")
     diff = q - p
-    return diff * trigamma_batch(q) - trigamma(float(q.sum())) * diff.sum()
+    psi1 = trigamma_batch(np.append(q, q.sum()))
+    return diff * psi1[:-1] - psi1[-1] * diff.sum()
 
 
 def _log_normalizer(conc: np.ndarray) -> float:
-    return float(lgamma_batch(conc).sum()) - lgamma(float(conc.sum()))
+    lg = lgamma_batch(np.append(conc, conc.sum()))
+    return float(lg[:-1].sum()) - float(lg[-1])
 
 
 def dirichlet_log_pdf(conc, s) -> float:

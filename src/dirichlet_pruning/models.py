@@ -8,8 +8,8 @@ identity when no vector is given.
 Conventions used throughout:
   - conv weights are (c_out, c_in, kh, kw), fc weights are (d_in, d_out)
     applied as x @ W, biases are per output channel/neuron
-  - count_params counts multiplicative weight elements only (kernels, fc
-    matrices, channel scales); biases and shifts are excluded
+  - count_params counts multiplicative weight elements only (conv kernels
+    and fc matrices); biases are excluded
   - count_flops counts one multiply-accumulate per kernel/matrix element
     application, linear layers only
 """
@@ -68,11 +68,6 @@ class Flatten:
 
 
 @dataclass(frozen=True)
-class ChannelAffine:
-    c: int
-
-
-@dataclass(frozen=True)
 class Switch:
     d: int
 
@@ -83,7 +78,6 @@ _KIND_TO_CLS = {
     "relu": Relu,
     "maxpool2d": MaxPool2d,
     "flatten": Flatten,
-    "channel_affine": ChannelAffine,
     "switch": Switch,
 }
 _CLS_TO_KIND = {v: k for k, v in _KIND_TO_CLS.items()}
@@ -167,10 +161,9 @@ def propagate_shapes(layers, input_shape) -> list[tuple]:
             shape = (shape[0], oh, ow)
         elif isinstance(spec, Flatten):
             shape = (int(np.prod(shape)),)
-        elif isinstance(spec, (ChannelAffine, Switch)):
-            width = spec.c if isinstance(spec, ChannelAffine) else spec.d
-            if shape[0] != width:
-                raise ShapeError(f"layer {i}: per-channel layer of width {width} applied to {shape}")
+        elif isinstance(spec, Switch):
+            if shape[0] != spec.d:
+                raise ShapeError(f"layer {i}: switch of width {spec.d} applied to {shape}")
         elif isinstance(spec, Relu):
             pass
         else:
@@ -188,8 +181,6 @@ def validate_model(model: ModelGraph) -> None:
         elif isinstance(spec, FullyConnected):
             want = {f"layer{i}.weight": (spec.d_in, spec.d_out),
                     f"layer{i}.bias": (spec.d_out,)}
-        elif isinstance(spec, ChannelAffine):
-            want = {f"layer{i}.scale": (spec.c,), f"layer{i}.shift": (spec.c,)}
         else:
             continue
         for name, shape in want.items():
@@ -257,9 +248,6 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             h = T.maxpool2d(h, k=spec.k, stride=spec.stride)
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
-        elif isinstance(spec, ChannelAffine):
-            h = T.broadcast_mul_channels(h, weight(f"layer{i}.scale"))
-            h = T.broadcast_add_channels(h, weight(f"layer{i}.shift"))
         elif isinstance(spec, Switch):
             s = switches.get(i)
             if s is not None:
@@ -357,14 +345,12 @@ def switch_layer_indices(model: ModelGraph) -> list[int]:
 
 
 def count_params(model: ModelGraph) -> int:
-    """Multiplicative weight elements: conv kernels, fc matrices, channel
-    scales. Biases and shifts do not count."""
+    """Multiplicative weight elements: conv kernels and fc matrices. Biases
+    do not count."""
     total = 0
     for i, spec in enumerate(model.layers):
         if isinstance(spec, (Conv2d, FullyConnected)):
             total += model.weights[f"layer{i}.weight"].size
-        elif isinstance(spec, ChannelAffine):
-            total += model.weights[f"layer{i}.scale"].size
     return int(total)
 
 

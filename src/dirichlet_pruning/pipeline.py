@@ -105,8 +105,24 @@ def estimator_from(cfg: ExperimentConfig):
     raise ConfigError(f"estimator must be analytic or implicit, got {cfg.estimator!r}")
 
 
-def _kl_weight(cfg: ExperimentConfig):
+def kl_weight_from(cfg: ExperimentConfig):
+    """The configured KL weight; a negative value selects the default 1/n."""
     return None if cfg.kl_weight < 0 else cfg.kl_weight
+
+
+def write_resolved_config(cfg: ExperimentConfig) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w") as f:
+        f.write(resolved_text(cfg))
+
+
+def plan_from_config(cfg: ExperimentConfig, report: RankingReport) -> PruningPlan:
+    """The plan a ranking gives under the configured rate or keep_counts."""
+    if cfg.rate > 0.0:
+        return make_plan(report, rate=cfg.rate)
+    if cfg.keep_counts:
+        return make_plan(report, keep_counts=list(cfg.keep_counts))
+    raise ConfigError("need keep_counts or rate")
 
 
 def rank_by_method(cfg: ExperimentConfig, model: ModelGraph, states,
@@ -150,9 +166,7 @@ def _write_metrics(path, rows: list[tuple[str, object]]) -> None:
 
 
 def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w") as f:
-        f.write(resolved_text(cfg))
+    write_resolved_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     phases = _Phases(log)
 
@@ -170,7 +184,7 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
     with phases.run("switch_train"):
         states = init_switch_states(model, alpha0=cfg.alpha0,
                                     estimator=estimator_from(cfg),
-                                    kl_weight=_kl_weight(cfg))
+                                    kl_weight=kl_weight_from(cfg))
         if states and cfg.epochs > 0:
             train_switches(model, states, dataset.x_train, dataset.y_train,
                            SwitchTrainSchedule(cfg.mode, cfg.epochs,
@@ -183,12 +197,7 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
         ranking_to_csv(report, ranking_path)
 
     with phases.run("plan"):
-        if cfg.rate > 0.0:
-            plan = make_plan(report, rate=cfg.rate)
-        elif cfg.keep_counts:
-            plan = make_plan(report, keep_counts=list(cfg.keep_counts))
-        else:
-            raise ConfigError("need keep_counts or rate")
+        plan = plan_from_config(cfg, report)
         plan_path = cfg.plan_path or os.path.join(cfg.out_dir, "plan.json")
         plan_to_json(plan, plan_path)
 
@@ -270,7 +279,7 @@ def run_posterior_compare(cfg: ExperimentConfig, log=None) -> PosteriorCompareRe
 
     def train(estimator, seed):
         states = init_switch_states(model, alpha0=cfg.alpha0, estimator=estimator,
-                                    kl_weight=_kl_weight(cfg))
+                                    kl_weight=kl_weight_from(cfg))
         hist = train_switches(model, states, x, y,
                               SwitchTrainSchedule(cfg.mode, cfg.epochs,
                                                   cfg.batch_size, cfg.lr),

@@ -5,9 +5,9 @@ conv/fc layer in the graph, 1 for the next, and so on (the final linear
 layer holds the class outputs and is never pruned). A plan's keep-list for
 a layer is a sorted subset of that layer's output channel indices.
 
-Physical removal slices output channels of each pruned layer, the matching
-input slices of the next linear layer (expanding across flatten to all
-spatial positions), and per-channel affine entries. Switch layers are
+Physical removal slices output channels of each pruned layer and the
+matching input slices of the next linear layer (expanding across flatten to
+all spatial positions). Switch layers are
 dropped from the pruned graph; each kept channel's weights and bias are
 first scaled by its posterior-mean switch value so the switchless pruned
 network reproduces the masked switched forward exactly.
@@ -24,10 +24,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .models import (ChannelAffine, Conv2d, Flatten, FullyConnected, MaxPool2d,
-                     ModelGraph, Relu, Switch, TrainSchedule, Tensor, copy_model,
-                     evaluate, forward, propagate_shapes, prunable_indices,
-                     prunable_widths, train_model, validate_model)
+from .models import (Conv2d, Flatten, FullyConnected, ModelGraph, Switch,
+                     TrainSchedule, Tensor, copy_model, evaluate, forward,
+                     propagate_shapes, prunable_indices, prunable_widths,
+                     train_model, validate_model)
 from .switch import SwitchState
 
 
@@ -255,12 +255,6 @@ def apply_plan(model: ModelGraph, plan: PruningPlan,
                 hw = h * w
                 in_keep = (in_keep[:, None] * hw + np.arange(hw)[None, :]).reshape(-1)
             put(Flatten())
-        elif isinstance(spec, ChannelAffine):
-            scale = model.weights[f"layer{i}.scale"]
-            shift = model.weights[f"layer{i}.shift"]
-            if in_keep is not None:
-                scale, shift = scale[in_keep], shift[in_keep]
-            put(ChannelAffine(scale.size), scale=scale, shift=shift)
         elif isinstance(spec, Switch):
             continue  # folded into the preceding layer's weights
         else:

@@ -1,17 +1,18 @@
-"""Scalar special functions and Gamma-distribution machinery.
+"""Special functions and Gamma-distribution machinery.
 
-Everything here is scale-1 Gamma: density x^(a-1) e^(-x) / Gamma(a).  The
-scalar entry points carry the documented accuracy contracts; the ``*_batch``
-variants are vectorized equivalents used on hot paths (sampling-based switch
-training, Monte Carlo tests) and agree with the scalar ones to rounding.
-The implicit gradient exists only in batch form; ``gamma_implicit_grad`` is
-its scalar wrapper.
+Everything here is scale-1 Gamma: density x^(a-1) e^(-x) / Gamma(a). Each
+job has one numpy kernel that works elementwise on arrays: ``lgamma_batch``,
+``digamma_batch``, ``trigamma_batch``, ``gamma_regularized_P_batch``,
+``gamma_sample_batch``, ``gamma_implicit_grad_batch`` and ``gamma_quantile``.
+The scalar names ``lgamma``, ``digamma``, ``trigamma``, ``gamma_regularized_P``
+and ``gamma_implicit_grad`` are thin wrappers that call the kernel on one
+value. Every kernel rejects NaN and out-of-domain input with a DomainError
+that names the offending value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,32 +35,26 @@ _LANCZOS_C = (
 _HALF_LOG_2PI = 0.9189385332046727  # log(2*pi)/2
 
 
+def _check_domain(fn: str, requirement: str, x: np.ndarray, ok: np.ndarray) -> None:
+    """Raise DomainError naming the first entry of x where ``ok`` fails.
+
+    ``ok`` is a comparison such as x > 0, which is False at NaN.
+    """
+    if not np.all(ok):
+        raise DomainError(f"{fn} requires {requirement}, got {x[~ok].flat[0]}")
+
+
 def lgamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"lgamma requires x > 0, got {x}")
-    return _lgamma_pos(float(x))
-
-
-def _lgamma_pos(x: float) -> float:
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its sweet spot
-        return math.log(math.pi / math.sin(math.pi * x)) - _lgamma_pos(1.0 - x)
-    xm1 = x - 1.0
-    a = _LANCZOS_C[0]
-    for i in range(1, 9):
-        a += _LANCZOS_C[i] / (xm1 + i)
-    t = xm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (xm1 + 0.5) * math.log(t) - t + math.log(a)
+    return float(lgamma_batch(x))
 
 
 def lgamma_batch(x: np.ndarray) -> np.ndarray:
-    """Vectorized lgamma; same Lanczos evaluation as the scalar path."""
+    """log Gamma(x) for x > 0, elementwise, by the Lanczos sum."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise DomainError("lgamma requires x > 0")
+    _check_domain("lgamma", "x > 0", x, x > 0.0)
     small = x < 0.5
-    xs = np.where(small, 1.0 - x, x)  # evaluate at reflected point where needed
+    xs = np.where(small, 1.0 - x, x)  # reflection keeps the Lanczos sum in its sweet spot
     xm1 = xs - 1.0
     a = np.full_like(xs, _LANCZOS_C[0])
     for i in range(1, 9):
@@ -74,29 +69,18 @@ def lgamma_batch(x: np.ndarray) -> np.ndarray:
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x), for x > 0.
+    """psi(x) = d/dx log Gamma(x), for x > 0."""
+    return float(digamma_batch(x))
+
+
+def digamma_batch(x: np.ndarray) -> np.ndarray:
+    """psi(x) for x > 0, elementwise.
 
     Recurrence pushes the argument above 10, then the asymptotic series in
     1/x^2 takes over.
     """
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    x = float(x)
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli tail: 1/12 - 1/120 z + 1/252 z^2 - 1/240 z^3 + 1/132 z^4 - 691/32760 z^5
-    tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
-        1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
-    return acc + math.log(x) - 0.5 / x - tail
-
-
-def digamma_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise DomainError("digamma requires x > 0")
+    _check_domain("digamma", "x > 0", x, x > 0.0)
     x = x.copy()
     acc = np.zeros_like(x)
     mask = x < 10.0
@@ -105,6 +89,7 @@ def digamma_batch(x: np.ndarray) -> np.ndarray:
         x[mask] += 1.0
         mask = x < 10.0
     inv2 = 1.0 / (x * x)
+    # Bernoulli tail: 1/12 - 1/120 z + 1/252 z^2 - 1/240 z^3 + 1/132 z^4 - 691/32760 z^5
     tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
         1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
     return acc + np.log(x) - 0.5 / x - tail
@@ -112,24 +97,14 @@ def digamma_batch(x: np.ndarray) -> np.ndarray:
 
 def trigamma(x: float) -> float:
     """psi'(x) for x > 0; needed for the gradient of the Dirichlet KL term."""
-    if not x > 0.0:
-        raise DomainError(f"trigamma requires x > 0, got {x}")
-    x = float(x)
-    acc = 0.0
-    while x < 10.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = inv * (1.0 + inv * (0.5 + inv * (1 / 6.0 - inv2 * (1 / 30.0 - inv2 * (
-        1 / 42.0 - inv2 * (1 / 30.0 - inv2 * (5.0 / 66.0)))))))
-    return acc + tail
+    return float(trigamma_batch(x))
 
 
 def trigamma_batch(x: np.ndarray) -> np.ndarray:
+    """psi'(x) for x > 0, elementwise: recurrence above 10, then the
+    asymptotic series."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise DomainError("trigamma requires x > 0")
+    _check_domain("trigamma", "x > 0", x, x > 0.0)
     x = x.copy()
     acc = np.zeros_like(x)
     mask = x < 10.0
@@ -153,64 +128,8 @@ _P_EPS = 1e-15
 
 
 def gamma_regularized_P(shape: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(shape, x), scale 1.
-
-    Power series for x < shape + 1, continued fraction (modified Lentz) for
-    the complement otherwise.
-    """
-    if not shape > 0.0:
-        raise DomainError(f"gamma_regularized_P requires shape > 0, got {shape}")
-    if x < 0.0:
-        raise DomainError(f"gamma_regularized_P requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    lg = _lgamma_pos(shape)
-    log_front = shape * math.log(x) - x - lg
-    if x < shape + 1.0:
-        # series: P = front * sum_n x^n / (a (a+1) ... (a+n))
-        term = 1.0 / shape
-        total = term
-        denom = shape
-        for _ in range(_P_MAX_ITER):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * _P_EPS:
-                break
-        else:
-            raise NumericError(f"P series failed to converge at ({shape}, {x})")
-        if log_front + math.log(total) < -745.0:
-            return 0.0
-        return min(1.0, math.exp(log_front) * total)
-    # Lentz continued fraction for Q = 1 - P
-    tiny = 1e-300
-    b = x + 1.0 - shape
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _P_MAX_ITER + 1):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _P_EPS:
-            break
-    else:
-        raise NumericError(f"P continued fraction failed to converge at ({shape}, {x})")
-    if log_front + math.log(abs(h)) < -745.0:
-        q = 0.0
-    else:
-        q = math.exp(log_front) * h
-    return max(0.0, 1.0 - q)
+    """Lower regularized incomplete gamma P(shape, x), scale 1."""
+    return float(gamma_regularized_P_batch(shape, x))
 
 
 def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
@@ -312,16 +231,18 @@ def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
 
 
 def gamma_regularized_P_batch(shape: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized P(shape, x); shapes broadcast."""
+    """P(shape, x) elementwise for shape > 0 and x >= 0; shapes broadcast.
+
+    Power series for x < shape + 1, continued fraction (modified Lentz) for
+    the complement otherwise. P(shape, 0) = 0 and P(shape, inf) = 1.
+    """
     shape = np.asarray(shape, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     shape, x = np.broadcast_arrays(shape, x)
-    if np.any(shape <= 0.0):
-        raise DomainError("gamma_regularized_P requires shape > 0")
-    if np.any(x < 0.0):
-        raise DomainError("gamma_regularized_P requires x >= 0")
-    out = np.zeros(shape.shape)
-    pos = x > 0.0
+    _check_domain("gamma_regularized_P", "shape > 0", shape, shape > 0.0)
+    _check_domain("gamma_regularized_P", "x >= 0", x, x >= 0.0)
+    out = np.where(x == np.inf, 1.0, 0.0)
+    pos = (x > 0.0) & (x < np.inf)
     if np.any(pos):
         a = shape[pos]
         xx = x[pos]
@@ -333,7 +254,7 @@ def gamma_regularized_P_batch(shape: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def gamma_log_pdf(shape: float, x: float) -> float:
     """log of the scale-1 Gamma density at x > 0."""
-    return (shape - 1.0) * math.log(x) - x - _lgamma_pos(shape)
+    return (shape - 1.0) * math.log(x) - x - lgamma(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -344,118 +265,70 @@ _QUANTILE_MAX_ITER = 200
 _U_CLAMP = 1e-12
 
 
-def gamma_quantile(shape: float, u: float) -> float:
-    """x such that P(shape, x) = u, via safeguarded Newton iterations.
+def gamma_quantile(shape, u):
+    """x such that P(shape, x) = u, elementwise; shapes broadcast.
 
-    u is clamped to [1e-12, 1 - 1e-12] before inversion; values outside
-    (0, 1) are rejected outright.
+    Each root is bracketed by doubling, then found by Newton steps that
+    fall back to bisection when a step leaves the bracket or the density
+    underflows. u is clamped to [1e-12, 1 - 1e-12] before inversion; values
+    outside (0, 1) are rejected outright. Scalar input gives a scalar.
     """
-    if not shape > 0.0:
-        raise DomainError(f"gamma_quantile requires shape > 0, got {shape}")
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"gamma_quantile requires u in (0, 1), got {u}")
-    u = min(max(u, _U_CLAMP), 1.0 - _U_CLAMP)
-    lg = _lgamma_pos(shape)
+    shape, u = np.broadcast_arrays(np.asarray(shape, dtype=np.float64),
+                                   np.asarray(u, dtype=np.float64))
+    _check_domain("gamma_quantile", "shape > 0", shape, shape > 0.0)
+    _check_domain("gamma_quantile", "u in (0, 1)", u, (u > 0.0) & (u < 1.0))
+    u = np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP)
+    lg = lgamma_batch(shape)
 
-    # bracket [lo, hi] with P(lo) < u < P(hi)
-    lo = 0.0
-    hi = max(shape, 1.0)
+    # bracket [lo, hi] with P(lo) < u <= P(hi)
+    lo = np.zeros_like(u)
+    hi = np.maximum(shape, 1.0)
     for _ in range(300):
-        if gamma_regularized_P(shape, hi) >= u:
+        low = gamma_regularized_P_batch(shape, hi) < u
+        if not low.any():
             break
-        lo = hi
-        hi *= 2.0
+        lo = np.where(low, hi, lo)
+        hi = np.where(low, 2.0 * hi, hi)
     else:
-        raise NumericError(f"gamma_quantile failed to bracket ({shape}, {u})")
+        raise NumericError(f"gamma_quantile failed to bracket ({shape[low][0]}, {u[low][0]})")
 
     # initial guess: small-x expansion for u near 0, else the mean-ish midpoint
-    x = math.exp((math.log(u) + math.log(shape) + lg) / shape)
-    if not (lo < x < hi):
-        x = 0.5 * (lo + hi) if lo > 0.0 else min(shape, hi)
+    with np.errstate(over="ignore"):
+        x = np.exp((np.log(u) + np.log(shape) + lg) / shape)
+    fallback = np.where(lo > 0.0, 0.5 * (lo + hi), np.minimum(shape, hi))
+    x = np.where((lo < x) & (x < hi), x, fallback)
 
+    live = np.ones(u.shape, dtype=bool)
+    err = np.zeros_like(u)
     for _ in range(_QUANTILE_MAX_ITER):
-        p = gamma_regularized_P(shape, x)
-        err = p - u
-        if abs(err) <= _QUANTILE_TOL:
-            return x
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        log_pdf = (shape - 1.0) * math.log(x) - x - lg
-        if log_pdf < -700.0:
-            x = 0.5 * (lo + hi)
-            continue
-        step = err / math.exp(log_pdf)
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise NumericError(f"gamma_quantile did not converge for ({shape}, {u})")
+        err[live] = gamma_regularized_P_batch(shape[live], x[live]) - u[live]
+        live &= np.abs(err) > _QUANTILE_TOL
+        if not live.any():
+            return x[()]  # a scalar for scalar input
+        hi = np.where(live & (err > 0.0), x, hi)
+        lo = np.where(live & (err <= 0.0), x, lo)
+        log_pdf = (shape - 1.0) * np.log(x) - x - lg
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x_new = x - err / np.exp(log_pdf)
+        newton = (log_pdf >= -700.0) & (lo < x_new) & (x_new < hi)
+        x = np.where(live, np.where(newton, x_new, 0.5 * (lo + hi)), x)
+    raise NumericError(f"gamma_quantile did not converge for ({shape[live][0]}, {u[live][0]})")
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-@dataclass
-class GammaSample:
-    """One scale-1 Gamma draw with the implicit shape-gradient attached.
-
-    ``u`` is the effective uniform P(shape, value); ``dvalue_dshape`` is the
-    derivative of the quantile at that fixed u, computed on access.
-    """
-    value: float
-    shape: float
-    u: float
-
-    @property
-    def dvalue_dshape(self) -> float:
-        return gamma_implicit_grad(self.shape, self.value)
-
-
-def _marsaglia_tsang(shape: float, rng) -> float:
-    """Squeeze sampler for shape >= 1."""
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.standard_normal()
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.random()
-        if u < 1.0 - 0.0331 * x * x * x * x:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
-def gamma_sample(shape: float, rng) -> GammaSample:
-    """Draw y ~ Gamma(shape, 1) by Marsaglia-Tsang, with gradient bookkeeping.
+def gamma_sample_batch(shapes: np.ndarray, rng, with_grad: bool = False):
+    """Draw y ~ Gamma(shape, 1) at each entry of ``shapes`` by Marsaglia-Tsang.
 
     For shape < 1 the draw is taken at shape + 1 and boosted by U^(1/shape),
-    which is exact in distribution.
-    """
-    if not shape > 0.0:
-        raise DomainError(f"gamma_sample requires shape > 0, got {shape}")
-    if shape >= 1.0:
-        value = _marsaglia_tsang(shape, rng)
-    else:
-        boost = rng.random() ** (1.0 / shape)
-        value = _marsaglia_tsang(shape + 1.0, rng) * boost
-    value = max(value, 5e-324)
-    return GammaSample(value=value, shape=shape, u=gamma_regularized_P(shape, value))
-
-
-def gamma_sample_batch(shapes: np.ndarray, rng, with_grad: bool = False):
-    """Vectorized Marsaglia-Tsang draws at the given shape vector.
-
-    Returns values, or (values, dvalue_dshape) when ``with_grad`` is set.
+    which is exact in distribution. Returns values, or (values,
+    dvalue_dshape) when ``with_grad`` is set; dvalue_dshape is the implicit
+    gradient at the draw's fixed uniform u = P(shape, value).
     """
     shapes = np.asarray(shapes, dtype=np.float64)
-    if np.any(shapes <= 0.0):
-        raise DomainError("gamma_sample requires shape > 0")
+    _check_domain("gamma_sample", "shape > 0", shapes, shapes > 0.0)
     flat = shapes.ravel()
     small = flat < 1.0
     eff = np.where(small, flat + 1.0, flat)
@@ -493,13 +366,8 @@ def gamma_sample_batch(shapes: np.ndarray, rng, with_grad: bool = False):
 
 
 def gamma_implicit_grad(shape: float, value: float) -> float:
-    """d(value)/d(shape) at fixed underlying uniform; scalar form of
-    ``gamma_implicit_grad_batch``."""
-    if not shape > 0.0:
-        raise DomainError(f"gamma_implicit_grad requires shape > 0, got {shape}")
-    if not value > 0.0:
-        raise DomainError(f"gamma_implicit_grad requires value > 0, got {value}")
-    return float(gamma_implicit_grad_batch(np.array([shape]), np.array([value]))[0])
+    """d(value)/d(shape) at fixed underlying uniform, for one draw."""
+    return float(gamma_implicit_grad_batch(shape, value))
 
 
 def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -514,8 +382,8 @@ def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndar
     """
     shapes = np.asarray(shapes, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if np.any(shapes <= 0.0) or np.any(values <= 0.0):
-        raise DomainError("gamma_implicit_grad requires shape > 0 and value > 0")
+    _check_domain("gamma_implicit_grad", "shape > 0", shapes, shapes > 0.0)
+    _check_domain("gamma_implicit_grad", "value > 0", values, values > 0.0)
     shapes, values = np.broadcast_arrays(shapes, values)
     log_pdf = (shapes - 1.0) * np.log(values) - values - lgamma_batch(shapes)
     if np.any(log_pdf < -700.0):

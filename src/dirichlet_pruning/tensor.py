@@ -1,10 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 The primitive set is exactly what the rest of the package needs: matmul,
-conv2d (direct loops or im2col), elementwise arithmetic, relu, softplus,
-per-channel broadcast ops, max-pooling, reshape, reductions and softmax
-cross-entropy.  Ops record onto the innermost active ``Tape``; ``backward``
-replays the tape in reverse insertion order.
+conv2d (im2col), elementwise arithmetic, relu, softplus, per-channel
+broadcast ops, max-pooling, reshape, reductions and softmax cross-entropy.
+Ops record onto the innermost active ``Tape``; ``backward`` replays the
+tape in reverse insertion order and then clears it.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves (and on tensors with ``retain_grad`` set).
@@ -159,7 +159,10 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar produced on a live tape; traversal is strict
     reverse insertion order, so every node's output gradient is complete by
-    the time the node is visited.
+    the time the node is visited. The sweep consumes the tape: clearing it
+    breaks the output -> tape -> node -> output cycle, so saved activations
+    are freed at once, not by a later cyclic GC pass. A second backward on
+    the same tape raises ContractError.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -170,6 +173,8 @@ def backward(loss: Tensor) -> None:
             _accumulate_leaf(loss, np.ones_like(loss.data))
             return
         raise ContractError("loss is not attached to a live tape")
+    if not tape._nodes:
+        raise ContractError("the loss's tape was already consumed by backward")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
@@ -189,6 +194,7 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[key] = g
                 holders[key] = t
+    tape.clear()
     for key, t in holders.items():
         if not t._recorded:  # leaves only; recorded orphans lie on other branches
             _accumulate_leaf(t, grads[key])
@@ -359,52 +365,19 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: in
     return np.ascontiguousarray(cols)
 
 
-def _conv2d_forward_im2col(x, k, stride, padding, geom):
-    n, c_in, c_out, kh, kw, h_out, w_out = geom
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    out = cols @ k.reshape(c_out, -1).T
-    return out.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2), cols
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Batched 2-d cross-correlation by im2col, NCHW layout, no kernel flip.
 
-
-def _conv2d_forward_direct(x, k, stride, padding, geom):
-    n, c_in, c_out, kh, kw, h_out, w_out = geom
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((n, c_out, h_out, w_out))
-    for co in range(c_out):
-        for oh in range(h_out):
-            for ow in range(w_out):
-                hs, ws = oh * stride, ow * stride
-                patch = xp[:, :, hs:hs + kh, ws:ws + kw]
-                out[:, co, oh, ow] = np.sum(patch * k[co], axis=(1, 2, 3))
-    return out
-
-
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
-           method: str = "im2col") -> Tensor:
-    """Batched 2-d cross-correlation, NCHW layout, no kernel flip.
-
-    ``method`` selects the forward path; "direct" is the loop reference the
-    im2col path must agree with.  Gradients for input and kernel are
-    registered regardless of the path.
+    The im2col matrix is kept for the kernel gradient.
     """
-    geom = _conv_geometry(x.shape, kernel.shape, stride, padding)
-    n, c_in, c_out, kh, kw, h_out, w_out = geom
-    if method == "im2col":
-        out_data, cols = _conv2d_forward_im2col(x.data, kernel.data, stride, padding, geom)
-    elif method == "direct":
-        out_data = _conv2d_forward_direct(x.data, kernel.data, stride, padding, geom)
-        cols = None
-    else:
-        raise ValueError(f"unknown conv2d method {method!r}")
-    out = Tensor(out_data)
+    n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
+    rows = cols @ kernel.data.reshape(c_out, -1).T  # one row per output pixel
+    out = Tensor(rows.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
     h, w = x.shape[2], x.shape[3]
 
     def bwd(g):
-        nonlocal cols
-        if cols is None:
-            xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            cols = _im2col(xp, kh, kw, stride, h_out, w_out)
         g2 = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
         grad_k = (g2.T @ cols).reshape(kernel.shape)
         grad_cols = g2 @ kernel.data.reshape(c_out, -1)

@@ -12,12 +12,11 @@ from dirichlet_pruning.dirichlet import (dirichlet_kl, dirichlet_kl_grad,
                                          dirichlet_log_pdf,
                                          dirichlet_log_pdf_batch,
                                          dirichlet_marginal_std,
-                                         dirichlet_mean, dirichlet_sample,
+                                         dirichlet_mean,
                                          dirichlet_sample_batch,
                                          validate_concentration,
                                          validate_simplex)
 from dirichlet_pruning.errors import DomainError, NumericError, ShapeError
-from dirichlet_pruning.special import GammaSample
 
 from conftest import central_fd, grad_err
 
@@ -113,14 +112,12 @@ def test_sample_symmetric_two_dims():
 def test_sample_simplex_invariants_and_gamma_parts():
     rng = np.random.default_rng(201)
     conc = np.array([0.3, 1.0, 4.0])
-    for _ in range(300):
-        s, parts = dirichlet_sample(conc, rng)
-        assert abs(s.sum() - 1.0) <= 1e-9
-        assert np.all(s >= 0.0)
-        assert len(parts) == 3
-        assert all(isinstance(p, GammaSample) for p in parts)
-        y = np.array([p.value for p in parts])
-        assert np.allclose(s, y / y.sum(), rtol=1e-12, atol=0)
+    s, y, dy = dirichlet_sample_batch(conc, 300, rng)
+    assert s.shape == y.shape == dy.shape == (300, 3)
+    assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-9)
+    assert np.all(s >= 0.0)
+    assert np.all(y > 0.0) and np.all(dy > 0.0)
+    assert np.allclose(s, y / y.sum(axis=1, keepdims=True), rtol=1e-12, atol=0)
 
 
 def test_sample_mean_matches_analytic():
@@ -150,7 +147,7 @@ def test_sample_marginal_variance_matches_formula():
 def test_sample_underflow_raises_numeric_error():
     rng = np.random.default_rng(204)
     with pytest.raises(NumericError):
-        dirichlet_sample(np.array([1e-300, 1e-300]), rng)
+        dirichlet_sample_batch(np.array([1e-300, 1e-300]), 1, rng)
 
 
 # ---------------------------------------------------------------------------

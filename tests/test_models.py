@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from dirichlet_pruning.errors import ContractError, FormatError, ShapeError
-from dirichlet_pruning.models import (ChannelAffine, Conv2d, Flatten,
-                                      FullyConnected, MaxPool2d, ModelGraph,
-                                      Relu, Switch, TrainSchedule,
+from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
+                                      MaxPool2d, ModelGraph, Relu, Switch,
+                                      TrainSchedule,
                                       build_lenet5, build_mlp, copy_model,
                                       count_flops, count_params, evaluate,
                                       forward, load_model, propagate_shapes,
@@ -199,14 +199,6 @@ def test_count_params_fc():
 
 def test_count_params_conv():
     assert count_params(_conv_only(3, 8, 5, 28)) == 600
-
-
-def test_count_params_channel_affine_counts_scale_only():
-    layers = [FullyConnected(4, 6), ChannelAffine(6)]
-    weights = {"layer0.weight": np.zeros((4, 6)), "layer0.bias": np.zeros(6),
-               "layer1.scale": np.ones(6), "layer1.shift": np.zeros(6)}
-    model = ModelGraph(layers, weights, (4,))
-    assert count_params(model) == 24 + 6
 
 
 def test_count_params_enumeration_identity():

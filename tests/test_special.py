@@ -1,4 +1,4 @@
-"""Scalar special functions and Gamma machinery against independent oracles.
+"""Special functions and Gamma machinery against independent oracles.
 
 Frozen reference values were produced with mpmath at 50 decimal digits and
 with adaptive quadrature of the Gamma density; the live cross-checks below
@@ -6,6 +6,8 @@ recompute them where the oracle library is importable.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,12 +16,12 @@ import scipy.special
 import scipy.stats
 
 from dirichlet_pruning.errors import DomainError, NumericError
-from dirichlet_pruning.special import (GammaSample, digamma, digamma_batch,
+from dirichlet_pruning.special import (digamma, digamma_batch,
                                        gamma_implicit_grad,
                                        gamma_implicit_grad_batch,
                                        gamma_log_pdf, gamma_quantile,
                                        gamma_regularized_P,
-                                       gamma_regularized_P_batch, gamma_sample,
+                                       gamma_regularized_P_batch,
                                        gamma_sample_batch, lgamma,
                                        lgamma_batch, trigamma, trigamma_batch)
 
@@ -67,9 +69,11 @@ def test_lgamma_large_arguments_to_machine_precision():
 
 
 def test_lgamma_domain_error():
-    for bad in (0.0, -0.5, -3.0):
+    for bad in (0.0, -0.5, -3.0, math.nan):
         with pytest.raises(DomainError):
             lgamma(bad)
+    with pytest.raises(DomainError, match="nan"):
+        lgamma_batch(np.array([2.0, math.nan]))
 
 
 def test_lgamma_batch_matches_scalar():
@@ -120,6 +124,8 @@ def test_digamma_domain_error():
         digamma(0.0)
     with pytest.raises(DomainError):
         digamma(-2.0)
+    with pytest.raises(DomainError, match="nan"):
+        digamma_batch(np.array([2.0, math.nan]))
 
 
 def test_digamma_batch_matches_scalar():
@@ -134,6 +140,8 @@ def test_trigamma_basics():
         assert abs(trigamma(x + 1.0) - trigamma(x) + 1.0 / x**2) <= 1e-12
     with pytest.raises(DomainError):
         trigamma(-1.0)
+    with pytest.raises(DomainError, match="nan"):
+        trigamma_batch(np.array([2.0, math.nan]))
     xs = np.array([0.2, 1.0, 9.0])
     assert np.array_equal(trigamma_batch(xs), np.array([trigamma(float(x)) for x in xs]))
 
@@ -151,6 +159,9 @@ def test_gamma_P_endpoints():
     for a in [0.3, 1.0, 4.5]:
         assert gamma_regularized_P(a, 0.0) == 0.0
         assert abs(gamma_regularized_P(a, 700.0) - 1.0) <= 1e-12
+        assert gamma_regularized_P(a, math.inf) == 1.0
+    got = gamma_regularized_P_batch(np.array([0.3, 2.0, 2.0]), np.array([math.inf, 0.0, 1.0]))
+    assert got[0] == 1.0 and got[1] == 0.0 and 0.0 < got[2] < 1.0
 
 
 def test_gamma_P_against_quadrature():
@@ -174,6 +185,10 @@ def test_gamma_P_domain_errors():
         gamma_regularized_P(1.0, -0.1)
     with pytest.raises(DomainError):
         gamma_regularized_P(0.0, 1.0)
+    with pytest.raises(DomainError, match="nan"):
+        gamma_regularized_P(2.0, math.nan)
+    with pytest.raises(DomainError, match="nan"):
+        gamma_regularized_P_batch(np.array([1.0, math.nan]), 1.0)
 
 
 def test_gamma_P_batch_matches_scalar():
@@ -217,11 +232,12 @@ def test_gamma_quantile_round_trip_grid():
 
 
 def test_gamma_quantile_domain_errors():
-    for u in (0.0, 1.0, -0.2, 1.3):
+    for u in (0.0, 1.0, -0.2, 1.3, math.nan):
         with pytest.raises(DomainError):
             gamma_quantile(2.0, u)
-    with pytest.raises(DomainError):
-        gamma_quantile(-1.0, 0.5)
+    for shape in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            gamma_quantile(shape, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +247,7 @@ def test_gamma_quantile_domain_errors():
 def test_gamma_sample_mean_shape3():
     rng = np.random.default_rng(100)
     n = 100_000
-    vals = np.array([gamma_sample(3.0, rng).value for _ in range(n)])
+    vals = gamma_sample_batch(np.full(n, 3.0), rng)
     se = math.sqrt(3.0 / n)
     assert abs(vals.mean() - 3.0) <= 4 * se
 
@@ -239,7 +255,7 @@ def test_gamma_sample_mean_shape3():
 def test_gamma_sample_variance_shape_half():
     rng = np.random.default_rng(101)
     n = 100_000
-    vals = np.array([gamma_sample(0.5, rng).value for _ in range(n)])
+    vals = gamma_sample_batch(np.full(n, 0.5), rng)
     # var of the sample variance for Gamma(a): (mu4 - sigma^4)/n with
     # mu4 = 3a^2 + 6a, sigma^2 = a
     a = 0.5
@@ -250,25 +266,42 @@ def test_gamma_sample_variance_shape_half():
 def test_gamma_sample_fields_and_positivity():
     rng = np.random.default_rng(102)
     for shape in [0.05, 0.5, 1.0, 2.3, 40.0]:
-        for _ in range(200):
-            s = gamma_sample(shape, rng)
-            assert isinstance(s, GammaSample)
-            assert s.value > 0.0
-            assert s.dvalue_dshape > 0.0
-            assert s.shape == shape
-            assert abs(gamma_regularized_P(shape, s.value) - s.u) <= 1e-9
+        values, grads = gamma_sample_batch(np.full(200, shape), rng, with_grad=True)
+        assert values.shape == grads.shape == (200,)
+        assert np.all(values > 0.0)
+        assert np.all(grads > 0.0)
+        u = gamma_regularized_P_batch(shape, values)
+        assert np.all((u > 0.0) & (u < 1.0))
 
 
 def test_gamma_sample_ks_against_cdf():
     rng = np.random.default_rng(103)
     n = 10_000
     for shape in [0.5, 3.0]:
-        vals = np.sort([gamma_sample(shape, rng).value for _ in range(n)])
+        vals = np.sort(gamma_sample_batch(np.full(n, shape), rng))
         u = gamma_regularized_P_batch(np.full(n, shape), vals)
         grid = np.arange(1, n + 1) / n
         ks = float(np.max(np.maximum(grid - u, u - (grid - 1.0 / n))))
         threshold = math.sqrt(-0.5 * math.log(0.01 / 2.0)) / math.sqrt(n)
         assert ks < threshold, shape
+
+
+def test_gamma_sample_batch_rejects_nan_shape():
+    # in a child process, so that a sampler that loops on NaN fails here
+    # by timeout instead of hanging the suite
+    code = ("import numpy as np\n"
+            "from dirichlet_pruning.errors import DomainError\n"
+            "from dirichlet_pruning.special import gamma_sample_batch\n"
+            "try:\n"
+            "    gamma_sample_batch(np.array([2.0, np.nan]), np.random.default_rng(0))\n"
+            "except DomainError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "nan" in proc.stdout
 
 
 def test_gamma_sample_batch_reproducible_and_valid():
@@ -314,7 +347,7 @@ def test_implicit_grad_positive_on_random_draws():
     rng = np.random.default_rng(104)
     shapes = np.exp(rng.uniform(np.log(0.05), np.log(50.0), 10_000))
     us = rng.uniform(0.001, 0.999, 10_000)
-    values = np.array([gamma_quantile(float(a), float(u)) for a, u in zip(shapes, us)])
+    values = gamma_quantile(shapes, us)
     grads = gamma_implicit_grad_batch(shapes, values)
     assert np.all(grads > 0)
 
@@ -338,6 +371,14 @@ def test_implicit_grad_against_mpmath_shape_derivative():
     rel = np.abs(grads - np.array(refs)) / np.abs(np.array(refs))
     worst = int(rel.argmax())
     assert rel[worst] <= 1e-10, (shapes[worst], values[worst], rel[worst])
+
+
+def test_implicit_grad_domain_errors():
+    for shape, value in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            gamma_implicit_grad(shape, value)
+    with pytest.raises(DomainError, match="nan"):
+        gamma_implicit_grad_batch(np.array([1.0, 2.0]), np.array([0.5, math.nan]))
 
 
 def test_implicit_grad_tail_raises_numeric_error():
