@@ -9,7 +9,8 @@ same entry points, so everything below is also reachable as
     dirichlet-pruning --config exp.cfg pipeline
 
 or phase by phase with the train / switch-train / rank / prune / finetune /
-eval subcommands.
+eval subcommands. The subcommands and `pipeline` run the same phase
+functions from dirichlet_pruning.pipeline.
 """
 
 import pathlib

@@ -16,158 +16,128 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, require
 from .errors import ConfigError, ContractError, FormatError, PipelineError
-from .models import (TrainSchedule, evaluate, load_model, save_model, train_model)
-from .pipeline import (build_or_load_model, estimator_from, export_feature_maps,
-                       kl_weight_from, load_dataset, plan_from_config,
-                       rank_by_method, run_pipeline, run_posterior_compare,
+from .models import evaluate, save_model
+from .pipeline import (artifact_path, build_or_load_model, export_feature_maps,
+                       finetune_from_config, load_dataset, plan_from_config,
+                       prune_with_states, rank_by_method, run_pipeline,
+                       run_posterior_compare, switch_states_from_config,
+                       train_from_config, train_switches_from_config,
                        write_resolved_config)
-from .pruning import (apply_plan, finetune, plan_from_json, plan_to_json,
-                      ranking_from_csv, ranking_to_csv)
-from .switch import (SwitchTrainSchedule, init_switch_states, load_states,
-                     posterior_report, save_states, train_switches)
+from .pruning import plan_from_json, plan_to_json, ranking_from_csv, ranking_to_csv
+from .switch import load_states, save_states
 
 
-def _echo(line: str) -> None:
-    print(line)
-
-
-def _out_path(cfg, attr, default_name):
-    path = getattr(cfg, attr)
-    if path:
-        return path
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, default_name)
-
-
-def _in_path(cfg, attr, default_name):
-    """Configured path, falling back to the artifact a previous subcommand
-    would have written under out_dir."""
-    path = getattr(cfg, attr) or os.path.join(cfg.out_dir, default_name)
+def _existing_path(cfg, key, default_name):
+    """artifact_path, which must name a file a previous subcommand wrote."""
+    path = artifact_path(cfg, key, default_name)
     if not os.path.exists(path):
-        raise ConfigError(f"missing config keys: {attr} (no file at {path})")
+        raise ConfigError(f"missing config keys: {key} (no file at {path})")
     return path
 
 
-def cmd_train(cfg: ExperimentConfig) -> None:
+def _setup(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     dataset = load_dataset(cfg, rng)
-    model = build_or_load_model(cfg, dataset, rng)
-    if cfg.train_epochs > 0:
-        train_model(model, dataset.x_train, dataset.y_train,
-                    TrainSchedule(cfg.train_epochs, cfg.train_batch_size,
-                                  cfg.train_lr, cfg.train_momentum), rng, log=_echo)
-    path = _out_path(cfg, "model_out", "model.dpm1")
+    return rng, dataset, build_or_load_model(cfg, dataset, rng)
+
+
+def cmd_train(cfg: ExperimentConfig) -> None:
+    rng, dataset, model = _setup(cfg)
+    if cfg.train_epochs > 0:  # a loaded model_in trains further
+        train_from_config(cfg, model, dataset, rng, log=print)
+    path = artifact_path(cfg, "model_out", "model.dpm1")
     save_model(model, path)
     err = evaluate(model, dataset.x_test, dataset.y_test)
-    _echo(f"trained {model.arch_string}: test error {err:.2f}%, saved {path}")
+    print(f"trained {model.arch_string}: test error {err:.2f}%, saved {path}")
 
 
 def cmd_switch_train(cfg: ExperimentConfig) -> None:
-    rng = np.random.default_rng(cfg.seed)
-    dataset = load_dataset(cfg, rng)
-    model = build_or_load_model(cfg, dataset, rng)
-    states = init_switch_states(model, alpha0=cfg.alpha0,
-                                estimator=estimator_from(cfg),
-                                kl_weight=kl_weight_from(cfg))
+    rng, dataset, model = _setup(cfg)
+    states = switch_states_from_config(cfg, model)
     if not states:
         raise ContractError("model has no switch layers")
-    train_switches(model, states, dataset.x_train, dataset.y_train,
-                   SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr),
-                   rng, log=_echo)
-    path = _out_path(cfg, "switches_path", "switches.json")
+    # epochs = 0 is an error here, not a skip: the schedule rejects it
+    train_switches_from_config(cfg, model, states, dataset.x_train, dataset.y_train,
+                               rng, log=print)
+    path = artifact_path(cfg, "switches_path", "switches.json")
     save_states(states, path)
     top = ", ".join(f"layer{st.layer_index}:{np.argmax(st.posterior_mean())}"
                     for st in states)
-    _echo(f"switch posteriors saved to {path}; top channels {top}")
+    print(f"switch posteriors saved to {path}; top channels {top}")
 
 
 def cmd_rank(cfg: ExperimentConfig) -> None:
-    rng = np.random.default_rng(cfg.seed)
-    dataset = load_dataset(cfg, rng)
-    model = build_or_load_model(cfg, dataset, rng)
+    rng, dataset, model = _setup(cfg)
     states = []
     if cfg.method == "dirichlet":
-        states = load_states(_in_path(cfg, "switches_path", "switches.json"))
+        states = load_states(_existing_path(cfg, "switches_path", "switches.json"))
     report = rank_by_method(cfg, model, states, dataset, rng)
-    path = _out_path(cfg, "ranking_path", "ranking.csv")
+    path = artifact_path(cfg, "ranking_path", "ranking.csv")
     ranking_to_csv(report, path)
-    _echo(f"{cfg.method} ranking over {len(report.per_layer)} layers saved to {path}")
+    print(f"{cfg.method} ranking over {len(report.per_layer)} layers saved to {path}")
 
 
 def cmd_prune(cfg: ExperimentConfig) -> None:
-    rng = np.random.default_rng(cfg.seed)
-    dataset = load_dataset(cfg, rng)
-    model = build_or_load_model(cfg, dataset, rng)
+    rng, dataset, model = _setup(cfg)
     states = []
-    states_path = cfg.switches_path or os.path.join(cfg.out_dir, "switches.json")
+    states_path = artifact_path(cfg, "switches_path", "switches.json")
     if os.path.exists(states_path):
         states = load_states(states_path)
-    plan_path = cfg.plan_path or os.path.join(cfg.out_dir, "plan.json")
+    plan_path = artifact_path(cfg, "plan_path", "plan.json")
     if os.path.exists(plan_path):
         plan = plan_from_json(plan_path)
     else:
-        ranking_path = cfg.ranking_path or os.path.join(cfg.out_dir, "ranking.csv")
+        ranking_path = artifact_path(cfg, "ranking_path", "ranking.csv")
         if os.path.exists(ranking_path):
             report = ranking_from_csv(ranking_path)
         else:
             report = rank_by_method(cfg, model, states, dataset, rng)
         plan = plan_from_config(cfg, report)
-        plan_to_json(plan, _out_path(cfg, "plan_path", "plan.json"))
-    means = {st.layer_index: st.posterior_mean() for st in states}
-    pruned = apply_plan(model, plan, switch_means=means)
-    path = _out_path(cfg, "model_out", "pruned.dpm1")
+        plan_to_json(plan, plan_path)
+    pruned = prune_with_states(model, plan, states)
+    path = artifact_path(cfg, "model_out", "pruned.dpm1")
     save_model(pruned, path)
     err = evaluate(pruned, dataset.x_test, dataset.y_test)
-    _echo(f"pruned to {pruned.arch_string}: test error {err:.2f}%, saved {path}")
+    print(f"pruned to {pruned.arch_string}: test error {err:.2f}%, saved {path}")
 
 
 def cmd_finetune(cfg: ExperimentConfig) -> None:
     require(cfg, "model_in")
-    rng = np.random.default_rng(cfg.seed)
-    dataset = load_dataset(cfg, rng)
-    model = load_model(cfg.model_in)
-    model, val_err = finetune(model, dataset.x_train, dataset.y_train,
-                              dataset.x_val, dataset.y_val,
-                              TrainSchedule(cfg.finetune_epochs, cfg.finetune_batch_size,
-                                            cfg.finetune_lr, cfg.finetune_momentum),
-                              rng, log=_echo)
-    path = _out_path(cfg, "model_out", "finetuned.dpm1")
+    rng, dataset, model = _setup(cfg)
+    model, val_err = finetune_from_config(cfg, model, dataset, rng, log=print)
+    path = artifact_path(cfg, "model_out", "finetuned.dpm1")
     save_model(model, path)
-    _echo(f"finetuned {model.arch_string}: val error {val_err:.2f}%, saved {path}")
+    print(f"finetuned {model.arch_string}: val error {val_err:.2f}%, saved {path}")
 
 
 def cmd_eval(cfg: ExperimentConfig) -> None:
     require(cfg, "model_in")
-    rng = np.random.default_rng(cfg.seed)
-    dataset = load_dataset(cfg, rng)
-    model = load_model(cfg.model_in)
+    _, dataset, model = _setup(cfg)
     err = evaluate(model, dataset.x_test, dataset.y_test)
-    _echo(f"{model.arch_string}: test error {err:.2f}%")
+    print(f"{model.arch_string}: test error {err:.2f}%")
 
 
 def cmd_posterior_compare(cfg: ExperimentConfig) -> None:
-    result = run_posterior_compare(cfg, log=_echo)
-    _echo(f"posterior comparison saved to {result.csv_path}; "
+    result = run_posterior_compare(cfg, log=print)
+    print(f"posterior comparison saved to {result.csv_path}; "
           f"epoch seconds mc={sum(result.epoch_seconds_mc):.2f} "
           f"am={sum(result.epoch_seconds_am):.2f}")
 
 
 def cmd_export_maps(cfg: ExperimentConfig) -> None:
     require(cfg, "model_in")
-    rng = np.random.default_rng(cfg.seed)
-    dataset = load_dataset(cfg, rng)
-    model = load_model(cfg.model_in)
+    _, dataset, model = _setup(cfg)
     report = None
     if cfg.ranking_path and os.path.exists(cfg.ranking_path):
         report = ranking_from_csv(cfg.ranking_path)
     image = dataset.x_test[cfg.image_index]
     paths = export_feature_maps(model, image, cfg.layer, cfg.out_dir, report)
-    _echo(f"wrote {len(paths)} feature maps to {cfg.out_dir}")
+    print(f"wrote {len(paths)} feature maps to {cfg.out_dir}")
 
 
 def cmd_pipeline(cfg: ExperimentConfig) -> None:
-    result = run_pipeline(cfg, log=_echo)
-    _echo(f"pipeline done: {result.arch_string}, final error "
+    result = run_pipeline(cfg, log=print)
+    print(f"pipeline done: {result.arch_string}, final error "
           f"{result.final_error:.2f}%, params {result.params}, flops {result.flops}")
 
 

@@ -8,7 +8,7 @@ the fully-resolved configuration via ``resolved_text``.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 

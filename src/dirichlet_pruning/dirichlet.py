@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .special import digamma_batch, gamma_sample_batch, lgamma_batch, trigamma_batch
+from .special import (digamma_batch, gamma_implicit_grad_batch, gamma_sample_batch,
+                      lgamma_batch, trigamma_batch)
 
 _INTERIOR_CLAMP = 1e-12
 _SIMPLEX_TOL = 1e-9
@@ -53,14 +54,15 @@ def dirichlet_marginal_std(conc) -> np.ndarray:
 
 def dirichlet_sample_batch(conc, k: int, rng):
     """k draws at once: returns (S, Y, G) with rows s = y/sum(y), the raw Gamma
-    values y, and the implicit gradients dy/dconcentration, each (k, D)."""
+    values y, and the implicit gradients dy/dconcentration, each (k, D).
+    Underflowed draws raise NumericError before any gradient is computed."""
     conc = validate_concentration(conc)
     shapes = np.broadcast_to(conc, (k, conc.size))
-    y, g = gamma_sample_batch(shapes, rng, with_grad=True)
+    y = gamma_sample_batch(shapes, rng)
     totals = y.sum(axis=1, keepdims=True)
     if np.any(totals < _UNDERFLOW_TOTAL) or not np.all(np.isfinite(totals)):
         raise NumericError(f"Gamma draws underflowed for concentration {conc}")
-    return y / totals, y, g
+    return y / totals, y, gamma_implicit_grad_batch(shapes, y)
 
 
 def dirichlet_kl(q_conc, p_conc) -> float:
@@ -98,13 +100,8 @@ def dirichlet_kl_grad(q_conc, p_conc) -> np.ndarray:
     return diff * psi1[:-1] - psi1[-1] * diff.sum()
 
 
-def _log_normalizer(conc: np.ndarray) -> float:
-    lg = lgamma_batch(np.append(conc, conc.sum()))
-    return float(lg[:-1].sum()) - float(lg[-1])
-
-
 def dirichlet_log_pdf(conc, s) -> float:
-    """Log density at a strictly interior simplex point.
+    """Log density at one simplex point, by dirichlet_log_pdf_batch.
 
     Entries are clamped up to 1e-12; a true boundary entry with its
     concentration below 1 has infinite density and raises instead.
@@ -115,15 +112,15 @@ def dirichlet_log_pdf(conc, s) -> float:
         raise ShapeError(f"sample shape {s.shape} does not match concentration {conc.shape}")
     if np.any((s < _INTERIOR_CLAMP) & (conc < 1.0)):
         raise NumericError("boundary sample with concentration < 1 has unbounded density")
-    s = np.maximum(s, _INTERIOR_CLAMP)
-    return float(((conc - 1.0) * np.log(s)).sum()) - _log_normalizer(conc)
+    return float(dirichlet_log_pdf_batch(conc, s[None])[0])
 
 
 def dirichlet_log_pdf_batch(conc, samples: np.ndarray) -> np.ndarray:
-    """Log density for each row of ``samples`` (k, D)."""
+    """Log density for each row of ``samples`` (k, D), entries clamped up to 1e-12."""
     conc = validate_concentration(conc)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != conc.size:
         raise ShapeError(f"samples shape {samples.shape} does not match concentration {conc.shape}")
     s = np.maximum(samples, _INTERIOR_CLAMP)
-    return np.log(s) @ (conc - 1.0) - _log_normalizer(conc)
+    lg = lgamma_batch(np.append(conc, conc.sum()))
+    return np.log(s) @ (conc - 1.0) - (float(lg[:-1].sum()) - float(lg[-1]))

@@ -16,7 +16,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import time
@@ -195,12 +194,6 @@ def validate_model(model: ModelGraph) -> None:
 # forward
 
 
-def _lift(value, requires_grad=False) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64), requires_grad=requires_grad)
-
-
 def forward(model: ModelGraph, x, switches: dict | None = None,
             params: dict | None = None, collect_preacts: bool = False,
             *, start: int = 0, stop: int | None = None):
@@ -219,7 +212,7 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     """
     switches = switches or {}
     params = params or {}
-    h = _lift(x)
+    h = T._lift(x)
     if h.data.ndim not in (2, 4):
         raise ShapeError(f"input must be (N, d) or (N, C, H, W), got {h.data.shape}")
     prunable = set(prunable_indices(model))
@@ -228,7 +221,7 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     def weight(name):
         if name in params:
             return params[name]
-        return _lift(model.weights[name])
+        return T._lift(model.weights[name])
 
     stop = len(model.layers) if stop is None else stop
     if not 0 <= start <= stop <= len(model.layers):
@@ -251,7 +244,7 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
         elif isinstance(spec, Switch):
             s = switches.get(i)
             if s is not None:
-                h = T.broadcast_mul_channels(h, _lift(s))
+                h = T.broadcast_mul_channels(h, T._lift(s))
         if collect_preacts and i in prunable:
             h.retain_grad = True
             preacts[i] = h
@@ -271,6 +264,24 @@ def _he_conv(rng, c_out, c_in, kh, kw):
 
 def _he_fc(rng, d_in, d_out):
     return rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
+
+
+def _he_initialized(layers, input_shape, family: str, rng, seed) -> ModelGraph:
+    """The graph with He-initialized weights drawn in layer order, zero biases."""
+    weights: dict[str, np.ndarray] = {}
+    for i, spec in enumerate(layers):
+        if isinstance(spec, Conv2d):
+            weights[f"layer{i}.weight"] = _he_conv(rng, spec.c_out, spec.c_in, spec.kh, spec.kw)
+            weights[f"layer{i}.bias"] = np.zeros(spec.c_out)
+        elif isinstance(spec, FullyConnected):
+            weights[f"layer{i}.weight"] = _he_fc(rng, spec.d_in, spec.d_out)
+            weights[f"layer{i}.bias"] = np.zeros(spec.d_out)
+    meta: dict = {"family": family, "training_history": []}
+    if seed is not None:
+        meta["seed"] = int(seed)
+    model = ModelGraph(layers, weights, input_shape, meta)
+    validate_model(model)
+    return model
 
 
 def build_lenet5(widths, rng=None, with_switches: bool = True,
@@ -296,21 +307,7 @@ def build_lenet5(widths, rng=None, with_switches: bool = True,
     if with_switches:
         layers.append(Switch(f2))
     layers += [Relu(), FullyConnected(f2, 10)]
-
-    weights: dict[str, np.ndarray] = {}
-    for i, spec in enumerate(layers):
-        if isinstance(spec, Conv2d):
-            weights[f"layer{i}.weight"] = _he_conv(rng, spec.c_out, spec.c_in, spec.kh, spec.kw)
-            weights[f"layer{i}.bias"] = np.zeros(spec.c_out)
-        elif isinstance(spec, FullyConnected):
-            weights[f"layer{i}.weight"] = _he_fc(rng, spec.d_in, spec.d_out)
-            weights[f"layer{i}.bias"] = np.zeros(spec.d_out)
-    meta: dict = {"family": "lenet5", "training_history": []}
-    if seed is not None:
-        meta["seed"] = int(seed)
-    model = ModelGraph(layers, weights, (1, 28, 28), meta)
-    validate_model(model)
-    return model
+    return _he_initialized(layers, (1, 28, 28), "lenet5", rng, seed)
 
 
 def build_mlp(d_x: int, d_h: int, d_out: int = 2, rng=None,
@@ -323,17 +320,7 @@ def build_mlp(d_x: int, d_h: int, d_out: int = 2, rng=None,
     if with_switches:
         layers.append(Switch(d_h))
     layers += [Relu(), FullyConnected(d_h, d_out)]
-    weights = {}
-    for i, spec in enumerate(layers):
-        if isinstance(spec, FullyConnected):
-            weights[f"layer{i}.weight"] = _he_fc(rng, spec.d_in, spec.d_out)
-            weights[f"layer{i}.bias"] = np.zeros(spec.d_out)
-    meta: dict = {"family": "mlp", "training_history": []}
-    if seed is not None:
-        meta["seed"] = int(seed)
-    model = ModelGraph(layers, weights, (d_x,), meta)
-    validate_model(model)
-    return model
+    return _he_initialized(layers, (d_x,), "mlp", rng, seed)
 
 
 def switch_layer_indices(model: ModelGraph) -> list[int]:

@@ -3,7 +3,8 @@
 run_pipeline chains train -> switch-train -> rank -> plan -> prune ->
 finetune -> eval and drops its artifacts (resolved config, ranking CSV, plan
 JSON, pruned/finetuned models, metrics CSV) into the configured output
-directory. Any phase failure aborts with the phase name and cause.
+directory. Any phase failure aborts with the phase name and cause. Each
+phase is one function here, and the CLI subcommands call the same ones.
 
 Deterministic outputs (metrics, rankings, plans, models) depend only on
 (config, seed); wall-clock numbers go to a separate timings CSV so the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from .pgm import to_u8, write_pgm
 from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
                       make_plan, plan_to_json, rank_derivative, rank_dirichlet,
                       rank_magnitude, rank_random, ranking_to_csv)
-from .switch import (AnalyticMean, ImplicitMC, SwitchTrainSchedule,
+from .switch import (AnalyticMean, ImplicitMC, SwitchState, SwitchTrainSchedule,
                      init_switch_states, posterior_report, save_states,
                      train_switches)
 from .synthetic import gen_synthetic, task_model
@@ -86,6 +88,28 @@ def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
     return Dataset(x_train, y_train, x_val, y_val, x_test, y_test, n_classes)
 
 
+def artifact_path(cfg: ExperimentConfig, key: str, default_name: str) -> str:
+    """The path configured under ``key``, else ``default_name`` in out_dir."""
+    return getattr(cfg, key) or os.path.join(cfg.out_dir, default_name)
+
+
+def write_resolved_config(cfg: ExperimentConfig) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w") as f:
+        f.write(resolved_text(cfg))
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# phases: run_pipeline and every CLI subcommand call these
+
+
 def build_or_load_model(cfg: ExperimentConfig, dataset: Dataset, rng) -> ModelGraph:
     if cfg.model_in:
         return load_model(cfg.model_in)
@@ -97,6 +121,14 @@ def build_or_load_model(cfg: ExperimentConfig, dataset: Dataset, rng) -> ModelGr
     raise ConfigError(f"arch must be mlp or lenet5, got {cfg.arch!r}")
 
 
+def train_from_config(cfg: ExperimentConfig, model: ModelGraph, dataset: Dataset,
+                      rng, log=None) -> list[float]:
+    """Baseline SGD on the training split under the configured train_* schedule."""
+    return train_model(model, dataset.x_train, dataset.y_train,
+                       TrainSchedule(cfg.train_epochs, cfg.train_batch_size,
+                                     cfg.train_lr, cfg.train_momentum), rng, log=log)
+
+
 def estimator_from(cfg: ExperimentConfig):
     if cfg.estimator == "analytic":
         return AnalyticMean()
@@ -105,24 +137,19 @@ def estimator_from(cfg: ExperimentConfig):
     raise ConfigError(f"estimator must be analytic or implicit, got {cfg.estimator!r}")
 
 
-def kl_weight_from(cfg: ExperimentConfig):
-    """The configured KL weight; a negative value selects the default 1/n."""
-    return None if cfg.kl_weight < 0 else cfg.kl_weight
+def switch_states_from_config(cfg: ExperimentConfig, model: ModelGraph) -> list[SwitchState]:
+    """Untrained switch posteriors with the configured prior, estimator and
+    KL weight; a negative kl_weight selects the default 1/n."""
+    return init_switch_states(model, alpha0=cfg.alpha0, estimator=estimator_from(cfg),
+                              kl_weight=None if cfg.kl_weight < 0 else cfg.kl_weight)
 
 
-def write_resolved_config(cfg: ExperimentConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "resolved_config.txt"), "w") as f:
-        f.write(resolved_text(cfg))
-
-
-def plan_from_config(cfg: ExperimentConfig, report: RankingReport) -> PruningPlan:
-    """The plan a ranking gives under the configured rate or keep_counts."""
-    if cfg.rate > 0.0:
-        return make_plan(report, rate=cfg.rate)
-    if cfg.keep_counts:
-        return make_plan(report, keep_counts=list(cfg.keep_counts))
-    raise ConfigError("need keep_counts or rate")
+def train_switches_from_config(cfg: ExperimentConfig, model: ModelGraph, states,
+                               x, y, rng, log=None):
+    """Fit the switch posteriors under the configured SwitchTrainSchedule."""
+    return train_switches(model, states, x, y,
+                          SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr),
+                          rng, log=log)
 
 
 def rank_by_method(cfg: ExperimentConfig, model: ModelGraph, states,
@@ -141,6 +168,30 @@ def rank_by_method(cfg: ExperimentConfig, model: ModelGraph, states,
     raise ConfigError(f"unknown ranking method {cfg.method!r}")
 
 
+def plan_from_config(cfg: ExperimentConfig, report: RankingReport) -> PruningPlan:
+    """The plan a ranking gives under the configured rate or keep_counts."""
+    if cfg.rate > 0.0:
+        return make_plan(report, rate=cfg.rate)
+    if cfg.keep_counts:
+        return make_plan(report, keep_counts=list(cfg.keep_counts))
+    raise ConfigError("need keep_counts or rate")
+
+
+def prune_with_states(model: ModelGraph, plan: PruningPlan, states) -> ModelGraph:
+    """The physically pruned model, each switch folded in at its posterior mean."""
+    means = {st.layer_index: st.posterior_mean() for st in states}
+    return apply_plan(model, plan, switch_means=means)
+
+
+def finetune_from_config(cfg: ExperimentConfig, model: ModelGraph, dataset: Dataset,
+                         rng, log=None) -> tuple[ModelGraph, float]:
+    """Fine-tuning under the configured finetune_* schedule: (best model,
+    its validation error %)."""
+    return finetune(model, dataset.x_train, dataset.y_train, dataset.x_val, dataset.y_val,
+                    TrainSchedule(cfg.finetune_epochs, cfg.finetune_batch_size,
+                                  cfg.finetune_lr, cfg.finetune_momentum), rng, log=log)
+
+
 @dataclass
 class PipelineResult:
     out_dir: str
@@ -157,14 +208,6 @@ class PipelineResult:
     metrics_path: str = ""
 
 
-def _write_metrics(path, rows: list[tuple[str, object]]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value"])
-        for key, value in rows:
-            w.writerow([key, value])
-
-
 def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
     write_resolved_config(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -176,48 +219,36 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
     with phases.run("train"):
         model = build_or_load_model(cfg, dataset, rng)
         if not cfg.model_in and cfg.train_epochs > 0:
-            train_model(model, dataset.x_train, dataset.y_train,
-                        TrainSchedule(cfg.train_epochs, cfg.train_batch_size,
-                                      cfg.train_lr, cfg.train_momentum), rng, log=log)
+            train_from_config(cfg, model, dataset, rng, log)
         baseline_error = evaluate(model, dataset.x_test, dataset.y_test)
 
     with phases.run("switch_train"):
-        states = init_switch_states(model, alpha0=cfg.alpha0,
-                                    estimator=estimator_from(cfg),
-                                    kl_weight=kl_weight_from(cfg))
+        states = switch_states_from_config(cfg, model)
         if states and cfg.epochs > 0:
-            train_switches(model, states, dataset.x_train, dataset.y_train,
-                           SwitchTrainSchedule(cfg.mode, cfg.epochs,
-                                               cfg.batch_size, cfg.lr), rng, log=log)
-        save_states(states, os.path.join(cfg.out_dir, "switches.json"))
+            train_switches_from_config(cfg, model, states, dataset.x_train,
+                                       dataset.y_train, rng, log)
+        save_states(states, artifact_path(cfg, "switches_path", "switches.json"))
 
     with phases.run("rank"):
         report = rank_by_method(cfg, model, states, dataset, rng)
-        ranking_path = cfg.ranking_path or os.path.join(cfg.out_dir, "ranking.csv")
+        ranking_path = artifact_path(cfg, "ranking_path", "ranking.csv")
         ranking_to_csv(report, ranking_path)
 
     with phases.run("plan"):
         plan = plan_from_config(cfg, report)
-        plan_path = cfg.plan_path or os.path.join(cfg.out_dir, "plan.json")
+        plan_path = artifact_path(cfg, "plan_path", "plan.json")
         plan_to_json(plan, plan_path)
 
     with phases.run("prune"):
-        means = {st.layer_index: st.posterior_mean() for st in states}
-        pruned = apply_plan(model, plan, switch_means=means)
+        pruned = prune_with_states(model, plan, states)
         prefinetune_error = evaluate(pruned, dataset.x_test, dataset.y_test)
         pruned_path = os.path.join(cfg.out_dir, "pruned.dpm1")
         save_model(pruned, pruned_path)
 
     with phases.run("finetune"):
         if cfg.finetune_epochs > 0:
-            pruned, _ = finetune(pruned, dataset.x_train, dataset.y_train,
-                                 dataset.x_val, dataset.y_val,
-                                 TrainSchedule(cfg.finetune_epochs,
-                                               cfg.finetune_batch_size,
-                                               cfg.finetune_lr,
-                                               cfg.finetune_momentum), rng, log=log)
-        final_path = cfg.model_out or os.path.join(cfg.out_dir, "finetuned.dpm1")
-        save_model(pruned, final_path)
+            pruned, _ = finetune_from_config(cfg, pruned, dataset, rng, log)
+        save_model(pruned, artifact_path(cfg, "model_out", "finetuned.dpm1"))
 
     with phases.run("eval"):
         final_error = evaluate(pruned, dataset.x_test, dataset.y_test)
@@ -236,7 +267,7 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
         plan_path=plan_path,
         metrics_path=os.path.join(cfg.out_dir, "metrics.csv"),
     )
-    _write_metrics(result.metrics_path, [
+    _write_csv(result.metrics_path, ["metric", "value"], [
         ("arch_string", result.arch_string),
         ("baseline_error_percent", repr(baseline_error)),
         ("prefinetune_error_percent", repr(prefinetune_error)),
@@ -244,11 +275,8 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
         ("params", result.params),
         ("flops", result.flops),
     ])
-    with open(os.path.join(cfg.out_dir, "timings.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["phase", "seconds"])
-        for name, secs in phases.seconds.items():
-            w.writerow([name, f"{secs:.6f}"])
+    _write_csv(os.path.join(cfg.out_dir, "timings.csv"), ["phase", "seconds"],
+               [(name, f"{secs:.6f}") for name, secs in phases.seconds.items()])
     return result
 
 
@@ -278,35 +306,26 @@ def run_posterior_compare(cfg: ExperimentConfig, log=None) -> PosteriorCompareRe
     model = task_model(task)
 
     def train(estimator, seed):
-        states = init_switch_states(model, alpha0=cfg.alpha0, estimator=estimator,
-                                    kl_weight=kl_weight_from(cfg))
-        hist = train_switches(model, states, x, y,
-                              SwitchTrainSchedule(cfg.mode, cfg.epochs,
-                                                  cfg.batch_size, cfg.lr),
-                              np.random.default_rng(seed), log=log)
+        run_cfg = dataclasses.replace(cfg, estimator=estimator)
+        states = switch_states_from_config(run_cfg, model)
+        hist = train_switches_from_config(run_cfg, model, states, x, y,
+                                          np.random.default_rng(seed), log)
         mean, std = posterior_report(states[0])
         return mean, std, [h.seconds for h in hist]
 
-    mean_mc, std_mc, secs_mc = train(ImplicitMC(cfg.k), cfg.seed + 1)
-    mean_am, std_am, secs_am = train(AnalyticMean(), cfg.seed + 2)
+    mean_mc, std_mc, secs_mc = train("implicit", cfg.seed + 1)
+    mean_am, std_am, secs_am = train("analytic", cfg.seed + 2)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "posterior_compare.csv")
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["channel", "true_switch", "mean_mc", "std_mc", "mean_am", "std_am"])
-        for c in range(d_h):
-            w.writerow([c, repr(float(task.true_switch[c])),
-                        repr(float(mean_mc[c])), repr(float(std_mc[c])),
-                        repr(float(mean_am[c])), repr(float(std_am[c]))])
+    _write_csv(csv_path, ["channel", "true_switch", "mean_mc", "std_mc", "mean_am", "std_am"],
+               [[c, repr(float(task.true_switch[c])),
+                 repr(float(mean_mc[c])), repr(float(std_mc[c])),
+                 repr(float(mean_am[c])), repr(float(std_am[c]))] for c in range(d_h)])
     timings_path = os.path.join(cfg.out_dir, "posterior_compare_timings.csv")
-    with open(timings_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["estimator", "epoch", "seconds"])
-        for i, s in enumerate(secs_mc, start=1):
-            w.writerow([f"implicit_mc_k{cfg.k}", i, f"{s:.6f}"])
-        for i, s in enumerate(secs_am, start=1):
-            w.writerow(["analytic_mean", i, f"{s:.6f}"])
+    rows = [(f"implicit_mc_k{cfg.k}", i, f"{s:.6f}") for i, s in enumerate(secs_mc, start=1)]
+    rows += [("analytic_mean", i, f"{s:.6f}") for i, s in enumerate(secs_am, start=1)]
+    _write_csv(timings_path, ["estimator", "epoch", "seconds"], rows)
     return PosteriorCompareResult(task.true_switch, mean_mc, std_mc, mean_am,
                                   std_am, secs_mc, secs_am, csv_path, timings_path)
 
@@ -328,11 +347,7 @@ def export_feature_maps(model: ModelGraph, image, layer_index: int, out_dir,
     if not 0 <= layer_index < len(model.layers):
         raise ContractError(f"layer index {layer_index} outside graph "
                             f"of {len(model.layers)} layers")
-    trimmed = ModelGraph(model.layers[:layer_index + 1],
-                         {k: v for k, v in model.weights.items()
-                          if int(k.split(".")[0][5:]) <= layer_index},
-                         tuple(model.input_shape), dict(model.metadata))
-    maps = forward(trimmed, image).data
+    maps = forward(model, image, stop=layer_index + 1).data
     if maps.ndim != 4:
         raise ContractError(f"layer {layer_index} has no spatial output "
                             f"(shape {maps.shape[1:]})")

@@ -12,8 +12,6 @@ that names the offending value.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, NumericError
@@ -252,9 +250,13 @@ def gamma_regularized_P_batch(shape: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gamma_log_pdf(shape: float, x: float) -> float:
-    """log of the scale-1 Gamma density at x > 0."""
-    return (shape - 1.0) * math.log(x) - x - lgamma(shape)
+def gamma_log_pdf(shape, x):
+    """log of the scale-1 Gamma density at x > 0, elementwise; shapes
+    broadcast. Scalar input gives a scalar."""
+    shape = np.asarray(shape, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _check_domain("gamma_log_pdf", "x > 0", x, x > 0.0)
+    return ((shape - 1.0) * np.log(x) - x - lgamma_batch(shape))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +321,12 @@ def gamma_quantile(shape, u):
 # sampling
 
 
-def gamma_sample_batch(shapes: np.ndarray, rng, with_grad: bool = False):
+def gamma_sample_batch(shapes: np.ndarray, rng) -> np.ndarray:
     """Draw y ~ Gamma(shape, 1) at each entry of ``shapes`` by Marsaglia-Tsang.
 
     For shape < 1 the draw is taken at shape + 1 and boosted by U^(1/shape),
-    which is exact in distribution. Returns values, or (values,
-    dvalue_dshape) when ``with_grad`` is set; dvalue_dshape is the implicit
-    gradient at the draw's fixed uniform u = P(shape, value).
+    which is exact in distribution. ``gamma_implicit_grad_batch`` gives the
+    draws' gradients; it consumes no randomness.
     """
     shapes = np.asarray(shapes, dtype=np.float64)
     _check_domain("gamma_sample", "shape > 0", shapes, shapes > 0.0)
@@ -355,10 +356,7 @@ def gamma_sample_batch(shapes: np.ndarray, rng, with_grad: bool = False):
         boost = rng.random(int(small.sum())) ** (1.0 / flat[small])
         values[small] *= boost
     values = np.maximum(values, 5e-324)
-    values = values.reshape(shapes.shape)
-    if not with_grad:
-        return values
-    return values, gamma_implicit_grad_batch(shapes, values)
+    return values.reshape(shapes.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +383,7 @@ def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndar
     _check_domain("gamma_implicit_grad", "shape > 0", shapes, shapes > 0.0)
     _check_domain("gamma_implicit_grad", "value > 0", values, values > 0.0)
     shapes, values = np.broadcast_arrays(shapes, values)
-    log_pdf = (shapes - 1.0) * np.log(values) - values - lgamma_batch(shapes)
+    log_pdf = gamma_log_pdf(shapes, values)
     if np.any(log_pdf < -700.0):
         bad = np.argwhere(log_pdf < -700.0)[0]
         raise NumericError(

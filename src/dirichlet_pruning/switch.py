@@ -23,6 +23,7 @@ Model weights stay frozen throughout; only theta moves.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from . import tensor as T
 from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_marginal_std,
                         dirichlet_sample_batch)
 from .errors import ContractError, ShapeError
-from .models import ModelGraph, Switch, forward, switch_layer_indices
+from .models import ModelGraph, _batches, forward, switch_layer_indices
 from .tensor import Tape, Tensor
 
 _PHI_SHIFT = 1e-6
@@ -106,8 +107,13 @@ def init_switch_states(model: ModelGraph, alpha0: float = 0.5,
 
 def posterior_report(state: SwitchState) -> tuple[np.ndarray, np.ndarray]:
     """(mean, marginal std) of the switch posterior, each of layer width."""
-    phi = state.phi()
-    return phi / phi.sum(), dirichlet_marginal_std(phi)
+    return state.posterior_mean(), dirichlet_marginal_std(state.phi())
+
+
+def _taped_mean(theta: Tensor) -> Tensor:
+    """The posterior mean phi / sum(phi) as a function of theta on the tape."""
+    phi = T.add(T.softplus(theta), Tensor(np.float64(_PHI_SHIFT)))
+    return T.div(phi, T.tsum(phi))
 
 
 def switch_forward(state: SwitchState, h, sample=None, theta: Tensor | None = None):
@@ -126,8 +132,7 @@ def switch_forward(state: SwitchState, h, sample=None, theta: Tensor | None = No
     if sample is not None:
         s = sample if isinstance(sample, Tensor) else Tensor(np.asarray(sample, dtype=np.float64))
     elif theta is not None:
-        phi = T.add(T.softplus(theta), Tensor(np.float64(_PHI_SHIFT)))
-        s = T.div(phi, T.tsum(phi))
+        s = _taped_mean(theta)
     else:
         s = Tensor(state.posterior_mean())
     if s.data.ndim != 1 or s.data.shape[0] != width:
@@ -182,8 +187,7 @@ def _nll_and_grads_analytic(model, states, train_set, xb, yb):
         for st in states:
             if st.layer_index in train_set:
                 th = Tensor(st.theta, requires_grad=True)
-                phi = T.add(T.softplus(th), Tensor(np.float64(_PHI_SHIFT)))
-                switches[st.layer_index] = T.div(phi, T.tsum(phi))
+                switches[st.layer_index] = _taped_mean(th)
                 theta_t[st.layer_index] = th
             else:
                 switches[st.layer_index] = st.posterior_mean()
@@ -277,7 +281,6 @@ def neg_elbo_minibatch(states, model, xb, yb, dataset_size, rng) -> SwitchObject
 def save_states(states: list[SwitchState], path) -> None:
     """Thetas and prior as JSON; the estimator is a training-time choice and
     is not persisted."""
-    import json
     payload = {
         "version": 1,
         "alpha0": states[0].alpha0 if states else 0.5,
@@ -290,7 +293,6 @@ def save_states(states: list[SwitchState], path) -> None:
 
 
 def load_states(path, estimator=None) -> list[SwitchState]:
-    import json
     with open(path) as f:
         payload = json.load(f)
     if payload.get("version") != 1:
@@ -355,9 +357,7 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
         for epoch in range(schedule.epochs):
             t0 = time.perf_counter()
             total, nb = 0.0, 0
-            idx = rng.permutation(n)
-            for start in range(0, n, schedule.batch_size):
-                sel = idx[start:start + schedule.batch_size]
+            for sel in _batches(n, schedule.batch_size, rng):
                 value, grads = neg_elbo_and_grads(
                     states, model, x[sel], y[sel], n, rng, train_indices=train_indices)
                 for li in train_indices:

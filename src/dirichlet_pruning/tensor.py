@@ -99,9 +99,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         backward(self)
 
@@ -454,10 +451,3 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         return (grad * (g / n),)
 
     return _record(out, (logits,), bwd)
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Plain softmax on a (N, K) array (no tape)."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)

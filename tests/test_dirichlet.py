@@ -144,7 +144,9 @@ def test_sample_marginal_variance_matches_formula():
         assert abs(x.var(ddof=1) - var[j]) <= 4 * se, j
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sample_underflow_raises_numeric_error():
+    # the underflow is caught before the implicit gradients would overflow
     rng = np.random.default_rng(204)
     with pytest.raises(NumericError):
         dirichlet_sample_batch(np.array([1e-300, 1e-300]), 1, rng)

@@ -15,8 +15,9 @@ from dirichlet_pruning.config import (ExperimentConfig, load_config,
 from dirichlet_pruning.data import load_mnist_idx, train_val_split
 from dirichlet_pruning.errors import (ConfigError, ContractError, FormatError,
                                       PipelineError)
-from dirichlet_pruning.models import (build_lenet5, evaluate, forward,
-                                      save_model, switch_layer_indices)
+from dirichlet_pruning.models import (build_lenet5, build_mlp, evaluate, forward,
+                                      load_model, save_model,
+                                      switch_layer_indices)
 from dirichlet_pruning.pgm import read_pgm, to_u8, write_pgm
 from dirichlet_pruning.pipeline import (export_feature_maps, load_dataset,
                                         run_pipeline, run_posterior_compare)
@@ -319,6 +320,14 @@ def test_pipeline_deterministic_artifacts_are_byte_stable(tmp_path):
         assert (out / name).read_bytes() == first[name], name
 
 
+def test_pipeline_writes_switches_to_switches_path(tmp_path):
+    out = tmp_path / "run"
+    target = tmp_path / "elsewhere.json"
+    run_pipeline(_nano_config(out, switches_path=str(target)))
+    assert json.loads(target.read_text())["version"] == 1
+    assert not (out / "switches.json").exists()
+
+
 def test_pipeline_failure_names_the_phase(tmp_path):
     cfg = _nano_config(tmp_path / "run", rate=0.0, keep_counts=(),
                        train_epochs=0, epochs=0)
@@ -449,6 +458,48 @@ def test_cli_subcommand_chain(tmp_path, capsys):
 
     assert cli.main(["--config", train_cfg, "posterior-compare"]) == 0
     assert (out / "posterior_compare.csv").exists()
+
+
+def test_cli_rank_dirichlet_without_switches_exits_one(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "r.cfg", _base_cfg_text(tmp_path / "out"))
+    assert cli.main(["--config", cfg, "rank"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "switches_path" in err
+    assert not (tmp_path / "out" / "ranking.csv").exists()
+
+
+def test_cli_train_with_model_in_trains_further(tmp_path):
+    out = tmp_path / "out"
+    base = _base_cfg_text(out)
+    assert cli.main(["--config", _write_cfg(tmp_path, "t.cfg", base), "train"]) == 0
+    again = base + (f"model_in = {out / 'model.dpm1'}\n"
+                    f"model_out = {out / 'model2.dpm1'}\n")
+    assert cli.main(["--config", _write_cfg(tmp_path, "t2.cfg", again), "train"]) == 0
+    assert len(load_model(out / "model.dpm1").metadata["training_history"]) == 1
+    assert len(load_model(out / "model2.dpm1").metadata["training_history"]) == 2
+
+
+def test_cli_switch_train_with_zero_epochs_exits_one(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "z.cfg", _base_cfg_text(tmp_path / "out") + "epochs = 0\n")
+    assert cli.main(["--config", cfg, "switch-train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epochs" in err
+    assert not (tmp_path / "out" / "switches.json").exists()
+
+
+def test_cli_prune_plans_from_existing_ranking_csv(tmp_path):
+    # method = dirichlet without a switches file: re-ranking would fail
+    out = tmp_path / "out"
+    out.mkdir()
+    model_path = tmp_path / "mlp.dpm1"
+    save_model(build_mlp(8, 4, 2, rng=np.random.default_rng(30)), model_path)
+    (out / "ranking.csv").write_text("layer,channel,score,rank\n"
+                                     "0,0,0.5,2\n0,1,0.5,1\n0,2,0.5,3\n0,3,0.5,0\n")
+    text = _base_cfg_text(out) + f"model_in = {model_path}\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "p.cfg", text), "prune"]) == 0
+    assert json.loads((out / "plan.json").read_text())["keep"] == {"0": [1, 3]}
+    assert not (out / "switches.json").exists()
+    assert (out / "pruned.dpm1").exists()
 
 
 def test_cli_pipeline_subcommand(tmp_path, capsys):
