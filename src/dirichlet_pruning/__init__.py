@@ -23,7 +23,7 @@ from .special import (digamma, gamma_implicit_grad, gamma_quantile,
                       gamma_regularized_P, gamma_sample_batch, lgamma, trigamma)
 from .switch import (AnalyticMean, ImplicitMC, SwitchState, SwitchTrainSchedule,
                      init_switch_states, neg_elbo_minibatch, posterior_report,
-                     switch_forward, train_switches)
+                     train_switches)
 from .synthetic import SyntheticTask, gen_synthetic, task_model
 from .tensor import Tape, Tensor, backward, conv2d
 

@@ -84,7 +84,7 @@ def cmd_prune(cfg: ExperimentConfig) -> None:
     if os.path.exists(states_path):
         states = load_states(states_path)
     plan_path = artifact_path(cfg, "plan_path", "plan.json")
-    if os.path.exists(plan_path):
+    if cfg.plan_path and os.path.exists(plan_path):
         plan = plan_from_json(plan_path)
     else:
         ranking_path = artifact_path(cfg, "ranking_path", "ranking.csv")
@@ -127,9 +127,8 @@ def cmd_posterior_compare(cfg: ExperimentConfig) -> None:
 def cmd_export_maps(cfg: ExperimentConfig) -> None:
     require(cfg, "model_in")
     _, dataset, model = _setup(cfg)
-    report = None
-    if cfg.ranking_path and os.path.exists(cfg.ranking_path):
-        report = ranking_from_csv(cfg.ranking_path)
+    ranking_path = artifact_path(cfg, "ranking_path", "ranking.csv")
+    report = ranking_from_csv(ranking_path) if os.path.exists(ranking_path) else None
     image = dataset.x_test[cfg.image_index]
     paths = export_feature_maps(model, image, cfg.layer, cfg.out_dir, report)
     print(f"wrote {len(paths)} feature maps to {cfg.out_dir}")

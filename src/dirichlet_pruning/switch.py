@@ -6,17 +6,20 @@ Dir(alpha0). The objective on a minibatch is
 
     neg_elbo = E_q[ NLL(batch) ] + kl_weight * sum_l KL(q_l || prior_l)
 
-with kl_weight defaulting to 1/dataset_size. Two gradient estimators:
+with kl_weight defaulting to 1/dataset_size. Both gradient estimators run
+the same path; they differ only in the rows they draw for each trained layer:
 
-  - AnalyticMean: runs the forward pass at the posterior mean phi/sum(phi),
-    which sits on the autodiff tape, so d(NLL)/d(theta) is exact for that
-    plug-in objective; the KL gradient is added in closed form.
-  - ImplicitMC(k): averages k reparameterized posterior samples. Each switch
-    sample is s = y / sum(y) with y ~ Gamma(phi, 1); backprop stops at s and
-    the chain to phi uses the implicit gradients dy/dphi of the Gamma draws,
-    which are analytic. Per batch it costs one untaped pass through the
-    layers before the first trained switch, one (k, D) draw per trained
-    layer, and k taped passes through the rest of the graph.
+  - ImplicitMC(k): k reparameterized posterior samples. Each switch sample
+    is s = y / sum(y) with y ~ Gamma(phi, 1), and dy/dphi are the analytic
+    implicit gradients of the Gamma draws.
+  - AnalyticMean: one deterministic row at the posterior mean, s =
+    phi / sum(phi), i.e. y = phi with the identity Jacobian dy/dphi = 1, so
+    d(NLL)/d(theta) is exact for that plug-in objective.
+
+Per batch the path costs one untaped pass through the layers before the
+first trained switch and one taped pass through the rest of the graph per
+row; backprop stops at s, and one vectorized chain rule carries the (k, D)
+dL/ds rows to theta. The KL gradient is added in closed form.
 
 Model weights stay frozen throughout; only theta moves.
 """
@@ -33,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_marginal_std,
                         dirichlet_sample_batch)
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .models import ModelGraph, _batches, forward, switch_layer_indices
 from .tensor import Tape, Tensor
 
@@ -43,7 +46,9 @@ _THETA_INIT = math.log(math.expm1(1.0))  # softplus(theta) = 1
 
 @dataclass(frozen=True)
 class AnalyticMean:
-    pass
+    def draw(self, phi, rng):
+        """One row (s, y, dy/dphi) at the posterior mean: y = phi, s = y / sum(y)."""
+        return (phi / phi.sum())[None], phi[None], np.ones((1, phi.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,10 @@ class ImplicitMC:
     def __post_init__(self):
         if self.k < 1:
             raise ContractError(f"sample count must be >= 1, got {self.k}")
+
+    def draw(self, phi, rng):
+        """k rows (s, y, dy/dphi) of reparameterized Dir(phi) samples."""
+        return dirichlet_sample_batch(phi, self.k, rng)
 
 
 def _softplus_np(x):
@@ -110,36 +119,6 @@ def posterior_report(state: SwitchState) -> tuple[np.ndarray, np.ndarray]:
     return state.posterior_mean(), dirichlet_marginal_std(state.phi())
 
 
-def _taped_mean(theta: Tensor) -> Tensor:
-    """The posterior mean phi / sum(phi) as a function of theta on the tape."""
-    phi = T.add(T.softplus(theta), Tensor(np.float64(_PHI_SHIFT)))
-    return T.div(phi, T.tsum(phi))
-
-
-def switch_forward(state: SwitchState, h, sample=None, theta: Tensor | None = None):
-    """Scale each channel of a pre-activation by the switch: s o h.
-
-    Uses the provided simplex sample when given, the posterior mean
-    otherwise. The surrounding graph applies its own nonlinearity after.
-    Pass theta as a Tensor to route the mean through the tape, which makes
-    d(output)/d(theta) available from backward.
-    """
-    ht = h if isinstance(h, Tensor) else Tensor(np.asarray(h, dtype=np.float64))
-    width = state.theta.shape[0]
-    if ht.data.ndim < 2 or ht.data.shape[1] != width:
-        raise ShapeError(
-            f"switch width {width} does not match channel axis of input {ht.data.shape}")
-    if sample is not None:
-        s = sample if isinstance(sample, Tensor) else Tensor(np.asarray(sample, dtype=np.float64))
-    elif theta is not None:
-        s = _taped_mean(theta)
-    else:
-        s = Tensor(state.posterior_mean())
-    if s.data.ndim != 1 or s.data.shape[0] != width:
-        raise ShapeError(f"switch value must have shape ({width},), got {s.data.shape}")
-    return T.broadcast_mul_channels(ht, s)
-
-
 @dataclass
 class SwitchObjectiveValue:
     neg_elbo: float
@@ -180,44 +159,24 @@ def _check_batch(xb, yb):
     return xb, yb
 
 
-def _nll_and_grads_analytic(model, states, train_set, xb, yb):
-    theta_t = {}
-    switches = {}
-    with Tape():
-        for st in states:
-            if st.layer_index in train_set:
-                th = Tensor(st.theta, requires_grad=True)
-                switches[st.layer_index] = _taped_mean(th)
-                theta_t[st.layer_index] = th
-            else:
-                switches[st.layer_index] = st.posterior_mean()
-        logits = forward(model, xb, switches=switches)
-        nll = T.softmax_cross_entropy(logits, yb)
-    T.backward(nll)
-    grads = {idx: th.grad if th.grad is not None else np.zeros_like(th.data)
-             for idx, th in theta_t.items()}
-    return nll.item(), grads
+def _nll_and_grads(model, states, xb, yb, draws):
+    """Estimate of E_q[NLL] and its theta gradients from the estimator's rows.
 
-
-def _nll_and_grads_implicit(model, states, train_set, xb, yb, k, rng):
-    """k-sample Monte Carlo estimate of E_q[NLL] and its theta gradients.
-
-    The layers before the first trained switch do not depend on the sample,
-    so they run once per batch, untaped, with the other switches at their
-    posterior mean. Each trained layer takes its k draws, with the implicit
-    gradients dy/dphi, from one dirichlet_sample_batch call. Only the suffix
-    from the first trained switch on runs per sample, each on its own tape:
-    one prefix pass plus k suffix passes per batch, and the memory of one
-    suffix tape. The per-sample dL/ds rows are collected into (k, D) arrays
-    and pushed to phi in one vectorized chain rule.
+    ``draws`` maps each trained layer to its (S, Y, dY/dphi) arrays, each of
+    shape (k, D), with S = Y / sum(Y) row by row. The layers before the
+    first trained switch do not depend on the rows, so they run once per
+    batch, untaped, with the other switches at their posterior mean. Only
+    the suffix from the first trained switch on runs per row, each on its
+    own tape: one prefix pass plus k suffix passes per batch, and the memory
+    of one suffix tape. The per-row dL/ds are collected into (k, D) arrays
+    and pushed to theta in one vectorized chain rule.
     """
     by_index = {st.layer_index: st for st in states}
     mean_switches = {st.layer_index: st.posterior_mean()
-                     for st in states if st.layer_index not in train_set}
-    first = min(train_set)
+                     for st in states if st.layer_index not in draws}
+    first = min(draws)
     h = forward(model, xb, switches=mean_switches, stop=first)
-    draws = {idx: dirichlet_sample_batch(by_index[idx].phi(), k, rng)
-             for idx in sorted(train_set)}
+    k = len(next(iter(draws.values()))[0])
     g_s = {idx: np.zeros_like(s) for idx, (s, _, _) in draws.items()}
     nll_acc = 0.0
     for j in range(k):
@@ -252,16 +211,16 @@ def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,
     kl_weight = _resolve_kl_weight(states, dataset_size)
     train_set = set(train_indices) if train_indices is not None \
         else {st.layer_index for st in states}
-    estimators = {type(st.estimator) for st in states if st.layer_index in train_set}
-    ks = {st.estimator.k for st in states
-          if st.layer_index in train_set and isinstance(st.estimator, ImplicitMC)}
-    if len(estimators) > 1:
-        raise ContractError("trained states disagree on estimator")
-    if estimators == {ImplicitMC}:
-        nll, nll_grads = _nll_and_grads_implicit(model, states, train_set, xb, yb,
-                                                 k=ks.pop(), rng=rng)
-    else:
-        nll, nll_grads = _nll_and_grads_analytic(model, states, train_set, xb, yb)
+    by_index = {st.layer_index: st for st in states}
+    if not train_set <= by_index.keys():
+        raise ContractError(f"train_indices {sorted(train_set - by_index.keys())} "
+                            "name no switch state")
+    estimators = {by_index[idx].estimator for idx in train_set}
+    if len(estimators) != 1:
+        raise ContractError(f"trained states must share one estimator, got {estimators}")
+    (estimator,) = estimators
+    draws = {idx: estimator.draw(by_index[idx].phi(), rng) for idx in sorted(train_set)}
+    nll, nll_grads = _nll_and_grads(model, states, xb, yb, draws)
     kl, kl_grads = _kl_parts(states, dataset_size)
     value = SwitchObjectiveValue(
         neg_elbo=nll + kl_weight * kl,

@@ -487,19 +487,35 @@ def test_cli_switch_train_with_zero_epochs_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out" / "switches.json").exists()
 
 
-def test_cli_prune_plans_from_existing_ranking_csv(tmp_path):
-    # method = dirichlet without a switches file: re-ranking would fail
+def _mlp_with_ranking_csv(tmp_path):
+    """A saved 4-channel MLP and an out_dir/ranking.csv for it; returns
+    (out_dir, config text)."""
     out = tmp_path / "out"
     out.mkdir()
     model_path = tmp_path / "mlp.dpm1"
     save_model(build_mlp(8, 4, 2, rng=np.random.default_rng(30)), model_path)
     (out / "ranking.csv").write_text("layer,channel,score,rank\n"
                                      "0,0,0.5,2\n0,1,0.5,1\n0,2,0.5,3\n0,3,0.5,0\n")
-    text = _base_cfg_text(out) + f"model_in = {model_path}\n"
+    return out, _base_cfg_text(out) + f"model_in = {model_path}\n"
+
+
+def test_cli_prune_plans_from_existing_ranking_csv(tmp_path):
+    # method = dirichlet without a switches file: re-ranking would fail
+    out, text = _mlp_with_ranking_csv(tmp_path)
     assert cli.main(["--config", _write_cfg(tmp_path, "p.cfg", text), "prune"]) == 0
     assert json.loads((out / "plan.json").read_text())["keep"] == {"0": [1, 3]}
     assert not (out / "switches.json").exists()
     assert (out / "pruned.dpm1").exists()
+
+
+def test_cli_prune_replans_when_rate_changes(tmp_path):
+    # the plan.json a previous prune left in out_dir is an output, not an input
+    out, text = _mlp_with_ranking_csv(tmp_path)
+    for rate, kept in (("0.5", [1, 3]), ("0.25", [0, 1, 3])):
+        cfg = _write_cfg(tmp_path, "p.cfg", text + f"rate = {rate}\n")
+        assert cli.main(["--config", cfg, "prune"]) == 0
+        assert json.loads((out / "plan.json").read_text())["keep"] == {"0": kept}
+        assert load_model(out / "pruned.dpm1").layers[0].d_out == len(kept)
 
 
 def test_cli_pipeline_subcommand(tmp_path, capsys):
@@ -516,7 +532,7 @@ def test_cli_seed_override_reaches_config(tmp_path):
     assert "seed = 7" in (out / "resolved_config.txt").read_text()
 
 
-def test_cli_export_maps_on_mnist_files(tmp_path, capsys):
+def _export_maps_cfg(tmp_path):
     rng = np.random.default_rng(20)
     pixels = rng.integers(0, 256, size=(4, 28, 28)).astype(np.uint8)
     ip = _write(tmp_path, "imgs.idx", _idx_images(pixels))
@@ -532,11 +548,24 @@ def test_cli_export_maps_on_mnist_files(tmp_path, capsys):
             "arch = lenet5\nwidths = 2,2,8,4\n"
             f"model_in = {model_path}\n"
             "layer = 0\nimage_index = 1\n")
-    cfg = _write_cfg(tmp_path, "maps.cfg", text)
+    return out, _write_cfg(tmp_path, "maps.cfg", text)
+
+
+def test_cli_export_maps_on_mnist_files(tmp_path, capsys):
+    out, cfg = _export_maps_cfg(tmp_path)
     assert cli.main(["--config", cfg, "export-maps"]) == 0
     assert "wrote 2 feature maps" in capsys.readouterr().out
     assert (out / "map_000_channel_000.pgm").exists()
     assert (out / "map_001_channel_001.pgm").exists()
+
+
+def test_cli_export_maps_reads_default_ranking(tmp_path):
+    out, cfg = _export_maps_cfg(tmp_path)
+    out.mkdir()
+    (out / "ranking.csv").write_text("layer,channel,score,rank\n0,0,0.1,1\n0,1,0.9,0\n")
+    assert cli.main(["--config", cfg, "export-maps"]) == 0
+    assert sorted(p.name for p in out.glob("*.pgm")) == [
+        "map_000_channel_001.pgm", "map_001_channel_000.pgm"]
 
 
 def test_cli_unknown_config_key_exits_one(tmp_path, capsys):

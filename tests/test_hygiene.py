@@ -24,6 +24,36 @@ def _unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (``_x``, not dunders) that no module in
+    ``sources`` (file name -> source) loads, reads as an attribute or imports."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id, node.lineno) for t in targets
+                            if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(f"{module}: {ident} (line {line})" for module, ident, line in defined
+                  if ident.startswith("_") and not ident.endswith("__")
+                  and ident not in referenced)
+
+
+def _package_sources() -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_unused_import_scan_sees_unused_names():
     source = ("from __future__ import annotations\n"
               "import os\nimport numpy as np\nfrom .a import b, c\n"
@@ -38,3 +68,24 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_all_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_dead_private_scan_sees_unreferenced_names():
+    sources = {
+        "a.py": ("__version__ = '1'\n_LIMIT = 3\n_unused_const = 4\n"
+                 "def _helper():\n    return _LIMIT\n"
+                 "def _dead():\n    pass\n"
+                 "class _Shape:\n    pass\n"),
+        "b.py": "from .a import _helper\nimport a\n_helper()\na._Shape()\n",
+    }
+    assert _dead_private_names(sources) == ["a.py: _dead (line 6)",
+                                            "a.py: _unused_const (line 3)"]
+    # a helper whose last caller is gone is caught in the real package too
+    sources = _package_sources()
+    sources["switch.py"] += "\n\ndef _taped_mean(theta):\n    return theta\n"
+    assert [f.split(" (")[0] for f in _dead_private_names(sources)] == [
+        "switch.py: _taped_mean"]
+
+
+def test_no_dead_private_names():
+    assert _dead_private_names(_package_sources()) == []

@@ -11,7 +11,7 @@ import scipy.stats
 from dirichlet_pruning import switch as switch_module
 from dirichlet_pruning import tensor as T
 from dirichlet_pruning.dirichlet import dirichlet_kl
-from dirichlet_pruning.errors import ContractError, NumericError, ShapeError
+from dirichlet_pruning.errors import ContractError, NumericError
 from dirichlet_pruning.models import (FullyConnected, ModelGraph, Relu,
                                       Switch, build_lenet5, build_mlp, forward,
                                       switch_layer_indices)
@@ -19,8 +19,7 @@ from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
                                       SwitchTrainSchedule, init_switch_states,
                                       load_states, neg_elbo_and_grads,
                                       neg_elbo_minibatch, posterior_report,
-                                      save_states, switch_forward,
-                                      train_switches)
+                                      save_states, train_switches)
 from dirichlet_pruning.synthetic import gen_synthetic, task_model
 from dirichlet_pruning.tensor import Tape, Tensor
 
@@ -86,51 +85,6 @@ def test_posterior_mean_ranking_scale_invariant():
 
 
 # ---------------------------------------------------------------------------
-# switch_forward
-
-
-def test_switch_forward_uniform_mean_divides_by_width():
-    st = SwitchState(layer_index=1, theta=np.full(4, _theta_for_phi([1.0])[0]))
-    h = np.arange(8.0).reshape(2, 4)
-    out = switch_forward(st, h)
-    assert np.allclose(out.data, h / 4.0, rtol=1e-12)
-
-
-def test_switch_forward_one_hot_sample():
-    st = SwitchState(layer_index=1, theta=np.zeros(3))
-    h = np.random.default_rng(41).standard_normal((2, 3, 2, 2)) + 4.0
-    s = np.array([0.0, 0.0, 1.0])
-    out = switch_forward(st, h, sample=s).data
-    assert np.array_equal(out[:, 2], h[:, 2])
-    assert np.all(out[:, :2] == 0.0)
-
-
-def test_switch_forward_theta_gradient_matches_fd():
-    rng = np.random.default_rng(42)
-    theta0 = rng.standard_normal(5)
-    h = rng.standard_normal((3, 5))
-
-    def value(theta):
-        st = SwitchState(layer_index=0, theta=theta)
-        return float(switch_forward(st, h).data.sum())
-
-    st = SwitchState(layer_index=0, theta=theta0)
-    th = Tensor(theta0, requires_grad=True)
-    with Tape():
-        loss = T.tsum(switch_forward(st, h, theta=th))
-    T.backward(loss)
-    assert grad_err(th.grad, central_fd(value, theta0)) <= 1e-5
-
-
-def test_switch_forward_dimension_mismatch():
-    st = SwitchState(layer_index=0, theta=np.zeros(4))
-    with pytest.raises(ShapeError):
-        switch_forward(st, np.zeros((2, 5)))
-    with pytest.raises(ShapeError):
-        switch_forward(st, np.zeros((2, 4)), sample=np.zeros(5))
-
-
-# ---------------------------------------------------------------------------
 # objective
 
 
@@ -181,6 +135,14 @@ def test_empty_batch_rejected():
     states = init_switch_states(model)
     with pytest.raises(ContractError):
         neg_elbo_minibatch(states, model, x[:0], y[:0], 60, np.random.default_rng(0))
+
+
+def test_train_indices_must_name_switch_states():
+    model, x, y = _small_problem()
+    states = init_switch_states(model)
+    with pytest.raises(ContractError, match=r"\[7\] name no switch state"):
+        neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0),
+                           train_indices=[states[0].layer_index, 7])
 
 
 def test_analytic_grad_matches_fd():
@@ -273,25 +235,44 @@ def _per_sample_oracle(model, states, train_set, xb, yb, draws):
     return nll_acc / k, {idx: g / k for idx, g in grads.items()}
 
 
-def _assert_matches_per_sample_oracle(monkeypatch, model, states, train_set, xb, yb, k):
-    recorded = []
-    sample = switch_module.dirichlet_sample_batch
+def _taped_mean(theta: Tensor) -> Tensor:
+    """The posterior mean phi / sum(phi) as a function of theta on the tape."""
+    phi = T.add(T.softplus(theta), Tensor(np.float64(PHI_SHIFT)))
+    return T.div(phi, T.tsum(phi))
 
-    def recording(conc, k, rng):
-        out = sample(conc, k, rng)
-        recorded.append((conc, out))
-        return out
 
-    monkeypatch.setattr(switch_module, "dirichlet_sample_batch", recording)
-    nll, grads = switch_module._nll_and_grads_implicit(
-        model, states, train_set, xb, yb, k, np.random.default_rng(60))
-    assert len(recorded) == len(train_set)
-    draws = {}
-    for st in states:
-        if st.layer_index in train_set:
-            (out,) = [o for conc, o in recorded if np.array_equal(conc, st.phi())]
-            draws[st.layer_index] = out
-    nll_ref, grads_ref = _per_sample_oracle(model, states, train_set, xb, yb, draws)
+def _taped_mean_oracle(model, states, train_set, xb, yb):
+    """The analytic estimator without the shared sampled path: one full
+    forward pass at the posterior mean, taped from theta, with the theta
+    gradients from backward."""
+    theta_t = {}
+    switches = {}
+    with Tape():
+        for st in states:
+            if st.layer_index in train_set:
+                th = Tensor(st.theta, requires_grad=True)
+                switches[st.layer_index] = _taped_mean(th)
+                theta_t[st.layer_index] = th
+            else:
+                switches[st.layer_index] = st.posterior_mean()
+        logits = forward(model, xb, switches=switches)
+        nll = T.softmax_cross_entropy(logits, yb)
+    T.backward(nll)
+    return nll.item(), {idx: th.grad for idx, th in theta_t.items()}
+
+
+def _assert_matches_oracle(model, states, train_set, xb, yb):
+    """The shared estimator path against the per-sample oracle (ImplicitMC)
+    or the taped-mean oracle (AnalyticMean), on the same draws."""
+    assert any(np.any(st.theta < 0.0) for st in states)
+    rng = np.random.default_rng(60)
+    draws = {st.layer_index: st.estimator.draw(st.phi(), rng)
+             for st in states if st.layer_index in train_set}
+    nll, grads = switch_module._nll_and_grads(model, states, xb, yb, draws)
+    if isinstance(states[0].estimator, AnalyticMean):
+        nll_ref, grads_ref = _taped_mean_oracle(model, states, train_set, xb, yb)
+    else:
+        nll_ref, grads_ref = _per_sample_oracle(model, states, train_set, xb, yb, draws)
     np.testing.assert_allclose(nll, nll_ref, rtol=1e-10, atol=0)
     assert set(grads) == set(train_set)
     for idx in train_set:
@@ -305,32 +286,61 @@ def _spread_thetas(states, seed):
         st.theta = rng.normal(0.5, 0.8, st.theta.shape)
 
 
-def test_implicit_mc_matches_per_sample_oracle_mlp_per_layer(monkeypatch):
+def _mlp_per_layer_case(estimator):
     model, x, y = _small_problem(seed=53, d_x=7, d_h=6, n=30, k_classes=3)
-    states = init_switch_states(model, estimator=ImplicitMC(9))
+    states = init_switch_states(model, estimator=estimator)
     _spread_thetas(states, 54)
-    _assert_matches_per_sample_oracle(monkeypatch, model, states, {1}, x, y, 9)
+    return model, states, {1}, x, y
 
 
-def test_implicit_mc_matches_per_sample_oracle_mlp_joint(monkeypatch):
+def _mlp_joint_case(estimator):
     model, x, y = _two_switch_model()
-    states = init_switch_states(model, estimator=ImplicitMC(7))
+    states = init_switch_states(model, estimator=estimator)
     _spread_thetas(states, 55)
-    _assert_matches_per_sample_oracle(monkeypatch, model, states, {1, 4},
-                                      x[:40], y[:40], 7)
+    return model, states, {1, 4}, x[:40], y[:40]
 
 
-def test_implicit_mc_matches_per_sample_oracle_lenet_third_switch(monkeypatch):
+def _lenet_third_switch_case(estimator):
     # the prefix holds conv, pool and the first two switches at their means
     rng = np.random.default_rng(56)
     model = build_lenet5([3, 4, 8, 6], rng=rng)
     x = rng.standard_normal((6, 1, 28, 28))
     y = rng.integers(0, 10, 6)
-    states = init_switch_states(model, estimator=ImplicitMC(5))
+    states = init_switch_states(model, estimator=estimator)
     _spread_thetas(states, 57)
     third = switch_layer_indices(model)[2]
     assert any(st.layer_index < third for st in states)
-    _assert_matches_per_sample_oracle(monkeypatch, model, states, {third}, x, y, 5)
+    return model, states, {third}, x, y
+
+
+def test_implicit_mc_matches_per_sample_oracle_mlp_per_layer():
+    _assert_matches_oracle(*_mlp_per_layer_case(ImplicitMC(9)))
+
+
+def test_implicit_mc_matches_per_sample_oracle_mlp_joint():
+    _assert_matches_oracle(*_mlp_joint_case(ImplicitMC(7)))
+
+
+def test_implicit_mc_matches_per_sample_oracle_lenet_third_switch():
+    _assert_matches_oracle(*_lenet_third_switch_case(ImplicitMC(5)))
+
+
+@pytest.mark.parametrize("case", [_mlp_per_layer_case, _mlp_joint_case,
+                                  _lenet_third_switch_case],
+                         ids=["mlp_per_layer", "mlp_joint", "lenet_third_switch"])
+def test_analytic_mean_matches_taped_oracle(case):
+    _assert_matches_oracle(*case(AnalyticMean()))
+
+
+def test_trained_states_with_different_k_rejected():
+    model, x, y = _two_switch_model()
+    states = init_switch_states(model, estimator=ImplicitMC(3))
+    states[1].estimator = ImplicitMC(5)
+    with pytest.raises(ContractError, match="one estimator"):
+        neg_elbo_and_grads(states, model, x[:20], y[:20], 400, np.random.default_rng(0))
+    # a layer held at its posterior mean does not take part
+    neg_elbo_and_grads(states, model, x[:20], y[:20], 400, np.random.default_rng(0),
+                       train_indices=[states[0].layer_index])
 
 
 def test_no_model_weight_gradients_with_frozen_weights():
@@ -339,9 +349,7 @@ def test_no_model_weight_gradients_with_frozen_weights():
     st = init_switch_states(model, estimator=AnalyticMean())[0]
     th = Tensor(st.theta, requires_grad=True)
     with Tape():
-        phi = T.add(T.softplus(th), Tensor(np.float64(PHI_SHIFT)))
-        s = T.div(phi, T.tsum(phi))
-        logits = forward(model, x[:10], switches={st.layer_index: s},
+        logits = forward(model, x[:10], switches={st.layer_index: _taped_mean(th)},
                          params=weight_tensors)
         loss = T.softmax_cross_entropy(logits, y[:10])
     T.backward(loss)
