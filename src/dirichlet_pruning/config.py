@@ -1,8 +1,9 @@
 """Flat key=value experiment configuration.
 
 Files are UTF-8 text, one ``key = value`` pair per line, '#' starts a
-comment. Unknown keys are rejected so typos fail loudly; every run can log
-the fully-resolved configuration via ``resolved_text``.
+comment. Unknown keys, unknown choices and out-of-range numbers are rejected
+at parse time, naming the key, so typos fail before any work is done; every
+run can log the fully-resolved configuration via ``resolved_text``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_CHOICES = {
+    "data": ("synthetic", "mnist"),
+    "arch": ("mlp", "lenet5"),
+    "estimator": ("analytic", "implicit"),
+    "mode": ("per_layer", "joint"),
+    "method": ("dirichlet", "l1", "l2", "derivative", "random"),
+}
 
 
 def _coerce(name: str, text: str):
@@ -101,7 +109,31 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         setattr(cfg, key, _coerce(key, value))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(set(unknown)))}")
+    validate_config(cfg)
     return cfg
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError naming the first key with an unknown choice or a
+    value out of range."""
+    for key, choices in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value not in choices:
+            raise ConfigError(f"key {key!r}: must be one of {', '.join(choices)}, got {value!r}")
+    checks = (
+        ("rate", 0.0 <= cfg.rate < 1.0, "0 <= rate < 1"),
+        ("val_fraction", 0.0 <= cfg.val_fraction < 1.0, "0 <= val_fraction < 1"),
+        ("train_lr", cfg.train_lr > 0.0, "train_lr > 0"),
+        ("lr", cfg.lr > 0.0, "lr > 0"),
+        ("finetune_lr", cfg.finetune_lr > 0.0, "finetune_lr > 0"),
+        ("k", cfg.k >= 1, "k >= 1"),
+        ("dims", len(cfg.dims) == 2, "two values (d_x, d_h)"),
+        ("widths", cfg.arch != "lenet5" or len(cfg.widths) == 4,
+         "four values for lenet5 (conv1, conv2, fc1, fc2)"),
+    )
+    for key, ok, need in checks:
+        if not ok:
+            raise ConfigError(f"key {key!r}: need {need}, got {getattr(cfg, key)!r}")
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

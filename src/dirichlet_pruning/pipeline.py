@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig, require, resolved_text
+from .config import ExperimentConfig, require, resolved_text, validate_config
 from .data import load_mnist_idx, train_val_split
 from .errors import ConfigError, ContractError, PipelineError
 from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
@@ -209,6 +209,7 @@ class PipelineResult:
 
 
 def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
+    validate_config(cfg)
     write_resolved_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     phases = _Phases(log)

@@ -251,7 +251,9 @@ def save_states(states: list[SwitchState], path) -> None:
         f.write("\n")
 
 
-def load_states(path, estimator=None) -> list[SwitchState]:
+def load_states(path, estimator=None, model: ModelGraph | None = None) -> list[SwitchState]:
+    """Read states written by ``save_states``. With ``model`` given, every
+    state must sit on one of the model's switch layers and match its width."""
     with open(path) as f:
         payload = json.load(f)
     if payload.get("version") != 1:
@@ -265,6 +267,17 @@ def load_states(path, estimator=None) -> list[SwitchState]:
             estimator=estimator if estimator is not None else AnalyticMean(),
             kl_weight=payload.get("kl_weight"),
         ))
+    if model is not None:
+        widths = {i: model.layers[i].d for i in switch_layer_indices(model)}
+        for st in states:
+            if st.layer_index not in widths:
+                raise ContractError(f"switch state for layer {st.layer_index}: "
+                                    f"the model has no switch layer there")
+            if st.theta.shape != (widths[st.layer_index],):
+                raise ContractError(
+                    f"switch state for layer {st.layer_index} has width {st.theta.size}, "
+                    f"the model's switch layer {st.layer_index} has width "
+                    f"{widths[st.layer_index]}")
     return states
 
 

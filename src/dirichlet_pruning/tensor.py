@@ -6,6 +6,13 @@ broadcast ops, max-pooling, reshape, reductions and softmax cross-entropy.
 Ops record onto the innermost active ``Tape``; ``backward`` replays the
 tape in reverse insertion order and then clears it.
 
+Backward contract: a node's ``backward_fn`` returns one gradient per input,
+and ``None`` for an input whose ``requires_grad`` is False; it computes
+nothing for that input. Work that only a backward pass reads (im2col
+matrices, ReLU masks, first-maximum masks, softmax probabilities) is kept or
+built only when the op is recorded, so an untaped or frozen forward pays
+for none of it.
+
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves (and on tensors with ``retain_grad`` set).
 """
@@ -220,19 +227,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+    def bwd(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _record(out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+    def bwd(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+
+    return _record(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -241,8 +259,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data / b.data)
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -250,15 +269,14 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0
-    return _record(out, (x,), lambda g: (g * mask,))
+    # out > 0 exactly where x > 0, so the mask waits for the backward pass
+    return _record(out, (x,), lambda g: (g * (out.data > 0.0),))
 
 
 def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow."""
     out = Tensor(np.logaddexp(0.0, x.data))
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    return _record(out, (x,), lambda g: (g * sig,))
+    return _record(out, (x,), lambda g: (g * (1.0 / (1.0 + np.exp(-x.data))),))
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -293,7 +311,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -310,7 +329,8 @@ def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
 
     def bwd(g):
         axes = (0,) + tuple(range(2, h.data.ndim))
-        return g * view, (g * h.data).sum(axis=axes)
+        return (g * view if h.requires_grad else None,
+                (g * h.data).sum(axis=axes) if s.requires_grad else None)
 
     return _record(out, (h, s), bwd)
 
@@ -326,7 +346,8 @@ def broadcast_add_channels(h: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         axes = (0,) + tuple(range(2, h.data.ndim))
-        return g, g.sum(axis=axes)
+        return (g if h.requires_grad else None,
+                g.sum(axis=axes) if b.requires_grad else None)
 
     return _record(out, (h, b), bwd)
 
@@ -365,35 +386,46 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: in
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched 2-d cross-correlation by im2col, NCHW layout, no kernel flip.
 
-    The im2col matrix is kept for the kernel gradient.
+    The im2col matrix is kept only when the kernel needs a gradient. The
+    input gradient is one small GEMM per kernel tap, (H'*W'*N, c_out) @
+    kernel[:, :, i, j], accumulated into an (H, W, N, C) buffer whose strided
+    tap windows are runs of contiguous N*C rows, and transposed to NCHW once.
     """
     n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     cols = _im2col(xp, kh, kw, stride, h_out, w_out)
     rows = cols @ kernel.data.reshape(c_out, -1).T  # one row per output pixel
     out = Tensor(rows.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+    kernel_cols = cols if kernel.requires_grad else None
     h, w = x.shape[2], x.shape[3]
 
     def bwd(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
-        grad_k = (g2.T @ cols).reshape(kernel.shape)
-        grad_cols = g2 @ kernel.data.reshape(c_out, -1)
-        gc = grad_cols.reshape(n, h_out, w_out, c_in, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gc[:, :, i, j]
-        if padding:
-            gx = gxp[:, :, padding:-padding, padding:-padding]
-        else:
-            gx = gxp
-        return gx, grad_k
+        grad_k = grad_x = None
+        if kernel.requires_grad:
+            g2 = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
+            grad_k = (g2.T @ kernel_cols).reshape(kernel.shape)
+        if x.requires_grad:
+            gt = g.transpose(2, 3, 0, 1).reshape(h_out * w_out * n, c_out)
+            gxp = np.zeros((h + 2 * padding, w + 2 * padding, n, c_in))
+            for i in range(kh):
+                for j in range(kw):
+                    tap = gt @ kernel.data[:, :, i, j]
+                    gxp[i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
+                        tap.reshape(h_out, w_out, n, c_in)
+            grad_x = np.ascontiguousarray(
+                gxp[padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1))
+        return grad_x, grad_k
 
     return _record(out, (x, kernel), bwd)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Max pooling over k x k windows with the given stride (NCHW)."""
+    """Max pooling over k x k windows with the given stride (NCHW).
+
+    The forward is a running maximum over the k*k strided taps. The backward
+    routes each window's gradient to its first maximum in row-major window
+    order, as argmax would pick it.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
     n, c, h, w = x.shape
@@ -401,24 +433,31 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ShapeError(f"pool window {k} larger than input {x.shape}")
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
-    flat = windows.reshape(n, c, h_out, w_out, k * k)
-    arg = flat.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
+
+    def tap(a, t):
+        """The view of a (N, C, H, W) array that tap t of every window reads."""
+        i, j = divmod(t, k)
+        return a[:, :, i:i + stride * (h_out - 1) + 1:stride, j:j + stride * (w_out - 1) + 1:stride]
+
+    best = tap(x.data, 0).copy()
+    for t in range(1, k * k):
+        np.maximum(best, tap(x.data, t), out=best)
+    out = Tensor(best)
 
     def bwd(g):
-        di, dj = np.divmod(arg, k)
-        oh = np.arange(h_out)[None, None, :, None] * stride
-        ow = np.arange(w_out)[None, None, None, :] * stride
-        rows = oh + di
-        cols_ = ow + dj
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        idx = ((nn * c + cc) * h + rows) * w + cols_
-        gx = np.zeros(n * c * h * w)
-        np.add.at(gx, idx.ravel(), g.ravel())
-        return (gx.reshape(n, c, h, w),)
+        free = np.ones(best.shape, dtype=bool)
+        first = []
+        for t in range(k * k):
+            hit = tap(x.data, t) == best
+            hit &= free
+            free ^= hit
+            first.append(hit)
+        gx = np.zeros((n, c, h, w))
+        # last tap first: an input shared by overlapping windows then sums
+        # its gradients in window order, exactly as a scatter over windows
+        for t in reversed(range(k * k)):
+            tap(gx, t)[...] += g * first[t]
+        return (gx,)
 
     return _record(out, (x,), bwd)
 
@@ -443,10 +482,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     sez = ez.sum(axis=1, keepdims=True)
     log_probs = (z - zmax) - np.log(sez)
     out = Tensor(np.asarray(-log_probs[np.arange(n), labels].mean()))
-    probs = ez / sez
 
     def bwd(g):
-        grad = probs.copy()
+        grad = ez / sez  # the softmax probabilities
         grad[np.arange(n), labels] -= 1.0
         return (grad * (g / n),)
 

@@ -61,6 +61,38 @@ def test_config_line_without_equals():
         parse_config_text("seed = 1\nnot a pair\n")
 
 
+@pytest.mark.parametrize("text,key", [
+    ("estimator = implcit", "estimator"),
+    ("rate = 1.5", "rate"),
+    ("rate = -0.1", "rate"),
+    ("data = imagenet", "data"),
+    ("arch = vgg", "arch"),
+    ("mode = both", "mode"),
+    ("method = l3", "method"),
+    ("val_fraction = 1.0", "val_fraction"),
+    ("train_lr = 0", "train_lr"),
+    ("lr = -0.5", "lr"),
+    ("finetune_lr = nan", "finetune_lr"),
+    ("k = 0", "k"),
+    ("dims = 8", "dims"),
+    ("arch = lenet5\nwidths = 2, 2, 8", "widths"),
+])
+def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        parse_config_text(text + "\n")
+
+
+@pytest.mark.parametrize("key,value", [("estimator", "implcit"), ("rate", 1.5)])
+def test_bad_config_writes_no_artifact(tmp_path, key, value):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        run_pipeline(_nano_config(out, **{key: value}))
+    assert not out.exists()
+    path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + f"{key} = {value}\n")
+    assert cli.main(["--config", path, "pipeline"]) == 1
+    assert not out.exists()
+
+
 def test_config_base_overlay_keeps_other_fields():
     base = parse_config_text("seed = 3\nn = 500\n")
     cfg = parse_config_text("seed = 9\n", base=base)

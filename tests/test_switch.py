@@ -485,3 +485,26 @@ def test_save_load_states_round_trip(tmp_path):
     payload = json.loads(p.read_text())
     assert payload["version"] == 1
     assert "estimator" not in payload
+
+
+def test_load_states_rejects_widths_of_another_model(tmp_path):
+    trained = build_lenet5((20, 50, 800, 500), rng=np.random.default_rng(52))
+    path = tmp_path / "switches.json"
+    save_states(init_switch_states(trained), path)
+    assert len(load_states(path, model=trained)) == 4
+    model = build_lenet5((10, 25, 400, 250), rng=np.random.default_rng(53))
+    first = switch_layer_indices(model)[0]
+    with pytest.raises(ContractError,
+                       match=f"layer {first} has width 20, the model's switch layer {first} "
+                             f"has width 10"):
+        load_states(path, model=model)
+
+
+def test_load_states_rejects_state_off_the_switch_layers(tmp_path):
+    model, _, _ = _small_problem(seed=54)
+    states = init_switch_states(model)
+    states[0].layer_index = 0  # the first linear layer, not a switch
+    path = tmp_path / "switches.json"
+    save_states(states, path)
+    with pytest.raises(ContractError, match="layer 0: the model has no switch layer there"):
+        load_states(path, model=model)

@@ -153,6 +153,42 @@ def test_conv2d_grads_match_fd():
     assert grad_err(_grad_of(op, (x, k), 1), _fd_of(op, (x, k), 1)) <= 1e-5
 
 
+def _conv2d_grads_col2im(x, k, g, stride, padding):
+    """Reference conv2d backward: im2col GEMMs, then a col2im scatter of the
+    (N*H'*W', C*kh*kw) column gradient, one strided add per kernel tap."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    h_out, w_out = g.shape[2], g.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = T._im2col(xp, kh, kw, stride, h_out, w_out)
+    g2 = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
+    grad_k = (g2.T @ cols).reshape(k.shape)
+    grad_cols = g2 @ k.reshape(c_out, -1)
+    gc = grad_cols.reshape(n, h_out, w_out, c_in, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    gxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gc[:, :, i, j]
+    return gxp[:, :, padding:padding + h, padding:padding + w], grad_k
+
+
+@pytest.mark.parametrize("c_in", [1, 3])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
+def test_conv2d_grads_match_col2im_oracle(stride, padding, c_in):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3, c_in, 9, 10))
+    k = rng.standard_normal((4, c_in, 3, 3))
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Tape():
+        out = T.conv2d(xt, kt, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        loss = T.tsum(T.mul(out, Tensor(g)))
+    T.backward(loss)
+    gx, gk = _conv2d_grads_col2im(x, k, g, stride, padding)
+    np.testing.assert_allclose(xt.grad, gx, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(kt.grad, gk, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # elementwise suite
 
@@ -223,6 +259,46 @@ def test_broadcast_add_channels_grad():
                     _fd_of(T.broadcast_add_channels, (h, b), 1)) <= 1e-5
 
 
+def _maxpool_naive(x, k, stride, g):
+    """Loop reference: each window's max, and its gradient routed to the first
+    maximum in row-major window order, windows visited in row-major order."""
+    n, c, h, w = x.shape
+    h_out, w_out = (h - k) // stride + 1, (w - k) // stride + 1
+    out = np.zeros((n, c, h_out, w_out))
+    gx = np.zeros_like(x)
+    for a in range(n):
+        for b in range(c):
+            for r in range(h_out):
+                for s in range(w_out):
+                    top, left = r * stride, s * stride
+                    bi, bj = 0, 0
+                    for i in range(k):
+                        for j in range(k):
+                            if x[a, b, top + i, left + j] > x[a, b, top + bi, left + bj]:
+                                bi, bj = i, j
+                    out[a, b, r, s] = x[a, b, top + bi, left + bj]
+                    gx[a, b, top + bi, left + bj] += g[a, b, r, s]
+    return out, gx
+
+
+@pytest.mark.parametrize("hw", [(9, 11), (10, 12)])
+@pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
+def test_maxpool2d_matches_naive_loop_with_ties(k, stride, hw):
+    rng = np.random.default_rng(18)
+    # ReLU zeros and values rounded to 0.1 give many tied windows
+    x = np.round(np.maximum(rng.standard_normal((2, 3) + hw), 0.0), 1)
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        out = T.maxpool2d(xt, k, stride)
+        # gradients over 16 decades, so a different summation order shows
+        g = rng.standard_normal(out.shape) * 10.0 ** rng.uniform(-8, 8, out.shape)
+        loss = T.tsum(T.mul(out, Tensor(g)))
+    T.backward(loss)
+    ref_out, ref_gx = _maxpool_naive(x, k, stride, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(xt.grad, ref_gx)
+
+
 def test_maxpool2d_forward_and_grad():
     # values spaced well apart so the argmax never flips under the FD step
     rng = np.random.default_rng(11)
@@ -274,6 +350,54 @@ def test_cross_entropy_grad_matches_fd_and_formula():
 
 # ---------------------------------------------------------------------------
 # backward mechanics
+
+
+_MULTI_INPUT_OPS = [
+    (T.add, [(3, 4), (3, 4)]),
+    (T.sub, [(3, 4), (3, 4)]),
+    (T.mul, [(3, 4), (3, 4)]),
+    (T.div, [(3, 4), (3, 4)]),
+    (T.matmul, [(3, 4), (4, 2)]),
+    (lambda a, b: T.conv2d(a, b, stride=2, padding=1), [(2, 3, 6, 6), (4, 3, 3, 3)]),
+    (T.broadcast_mul_channels, [(2, 4, 3, 3), (4,)]),
+    (T.broadcast_add_channels, [(2, 4, 3, 3), (4,)]),
+]
+
+
+@pytest.mark.parametrize("op,shapes", _MULTI_INPUT_OPS)
+def test_gradients_of_any_input_subset_match_all_inputs_run(op, shapes):
+    rng = np.random.default_rng(19)
+    args = [rng.uniform(0.5, 2.0, s) for s in shapes]  # away from div's pole
+
+    def grads(wanted):
+        tensors = [Tensor(a, requires_grad=i in wanted) for i, a in enumerate(args)]
+        with Tape():
+            out = op(*tensors)
+            loss = T.tsum(T.mul(out, Tensor(np.linspace(-1.0, 1.0, out.size).reshape(out.shape))))
+        T.backward(loss)
+        return [t.grad for t in tensors]
+
+    full = grads({0, 1})
+    for wanted in ({0}, {1}):
+        got = grads(wanted)
+        for i in range(2):
+            if i in wanted:
+                assert np.array_equal(got[i], full[i]), (wanted, i)
+            else:
+                assert got[i] is None
+
+
+@pytest.mark.parametrize("op,shapes", [_MULTI_INPUT_OPS[4], _MULTI_INPUT_OPS[5]])
+def test_frozen_weight_gets_no_gradient_computed(op, shapes):
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.standard_normal(shapes[0]), requires_grad=True)
+    weight = Tensor(rng.standard_normal(shapes[1]))
+    with Tape() as tape:
+        out = op(x, weight)
+    (node,) = tape._nodes
+    grad_x, grad_w = node.backward_fn(np.ones(out.shape))
+    assert grad_w is None
+    assert grad_x.shape == x.shape
 
 
 def test_backward_linear():
