@@ -70,8 +70,7 @@ def cmd_rank(cfg: ExperimentConfig) -> None:
     rng, dataset, model = _setup(cfg)
     states = []
     if cfg.method == "dirichlet":
-        states = load_states(_existing_path(cfg, "switches_path", "switches.json"),
-                             model=model)
+        states = load_states(_existing_path(cfg, "switches_path", "switches.json"), model)
     report = rank_by_method(cfg, model, states, dataset, rng)
     path = artifact_path(cfg, "ranking_path", "ranking.csv")
     ranking_to_csv(report, path)
@@ -83,7 +82,7 @@ def cmd_prune(cfg: ExperimentConfig) -> None:
     states = []
     states_path = artifact_path(cfg, "switches_path", "switches.json")
     if os.path.exists(states_path):
-        states = load_states(states_path, model=model)
+        states = load_states(states_path, model)
     plan_path = artifact_path(cfg, "plan_path", "plan.json")
     if cfg.plan_path and os.path.exists(plan_path):
         plan = plan_from_json(plan_path)

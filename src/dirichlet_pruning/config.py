@@ -12,6 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .switch import SWITCH_MODES
 
 
 @dataclass
@@ -67,11 +68,12 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+# the one list of each key's allowed values; the pipeline dispatches on them
 _CHOICES = {
     "data": ("synthetic", "mnist"),
     "arch": ("mlp", "lenet5"),
     "estimator": ("analytic", "implicit"),
-    "mode": ("per_layer", "joint"),
+    "mode": SWITCH_MODES,
     "method": ("dirichlet", "l1", "l2", "derivative", "random"),
 }
 
@@ -117,9 +119,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError naming the first key with an unknown choice or a
     value out of range."""
     for key, choices in _CHOICES.items():
-        value = getattr(cfg, key)
-        if value not in choices:
-            raise ConfigError(f"key {key!r}: must be one of {', '.join(choices)}, got {value!r}")
+        if getattr(cfg, key) not in choices:
+            raise choice_error(cfg, key)
     checks = (
         ("rate", 0.0 <= cfg.rate < 1.0, "0 <= rate < 1"),
         ("val_fraction", 0.0 <= cfg.val_fraction < 1.0, "0 <= val_fraction < 1"),
@@ -134,6 +135,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, ok, need in checks:
         if not ok:
             raise ConfigError(f"key {key!r}: need {need}, got {getattr(cfg, key)!r}")
+
+
+def choice_error(cfg: ExperimentConfig, key: str) -> ConfigError:
+    """The error for a ``key`` whose value is none of its allowed choices."""
+    return ConfigError(f"key {key!r}: must be one of {', '.join(_CHOICES[key])}, "
+                       f"got {getattr(cfg, key)!r}")
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

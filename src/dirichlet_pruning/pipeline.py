@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig, require, resolved_text, validate_config
+from .config import (ExperimentConfig, choice_error, require, resolved_text,
+                     validate_config)
 from .data import load_mnist_idx, train_val_split
 from .errors import ConfigError, ContractError, PipelineError
 from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
@@ -82,7 +83,7 @@ def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
         if cfg.subset > 0:
             x_train, y_train = x_train[:cfg.subset], y_train[:cfg.subset]
     else:
-        raise ConfigError(f"data must be synthetic or mnist, got {cfg.data!r}")
+        raise choice_error(cfg, "data")
     x_train, y_train, x_val, y_val = train_val_split(x_train, y_train, cfg.val_fraction, rng)
     n_classes = int(max(y_train.max(), y_test.max())) + 1
     return Dataset(x_train, y_train, x_val, y_val, x_test, y_test, n_classes)
@@ -118,7 +119,7 @@ def build_or_load_model(cfg: ExperimentConfig, dataset: Dataset, rng) -> ModelGr
     if cfg.arch == "mlp":
         d_x, d_h = cfg.dims
         return build_mlp(d_x, d_h, dataset.n_classes, rng=rng, seed=cfg.seed)
-    raise ConfigError(f"arch must be mlp or lenet5, got {cfg.arch!r}")
+    raise choice_error(cfg, "arch")
 
 
 def train_from_config(cfg: ExperimentConfig, model: ModelGraph, dataset: Dataset,
@@ -134,7 +135,7 @@ def estimator_from(cfg: ExperimentConfig):
         return AnalyticMean()
     if cfg.estimator == "implicit":
         return ImplicitMC(cfg.k)
-    raise ConfigError(f"estimator must be analytic or implicit, got {cfg.estimator!r}")
+    raise choice_error(cfg, "estimator")
 
 
 def switch_states_from_config(cfg: ExperimentConfig, model: ModelGraph) -> list[SwitchState]:
@@ -165,7 +166,7 @@ def rank_by_method(cfg: ExperimentConfig, model: ModelGraph, states,
         return rank_derivative(model, dataset.x_train[:nb], dataset.y_train[:nb])
     if cfg.method == "random":
         return rank_random(model, rng)
-    raise ConfigError(f"unknown ranking method {cfg.method!r}")
+    raise choice_error(cfg, "method")
 
 
 def plan_from_config(cfg: ExperimentConfig, report: RankingReport) -> PruningPlan:

@@ -251,9 +251,9 @@ def save_states(states: list[SwitchState], path) -> None:
         f.write("\n")
 
 
-def load_states(path, estimator=None, model: ModelGraph | None = None) -> list[SwitchState]:
-    """Read states written by ``save_states``. With ``model`` given, every
-    state must sit on one of the model's switch layers and match its width."""
+def load_states(path, model: ModelGraph, estimator=None) -> list[SwitchState]:
+    """Read states written by ``save_states`` for ``model``: every state must
+    sit on one of the model's switch layers and match its width."""
     with open(path) as f:
         payload = json.load(f)
     if payload.get("version") != 1:
@@ -267,30 +267,33 @@ def load_states(path, estimator=None, model: ModelGraph | None = None) -> list[S
             estimator=estimator if estimator is not None else AnalyticMean(),
             kl_weight=payload.get("kl_weight"),
         ))
-    if model is not None:
-        widths = {i: model.layers[i].d for i in switch_layer_indices(model)}
-        for st in states:
-            if st.layer_index not in widths:
-                raise ContractError(f"switch state for layer {st.layer_index}: "
-                                    f"the model has no switch layer there")
-            if st.theta.shape != (widths[st.layer_index],):
-                raise ContractError(
-                    f"switch state for layer {st.layer_index} has width {st.theta.size}, "
-                    f"the model's switch layer {st.layer_index} has width "
-                    f"{widths[st.layer_index]}")
+    widths = {i: model.layers[i].d for i in switch_layer_indices(model)}
+    for st in states:
+        if st.layer_index not in widths:
+            raise ContractError(f"switch state for layer {st.layer_index}: "
+                                f"the model has no switch layer there")
+        if st.theta.shape != (widths[st.layer_index],):
+            raise ContractError(
+                f"switch state for layer {st.layer_index} has width {st.theta.size}, "
+                f"the model's switch layer {st.layer_index} has width "
+                f"{widths[st.layer_index]}")
     return states
+
+
+SWITCH_MODES = ("per_layer", "joint")
 
 
 @dataclass
 class SwitchTrainSchedule:
-    mode: str = "per_layer"  # "per_layer" or "joint"
+    mode: str = "per_layer"  # one of SWITCH_MODES
     epochs: int = 1
     batch_size: int = 100
     lr: float = 0.1
 
     def __post_init__(self):
-        if self.mode not in ("per_layer", "joint"):
-            raise ContractError(f"mode must be per_layer or joint, got {self.mode!r}")
+        if self.mode not in SWITCH_MODES:
+            raise ContractError(f"mode must be one of {', '.join(SWITCH_MODES)}, "
+                                f"got {self.mode!r}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0.0:

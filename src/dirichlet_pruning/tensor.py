@@ -455,8 +455,10 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         gx = np.zeros((n, c, h, w))
         # last tap first: an input shared by overlapping windows then sums
         # its gradients in window order, exactly as a scatter over windows
+        # np.where, not g * mask: an inf or NaN gradient then reaches only
+        # the window's maximum, as a scatter would send it
         for t in reversed(range(k * k)):
-            tap(gx, t)[...] += g * first[t]
+            tap(gx, t)[...] += np.where(first[t], g, 0.0)
         return (gx,)
 
     return _record(out, (x,), bwd)

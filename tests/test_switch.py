@@ -476,7 +476,7 @@ def test_save_load_states_round_trip(tmp_path):
     states[0].theta = np.array([0.3, -1.2, 4.0, 0.001])
     p = tmp_path / "switches.json"
     save_states(states, p)
-    loaded = load_states(p, estimator=ImplicitMC(5))
+    loaded = load_states(p, model, estimator=ImplicitMC(5))
     assert len(loaded) == len(states)
     assert np.array_equal(loaded[0].theta, states[0].theta)
     assert loaded[0].alpha0 == 0.7
@@ -491,13 +491,13 @@ def test_load_states_rejects_widths_of_another_model(tmp_path):
     trained = build_lenet5((20, 50, 800, 500), rng=np.random.default_rng(52))
     path = tmp_path / "switches.json"
     save_states(init_switch_states(trained), path)
-    assert len(load_states(path, model=trained)) == 4
+    assert len(load_states(path, trained)) == 4
     model = build_lenet5((10, 25, 400, 250), rng=np.random.default_rng(53))
     first = switch_layer_indices(model)[0]
     with pytest.raises(ContractError,
                        match=f"layer {first} has width 20, the model's switch layer {first} "
                              f"has width 10"):
-        load_states(path, model=model)
+        load_states(path, model)
 
 
 def test_load_states_rejects_state_off_the_switch_layers(tmp_path):
@@ -507,4 +507,4 @@ def test_load_states_rejects_state_off_the_switch_layers(tmp_path):
     path = tmp_path / "switches.json"
     save_states(states, path)
     with pytest.raises(ContractError, match="layer 0: the model has no switch layer there"):
-        load_states(path, model=model)
+        load_states(path, model)

@@ -299,6 +299,23 @@ def test_maxpool2d_matches_naive_loop_with_ties(k, stride, hw):
     assert np.array_equal(xt.grad, ref_gx)
 
 
+@pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)])
+def test_maxpool2d_sends_non_finite_gradient_to_the_maximum_only(k, stride):
+    rng = np.random.default_rng(19)
+    x = rng.permutation(2 * 9 * 11).astype(np.float64).reshape(1, 2, 9, 11)
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        out = T.maxpool2d(xt, k, stride)
+        g = rng.standard_normal(out.shape)
+        g.flat[::3] = np.inf
+        g.flat[1::5] = np.nan
+        loss = T.tsum(T.mul(out, Tensor(g)))
+    T.backward(loss)
+    _, ref_gx = _maxpool_naive(x, k, stride, g)
+    assert np.array_equal(xt.grad, ref_gx, equal_nan=True)
+    assert np.count_nonzero(xt.grad) <= out.data.size
+
+
 def test_maxpool2d_forward_and_grad():
     # values spaced well apart so the argmax never flips under the FD step
     rng = np.random.default_rng(11)
