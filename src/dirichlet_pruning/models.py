@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError, NumericError, ShapeError
 from .tensor import Tape, Tensor
 
 MAGIC = b"DPM1"
@@ -440,7 +440,9 @@ def _batches(n, batch_size, rng=None):
 def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
                 log=None) -> list[float]:
     """Minibatch SGD with momentum on the cross-entropy; switches run as
-    identity. Mutates model.weights in place; returns per-epoch mean loss."""
+    identity. Mutates model.weights in place; returns per-epoch mean loss.
+    Raises NumericError, naming the epoch and batch, at the first batch
+    whose loss is not finite, before its step touches the weights."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.shape[0] == 0:
@@ -458,6 +460,9 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
             with Tape():
                 logits = forward(model, x[idx], params=params)
                 loss = T.softmax_cross_entropy(logits, y[idx])
+            if not np.isfinite(loss.data):
+                raise NumericError(f"training loss is {loss.item()} at epoch "
+                                   f"{epoch + 1}, batch {nb + 1}")
             T.backward(loss)
             for n in names:
                 g = params[n].grad
@@ -477,8 +482,14 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
     return losses
 
 
-def evaluate(model: ModelGraph, x, y, switches=None, batch_size: int = 500) -> float:
-    """Classification error in percent."""
+def evaluate(model: ModelGraph, x, y, switches=None, batch_size: int = 100) -> float:
+    """Classification error in percent.
+
+    Rows run in batches of ``batch_size``, the training batch size of every
+    shipped config. The batch size sets the memory, not the answer: at 100
+    rows full LeNet's largest buffer (conv2's im2col matrix) is 25.6 MB, not
+    the 128 MB of a 500-row batch.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.shape[0] == 0:

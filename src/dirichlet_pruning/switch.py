@@ -36,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_marginal_std,
                         dirichlet_sample_batch)
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .models import ModelGraph, _batches, forward, switch_layer_indices
 from .tensor import Tape, Tensor
 
@@ -127,15 +127,17 @@ class SwitchObjectiveValue:
     kl_weight: float
 
 
-def _kl_parts(states, dataset_size):
-    """Total KL across layers and its per-state theta gradients."""
+def _kl_parts(states, train_set):
+    """Total KL across all layers and its theta gradients for the layers in
+    ``train_set`` only."""
     kl = 0.0
     grads = {}
     for st in states:
         phi = st.phi()
         prior = np.full_like(phi, st.alpha0)
         kl += dirichlet_kl(phi, prior)
-        grads[st.layer_index] = dirichlet_kl_grad(phi, prior) * _sigmoid_np(st.theta)
+        if st.layer_index in train_set:
+            grads[st.layer_index] = dirichlet_kl_grad(phi, prior) * _sigmoid_np(st.theta)
     return kl, grads
 
 
@@ -221,7 +223,7 @@ def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,
     (estimator,) = estimators
     draws = {idx: estimator.draw(by_index[idx].phi(), rng) for idx in sorted(train_set)}
     nll, nll_grads = _nll_and_grads(model, states, xb, yb, draws)
-    kl, kl_grads = _kl_parts(states, dataset_size)
+    kl, kl_grads = _kl_parts(states, train_set)
     value = SwitchObjectiveValue(
         neg_elbo=nll + kl_weight * kl,
         expected_nll=nll,
@@ -313,7 +315,9 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
     """Plain SGD on theta. per_layer mode sweeps the switch layers in graph
     order, updating one layer's theta per sweep while the others sit at
     their posterior mean; joint mode updates all thetas together. Mutates
-    state.theta in place and returns per-epoch statistics."""
+    state.theta in place and returns per-epoch statistics. Raises
+    NumericError, naming the scope, epoch and batch, at the first batch whose
+    neg_elbo is not finite, before its step touches theta."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.shape[0] == 0:
@@ -335,6 +339,9 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
             for sel in _batches(n, schedule.batch_size, rng):
                 value, grads = neg_elbo_and_grads(
                     states, model, x[sel], y[sel], n, rng, train_indices=train_indices)
+                if not math.isfinite(value.neg_elbo):
+                    raise NumericError(f"{scope} neg_elbo is {value.neg_elbo} at epoch "
+                                       f"{epoch + 1}, batch {nb + 1}")
                 for li in train_indices:
                     by_index[li].theta = by_index[li].theta - schedule.lr * grads[li]
                 total += value.neg_elbo

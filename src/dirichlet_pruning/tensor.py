@@ -375,35 +375,44 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int):
+    """The tap-major (C*kh*kw, N*H'*W') patch matrix of a padded NCHW input.
+
+    Row (c, i, j) holds tap (i, j) of channel c for every output pixel in
+    (n, y, x) order, so the one gather copies runs of W' input pixels.
+    """
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
-    # (N, C, H', W', kh, kw) -> (N*H'*W', C*kh*kw)
+    # (N, C, H', W', kh, kw) -> (C, kh, kw, N, H', W')
     n, c = xp.shape[0], xp.shape[1]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kh * kw, n * h_out * w_out)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched 2-d cross-correlation by im2col, NCHW layout, no kernel flip.
 
-    The im2col matrix is kept only when the kernel needs a gradient. The
-    input gradient is one small GEMM per kernel tap, (H'*W'*N, c_out) @
-    kernel[:, :, i, j], accumulated into an (H, W, N, C) buffer whose strided
-    tap windows are runs of contiguous N*C rows, and transposed to NCHW once.
+    The forward is one GEMM, (c_out, C*kh*kw) @ cols, on the tap-major
+    (C*kh*kw, N*H'*W') im2col matrix; its (c_out, N, H', W') result becomes
+    NCHW by a transpose that copies contiguous H'*W' runs. The matrix is kept
+    only when the kernel needs a gradient, which is g (c_out, N*H'*W') @
+    cols.T, read through a view with no copy. The input gradient is one small
+    GEMM per kernel tap, (H'*W'*N, c_out) @ kernel[:, :, i, j], accumulated
+    into an (H, W, N, C) buffer whose strided tap windows are runs of
+    contiguous N*C rows, and transposed to NCHW once.
     """
     n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    rows = cols @ kernel.data.reshape(c_out, -1).T  # one row per output pixel
-    out = Tensor(rows.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+    planes = kernel.data.reshape(c_out, -1) @ cols  # one row per output channel
+    out = Tensor(planes.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3))
     kernel_cols = cols if kernel.requires_grad else None
     h, w = x.shape[2], x.shape[3]
 
     def bwd(g):
         grad_k = grad_x = None
         if kernel.requires_grad:
-            g2 = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
-            grad_k = (g2.T @ kernel_cols).reshape(kernel.shape)
+            g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)  # copies H'*W' runs
+            grad_k = (g2 @ kernel_cols.T).reshape(kernel.shape)
         if x.requires_grad:
             gt = g.transpose(2, 3, 0, 1).reshape(h_out * w_out * n, c_out)
             gxp = np.zeros((h + 2 * padding, w + 2 * padding, n, c_in))

@@ -2,11 +2,13 @@
 
 import json
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from dirichlet_pruning.errors import ContractError, FormatError, ShapeError
+from dirichlet_pruning.errors import ContractError, FormatError, NumericError, ShapeError
 from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       MaxPool2d, ModelGraph, Relu, Switch,
                                       TrainSchedule,
@@ -16,6 +18,7 @@ from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       prunable_indices, prunable_widths,
                                       save_model, switch_layer_indices,
                                       train_model, validate_model)
+from dirichlet_pruning.synthetic import gen_synthetic
 
 
 def _fc_only(d_in=4, d_out=3):
@@ -364,6 +367,64 @@ def test_evaluate_perfect_and_empty():
     assert evaluate(model, x, y) == 0.0
     with pytest.raises(ContractError):
         evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+def test_train_model_raises_on_non_finite_loss():
+    # the README MLP at train_lr = 1e3 overflows to inf, then NaN, in epoch 2
+    _, x, y = gen_synthetic(20, 16, 4000, np.random.default_rng(0))
+    model = build_mlp(20, 16, 2, rng=np.random.default_rng(1))
+    with warnings.catch_warnings(), pytest.raises(NumericError, match="epoch 2, batch 4"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        train_model(model, x[:3000], y[:3000], TrainSchedule(3, 50, 1e3, 0.9),
+                    np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("arch", ["lenet", "mlp"])
+def test_evaluate_ignores_batch_size(arch):
+    rng = np.random.default_rng(25)
+    n = 730
+    if arch == "lenet":
+        model = build_lenet5([3, 4, 12, 8], rng=rng)
+        x = rng.uniform(0.0, 1.0, (n, 1, 28, 28))
+        y = rng.integers(0, 10, n)
+    else:
+        model = build_mlp(4, 6, 2, rng=rng)
+        x = rng.standard_normal((n, 4))
+        y = rng.integers(0, 2, n)
+    errors = {evaluate(model, x, y, batch_size=b) for b in (100, 500, n)}
+    assert len(errors) == 1
+    assert 0.0 < errors.pop() < 100.0
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def _full_lenet_task(n):
+    model = build_lenet5([20, 50, 800, 500], rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    return model, rng.uniform(0.0, 1.0, (n, 1, 28, 28)), rng.integers(0, 10, n)
+
+
+def test_evaluate_allocation_peak_full_lenet():
+    # 100-row batches and a tap-major im2col: 32.1 MiB; 500-row batches
+    # with a pixel-major im2col and its layout copies peaked at 160.5 MiB
+    model, x, y = _full_lenet_task(500)
+    assert _peak_mib(lambda: evaluate(model, x, y)) <= 48.0
+
+
+def test_train_step_allocation_peak_full_lenet():
+    # one batch-100 step: 110.6 MiB; a copy of the im2col matrix in the
+    # kernel gradient pushes it to 121.2 MiB
+    model, x, y = _full_lenet_task(100)
+    step = lambda: train_model(model, x, y, TrainSchedule(1, 100, 0.01, 0.9),
+                               np.random.default_rng(2))
+    assert _peak_mib(step) <= 115.0
 
 
 def test_copy_model_is_independent():

@@ -395,6 +395,41 @@ def test_train_switches_contract_errors():
         train_switches(model, [], x, y, SwitchTrainSchedule(), np.random.default_rng(0))
 
 
+def test_kl_gradient_only_for_trained_layers(monkeypatch):
+    rng = np.random.default_rng(49)
+    model = build_lenet5([3, 4, 6, 5], rng=rng)
+    x = rng.uniform(0.0, 1.0, (40, 1, 28, 28))
+    y = rng.integers(0, 10, 40)
+    states = init_switch_states(model)
+    assert len(states) == 4
+    calls = []
+    kl_grad = switch_module.dirichlet_kl_grad
+    monkeypatch.setattr(switch_module, "dirichlet_kl_grad",
+                        lambda *a: calls.append(1) or kl_grad(*a))
+    value, grads = neg_elbo_and_grads(states, model, x[:10], y[:10], 40,
+                                      np.random.default_rng(0),
+                                      train_indices=[states[1].layer_index])
+    assert len(calls) == 1 and list(grads) == [states[1].layer_index]
+    # the KL term still sums every layer, trained or not
+    expected_kl = sum(dirichlet_kl(st.phi(), np.full(st.theta.shape, st.alpha0))
+                      for st in states)
+    assert value.kl_term == pytest.approx(expected_kl, rel=1e-12)
+    calls.clear()
+    train_switches(model, states, x, y,
+                   SwitchTrainSchedule(mode="per_layer", epochs=1, batch_size=20, lr=0.1),
+                   np.random.default_rng(50))
+    assert len(calls) == 4 * 2  # one per step: 4 layers x 2 batches
+
+
+def test_train_switches_raises_on_non_finite_neg_elbo():
+    model, x, y = _small_problem(seed=51)
+    model.weights["layer3.weight"][0, 0] = np.nan
+    states = init_switch_states(model)
+    with pytest.raises(NumericError, match="layer1 neg_elbo is nan at epoch 1, batch 1"):
+        train_switches(model, states, x, y, SwitchTrainSchedule(batch_size=20),
+                       np.random.default_rng(52))
+
+
 def test_kl_descends_when_loss_ignores_switch():
     # zeroing the output layer makes the logits constant in s, so the only
     # gradient left is the KL pull toward the symmetric prior

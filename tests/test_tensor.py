@@ -160,7 +160,9 @@ def _conv2d_grads_col2im(x, k, g, stride, padding):
     c_out, _, kh, kw = k.shape
     h_out, w_out = g.shape[2], g.shape[3]
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = T._im2col(xp, kh, kw, stride, h_out, w_out)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c_in * kh * kw)
     g2 = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
     grad_k = (g2.T @ cols).reshape(k.shape)
     grad_cols = g2 @ k.reshape(c_out, -1)
