@@ -12,14 +12,16 @@ from dirichlet_pruning.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-# A four-sample batch through one dense layer with a relu, then the mean.
+# A four-sample batch through one dense layer with a relu, then the mean
+# cross-entropy of the two outputs against the labels.
 x = Tensor(rng.normal(size=(4, 3)))
+labels = np.array([0, 1, 1, 0])
 w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 b = Tensor(np.zeros(2), requires_grad=True)
 
 with T.Tape():
     hidden = T.relu(T.broadcast_add_channels(T.matmul(x, w), b))
-    loss = T.tmean(hidden)
+    loss = T.softmax_cross_entropy(hidden, labels)
 T.backward(loss)
 
 print("loss           ", loss.item())
@@ -34,7 +36,7 @@ def loss_at(w00):
     wv = w.data.copy()
     wv[0, 0] = w00
     out = T.relu(T.broadcast_add_channels(T.matmul(x, Tensor(wv)), b))
-    return T.tmean(out).item()
+    return T.softmax_cross_entropy(out, labels).item()
 
 
 fd = (loss_at(w.data[0, 0] + eps) - loss_at(w.data[0, 0] - eps)) / (2 * eps)
@@ -42,13 +44,14 @@ print(f"finite diff    {fd:.10f}")
 print(f"tape gradient  {w.grad[0, 0]:.10f}")
 print(f"|difference|   {abs(fd - w.grad[0, 0]):.2e}")
 
-# The same engine drives convolutions. Gradients flow to image and kernel.
+# The same engine drives convolutions. Gradients flow to image and kernel;
+# the 18 pooled values are scored as logits of an 18-way class.
 image = Tensor(rng.normal(size=(1, 1, 6, 6)), requires_grad=True)
 kernel = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
 with T.Tape():
     maps = T.conv2d(image, kernel, stride=1, padding=1)
     pooled = T.maxpool2d(maps, 2, 2)
-    objective = T.tsum(pooled)
+    objective = T.softmax_cross_entropy(T.flatten_batch(pooled), np.array([0]))
 T.backward(objective)
 print("\nconv output map shape ", maps.data.shape)
 print("pooled shape          ", pooled.data.shape)

@@ -8,15 +8,15 @@ draw; the Dirichlet sampler returns it with every draw.
 """
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from dirichlet_pruning.dirichlet import (
     dirichlet_kl,
     dirichlet_log_pdf_batch,
     dirichlet_sample_batch,
 )
-from dirichlet_pruning.special import (gamma_implicit_grad_batch, gamma_quantile,
-                                       gamma_regularized_P, gamma_sample_batch)
+from dirichlet_pruning.special import (gamma_implicit_grad_batch,
+                                       gamma_regularized_P_batch, gamma_sample_batch)
 
 rng = np.random.default_rng(42)
 
@@ -28,13 +28,14 @@ for shape in (0.5, 2.0, 7.5):
         f"  var {draws.var():7.4f} (theory {shape:7.4f})"
     )
 
-# One draw with its implicit gradient, checked against the quantile function:
-# the implicit dy/da should match d/da of the quantile at the draw's fixed u.
+# One draw with its implicit gradient, checked against scipy's quantile
+# function: the implicit dy/da should match d/da of the quantile at the
+# draw's fixed u.
 a0, h = 2.3, 1e-4
 values = gamma_sample_batch(np.array([a0]), rng)
 y, dy_da = float(values[0]), float(gamma_implicit_grad_batch(a0, values)[0])
-u = gamma_regularized_P(a0, y)
-numeric = (gamma_quantile(a0 + h, u) - gamma_quantile(a0 - h, u)) / (2 * h)
+u = float(gamma_regularized_P_batch(a0, y))
+numeric = (special.gammaincinv(a0 + h, u) - special.gammaincinv(a0 - h, u)) / (2 * h)
 print(f"\ndraw y={y:.5f} at u={u:.5f}")
 print(f"dy/da implicit {dy_da:.6f}  quantile finite-diff {numeric:.6f}")
 

@@ -9,9 +9,9 @@ is the score; both the deterministic and the sampling estimator get a run.
 """
 
 import numpy as np
+from scipy.stats import spearmanr
 
 from dirichlet_pruning.models import switch_layer_indices
-from dirichlet_pruning.stats import spearman_rho
 from dirichlet_pruning.switch import (
     AnalyticMean,
     ImplicitMC,
@@ -45,8 +45,8 @@ mean_am, std_am = run(AnalyticMean(), am_sched, seed=11)
 mc_sched = SwitchTrainSchedule(mode="per_layer", epochs=3, batch_size=100, lr=3.0)
 mean_mc, std_mc = run(ImplicitMC(k=10), mc_sched, seed=12)
 
-rho_am = spearman_rho(mean_am, task.true_switch)
-rho_mc = spearman_rho(mean_mc, task.true_switch)
+rho_am = spearmanr(mean_am, task.true_switch).statistic
+rho_mc = spearmanr(mean_mc, task.true_switch).statistic
 print(f"\nrank correlation with truth: analytic {rho_am:.3f}, sampling {rho_mc:.3f}")
 
 print("\nchannel   truth    analytic mean/std    sampling mean/std")

@@ -7,9 +7,8 @@ variational inference, desk-scale conv/dense models, channel rankers and
 physical pruning, and a batch CLI harness.
 """
 
-from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_log_pdf,
-                        dirichlet_marginal_std, dirichlet_mean,
-                        dirichlet_sample_batch)
+from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_log_pdf_batch,
+                        dirichlet_marginal_std, dirichlet_sample_batch)
 from .errors import (ConfigError, ContractError, DomainError, FormatError,
                      NumericError, PipelineError, ShapeError)
 from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
@@ -17,12 +16,13 @@ from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
                      save_model, train_model)
 from .pipeline import (export_feature_maps, run_pipeline, run_posterior_compare)
 from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
-                      make_plan, masked_logits, rank_derivative, rank_dirichlet,
-                      rank_magnitude, rank_random)
-from .special import (digamma, gamma_implicit_grad, gamma_quantile,
-                      gamma_regularized_P, gamma_sample_batch, lgamma, trigamma)
+                      make_plan, rank_derivative, rank_dirichlet, rank_magnitude,
+                      rank_random)
+from .special import (digamma_batch, gamma_implicit_grad_batch,
+                      gamma_regularized_P_batch, gamma_sample_batch, lgamma_batch,
+                      trigamma_batch)
 from .switch import (AnalyticMean, ImplicitMC, SwitchState, SwitchTrainSchedule,
-                     init_switch_states, neg_elbo_minibatch, posterior_report,
+                     init_switch_states, neg_elbo_and_grads, posterior_report,
                      train_switches)
 from .synthetic import SyntheticTask, gen_synthetic, task_model
 from .tensor import Tape, Tensor, backward, conv2d

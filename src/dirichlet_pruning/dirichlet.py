@@ -14,7 +14,6 @@ from .special import (digamma_batch, gamma_implicit_grad_batch, gamma_sample_bat
                       lgamma_batch, trigamma_batch)
 
 _INTERIOR_CLAMP = 1e-12
-_SIMPLEX_TOL = 1e-9
 # Gamma draws are floored at the smallest subnormal to keep them positive, so
 # "everything underflowed" shows up as a denormal-scale total, not an exact 0.
 _UNDERFLOW_TOTAL = 1e-280
@@ -27,21 +26,6 @@ def validate_concentration(conc) -> np.ndarray:
     if not np.all(conc > 0.0):
         raise DomainError("concentration entries must all be > 0")
     return conc
-
-
-def validate_simplex(values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if np.any(values < 0.0):
-        raise DomainError("simplex vector entries must be >= 0")
-    if abs(values.sum() - 1.0) > _SIMPLEX_TOL:
-        raise DomainError(f"simplex vector sums to {values.sum()}, not 1")
-    return values
-
-
-def dirichlet_mean(conc) -> np.ndarray:
-    """Analytic mean: conc / sum(conc)."""
-    conc = validate_concentration(conc)
-    return conc / conc.sum()
 
 
 def dirichlet_marginal_std(conc) -> np.ndarray:
@@ -98,21 +82,6 @@ def dirichlet_kl_grad(q_conc, p_conc) -> np.ndarray:
     diff = q - p
     psi1 = trigamma_batch(np.append(q, q.sum()))
     return diff * psi1[:-1] - psi1[-1] * diff.sum()
-
-
-def dirichlet_log_pdf(conc, s) -> float:
-    """Log density at one simplex point, by dirichlet_log_pdf_batch.
-
-    Entries are clamped up to 1e-12; a true boundary entry with its
-    concentration below 1 has infinite density and raises instead.
-    """
-    conc = validate_concentration(conc)
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != conc.shape:
-        raise ShapeError(f"sample shape {s.shape} does not match concentration {conc.shape}")
-    if np.any((s < _INTERIOR_CLAMP) & (conc < 1.0)):
-        raise NumericError("boundary sample with concentration < 1 has unbounded density")
-    return float(dirichlet_log_pdf_batch(conc, s[None])[0])
 
 
 def dirichlet_log_pdf_batch(conc, samples: np.ndarray) -> np.ndarray:

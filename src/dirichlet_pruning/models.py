@@ -341,12 +341,12 @@ def count_params(model: ModelGraph) -> int:
     return int(total)
 
 
-def count_flops(model: ModelGraph, input_shape=None) -> int:
+def count_flops(model: ModelGraph) -> int:
     """Multiply-accumulates in the linear layers for one input.
 
     conv: kh*kw*c_in*c_out*H_out*W_out, fc: d_in*d_out.
     """
-    shapes = propagate_shapes(model.layers, input_shape or model.input_shape)
+    shapes = propagate_shapes(model.layers, model.input_shape)
     total = 0
     for i, spec in enumerate(model.layers):
         if isinstance(spec, Conv2d):
@@ -417,6 +417,33 @@ def load_model(path) -> ModelGraph:
     return model
 
 
+def read_json(path, what: str, by_layer: str) -> dict:
+    """The payload of a version-1 JSON artifact (a plan, switch states),
+    whose ``by_layer`` entry is an object keyed by layer index; that entry
+    comes back keyed by int.
+
+    A file that is not such a JSON object raises FormatError naming the file
+    and the key; another version raises ContractError.
+    """
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except ValueError as e:  # truncated or not text
+        raise FormatError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    if payload.get("version") != 1:
+        raise ContractError(f"unsupported {what} version {payload.get('version')!r}")
+    entries = payload.get(by_layer)
+    if not isinstance(entries, dict):
+        raise FormatError(f"{path}: {what} has no {by_layer!r} object keyed by layer")
+    payload[by_layer] = {int(k): v for k, v in entries.items() if k.isdecimal()}
+    if len(payload[by_layer]) != len(entries):  # a key that is no index, or a repeat
+        raise FormatError(f"{path}: {what} {by_layer!r} keys {sorted(entries)} are not "
+                          "distinct layer indices")
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # plain supervised training and evaluation
 
@@ -482,8 +509,8 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
     return losses
 
 
-def evaluate(model: ModelGraph, x, y, switches=None, batch_size: int = 100) -> float:
-    """Classification error in percent.
+def evaluate(model: ModelGraph, x, y, batch_size: int = 100) -> float:
+    """Classification error in percent, with every switch at identity.
 
     Rows run in batches of ``batch_size``, the training batch size of every
     shipped config. The batch size sets the memory, not the answer: at 100
@@ -496,7 +523,7 @@ def evaluate(model: ModelGraph, x, y, switches=None, batch_size: int = 100) -> f
         raise ContractError("evaluation data is empty")
     wrong = 0
     for idx in _batches(x.shape[0], batch_size):
-        logits = forward(model, x[idx], switches=switches)
+        logits = forward(model, x[idx])
         wrong += int((logits.data.argmax(axis=1) != y[idx]).sum())
     return 100.0 * wrong / x.shape[0]
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError
 
 
 def to_u8(values: np.ndarray) -> np.ndarray:
@@ -27,18 +25,3 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
-    if m is None:
-        raise FormatError(f"{path}: not a binary PGM header")
-    w, h, maxval = (int(g) for g in m.groups())
-    if maxval != 255:
-        raise FormatError(f"{path}: unsupported maxval {maxval}")
-    body = raw[m.end():]
-    if len(body) != w * h:
-        raise FormatError(f"{path}: expected {w * h} pixel bytes after byte "
-                          f"{m.end()}, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w)

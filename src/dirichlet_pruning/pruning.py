@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, FormatError, ShapeError
 from .models import (Conv2d, Flatten, FullyConnected, ModelGraph, Switch,
                      TrainSchedule, Tensor, copy_model, evaluate, forward,
                      propagate_shapes, prunable_indices, prunable_widths,
-                     train_model, validate_model)
+                     read_json, train_model, validate_model)
 from .switch import SwitchState
 
 
@@ -266,40 +266,6 @@ def apply_plan(model: ModelGraph, plan: PruningPlan,
     return pruned
 
 
-def masked_logits(model: ModelGraph, plan: PruningPlan, x,
-                  switch_means: dict | None = None) -> np.ndarray:
-    """Forward pass of the ORIGINAL model with pruned channels masked out:
-    switch graphs run each switch at its posterior mean with pruned entries
-    zeroed; switchless graphs zero the pruned channels' outgoing weights and
-    biases. The oracle apply_plan must match within 1e-9."""
-    plan.validate_against(model)
-    means = _resolve_means(model, switch_means)
-    ordinals = prunable_indices(model)
-    has_switch = {gi: _switch_for_prunable(model, gi) for gi in ordinals}
-    if any(sw is not None for sw in has_switch.values()):
-        switches = dict(means)
-        for o, gi in enumerate(ordinals):
-            sw = has_switch[gi]
-            if sw is None or o not in plan.keep:
-                continue
-            masked = np.zeros_like(means[sw])
-            masked[plan.keep[o]] = means[sw][plan.keep[o]]
-            switches[sw] = masked
-        return forward(model, x, switches=switches).data
-    shadow = copy_model(model)
-    for o, gi in enumerate(ordinals):
-        if o not in plan.keep:
-            continue
-        drop = np.setdiff1d(np.arange(prunable_widths(model)[o]), plan.keep[o])
-        spec = model.layers[gi]
-        if isinstance(spec, Conv2d):
-            shadow.weights[f"layer{gi}.weight"][drop] = 0.0
-        else:
-            shadow.weights[f"layer{gi}.weight"][:, drop] = 0.0
-        shadow.weights[f"layer{gi}.bias"][drop] = 0.0
-    return forward(shadow, x).data
-
-
 # ---------------------------------------------------------------------------
 # fine-tuning
 
@@ -345,20 +311,32 @@ def ranking_to_csv(report: RankingReport, path) -> None:
 
 
 def ranking_from_csv(path) -> RankingReport:
+    """Read a ranking written by ``ranking_to_csv``. Each layer's channels
+    and ranks must both run over 0..D-1, or FormatError names the file and
+    the layer, line or rank."""
     rows = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        missing = {"layer", "channel", "score", "rank"} - set(reader.fieldnames or ())
+        if missing:
+            raise FormatError(f"{path}: no {', '.join(sorted(missing))} column")
         for row in reader:
-            rows.setdefault(int(row["layer"]), []).append(
-                (int(row["channel"]), float(row["score"]), int(row["rank"])))
+            try:
+                rows.setdefault(int(row["layer"]), []).append(
+                    (int(row["channel"]), float(row["score"]), int(row["rank"])))
+            except (TypeError, ValueError):
+                raise FormatError(f"{path}: line {reader.line_num}: "
+                                  "not a layer,channel,score,rank row") from None
     per_layer = []
     for layer in sorted(rows):
-        entries = sorted(rows[layer])
-        scores = np.array([score for _, score, _ in entries])
-        order = np.empty(len(entries), dtype=np.int64)
-        for channel, _, rank in entries:
-            order[rank] = channel
-        per_layer.append(LayerRanking(layer, scores, order, "csv"))
+        channels, scores, ranks = (np.array(col) for col in zip(*sorted(rows[layer])))
+        every = np.arange(channels.size)
+        if not np.array_equal(channels, every):
+            raise FormatError(f"{path}: layer {layer}: channels are not 0..{every[-1]}")
+        absent = np.setdiff1d(every, ranks)
+        if absent.size:
+            raise FormatError(f"{path}: layer {layer}: no channel has rank {absent[0]}")
+        per_layer.append(LayerRanking(layer, scores, np.argsort(ranks), "csv"))
     return RankingReport(per_layer)
 
 
@@ -371,21 +349,13 @@ def plan_to_json(plan: PruningPlan, path) -> None:
 
 
 def plan_from_json(path) -> PruningPlan:
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("version") != 1:
-        raise ContractError(f"unsupported plan version {payload.get('version')!r}")
-    return PruningPlan({int(k): np.asarray(sorted(int(i) for i in v), dtype=np.int64)
-                        for k, v in payload["keep"].items()})
-
-
-def compose_plans(first: PruningPlan, second: PruningPlan) -> PruningPlan:
-    """Single plan equivalent to applying ``first`` then ``second``; the
-    second plan's indices address the already-pruned layer."""
-    keep = {k: np.asarray(v).copy() for k, v in first.keep.items()}
-    for ordinal, kept2 in second.keep.items():
-        if ordinal in keep:
-            keep[ordinal] = keep[ordinal][np.asarray(kept2)]
-        else:
-            keep[ordinal] = np.asarray(kept2).copy()
+    """Read a plan written by ``plan_to_json``; a malformed file raises
+    FormatError naming the file and the key or layer."""
+    keep = {}
+    for layer, kept in read_json(path, "plan", "keep")["keep"].items():
+        try:
+            keep[layer] = np.asarray(sorted(int(i) for i in kept), dtype=np.int64)
+        except (TypeError, ValueError):
+            raise FormatError(f"{path}: keep-list for layer {layer} is not a list of "
+                              "channel indices") from None
     return PruningPlan(keep)

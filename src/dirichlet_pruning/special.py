@@ -1,13 +1,13 @@
 """Special functions and Gamma-distribution machinery.
 
 Everything here is scale-1 Gamma: density x^(a-1) e^(-x) / Gamma(a). Each
-job has one numpy kernel that works elementwise on arrays: ``lgamma_batch``,
-``digamma_batch``, ``trigamma_batch``, ``gamma_regularized_P_batch``,
-``gamma_sample_batch``, ``gamma_implicit_grad_batch`` and ``gamma_quantile``.
-The scalar names ``lgamma``, ``digamma``, ``trigamma``, ``gamma_regularized_P``
-and ``gamma_implicit_grad`` are thin wrappers that call the kernel on one
-value. Every kernel rejects NaN and out-of-domain input with a DomainError
-that names the offending value.
+job has exactly one numpy kernel, and it works elementwise on arrays (a
+Python float is a 0-d array): ``lgamma_batch``, ``digamma_batch``,
+``trigamma_batch``, ``gamma_regularized_P_batch``, ``gamma_log_pdf``,
+``gamma_sample_batch`` and ``gamma_implicit_grad_batch``. There is no
+quantile: sampling is by Marsaglia-Tsang, and the implicit gradient needs
+only P and its shape derivative. Every kernel rejects NaN and out-of-domain
+input with a DomainError that names the offending value.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ def _check_domain(fn: str, requirement: str, x: np.ndarray, ok: np.ndarray) -> N
         raise DomainError(f"{fn} requires {requirement}, got {x[~ok].flat[0]}")
 
 
-def lgamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    return float(lgamma_batch(x))
-
-
 def lgamma_batch(x: np.ndarray) -> np.ndarray:
     """log Gamma(x) for x > 0, elementwise, by the Lanczos sum."""
     x = np.asarray(x, dtype=np.float64)
@@ -64,11 +59,6 @@ def lgamma_batch(x: np.ndarray) -> np.ndarray:
             refl = np.log(np.pi / np.sin(np.pi * x)) - main
         return np.where(small, refl, main)
     return main
-
-
-def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x), for x > 0."""
-    return float(digamma_batch(x))
 
 
 def digamma_batch(x: np.ndarray) -> np.ndarray:
@@ -91,11 +81,6 @@ def digamma_batch(x: np.ndarray) -> np.ndarray:
     tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
         1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
     return acc + np.log(x) - 0.5 / x - tail
-
-
-def trigamma(x: float) -> float:
-    """psi'(x) for x > 0; needed for the gradient of the Dirichlet KL term."""
-    return float(trigamma_batch(x))
 
 
 def trigamma_batch(x: np.ndarray) -> np.ndarray:
@@ -123,11 +108,6 @@ def trigamma_batch(x: np.ndarray) -> np.ndarray:
 
 _P_MAX_ITER = 500
 _P_EPS = 1e-15
-
-
-def gamma_regularized_P(shape: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(shape, x), scale 1."""
-    return float(gamma_regularized_P_batch(shape, x))
 
 
 def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
@@ -260,64 +240,6 @@ def gamma_log_pdf(shape, x):
 
 
 # ---------------------------------------------------------------------------
-# quantile (inverse CDF)
-
-_QUANTILE_TOL = 1e-11
-_QUANTILE_MAX_ITER = 200
-_U_CLAMP = 1e-12
-
-
-def gamma_quantile(shape, u):
-    """x such that P(shape, x) = u, elementwise; shapes broadcast.
-
-    Each root is bracketed by doubling, then found by Newton steps that
-    fall back to bisection when a step leaves the bracket or the density
-    underflows. u is clamped to [1e-12, 1 - 1e-12] before inversion; values
-    outside (0, 1) are rejected outright. Scalar input gives a scalar.
-    """
-    shape, u = np.broadcast_arrays(np.asarray(shape, dtype=np.float64),
-                                   np.asarray(u, dtype=np.float64))
-    _check_domain("gamma_quantile", "shape > 0", shape, shape > 0.0)
-    _check_domain("gamma_quantile", "u in (0, 1)", u, (u > 0.0) & (u < 1.0))
-    u = np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP)
-    lg = lgamma_batch(shape)
-
-    # bracket [lo, hi] with P(lo) < u <= P(hi)
-    lo = np.zeros_like(u)
-    hi = np.maximum(shape, 1.0)
-    for _ in range(300):
-        low = gamma_regularized_P_batch(shape, hi) < u
-        if not low.any():
-            break
-        lo = np.where(low, hi, lo)
-        hi = np.where(low, 2.0 * hi, hi)
-    else:
-        raise NumericError(f"gamma_quantile failed to bracket ({shape[low][0]}, {u[low][0]})")
-
-    # initial guess: small-x expansion for u near 0, else the mean-ish midpoint
-    with np.errstate(over="ignore"):
-        x = np.exp((np.log(u) + np.log(shape) + lg) / shape)
-    fallback = np.where(lo > 0.0, 0.5 * (lo + hi), np.minimum(shape, hi))
-    x = np.where((lo < x) & (x < hi), x, fallback)
-
-    live = np.ones(u.shape, dtype=bool)
-    err = np.zeros_like(u)
-    for _ in range(_QUANTILE_MAX_ITER):
-        err[live] = gamma_regularized_P_batch(shape[live], x[live]) - u[live]
-        live &= np.abs(err) > _QUANTILE_TOL
-        if not live.any():
-            return x[()]  # a scalar for scalar input
-        hi = np.where(live & (err > 0.0), x, hi)
-        lo = np.where(live & (err <= 0.0), x, lo)
-        log_pdf = (shape - 1.0) * np.log(x) - x - lg
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x_new = x - err / np.exp(log_pdf)
-        newton = (log_pdf >= -700.0) & (lo < x_new) & (x_new < hi)
-        x = np.where(live, np.where(newton, x_new, 0.5 * (lo + hi)), x)
-    raise NumericError(f"gamma_quantile did not converge for ({shape[live][0]}, {u[live][0]})")
-
-
-# ---------------------------------------------------------------------------
 # sampling
 
 
@@ -361,11 +283,6 @@ def gamma_sample_batch(shapes: np.ndarray, rng) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # implicit reparameterization gradient
-
-
-def gamma_implicit_grad(shape: float, value: float) -> float:
-    """d(value)/d(shape) at fixed underlying uniform, for one draw."""
-    return float(gamma_implicit_grad_batch(shape, value))
 
 
 def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndarray:

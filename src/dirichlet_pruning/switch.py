@@ -36,8 +36,8 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_marginal_std,
                         dirichlet_sample_batch)
-from .errors import ContractError, NumericError
-from .models import ModelGraph, _batches, forward, switch_layer_indices
+from .errors import ContractError, FormatError, NumericError
+from .models import ModelGraph, _batches, forward, read_json, switch_layer_indices
 from .tensor import Tape, Tensor
 
 _PHI_SHIFT = 1e-6
@@ -234,11 +234,6 @@ def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,
     return value, grads
 
 
-def neg_elbo_minibatch(states, model, xb, yb, dataset_size, rng) -> SwitchObjectiveValue:
-    value, _ = neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng)
-    return value
-
-
 def save_states(states: list[SwitchState], path) -> None:
     """Thetas and prior as JSON; the estimator is a training-time choice and
     is not persisted."""
@@ -255,20 +250,23 @@ def save_states(states: list[SwitchState], path) -> None:
 
 def load_states(path, model: ModelGraph, estimator=None) -> list[SwitchState]:
     """Read states written by ``save_states`` for ``model``: every state must
-    sit on one of the model's switch layers and match its width."""
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("version") != 1:
-        raise ContractError(f"unsupported switch state version {payload.get('version')!r}")
+    sit on one of the model's switch layers and match its width. A malformed
+    file raises FormatError naming the file and the key or layer."""
+    payload = read_json(path, "switch state", "theta")
     states = []
-    for key in sorted(payload["theta"], key=int):
-        states.append(SwitchState(
-            layer_index=int(key),
-            theta=np.asarray(payload["theta"][key], dtype=np.float64),
-            alpha0=float(payload["alpha0"]),
-            estimator=estimator if estimator is not None else AnalyticMean(),
-            kl_weight=payload.get("kl_weight"),
-        ))
+    for layer, values in payload["theta"].items():
+        try:
+            states.append(SwitchState(
+                layer_index=layer,
+                theta=np.asarray(values, dtype=np.float64),
+                alpha0=float(payload.get("alpha0")),
+                estimator=estimator if estimator is not None else AnalyticMean(),
+                kl_weight=payload.get("kl_weight"),
+            ))
+        except (TypeError, ValueError):
+            raise FormatError(f"{path}: switch state for layer {layer} is not a number "
+                              "vector with a numeric alpha0") from None
+    states.sort(key=lambda st: st.layer_index)
     widths = {i: model.layers[i].d for i in switch_layer_indices(model)}
     for st in states:
         if st.layer_index not in widths:

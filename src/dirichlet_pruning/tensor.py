@@ -1,8 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The primitive set is exactly what the rest of the package needs: matmul,
-conv2d (im2col), elementwise arithmetic, relu, softplus, per-channel
-broadcast ops, max-pooling, reshape, reductions and softmax cross-entropy.
+The primitive set is exactly what ``models.forward`` and its loss need:
+matmul, conv2d (im2col), relu, per-channel broadcast multiply and add,
+max-pooling, reshape (behind ``flatten_batch``) and softmax cross-entropy,
+which is the only reduction to a scalar loss. There is no elementwise
+arithmetic between tensors and no operator overloading.
 Ops record onto the innermost active ``Tape``; ``backward`` replays the
 tape in reverse insertion order and then clears it.
 
@@ -112,39 +114,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; constants are lifted to untracked tensors
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
 
 def _lift(x) -> Tensor:
+    """x itself if it is a Tensor, else an untracked Tensor of it."""
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
@@ -211,83 +183,14 @@ def _accumulate_leaf(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
-# elementwise ops
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-
-    def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data)
-
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-              if b.requires_grad else None)
-        return ga, gb
-
-    return _record(out, (a, b), bwd)
+# elementwise and shape ops
 
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
     # out > 0 exactly where x > 0, so the mask waits for the backward pass
     return _record(out, (x,), lambda g: (g * (out.data > 0.0),))
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed without overflow."""
-    out = Tensor(np.logaddexp(0.0, x.data))
-    return _record(out, (x,), lambda g: (g * (1.0 / (1.0 + np.exp(-x.data))),))
-
-
-def tsum(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum()))
-    return _record(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = Tensor(np.asarray(x.data.mean()))
-    return _record(out, (x,), lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

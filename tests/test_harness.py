@@ -2,6 +2,8 @@
 
 import gzip
 import json
+import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from dirichlet_pruning.errors import (ConfigError, ContractError, FormatError,
 from dirichlet_pruning.models import (build_lenet5, build_mlp, evaluate, forward,
                                       load_model, save_model,
                                       switch_layer_indices)
-from dirichlet_pruning.pgm import read_pgm, to_u8, write_pgm
+from dirichlet_pruning.pgm import to_u8, write_pgm
 from dirichlet_pruning.pipeline import (export_feature_maps, load_dataset,
                                         run_pipeline, run_posterior_compare)
 from dirichlet_pruning.pruning import LayerRanking, RankingReport
@@ -220,13 +222,23 @@ def test_to_u8_constant_map_pins_to_zero():
                                   np.zeros((3, 3), dtype=np.uint8))
 
 
+def _read_pgm(path) -> np.ndarray:
+    """The pixels of a binary (P5) PGM file with maxval 255."""
+    raw = pathlib.Path(path).read_bytes()
+    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+255\s", raw)
+    assert m is not None, f"{path}: not a binary PGM header"
+    w, h = int(m.group(1)), int(m.group(2))
+    assert len(raw) == m.end() + w * h, f"{path}: expected {w * h} pixel bytes"
+    return np.frombuffer(raw[m.end():], dtype=np.uint8).reshape(h, w)
+
+
 def test_pgm_roundtrip(tmp_path):
     pixels = np.arange(30, dtype=np.uint8).reshape(5, 6)
     path = tmp_path / "map.pgm"
     write_pgm(path, pixels)
     raw = path.read_bytes()
     assert raw.startswith(b"P5\n6 5\n255\n")
-    np.testing.assert_array_equal(read_pgm(path), pixels)
+    np.testing.assert_array_equal(_read_pgm(path), pixels)
 
 
 def test_pgm_write_rejects_bad_input(tmp_path):
@@ -234,17 +246,6 @@ def test_pgm_write_rejects_bad_input(tmp_path):
         write_pgm(tmp_path / "a.pgm", np.zeros((2, 2)))  # float, not u8
     with pytest.raises(ContractError):
         write_pgm(tmp_path / "b.pgm", np.zeros((2, 2, 2), dtype=np.uint8))
-
-
-def test_pgm_read_rejects_corruption(tmp_path):
-    bad = tmp_path / "bad.pgm"
-    bad.write_bytes(b"P6\n2 2\n255\n" + bytes(4))
-    with pytest.raises(FormatError, match="not a binary PGM header"):
-        read_pgm(bad)
-    short = tmp_path / "short.pgm"
-    short.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
-    with pytest.raises(FormatError, match="expected 4 pixel bytes"):
-        read_pgm(short)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,6 @@ def test_task_model_at_truth_reproduces_labels():
     sw = switch_layer_indices(model)[0]
     logits = forward(model, x, switches={sw: task.true_switch}).data
     assert np.array_equal(logits.argmax(axis=1), y)
-    assert evaluate(model, x, y, switches={sw: task.true_switch}) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def test_export_maps_one_pgm_per_channel(tmp_path):
     assert [p.split("/")[-1] for p in paths] == [
         "map_000_channel_000.pgm", "map_001_channel_001.pgm"]
     for p in paths:
-        assert read_pgm(p).shape == (24, 24)
+        assert _read_pgm(p).shape == (24, 24)
 
 
 def test_export_maps_orders_by_ranking(tmp_path):
@@ -538,6 +538,24 @@ def test_cli_prune_plans_from_existing_ranking_csv(tmp_path):
     assert json.loads((out / "plan.json").read_text())["keep"] == {"0": [1, 3]}
     assert not (out / "switches.json").exists()
     assert (out / "pruned.dpm1").exists()
+
+
+@pytest.mark.parametrize("name,text,cfg_line,match", [
+    ("ranking.csv", "layer,channel,score,rank\n0,0,0.5,0\n0,1,0.5,0\n0,2,0.5,2\n"
+     "0,3,0.5,3\n", "", "no channel has rank 1"),
+    ("switches.json", '{"version": 1, "alpha0": 0.5, "theta": {"1": [0, 0', "",
+     "not valid JSON"),
+    ("switches.json", '{"version": 1, "alpha0": 0.5}', "", "no 'theta' object"),
+    ("plan.json", '{"version": 1}', "plan_path = {out}/plan.json\n", "no 'keep' object"),
+], ids=["ranking-repeated-rank", "switches-truncated", "switches-no-theta", "plan-no-keep"])
+def test_cli_prune_malformed_artifact_exits_one(tmp_path, capsys, name, text, cfg_line,
+                                                match):
+    out, cfg_text = _mlp_with_ranking_csv(tmp_path)
+    (out / name).write_text(text)
+    cfg = _write_cfg(tmp_path, "p.cfg", cfg_text + cfg_line.format(out=out))
+    assert cli.main(["--config", cfg, "prune"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and match in err
 
 
 def test_cli_prune_replans_when_rate_changes(tmp_path):

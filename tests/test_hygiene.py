@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dirichlet_pruning"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dirichlet_pruning"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -24,6 +25,31 @@ def _unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def _module_level_names(tree) -> list[tuple[str, int]]:
+    """(name, line) of each function, class and plain assignment at module level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def _references(tree) -> set[str]:
+    """Names a module loads, reads as an attribute or imports by name."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
 def _dead_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private names (``_x``, not dunders) that no module in
     ``sources`` (file name -> source) loads, reads as an attribute or imports."""
@@ -31,27 +57,36 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
     referenced = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, node.name, node.lineno))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(module, t.id, node.lineno) for t in targets
-                            if isinstance(t, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+        defined += [(module, ident, line) for ident, line in _module_level_names(tree)]
+        referenced |= _references(tree)
     return sorted(f"{module}: {ident} (line {line})" for module, ident, line in defined
                   if ident.startswith("_") and not ident.endswith("__")
                   and ident not in referenced)
 
 
+def _dead_public_names(sources: dict[str, str], demos: dict[str, str]) -> list[str]:
+    """Module-level public names (no leading ``_``) of the package modules in
+    ``sources`` that nothing uses: not their own module, not another package
+    module (an ``__init__.py`` re-export does not count), not a demo script
+    in ``demos`` (file name -> source)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = {module: _references(tree) for module, tree in trees.items()}
+    used_outside = set().union(*(_references(ast.parse(s)) for s in demos.values()))
+    dead = []
+    for module, tree in trees.items():
+        used = used_outside.union(*(r for m, r in refs.items()
+                                    if m not in ("__init__.py", module)), refs[module])
+        dead += [f"{module}: {ident} (line {line})" for ident, line in _module_level_names(tree)
+                 if not ident.startswith("_") and ident not in used]
+    return sorted(dead)
+
+
 def _package_sources() -> dict[str, str]:
     return {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _demo_sources() -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))}
 
 
 def test_unused_import_scan_sees_unused_names():
@@ -89,3 +124,29 @@ def test_dead_private_scan_sees_unreferenced_names():
 
 def test_no_dead_private_names():
     assert _dead_private_names(_package_sources()) == []
+
+
+def test_dead_public_scan_sees_unused_names():
+    sources = {
+        "__init__.py": "from .a import dead, exported\n__version__ = '1'\n",
+        "a.py": ("LIMIT = 3\nUNUSED = 4\n"
+                 "def helper():\n    return LIMIT\n"
+                 "def exported():\n    return helper()\n"
+                 "class Shape:\n    pass\n"
+                 "def dead():\n    pass\n"),
+        "b.py": "from .a import Shape\nShape()\n",
+    }
+    demos = {"demo.py": "from pkg.a import exported\nexported()\n"}
+    assert _dead_public_names(sources, demos) == ["a.py: UNUSED (line 2)",
+                                                  "a.py: dead (line 9)"]
+    # a function whose last caller is gone is caught in the real package too,
+    # even when __init__.py still re-exports it
+    sources = _package_sources()
+    sources["pruning.py"] += "\n\ndef compose_plans(first, second):\n    return first\n"
+    sources["__init__.py"] += "from .pruning import compose_plans\n"
+    assert [f.split(" (")[0] for f in _dead_public_names(sources, _demo_sources())] == [
+        "pruning.py: compose_plans"]
+
+
+def test_no_dead_public_names():
+    assert _dead_public_names(_package_sources(), _demo_sources()) == []

@@ -228,11 +228,6 @@ def test_lenet_pinned_counts():
     assert count_flops(parent) == 2_933_000
 
 
-def test_count_flops_with_explicit_input_shape():
-    model = build_lenet5([6, 8, 40, 20], rng=np.random.default_rng(12))
-    assert count_flops(model, (1, 28, 28)) == count_flops(model)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

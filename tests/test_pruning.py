@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dirichlet_pruning.errors import ContractError, ShapeError
+from dirichlet_pruning.errors import ContractError, FormatError, ShapeError
 from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       ModelGraph, Relu, Switch, TrainSchedule,
                                       build_lenet5, build_mlp, copy_model,
@@ -13,15 +13,15 @@ from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       prunable_indices, prunable_widths,
                                       switch_layer_indices)
 from dirichlet_pruning.pruning import (LayerRanking, PruningPlan,
-                                       RankingReport, apply_plan,
-                                       compose_plans, finetune, make_plan,
-                                       masked_logits, plan_from_json,
-                                       plan_to_json, rank_derivative,
-                                       rank_dirichlet, rank_magnitude,
-                                       rank_random, ranking_from_csv,
-                                       ranking_to_csv)
+                                       RankingReport, apply_plan, finetune,
+                                       make_plan, plan_from_json, plan_to_json,
+                                       rank_derivative, rank_dirichlet,
+                                       rank_magnitude, rank_random,
+                                       ranking_from_csv, ranking_to_csv)
 from dirichlet_pruning.switch import _PHI_SHIFT, SwitchState
 from dirichlet_pruning.synthetic import gen_synthetic
+
+from masked_oracle import masked_logits
 
 
 def _theta_for_phi(phi):
@@ -465,32 +465,6 @@ def test_bad_switch_means_shape_rejected():
 
 
 # ---------------------------------------------------------------------------
-# plan composition
-
-
-def test_compose_plans_matches_sequential_pruning():
-    model = build_mlp(5, 8, 3, rng=np.random.default_rng(200))
-    means = _random_means(model, 201)
-    first = PruningPlan({0: np.array([0, 2, 4, 6])})
-    second = PruningPlan({0: np.array([1, 3])})
-    composed = compose_plans(first, second)
-    assert np.array_equal(composed.keep[0], [2, 6])
-    stepwise = apply_plan(apply_plan(model, first, switch_means=means), second)
-    direct = apply_plan(model, composed, switch_means=means)
-    assert sorted(stepwise.weights) == sorted(direct.weights)
-    for name in stepwise.weights:
-        np.testing.assert_array_equal(stepwise.weights[name], direct.weights[name])
-
-
-def test_compose_plans_disjoint_layers():
-    first = PruningPlan({0: np.array([1, 3])})
-    second = PruningPlan({2: np.array([0, 5])})
-    composed = compose_plans(first, second)
-    assert np.array_equal(composed.keep[0], [1, 3])
-    assert np.array_equal(composed.keep[2], [0, 5])
-
-
-# ---------------------------------------------------------------------------
 # fine-tuning
 
 
@@ -612,3 +586,42 @@ def test_plan_json_bad_version_rejected(tmp_path):
     path.write_text(json.dumps({"version": 2, "keep": {"0": [0]}}))
     with pytest.raises(ContractError):
         plan_from_json(path)
+
+
+_CSV_HEAD = "layer,channel,score,rank\n"
+
+
+@pytest.mark.parametrize("text,match", [
+    (_CSV_HEAD + "0,0,0.5,0\n0,1,0.4,0\n0,2,0.3,2\n", "layer 0: no channel has rank 1"),
+    (_CSV_HEAD + "0,0,0.5,0\n0,1,0.4,3\n", "layer 0: no channel has rank 1"),
+    (_CSV_HEAD + "0,0,0.5,1\n0,2,0.4,0\n", "layer 0: channels are not 0..1"),
+    (_CSV_HEAD + "0,0,0.5,0\n0,x,0.4,1\n", "line 3: not a layer,channel,score,rank row"),
+    (_CSV_HEAD + "0,0,0.5\n", "line 2: not a layer,channel,score,rank row"),
+    ("layer,channel,score\n0,0,0.5\n", "no rank column"),
+], ids=["repeated-rank", "rank-past-the-end", "channel-gap", "bad-channel", "short-row",
+        "no-rank-column"])
+def test_ranking_csv_malformed_rejected(tmp_path, text, match):
+    path = tmp_path / "ranking.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match) as e:
+        ranking_from_csv(path)
+    assert str(path) in str(e.value)
+
+
+@pytest.mark.parametrize("text,match", [
+    ('{"version": 1}', "plan has no 'keep' object"),
+    ('{"version": 1, "keep": {"0": [0, 1', "not valid JSON"),
+    ('[1]', "expected a JSON object"),
+    ('{"version": 1, "keep": [0]}', "no 'keep' object keyed by layer"),
+    ('{"version": 1, "keep": {"a": [0]}}', "keys \\['a'\\] are not distinct layer indices"),
+    ('{"version": 1, "keep": {"0": [0], "00": [1]}}',
+     "keys \\['0', '00'\\] are not distinct layer indices"),
+    ('{"version": 1, "keep": {"0": ["x"]}}', "keep-list for layer 0"),
+], ids=["no-keep", "truncated", "not-an-object", "keep-not-an-object", "bad-layer",
+        "repeated-layer", "bad-channel"])
+def test_plan_json_malformed_rejected(tmp_path, text, match):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match) as e:
+        plan_from_json(path)
+    assert str(path) in str(e.value)

@@ -16,14 +16,10 @@ import scipy.special
 import scipy.stats
 
 from dirichlet_pruning.errors import DomainError, NumericError
-from dirichlet_pruning.special import (digamma, digamma_batch,
-                                       gamma_implicit_grad,
-                                       gamma_implicit_grad_batch,
-                                       gamma_log_pdf, gamma_quantile,
-                                       gamma_regularized_P,
-                                       gamma_regularized_P_batch,
-                                       gamma_sample_batch, lgamma,
-                                       lgamma_batch, trigamma, trigamma_batch)
+from dirichlet_pruning.special import (digamma_batch, gamma_implicit_grad_batch,
+                                       gamma_log_pdf, gamma_regularized_P_batch,
+                                       gamma_sample_batch, lgamma_batch,
+                                       trigamma_batch)
 
 from conftest import rel_err
 
@@ -40,21 +36,21 @@ TRIGAMMA_3_7 = 0.31003785767003831910385929811999707838408779774345
 
 
 def test_lgamma_at_one_and_two():
-    assert abs(lgamma(1.0)) <= 1e-14
-    assert abs(lgamma(2.0)) <= 1e-14
+    assert abs(lgamma_batch(1.0)) <= 1e-14
+    assert abs(lgamma_batch(2.0)) <= 1e-14
 
 
 def test_lgamma_half_is_log_root_pi():
-    assert abs(lgamma(0.5) - LGAMMA_HALF) <= 1e-13
+    assert abs(lgamma_batch(0.5) - LGAMMA_HALF) <= 1e-13
 
 
 def test_lgamma_against_high_precision_reference():
-    assert abs(lgamma(10.3) - LGAMMA_10_3) <= 1e-12
+    assert abs(lgamma_batch(10.3) - LGAMMA_10_3) <= 1e-12
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     for x in [1e-3, 0.11, 0.9, 3.3, 42.0, 817.0]:
         ref = float(mpmath.loggamma(mpmath.mpf(repr(x))))
-        assert abs(lgamma(x) - ref) <= 1e-12, x
+        assert abs(lgamma_batch(x) - ref) <= 1e-12, x
 
 
 def test_lgamma_large_arguments_to_machine_precision():
@@ -65,21 +61,23 @@ def test_lgamma_large_arguments_to_machine_precision():
     mpmath.mp.dps = 50
     for x in [1e3, 3.7e4, 1e6]:
         ref = float(mpmath.loggamma(mpmath.mpf(repr(x))))
-        assert rel_err(lgamma(x), ref) <= 5e-15, x
+        assert rel_err(lgamma_batch(x), ref) <= 5e-15, x
 
 
 def test_lgamma_domain_error():
     for bad in (0.0, -0.5, -3.0, math.nan):
         with pytest.raises(DomainError):
-            lgamma(bad)
+            lgamma_batch(bad)
     with pytest.raises(DomainError, match="nan"):
         lgamma_batch(np.array([2.0, math.nan]))
 
 
 def test_lgamma_batch_matches_scalar():
+    # each kernel masks its branches per element, so a value must not depend
+    # on the rest of the batch: the batch equals each element run alone
     xs = np.array([1e-3, 0.5, 1.0, 7.7, 120.0, 1e5])
     batch = lgamma_batch(xs)
-    assert np.array_equal(batch, np.array([lgamma(float(x)) for x in xs]))
+    assert np.array_equal(batch, np.array([lgamma_batch(float(x)) for x in xs]))
 
 
 # ---------------------------------------------------------------------------
@@ -92,58 +90,58 @@ def test_digamma_one_is_minus_euler_gamma():
     n = 100_000
     harmonic = float(np.sum(1.0 / np.arange(1, n + 1)))
     gamma_est = harmonic - math.log(n) - 1.0 / (2 * n) + 1.0 / (12 * n**2)
-    assert abs(digamma(1.0) + gamma_est) <= 1e-10
-    assert abs(digamma(1.0) + EULER_GAMMA) <= 1e-12
+    assert abs(digamma_batch(1.0) + gamma_est) <= 1e-10
+    assert abs(digamma_batch(1.0) + EULER_GAMMA) <= 1e-12
 
 
 def test_digamma_recurrence():
-    assert abs(digamma(2.0) - digamma(1.0) - 1.0) <= 1e-12
+    assert abs(digamma_batch(2.0) - digamma_batch(1.0) - 1.0) <= 1e-12
     for x in [0.3, 1.7, 9.2]:
-        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-12
+        assert abs(digamma_batch(x + 1.0) - digamma_batch(x) - 1.0 / x) <= 1e-12
 
 
 def test_digamma_against_high_precision_reference():
-    assert abs(digamma(7.5) - DIGAMMA_7_5) <= 1e-12
+    assert abs(digamma_batch(7.5) - DIGAMMA_7_5) <= 1e-12
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     for x in [1e-3, 0.2, 1.0, 14.0, 900.0, 1e6]:
         ref = float(mpmath.digamma(mpmath.mpf(repr(x))))
-        err = abs(digamma(x) - ref)
+        err = abs(digamma_batch(x) - ref)
         assert err <= max(1e-10, 1e-13 * abs(ref)), x
 
 
 def test_digamma_is_derivative_of_lgamma():
     for x in [0.5, 0.8, 2.0, 3.7, 10.0, 41.0, 100.0]:
         h = 1e-6 * x
-        fd = (lgamma(x + h) - lgamma(x - h)) / (2 * h)
-        assert rel_err(digamma(x), fd) <= 1e-6, x
+        fd = (lgamma_batch(x + h) - lgamma_batch(x - h)) / (2 * h)
+        assert rel_err(digamma_batch(x), fd) <= 1e-6, x
 
 
 def test_digamma_domain_error():
     with pytest.raises(DomainError):
-        digamma(0.0)
+        digamma_batch(0.0)
     with pytest.raises(DomainError):
-        digamma(-2.0)
+        digamma_batch(-2.0)
     with pytest.raises(DomainError, match="nan"):
         digamma_batch(np.array([2.0, math.nan]))
 
 
 def test_digamma_batch_matches_scalar():
     xs = np.array([0.01, 0.5, 3.0, 77.0])
-    assert np.array_equal(digamma_batch(xs), np.array([digamma(float(x)) for x in xs]))
+    assert np.array_equal(digamma_batch(xs), np.array([digamma_batch(float(x)) for x in xs]))
 
 
 def test_trigamma_basics():
-    assert abs(trigamma(1.0) - math.pi**2 / 6.0) <= 1e-12
-    assert abs(trigamma(3.7) - TRIGAMMA_3_7) <= 1e-12
+    assert abs(trigamma_batch(1.0) - math.pi**2 / 6.0) <= 1e-12
+    assert abs(trigamma_batch(3.7) - TRIGAMMA_3_7) <= 1e-12
     for x in [0.4, 2.2, 15.0]:
-        assert abs(trigamma(x + 1.0) - trigamma(x) + 1.0 / x**2) <= 1e-12
+        assert abs(trigamma_batch(x + 1.0) - trigamma_batch(x) + 1.0 / x**2) <= 1e-12
     with pytest.raises(DomainError):
-        trigamma(-1.0)
+        trigamma_batch(-1.0)
     with pytest.raises(DomainError, match="nan"):
         trigamma_batch(np.array([2.0, math.nan]))
     xs = np.array([0.2, 1.0, 9.0])
-    assert np.array_equal(trigamma_batch(xs), np.array([trigamma(float(x)) for x in xs]))
+    assert np.array_equal(trigamma_batch(xs), np.array([trigamma_batch(float(x)) for x in xs]))
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +150,14 @@ def test_trigamma_basics():
 
 def test_gamma_P_exponential_case():
     for x in [0.1, 1.0, 5.0]:
-        assert abs(gamma_regularized_P(1.0, x) - (1.0 - math.exp(-x))) <= 1e-12
+        assert abs(gamma_regularized_P_batch(1.0, x) - (1.0 - math.exp(-x))) <= 1e-12
 
 
 def test_gamma_P_endpoints():
     for a in [0.3, 1.0, 4.5]:
-        assert gamma_regularized_P(a, 0.0) == 0.0
-        assert abs(gamma_regularized_P(a, 700.0) - 1.0) <= 1e-12
-        assert gamma_regularized_P(a, math.inf) == 1.0
+        assert gamma_regularized_P_batch(a, 0.0) == 0.0
+        assert abs(gamma_regularized_P_batch(a, 700.0) - 1.0) <= 1e-12
+        assert gamma_regularized_P_batch(a, math.inf) == 1.0
     got = gamma_regularized_P_batch(np.array([0.3, 2.0, 2.0]), np.array([math.inf, 0.0, 1.0]))
     assert got[0] == 1.0 and got[1] == 0.0 and 0.0 < got[2] < 1.0
 
@@ -170,23 +168,23 @@ def test_gamma_P_against_quadrature():
         lambda t: t**1.5 * np.exp(-t) / scipy.special.gamma(2.5), 0.0, 3.0,
         epsabs=1e-13, epsrel=1e-13)
     assert quad_err < 1e-10
-    assert abs(gamma_regularized_P(2.5, 3.0) - val) <= 1e-10
+    assert abs(gamma_regularized_P_batch(2.5, 3.0) - val) <= 1e-10
 
 
 def test_gamma_P_against_scipy_grid():
     for a in [0.1, 0.7, 1.0, 2.5, 10.0, 80.0]:
         for x in [1e-3, 0.5, 1.0, 3.0, 20.0, 150.0]:
             ref = float(scipy.special.gammainc(a, x))
-            assert abs(gamma_regularized_P(a, x) - ref) <= 1e-10, (a, x)
+            assert abs(gamma_regularized_P_batch(a, x) - ref) <= 1e-10, (a, x)
 
 
 def test_gamma_P_domain_errors():
     with pytest.raises(DomainError):
-        gamma_regularized_P(1.0, -0.1)
+        gamma_regularized_P_batch(1.0, -0.1)
     with pytest.raises(DomainError):
-        gamma_regularized_P(0.0, 1.0)
+        gamma_regularized_P_batch(0.0, 1.0)
     with pytest.raises(DomainError, match="nan"):
-        gamma_regularized_P(2.0, math.nan)
+        gamma_regularized_P_batch(2.0, math.nan)
     with pytest.raises(DomainError, match="nan"):
         gamma_regularized_P_batch(np.array([1.0, math.nan]), 1.0)
 
@@ -195,7 +193,7 @@ def test_gamma_P_batch_matches_scalar():
     a = np.array([0.5, 1.0, 3.0, 3.0])
     x = np.array([0.2, 1.0, 0.0, 9.0])
     got = gamma_regularized_P_batch(a, x)
-    assert np.array_equal(got, np.array([gamma_regularized_P(float(ai), float(xi))
+    assert np.array_equal(got, np.array([gamma_regularized_P_batch(float(ai), float(xi))
                                          for ai, xi in zip(a, x)]))
 
 
@@ -204,40 +202,6 @@ def test_gamma_log_pdf_matches_scipy():
         for x in [0.05, 1.0, 7.5]:
             ref = float(scipy.stats.gamma.logpdf(x, a))
             assert abs(gamma_log_pdf(a, x) - ref) <= 1e-10, (a, x)
-
-
-# ---------------------------------------------------------------------------
-# quantile
-
-
-def test_gamma_quantile_exponential_values():
-    assert abs(gamma_quantile(1.0, 0.5) - math.log(2.0)) <= 1e-10
-    assert abs(gamma_quantile(1.0, 1.0 - math.exp(-3.0)) - 3.0) <= 1e-8
-
-
-def test_gamma_quantile_round_trip_single():
-    x = gamma_quantile(4.2, 0.73)
-    assert abs(gamma_regularized_P(4.2, x) - 0.73) <= 1e-9
-
-
-def test_gamma_quantile_round_trip_grid():
-    for a in [0.1, 0.5, 1.0, 4.2, 17.0, 50.0]:
-        lo = gamma_quantile(a, 0.01)
-        hi = gamma_quantile(a, 0.99)
-        for x in np.linspace(lo, hi, 7):
-            u = gamma_regularized_P(a, float(x))
-            back = gamma_quantile(a, u)
-            assert rel_err(back, float(x)) <= 1e-8, (a, x)
-            assert abs(gamma_regularized_P(a, back) - u) <= 1e-10
-
-
-def test_gamma_quantile_domain_errors():
-    for u in (0.0, 1.0, -0.2, 1.3, math.nan):
-        with pytest.raises(DomainError):
-            gamma_quantile(2.0, u)
-    for shape in (-1.0, math.nan):
-        with pytest.raises(DomainError):
-            gamma_quantile(shape, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +286,15 @@ def test_gamma_sample_batch_reproducible_and_valid():
 
 
 def _quantile_fd(shape, u, h_scale=1e-4):
+    """d/dshape of scipy's Gamma quantile at fixed u, by central differences."""
     h = h_scale * max(1.0, shape)
-    return (gamma_quantile(shape + h, u) - gamma_quantile(shape - h, u)) / (2 * h)
+    quantile = scipy.special.gammaincinv
+    return (quantile(shape + h, u) - quantile(shape - h, u)) / (2 * h)
 
 
 def test_implicit_grad_exponential_median():
     value = math.log(2.0)
-    grad = gamma_implicit_grad(1.0, value)
+    grad = gamma_implicit_grad_batch(1.0, value)
     fd = _quantile_fd(1.0, 0.5)
     assert rel_err(grad, fd) <= 1e-3
 
@@ -336,8 +302,8 @@ def test_implicit_grad_exponential_median():
 def test_implicit_grad_grid_against_quantile_fd():
     for shape in [0.3, 1.0, 3.0, 10.0]:
         for u in np.arange(0.1, 0.95, 0.1):
-            value = gamma_quantile(shape, float(u))
-            grad = gamma_implicit_grad(shape, value)
+            value = scipy.special.gammaincinv(shape, float(u))
+            grad = gamma_implicit_grad_batch(shape, value)
             fd = _quantile_fd(shape, float(u))
             assert rel_err(grad, fd) <= 1e-3, (shape, u)
 
@@ -346,7 +312,7 @@ def test_implicit_grad_positive_on_random_draws():
     rng = np.random.default_rng(104)
     shapes = np.exp(rng.uniform(np.log(0.05), np.log(50.0), 10_000))
     us = rng.uniform(0.001, 0.999, 10_000)
-    values = gamma_quantile(shapes, us)
+    values = scipy.special.gammaincinv(shapes, us)
     grads = gamma_implicit_grad_batch(shapes, values)
     assert np.all(grads > 0)
 
@@ -375,14 +341,14 @@ def test_implicit_grad_against_mpmath_shape_derivative():
 def test_implicit_grad_domain_errors():
     for shape, value in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(DomainError):
-            gamma_implicit_grad(shape, value)
+            gamma_implicit_grad_batch(shape, value)
     with pytest.raises(DomainError, match="nan"):
         gamma_implicit_grad_batch(np.array([1.0, 2.0]), np.array([0.5, math.nan]))
 
 
 def test_implicit_grad_tail_raises_numeric_error():
     with pytest.raises(NumericError) as e:
-        gamma_implicit_grad(1.0, 50_000.0)
+        gamma_implicit_grad_batch(1.0, 50_000.0)
     msg = str(e.value)
     assert "1.0" in msg and "50000" in msg
 
@@ -391,5 +357,5 @@ def test_implicit_grad_batch_matches_scalar():
     shapes = np.array([0.4, 2.0, 9.0])
     values = np.array([0.3, 1.5, 8.0])
     got = gamma_implicit_grad_batch(shapes, values)
-    ref = np.array([gamma_implicit_grad(float(a), float(v)) for a, v in zip(shapes, values)])
+    ref = np.array([gamma_implicit_grad_batch(float(a), float(v)) for a, v in zip(shapes, values)])
     assert np.allclose(got, ref, rtol=1e-12, atol=0)

@@ -11,19 +11,20 @@ import scipy.stats
 from dirichlet_pruning import switch as switch_module
 from dirichlet_pruning import tensor as T
 from dirichlet_pruning.dirichlet import dirichlet_kl
-from dirichlet_pruning.errors import ContractError, NumericError
+from dirichlet_pruning.errors import ContractError, FormatError, NumericError
 from dirichlet_pruning.models import (FullyConnected, ModelGraph, Relu,
                                       Switch, build_lenet5, build_mlp, forward,
                                       switch_layer_indices)
 from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
                                       SwitchTrainSchedule, init_switch_states,
                                       load_states, neg_elbo_and_grads,
-                                      neg_elbo_minibatch, posterior_report,
-                                      save_states, train_switches)
+                                      posterior_report, save_states,
+                                      train_switches)
 from dirichlet_pruning.synthetic import gen_synthetic, task_model
 from dirichlet_pruning.tensor import Tape, Tensor
 
 from conftest import central_fd, grad_err
+from tape_ops import add, div, softplus, tsum
 
 PHI_SHIFT = 1e-6
 
@@ -92,18 +93,18 @@ def test_neg_elbo_decomposition_identity():
     model, x, y = _small_problem()
     states = init_switch_states(model, estimator=AnalyticMean())
     for _ in range(3):
-        v = neg_elbo_minibatch(states, model, x[:20], y[:20], 60, np.random.default_rng(0))
+        v = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(0))[0]
         assert v.neg_elbo == v.expected_nll + v.kl_weight * v.kl_term
 
 
 def test_kl_term_zero_iff_phi_equals_prior():
     model, x, y = _small_problem()
     states = init_switch_states(model, alpha0=0.5, estimator=AnalyticMean())
-    v_init = neg_elbo_minibatch(states, model, x[:10], y[:10], 60, np.random.default_rng(0))
+    v_init = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))[0]
     assert v_init.kl_term > 1e-6  # phi starts at 1, prior at 0.5
     for st in states:
         st.theta = _theta_for_phi(np.full(st.theta.shape, st.alpha0))
-    v = neg_elbo_minibatch(states, model, x[:10], y[:10], 60, np.random.default_rng(0))
+    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))[0]
     assert abs(v.kl_term) <= 1e-9
 
 
@@ -112,21 +113,21 @@ def test_expected_nll_is_log_k_for_zero_weights():
     for name in model.weights:
         model.weights[name] = np.zeros_like(model.weights[name])
     states = init_switch_states(model, estimator=AnalyticMean())
-    v = neg_elbo_minibatch(states, model, x[:16], y[:16], 60, np.random.default_rng(0))
+    v = neg_elbo_and_grads(states, model, x[:16], y[:16], 60, np.random.default_rng(0))[0]
     assert abs(v.expected_nll - math.log(2.0)) <= 1e-12
     # a sampled estimator sees the same constant surface
     states_mc = init_switch_states(model, estimator=ImplicitMC(3))
-    v_mc = neg_elbo_minibatch(states_mc, model, x[:16], y[:16], 60, np.random.default_rng(1))
+    v_mc = neg_elbo_and_grads(states_mc, model, x[:16], y[:16], 60, np.random.default_rng(1))[0]
     assert abs(v_mc.expected_nll - math.log(2.0)) <= 1e-12
 
 
 def test_default_kl_weight_is_one_over_n():
     model, x, y = _small_problem()
     states = init_switch_states(model, estimator=AnalyticMean())
-    v = neg_elbo_minibatch(states, model, x[:10], y[:10], 250, np.random.default_rng(0))
+    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0))[0]
     assert v.kl_weight == 1.0 / 250
     states = init_switch_states(model, estimator=AnalyticMean(), kl_weight=0.03)
-    v = neg_elbo_minibatch(states, model, x[:10], y[:10], 250, np.random.default_rng(0))
+    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0))[0]
     assert v.kl_weight == 0.03
 
 
@@ -134,7 +135,7 @@ def test_empty_batch_rejected():
     model, x, y = _small_problem()
     states = init_switch_states(model)
     with pytest.raises(ContractError):
-        neg_elbo_minibatch(states, model, x[:0], y[:0], 60, np.random.default_rng(0))
+        neg_elbo_and_grads(states, model, x[:0], y[:0], 60, np.random.default_rng(0))
 
 
 def test_train_indices_must_name_switch_states():
@@ -155,7 +156,7 @@ def test_analytic_grad_matches_fd():
 
     def value(theta):
         states[0].theta = theta
-        v = neg_elbo_minibatch(states, model, x[:25], y[:25], 60, np.random.default_rng(0))
+        v = neg_elbo_and_grads(states, model, x[:25], y[:25], 60, np.random.default_rng(0))[0]
         states[0].theta = theta0
         return v.neg_elbo
 
@@ -180,7 +181,7 @@ def test_implicit_mc_concentrates_with_k():
         vals = []
         for r in range(reps):
             states = init_switch_states(model, estimator=ImplicitMC(k))
-            v = neg_elbo_minibatch(states, model, xb, yb, 64, np.random.default_rng(1000 + r))
+            v = neg_elbo_and_grads(states, model, xb, yb, 64, np.random.default_rng(1000 + r))[0]
             vals.append(v.expected_nll)
         vals = np.array(vals)
         return vals.std(ddof=1) / math.sqrt(reps)
@@ -237,8 +238,8 @@ def _per_sample_oracle(model, states, train_set, xb, yb, draws):
 
 def _taped_mean(theta: Tensor) -> Tensor:
     """The posterior mean phi / sum(phi) as a function of theta on the tape."""
-    phi = T.add(T.softplus(theta), Tensor(np.float64(PHI_SHIFT)))
-    return T.div(phi, T.tsum(phi))
+    phi = add(softplus(theta), Tensor(np.float64(PHI_SHIFT)))
+    return div(phi, tsum(phi))
 
 
 def _taped_mean_oracle(model, states, train_set, xb, yb):
@@ -533,6 +534,28 @@ def test_load_states_rejects_widths_of_another_model(tmp_path):
                        match=f"layer {first} has width 20, the model's switch layer {first} "
                              f"has width 10"):
         load_states(path, model)
+
+
+@pytest.mark.parametrize("text,match", [
+    ('{"version": 1, "alpha0": 0.5}', "switch state has no 'theta' object"),
+    ('{"version": 1, "theta": {"1": [0, 0, 0, 0]}}', "with a numeric alpha0"),
+    ('{"version": 1, "alpha0": 0.5, "theta": {"1": [0, 0', "not valid JSON"),
+    ('{"version": 1, "alpha0": 0.5, "theta": [0]}', "no 'theta' object"),
+    ('{"version": 1, "alpha0": 0.5, "theta": {"one": [0, 0, 0, 0]}}',
+     "keys \\['one'\\] are not distinct layer indices"),
+    ('{"version": 1, "alpha0": 0.5, "theta": {"1": [0, 0, 0, 0], "01": [0, 0, 0, 0]}}',
+     "keys \\['01', '1'\\] are not distinct layer indices"),
+    ('{"version": 1, "alpha0": 0.5, "theta": {"1": ["a", 0, 0, 0]}}',
+     "switch state for layer 1 is not a number vector"),
+], ids=["no-theta", "no-alpha0", "truncated", "theta-not-an-object", "bad-layer",
+        "repeated-layer", "bad-value"])
+def test_load_states_malformed_file_rejected(tmp_path, text, match):
+    model, _, _ = _small_problem(seed=55)
+    path = tmp_path / "switches.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match) as e:
+        load_states(path, model)
+    assert str(path) in str(e.value)
 
 
 def test_load_states_rejects_state_off_the_switch_layers(tmp_path):
