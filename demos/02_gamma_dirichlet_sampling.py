@@ -16,7 +16,8 @@ from dirichlet_pruning.dirichlet import (
     dirichlet_sample_batch,
 )
 from dirichlet_pruning.special import (gamma_implicit_grad_batch,
-                                       gamma_regularized_P_batch, gamma_sample_batch)
+                                       gamma_regularized_P_batch, gamma_sample_batch,
+                                       trigamma_batch)
 
 rng = np.random.default_rng(42)
 
@@ -53,15 +54,22 @@ ours = dirichlet_log_pdf_batch(conc, pts)
 ref = np.array([stats.dirichlet.logpdf(p / p.sum(), conc) for p in pts])
 print("logpdf max |diff| vs scipy:", float(np.abs(ours - ref).max()))
 
-# Closed-form KL between Dirichlets, checked by Monte Carlo.
+# Closed-form KL between Dirichlets, checked by Monte Carlo. The same call
+# returns the gradient in q, which the switch training uses every step.
 q = np.array([3.0, 2.0, 4.0])
 p = np.array([1.0, 1.0, 1.0])
-kl = dirichlet_kl(q, p)
+kl, kl_grad = dirichlet_kl(q, p)
 s, _, _ = dirichlet_sample_batch(q, 200000, rng)
 mc = (dirichlet_log_pdf_batch(q, s) - dirichlet_log_pdf_batch(p, s)).mean()
 print(f"\nKL(q||p) closed form {kl:.5f}   monte carlo {mc:.5f}")
 
+# The gradient is (q_j - p_j) psi'(q_j) - psi'(sum q) sum_m (q_m - p_m).
+psi1 = trigamma_batch(np.append(q, q.sum()))
+by_hand = (q - p) * psi1[:-1] - psi1[-1] * (q - p).sum()
+print("dKL/dq          ", np.round(kl_grad, 6))
+print("from psi' terms ", np.round(by_hand, 6))
+
 # KL to itself is zero and grows as q concentrates away from the prior.
-print("KL(q||q) =", dirichlet_kl(q, q))
+print("KL(q||q) =", dirichlet_kl(q, q)[0])
 for scale in (1.0, 5.0, 25.0):
-    print(f"KL(scale {scale:>4} * q || uniform) = {dirichlet_kl(scale * q, p):8.4f}")
+    print(f"KL(scale {scale:>4} * q || uniform) = {dirichlet_kl(scale * q, p)[0]:8.4f}")

@@ -7,8 +7,8 @@ variational inference, desk-scale conv/dense models, channel rankers and
 physical pruning, and a batch CLI harness.
 """
 
-from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_log_pdf_batch,
-                        dirichlet_marginal_std, dirichlet_sample_batch)
+from .dirichlet import (dirichlet_kl, dirichlet_log_pdf_batch, dirichlet_marginal_std,
+                        dirichlet_sample_batch)
 from .errors import (ConfigError, ContractError, DomainError, FormatError,
                      NumericError, PipelineError, ShapeError)
 from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,

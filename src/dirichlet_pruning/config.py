@@ -9,6 +9,7 @@ run can log the fully-resolved configuration via ``resolved_text``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -76,6 +77,8 @@ _CHOICES = {
     "mode": SWITCH_MODES,
     "method": ("dirichlet", "l1", "l2", "derivative", "random"),
 }
+# prunable layers of each built arch: one keep_counts entry each
+_PRUNABLE_LAYERS = {"mlp": 1, "lenet5": 4}
 
 
 def _coerce(name: str, text: str):
@@ -128,6 +131,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("lr", cfg.lr > 0.0, "lr > 0"),
         ("finetune_lr", cfg.finetune_lr > 0.0, "finetune_lr > 0"),
         ("k", cfg.k >= 1, "k >= 1"),
+        ("alpha0", cfg.alpha0 > 0.0, "alpha0 > 0"),
+        ("kl_weight", math.isfinite(cfg.kl_weight), "a finite kl_weight (< 0 selects 1/n)"),
+        ("train_batch_size", cfg.train_batch_size >= 1, "train_batch_size >= 1"),
+        ("batch_size", cfg.batch_size >= 1, "batch_size >= 1"),
+        ("finetune_batch_size", cfg.finetune_batch_size >= 1, "finetune_batch_size >= 1"),
+        ("keep_counts", all(c >= 1 for c in cfg.keep_counts), "every entry >= 1"),
+        ("keep_counts", cfg.model_in or not cfg.keep_counts
+         or len(cfg.keep_counts) == _PRUNABLE_LAYERS[cfg.arch],
+         f"one entry per prunable layer of {cfg.arch} ({_PRUNABLE_LAYERS[cfg.arch]})"),
         ("dims", len(cfg.dims) == 2, "two values (d_x, d_h)"),
         ("widths", cfg.arch != "lenet5" or len(cfg.widths) == 4,
          "four values for lenet5 (conv1, conv2, fc1, fc2)"),

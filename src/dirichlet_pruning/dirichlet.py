@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .special import (digamma_batch, gamma_implicit_grad_batch, gamma_sample_batch,
-                      lgamma_batch, trigamma_batch)
+from .special import (_psi_recurrence, gamma_implicit_grad_batch, gamma_sample_batch,
+                      lgamma_batch)
 
 _INTERIOR_CLAMP = 1e-12
 # Gamma draws are floored at the smallest subnormal to keep them positive, so
@@ -49,39 +49,24 @@ def dirichlet_sample_batch(conc, k: int, rng):
     return y / totals, y, gamma_implicit_grad_batch(shapes, y)
 
 
-def dirichlet_kl(q_conc, p_conc) -> float:
-    """KL( Dir(q_conc) || Dir(p_conc) ), closed form.
-
-    Reduces to the symmetric-prior special case when p_conc is constant.
-    """
+def dirichlet_kl(q_conc, p_conc) -> tuple[float, np.ndarray]:
+    """KL( Dir(q_conc) || Dir(p_conc) ) and its gradient in q_conc, closed form:
+    d/dq_j = (q_j - p_j) psi'(q_j) - psi'(sum q) * sum_m (q_m - p_m). One lgamma
+    call covers both vectors and their totals, one psi/psi' pass q and its total."""
     q = validate_concentration(q_conc)
     p = validate_concentration(p_conc)
     if q.shape != p.shape:
         raise ShapeError(f"concentration length mismatch: {q.shape} vs {p.shape}")
-    # one kernel call per function: the concentrations with their total last
-    q_ext = np.append(q, q.sum())
-    lg_q = lgamma_batch(q_ext)
-    lg_p = lgamma_batch(np.append(p, p.sum()))
-    psi_q = digamma_batch(q_ext)
+    ext = np.concatenate((q, [q.sum()], p, [p.sum()]))  # elementwise kernels: one call each
+    lg = lgamma_batch(ext)
+    lg_q, lg_p = lg[:q.size + 1], lg[q.size + 1:]
+    psi, psi1 = _psi_recurrence(ext[:q.size + 1], True, True)
+    diff = q - p
     kl = lg_q[-1] - lg_p[-1]
     kl -= lg_q[:-1].sum()
     kl += lg_p[:-1].sum()
-    kl += ((q - p) * (psi_q[:-1] - psi_q[-1])).sum()
-    return float(kl)
-
-
-def dirichlet_kl_grad(q_conc, p_conc) -> np.ndarray:
-    """Gradient of dirichlet_kl with respect to q_conc.
-
-    d/dq_j = (q_j - p_j) psi'(q_j) - psi'(sum q) * sum_m (q_m - p_m).
-    """
-    q = validate_concentration(q_conc)
-    p = validate_concentration(p_conc)
-    if q.shape != p.shape:
-        raise ShapeError(f"concentration length mismatch: {q.shape} vs {p.shape}")
-    diff = q - p
-    psi1 = trigamma_batch(np.append(q, q.sum()))
-    return diff * psi1[:-1] - psi1[-1] * diff.sum()
+    kl += (diff * (psi[:-1] - psi[-1])).sum()
+    return float(kl), diff * psi1[:-1] - psi1[-1] * diff.sum()
 
 
 def dirichlet_log_pdf_batch(conc, samples: np.ndarray) -> np.ndarray:

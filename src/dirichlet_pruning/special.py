@@ -4,7 +4,8 @@ Everything here is scale-1 Gamma: density x^(a-1) e^(-x) / Gamma(a). Each
 job has exactly one numpy kernel, and it works elementwise on arrays (a
 Python float is a 0-d array): ``lgamma_batch``, ``digamma_batch``,
 ``trigamma_batch``, ``gamma_regularized_P_batch``, ``gamma_log_pdf``,
-``gamma_sample_batch`` and ``gamma_implicit_grad_batch``. There is no
+``gamma_sample_batch`` and ``gamma_implicit_grad_batch``; psi and psi' share
+one (``_psi_recurrence``, which the KL calls once for both). There is no
 quantile: sampling is by Marsaglia-Tsang, and the implicit gradient needs
 only P and its shape derivative. Every kernel rejects NaN and out-of-domain
 input with a DomainError that names the offending value.
@@ -61,45 +62,70 @@ def lgamma_batch(x: np.ndarray) -> np.ndarray:
     return main
 
 
-def digamma_batch(x: np.ndarray) -> np.ndarray:
-    """psi(x) for x > 0, elementwise.
+def _rounds_below_ten(v) -> int:
+    """How many float64 +1 steps take v to 10 or more."""
+    v, rounds = float(v), 0
+    while v < 10.0:
+        v, rounds = v + 1.0, rounds + 1
+    return rounds
 
-    Recurrence pushes the argument above 10, then the asymptotic series in
-    1/x^2 takes over.
-    """
+
+def _psi_recurrence(x, want_psi: bool, want_psi1: bool):
+    """(psi(x), psi'(x)) for x > 0 (checked by the caller), None for the one
+    not wanted: psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2
+    below 10, then the asymptotic series. Each step is an in-place ufunc
+    with no boolean indexing; ``step`` is 0.0 at or above 10, where 0/x and
+    x + 0 change nothing, so an element's float operations do not depend on
+    what shares the call. Adding 1 is monotone, so ``step`` is fixed until
+    the largest element below 10 gets there."""
+    x = np.array(x, dtype=np.float64)  # advanced in place
+    psi = np.zeros(x.shape) if want_psi else None
+    psi1 = np.zeros(x.shape) if want_psi1 else None
+    r = np.empty_like(x)
+    step = np.less(x, 10.0, out=np.empty_like(x))
+    fixed = _rounds_below_ten(np.max(x, where=x < 10.0, initial=0.0))
+    # -inf, inf and a zero tail are the correctly rounded answers where 1/x
+    # (x < 5.6e-309), 1/x^2 (x < 7.5e-155) or x^2 (x > 1.3e154) is out of range
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(_rounds_below_ten(np.min(x, initial=np.inf))):
+            if i >= fixed:
+                np.less(x, 10.0, out=step)
+            if want_psi:
+                np.divide(step, x, out=r)
+                np.subtract(psi, r, out=psi)
+            if want_psi1:
+                np.multiply(x, x, out=r)
+                np.divide(step, r, out=r)
+                np.add(psi1, r, out=psi1)
+            np.add(x, step, out=x)
+        inv2 = 1.0 / (x * x) if want_psi else None
+    del r, step  # free the loop buffers before the series allocate theirs
+    if want_psi:
+        # Bernoulli tail: 1/12 - 1/120 z + 1/252 z^2 - 1/240 z^3 + 1/132 z^4 - 691/32760 z^5
+        tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
+            1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
+        psi = (psi + np.log(x) - 0.5 / x - tail)[()]
+    if want_psi1:
+        inv = 1.0 / x
+        inv2 = inv * inv
+        tail = inv * (1.0 + inv * (0.5 + inv * (1 / 6.0 - inv2 * (1 / 30.0 - inv2 * (
+            1 / 42.0 - inv2 * (1 / 30.0 - inv2 * (5.0 / 66.0)))))))
+        psi1 = (psi1 + tail)[()]
+    return psi, psi1
+
+
+def digamma_batch(x: np.ndarray) -> np.ndarray:
+    """psi(x) for x > 0, elementwise."""
     x = np.asarray(x, dtype=np.float64)
     _check_domain("digamma", "x > 0", x, x > 0.0)
-    x = x.copy()
-    acc = np.zeros_like(x)
-    mask = x < 10.0
-    while np.any(mask):
-        acc[mask] -= 1.0 / x[mask]
-        x[mask] += 1.0
-        mask = x < 10.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli tail: 1/12 - 1/120 z + 1/252 z^2 - 1/240 z^3 + 1/132 z^4 - 691/32760 z^5
-    tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
-        1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
-    return acc + np.log(x) - 0.5 / x - tail
+    return _psi_recurrence(x, True, False)[0]
 
 
 def trigamma_batch(x: np.ndarray) -> np.ndarray:
-    """psi'(x) for x > 0, elementwise: recurrence above 10, then the
-    asymptotic series."""
+    """psi'(x) for x > 0, elementwise."""
     x = np.asarray(x, dtype=np.float64)
     _check_domain("trigamma", "x > 0", x, x > 0.0)
-    x = x.copy()
-    acc = np.zeros_like(x)
-    mask = x < 10.0
-    while np.any(mask):
-        acc[mask] += 1.0 / (x[mask] * x[mask])
-        x[mask] += 1.0
-        mask = x < 10.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = inv * (1.0 + inv * (0.5 + inv * (1 / 6.0 - inv2 * (1 / 30.0 - inv2 * (
-        1 / 42.0 - inv2 * (1 / 30.0 - inv2 * (5.0 / 66.0)))))))
-    return acc + tail
+    return _psi_recurrence(x, False, True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .dirichlet import (dirichlet_kl, dirichlet_kl_grad, dirichlet_marginal_std,
-                        dirichlet_sample_batch)
+from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
 from .models import ModelGraph, _batches, forward, read_json, switch_layer_indices
 from .tensor import Tape, Tensor
@@ -127,20 +126,6 @@ class SwitchObjectiveValue:
     kl_weight: float
 
 
-def _kl_parts(states, train_set):
-    """Total KL across all layers and its theta gradients for the layers in
-    ``train_set`` only."""
-    kl = 0.0
-    grads = {}
-    for st in states:
-        phi = st.phi()
-        prior = np.full_like(phi, st.alpha0)
-        kl += dirichlet_kl(phi, prior)
-        if st.layer_index in train_set:
-            grads[st.layer_index] = dirichlet_kl_grad(phi, prior) * _sigmoid_np(st.theta)
-    return kl, grads
-
-
 def _resolve_kl_weight(states, dataset_size):
     if dataset_size < 1:
         raise ContractError(f"dataset_size must be >= 1, got {dataset_size}")
@@ -162,7 +147,7 @@ def _check_batch(xb, yb):
 
 
 def _nll_and_grads(model, states, xb, yb, draws):
-    """Estimate of E_q[NLL] and its theta gradients from the estimator's rows.
+    """Estimate of E_q[NLL] and its phi gradients from the estimator's rows.
 
     ``draws`` maps each trained layer to its (S, Y, dY/dphi) arrays, each of
     shape (k, D), with S = Y / sum(Y) row by row. The layers before the
@@ -171,9 +156,8 @@ def _nll_and_grads(model, states, xb, yb, draws):
     the suffix from the first trained switch on runs per row, each on its
     own tape: one prefix pass plus k suffix passes per batch, and the memory
     of one suffix tape. The per-row dL/ds are collected into (k, D) arrays
-    and pushed to theta in one vectorized chain rule.
+    and pushed to phi in one vectorized chain rule.
     """
-    by_index = {st.layer_index: st for st in states}
     mean_switches = {st.layer_index: st.posterior_mean()
                      for st in states if st.layer_index not in draws}
     first = min(draws)
@@ -196,7 +180,7 @@ def _nll_and_grads(model, states, xb, yb, draws):
         g = g_s[idx]
         # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
         dphi = dy_dphi * (g - (g * s).sum(axis=1, keepdims=True)) / y.sum(axis=1, keepdims=True)
-        grads[idx] = dphi.sum(axis=0) / k * _sigmoid_np(by_index[idx].theta)
+        grads[idx] = dphi.sum(axis=0) / k
     return nll_acc / k, grads
 
 
@@ -221,17 +205,21 @@ def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,
     if len(estimators) != 1:
         raise ContractError(f"trained states must share one estimator, got {estimators}")
     (estimator,) = estimators
-    draws = {idx: estimator.draw(by_index[idx].phi(), rng) for idx in sorted(train_set)}
+    phis = {st.layer_index: st.phi() for st in states}
+    draws = {idx: estimator.draw(phis[idx], rng) for idx in sorted(train_set)}
     nll, nll_grads = _nll_and_grads(model, states, xb, yb, draws)
-    kl, kl_grads = _kl_parts(states, train_set)
-    value = SwitchObjectiveValue(
-        neg_elbo=nll + kl_weight * kl,
-        expected_nll=nll,
-        kl_term=kl,
-        kl_weight=kl_weight,
-    )
-    grads = {idx: nll_grads[idx] + kl_weight * kl_grads[idx] for idx in train_set}
-    return value, grads
+    # the KL sums every layer; its phi gradient is kept for the trained ones,
+    # and both phi gradients reach theta through one dphi/dtheta = sigmoid
+    kl, grads = 0.0, {}
+    for st in states:
+        phi = phis[st.layer_index]
+        layer_kl, kl_grad = dirichlet_kl(phi, np.full_like(phi, st.alpha0))
+        kl += layer_kl
+        if st.layer_index in train_set:
+            sig = _sigmoid_np(st.theta)
+            grads[st.layer_index] = (nll_grads[st.layer_index] * sig
+                                     + kl_weight * (kl_grad * sig))
+    return SwitchObjectiveValue(nll + kl_weight * kl, nll, kl, kl_weight), grads
 
 
 def save_states(states: list[SwitchState], path) -> None:

@@ -8,13 +8,15 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
-from dirichlet_pruning.dirichlet import (dirichlet_kl, dirichlet_kl_grad,
-                                         dirichlet_log_pdf_batch,
+from dirichlet_pruning.dirichlet import (dirichlet_kl, dirichlet_log_pdf_batch,
                                          dirichlet_marginal_std,
                                          dirichlet_sample_batch,
                                          validate_concentration)
 from dirichlet_pruning.errors import DomainError, NumericError, ShapeError
-from dirichlet_pruning.switch import AnalyticMean
+from dirichlet_pruning.special import lgamma_batch
+from dirichlet_pruning.switch import AnalyticMean, _sigmoid_np
+
+from psi_oracle import digamma_masked, kl_grad_two_pass
 
 from conftest import central_fd, grad_err
 
@@ -161,16 +163,16 @@ def test_kl_self_is_zero():
     rng = np.random.default_rng(205)
     for _ in range(20):
         q = rng.uniform(0.2, 10.0, rng.integers(2, 6))
-        assert abs(dirichlet_kl(q, q)) <= 1e-12
+        assert abs(dirichlet_kl(q, q)[0]) <= 1e-12
 
 
 def test_kl_beta_case_matches_quadrature():
-    assert abs(dirichlet_kl(np.array([2.0, 2.0]), np.array([1.0, 1.0])) - KL_22_11) <= 1e-10
+    assert abs(dirichlet_kl(np.array([2.0, 2.0]), np.array([1.0, 1.0]))[0] - KL_22_11) <= 1e-10
     rng = np.random.default_rng(206)
     for _ in range(8):
         q = rng.uniform(0.2, 10.0, 2)
         p = rng.uniform(0.2, 10.0, 2)
-        assert abs(dirichlet_kl(q, p) - _kl_quadrature(q, p)) <= 1e-5, (q, p)
+        assert abs(dirichlet_kl(q, p)[0] - _kl_quadrature(q, p)) <= 1e-5, (q, p)
 
 
 def test_kl_matches_monte_carlo():
@@ -184,7 +186,7 @@ def test_kl_matches_monte_carlo():
     diffs = dirichlet_log_pdf_batch(q, s) - dirichlet_log_pdf_batch(p, s)
     est = diffs.mean()
     se = diffs.std(ddof=1) / math.sqrt(n)
-    assert abs(dirichlet_kl(q, p) - est) <= 4 * se
+    assert abs(dirichlet_kl(q, p)[0] - est) <= 4 * se
 
 
 def test_kl_matches_independent_formula_evaluation():
@@ -193,7 +195,7 @@ def test_kl_matches_independent_formula_evaluation():
         d = int(rng.integers(2, 8))
         q = rng.uniform(0.05, 20.0, d)
         p = rng.uniform(0.05, 20.0, d)
-        assert abs(dirichlet_kl(q, p) - _kl_scipy_formula(q, p)) <= 1e-10
+        assert abs(dirichlet_kl(q, p)[0] - _kl_scipy_formula(q, p)) <= 1e-10
 
 
 def test_kl_nonnegative():
@@ -202,7 +204,7 @@ def test_kl_nonnegative():
         d = int(rng.integers(2, 7))
         q = rng.uniform(0.1, 15.0, d)
         p = rng.uniform(0.1, 15.0, d)
-        assert dirichlet_kl(q, p) >= -1e-12
+        assert dirichlet_kl(q, p)[0] >= -1e-12
 
 
 def test_kl_length_mismatch():
@@ -216,9 +218,40 @@ def test_kl_grad_matches_fd():
         d = int(rng.integers(2, 6))
         q = rng.uniform(0.3, 8.0, d)
         p = rng.uniform(0.3, 8.0, d)
-        grad = dirichlet_kl_grad(q, p)
-        fd = central_fd(lambda v: dirichlet_kl(v, p), q, eps=1e-6)
+        grad = dirichlet_kl(q, p)[1]
+        fd = central_fd(lambda v: dirichlet_kl(v, p)[0], q, eps=1e-6)
         assert grad_err(grad, fd) <= 1e-7, (q, p)
+
+
+@pytest.mark.parametrize("d", [2, 5, 64, 800])
+def test_kl_grad_times_sigmoid_is_bitwise_the_two_pass_gradient(d):
+    # what a switch step feeds to theta: the merged gradient times
+    # sigmoid(theta) must be exactly the separate psi' pass times sigmoid
+    rng = np.random.default_rng(211 + d)
+    for alpha0 in (0.5, 1.0, 3.0):
+        theta = rng.normal(0.5, 2.0, d)
+        phi = np.logaddexp(0.0, theta) + 1e-6
+        prior = np.full(d, alpha0)
+        sig = _sigmoid_np(theta)
+        _, grad = dirichlet_kl(phi, prior)
+        assert np.array_equal(grad * sig, kl_grad_two_pass(phi, prior) * sig)
+
+
+def test_kl_value_is_bitwise_the_separate_kernel_sum():
+    # one lgamma call on both concentrations and one psi pass give the bits
+    # of separate calls, summed in the same order
+    rng = np.random.default_rng(212)
+    for d in (2, 7, 64, 801):
+        q = rng.uniform(0.05, 20.0, d)
+        p = np.full(d, 0.5) if d % 2 else rng.uniform(0.05, 20.0, d)
+        lg_q = lgamma_batch(np.append(q, q.sum()))
+        lg_p = lgamma_batch(np.append(p, p.sum()))
+        psi_q = digamma_masked(np.append(q, q.sum()))
+        kl = lg_q[-1] - lg_p[-1]
+        kl -= lg_q[:-1].sum()
+        kl += lg_p[:-1].sum()
+        kl += ((q - p) * (psi_q[:-1] - psi_q[-1])).sum()
+        assert dirichlet_kl(q, p)[0] == float(kl)
 
 
 # ---------------------------------------------------------------------------

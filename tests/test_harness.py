@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import math
 import pathlib
 import re
 import struct
@@ -78,19 +79,35 @@ def test_config_line_without_equals():
     ("k = 0", "k"),
     ("dims = 8", "dims"),
     ("arch = lenet5\nwidths = 2, 2, 8", "widths"),
+    ("alpha0 = 0", "alpha0"),
+    ("alpha0 = nan", "alpha0"),
+    ("kl_weight = nan", "kl_weight"),
+    ("kl_weight = inf", "kl_weight"),
+    ("kl_weight = -inf", "kl_weight"),
+    ("train_batch_size = 0", "train_batch_size"),
+    ("batch_size = 0", "batch_size"),
+    ("finetune_batch_size = -1", "finetune_batch_size"),
+    ("keep_counts = 3, 0", "keep_counts"),
+    ("keep_counts = 3, 3", "keep_counts"),
+    ("arch = lenet5\nkeep_counts = 2, 2, 8", "keep_counts"),
 ])
 def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
     with pytest.raises(ConfigError, match=f"key '{key}'"):
         parse_config_text(text + "\n")
 
 
-@pytest.mark.parametrize("key,value", [("estimator", "implcit"), ("rate", 1.5)])
+@pytest.mark.parametrize("key,value", [
+    ("estimator", "implcit"), ("rate", 1.5), ("alpha0", 0.0), ("kl_weight", math.nan),
+    ("train_batch_size", 0), ("batch_size", 0), ("finetune_batch_size", 0),
+    ("keep_counts", (3, 3)), ("keep_counts", (0,)),
+])
 def test_bad_config_writes_no_artifact(tmp_path, key, value):
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match=f"key '{key}'"):
         run_pipeline(_nano_config(out, **{key: value}))
     assert not out.exists()
-    path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + f"{key} = {value}\n")
+    text = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+    path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + f"{key} = {text}\n")
     assert cli.main(["--config", path, "pipeline"]) == 1
     assert not out.exists()
 

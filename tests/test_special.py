@@ -8,6 +8,7 @@ recompute them where the oracle library is importable.
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dirichlet_pruning.special import (digamma_batch, gamma_implicit_grad_batch,
                                        trigamma_batch)
 
 from conftest import rel_err
+from psi_oracle import digamma_masked, trigamma_masked
 
 # mpmath, 50 digits
 LGAMMA_10_3 = 13.482036786138356970615073432570092518681144966518
@@ -142,6 +144,58 @@ def test_trigamma_basics():
         trigamma_batch(np.array([2.0, math.nan]))
     xs = np.array([0.2, 1.0, 9.0])
     assert np.array_equal(trigamma_batch(xs), np.array([trigamma_batch(float(x)) for x in xs]))
+
+
+def _psi_grid():
+    rng = np.random.default_rng(213)
+    ten = np.array([np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 11.0), 9.0, 9.5])
+    return np.concatenate([np.logspace(-300, 300, 6001), ten, ten - 1e-9,
+                           rng.uniform(0.0, 20.0, 2000) + 1e-3,
+                           [5e-324, 1e-310, 1e-170, 1.3e154, 1.4e154, 1e300, np.inf]])
+
+
+@pytest.mark.parametrize("kernel,oracle", [(digamma_batch, digamma_masked),
+                                           (trigamma_batch, trigamma_masked)],
+                         ids=["digamma", "trigamma"])
+def test_psi_kernels_bitwise_match_masked_loop_oracle(kernel, oracle):
+    grid = _psi_grid()
+    with np.errstate(all="ignore"):  # the oracle warns where inf is the answer
+        expected = oracle(grid)
+    assert np.array_equal(kernel(grid), expected)
+    # shapes: 0-d gives a numpy scalar, 2-d and read-only broadcast views keep their shape
+    for x in (1.0, 0.37, 10.0, 123.5):
+        value = kernel(x)
+        assert type(value) is np.float64 and value == oracle(np.float64(x))
+    square = grid[:2000].reshape(40, 50)
+    assert np.array_equal(kernel(square), expected[:2000].reshape(40, 50))
+    row = np.random.default_rng(214).uniform(0.05, 12.0, 50)
+    wide = np.broadcast_to(row, (30, 50))
+    assert np.array_equal(kernel(wide), np.broadcast_to(oracle(row), (30, 50)))
+    assert kernel(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_psi_extremes_are_exact_without_warnings():
+    # 1/x^2 underflows to inf and x^2 overflows to a zero tail: both are the
+    # correctly rounded answers, so neither may warn
+    assert digamma_batch(1e300) == 690.7755278982137
+    assert trigamma_batch(1e-170) == np.inf
+    assert digamma_batch(1e-310) == -np.inf
+    assert trigamma_batch(1e300) == 1e-300
+
+
+def test_digamma_allocation_peak_on_broadcast_rows():
+    # the in-place recurrence works on one copy plus one scratch buffer of
+    # the input; an (iterations, N) table of the loop would need ~13 MiB here
+    shapes = np.broadcast_to(np.random.default_rng(215).uniform(0.1, 5.0, 500), (100, 500))
+    digamma_batch(shapes)
+    tracemalloc.start()
+    try:
+        digamma_batch(shapes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

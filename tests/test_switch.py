@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dirichlet_pruning import dirichlet as dirichlet_module
 from dirichlet_pruning import switch as switch_module
 from dirichlet_pruning import tensor as T
 from dirichlet_pruning.dirichlet import dirichlet_kl
@@ -269,7 +270,9 @@ def _assert_matches_oracle(model, states, train_set, xb, yb):
     rng = np.random.default_rng(60)
     draws = {st.layer_index: st.estimator.draw(st.phi(), rng)
              for st in states if st.layer_index in train_set}
-    nll, grads = switch_module._nll_and_grads(model, states, xb, yb, draws)
+    nll, dphi = switch_module._nll_and_grads(model, states, xb, yb, draws)
+    by_index = {st.layer_index: st for st in states}
+    grads = {idx: g * switch_module._sigmoid_np(by_index[idx].theta) for idx, g in dphi.items()}
     if isinstance(states[0].estimator, AnalyticMean):
         nll_ref, grads_ref = _taped_mean_oracle(model, states, train_set, xb, yb)
     else:
@@ -397,29 +400,36 @@ def test_train_switches_contract_errors():
 
 
 def test_kl_gradient_only_for_trained_layers(monkeypatch):
+    # every layer's KL value needs psi, and the merged KL takes psi' from the
+    # same recurrence: one psi/psi' pass per layer per step, no second pass
+    # for the gradient, and a theta gradient only for the trained layer
     rng = np.random.default_rng(49)
     model = build_lenet5([3, 4, 6, 5], rng=rng)
     x = rng.uniform(0.0, 1.0, (40, 1, 28, 28))
     y = rng.integers(0, 10, 40)
     states = init_switch_states(model)
     assert len(states) == 4
-    calls = []
-    kl_grad = switch_module.dirichlet_kl_grad
-    monkeypatch.setattr(switch_module, "dirichlet_kl_grad",
-                        lambda *a: calls.append(1) or kl_grad(*a))
+    kl_calls, psi_calls = [], []
+    kl, psi = switch_module.dirichlet_kl, dirichlet_module._psi_recurrence
+    monkeypatch.setattr(switch_module, "dirichlet_kl",
+                        lambda *a: kl_calls.append(1) or kl(*a))
+    monkeypatch.setattr(dirichlet_module, "_psi_recurrence",
+                        lambda *a: psi_calls.append(a[1:]) or psi(*a))
     value, grads = neg_elbo_and_grads(states, model, x[:10], y[:10], 40,
                                       np.random.default_rng(0),
                                       train_indices=[states[1].layer_index])
-    assert len(calls) == 1 and list(grads) == [states[1].layer_index]
+    assert list(grads) == [states[1].layer_index]
+    assert len(kl_calls) == 4 and psi_calls == [(True, True)] * 4
     # the KL term still sums every layer, trained or not
-    expected_kl = sum(dirichlet_kl(st.phi(), np.full(st.theta.shape, st.alpha0))
-                      for st in states)
+    expected_kl = sum(kl(st.phi(), np.full(st.theta.shape, st.alpha0))[0] for st in states)
     assert value.kl_term == pytest.approx(expected_kl, rel=1e-12)
-    calls.clear()
+    kl_calls.clear()
+    psi_calls.clear()
     train_switches(model, states, x, y,
                    SwitchTrainSchedule(mode="per_layer", epochs=1, batch_size=20, lr=0.1),
                    np.random.default_rng(50))
-    assert len(calls) == 4 * 2  # one per step: 4 layers x 2 batches
+    # 4 layers x 2 batches steps, each with one KL pass per layer
+    assert len(kl_calls) == len(psi_calls) == 4 * 2 * 4
 
 
 def test_train_switches_raises_on_non_finite_neg_elbo():
@@ -440,11 +450,11 @@ def test_kl_descends_when_loss_ignores_switch():
     states = init_switch_states(model, alpha0=0.5, estimator=AnalyticMean())
     st = states[0]
     prior = np.full(st.theta.shape, st.alpha0)
-    kl_before = dirichlet_kl(st.phi(), prior)
+    kl_before = dirichlet_kl(st.phi(), prior)[0]
     train_switches(model, states, x, y,
                    SwitchTrainSchedule(mode="per_layer", epochs=3, batch_size=25, lr=0.5),
                    np.random.default_rng(50))
-    kl_after = dirichlet_kl(st.phi(), prior)
+    kl_after = dirichlet_kl(st.phi(), prior)[0]
     assert kl_after < kl_before
 
 
