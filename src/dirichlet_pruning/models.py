@@ -1,9 +1,12 @@
 """Model graphs: layer specs, forward pass, builders, counting, serialization.
 
 A model is a flat list of layer specs plus a dict of named float64 weight
-arrays. The forward pass runs on the autodiff tensor engine; switch layers
-multiply channels by an externally supplied simplex vector and default to
-identity when no vector is given.
+arrays. The forward pass runs on the autodiff tensor engine. A switch layer
+holds a place for an externally supplied non-negative channel scale (a
+simplex vector) and is the identity when no vector is given; the scale is
+folded into the input weights of the switch's consumer, the next conv or fc
+layer, so the activations themselves are never multiplied. That is exact
+because ReLU and max-pooling commute with a non-negative per-channel scale.
 
 Conventions used throughout:
   - conv weights are (c_out, c_in, kh, kw), fc weights are (d_in, d_out)
@@ -17,6 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -171,8 +175,32 @@ def propagate_shapes(layers, input_shape) -> list[tuple]:
     return shapes
 
 
+def switch_consumers(layers) -> dict[int, int]:
+    """Graph position of each switch's consumer: the conv or fc layer whose
+    input weights the switch scales. Only Relu, MaxPool2d and Flatten may lie
+    between the two; any other layer, or none at all, raises ContractError
+    naming the switch layer."""
+    consumers = {}
+    for i, spec in enumerate(layers):
+        if not isinstance(spec, Switch):
+            continue
+        for j in range(i + 1, len(layers)):
+            nxt = layers[j]
+            if isinstance(nxt, (Conv2d, FullyConnected)):
+                consumers[i] = j
+                break
+            if not isinstance(nxt, (Relu, MaxPool2d, Flatten)):
+                raise ContractError(
+                    f"layer {i}: switch reaches {type(nxt).__name__} at layer {j} "
+                    "before a conv or fc layer it could scale")
+        else:
+            raise ContractError(f"layer {i}: switch has no conv or fc layer after it to scale")
+    return consumers
+
+
 def validate_model(model: ModelGraph) -> None:
     propagate_shapes(model.layers, model.input_shape)
+    switch_consumers(model.layers)
     for i, spec in enumerate(model.layers):
         if isinstance(spec, Conv2d):
             want = {f"layer{i}.weight": (spec.c_out, spec.c_in, spec.kh, spec.kw),
@@ -200,15 +228,22 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     """Run the graph on a batch.
 
     x is (N, C, H, W) for conv models or (N, d) for dense ones. ``switches``
-    maps switch layer index to a simplex vector (array or Tensor); missing
-    entries act as identity. ``params`` overrides weights by name with
+    maps switch layer index to a non-negative channel scale (array or
+    Tensor); missing entries act as identity. A switch acts at its consumer
+    (see ``switch_consumers``): a conv kernel is scaled along c_in, an fc
+    weight row group by row group, a group being the H*W rows one channel
+    fills after a flatten. A negative entry raises ContractError, since the
+    fold is exact only for s >= 0. ``params`` overrides weights by name with
     Tensors, for gradient-carrying passes. With collect_preacts=True returns
     (logits, preacts) where preacts maps each prunable layer index to its
     pre-activation Tensor with retain_grad set.
 
     ``start`` and ``stop`` run only layers[start:stop]; x is then the
     activation that enters layer ``start``, and the result is the one that
-    leaves layer ``stop - 1``. The default runs the whole graph.
+    leaves layer ``stop - 1``. A switch scales nothing until its consumer
+    runs, so an activation between a switch and its consumer is unscaled,
+    and a switch before ``start`` still scales a consumer at or after it.
+    The default runs the whole graph.
     """
     switches = switches or {}
     params = params or {}
@@ -217,11 +252,26 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
         raise ShapeError(f"input must be (N, d) or (N, C, H, W), got {h.data.shape}")
     prunable = set(prunable_indices(model))
     preacts: dict[int, Tensor] = {}
+    feeding = {c: i for i, c in switch_consumers(model.layers).items()} if switches else {}
 
     def weight(name):
         if name in params:
             return params[name]
         return T._lift(model.weights[name])
+
+    def input_weight(i):
+        w = weight(f"layer{i}.weight")
+        s = switches.get(feeding.get(i))
+        if s is None:
+            return w
+        s = T._lift(s)
+        if np.any(s.data < 0.0):
+            raise ContractError(f"switch {feeding[i]} has a negative entry; only a "
+                                f"non-negative scale folds into layer {i}")
+        if isinstance(model.layers[i], Conv2d):  # (c_out, c_in, kh, kw): c_in is axis 1
+            return T.broadcast_mul_channels(w, s)
+        groups = T.reshape(w, (1, model.layers[feeding[i]].d, -1))
+        return T.reshape(T.broadcast_mul_channels(groups, s), w.shape)
 
     stop = len(model.layers) if stop is None else stop
     if not 0 <= start <= stop <= len(model.layers):
@@ -230,10 +280,10 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     for i in range(start, stop):
         spec = model.layers[i]
         if isinstance(spec, Conv2d):
-            h = T.conv2d(h, weight(f"layer{i}.weight"), stride=spec.stride, padding=spec.pad)
+            h = T.conv2d(h, input_weight(i), stride=spec.stride, padding=spec.pad)
             h = T.broadcast_add_channels(h, weight(f"layer{i}.bias"))
         elif isinstance(spec, FullyConnected):
-            h = T.matmul(h, weight(f"layer{i}.weight"))
+            h = T.matmul(h, input_weight(i))
             h = T.broadcast_add_channels(h, weight(f"layer{i}.bias"))
         elif isinstance(spec, Relu):
             h = T.relu(h)
@@ -241,10 +291,6 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             h = T.maxpool2d(h, k=spec.k, stride=spec.stride)
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
-        elif isinstance(spec, Switch):
-            s = switches.get(i)
-            if s is not None:
-                h = T.broadcast_mul_channels(h, T._lift(s))
         if collect_preacts and i in prunable:
             h.retain_grad = True
             preacts[i] = h
@@ -456,6 +502,18 @@ class TrainSchedule:
     momentum: float = 0.9
 
 
+def loss_bound(model: ModelGraph) -> float:
+    """1e9 times log(classes), the cross-entropy of a uniform guess: a finite
+    loss above it means the run has diverged. A diverging run grows by orders
+    of magnitude per batch, so it passes the bound a batch or two later than
+    a tighter one; a tighter one would stop the planted-weight MLP's
+    fine-tune (its large output weights give batch losses up to about 6e5 at
+    lr 0.05, and it still lowers the error)."""
+    last = [l for l in model.layers if isinstance(l, (Conv2d, FullyConnected))][-1]
+    classes = last.c_out if isinstance(last, Conv2d) else last.d_out
+    return 1e9 * math.log(max(classes, 2))
+
+
 def _batches(n, batch_size, rng=None):
     idx = np.arange(n)
     if rng is not None:
@@ -469,7 +527,8 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
     """Minibatch SGD with momentum on the cross-entropy; switches run as
     identity. Mutates model.weights in place; returns per-epoch mean loss.
     Raises NumericError, naming the epoch and batch, at the first batch
-    whose loss is not finite, before its step touches the weights."""
+    whose loss is not finite or exceeds ``loss_bound``, before its step
+    touches the weights."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.shape[0] == 0:
@@ -477,6 +536,7 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
     if schedule.epochs < 1:
         raise ContractError(f"epochs must be >= 1, got {schedule.epochs}")
     names = sorted(model.weights)
+    bound = loss_bound(model)
     velocity = {n: np.zeros_like(model.weights[n]) for n in names}
     losses = []
     for epoch in range(schedule.epochs):
@@ -487,9 +547,12 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
             with Tape():
                 logits = forward(model, x[idx], params=params)
                 loss = T.softmax_cross_entropy(logits, y[idx])
+            where = f"at epoch {epoch + 1}, batch {nb + 1}"
             if not np.isfinite(loss.data):
-                raise NumericError(f"training loss is {loss.item()} at epoch "
-                                   f"{epoch + 1}, batch {nb + 1}")
+                raise NumericError(f"training loss is {loss.item()} {where}")
+            if loss.item() > bound:
+                raise NumericError(f"training loss {loss.item():.6g} exceeds the "
+                                   f"divergence bound {bound:.6g} {where}")
             T.backward(loss)
             for n in names:
                 g = params[n].grad

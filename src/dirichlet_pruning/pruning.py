@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError, NumericError, ShapeError
 from .models import (Conv2d, Flatten, FullyConnected, ModelGraph, Switch,
                      TrainSchedule, Tensor, copy_model, evaluate, forward,
                      propagate_shapes, prunable_indices, prunable_widths,
@@ -274,7 +274,10 @@ def finetune(model: ModelGraph, x_train, y_train, x_val, y_val,
              schedule: TrainSchedule, rng, log=None) -> tuple[ModelGraph, float]:
     """SGD-with-momentum retraining; returns (best model, best val error %)
     across the schedule, where epoch 0 (the input model) also competes.
-    A zero-epoch schedule returns an unchanged copy."""
+    An epoch whose training diverges (``train_model`` raises NumericError)
+    ends the schedule, since no later epoch could be trusted; the best
+    earlier model is returned. A zero-epoch schedule returns an unchanged
+    copy."""
     if np.asarray(x_train).shape[0] == 0 or np.asarray(x_val).shape[0] == 0:
         raise ContractError("fine-tuning data is empty")
     best = copy_model(model)
@@ -284,7 +287,12 @@ def finetune(model: ModelGraph, x_train, y_train, x_val, y_val,
     work = copy_model(model)
     one = TrainSchedule(1, schedule.batch_size, schedule.lr, schedule.momentum)
     for epoch in range(schedule.epochs):
-        train_model(work, x_train, y_train, one, rng)
+        try:
+            train_model(work, x_train, y_train, one, rng)
+        except NumericError as e:
+            if log is not None:
+                log(f"finetune epoch {epoch + 1}/{schedule.epochs}: {e}; stopped")
+            break
         err = evaluate(work, x_val, y_val)
         if log is not None:
             log(f"finetune epoch {epoch + 1}/{schedule.epochs}: val error {err:.2f}%")

@@ -326,7 +326,11 @@ def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndar
     _check_domain("gamma_implicit_grad", "shape > 0", shapes, shapes > 0.0)
     _check_domain("gamma_implicit_grad", "value > 0", values, values > 0.0)
     shapes, values = np.broadcast_arrays(shapes, values)
-    log_pdf = gamma_log_pdf(shapes, values)
+    # psi and lgamma are elementwise, so they run once per distinct shape:
+    # an axis the shapes only repeat (stride 0, as a broadcast leaves it,
+    # e.g. k Dirichlet draws of one D-vector) is cut to length 1
+    distinct = shapes[tuple(slice(0, 1) if st == 0 else slice(None) for st in shapes.strides)]
+    log_pdf = gamma_log_pdf(distinct, values)
     if np.any(log_pdf < -700.0):
         bad = np.argwhere(log_pdf < -700.0)[0]
         raise NumericError(
@@ -335,5 +339,6 @@ def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndar
     a = shapes.ravel()
     y = values.ravel()
     series, f, df = _incomplete_gamma_terms(a, y, with_grad=True)
-    scaled = y * (f * (np.log(y) - digamma_batch(a)) + df)
+    psi = np.broadcast_to(digamma_batch(distinct), shapes.shape).ravel()
+    scaled = y * (f * (np.log(y) - psi) + df)
     return np.where(series, -scaled, scaled).reshape(shapes.shape)

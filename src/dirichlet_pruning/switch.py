@@ -16,16 +16,23 @@ the same path; they differ only in the rows they draw for each trained layer:
     phi / sum(phi), i.e. y = phi with the identity Jacobian dy/dphi = 1, so
     d(NLL)/d(theta) is exact for that plug-in objective.
 
-Per batch the path costs one untaped pass through the layers before the
-first trained switch and one taped pass through the rest of the graph per
-row; backprop stops at s, and one vectorized chain rule carries the (k, D)
-dL/ds rows to theta. The KL gradient is added in closed form.
+A switch scales the input weights of its consumer, the next conv or fc
+layer (``models.forward``). Per batch the path costs one untaped pass
+through the layers before the first trained switch's consumer and one taped
+pass through the rest of the graph per row; backprop stops at the
+consumer's kernel gradient, whose contraction with the kernel is dL/ds, and
+one vectorized chain rule carries the (k, D) dL/ds rows to theta. The KL
+gradient is added in closed form. In per_layer mode the untaped pass is not
+repeated per batch after the first sweep: every row's activation at the
+next sweep's consumer is computed once, when the finished switches are
+fixed, so a later sweep's batch costs only its taped suffix.
 
 Model weights stay frozen throughout; only theta moves.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -36,7 +43,8 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
-from .models import ModelGraph, _batches, forward, read_json, switch_layer_indices
+from .models import (ModelGraph, _batches, forward, loss_bound, read_json,
+                     switch_consumers, switch_layer_indices)
 from .tensor import Tape, Tensor
 
 _PHI_SHIFT = 1e-6
@@ -146,29 +154,32 @@ def _check_batch(xb, yb):
     return xb, yb
 
 
-def _nll_and_grads(model, states, xb, yb, draws):
+def _nll_and_grads(model, states, hb, yb, draws, start=0):
     """Estimate of E_q[NLL] and its phi gradients from the estimator's rows.
 
-    ``draws`` maps each trained layer to its (S, Y, dY/dphi) arrays, each of
-    shape (k, D), with S = Y / sum(Y) row by row. The layers before the
-    first trained switch do not depend on the rows, so they run once per
-    batch, untaped, with the other switches at their posterior mean. Only
-    the suffix from the first trained switch on runs per row, each on its
-    own tape: one prefix pass plus k suffix passes per batch, and the memory
-    of one suffix tape. The per-row dL/ds are collected into (k, D) arrays
-    and pushed to phi in one vectorized chain rule.
+    ``hb`` is the batch's activation entering layer ``start``. ``draws`` maps
+    each trained layer to its (S, Y, dY/dphi) arrays, each of shape (k, D),
+    with S = Y / sum(Y) row by row. A switch acts at its consumer's input
+    weights, so the layers before the first trained switch's consumer do not
+    depend on the rows: they run once per batch, untaped, with the other
+    switches at their posterior mean. Only the suffix from that consumer on
+    runs per row, each on its own tape: one prefix pass plus k suffix passes
+    per batch, and the memory of one suffix tape. Backprop stops at the
+    consumers' kernel gradients, since nothing before them needs one. The
+    per-row dL/ds are collected into (k, D) arrays and pushed to phi in one
+    vectorized chain rule.
     """
     mean_switches = {st.layer_index: st.posterior_mean()
                      for st in states if st.layer_index not in draws}
-    first = min(draws)
-    h = forward(model, xb, switches=mean_switches, stop=first)
+    entry = switch_consumers(model.layers)[min(draws)]
+    h = forward(model, hb, switches=mean_switches, start=start, stop=entry)
     k = len(next(iter(draws.values()))[0])
     g_s = {idx: np.zeros_like(s) for idx, (s, _, _) in draws.items()}
     nll_acc = 0.0
     for j in range(k):
         leaves = {idx: Tensor(s[j], requires_grad=True) for idx, (s, _, _) in draws.items()}
         with Tape():
-            logits = forward(model, h, switches={**mean_switches, **leaves}, start=first)
+            logits = forward(model, h, switches={**mean_switches, **leaves}, start=entry)
             nll = T.softmax_cross_entropy(logits, yb)
         T.backward(nll)
         nll_acc += nll.item()
@@ -191,7 +202,14 @@ def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,
     train_indices selects which switch layers carry gradients (all by
     default); the others run at their posterior mean.
     """
-    xb, yb = _check_batch(xb, yb)
+    return _neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng, train_indices)
+
+
+def _neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=None,
+                        start=0):
+    """``neg_elbo_and_grads`` on the batch's activation ``hb`` entering layer
+    ``start``, which must not lie after the first trained switch's consumer."""
+    hb, yb = _check_batch(hb, yb)
     if not states:
         raise ContractError("no switch states given")
     kl_weight = _resolve_kl_weight(states, dataset_size)
@@ -207,7 +225,7 @@ def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,
     (estimator,) = estimators
     phis = {st.layer_index: st.phi() for st in states}
     draws = {idx: estimator.draw(phis[idx], rng) for idx in sorted(train_set)}
-    nll, nll_grads = _nll_and_grads(model, states, xb, yb, draws)
+    nll, nll_grads = _nll_and_grads(model, states, hb, yb, draws, start)
     # the KL sums every layer; its phi gradient is kept for the trained ones,
     # and both phi gradients reach theta through one dphi/dtheta = sigmoid
     kl, grads = 0.0, {}
@@ -296,14 +314,37 @@ class EpochStats:
     seconds: float
 
 
+def _advance(model, states, h, start, stop, batch_size):
+    """Every row of ``h``, the activation entering layer ``start``, run
+    untaped to the activation entering layer ``stop``, ``batch_size`` rows at
+    a time, with every switch at its posterior mean."""
+    means = {st.layer_index: st.posterior_mean() for st in states}
+    out = None
+    for rows in _batches(h.shape[0], batch_size):
+        part = forward(model, h[rows], switches=means, start=start, stop=stop).data
+        if out is None:
+            out = np.empty((h.shape[0],) + part.shape[1:])
+        out[rows] = part
+    return out
+
+
 def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
                    schedule: SwitchTrainSchedule, rng, log=None) -> list[EpochStats]:
     """Plain SGD on theta. per_layer mode sweeps the switch layers in graph
     order, updating one layer's theta per sweep while the others sit at
     their posterior mean; joint mode updates all thetas together. Mutates
-    state.theta in place and returns per-epoch statistics. Raises
-    NumericError, naming the scope, epoch and batch, at the first batch whose
-    neg_elbo is not finite, before its step touches theta."""
+    state.theta in place and returns per-epoch statistics.
+
+    The first sweep reads x. Before each later per_layer sweep, one untaped
+    pass carries every row from the previous sweep's entry to the input of
+    this sweep's consumer (the finished switches are fixed by then), so no
+    batch runs the graph before that consumer again. The first entry is x
+    itself; only later ones are stored.
+
+    Raises NumericError, naming the scope, epoch and batch, at the first
+    batch whose neg_elbo is not finite or whose expected NLL exceeds the
+    divergence bound (``models.loss_bound``), before its step touches theta.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.shape[0] == 0:
@@ -317,17 +358,28 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
                   for st in sorted(states, key=lambda s: s.layer_index)]
     else:
         groups = [("joint", sorted(by_index))]
+    consumers = switch_consumers(model.layers)
+    bound = loss_bound(model)
+    entry, start = x, 0  # every row's activation entering layer `start`
     history = []
-    for scope, train_indices in groups:
+    step = neg_elbo_and_grads
+    for g, (scope, train_indices) in enumerate(groups):
+        if g > 0:
+            stop = consumers[train_indices[0]]
+            entry = _advance(model, states, entry, start, stop, schedule.batch_size)
+            start = stop
+            step = functools.partial(_neg_elbo_and_grads, start=start)
         for epoch in range(schedule.epochs):
             t0 = time.perf_counter()
             total, nb = 0.0, 0
             for sel in _batches(n, schedule.batch_size, rng):
-                value, grads = neg_elbo_and_grads(
-                    states, model, x[sel], y[sel], n, rng, train_indices=train_indices)
+                value, grads = step(states, model, entry[sel], y[sel], n, rng, train_indices)
+                where = f"at epoch {epoch + 1}, batch {nb + 1}"
                 if not math.isfinite(value.neg_elbo):
-                    raise NumericError(f"{scope} neg_elbo is {value.neg_elbo} at epoch "
-                                       f"{epoch + 1}, batch {nb + 1}")
+                    raise NumericError(f"{scope} neg_elbo is {value.neg_elbo} {where}")
+                if value.expected_nll > bound:
+                    raise NumericError(f"{scope} expected NLL {value.expected_nll:.6g} exceeds "
+                                       f"the divergence bound {bound:.6g} {where}")
                 for li in train_indices:
                     by_index[li].theta = by_index[li].theta - schedule.lr * grads[li]
                 total += value.neg_elbo

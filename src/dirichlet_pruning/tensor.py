@@ -21,27 +21,13 @@ into ``.grad`` on leaves (and on tensors with ``retain_grad`` set).
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_TAPES: list = []  # the open tapes, innermost last; nothing here starts a thread
 
 
 class _Node:
@@ -63,11 +49,11 @@ class Tape:
         self._nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -121,7 +107,7 @@ def _lift(x) -> Tensor:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    tape = active_tape()
+    tape = _TAPES[-1] if _TAPES else None
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape

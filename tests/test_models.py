@@ -3,7 +3,6 @@
 import json
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,9 @@ from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       prunable_indices, prunable_widths,
                                       save_model, switch_layer_indices,
                                       train_model, validate_model)
+from dirichlet_pruning import tensor as T
 from dirichlet_pruning.synthetic import gen_synthetic
+from dirichlet_pruning.tensor import Tape, Tensor
 
 
 def _fc_only(d_in=4, d_out=3):
@@ -183,6 +184,88 @@ def test_forward_layer_range_composes_to_full_graph():
         forward(model, x, start=3, stop=2)
     with pytest.raises(ContractError):
         forward(model, x, stop=len(model.layers) + 1)
+
+
+def _activation_scaling_forward(model, x, switches):
+    """The forward before switches were folded into weights: each switch
+    multiplies the activations leaving its layer, channel by channel."""
+    h = T._lift(x)
+    for i, spec in enumerate(model.layers):
+        w = T._lift(model.weights.get(f"layer{i}.weight", np.zeros(0)))
+        b = T._lift(model.weights.get(f"layer{i}.bias", np.zeros(0)))
+        if isinstance(spec, Conv2d):
+            h = T.broadcast_add_channels(T.conv2d(h, w, spec.stride, spec.pad), b)
+        elif isinstance(spec, FullyConnected):
+            h = T.broadcast_add_channels(T.matmul(h, w), b)
+        elif isinstance(spec, Relu):
+            h = T.relu(h)
+        elif isinstance(spec, MaxPool2d):
+            h = T.maxpool2d(h, spec.k, spec.stride)
+        elif isinstance(spec, Flatten):
+            h = T.flatten_batch(h)
+        elif i in switches:
+            h = T.broadcast_mul_channels(h, T._lift(switches[i]))
+    return h
+
+
+def _dirichlet_switch_cases():
+    rng = np.random.default_rng(14)
+    lenet = build_lenet5([3, 4, 10, 6], rng=rng)
+    mlp = build_mlp(7, 9, 3, rng=rng)
+    for model, x in ((lenet, rng.standard_normal((3, 1, 28, 28))),
+                     (mlp, rng.standard_normal((5, 7)))):
+        switches = {i: rng.dirichlet(np.full(model.layers[i].d, 0.7))
+                    for i in switch_layer_indices(model)}
+        yield model, x, switches
+
+
+def test_folded_switches_match_activation_scaling_oracle():
+    for model, x, switches in _dirichlet_switch_cases():
+        want = _activation_scaling_forward(model, x, switches).data
+        np.testing.assert_allclose(forward(model, x, switches=switches).data, want,
+                                   rtol=1e-12, atol=0)
+        # every split point: a switch before the cut still scales its
+        # consumer after it, and one whose consumer is later waits for it
+        for cut in range(len(model.layers) + 1):
+            head = forward(model, x, switches=switches, stop=cut)
+            tail = forward(model, head, switches=switches, start=cut)
+            np.testing.assert_allclose(tail.data, want, rtol=1e-12, atol=0, err_msg=str(cut))
+
+
+def test_folded_switch_gradients_match_activation_scaling_oracle():
+    for model, x, switches in _dirichlet_switch_cases():
+        y = np.arange(x.shape[0]) % 3
+        grads = []
+        for run in (forward, _activation_scaling_forward):
+            leaves = {i: Tensor(s, requires_grad=True) for i, s in switches.items()}
+            with Tape():
+                loss = T.softmax_cross_entropy(run(model, x, switches=leaves), y)
+            T.backward(loss)
+            grads.append({i: leaf.grad for i, leaf in leaves.items()})
+        for i in switches:
+            np.testing.assert_allclose(grads[0][i], grads[1][i], rtol=1e-12, atol=0)
+
+
+def test_validate_model_rejects_switch_without_consumer():
+    first = {"layer0.weight": np.ones((4, 3)), "layer0.bias": np.zeros(3)}
+    last = {"layer4.weight": np.ones((3, 2)), "layer4.bias": np.zeros(2)}
+    no_consumer = ModelGraph([FullyConnected(4, 3), Switch(3), Relu()], first, (4,))
+    with pytest.raises(ContractError, match="layer 1: switch has no conv or fc"):
+        validate_model(no_consumer)
+    two_switches = ModelGraph([FullyConnected(4, 3), Switch(3), Relu(), Switch(3),
+                               FullyConnected(3, 2)], {**first, **last}, (4,))
+    with pytest.raises(ContractError, match="layer 1: switch reaches Switch at layer 3"):
+        validate_model(two_switches)
+    for model in (build_lenet5([3, 4, 10, 6]), build_mlp(5, 4, 2)):
+        validate_model(model)
+
+
+def test_forward_rejects_negative_switch_entry():
+    model = build_mlp(5, 4, 2, rng=np.random.default_rng(15))
+    x = np.random.default_rng(16).standard_normal((3, 5))
+    with pytest.raises(ContractError, match="switch 1 has a negative entry"):
+        forward(model, x, switches={1: np.array([0.5, 0.6, -0.2, 0.1])})
+    forward(model, x, switches={1: np.array([0.5, 0.5, 0.0, 0.0])})
 
 
 def test_forward_rejects_bad_rank():
@@ -365,12 +448,20 @@ def test_evaluate_perfect_and_empty():
 
 
 def test_train_model_raises_on_non_finite_loss():
-    # the README MLP at train_lr = 1e3 overflows to inf, then NaN, in epoch 2
+    # the README MLP at train_lr = 1e3 would overflow to inf, then NaN, in
+    # epoch 2; its finite loss (1.23, 1.2e5, 1.8e10, ...) already passes the
+    # divergence bound, 1e9 * log(2), at batch 3, before any overflow warning
     _, x, y = gen_synthetic(20, 16, 4000, np.random.default_rng(0))
     model = build_mlp(20, 16, 2, rng=np.random.default_rng(1))
-    with warnings.catch_warnings(), pytest.raises(NumericError, match="epoch 2, batch 4"):
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with pytest.raises(NumericError, match=r"exceeds the divergence bound 6\.93147e\+08 "
+                                           "at epoch 1, batch 3"):
         train_model(model, x[:3000], y[:3000], TrainSchedule(3, 50, 1e3, 0.9),
+                    np.random.default_rng(2))
+    # a NaN loss still raises as not finite
+    model = build_mlp(20, 16, 2, rng=np.random.default_rng(1))
+    model.weights["layer3.weight"][0, 0] = np.nan
+    with pytest.raises(NumericError, match="training loss is nan at epoch 1, batch 1"):
+        train_model(model, x[:100], y[:100], TrainSchedule(1, 50, 0.1, 0.9),
                     np.random.default_rng(2))
 
 

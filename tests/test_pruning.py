@@ -513,6 +513,18 @@ def test_finetune_returns_best_epoch_not_last():
         np.testing.assert_array_equal(tuned.weights[name], model.weights[name])
 
 
+def test_finetune_stops_at_a_diverged_epoch():
+    x_tr, y_tr, x_val, y_val = _finetune_data(250)
+    model = build_mlp(10, 6, 2, rng=np.random.default_rng(251))
+    lines = []
+    tuned, err = finetune(model, x_tr, y_tr, x_val, y_val, TrainSchedule(3, 50, 1e6),
+                          np.random.default_rng(253), log=lines.append)
+    assert len(lines) == 1
+    assert lines[0].startswith("finetune epoch 1/3: training loss ")
+    assert "exceeds the divergence bound 6.93147e+08 at epoch 1, batch 2; stopped" in lines[0]
+    assert err == evaluate(model, x_val, y_val)
+
+
 def test_finetune_empty_data_rejected():
     model = build_mlp(10, 6, 2, rng=np.random.default_rng(260))
     x = np.zeros((0, 10))

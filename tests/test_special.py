@@ -16,6 +16,8 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+from dirichlet_pruning import special
+from dirichlet_pruning.dirichlet import dirichlet_sample_batch
 from dirichlet_pruning.errors import DomainError, NumericError
 from dirichlet_pruning.special import (digamma_batch, gamma_implicit_grad_batch,
                                        gamma_log_pdf, gamma_regularized_P_batch,
@@ -413,3 +415,50 @@ def test_implicit_grad_batch_matches_scalar():
     got = gamma_implicit_grad_batch(shapes, values)
     ref = np.array([gamma_implicit_grad_batch(float(a), float(v)) for a, v in zip(shapes, values)])
     assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def _implicit_grad_every_element(shapes, values):
+    """The implicit gradient with psi and lgamma run on every element of the
+    broadcast shapes, as the kernel did before it ran them once per
+    distinct shape."""
+    shapes, values = np.broadcast_arrays(np.asarray(shapes, dtype=np.float64),
+                                         np.asarray(values, dtype=np.float64))
+    a, y = np.ascontiguousarray(shapes).ravel(), values.ravel()
+    assert np.all(gamma_log_pdf(a, y) >= -700.0)
+    series, f, df = special._incomplete_gamma_terms(a, y, with_grad=True)
+    scaled = y * (f * (np.log(y) - digamma_batch(a)) + df)
+    return np.where(series, -scaled, scaled).reshape(shapes.shape)
+
+
+def _broadcast_cases():
+    rng = np.random.default_rng(70)
+    conc = np.concatenate([rng.uniform(0.05, 1.0, 20), rng.uniform(1.0, 40.0, 20)])
+    shapes = np.broadcast_to(conc, (9, conc.size))  # k Dirichlet draws of one vector
+    yield shapes, gamma_sample_batch(shapes, rng)
+    column = np.broadcast_to(conc[:6, None], (6, 5))  # repeats along the last axis
+    yield column, gamma_sample_batch(column, rng)
+    plain = rng.uniform(0.1, 20.0, (4, 7))  # nothing repeats
+    yield plain, gamma_sample_batch(plain, rng)
+    yield conc, np.float64(0.7)  # the values broadcast, the shapes do not
+    yield np.float64(2.5), np.float64(1.3)
+
+
+def test_implicit_grad_once_per_shape_is_bitwise_the_per_element_kernel():
+    for shapes, values in _broadcast_cases():
+        got = gamma_implicit_grad_batch(shapes, values)
+        want = _implicit_grad_every_element(shapes, values)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_implicit_grad_runs_psi_and_lgamma_on_the_distinct_shapes(monkeypatch):
+    seen = {"digamma": [], "lgamma": []}
+    digamma, lgamma = special.digamma_batch, special.lgamma_batch
+    monkeypatch.setattr(special, "digamma_batch",
+                        lambda x: seen["digamma"].append(np.size(x)) or digamma(x))
+    monkeypatch.setattr(special, "lgamma_batch",
+                        lambda x: seen["lgamma"].append(np.size(x)) or lgamma(x))
+    conc = np.random.default_rng(71).uniform(0.3, 5.0, 30)
+    dirichlet_sample_batch(conc, 100, np.random.default_rng(72))
+    # D = 30 elements per kernel, not k * D = 3000
+    assert seen == {"digamma": [30], "lgamma": [30]}

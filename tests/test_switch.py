@@ -13,7 +13,7 @@ from dirichlet_pruning import switch as switch_module
 from dirichlet_pruning import tensor as T
 from dirichlet_pruning.dirichlet import dirichlet_kl
 from dirichlet_pruning.errors import ContractError, FormatError, NumericError
-from dirichlet_pruning.models import (FullyConnected, ModelGraph, Relu,
+from dirichlet_pruning.models import (Conv2d, FullyConnected, ModelGraph, Relu,
                                       Switch, build_lenet5, build_mlp, forward,
                                       switch_layer_indices)
 from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
@@ -439,6 +439,83 @@ def test_train_switches_raises_on_non_finite_neg_elbo():
     with pytest.raises(NumericError, match="layer1 neg_elbo is nan at epoch 1, batch 1"):
         train_switches(model, states, x, y, SwitchTrainSchedule(batch_size=20),
                        np.random.default_rng(52))
+
+
+def test_train_switches_raises_on_diverged_expected_nll():
+    # logits scaled by 1e12 give a finite NLL far above 1e9 * log(2)
+    model, x, y = _small_problem(seed=51)
+    model.weights["layer3.weight"] = model.weights["layer3.weight"] * 1e12
+    states = init_switch_states(model)
+    with pytest.raises(NumericError, match=r"layer1 expected NLL \S+ exceeds the divergence "
+                                           r"bound 6\.93147e\+08 at epoch 1, batch 1"):
+        train_switches(model, states, x, y, SwitchTrainSchedule(batch_size=20),
+                       np.random.default_rng(52))
+
+
+def _per_layer_from_x(model, states, x, y, schedule, rng):
+    """per_layer training as it ran before sweeps were chained: every batch
+    of every sweep runs the graph from x through ``neg_elbo_and_grads``.
+    Returns each epoch's mean neg_elbo."""
+    n = x.shape[0]
+    means = []
+    for st in sorted(states, key=lambda s: s.layer_index):
+        for _ in range(schedule.epochs):
+            idx = np.arange(n)
+            rng.shuffle(idx)
+            total = 0.0
+            for lo in range(0, n, schedule.batch_size):
+                sel = idx[lo:lo + schedule.batch_size]
+                value, grads = neg_elbo_and_grads(states, model, x[sel], y[sel], n, rng,
+                                                  train_indices=[st.layer_index])
+                st.theta = st.theta - schedule.lr * grads[st.layer_index]
+                total += value.neg_elbo
+            means.append(total / math.ceil(n / schedule.batch_size))
+    return means
+
+
+@pytest.mark.parametrize("estimator", [AnalyticMean(), ImplicitMC(3)], ids=["analytic", "mc3"])
+@pytest.mark.parametrize("arch", ["lenet", "mlp"])
+def test_chained_sweeps_match_sweeps_from_x(estimator, arch, monkeypatch):
+    if arch == "lenet":
+        rng = np.random.default_rng(58)
+        model = build_lenet5([3, 4, 8, 6], rng=rng)
+        x = rng.uniform(0.0, 1.0, (30, 1, 28, 28))
+        y = rng.integers(0, 10, 30)
+    else:
+        model, x, y = _two_switch_model()
+        x, y = x[:90], y[:90]
+    schedule = SwitchTrainSchedule(mode="per_layer", epochs=2, batch_size=20, lr=0.5)
+    states = init_switch_states(model, estimator=estimator)
+    _spread_thetas(states, 59)
+    thetas = [st.theta.copy() for st in states]
+    ref_states = [SwitchState(st.layer_index, st.theta.copy(), st.alpha0, st.estimator)
+                  for st in states]
+    entries = []
+    advance = switch_module._advance
+    monkeypatch.setattr(switch_module, "_advance",
+                        lambda *a: entries.append(a[3:5]) or advance(*a))
+    stats = train_switches(model, states, x, y, schedule, np.random.default_rng(60))
+    want = _per_layer_from_x(model, ref_states, x, y, schedule, np.random.default_rng(60))
+    # the first sweep reads x; each later one starts at its consumer's input
+    consumers = [i for i, l in enumerate(model.layers)
+                 if isinstance(l, (Conv2d, FullyConnected))][1:]
+    assert entries == list(zip([0] + consumers[1:-1], consumers[1:]))
+    np.testing.assert_allclose([s.mean_neg_elbo for s in stats], want, rtol=1e-12, atol=0)
+    for st, ref, before in zip(states, ref_states, thetas):
+        assert not np.array_equal(st.theta, before)
+        np.testing.assert_allclose(st.theta, ref.theta, rtol=1e-12, atol=0)
+
+
+def test_single_switch_and_joint_runs_store_no_entry(monkeypatch):
+    calls = []
+    monkeypatch.setattr(switch_module, "_advance", lambda *a: calls.append(a))
+    model, x, y = _small_problem(seed=61)
+    train_switches(model, init_switch_states(model), x, y, SwitchTrainSchedule(batch_size=20),
+                   np.random.default_rng(62))
+    model, x, y = _two_switch_model()
+    train_switches(model, init_switch_states(model), x[:60], y[:60],
+                   SwitchTrainSchedule(mode="joint", batch_size=20), np.random.default_rng(63))
+    assert calls == []
 
 
 def test_kl_descends_when_loss_ignores_switch():
