@@ -11,7 +11,6 @@ is the score; both the deterministic and the sampling estimator get a run.
 import numpy as np
 from scipy.stats import spearmanr
 
-from dirichlet_pruning.models import switch_layer_indices
 from dirichlet_pruning.switch import (
     AnalyticMean,
     ImplicitMC,
@@ -34,9 +33,8 @@ def run(estimator, schedule, seed):
     states = init_switch_states(
         model, alpha0=0.5, estimator=estimator, kl_weight=1.0 / N)
     train_switches(model, states, x, y, schedule, np.random.default_rng(seed))
-    sw = switch_layer_indices(model)[0]
-    state = next(s for s in states if s.layer_index == sw)
-    return posterior_report(state)
+    hidden = next(s for s in states if s.layer == 0)  # the only prunable layer
+    return posterior_report(hidden)
 
 
 am_sched = SwitchTrainSchedule(mode="per_layer", epochs=8, batch_size=100, lr=0.5)

@@ -49,7 +49,7 @@ states = init_switch_states(model)
 train_switches(model, states, x_tr, y_tr,
                SwitchTrainSchedule("per_layer", 4, 100, 0.5),
                np.random.default_rng(9300))
-means = {st.layer_index: st.posterior_mean() for st in states}
+means = {st.layer: st.posterior_mean() for st in states}
 
 rankings = {
     "posterior": rank_dirichlet(states),

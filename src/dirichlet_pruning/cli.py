@@ -55,13 +55,13 @@ def cmd_switch_train(cfg: ExperimentConfig) -> None:
     rng, dataset, model = _setup(cfg)
     states = switch_states_from_config(cfg, model)
     if not states:
-        raise ContractError("model has no switch layers")
+        raise ContractError("model has no prunable layer to put a switch on")
     # epochs = 0 is an error here, not a skip: the schedule rejects it
     train_switches_from_config(cfg, model, states, dataset.x_train, dataset.y_train,
                                rng, log=print)
     path = artifact_path(cfg, "switches_path", "switches.json")
     save_states(states, path)
-    top = ", ".join(f"layer{st.layer_index}:{np.argmax(st.posterior_mean())}"
+    top = ", ".join(f"layer{st.layer}:{np.argmax(st.posterior_mean())}"
                     for st in states)
     print(f"switch posteriors saved to {path}; top channels {top}")
 

@@ -1,12 +1,14 @@
 """Model graphs: layer specs, forward pass, builders, counting, serialization.
 
 A model is a flat list of layer specs plus a dict of named float64 weight
-arrays. The forward pass runs on the autodiff tensor engine. A switch layer
-holds a place for an externally supplied non-negative channel scale (a
-simplex vector) and is the identity when no vector is given; the scale is
-folded into the input weights of the switch's consumer, the next conv or fc
-layer, so the activations themselves are never multiplied. That is exact
-because ReLU and max-pooling commute with a non-negative per-channel scale.
+arrays. The forward pass runs on the autodiff tensor engine. Every prunable
+layer (each conv/fc but the last) may be given a switch: a non-negative
+scale (a simplex vector) on its output channels, addressed by the layer's
+prunable ordinal. The scale is folded into the input weights of the switch's
+consumer, the next conv or fc layer, so the activations themselves are never
+multiplied. That is exact because only ReLU, max-pooling and flatten can lie
+between two linear layers, and they commute with a non-negative per-channel
+scale.
 
 Conventions used throughout:
   - conv weights are (c_out, c_in, kh, kw), fc weights are (d_in, d_out)
@@ -70,18 +72,12 @@ class Flatten:
     pass
 
 
-@dataclass(frozen=True)
-class Switch:
-    d: int
-
-
 _KIND_TO_CLS = {
     "conv2d": Conv2d,
     "fc": FullyConnected,
     "relu": Relu,
     "maxpool2d": MaxPool2d,
     "flatten": Flatten,
-    "switch": Switch,
 }
 _CLS_TO_KIND = {v: k for k, v in _KIND_TO_CLS.items()}
 
@@ -116,11 +112,21 @@ class ModelGraph:
         return "-".join(str(w) for w in prunable_widths(self))
 
 
+def _linear_indices(model: ModelGraph) -> list[int]:
+    return [i for i, l in enumerate(model.layers) if isinstance(l, (Conv2d, FullyConnected))]
+
+
 def prunable_indices(model: ModelGraph) -> list[int]:
-    """Graph positions of prunable layers: every conv/fc except the final
-    linear layer, which holds the class outputs."""
-    linear = [i for i, l in enumerate(model.layers) if isinstance(l, (Conv2d, FullyConnected))]
-    return linear[:-1]
+    """Graph positions of prunable layers, by ordinal: every conv/fc except
+    the final linear layer, which holds the class outputs."""
+    return _linear_indices(model)[:-1]
+
+
+def switch_consumers(model: ModelGraph) -> list[int]:
+    """Graph position of each switch's consumer, by ordinal: the conv or fc
+    layer after prunable layer ``o``, whose input weights switch ``o``
+    scales."""
+    return _linear_indices(model)[1:]
 
 
 def prunable_widths(model: ModelGraph) -> list[int]:
@@ -164,9 +170,6 @@ def propagate_shapes(layers, input_shape) -> list[tuple]:
             shape = (shape[0], oh, ow)
         elif isinstance(spec, Flatten):
             shape = (int(np.prod(shape)),)
-        elif isinstance(spec, Switch):
-            if shape[0] != spec.d:
-                raise ShapeError(f"layer {i}: switch of width {spec.d} applied to {shape}")
         elif isinstance(spec, Relu):
             pass
         else:
@@ -175,32 +178,8 @@ def propagate_shapes(layers, input_shape) -> list[tuple]:
     return shapes
 
 
-def switch_consumers(layers) -> dict[int, int]:
-    """Graph position of each switch's consumer: the conv or fc layer whose
-    input weights the switch scales. Only Relu, MaxPool2d and Flatten may lie
-    between the two; any other layer, or none at all, raises ContractError
-    naming the switch layer."""
-    consumers = {}
-    for i, spec in enumerate(layers):
-        if not isinstance(spec, Switch):
-            continue
-        for j in range(i + 1, len(layers)):
-            nxt = layers[j]
-            if isinstance(nxt, (Conv2d, FullyConnected)):
-                consumers[i] = j
-                break
-            if not isinstance(nxt, (Relu, MaxPool2d, Flatten)):
-                raise ContractError(
-                    f"layer {i}: switch reaches {type(nxt).__name__} at layer {j} "
-                    "before a conv or fc layer it could scale")
-        else:
-            raise ContractError(f"layer {i}: switch has no conv or fc layer after it to scale")
-    return consumers
-
-
 def validate_model(model: ModelGraph) -> None:
     propagate_shapes(model.layers, model.input_shape)
-    switch_consumers(model.layers)
     for i, spec in enumerate(model.layers):
         if isinstance(spec, Conv2d):
             want = {f"layer{i}.weight": (spec.c_out, spec.c_in, spec.kh, spec.kw),
@@ -223,36 +202,39 @@ def validate_model(model: ModelGraph) -> None:
 
 
 def forward(model: ModelGraph, x, switches: dict | None = None,
-            params: dict | None = None, collect_preacts: bool = False,
-            *, start: int = 0, stop: int | None = None):
+            params: dict | None = None, *, start: int = 0, stop: int | None = None):
     """Run the graph on a batch.
 
     x is (N, C, H, W) for conv models or (N, d) for dense ones. ``switches``
-    maps switch layer index to a non-negative channel scale (array or
-    Tensor); missing entries act as identity. A switch acts at its consumer
+    maps a prunable ordinal to a non-negative scale on that layer's output
+    channels (array or Tensor); a missing entry acts as identity, and a key
+    that is no ordinal raises ContractError. A switch acts at its consumer
     (see ``switch_consumers``): a conv kernel is scaled along c_in, an fc
     weight row group by row group, a group being the H*W rows one channel
     fills after a flatten. A negative entry raises ContractError, since the
     fold is exact only for s >= 0. ``params`` overrides weights by name with
-    Tensors, for gradient-carrying passes. With collect_preacts=True returns
-    (logits, preacts) where preacts maps each prunable layer index to its
-    pre-activation Tensor with retain_grad set.
+    Tensors, for gradient-carrying passes.
 
     ``start`` and ``stop`` run only layers[start:stop]; x is then the
     activation that enters layer ``start``, and the result is the one that
     leaves layer ``stop - 1``. A switch scales nothing until its consumer
-    runs, so an activation between a switch and its consumer is unscaled,
-    and a switch before ``start`` still scales a consumer at or after it.
-    The default runs the whole graph.
+    runs, so an activation between a prunable layer and its consumer is
+    unscaled, and a switch on a layer before ``start`` still scales a
+    consumer at or after it. The default runs the whole graph.
     """
     switches = switches or {}
     params = params or {}
     h = T._lift(x)
     if h.data.ndim not in (2, 4):
         raise ShapeError(f"input must be (N, d) or (N, C, H, W), got {h.data.shape}")
-    prunable = set(prunable_indices(model))
-    preacts: dict[int, Tensor] = {}
-    feeding = {c: i for i, c in switch_consumers(model.layers).items()} if switches else {}
+    feeding, widths = {}, []
+    if switches:
+        widths = prunable_widths(model)
+        for o in switches:
+            if o not in range(len(widths)):
+                raise ContractError(f"switch key {o!r} is not a prunable ordinal "
+                                    f"in range({len(widths)})")
+        feeding = {c: o for o, c in enumerate(switch_consumers(model))}
 
     def weight(name):
         if name in params:
@@ -270,7 +252,7 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
                                 f"non-negative scale folds into layer {i}")
         if isinstance(model.layers[i], Conv2d):  # (c_out, c_in, kh, kw): c_in is axis 1
             return T.broadcast_mul_channels(w, s)
-        groups = T.reshape(w, (1, model.layers[feeding[i]].d, -1))
+        groups = T.reshape(w, (1, widths[feeding[i]], -1))
         return T.reshape(T.broadcast_mul_channels(groups, s), w.shape)
 
     stop = len(model.layers) if stop is None else stop
@@ -291,11 +273,6 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             h = T.maxpool2d(h, k=spec.k, stride=spec.stride)
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
-        if collect_preacts and i in prunable:
-            h.retain_grad = True
-            preacts[i] = h
-    if collect_preacts:
-        return h, preacts
     return h
 
 
@@ -330,47 +307,30 @@ def _he_initialized(layers, input_shape, family: str, rng, seed) -> ModelGraph:
     return model
 
 
-def build_lenet5(widths, rng=None, with_switches: bool = True,
-                 seed: int | None = None) -> ModelGraph:
+def build_lenet5(widths, rng=None, seed: int | None = None) -> ModelGraph:
     """LeNet-5 for 1x28x28 inputs: conv5x5 -> pool -> conv5x5 -> pool ->
-    fc -> fc -> fc(10), widths = [c1, c2, f1, f2], a switch after each of
-    the four prunable pre-activations when with_switches is set."""
+    fc -> fc -> fc(10), widths = [c1, c2, f1, f2]."""
     widths = [int(w) for w in widths]
     if len(widths) != 4 or any(w < 1 for w in widths):
         raise ContractError(f"widths must be four positive ints, got {widths}")
     c1, c2, f1, f2 = widths
     rng = rng if rng is not None else np.random.default_rng(seed or 0)
-    layers: list = [Conv2d(1, c1, 5, 5)]
-    if with_switches:
-        layers.append(Switch(c1))
-    layers += [Relu(), MaxPool2d(2, 2), Conv2d(c1, c2, 5, 5)]
-    if with_switches:
-        layers.append(Switch(c2))
-    layers += [Relu(), MaxPool2d(2, 2), Flatten(), FullyConnected(c2 * 16, f1)]
-    if with_switches:
-        layers.append(Switch(f1))
-    layers += [Relu(), FullyConnected(f1, f2)]
-    if with_switches:
-        layers.append(Switch(f2))
-    layers += [Relu(), FullyConnected(f2, 10)]
+    layers = [Conv2d(1, c1, 5, 5), Relu(), MaxPool2d(2, 2),
+              Conv2d(c1, c2, 5, 5), Relu(), MaxPool2d(2, 2), Flatten(),
+              FullyConnected(c2 * 16, f1), Relu(),
+              FullyConnected(f1, f2), Relu(),
+              FullyConnected(f2, 10)]
     return _he_initialized(layers, (1, 28, 28), "lenet5", rng, seed)
 
 
 def build_mlp(d_x: int, d_h: int, d_out: int = 2, rng=None,
-              with_switches: bool = True, seed: int | None = None) -> ModelGraph:
-    """Two-layer dense net fc(d_x, d_h) -> switch -> relu -> fc(d_h, d_out)."""
+              seed: int | None = None) -> ModelGraph:
+    """Two-layer dense net fc(d_x, d_h) -> relu -> fc(d_h, d_out)."""
     if min(d_x, d_h, d_out) < 1:
         raise ContractError(f"dims must be positive, got {(d_x, d_h, d_out)}")
     rng = rng if rng is not None else np.random.default_rng(seed or 0)
-    layers: list = [FullyConnected(d_x, d_h)]
-    if with_switches:
-        layers.append(Switch(d_h))
-    layers += [Relu(), FullyConnected(d_h, d_out)]
+    layers = [FullyConnected(d_x, d_h), Relu(), FullyConnected(d_h, d_out)]
     return _he_initialized(layers, (d_x,), "mlp", rng, seed)
-
-
-def switch_layer_indices(model: ModelGraph) -> list[int]:
-    return [i for i, l in enumerate(model.layers) if isinstance(l, Switch)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +425,8 @@ def load_model(path) -> ModelGraph:
 
 def read_json(path, what: str, by_layer: str) -> dict:
     """The payload of a version-1 JSON artifact (a plan, switch states),
-    whose ``by_layer`` entry is an object keyed by layer index; that entry
-    comes back keyed by int.
+    whose ``by_layer`` entry is an object keyed by prunable ordinal; that
+    entry comes back keyed by int.
 
     A file that is not such a JSON object raises FormatError naming the file
     and the key; another version raises ContractError.
@@ -524,8 +484,8 @@ def _batches(n, batch_size, rng=None):
 
 def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
                 log=None) -> list[float]:
-    """Minibatch SGD with momentum on the cross-entropy; switches run as
-    identity. Mutates model.weights in place; returns per-epoch mean loss.
+    """Minibatch SGD with momentum on the cross-entropy, with no switch.
+    Mutates model.weights in place; returns per-epoch mean loss.
     Raises NumericError, naming the epoch and batch, at the first batch
     whose loss is not finite or exceeds ``loss_bound``, before its step
     touches the weights."""
@@ -573,7 +533,7 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
 
 
 def evaluate(model: ModelGraph, x, y, batch_size: int = 100) -> float:
-    """Classification error in percent, with every switch at identity.
+    """Classification error in percent, with no switch.
 
     Rows run in batches of ``batch_size``, the training batch size of every
     shipped config. The batch size sets the memory, not the answer: at 100

@@ -180,7 +180,7 @@ def plan_from_config(cfg: ExperimentConfig, report: RankingReport) -> PruningPla
 
 def prune_with_states(model: ModelGraph, plan: PruningPlan, states) -> ModelGraph:
     """The physically pruned model, each switch folded in at its posterior mean."""
-    means = {st.layer_index: st.posterior_mean() for st in states}
+    means = {st.layer: st.posterior_mean() for st in states}
     return apply_plan(model, plan, switch_means=means)
 
 

@@ -1,16 +1,16 @@
 """Channel ranking, pruning plans, physical channel removal, fine-tuning.
 
-Rankings and plans address prunable layers by ordinal: 0 for the first
-conv/fc layer in the graph, 1 for the next, and so on (the final linear
-layer holds the class outputs and is never pruned). A plan's keep-list for
-a layer is a sorted subset of that layer's output channel indices.
+Rankings, plans and switches address prunable layers by ordinal: 0 for
+the first conv/fc layer in the graph, 1 for the next, and so on (the final
+linear layer holds the class outputs and is never pruned). A plan's
+keep-list for a layer is a sorted subset of that layer's output channel
+indices.
 
 Physical removal slices output channels of each pruned layer and the
 matching input slices of the next linear layer (expanding across flatten to
-all spatial positions). Switch layers are
-dropped from the pruned graph; each kept channel's weights and bias are
-first scaled by its posterior-mean switch value so the switchless pruned
-network reproduces the masked switched forward exactly.
+all spatial positions). A layer given a switch mean has each kept channel's
+weights and bias scaled by its mean value, so the pruned network reproduces
+the masked switched forward exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, FormatError, NumericError, ShapeError
-from .models import (Conv2d, Flatten, FullyConnected, ModelGraph, Switch,
+from .models import (Conv2d, Flatten, FullyConnected, ModelGraph,
                      TrainSchedule, Tensor, copy_model, evaluate, forward,
                      propagate_shapes, prunable_indices, prunable_widths,
                      read_json, train_model, validate_model)
@@ -65,9 +65,9 @@ def rank_dirichlet(states: list[SwitchState]) -> RankingReport:
     if not states:
         raise ContractError("no switch states given")
     per_layer = []
-    for ordinal, st in enumerate(sorted(states, key=lambda s: s.layer_index)):
+    for st in sorted(states, key=lambda s: s.layer):
         scores = st.posterior_mean()
-        per_layer.append(LayerRanking(ordinal, scores, _order_desc(scores), "dirichlet"))
+        per_layer.append(LayerRanking(st.layer, scores, _order_desc(scores), "dirichlet"))
     return RankingReport(per_layer)
 
 
@@ -96,21 +96,25 @@ def rank_magnitude(model: ModelGraph, norm: str = "L1") -> RankingReport:
 
 def rank_derivative(model: ModelGraph, xb, yb) -> RankingReport:
     """First-order removal cost |dC/dh * h| averaged over the batch and any
-    spatial positions, taken at each prunable layer's pre-activation."""
+    spatial positions, taken at each prunable layer's pre-activation h.
+
+    Each layer's h is reached by an untaped pass that continues from the
+    previous layer's h; a taped pass from h, whose only leaf is h itself,
+    gives dC/dh. No weight gradient is computed."""
     xb = np.asarray(xb, dtype=np.float64)
     yb = np.asarray(yb)
     if xb.shape[0] == 0:
         raise ContractError("ranking batch is empty")
-    params = {n: Tensor(v, requires_grad=True) for n, v in model.weights.items()}
-    with T.Tape():
-        logits, preacts = forward(model, xb, params=params, collect_preacts=True)
-        loss = T.softmax_cross_entropy(logits, yb)
-    T.backward(loss)
     per_layer = []
+    h, start = xb, 0
     for ordinal, gi in enumerate(prunable_indices(model)):
-        h = preacts[gi]
-        g = h.grad if h.grad is not None else np.zeros_like(h.data)
-        prod = np.abs(g * h.data)
+        h = forward(model, h, start=start, stop=gi + 1).data
+        start = gi + 1
+        leaf = Tensor(h, requires_grad=True)
+        with T.Tape():
+            loss = T.softmax_cross_entropy(forward(model, leaf, start=start), yb)
+        T.backward(loss)
+        prod = np.abs(leaf.grad * h)
         axes = (0,) if prod.ndim == 2 else (0, 2, 3)
         scores = prod.mean(axis=axes)
         per_layer.append(LayerRanking(ordinal, scores, _order_desc(scores), "derivative"))
@@ -171,42 +175,23 @@ def make_plan(report: RankingReport, keep_counts=None, rate: float | None = None
     return PruningPlan(keep)
 
 
-def _switch_for_prunable(model: ModelGraph, graph_index: int) -> int | None:
-    """Graph position of the switch fed by the prunable layer at
-    graph_index, if one sits before the next linear layer."""
-    for j in range(graph_index + 1, len(model.layers)):
-        spec = model.layers[j]
-        if isinstance(spec, Switch):
-            return j
-        if isinstance(spec, (Conv2d, FullyConnected)):
-            return None
-    return None
-
-
-def _resolve_means(model: ModelGraph, switch_means: dict | None) -> dict[int, np.ndarray]:
-    """Posterior-mean vector per switch layer; uniform when unspecified,
-    matching an untrained symmetric posterior."""
-    means = {}
-    for i, spec in enumerate(model.layers):
-        if isinstance(spec, Switch):
-            if switch_means is not None and i in switch_means:
-                m = np.asarray(switch_means[i], dtype=np.float64)
-                if m.shape != (spec.d,):
-                    raise ShapeError(f"switch means for layer {i} have shape "
-                                     f"{m.shape}, expected ({spec.d},)")
-                means[i] = m
-            else:
-                means[i] = np.full(spec.d, 1.0 / spec.d)
-    return means
-
-
 def apply_plan(model: ModelGraph, plan: PruningPlan,
                switch_means: dict | None = None) -> ModelGraph:
     """Physically pruned copy of the model; see the module docstring for the
-    slicing rules. switch_means maps switch graph positions to posterior
-    means (e.g. from trained SwitchState.posterior_mean())."""
+    slicing rules. switch_means maps prunable ordinals to switch means (e.g.
+    from trained SwitchState.posterior_mean()); each is folded into its
+    layer, and a layer with no entry is left unscaled."""
     plan.validate_against(model)
-    means = _resolve_means(model, switch_means)
+    widths = prunable_widths(model)
+    means = {}
+    for ordinal, m in (switch_means or {}).items():
+        if ordinal not in range(len(widths)):
+            raise ContractError(f"switch means for layer {ordinal}: the model has "
+                                f"no prunable layer {ordinal}")
+        means[ordinal] = np.asarray(m, dtype=np.float64)
+        if means[ordinal].shape != (widths[ordinal],):
+            raise ShapeError(f"switch means for layer {ordinal} have shape "
+                             f"{means[ordinal].shape}, expected ({widths[ordinal]},)")
     shapes = propagate_shapes(model.layers, model.input_shape)
     ordinal_of = {gi: o for o, gi in enumerate(prunable_indices(model))}
 
@@ -226,17 +211,16 @@ def apply_plan(model: ModelGraph, plan: PruningPlan,
             b = model.weights[f"layer{i}.bias"]
             if in_keep is not None:
                 w = w[:, in_keep] if isinstance(spec, Conv2d) else w[in_keep, :]
+            ordinal = ordinal_of.get(i)
             out_keep = None
-            if i in ordinal_of and ordinal_of[i] in plan.keep:
-                out_keep = np.asarray(plan.keep[ordinal_of[i]])
+            if ordinal in plan.keep:
+                out_keep = np.asarray(plan.keep[ordinal])
                 if isinstance(spec, Conv2d):
                     w, b = w[out_keep], b[out_keep]
                 else:
                     w, b = w[:, out_keep], b[out_keep]
-            sw = _switch_for_prunable(model, i)
-            if sw is not None:
-                # every dropped switch folds into its producer, pruned or not
-                scale = means[sw] if out_keep is None else means[sw][out_keep]
+            if ordinal in means:
+                scale = means[ordinal] if out_keep is None else means[ordinal][out_keep]
                 if isinstance(spec, Conv2d):
                     w = w * scale[:, None, None, None]
                     b = b * scale
@@ -255,8 +239,6 @@ def apply_plan(model: ModelGraph, plan: PruningPlan,
                 hw = h * w
                 in_keep = (in_keep[:, None] * hw + np.arange(hw)[None, :]).reshape(-1)
             put(Flatten())
-        elif isinstance(spec, Switch):
-            continue  # folded into the preceding layer's weights
         else:
             put(spec)
 

@@ -1,6 +1,8 @@
 """Variational training of per-layer Dirichlet importance switches.
 
-Each switch layer l gets a free parameter vector theta_l; the posterior
+Each prunable layer l gets a switch: a free parameter vector theta_l over
+its output channels, addressed like rankings and plans by the layer's
+prunable ordinal (0 for the first conv/fc layer). The posterior
 concentration is phi_l = softplus(theta_l) + 1e-6, the prior is the symmetric
 Dir(alpha0). The objective on a minibatch is
 
@@ -16,8 +18,8 @@ the same path; they differ only in the rows they draw for each trained layer:
     phi / sum(phi), i.e. y = phi with the identity Jacobian dy/dphi = 1, so
     d(NLL)/d(theta) is exact for that plug-in objective.
 
-A switch scales the input weights of its consumer, the next conv or fc
-layer (``models.forward``). Per batch the path costs one untaped pass
+A switch scales the input weights of its consumer, the conv or fc layer
+after its own (``models.forward``). Per batch the path costs one untaped pass
 through the layers before the first trained switch's consumer and one taped
 pass through the rest of the graph per row; backprop stops at the
 consumer's kernel gradient, whose contraction with the kernel is dL/ds, and
@@ -32,7 +34,6 @@ Model weights stay frozen throughout; only theta moves.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -43,8 +44,8 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
-from .models import (ModelGraph, _batches, forward, loss_bound, read_json,
-                     switch_consumers, switch_layer_indices)
+from .models import (ModelGraph, _batches, forward, loss_bound, prunable_widths,
+                     read_json, switch_consumers)
 from .tensor import Tape, Tensor
 
 _PHI_SHIFT = 1e-6
@@ -86,9 +87,9 @@ def _sigmoid_np(x):
 
 @dataclass
 class SwitchState:
-    """Posterior parameters for one switch layer."""
+    """Posterior parameters for the switch of one prunable layer, by ordinal."""
 
-    layer_index: int
+    layer: int
     theta: np.ndarray
     alpha0: float = 0.5
     estimator: object = field(default_factory=AnalyticMean)
@@ -104,15 +105,14 @@ class SwitchState:
 
 def init_switch_states(model: ModelGraph, alpha0: float = 0.5,
                        estimator=None, kl_weight: float | None = None) -> list[SwitchState]:
-    """One state per switch layer, every concentration starting at
+    """One state per prunable layer, every concentration starting at
     softplus(theta)+1e-6 with theta = softplus_inv(1)."""
     if alpha0 <= 0.0:
         raise ContractError(f"alpha0 must be > 0, got {alpha0}")
     states = []
-    for idx in switch_layer_indices(model):
-        width = model.layers[idx].d
+    for ordinal, width in enumerate(prunable_widths(model)):
         states.append(SwitchState(
-            layer_index=idx,
+            layer=ordinal,
             theta=np.full(width, _THETA_INIT),
             alpha0=alpha0,
             estimator=estimator if estimator is not None else AnalyticMean(),
@@ -169,9 +169,8 @@ def _nll_and_grads(model, states, hb, yb, draws, start=0):
     per-row dL/ds are collected into (k, D) arrays and pushed to phi in one
     vectorized chain rule.
     """
-    mean_switches = {st.layer_index: st.posterior_mean()
-                     for st in states if st.layer_index not in draws}
-    entry = switch_consumers(model.layers)[min(draws)]
+    mean_switches = {st.layer: st.posterior_mean() for st in states if st.layer not in draws}
+    entry = switch_consumers(model)[min(draws)]
     h = forward(model, hb, switches=mean_switches, start=start, stop=entry)
     k = len(next(iter(draws.values()))[0])
     g_s = {idx: np.zeros_like(s) for idx, (s, _, _) in draws.items()}
@@ -195,27 +194,22 @@ def _nll_and_grads(model, states, hb, yb, draws, start=0):
     return nll_acc / k, grads
 
 
-def neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng,
-                       train_indices=None):
+def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=None,
+                       *, start=0):
     """Minibatch objective and d(neg_elbo)/d(theta) for the trained layers.
 
-    train_indices selects which switch layers carry gradients (all by
-    default); the others run at their posterior mean.
+    ``hb`` is the batch's activation entering layer ``start`` (the input
+    batch by default), which must not lie after the first trained switch's
+    consumer. train_indices selects which switches, by ordinal, carry
+    gradients (all by default); the others run at their posterior mean.
     """
-    return _neg_elbo_and_grads(states, model, xb, yb, dataset_size, rng, train_indices)
-
-
-def _neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=None,
-                        start=0):
-    """``neg_elbo_and_grads`` on the batch's activation ``hb`` entering layer
-    ``start``, which must not lie after the first trained switch's consumer."""
     hb, yb = _check_batch(hb, yb)
     if not states:
         raise ContractError("no switch states given")
     kl_weight = _resolve_kl_weight(states, dataset_size)
     train_set = set(train_indices) if train_indices is not None \
-        else {st.layer_index for st in states}
-    by_index = {st.layer_index: st for st in states}
+        else {st.layer for st in states}
+    by_index = {st.layer: st for st in states}
     if not train_set <= by_index.keys():
         raise ContractError(f"train_indices {sorted(train_set - by_index.keys())} "
                             "name no switch state")
@@ -223,20 +217,19 @@ def _neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=
     if len(estimators) != 1:
         raise ContractError(f"trained states must share one estimator, got {estimators}")
     (estimator,) = estimators
-    phis = {st.layer_index: st.phi() for st in states}
+    phis = {st.layer: st.phi() for st in states}
     draws = {idx: estimator.draw(phis[idx], rng) for idx in sorted(train_set)}
     nll, nll_grads = _nll_and_grads(model, states, hb, yb, draws, start)
     # the KL sums every layer; its phi gradient is kept for the trained ones,
     # and both phi gradients reach theta through one dphi/dtheta = sigmoid
     kl, grads = 0.0, {}
     for st in states:
-        phi = phis[st.layer_index]
+        phi = phis[st.layer]
         layer_kl, kl_grad = dirichlet_kl(phi, np.full_like(phi, st.alpha0))
         kl += layer_kl
-        if st.layer_index in train_set:
+        if st.layer in train_set:
             sig = _sigmoid_np(st.theta)
-            grads[st.layer_index] = (nll_grads[st.layer_index] * sig
-                                     + kl_weight * (kl_grad * sig))
+            grads[st.layer] = nll_grads[st.layer] * sig + kl_weight * (kl_grad * sig)
     return SwitchObjectiveValue(nll + kl_weight * kl, nll, kl, kl_weight), grads
 
 
@@ -247,7 +240,7 @@ def save_states(states: list[SwitchState], path) -> None:
         "version": 1,
         "alpha0": states[0].alpha0 if states else 0.5,
         "kl_weight": states[0].kl_weight if states else None,
-        "theta": {str(st.layer_index): [float(v) for v in st.theta] for st in states},
+        "theta": {str(st.layer): [float(v) for v in st.theta] for st in states},
     }
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -256,14 +249,14 @@ def save_states(states: list[SwitchState], path) -> None:
 
 def load_states(path, model: ModelGraph, estimator=None) -> list[SwitchState]:
     """Read states written by ``save_states`` for ``model``: every state must
-    sit on one of the model's switch layers and match its width. A malformed
-    file raises FormatError naming the file and the key or layer."""
+    name one of the model's prunable ordinals and match that layer's width.
+    A malformed file raises FormatError naming the file and the key or layer."""
     payload = read_json(path, "switch state", "theta")
     states = []
     for layer, values in payload["theta"].items():
         try:
             states.append(SwitchState(
-                layer_index=layer,
+                layer=layer,
                 theta=np.asarray(values, dtype=np.float64),
                 alpha0=float(payload.get("alpha0")),
                 estimator=estimator if estimator is not None else AnalyticMean(),
@@ -272,17 +265,16 @@ def load_states(path, model: ModelGraph, estimator=None) -> list[SwitchState]:
         except (TypeError, ValueError):
             raise FormatError(f"{path}: switch state for layer {layer} is not a number "
                               "vector with a numeric alpha0") from None
-    states.sort(key=lambda st: st.layer_index)
-    widths = {i: model.layers[i].d for i in switch_layer_indices(model)}
+    states.sort(key=lambda st: st.layer)
+    widths = prunable_widths(model)
     for st in states:
-        if st.layer_index not in widths:
-            raise ContractError(f"switch state for layer {st.layer_index}: "
-                                f"the model has no switch layer there")
-        if st.theta.shape != (widths[st.layer_index],):
+        if st.layer >= len(widths):
+            raise ContractError(f"switch state for layer {st.layer}: the model has "
+                                f"no prunable layer {st.layer}")
+        if st.theta.shape != (widths[st.layer],):
             raise ContractError(
-                f"switch state for layer {st.layer_index} has width {st.theta.size}, "
-                f"the model's switch layer {st.layer_index} has width "
-                f"{widths[st.layer_index]}")
+                f"switch state for layer {st.layer} has width {st.theta.size}, "
+                f"the model's layer {st.layer} has width {widths[st.layer]}")
     return states
 
 
@@ -318,7 +310,7 @@ def _advance(model, states, h, start, stop, batch_size):
     """Every row of ``h``, the activation entering layer ``start``, run
     untaped to the activation entering layer ``stop``, ``batch_size`` rows at
     a time, with every switch at its posterior mean."""
-    means = {st.layer_index: st.posterior_mean() for st in states}
+    means = {st.layer: st.posterior_mean() for st in states}
     out = None
     for rows in _batches(h.shape[0], batch_size):
         part = forward(model, h[rows], switches=means, start=start, stop=stop).data
@@ -330,7 +322,7 @@ def _advance(model, states, h, start, stop, batch_size):
 
 def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
                    schedule: SwitchTrainSchedule, rng, log=None) -> list[EpochStats]:
-    """Plain SGD on theta. per_layer mode sweeps the switch layers in graph
+    """Plain SGD on theta. per_layer mode sweeps the switches in ordinal
     order, updating one layer's theta per sweep while the others sit at
     their posterior mean; joint mode updates all thetas together. Mutates
     state.theta in place and returns per-epoch statistics.
@@ -352,28 +344,26 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
     if not states:
         raise ContractError("no switch states given")
     n = x.shape[0]
-    by_index = {st.layer_index: st for st in states}
+    by_index = {st.layer: st for st in states}
     if schedule.mode == "per_layer":
-        groups = [("layer%d" % st.layer_index, [st.layer_index])
-                  for st in sorted(states, key=lambda s: s.layer_index)]
+        groups = [(f"layer{o}", [o]) for o in sorted(by_index)]
     else:
         groups = [("joint", sorted(by_index))]
-    consumers = switch_consumers(model.layers)
+    consumers = switch_consumers(model)
     bound = loss_bound(model)
     entry, start = x, 0  # every row's activation entering layer `start`
     history = []
-    step = neg_elbo_and_grads
     for g, (scope, train_indices) in enumerate(groups):
         if g > 0:
             stop = consumers[train_indices[0]]
             entry = _advance(model, states, entry, start, stop, schedule.batch_size)
             start = stop
-            step = functools.partial(_neg_elbo_and_grads, start=start)
         for epoch in range(schedule.epochs):
             t0 = time.perf_counter()
             total, nb = 0.0, 0
             for sel in _batches(n, schedule.batch_size, rng):
-                value, grads = step(states, model, entry[sel], y[sel], n, rng, train_indices)
+                value, grads = neg_elbo_and_grads(states, model, entry[sel], y[sel], n, rng,
+                                                  train_indices, start=start)
                 where = f"at epoch {epoch + 1}, batch {nb + 1}"
                 if not math.isfinite(value.neg_elbo):
                     raise NumericError(f"{scope} neg_elbo is {value.neg_elbo} {where}")

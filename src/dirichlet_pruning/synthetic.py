@@ -90,11 +90,10 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
     return task, x, y
 
 
-def task_model(task: SyntheticTask, with_switches: bool = True) -> ModelGraph:
+def task_model(task: SyntheticTask) -> ModelGraph:
     """The true weights as a model graph; the truth switch is NOT folded in,
-    so running it with switches at the truth reproduces the label process."""
-    model = build_mlp(task.d_x, task.d_h, task.w2.shape[1],
-                      rng=np.random.default_rng(0), with_switches=with_switches)
+    so running it with switch 0 at the truth reproduces the label process."""
+    model = build_mlp(task.d_x, task.d_h, task.w2.shape[1], rng=np.random.default_rng(0))
     fc = [i for i, _ in enumerate(model.layers)
           if f"layer{i}.weight" in model.weights]
     first, last = fc[0], fc[-1]

@@ -16,7 +16,7 @@ built only when the op is recorded, so an untaped or frozen forward pays
 for none of it.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
-into ``.grad`` on leaves (and on tensors with ``retain_grad`` set).
+into ``.grad`` on leaves.
 """
 
 from __future__ import annotations
@@ -66,14 +66,13 @@ class Tape:
 class Tensor:
     """n-d array of float64 in row-major order, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "retain_grad", "_tape", "_recorded")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_recorded")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.retain_grad = False
         self._tape: Optional[Tape] = None
         self._recorded = False  # True iff produced by a recorded op
 
@@ -145,8 +144,6 @@ def backward(loss: Tensor) -> None:
         if g_out is None:
             continue
         holders.pop(id(node.output), None)
-        if node.output.retain_grad:
-            _accumulate_leaf(node.output, g_out)
         for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None or not t.requires_grad:
                 continue

@@ -24,7 +24,7 @@ from dirichlet_pruning.dirichlet import (dirichlet_kl, dirichlet_log_pdf_batch,
                                          dirichlet_sample_batch)
 from dirichlet_pruning.models import (TrainSchedule, build_lenet5, build_mlp,
                                       count_flops, count_params, evaluate,
-                                      switch_layer_indices, train_model)
+                                      prunable_widths, train_model)
 from dirichlet_pruning.data import load_mnist_idx
 from dirichlet_pruning.pruning import (apply_plan, finetune, make_plan,
                                        rank_dirichlet, rank_random)
@@ -160,12 +160,12 @@ def test_criterion_2_gradient_suite():
     st = states[0]
 
     def f_theta(theta):
-        probe = SwitchState(st.layer_index, np.asarray(theta, dtype=np.float64),
+        probe = SwitchState(st.layer, np.asarray(theta, dtype=np.float64),
                             st.alpha0, st.estimator, st.kl_weight)
         return neg_elbo_and_grads([probe], model, xb, yb, 200,
                                   np.random.default_rng(0))[0].neg_elbo
 
-    elbo_err = grad_err(grads[st.layer_index], central_fd(f_theta, st.theta))
+    elbo_err = grad_err(grads[st.layer], central_fd(f_theta, st.theta))
 
     elapsed = time.perf_counter() - t0
     ok = worst_prim <= 1e-5 and elbo_err <= 1e-4 and elapsed < 60.0
@@ -308,8 +308,8 @@ def test_criterion_7_mask_remove_equivalence():
     for i in range(10):
         model = build_mlp(10, 8, 3, rng=np.random.default_rng(700 + i))
         plan = make_plan(rank_random(model, np.random.default_rng(710 + i)), rate=0.5)
-        means = {idx: np.random.default_rng(720 + i).dirichlet(np.ones(model.layers[idx].d))
-                 for idx in switch_layer_indices(model)}
+        means = {o: np.random.default_rng(720 + i).dirichlet(np.ones(w))
+                 for o, w in enumerate(prunable_widths(model))}
         xb = np.random.default_rng(730 + i).normal(size=(6, 10))
         diff = np.abs(apply_and_forward(model, plan, means, xb)
                       - masked_logits(model, plan, xb, switch_means=means)).max()
@@ -317,8 +317,8 @@ def test_criterion_7_mask_remove_equivalence():
     for i in range(10):
         model = build_lenet5([3, 4, 16, 8], rng=np.random.default_rng(740 + i))
         plan = make_plan(rank_random(model, np.random.default_rng(750 + i)), rate=0.4)
-        means = {idx: np.random.default_rng(760 + i).dirichlet(np.ones(model.layers[idx].d))
-                 for idx in switch_layer_indices(model)}
+        means = {o: np.random.default_rng(760 + i).dirichlet(np.ones(w))
+                 for o, w in enumerate(prunable_widths(model))}
         xb = np.random.default_rng(770 + i).normal(size=(2, 1, 28, 28))
         diff = np.abs(apply_and_forward(model, plan, means, xb)
                       - masked_logits(model, plan, xb, switch_means=means)).max()
@@ -394,7 +394,7 @@ def test_criterion_8_end_to_end_mnist_pruning():
     train_switches(model, states, x_tr[:2000], y_tr[:2000],
                    SwitchTrainSchedule("per_layer", 2, 100, 0.5), rng)
     plan = make_plan(rank_dirichlet(states), keep_counts=[6, 8, 40, 20])
-    means = {st.layer_index: st.posterior_mean() for st in states}
+    means = {st.layer: st.posterior_mean() for st in states}
     pruned = apply_plan(model, plan, switch_means=means)
     tuned, _ = finetune(pruned, x_tr, y_tr, x_val, y_val,
                         TrainSchedule(6 if full else 3, 100, 0.02, 0.9), rng)
@@ -432,7 +432,7 @@ def test_criterion_9_ranking_beats_random():
         train_switches(model, states, x_tr, y_tr,
                        SwitchTrainSchedule("per_layer", 4, 100, 0.5),
                        np.random.default_rng(9300 + seed))
-        means = {st.layer_index: st.posterior_mean() for st in states}
+        means = {st.layer: st.posterior_mean() for st in states}
         plan_post = make_plan(rank_dirichlet(states), rate=0.5)
         plan_rand = make_plan(rank_random(model, np.random.default_rng(9400 + seed)),
                               rate=0.5)

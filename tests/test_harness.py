@@ -18,9 +18,8 @@ from dirichlet_pruning.config import (ExperimentConfig, load_config,
 from dirichlet_pruning.data import load_mnist_idx, train_val_split
 from dirichlet_pruning.errors import (ConfigError, ContractError, FormatError,
                                       PipelineError)
-from dirichlet_pruning.models import (build_lenet5, build_mlp, evaluate, forward,
-                                      load_model, save_model,
-                                      switch_layer_indices)
+from dirichlet_pruning.models import (build_lenet5, build_mlp, forward, load_model,
+                                      save_model)
 from dirichlet_pruning.pgm import to_u8, write_pgm
 from dirichlet_pruning.pipeline import (export_feature_maps, load_dataset,
                                         run_pipeline, run_posterior_compare)
@@ -311,8 +310,7 @@ def test_synthetic_contracts():
 def test_task_model_at_truth_reproduces_labels():
     task, x, y = gen_synthetic(9, 8, 300, np.random.default_rng(9))
     model = task_model(task)
-    sw = switch_layer_indices(model)[0]
-    logits = forward(model, x, switches={sw: task.true_switch}).data
+    logits = forward(model, x, switches={0: task.true_switch}).data
     assert np.array_equal(logits.argmax(axis=1), y)
 
 
@@ -375,6 +373,24 @@ def test_pipeline_writes_switches_to_switches_path(tmp_path):
     run_pipeline(_nano_config(out, switches_path=str(target)))
     assert json.loads(target.read_text())["version"] == 1
     assert not (out / "switches.json").exists()
+
+
+def test_pipeline_artifacts_share_the_prunable_ordinals(tmp_path):
+    # switches.json, ranking.csv and plan.json all address LeNet's four
+    # prunable layers as 0..3, not by graph position
+    rng = np.random.default_rng(35)
+    pixels = rng.integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
+    ip = _write(tmp_path, "imgs.idx", _idx_images(pixels))
+    lp = _write(tmp_path, "labels.idx", _idx_labels(rng.integers(0, 10, 40)))
+    out = tmp_path / "run"
+    run_pipeline(_nano_config(out, data="mnist", arch="lenet5", widths=(2, 3, 6, 4),
+                              mnist_images=ip, mnist_labels=lp,
+                              mnist_test_images=ip, mnist_test_labels=lp))
+    ordinals = ["0", "1", "2", "3"]
+    assert sorted(json.loads((out / "switches.json").read_text())["theta"]) == ordinals
+    assert sorted(json.loads((out / "plan.json").read_text())["keep"]) == ordinals
+    rows = (out / "ranking.csv").read_text().strip().splitlines()[1:]
+    assert sorted({row.split(",")[0] for row in rows}) == ordinals
 
 
 def test_pipeline_failure_names_the_phase(tmp_path):
@@ -526,6 +542,18 @@ def test_cli_train_with_model_in_trains_further(tmp_path):
     assert cli.main(["--config", _write_cfg(tmp_path, "t2.cfg", again), "train"]) == 0
     assert len(load_model(out / "model.dpm1").metadata["training_history"]) == 1
     assert len(load_model(out / "model2.dpm1").metadata["training_history"]) == 2
+
+
+def test_cli_switch_train_on_a_pruned_model(tmp_path, capsys):
+    # a pruned model has a switch on each prunable layer like any other
+    pout = tmp_path / "pout"
+    cfg = _write_cfg(tmp_path, "p.cfg", _base_cfg_text(pout))
+    assert cli.main(["--config", cfg, "pipeline"]) == 0
+    out = tmp_path / "out"
+    again = _base_cfg_text(out) + f"model_in = {pout / 'pruned.dpm1'}\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "s.cfg", again), "switch-train"]) == 0
+    theta = json.loads((out / "switches.json").read_text())["theta"]
+    assert {k: len(v) for k, v in theta.items()} == {"0": 2}
 
 
 def test_cli_switch_train_with_zero_epochs_exits_one(tmp_path, capsys):

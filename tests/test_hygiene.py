@@ -150,3 +150,32 @@ def test_dead_public_scan_sees_unused_names():
 
 def test_no_dead_public_names():
     assert _dead_public_names(_package_sources(), _demo_sources()) == []
+
+
+def _imports_module(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` (dotted) or any name from it."""
+    package, _, leaf = module.rpartition(".")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom):
+            if node.module == module:
+                return True
+            if node.module == package and any(a.name == leaf for a in node.names):
+                return True
+    return False
+
+
+def test_import_scan_sees_every_form():
+    for source in ("from dirichlet_pruning.pruning import apply_plan\n",
+                   "import dirichlet_pruning.pruning\n",
+                   "from dirichlet_pruning import models, pruning\n"):
+        assert _imports_module(source, "dirichlet_pruning.pruning"), source
+    assert not _imports_module("from dirichlet_pruning.models import forward\n",
+                               "dirichlet_pruning.pruning")
+
+
+def test_masked_oracle_imports_nothing_from_pruning():
+    # the oracle checks apply_plan; sharing its code would share its mistakes
+    source = (ROOT / "tests" / "masked_oracle.py").read_text()
+    assert not _imports_module(source, "dirichlet_pruning.pruning")

@@ -9,13 +9,12 @@ import pytest
 
 from dirichlet_pruning.errors import ContractError, FormatError, NumericError, ShapeError
 from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
-                                      MaxPool2d, ModelGraph, Relu, Switch,
-                                      TrainSchedule,
+                                      MaxPool2d, ModelGraph, Relu, TrainSchedule,
                                       build_lenet5, build_mlp, copy_model,
                                       count_flops, count_params, evaluate,
                                       forward, load_model, propagate_shapes,
                                       prunable_indices, prunable_widths,
-                                      save_model, switch_layer_indices,
+                                      save_model, switch_consumers,
                                       train_model, validate_model)
 from dirichlet_pruning import tensor as T
 from dirichlet_pruning.synthetic import gen_synthetic
@@ -62,13 +61,10 @@ def test_lenet_minimum_widths():
 def test_lenet_structure():
     model = build_lenet5([6, 8, 40, 20], rng=np.random.default_rng(0))
     kinds = [type(l) for l in model.layers]
-    assert kinds == [Conv2d, Switch, Relu, MaxPool2d, Conv2d, Switch, Relu,
-                     MaxPool2d, Flatten, FullyConnected, Switch, Relu,
-                     FullyConnected, Switch, Relu, FullyConnected]
-    assert prunable_indices(model) == [0, 4, 9, 12]
-    assert switch_layer_indices(model) == [1, 5, 10, 13]
-    no_sw = build_lenet5([6, 8, 40, 20], rng=np.random.default_rng(0), with_switches=False)
-    assert switch_layer_indices(no_sw) == []
+    assert kinds == [Conv2d, Relu, MaxPool2d, Conv2d, Relu, MaxPool2d, Flatten,
+                     FullyConnected, Relu, FullyConnected, Relu, FullyConnected]
+    assert prunable_indices(model) == [0, 3, 7, 9]
+    assert switch_consumers(model) == [3, 7, 9, 11]
 
 
 def test_lenet_bad_widths():
@@ -120,10 +116,10 @@ def test_propagate_shapes_lenet():
     model = build_lenet5([6, 8, 40, 20], rng=np.random.default_rng(0))
     shapes = propagate_shapes(model.layers, (1, 28, 28))
     assert shapes[0] == (6, 24, 24)
-    assert shapes[3] == (6, 12, 12)
-    assert shapes[4] == (8, 8, 8)
-    assert shapes[7] == (8, 4, 4)
-    assert shapes[8] == (128,)
+    assert shapes[2] == (6, 12, 12)
+    assert shapes[3] == (8, 8, 8)
+    assert shapes[5] == (8, 4, 4)
+    assert shapes[6] == (128,)
     assert shapes[-1] == (10,)
 
 
@@ -153,30 +149,19 @@ def test_switch_at_ones_is_identity():
     model = build_lenet5([3, 4, 10, 6], rng=np.random.default_rng(5))
     x = np.random.default_rng(6).standard_normal((2, 1, 28, 28))
     plain = forward(model, x).data
-    ones = {i: np.ones(model.layers[i].d) for i in switch_layer_indices(model)}
+    ones = {o: np.ones(w) for o, w in enumerate(prunable_widths(model))}
     assert np.array_equal(forward(model, x, switches=ones).data, plain)
     # missing switch entries act as identity too
     assert np.array_equal(forward(model, x, switches={}).data, plain)
-
-
-def test_forward_collect_preacts():
-    model = build_mlp(5, 4, 2, rng=np.random.default_rng(7))
-    x = np.random.default_rng(8).standard_normal((3, 5))
-    out, preacts = forward(model, x, collect_preacts=True)
-    assert set(preacts) == set(prunable_indices(model))
-    for t in preacts.values():
-        assert t.retain_grad
-    assert out.shape == (3, 2)
 
 
 def test_forward_layer_range_composes_to_full_graph():
     model = build_lenet5([3, 4, 10, 6], rng=np.random.default_rng(10))
     x = np.random.default_rng(11).standard_normal((2, 1, 28, 28))
     rng = np.random.default_rng(12)
-    switches = {i: rng.dirichlet(np.ones(model.layers[i].d))
-                for i in switch_layer_indices(model)}
+    switches = {o: rng.dirichlet(np.ones(w)) for o, w in enumerate(prunable_widths(model))}
     full = forward(model, x, switches=switches).data
-    for cut in (1, 5, 9, 10, len(model.layers)):
+    for cut in (1, 3, 6, 7, len(model.layers)):
         head = forward(model, x, switches=switches, stop=cut)
         tail = forward(model, head, switches=switches, start=cut)
         assert np.array_equal(tail.data, full), cut
@@ -187,8 +172,9 @@ def test_forward_layer_range_composes_to_full_graph():
 
 
 def _activation_scaling_forward(model, x, switches):
-    """The forward before switches were folded into weights: each switch
-    multiplies the activations leaving its layer, channel by channel."""
+    """The forward before switches were folded into weights: switch o
+    multiplies the activations leaving prunable layer o, channel by channel."""
+    ordinal_of = {gi: o for o, gi in enumerate(prunable_indices(model))}
     h = T._lift(x)
     for i, spec in enumerate(model.layers):
         w = T._lift(model.weights.get(f"layer{i}.weight", np.zeros(0)))
@@ -203,8 +189,8 @@ def _activation_scaling_forward(model, x, switches):
             h = T.maxpool2d(h, spec.k, spec.stride)
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
-        elif i in switches:
-            h = T.broadcast_mul_channels(h, T._lift(switches[i]))
+        if ordinal_of.get(i) in switches:
+            h = T.broadcast_mul_channels(h, T._lift(switches[ordinal_of[i]]))
     return h
 
 
@@ -214,8 +200,8 @@ def _dirichlet_switch_cases():
     mlp = build_mlp(7, 9, 3, rng=rng)
     for model, x in ((lenet, rng.standard_normal((3, 1, 28, 28))),
                      (mlp, rng.standard_normal((5, 7)))):
-        switches = {i: rng.dirichlet(np.full(model.layers[i].d, 0.7))
-                    for i in switch_layer_indices(model)}
+        switches = {o: rng.dirichlet(np.full(w, 0.7))
+                    for o, w in enumerate(prunable_widths(model))}
         yield model, x, switches
 
 
@@ -246,26 +232,22 @@ def test_folded_switch_gradients_match_activation_scaling_oracle():
             np.testing.assert_allclose(grads[0][i], grads[1][i], rtol=1e-12, atol=0)
 
 
-def test_validate_model_rejects_switch_without_consumer():
-    first = {"layer0.weight": np.ones((4, 3)), "layer0.bias": np.zeros(3)}
-    last = {"layer4.weight": np.ones((3, 2)), "layer4.bias": np.zeros(2)}
-    no_consumer = ModelGraph([FullyConnected(4, 3), Switch(3), Relu()], first, (4,))
-    with pytest.raises(ContractError, match="layer 1: switch has no conv or fc"):
-        validate_model(no_consumer)
-    two_switches = ModelGraph([FullyConnected(4, 3), Switch(3), Relu(), Switch(3),
-                               FullyConnected(3, 2)], {**first, **last}, (4,))
-    with pytest.raises(ContractError, match="layer 1: switch reaches Switch at layer 3"):
-        validate_model(two_switches)
-    for model in (build_lenet5([3, 4, 10, 6]), build_mlp(5, 4, 2)):
-        validate_model(model)
-
-
 def test_forward_rejects_negative_switch_entry():
     model = build_mlp(5, 4, 2, rng=np.random.default_rng(15))
     x = np.random.default_rng(16).standard_normal((3, 5))
-    with pytest.raises(ContractError, match="switch 1 has a negative entry"):
-        forward(model, x, switches={1: np.array([0.5, 0.6, -0.2, 0.1])})
-    forward(model, x, switches={1: np.array([0.5, 0.5, 0.0, 0.0])})
+    with pytest.raises(ContractError, match="switch 0 has a negative entry"):
+        forward(model, x, switches={0: np.array([0.5, 0.6, -0.2, 0.1])})
+    forward(model, x, switches={0: np.array([0.5, 0.5, 0.0, 0.0])})
+
+
+@pytest.mark.parametrize("key", [1, 4, -1, "0"])
+def test_forward_rejects_switch_key_that_is_no_ordinal(key):
+    # a graph index or a string must not be dropped as if it were identity
+    model = build_mlp(5, 4, 2, rng=np.random.default_rng(15))
+    x = np.random.default_rng(16).standard_normal((3, 5))
+    with pytest.raises(ContractError, match=fr"switch key {key!r} is not a prunable "
+                                            r"ordinal in range\(1\)"):
+        forward(model, x, switches={key: np.full(4, 0.25)})
 
 
 def test_forward_rejects_bad_rank():
@@ -385,16 +367,31 @@ def test_load_trailing_garbage(tmp_path):
         load_model(p)
 
 
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the .dpm1 file at ``path``."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen:])
+
+
+def test_load_rejects_switch_layer_kind(tmp_path):
+    # unpruned files once held a "switch" layer after each prunable layer
+    model = build_mlp(3, 2, 2, rng=np.random.default_rng(19))
+    p = tmp_path / "m.dpm1"
+    save_model(model, p)
+    _rewrite_header(p, lambda h: h["layers"].insert(1, {"kind": "switch", "d": 2}))
+    with pytest.raises(FormatError, match="unknown layer kind 'switch'"):
+        load_model(p)
+
+
 def test_load_bad_version(tmp_path):
     model = build_mlp(3, 2, 2, rng=np.random.default_rng(19))
     p = tmp_path / "m.dpm1"
     save_model(model, p)
-    raw = bytearray(p.read_bytes())
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(bytes(raw[8:8 + hlen]))
-    header["version"] = 9
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    p.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + bytes(raw[8 + hlen:]))
+    _rewrite_header(p, lambda h: h.update(version=9))
     with pytest.raises(FormatError):
         load_model(p)
 
@@ -459,7 +456,7 @@ def test_train_model_raises_on_non_finite_loss():
                     np.random.default_rng(2))
     # a NaN loss still raises as not finite
     model = build_mlp(20, 16, 2, rng=np.random.default_rng(1))
-    model.weights["layer3.weight"][0, 0] = np.nan
+    model.weights["layer2.weight"][0, 0] = np.nan
     with pytest.raises(NumericError, match="training loss is nan at epoch 1, batch 1"):
         train_model(model, x[:100], y[:100], TrainSchedule(1, 50, 0.1, 0.9),
                     np.random.default_rng(2))

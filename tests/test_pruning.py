@@ -7,11 +7,10 @@ import pytest
 
 from dirichlet_pruning.errors import ContractError, FormatError, ShapeError
 from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
-                                      ModelGraph, Relu, Switch, TrainSchedule,
+                                      ModelGraph, Relu, TrainSchedule,
                                       build_lenet5, build_mlp, copy_model,
                                       count_params, evaluate, forward,
-                                      prunable_indices, prunable_widths,
-                                      switch_layer_indices)
+                                      prunable_widths)
 from dirichlet_pruning.pruning import (LayerRanking, PruningPlan,
                                        RankingReport, apply_plan, finetune,
                                        make_plan, plan_from_json, plan_to_json,
@@ -29,8 +28,8 @@ def _theta_for_phi(phi):
     return np.log(np.expm1(np.asarray(phi, dtype=np.float64) - _PHI_SHIFT))
 
 
-def _state(layer_index, phi):
-    return SwitchState(layer_index, _theta_for_phi(phi))
+def _state(layer, phi):
+    return SwitchState(layer, _theta_for_phi(phi))
 
 
 def _fc_chain(w1, b1, w2, b2):
@@ -49,14 +48,14 @@ def _fc_chain(w1, b1, w2, b2):
 
 
 def test_rank_dirichlet_uniform_ties_break_by_index():
-    report = rank_dirichlet([_state(1, [1.0, 1.0, 1.0])])
+    report = rank_dirichlet([_state(0, [1.0, 1.0, 1.0])])
     lr = report.layer(0)
     assert np.array_equal(lr.order, [0, 1, 2])
     np.testing.assert_allclose(lr.scores, [1 / 3] * 3, rtol=1e-14)
 
 
 def test_rank_dirichlet_orders_by_posterior_mean():
-    report = rank_dirichlet([_state(1, [1.0, 5.0, 2.0])])
+    report = rank_dirichlet([_state(0, [1.0, 5.0, 2.0])])
     lr = report.layer(0)
     assert np.array_equal(lr.order, [1, 2, 0])
     np.testing.assert_allclose(lr.scores, np.array([1.0, 5.0, 2.0]) / 8.0, atol=1e-12)
@@ -65,8 +64,8 @@ def test_rank_dirichlet_orders_by_posterior_mean():
 
 def test_rank_dirichlet_concentration_scale_invariance():
     base = np.array([1.0, 5.0, 2.0])
-    a = rank_dirichlet([_state(1, base)]).layer(0)
-    b = rank_dirichlet([_state(1, 7.0 * base)]).layer(0)
+    a = rank_dirichlet([_state(0, base)]).layer(0)
+    b = rank_dirichlet([_state(0, 7.0 * base)]).layer(0)
     assert np.array_equal(a.order, b.order)
     np.testing.assert_allclose(a.scores, b.scores, atol=1e-14)
 
@@ -77,10 +76,11 @@ def test_rank_dirichlet_empty_states_rejected():
 
 
 def test_rank_dirichlet_sorts_states_by_graph_position():
-    # handed out of order; ordinals must follow graph position
-    deep = _state(5, [1.0, 5.0, 2.0])
-    shallow = _state(1, [1.0, 1.0])
+    # handed out of order; the report follows the states' ordinals
+    deep = _state(1, [1.0, 5.0, 2.0])
+    shallow = _state(0, [1.0, 1.0])
     report = rank_dirichlet([deep, shallow])
+    assert [lr.layer for lr in report.per_layer] == [0, 1]
     assert report.layer(0).scores.size == 2
     assert report.layer(1).scores.size == 3
     with pytest.raises(ContractError):
@@ -347,9 +347,9 @@ def _random_plan(model, seed, rate=0.5):
 def _random_means(model, seed):
     rng = np.random.default_rng(seed)
     means = {}
-    for idx in switch_layer_indices(model):
-        raw = rng.uniform(0.05, 1.0, size=model.layers[idx].d)
-        means[idx] = raw / raw.sum()
+    for ordinal, width in enumerate(prunable_widths(model)):
+        raw = rng.uniform(0.05, 1.0, size=width)
+        means[ordinal] = raw / raw.sum()
     return means
 
 
@@ -365,7 +365,8 @@ def test_identity_plan_matches_mean_folded_forward():
 
 
 def test_identity_plan_without_switches_is_bitwise():
-    model = build_mlp(6, 8, 3, rng=np.random.default_rng(13), with_switches=False)
+    # no means given: apply_plan folds nothing, not a uniform 1/D
+    model = build_mlp(6, 8, 3, rng=np.random.default_rng(13))
     plan = PruningPlan({0: np.arange(8)})
     pruned = apply_plan(model, plan)
     x = np.random.default_rng(14).normal(size=(5, 6))
@@ -397,7 +398,7 @@ def test_mask_remove_agreement_lenet(seed):
 
 
 def test_mask_remove_agreement_switchless():
-    model = build_mlp(10, 8, 3, rng=np.random.default_rng(140), with_switches=False)
+    model = build_mlp(10, 8, 3, rng=np.random.default_rng(140))
     plan = _random_plan(model, 141)
     x = np.random.default_rng(142).normal(size=(6, 10))
     pruned = apply_plan(model, plan)
@@ -423,7 +424,7 @@ def test_pruned_model_structure_and_metadata():
     pruned = apply_plan(parent, plan)
     assert pruned.arch_string == "6-8-40-20"
     assert pruned.metadata["pruned_from"] == "20-50-800-500"
-    assert not any(isinstance(l, Switch) for l in pruned.layers)
+    assert [type(l) for l in pruned.layers] == [type(l) for l in parent.layers]
     assert prunable_widths(pruned) == [6, 8, 40, 20]
 
 
@@ -458,10 +459,11 @@ def test_apply_plan_rejects_incompatible_plan():
 
 def test_bad_switch_means_shape_rejected():
     model = build_mlp(6, 8, 3, rng=np.random.default_rng(191))
-    sw = switch_layer_indices(model)[0]
-    with pytest.raises(ShapeError):
-        apply_plan(model, PruningPlan({0: np.arange(8)}),
-                   switch_means={sw: np.ones(5)})
+    with pytest.raises(ShapeError, match=r"layer 0 have shape \(5,\), expected \(8,\)"):
+        apply_plan(model, PruningPlan({0: np.arange(8)}), switch_means={0: np.ones(5)})
+    with pytest.raises(ContractError, match="switch means for layer 1: the model has no "
+                                            "prunable layer 1"):
+        apply_plan(model, PruningPlan({0: np.arange(8)}), switch_means={1: np.ones(3)})
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dirichlet_pruning import tensor as T
 from dirichlet_pruning.dirichlet import dirichlet_kl
 from dirichlet_pruning.errors import ContractError, FormatError, NumericError
 from dirichlet_pruning.models import (Conv2d, FullyConnected, ModelGraph, Relu,
-                                      Switch, build_lenet5, build_mlp, forward,
-                                      switch_layer_indices)
+                                      build_lenet5, build_mlp, forward,
+                                      prunable_widths)
 from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
                                       SwitchTrainSchedule, init_switch_states,
                                       load_states, neg_elbo_and_grads,
@@ -48,7 +48,7 @@ def _small_problem(seed=40, d_x=5, d_h=4, n=60, k_classes=2):
 
 
 def test_phi_always_positive():
-    st = SwitchState(layer_index=1, theta=np.array([-1000.0, 0.0, 50.0]))
+    st = SwitchState(layer=0, theta=np.array([-1000.0, 0.0, 50.0]))
     phi = st.phi()
     assert np.all(phi > 0.0)
     assert phi[0] == pytest.approx(PHI_SHIFT)
@@ -63,7 +63,11 @@ def test_implicit_mc_requires_positive_k():
 def test_init_switch_states():
     model, _, _ = _small_problem()
     states = init_switch_states(model, alpha0=0.5)
-    assert [st.layer_index for st in states] == switch_layer_indices(model)
+    assert [st.layer for st in states] == [0]
+    assert [st.theta.size for st in states] == prunable_widths(model)
+    lenet = build_lenet5([3, 4, 8, 6], rng=np.random.default_rng(41))
+    assert [(st.layer, st.theta.size) for st in init_switch_states(lenet)] == [
+        (0, 3), (1, 4), (2, 8), (3, 6)]
     for st in states:
         assert np.allclose(st.phi(), 1.0, atol=1e-9)
     with pytest.raises(ContractError):
@@ -71,7 +75,7 @@ def test_init_switch_states():
 
 
 def test_posterior_report_uniform():
-    st = SwitchState(layer_index=0, theta=_theta_for_phi(np.full(4, 0.5)), alpha0=0.5)
+    st = SwitchState(layer=0, theta=_theta_for_phi(np.full(4, 0.5)), alpha0=0.5)
     mean, std = posterior_report(st)
     assert np.allclose(mean, 0.25, atol=1e-12)
     assert np.all(std > 0.0)
@@ -79,8 +83,8 @@ def test_posterior_report_uniform():
 
 def test_posterior_mean_ranking_scale_invariant():
     phi = np.array([0.4, 2.2, 1.1, 0.7])
-    st1 = SwitchState(layer_index=0, theta=_theta_for_phi(phi))
-    st2 = SwitchState(layer_index=0, theta=_theta_for_phi(7.0 * phi))
+    st1 = SwitchState(layer=0, theta=_theta_for_phi(phi))
+    st2 = SwitchState(layer=0, theta=_theta_for_phi(7.0 * phi))
     m1, _ = posterior_report(st1)
     m2, _ = posterior_report(st2)
     assert np.array_equal(np.argsort(-m1), np.argsort(-m2))
@@ -144,13 +148,13 @@ def test_train_indices_must_name_switch_states():
     states = init_switch_states(model)
     with pytest.raises(ContractError, match=r"\[7\] name no switch state"):
         neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0),
-                           train_indices=[states[0].layer_index, 7])
+                           train_indices=[states[0].layer, 7])
 
 
 def test_analytic_grad_matches_fd():
     model, x, y = _small_problem(seed=43)
     states = init_switch_states(model, estimator=AnalyticMean())
-    idx = states[0].layer_index
+    idx = states[0].layer
     theta0 = states[0].theta.copy()
     _, grads = neg_elbo_and_grads(states, model, x[:25], y[:25], 60,
                                   np.random.default_rng(0))
@@ -205,11 +209,11 @@ def test_implicit_mc_underflowed_draws_raise_numeric_error():
 def _per_sample_oracle(model, states, train_set, xb, yb, draws):
     """The estimator before batching: k full forward passes, each on its own
     tape, with the chain rule to theta applied sample by sample. ``draws``
-    maps layer index to the (S, Y, dY/dphi) arrays the batched estimator
+    maps ordinal to the (S, Y, dY/dphi) arrays the batched estimator
     drew; only the raw Gamma values and their gradients are used."""
-    by_index = {st.layer_index: st for st in states}
-    mean_switches = {st.layer_index: st.posterior_mean()
-                     for st in states if st.layer_index not in train_set}
+    by_index = {st.layer: st for st in states}
+    mean_switches = {st.layer: st.posterior_mean()
+                     for st in states if st.layer not in train_set}
     k = len(next(iter(draws.values()))[1])
     nll_acc = 0.0
     grads = {idx: np.zeros_like(by_index[idx].theta) for idx in train_set}
@@ -251,12 +255,12 @@ def _taped_mean_oracle(model, states, train_set, xb, yb):
     switches = {}
     with Tape():
         for st in states:
-            if st.layer_index in train_set:
+            if st.layer in train_set:
                 th = Tensor(st.theta, requires_grad=True)
-                switches[st.layer_index] = _taped_mean(th)
-                theta_t[st.layer_index] = th
+                switches[st.layer] = _taped_mean(th)
+                theta_t[st.layer] = th
             else:
-                switches[st.layer_index] = st.posterior_mean()
+                switches[st.layer] = st.posterior_mean()
         logits = forward(model, xb, switches=switches)
         nll = T.softmax_cross_entropy(logits, yb)
     T.backward(nll)
@@ -268,10 +272,10 @@ def _assert_matches_oracle(model, states, train_set, xb, yb):
     or the taped-mean oracle (AnalyticMean), on the same draws."""
     assert any(np.any(st.theta < 0.0) for st in states)
     rng = np.random.default_rng(60)
-    draws = {st.layer_index: st.estimator.draw(st.phi(), rng)
-             for st in states if st.layer_index in train_set}
+    draws = {st.layer: st.estimator.draw(st.phi(), rng)
+             for st in states if st.layer in train_set}
     nll, dphi = switch_module._nll_and_grads(model, states, xb, yb, draws)
-    by_index = {st.layer_index: st for st in states}
+    by_index = {st.layer: st for st in states}
     grads = {idx: g * switch_module._sigmoid_np(by_index[idx].theta) for idx, g in dphi.items()}
     if isinstance(states[0].estimator, AnalyticMean):
         nll_ref, grads_ref = _taped_mean_oracle(model, states, train_set, xb, yb)
@@ -294,14 +298,14 @@ def _mlp_per_layer_case(estimator):
     model, x, y = _small_problem(seed=53, d_x=7, d_h=6, n=30, k_classes=3)
     states = init_switch_states(model, estimator=estimator)
     _spread_thetas(states, 54)
-    return model, states, {1}, x, y
+    return model, states, {0}, x, y
 
 
 def _mlp_joint_case(estimator):
     model, x, y = _two_switch_model()
     states = init_switch_states(model, estimator=estimator)
     _spread_thetas(states, 55)
-    return model, states, {1, 4}, x[:40], y[:40]
+    return model, states, {0, 1}, x[:40], y[:40]
 
 
 def _lenet_third_switch_case(estimator):
@@ -312,9 +316,7 @@ def _lenet_third_switch_case(estimator):
     y = rng.integers(0, 10, 6)
     states = init_switch_states(model, estimator=estimator)
     _spread_thetas(states, 57)
-    third = switch_layer_indices(model)[2]
-    assert any(st.layer_index < third for st in states)
-    return model, states, {third}, x, y
+    return model, states, {2}, x, y
 
 
 def test_implicit_mc_matches_per_sample_oracle_mlp_per_layer():
@@ -344,7 +346,7 @@ def test_trained_states_with_different_k_rejected():
         neg_elbo_and_grads(states, model, x[:20], y[:20], 400, np.random.default_rng(0))
     # a layer held at its posterior mean does not take part
     neg_elbo_and_grads(states, model, x[:20], y[:20], 400, np.random.default_rng(0),
-                       train_indices=[states[0].layer_index])
+                       train_indices=[states[0].layer])
 
 
 def test_no_model_weight_gradients_with_frozen_weights():
@@ -353,7 +355,7 @@ def test_no_model_weight_gradients_with_frozen_weights():
     st = init_switch_states(model, estimator=AnalyticMean())[0]
     th = Tensor(st.theta, requires_grad=True)
     with Tape():
-        logits = forward(model, x[:10], switches={st.layer_index: _taped_mean(th)},
+        logits = forward(model, x[:10], switches={st.layer: _taped_mean(th)},
                          params=weight_tensors)
         loss = T.softmax_cross_entropy(logits, y[:10])
     T.backward(loss)
@@ -417,8 +419,8 @@ def test_kl_gradient_only_for_trained_layers(monkeypatch):
                         lambda *a: psi_calls.append(a[1:]) or psi(*a))
     value, grads = neg_elbo_and_grads(states, model, x[:10], y[:10], 40,
                                       np.random.default_rng(0),
-                                      train_indices=[states[1].layer_index])
-    assert list(grads) == [states[1].layer_index]
+                                      train_indices=[states[1].layer])
+    assert list(grads) == [states[1].layer]
     assert len(kl_calls) == 4 and psi_calls == [(True, True)] * 4
     # the KL term still sums every layer, trained or not
     expected_kl = sum(kl(st.phi(), np.full(st.theta.shape, st.alpha0))[0] for st in states)
@@ -434,9 +436,9 @@ def test_kl_gradient_only_for_trained_layers(monkeypatch):
 
 def test_train_switches_raises_on_non_finite_neg_elbo():
     model, x, y = _small_problem(seed=51)
-    model.weights["layer3.weight"][0, 0] = np.nan
+    model.weights["layer2.weight"][0, 0] = np.nan
     states = init_switch_states(model)
-    with pytest.raises(NumericError, match="layer1 neg_elbo is nan at epoch 1, batch 1"):
+    with pytest.raises(NumericError, match="layer0 neg_elbo is nan at epoch 1, batch 1"):
         train_switches(model, states, x, y, SwitchTrainSchedule(batch_size=20),
                        np.random.default_rng(52))
 
@@ -444,9 +446,9 @@ def test_train_switches_raises_on_non_finite_neg_elbo():
 def test_train_switches_raises_on_diverged_expected_nll():
     # logits scaled by 1e12 give a finite NLL far above 1e9 * log(2)
     model, x, y = _small_problem(seed=51)
-    model.weights["layer3.weight"] = model.weights["layer3.weight"] * 1e12
+    model.weights["layer2.weight"] = model.weights["layer2.weight"] * 1e12
     states = init_switch_states(model)
-    with pytest.raises(NumericError, match=r"layer1 expected NLL \S+ exceeds the divergence "
+    with pytest.raises(NumericError, match=r"layer0 expected NLL \S+ exceeds the divergence "
                                            r"bound 6\.93147e\+08 at epoch 1, batch 1"):
         train_switches(model, states, x, y, SwitchTrainSchedule(batch_size=20),
                        np.random.default_rng(52))
@@ -454,11 +456,12 @@ def test_train_switches_raises_on_diverged_expected_nll():
 
 def _per_layer_from_x(model, states, x, y, schedule, rng):
     """per_layer training as it ran before sweeps were chained: every batch
-    of every sweep runs the graph from x through ``neg_elbo_and_grads``.
+    of every sweep runs the graph from x through ``neg_elbo_and_grads``
+    with the default ``start``.
     Returns each epoch's mean neg_elbo."""
     n = x.shape[0]
     means = []
-    for st in sorted(states, key=lambda s: s.layer_index):
+    for st in sorted(states, key=lambda s: s.layer):
         for _ in range(schedule.epochs):
             idx = np.arange(n)
             rng.shuffle(idx)
@@ -466,8 +469,8 @@ def _per_layer_from_x(model, states, x, y, schedule, rng):
             for lo in range(0, n, schedule.batch_size):
                 sel = idx[lo:lo + schedule.batch_size]
                 value, grads = neg_elbo_and_grads(states, model, x[sel], y[sel], n, rng,
-                                                  train_indices=[st.layer_index])
-                st.theta = st.theta - schedule.lr * grads[st.layer_index]
+                                                  train_indices=[st.layer])
+                st.theta = st.theta - schedule.lr * grads[st.layer]
                 total += value.neg_elbo
             means.append(total / math.ceil(n / schedule.batch_size))
     return means
@@ -488,7 +491,7 @@ def test_chained_sweeps_match_sweeps_from_x(estimator, arch, monkeypatch):
     states = init_switch_states(model, estimator=estimator)
     _spread_thetas(states, 59)
     thetas = [st.theta.copy() for st in states]
-    ref_states = [SwitchState(st.layer_index, st.theta.copy(), st.alpha0, st.estimator)
+    ref_states = [SwitchState(st.layer, st.theta.copy(), st.alpha0, st.estimator)
                   for st in states]
     entries = []
     advance = switch_module._advance
@@ -522,8 +525,8 @@ def test_kl_descends_when_loss_ignores_switch():
     # zeroing the output layer makes the logits constant in s, so the only
     # gradient left is the KL pull toward the symmetric prior
     model, x, y = _small_problem(seed=49, n=100)
-    model.weights["layer3.weight"] = np.zeros_like(model.weights["layer3.weight"])
-    model.weights["layer3.bias"] = np.zeros_like(model.weights["layer3.bias"])
+    model.weights["layer2.weight"] = np.zeros_like(model.weights["layer2.weight"])
+    model.weights["layer2.bias"] = np.zeros_like(model.weights["layer2.bias"])
     states = init_switch_states(model, alpha0=0.5, estimator=AnalyticMean())
     st = states[0]
     prior = np.full(st.theta.shape, st.alpha0)
@@ -552,8 +555,7 @@ def _two_switch_model():
     """Three-layer dense net with planted channel importances in both
     switch-bearing layers: the last channels barely reach the logits."""
     rng = np.random.default_rng(33)
-    layers = [FullyConnected(10, 6), Switch(6), Relu(),
-              FullyConnected(6, 5), Switch(5), Relu(),
+    layers = [FullyConnected(10, 6), Relu(), FullyConnected(6, 5), Relu(),
               FullyConnected(5, 3)]
     w1 = rng.standard_normal((10, 6))
     w2 = rng.standard_normal((6, 5))
@@ -562,8 +564,8 @@ def _two_switch_model():
     w3[2:, :] *= 0.02
     weights = {
         "layer0.weight": w1, "layer0.bias": np.zeros(6),
-        "layer3.weight": w2, "layer3.bias": np.zeros(5),
-        "layer6.weight": w3, "layer6.bias": np.zeros(3),
+        "layer2.weight": w2, "layer2.bias": np.zeros(5),
+        "layer4.weight": w3, "layer4.bias": np.zeros(3),
     }
     model = ModelGraph(layers, weights, (10,))
     x = rng.standard_normal((400, 10))
@@ -616,24 +618,22 @@ def test_load_states_rejects_widths_of_another_model(tmp_path):
     save_states(init_switch_states(trained), path)
     assert len(load_states(path, trained)) == 4
     model = build_lenet5((10, 25, 400, 250), rng=np.random.default_rng(53))
-    first = switch_layer_indices(model)[0]
     with pytest.raises(ContractError,
-                       match=f"layer {first} has width 20, the model's switch layer {first} "
-                             f"has width 10"):
+                       match="layer 0 has width 20, the model's layer 0 has width 10"):
         load_states(path, model)
 
 
 @pytest.mark.parametrize("text,match", [
     ('{"version": 1, "alpha0": 0.5}', "switch state has no 'theta' object"),
-    ('{"version": 1, "theta": {"1": [0, 0, 0, 0]}}', "with a numeric alpha0"),
-    ('{"version": 1, "alpha0": 0.5, "theta": {"1": [0, 0', "not valid JSON"),
+    ('{"version": 1, "theta": {"0": [0, 0, 0, 0]}}', "with a numeric alpha0"),
+    ('{"version": 1, "alpha0": 0.5, "theta": {"0": [0, 0', "not valid JSON"),
     ('{"version": 1, "alpha0": 0.5, "theta": [0]}', "no 'theta' object"),
     ('{"version": 1, "alpha0": 0.5, "theta": {"one": [0, 0, 0, 0]}}',
      "keys \\['one'\\] are not distinct layer indices"),
-    ('{"version": 1, "alpha0": 0.5, "theta": {"1": [0, 0, 0, 0], "01": [0, 0, 0, 0]}}',
-     "keys \\['01', '1'\\] are not distinct layer indices"),
-    ('{"version": 1, "alpha0": 0.5, "theta": {"1": ["a", 0, 0, 0]}}',
-     "switch state for layer 1 is not a number vector"),
+    ('{"version": 1, "alpha0": 0.5, "theta": {"0": [0, 0, 0, 0], "00": [0, 0, 0, 0]}}',
+     "keys \\['0', '00'\\] are not distinct layer indices"),
+    ('{"version": 1, "alpha0": 0.5, "theta": {"0": ["a", 0, 0, 0]}}',
+     "switch state for layer 0 is not a number vector"),
 ], ids=["no-theta", "no-alpha0", "truncated", "theta-not-an-object", "bad-layer",
         "repeated-layer", "bad-value"])
 def test_load_states_malformed_file_rejected(tmp_path, text, match):
@@ -648,8 +648,8 @@ def test_load_states_malformed_file_rejected(tmp_path, text, match):
 def test_load_states_rejects_state_off_the_switch_layers(tmp_path):
     model, _, _ = _small_problem(seed=54)
     states = init_switch_states(model)
-    states[0].layer_index = 0  # the first linear layer, not a switch
+    states[0].layer = 1  # one past the MLP's only prunable layer
     path = tmp_path / "switches.json"
     save_states(states, path)
-    with pytest.raises(ContractError, match="layer 0: the model has no switch layer there"):
+    with pytest.raises(ContractError, match="layer 1: the model has no prunable layer 1"):
         load_states(path, model)
