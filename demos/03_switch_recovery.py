@@ -28,20 +28,23 @@ print("true switch:", np.round(task.true_switch, 4))
 print("near-zero channels:", np.nonzero(task.true_switch < 1e-3)[0].tolist())
 
 
-def run(estimator, schedule, seed):
+def run(schedule, seed):
     model = task_model(task)
-    states = init_switch_states(
-        model, alpha0=0.5, estimator=estimator, kl_weight=1.0 / N)
+    states = init_switch_states(model)
     train_switches(model, states, x, y, schedule, np.random.default_rng(seed))
     hidden = next(s for s in states if s.layer == 0)  # the only prunable layer
     return posterior_report(hidden)
 
 
-am_sched = SwitchTrainSchedule(mode="per_layer", epochs=8, batch_size=100, lr=0.5)
-mean_am, std_am = run(AnalyticMean(), am_sched, seed=11)
+# a schedule holds every setting of a run, the estimator, the prior
+# Dir(alpha0) and the KL weight among them; a layer's state is its theta
+am_sched = SwitchTrainSchedule(mode="per_layer", epochs=8, batch_size=100, lr=0.5,
+                               estimator=AnalyticMean(), alpha0=0.5, kl_weight=1.0 / N)
+mean_am, std_am = run(am_sched, seed=11)
 
-mc_sched = SwitchTrainSchedule(mode="per_layer", epochs=3, batch_size=100, lr=3.0)
-mean_mc, std_mc = run(ImplicitMC(k=10), mc_sched, seed=12)
+mc_sched = SwitchTrainSchedule(mode="per_layer", epochs=3, batch_size=100, lr=3.0,
+                               estimator=ImplicitMC(k=10), alpha0=0.5, kl_weight=1.0 / N)
+mean_mc, std_mc = run(mc_sched, seed=12)
 
 rho_am = spearmanr(mean_am, task.true_switch).statistic
 rho_mc = spearmanr(mean_mc, task.true_switch).statistic

@@ -20,11 +20,10 @@ from .models import evaluate, save_model
 from .pipeline import (artifact_path, build_or_load_model, export_feature_maps,
                        finetune_from_config, load_dataset, plan_from_config,
                        prune_with_states, rank_by_method, run_pipeline,
-                       run_posterior_compare, switch_states_from_config,
-                       train_from_config, train_switches_from_config,
-                       write_resolved_config)
+                       run_posterior_compare, train_from_config,
+                       train_switches_from_config, write_resolved_config)
 from .pruning import plan_from_json, plan_to_json, ranking_from_csv, ranking_to_csv
-from .switch import load_states, save_states
+from .switch import init_switch_states, load_states, save_states
 
 
 def _existing_path(cfg, key, default_name):
@@ -53,7 +52,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 
 def cmd_switch_train(cfg: ExperimentConfig) -> None:
     rng, dataset, model = _setup(cfg)
-    states = switch_states_from_config(cfg, model)
+    states = init_switch_states(model)
     if not states:
         raise ContractError("model has no prunable layer to put a switch on")
     # epochs = 0 is an error here, not a skip: the schedule rejects it

@@ -89,6 +89,8 @@ def _spec_to_dict(spec) -> dict:
 
 
 def _spec_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise FormatError(f"layer entry {d!r} is not an object")
     d = dict(d)
     kind = d.pop("kind")
     if kind not in _KIND_TO_CLS:
@@ -401,25 +403,42 @@ def load_model(path) -> ModelGraph:
         header = json.loads(raw[8:8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"bad JSON header at byte 8: {e}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     if header.get("version") != 1:
         raise FormatError(f"unsupported version {header.get('version')!r}")
-    layers = [_spec_from_dict(d) for d in header["layers"]]
+    parsed = {}
+    for key, parse in (("layers", lambda v: [_spec_from_dict(d) for d in v]),
+                       ("weights", lambda v: [(e["name"], tuple(e["shape"])) for e in v]),
+                       ("input_shape", tuple)):
+        if key not in header:
+            raise FormatError(f"{path}: header has no {key!r}")
+        try:
+            parsed[key] = parse(header[key])
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{path}: header {key!r} is malformed "
+                              f"({type(e).__name__}: {e})") from None
     offset = 8 + hlen
     weights = {}
-    for entry in header["weights"]:
-        shape = tuple(entry["shape"])
+    for name, shape in parsed["weights"]:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise FormatError(f"{path}: header 'weights': {name} has shape {list(shape)}")
         nbytes = int(np.prod(shape)) * 8 if shape else 8
         if len(raw) < offset + nbytes:
             raise FormatError(
-                f"file truncated at byte {len(raw)}: weight {entry['name']} "
+                f"file truncated at byte {len(raw)}: weight {name} "
                 f"needs bytes [{offset}, {offset + nbytes})")
-        weights[entry["name"]] = np.frombuffer(
+        weights[name] = np.frombuffer(
             raw[offset:offset + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
     if offset != len(raw):
         raise FormatError(f"trailing {len(raw) - offset} bytes at byte {offset}")
-    model = ModelGraph(layers, weights, tuple(header["input_shape"]), header.get("metadata", {}))
-    validate_model(model)
+    model = ModelGraph(parsed["layers"], weights, parsed["input_shape"],
+                       header.get("metadata", {}))
+    try:
+        validate_model(model)
+    except ShapeError as e:
+        raise FormatError(f"{path}: {e}") from None
     return model
 
 

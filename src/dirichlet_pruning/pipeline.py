@@ -33,7 +33,7 @@ from .pgm import to_u8, write_pgm
 from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
                       make_plan, plan_to_json, rank_derivative, rank_dirichlet,
                       rank_magnitude, rank_random, ranking_to_csv)
-from .switch import (AnalyticMean, ImplicitMC, SwitchState, SwitchTrainSchedule,
+from .switch import (AnalyticMean, ImplicitMC, SwitchTrainSchedule,
                      init_switch_states, posterior_report, save_states,
                      train_switches)
 from .synthetic import gen_synthetic, task_model
@@ -138,19 +138,14 @@ def estimator_from(cfg: ExperimentConfig):
     raise choice_error(cfg, "estimator")
 
 
-def switch_states_from_config(cfg: ExperimentConfig, model: ModelGraph) -> list[SwitchState]:
-    """Untrained switch posteriors with the configured prior, estimator and
-    KL weight; a negative kl_weight selects the default 1/n."""
-    return init_switch_states(model, alpha0=cfg.alpha0, estimator=estimator_from(cfg),
-                              kl_weight=None if cfg.kl_weight < 0 else cfg.kl_weight)
-
-
 def train_switches_from_config(cfg: ExperimentConfig, model: ModelGraph, states,
                                x, y, rng, log=None):
-    """Fit the switch posteriors under the configured SwitchTrainSchedule."""
-    return train_switches(model, states, x, y,
-                          SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr),
-                          rng, log=log)
+    """Fit the switch posteriors under the configured SwitchTrainSchedule; a
+    negative kl_weight selects the default 1/n."""
+    schedule = SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr,
+                                   estimator_from(cfg), cfg.alpha0,
+                                   None if cfg.kl_weight < 0 else cfg.kl_weight)
+    return train_switches(model, states, x, y, schedule, rng, log=log)
 
 
 def rank_by_method(cfg: ExperimentConfig, model: ModelGraph, states,
@@ -225,7 +220,7 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
         baseline_error = evaluate(model, dataset.x_test, dataset.y_test)
 
     with phases.run("switch_train"):
-        states = switch_states_from_config(cfg, model)
+        states = init_switch_states(model)
         if states and cfg.epochs > 0:
             train_switches_from_config(cfg, model, states, dataset.x_train,
                                        dataset.y_train, rng, log)
@@ -309,7 +304,7 @@ def run_posterior_compare(cfg: ExperimentConfig, log=None) -> PosteriorCompareRe
 
     def train(estimator, seed):
         run_cfg = dataclasses.replace(cfg, estimator=estimator)
-        states = switch_states_from_config(run_cfg, model)
+        states = init_switch_states(model)
         hist = train_switches_from_config(run_cfg, model, states, x, y,
                                           np.random.default_rng(seed), log)
         mean, std = posterior_report(states[0])

@@ -8,8 +8,11 @@ Dir(alpha0). The objective on a minibatch is
 
     neg_elbo = E_q[ NLL(batch) ] + kl_weight * sum_l KL(q_l || prior_l)
 
-with kl_weight defaulting to 1/dataset_size. Both gradient estimators run
-the same path; they differ only in the rows they draw for each trained layer:
+with kl_weight defaulting to 1/dataset_size. A layer's state is its theta
+alone: alpha0, kl_weight and the gradient estimator are settings of the run,
+held by ``SwitchTrainSchedule`` with mode, epochs, batch size and lr. Both
+estimators run the same path; they differ only in the rows they draw for
+each trained layer:
 
   - ImplicitMC(k): k reparameterized posterior samples. Each switch sample
     is s = y / sum(y) with y ~ Gamma(phi, 1), and dy/dphi are the analytic
@@ -37,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +75,6 @@ class ImplicitMC:
         return dirichlet_sample_batch(phi, self.k, rng)
 
 
-def _softplus_np(x):
-    return np.logaddexp(0.0, x)
-
-
 def _sigmoid_np(x):
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -91,39 +90,57 @@ class SwitchState:
 
     layer: int
     theta: np.ndarray
-    alpha0: float = 0.5
-    estimator: object = field(default_factory=AnalyticMean)
-    kl_weight: float | None = None
 
     def phi(self) -> np.ndarray:
-        return _softplus_np(self.theta) + _PHI_SHIFT
+        return np.logaddexp(0.0, self.theta) + _PHI_SHIFT  # softplus
 
     def posterior_mean(self) -> np.ndarray:
         phi = self.phi()
         return phi / phi.sum()
 
 
-def init_switch_states(model: ModelGraph, alpha0: float = 0.5,
-                       estimator=None, kl_weight: float | None = None) -> list[SwitchState]:
+def init_switch_states(model: ModelGraph) -> list[SwitchState]:
     """One state per prunable layer, every concentration starting at
     softplus(theta)+1e-6 with theta = softplus_inv(1)."""
-    if alpha0 <= 0.0:
-        raise ContractError(f"alpha0 must be > 0, got {alpha0}")
-    states = []
-    for ordinal, width in enumerate(prunable_widths(model)):
-        states.append(SwitchState(
-            layer=ordinal,
-            theta=np.full(width, _THETA_INIT),
-            alpha0=alpha0,
-            estimator=estimator if estimator is not None else AnalyticMean(),
-            kl_weight=kl_weight,
-        ))
-    return states
+    return [SwitchState(ordinal, np.full(width, _THETA_INIT))
+            for ordinal, width in enumerate(prunable_widths(model))]
 
 
 def posterior_report(state: SwitchState) -> tuple[np.ndarray, np.ndarray]:
     """(mean, marginal std) of the switch posterior, each of layer width."""
     return state.posterior_mean(), dirichlet_marginal_std(state.phi())
+
+
+SWITCH_MODES = ("per_layer", "joint")
+
+
+@dataclass(frozen=True)
+class SwitchTrainSchedule:
+    """The settings of one switch-training run, shared by every layer:
+    the SGD schedule, the gradient estimator, the symmetric prior Dir(alpha0)
+    and the KL weight (None means 1/n for n training rows)."""
+
+    mode: str = "per_layer"  # one of SWITCH_MODES
+    epochs: int = 1
+    batch_size: int = 100
+    lr: float = 0.1
+    estimator: AnalyticMean | ImplicitMC = AnalyticMean()
+    alpha0: float = 0.5
+    kl_weight: float | None = None
+
+    def __post_init__(self):
+        kl = self.kl_weight
+        for key, ok, need in (
+                ("mode", self.mode in SWITCH_MODES, f"one of {', '.join(SWITCH_MODES)}"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("lr", self.lr > 0.0, "> 0"),
+                ("estimator", isinstance(self.estimator, (AnalyticMean, ImplicitMC)),
+                 "AnalyticMean or ImplicitMC"),
+                ("alpha0", math.isfinite(self.alpha0) and self.alpha0 > 0.0, "finite and > 0"),
+                ("kl_weight", kl is None or (math.isfinite(kl) and kl >= 0.0),
+                 "None (1/n) or finite and >= 0")):
+            if not ok:
+                raise ContractError(f"{key} must be {need}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -132,16 +149,6 @@ class SwitchObjectiveValue:
     expected_nll: float
     kl_term: float
     kl_weight: float
-
-
-def _resolve_kl_weight(states, dataset_size):
-    if dataset_size < 1:
-        raise ContractError(f"dataset_size must be >= 1, got {dataset_size}")
-    weights = {st.kl_weight for st in states}
-    if len(weights) != 1:
-        raise ContractError("states disagree on kl_weight")
-    (w,) = weights
-    return 1.0 / dataset_size if w is None else float(w)
 
 
 def _check_batch(xb, yb):
@@ -195,37 +202,34 @@ def _nll_and_grads(model, states, hb, yb, draws, start=0):
 
 
 def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=None,
-                       *, start=0):
+                       *, start=0, schedule=SwitchTrainSchedule()):
     """Minibatch objective and d(neg_elbo)/d(theta) for the trained layers.
 
     ``hb`` is the batch's activation entering layer ``start`` (the input
     batch by default), which must not lie after the first trained switch's
     consumer. train_indices selects which switches, by ordinal, carry
     gradients (all by default); the others run at their posterior mean.
+    The estimator, alpha0 and kl_weight come from ``schedule``.
     """
     hb, yb = _check_batch(hb, yb)
     if not states:
         raise ContractError("no switch states given")
-    kl_weight = _resolve_kl_weight(states, dataset_size)
-    train_set = set(train_indices) if train_indices is not None \
-        else {st.layer for st in states}
-    by_index = {st.layer: st for st in states}
-    if not train_set <= by_index.keys():
-        raise ContractError(f"train_indices {sorted(train_set - by_index.keys())} "
-                            "name no switch state")
-    estimators = {by_index[idx].estimator for idx in train_set}
-    if len(estimators) != 1:
-        raise ContractError(f"trained states must share one estimator, got {estimators}")
-    (estimator,) = estimators
+    if dataset_size < 1:
+        raise ContractError(f"dataset_size must be >= 1, got {dataset_size}")
+    kl_weight = 1.0 / dataset_size if schedule.kl_weight is None else schedule.kl_weight
     phis = {st.layer: st.phi() for st in states}
-    draws = {idx: estimator.draw(phis[idx], rng) for idx in sorted(train_set)}
+    train_set = set(phis) if train_indices is None else set(train_indices)
+    if not train_set <= phis.keys():
+        raise ContractError(f"train_indices {sorted(train_set - phis.keys())} "
+                            "name no switch state")
+    draws = {idx: schedule.estimator.draw(phis[idx], rng) for idx in sorted(train_set)}
     nll, nll_grads = _nll_and_grads(model, states, hb, yb, draws, start)
     # the KL sums every layer; its phi gradient is kept for the trained ones,
     # and both phi gradients reach theta through one dphi/dtheta = sigmoid
     kl, grads = 0.0, {}
     for st in states:
         phi = phis[st.layer]
-        layer_kl, kl_grad = dirichlet_kl(phi, np.full_like(phi, st.alpha0))
+        layer_kl, kl_grad = dirichlet_kl(phi, np.full_like(phi, schedule.alpha0))
         kl += layer_kl
         if st.layer in train_set:
             sig = _sigmoid_np(st.theta)
@@ -234,68 +238,40 @@ def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=N
 
 
 def save_states(states: list[SwitchState], path) -> None:
-    """Thetas and prior as JSON; the estimator is a training-time choice and
-    is not persisted."""
-    payload = {
-        "version": 1,
-        "alpha0": states[0].alpha0 if states else 0.5,
-        "kl_weight": states[0].kl_weight if states else None,
-        "theta": {str(st.layer): [float(v) for v in st.theta] for st in states},
-    }
+    """Each layer's theta as JSON, keyed by ordinal. The run's settings
+    (alpha0, kl_weight, estimator) are in its resolved config, not here."""
+    payload = {"version": 1, "theta": {str(st.layer): st.theta.tolist() for st in states}}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def load_states(path, model: ModelGraph, estimator=None) -> list[SwitchState]:
+def load_states(path, model: ModelGraph) -> list[SwitchState]:
     """Read states written by ``save_states`` for ``model``: every state must
     name one of the model's prunable ordinals and match that layer's width.
-    A malformed file raises FormatError naming the file and the key or layer."""
+    A malformed file or a non-finite theta raises FormatError naming the file
+    and the key or layer; other keys (older files hold alpha0) are ignored."""
     payload = read_json(path, "switch state", "theta")
+    widths = prunable_widths(model)
     states = []
-    for layer, values in payload["theta"].items():
+    for layer, values in sorted(payload["theta"].items()):
         try:
-            states.append(SwitchState(
-                layer=layer,
-                theta=np.asarray(values, dtype=np.float64),
-                alpha0=float(payload.get("alpha0")),
-                estimator=estimator if estimator is not None else AnalyticMean(),
-                kl_weight=payload.get("kl_weight"),
-            ))
+            theta = np.asarray(values, dtype=np.float64)
         except (TypeError, ValueError):
             raise FormatError(f"{path}: switch state for layer {layer} is not a number "
-                              "vector with a numeric alpha0") from None
-    states.sort(key=lambda st: st.layer)
-    widths = prunable_widths(model)
-    for st in states:
-        if st.layer >= len(widths):
-            raise ContractError(f"switch state for layer {st.layer}: the model has "
-                                f"no prunable layer {st.layer}")
-        if st.theta.shape != (widths[st.layer],):
+                              "vector") from None
+        if not np.isfinite(theta).all():
+            raise FormatError(f"{path}: switch state for layer {layer} holds a "
+                              "non-finite theta")
+        if layer >= len(widths):
+            raise ContractError(f"switch state for layer {layer}: the model has "
+                                f"no prunable layer {layer}")
+        if theta.shape != (widths[layer],):
             raise ContractError(
-                f"switch state for layer {st.layer} has width {st.theta.size}, "
-                f"the model's layer {st.layer} has width {widths[st.layer]}")
+                f"switch state for layer {layer} has width {theta.size}, "
+                f"the model's layer {layer} has width {widths[layer]}")
+        states.append(SwitchState(layer, theta))
     return states
-
-
-SWITCH_MODES = ("per_layer", "joint")
-
-
-@dataclass
-class SwitchTrainSchedule:
-    mode: str = "per_layer"  # one of SWITCH_MODES
-    epochs: int = 1
-    batch_size: int = 100
-    lr: float = 0.1
-
-    def __post_init__(self):
-        if self.mode not in SWITCH_MODES:
-            raise ContractError(f"mode must be one of {', '.join(SWITCH_MODES)}, "
-                                f"got {self.mode!r}")
-        if self.epochs < 1:
-            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0.0:
-            raise ContractError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -363,7 +339,8 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
             total, nb = 0.0, 0
             for sel in _batches(n, schedule.batch_size, rng):
                 value, grads = neg_elbo_and_grads(states, model, entry[sel], y[sel], n, rng,
-                                                  train_indices, start=start)
+                                                  train_indices, start=start,
+                                                  schedule=schedule)
                 where = f"at epoch {epoch + 1}, batch {nb + 1}"
                 if not math.isfinite(value.neg_elbo):
                     raise NumericError(f"{scope} neg_elbo is {value.neg_elbo} {where}")

@@ -160,8 +160,7 @@ def test_criterion_2_gradient_suite():
     st = states[0]
 
     def f_theta(theta):
-        probe = SwitchState(st.layer, np.asarray(theta, dtype=np.float64),
-                            st.alpha0, st.estimator, st.kl_weight)
+        probe = SwitchState(st.layer, np.asarray(theta, dtype=np.float64))
         return neg_elbo_and_grads([probe], model, xb, yb, 200,
                                   np.random.default_rng(0))[0].neg_elbo
 
@@ -247,17 +246,15 @@ def test_criterion_5_posterior_recovery_both_estimators():
     task, x, y = gen_synthetic(100, 20, 4000, np.random.default_rng(123))
     model = task_model(task)
 
-    def run(estimator, schedule, seed):
-        states = init_switch_states(model, estimator=estimator)
+    def run(schedule, seed):
+        states = init_switch_states(model)
         train_switches(model, states, x, y, schedule, np.random.default_rng(seed))
         mean, std = posterior_report(states[0])
         rho = scipy.stats.spearmanr(mean, task.true_switch).statistic
         return rho, std
 
-    rho_am, std_am = run(AnalyticMean(),
-                         SwitchTrainSchedule("per_layer", 8, 100, 0.5), 11)
-    rho_mc, std_mc = run(ImplicitMC(10),
-                         SwitchTrainSchedule("per_layer", 3, 100, 3.0), 12)
+    rho_am, std_am = run(SwitchTrainSchedule("per_layer", 8, 100, 0.5, AnalyticMean()), 11)
+    rho_mc, std_mc = run(SwitchTrainSchedule("per_layer", 3, 100, 3.0, ImplicitMC(10)), 12)
     tighter = float(np.mean(std_mc <= std_am))
 
     elapsed = time.perf_counter() - t0
@@ -280,9 +277,9 @@ def test_criterion_6_analytic_epoch_speedup():
     model = task_model(task)
 
     def epoch_seconds(estimator, seed):
-        states = init_switch_states(model, estimator=estimator)
+        states = init_switch_states(model)
         stats = train_switches(model, states, x, y,
-                               SwitchTrainSchedule("per_layer", 1, 100, 0.5),
+                               SwitchTrainSchedule("per_layer", 1, 100, 0.5, estimator),
                                np.random.default_rng(seed))
         return stats[0].seconds
 

@@ -1,7 +1,9 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script and every README python block runs to
+completion."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,10 @@ import pytest
 
 import dirichlet_pruning
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.DOTALL | re.MULTILINE)
 # the demos run from a scratch directory, so a relative PYTHONPATH would not
 # find the package; put the directory that holds it first
 PACKAGE_ROOT = str(pathlib.Path(dirichlet_pruning.__file__).resolve().parent.parent)
@@ -19,10 +24,27 @@ def test_demos_found():
     assert len(DEMOS) >= 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def _run(args, cwd):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    proc = _run([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block, tmp_path):
+    # every block ends by printing what it made
+    proc = _run(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip(), "the block printed nothing"

@@ -676,6 +676,18 @@ def test_cli_missing_model_in_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "model_in" in err
 
 
+def test_cli_eval_malformed_model_header_exits_one(tmp_path, capsys):
+    # a .dpm1 header without its layer list
+    model_path = tmp_path / "m.dpm1"
+    blob = json.dumps({"version": 1, "weights": [], "input_shape": [8]}).encode()
+    model_path.write_bytes(b"DPM1" + struct.pack("<I", len(blob)) + blob)
+    cfg = _write_cfg(tmp_path, "e.cfg", _base_cfg_text(tmp_path / "out")
+                     + f"model_in = {model_path}\n")
+    assert cli.main(["--config", cfg, "eval"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(model_path) in err and "'layers'" in err
+
+
 def test_cli_module_entry_point(tmp_path):
     cfg = _write_cfg(tmp_path, "m.cfg", _base_cfg_text(tmp_path / "mout")
                      + "train_epochs = 0\nepochs = 0\nfinetune_epochs = 0\n")

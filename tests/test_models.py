@@ -387,6 +387,30 @@ def test_load_rejects_switch_layer_kind(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h.pop("layers"), "header has no 'layers'"),
+    (lambda h: h.pop("weights"), "header has no 'weights'"),
+    (lambda h: h.pop("input_shape"), "header has no 'input_shape'"),
+    (lambda h: h["layers"][0].update(bias=True), "header 'layers' is malformed .*'bias'"),
+    (lambda h: h["layers"].__setitem__(1, "relu"),
+     "header 'layers' is malformed .*'relu' is not an object"),
+    (lambda h: h["layers"][0].pop("kind"), "header 'layers' is malformed .*'kind'"),
+    (lambda h: h["weights"][0].pop("name"), "header 'weights' is malformed .*'name'"),
+    (lambda h: h["weights"][0].update(shape=[-3, -2]), "header 'weights': .* shape \\[-3, -2\\]"),
+    (lambda h: h["layers"][0].update(d_in=4), "fc expects \\(4,\\), got \\(3,\\)"),
+], ids=["no-layers", "no-weights", "no-input-shape", "unknown-layer-field",
+        "layer-not-an-object", "layer-without-kind", "weight-without-name",
+        "negative-weight-shape", "layers-disagree-with-input"])
+def test_load_malformed_header_names_file_and_key(tmp_path, edit, match):
+    model = build_mlp(3, 2, 2, rng=np.random.default_rng(19))
+    p = tmp_path / "m.dpm1"
+    save_model(model, p)
+    _rewrite_header(p, edit)
+    with pytest.raises(FormatError, match=match) as e:
+        load_model(p)
+    assert str(p) in str(e.value)
+
+
 def test_load_bad_version(tmp_path):
     model = build_mlp(3, 2, 2, rng=np.random.default_rng(19))
     p = tmp_path / "m.dpm1"

@@ -17,7 +17,8 @@ from dirichlet_pruning.pruning import (LayerRanking, PruningPlan,
                                        rank_derivative, rank_dirichlet,
                                        rank_magnitude, rank_random,
                                        ranking_from_csv, ranking_to_csv)
-from dirichlet_pruning.switch import _PHI_SHIFT, SwitchState
+from dirichlet_pruning.pipeline import prune_with_states
+from dirichlet_pruning.switch import _PHI_SHIFT, SwitchState, init_switch_states
 from dirichlet_pruning.synthetic import gen_synthetic
 
 from masked_oracle import masked_logits
@@ -371,6 +372,27 @@ def test_identity_plan_without_switches_is_bitwise():
     pruned = apply_plan(model, plan)
     x = np.random.default_rng(14).normal(size=(5, 6))
     np.testing.assert_array_equal(forward(pruned, x).data, forward(model, x).data)
+
+
+def _identity_plan_rel_error(model, x):
+    """Relative error of the logits after pruning nothing at the untrained,
+    uniform switch posterior."""
+    plan = PruningPlan({o: np.arange(w) for o, w in enumerate(prunable_widths(model))})
+    pruned = prune_with_states(model, plan, init_switch_states(model))
+    want = forward(model, x).data
+    return np.linalg.norm(forward(pruned, x).data - want) / np.linalg.norm(want)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: prune_with_states folds each switch "
+                   "at its simplex mean, about 1/D, while training and evaluation run it as "
+                   "the identity")
+def test_uniform_posterior_identity_plan_reproduces_logits():
+    rng = np.random.default_rng(15)
+    mlp = build_mlp(20, 64, 2, rng=rng)
+    lenet = build_lenet5([20, 50, 800, 500], rng=rng)
+    errors = [_identity_plan_rel_error(mlp, rng.normal(size=(8, 20))),
+              _identity_plan_rel_error(lenet, rng.uniform(0.0, 1.0, size=(4, 1, 28, 28)))]
+    assert max(errors) <= 1e-9, errors
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

@@ -62,7 +62,7 @@ def test_implicit_mc_requires_positive_k():
 
 def test_init_switch_states():
     model, _, _ = _small_problem()
-    states = init_switch_states(model, alpha0=0.5)
+    states = init_switch_states(model)
     assert [st.layer for st in states] == [0]
     assert [st.theta.size for st in states] == prunable_widths(model)
     lenet = build_lenet5([3, 4, 8, 6], rng=np.random.default_rng(41))
@@ -70,12 +70,10 @@ def test_init_switch_states():
         (0, 3), (1, 4), (2, 8), (3, 6)]
     for st in states:
         assert np.allclose(st.phi(), 1.0, atol=1e-9)
-    with pytest.raises(ContractError):
-        init_switch_states(model, alpha0=0.0)
 
 
 def test_posterior_report_uniform():
-    st = SwitchState(layer=0, theta=_theta_for_phi(np.full(4, 0.5)), alpha0=0.5)
+    st = SwitchState(layer=0, theta=_theta_for_phi(np.full(4, 0.5)))
     mean, std = posterior_report(st)
     assert np.allclose(mean, 0.25, atol=1e-12)
     assert np.all(std > 0.0)
@@ -96,7 +94,7 @@ def test_posterior_mean_ranking_scale_invariant():
 
 def test_neg_elbo_decomposition_identity():
     model, x, y = _small_problem()
-    states = init_switch_states(model, estimator=AnalyticMean())
+    states = init_switch_states(model)
     for _ in range(3):
         v = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(0))[0]
         assert v.neg_elbo == v.expected_nll + v.kl_weight * v.kl_term
@@ -104,11 +102,11 @@ def test_neg_elbo_decomposition_identity():
 
 def test_kl_term_zero_iff_phi_equals_prior():
     model, x, y = _small_problem()
-    states = init_switch_states(model, alpha0=0.5, estimator=AnalyticMean())
+    states = init_switch_states(model)
     v_init = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))[0]
-    assert v_init.kl_term > 1e-6  # phi starts at 1, prior at 0.5
+    assert v_init.kl_term > 1e-6  # phi starts at 1, the default prior at 0.5
     for st in states:
-        st.theta = _theta_for_phi(np.full(st.theta.shape, st.alpha0))
+        st.theta = _theta_for_phi(np.full(st.theta.shape, 0.5))
     v = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))[0]
     assert abs(v.kl_term) <= 1e-9
 
@@ -117,22 +115,22 @@ def test_expected_nll_is_log_k_for_zero_weights():
     model, x, y = _small_problem(k_classes=2)
     for name in model.weights:
         model.weights[name] = np.zeros_like(model.weights[name])
-    states = init_switch_states(model, estimator=AnalyticMean())
+    states = init_switch_states(model)
     v = neg_elbo_and_grads(states, model, x[:16], y[:16], 60, np.random.default_rng(0))[0]
     assert abs(v.expected_nll - math.log(2.0)) <= 1e-12
     # a sampled estimator sees the same constant surface
-    states_mc = init_switch_states(model, estimator=ImplicitMC(3))
-    v_mc = neg_elbo_and_grads(states_mc, model, x[:16], y[:16], 60, np.random.default_rng(1))[0]
+    v_mc = neg_elbo_and_grads(states, model, x[:16], y[:16], 60, np.random.default_rng(1),
+                              schedule=SwitchTrainSchedule(estimator=ImplicitMC(3)))[0]
     assert abs(v_mc.expected_nll - math.log(2.0)) <= 1e-12
 
 
 def test_default_kl_weight_is_one_over_n():
     model, x, y = _small_problem()
-    states = init_switch_states(model, estimator=AnalyticMean())
+    states = init_switch_states(model)
     v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0))[0]
     assert v.kl_weight == 1.0 / 250
-    states = init_switch_states(model, estimator=AnalyticMean(), kl_weight=0.03)
-    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0))[0]
+    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0),
+                           schedule=SwitchTrainSchedule(kl_weight=0.03))[0]
     assert v.kl_weight == 0.03
 
 
@@ -153,7 +151,7 @@ def test_train_indices_must_name_switch_states():
 
 def test_analytic_grad_matches_fd():
     model, x, y = _small_problem(seed=43)
-    states = init_switch_states(model, estimator=AnalyticMean())
+    states = init_switch_states(model)
     idx = states[0].layer
     theta0 = states[0].theta.copy()
     _, grads = neg_elbo_and_grads(states, model, x[:25], y[:25], 60,
@@ -170,7 +168,7 @@ def test_analytic_grad_matches_fd():
 
 def test_analytic_objective_deterministic():
     model, x, y = _small_problem(seed=44)
-    states = init_switch_states(model, estimator=AnalyticMean())
+    states = init_switch_states(model)
     v1, g1 = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(5))
     v2, g2 = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(99))
     assert v1.neg_elbo == v2.neg_elbo
@@ -185,8 +183,9 @@ def test_implicit_mc_concentrates_with_k():
     def stderr(k, reps=20):
         vals = []
         for r in range(reps):
-            states = init_switch_states(model, estimator=ImplicitMC(k))
-            v = neg_elbo_and_grads(states, model, xb, yb, 64, np.random.default_rng(1000 + r))[0]
+            v = neg_elbo_and_grads(init_switch_states(model), model, xb, yb, 64,
+                                   np.random.default_rng(1000 + r),
+                                   schedule=SwitchTrainSchedule(estimator=ImplicitMC(k)))[0]
             vals.append(v.expected_nll)
         vals = np.array(vals)
         return vals.std(ddof=1) / math.sqrt(reps)
@@ -198,12 +197,13 @@ def test_implicit_mc_underflowed_draws_raise_numeric_error():
     # phi ~ 1e-6 floors every Gamma draw at the smallest subnormal; the step
     # must fail loudly instead of training on uniform switches
     model, x, y = _small_problem(seed=52)
-    states = init_switch_states(model, estimator=ImplicitMC(4))
+    states = init_switch_states(model)
     states[0].theta = np.full(states[0].theta.shape, -60.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericError):
-            neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))
+            neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0),
+                               schedule=SwitchTrainSchedule(estimator=ImplicitMC(4)))
 
 
 def _per_sample_oracle(model, states, train_set, xb, yb, draws):
@@ -267,17 +267,17 @@ def _taped_mean_oracle(model, states, train_set, xb, yb):
     return nll.item(), {idx: th.grad for idx, th in theta_t.items()}
 
 
-def _assert_matches_oracle(model, states, train_set, xb, yb):
+def _assert_matches_oracle(estimator, model, states, train_set, xb, yb):
     """The shared estimator path against the per-sample oracle (ImplicitMC)
     or the taped-mean oracle (AnalyticMean), on the same draws."""
     assert any(np.any(st.theta < 0.0) for st in states)
     rng = np.random.default_rng(60)
-    draws = {st.layer: st.estimator.draw(st.phi(), rng)
+    draws = {st.layer: estimator.draw(st.phi(), rng)
              for st in states if st.layer in train_set}
     nll, dphi = switch_module._nll_and_grads(model, states, xb, yb, draws)
     by_index = {st.layer: st for st in states}
     grads = {idx: g * switch_module._sigmoid_np(by_index[idx].theta) for idx, g in dphi.items()}
-    if isinstance(states[0].estimator, AnalyticMean):
+    if isinstance(estimator, AnalyticMean):
         nll_ref, grads_ref = _taped_mean_oracle(model, states, train_set, xb, yb)
     else:
         nll_ref, grads_ref = _per_sample_oracle(model, states, train_set, xb, yb, draws)
@@ -294,65 +294,54 @@ def _spread_thetas(states, seed):
         st.theta = rng.normal(0.5, 0.8, st.theta.shape)
 
 
-def _mlp_per_layer_case(estimator):
+def _mlp_per_layer_case():
     model, x, y = _small_problem(seed=53, d_x=7, d_h=6, n=30, k_classes=3)
-    states = init_switch_states(model, estimator=estimator)
+    states = init_switch_states(model)
     _spread_thetas(states, 54)
     return model, states, {0}, x, y
 
 
-def _mlp_joint_case(estimator):
+def _mlp_joint_case():
     model, x, y = _two_switch_model()
-    states = init_switch_states(model, estimator=estimator)
+    states = init_switch_states(model)
     _spread_thetas(states, 55)
     return model, states, {0, 1}, x[:40], y[:40]
 
 
-def _lenet_third_switch_case(estimator):
+def _lenet_third_switch_case():
     # the prefix holds conv, pool and the first two switches at their means
     rng = np.random.default_rng(56)
     model = build_lenet5([3, 4, 8, 6], rng=rng)
     x = rng.standard_normal((6, 1, 28, 28))
     y = rng.integers(0, 10, 6)
-    states = init_switch_states(model, estimator=estimator)
+    states = init_switch_states(model)
     _spread_thetas(states, 57)
     return model, states, {2}, x, y
 
 
 def test_implicit_mc_matches_per_sample_oracle_mlp_per_layer():
-    _assert_matches_oracle(*_mlp_per_layer_case(ImplicitMC(9)))
+    _assert_matches_oracle(ImplicitMC(9), *_mlp_per_layer_case())
 
 
 def test_implicit_mc_matches_per_sample_oracle_mlp_joint():
-    _assert_matches_oracle(*_mlp_joint_case(ImplicitMC(7)))
+    _assert_matches_oracle(ImplicitMC(7), *_mlp_joint_case())
 
 
 def test_implicit_mc_matches_per_sample_oracle_lenet_third_switch():
-    _assert_matches_oracle(*_lenet_third_switch_case(ImplicitMC(5)))
+    _assert_matches_oracle(ImplicitMC(5), *_lenet_third_switch_case())
 
 
 @pytest.mark.parametrize("case", [_mlp_per_layer_case, _mlp_joint_case,
                                   _lenet_third_switch_case],
                          ids=["mlp_per_layer", "mlp_joint", "lenet_third_switch"])
 def test_analytic_mean_matches_taped_oracle(case):
-    _assert_matches_oracle(*case(AnalyticMean()))
-
-
-def test_trained_states_with_different_k_rejected():
-    model, x, y = _two_switch_model()
-    states = init_switch_states(model, estimator=ImplicitMC(3))
-    states[1].estimator = ImplicitMC(5)
-    with pytest.raises(ContractError, match="one estimator"):
-        neg_elbo_and_grads(states, model, x[:20], y[:20], 400, np.random.default_rng(0))
-    # a layer held at its posterior mean does not take part
-    neg_elbo_and_grads(states, model, x[:20], y[:20], 400, np.random.default_rng(0),
-                       train_indices=[states[0].layer])
+    _assert_matches_oracle(AnalyticMean(), *case())
 
 
 def test_no_model_weight_gradients_with_frozen_weights():
     model, x, y = _small_problem(seed=46)
     weight_tensors = {n: Tensor(w, requires_grad=False) for n, w in model.weights.items()}
-    st = init_switch_states(model, estimator=AnalyticMean())[0]
+    st = init_switch_states(model)[0]
     th = Tensor(st.theta, requires_grad=True)
     with Tape():
         logits = forward(model, x[:10], switches={st.layer: _taped_mean(th)},
@@ -371,7 +360,7 @@ def test_no_model_weight_gradients_with_frozen_weights():
 def test_train_switches_mutates_theta_not_weights():
     model, x, y = _small_problem(seed=47, n=80)
     weights_before = {n: w.copy() for n, w in model.weights.items()}
-    states = init_switch_states(model, estimator=AnalyticMean())
+    states = init_switch_states(model)
     theta_before = states[0].theta.copy()
     stats = train_switches(model, states, x, y,
                            SwitchTrainSchedule(mode="per_layer", epochs=2, batch_size=20, lr=0.3),
@@ -389,6 +378,27 @@ def test_schedule_validation():
         SwitchTrainSchedule(mode="both")
     with pytest.raises(ContractError):
         SwitchTrainSchedule(lr=0.0)
+
+
+def test_schedule_holds_the_run_settings():
+    default = SwitchTrainSchedule()
+    assert (default.estimator, default.alpha0, default.kl_weight) == (AnalyticMean(), 0.5, None)
+    SwitchTrainSchedule(estimator=ImplicitMC(3), alpha0=2.0, kl_weight=0.0)
+
+
+@pytest.mark.parametrize("setting,value,match", [
+    ("alpha0", 0.0, "alpha0 must be finite and > 0"),
+    ("alpha0", -1.0, "alpha0 must be finite and > 0"),
+    ("alpha0", math.nan, "alpha0 must be finite and > 0"),
+    ("alpha0", math.inf, "alpha0 must be finite and > 0"),
+    ("kl_weight", -1.0, "kl_weight must be None"),
+    ("kl_weight", math.nan, "kl_weight must be None"),
+    ("kl_weight", math.inf, "kl_weight must be None"),
+    ("estimator", "analytic", "estimator must be AnalyticMean or ImplicitMC"),
+])
+def test_schedule_rejects_bad_run_setting(setting, value, match):
+    with pytest.raises(ContractError, match=match):
+        SwitchTrainSchedule(**{setting: value})
 
 
 def test_train_switches_contract_errors():
@@ -423,7 +433,7 @@ def test_kl_gradient_only_for_trained_layers(monkeypatch):
     assert list(grads) == [states[1].layer]
     assert len(kl_calls) == 4 and psi_calls == [(True, True)] * 4
     # the KL term still sums every layer, trained or not
-    expected_kl = sum(kl(st.phi(), np.full(st.theta.shape, st.alpha0))[0] for st in states)
+    expected_kl = sum(kl(st.phi(), np.full(st.theta.shape, 0.5))[0] for st in states)
     assert value.kl_term == pytest.approx(expected_kl, rel=1e-12)
     kl_calls.clear()
     psi_calls.clear()
@@ -469,7 +479,8 @@ def _per_layer_from_x(model, states, x, y, schedule, rng):
             for lo in range(0, n, schedule.batch_size):
                 sel = idx[lo:lo + schedule.batch_size]
                 value, grads = neg_elbo_and_grads(states, model, x[sel], y[sel], n, rng,
-                                                  train_indices=[st.layer])
+                                                  train_indices=[st.layer],
+                                                  schedule=schedule)
                 st.theta = st.theta - schedule.lr * grads[st.layer]
                 total += value.neg_elbo
             means.append(total / math.ceil(n / schedule.batch_size))
@@ -487,12 +498,12 @@ def test_chained_sweeps_match_sweeps_from_x(estimator, arch, monkeypatch):
     else:
         model, x, y = _two_switch_model()
         x, y = x[:90], y[:90]
-    schedule = SwitchTrainSchedule(mode="per_layer", epochs=2, batch_size=20, lr=0.5)
-    states = init_switch_states(model, estimator=estimator)
+    schedule = SwitchTrainSchedule(mode="per_layer", epochs=2, batch_size=20, lr=0.5,
+                                   estimator=estimator)
+    states = init_switch_states(model)
     _spread_thetas(states, 59)
     thetas = [st.theta.copy() for st in states]
-    ref_states = [SwitchState(st.layer, st.theta.copy(), st.alpha0, st.estimator)
-                  for st in states]
+    ref_states = [SwitchState(st.layer, st.theta.copy()) for st in states]
     entries = []
     advance = switch_module._advance
     monkeypatch.setattr(switch_module, "_advance",
@@ -527,9 +538,9 @@ def test_kl_descends_when_loss_ignores_switch():
     model, x, y = _small_problem(seed=49, n=100)
     model.weights["layer2.weight"] = np.zeros_like(model.weights["layer2.weight"])
     model.weights["layer2.bias"] = np.zeros_like(model.weights["layer2.bias"])
-    states = init_switch_states(model, alpha0=0.5, estimator=AnalyticMean())
+    states = init_switch_states(model)
     st = states[0]
-    prior = np.full(st.theta.shape, st.alpha0)
+    prior = np.full(st.theta.shape, 0.5)
     kl_before = dirichlet_kl(st.phi(), prior)[0]
     train_switches(model, states, x, y,
                    SwitchTrainSchedule(mode="per_layer", epochs=3, batch_size=25, lr=0.5),
@@ -541,7 +552,7 @@ def test_kl_descends_when_loss_ignores_switch():
 def test_ground_truth_switch_recovery():
     task, x, y = gen_synthetic(30, 8, 800, np.random.default_rng(31))
     model = task_model(task)
-    states = init_switch_states(model, estimator=AnalyticMean())
+    states = init_switch_states(model)
     train_switches(model, states, x, y,
                    SwitchTrainSchedule(mode="per_layer", epochs=20, batch_size=100, lr=1.0),
                    np.random.default_rng(32))
@@ -578,7 +589,7 @@ def test_joint_and_per_layer_rankings_agree():
     model, x, y = _two_switch_model()
 
     def run(mode, seed):
-        states = init_switch_states(model, estimator=AnalyticMean())
+        states = init_switch_states(model)
         train_switches(model, states, x, y,
                        SwitchTrainSchedule(mode=mode, epochs=4, batch_size=50, lr=0.5),
                        np.random.default_rng(seed))
@@ -597,19 +608,28 @@ def test_joint_and_per_layer_rankings_agree():
 
 def test_save_load_states_round_trip(tmp_path):
     model, x, y = _small_problem(seed=51)
-    states = init_switch_states(model, alpha0=0.7, estimator=AnalyticMean(), kl_weight=0.01)
+    states = init_switch_states(model)
     states[0].theta = np.array([0.3, -1.2, 4.0, 0.001])
     p = tmp_path / "switches.json"
     save_states(states, p)
-    loaded = load_states(p, model, estimator=ImplicitMC(5))
+    loaded = load_states(p, model)
     assert len(loaded) == len(states)
     assert np.array_equal(loaded[0].theta, states[0].theta)
-    assert loaded[0].alpha0 == 0.7
-    assert loaded[0].kl_weight == 0.01
-    assert loaded[0].estimator == ImplicitMC(5)
-    payload = json.loads(p.read_text())
-    assert payload["version"] == 1
-    assert "estimator" not in payload
+    # a state is its theta: the run's prior, KL weight and estimator stay out
+    assert json.loads(p.read_text()) == {"version": 1,
+                                         "theta": {"0": [0.3, -1.2, 4.0, 0.001]}}
+
+
+def test_load_states_reads_files_that_store_the_prior(tmp_path):
+    # files written before the prior moved to the schedule hold alpha0 and
+    # kl_weight; they load unchanged, and the two keys are ignored
+    model, _, _ = _small_problem(seed=51)
+    path = tmp_path / "switches.json"
+    path.write_text('{"version": 1, "alpha0": 0.7, "kl_weight": null, '
+                    '"theta": {"0": [0.3, -1.2, 4.0, 0.001]}}')
+    (st,) = load_states(path, model)
+    assert st.layer == 0
+    assert np.array_equal(st.theta, [0.3, -1.2, 4.0, 0.001])
 
 
 def test_load_states_rejects_widths_of_another_model(tmp_path):
@@ -625,7 +645,6 @@ def test_load_states_rejects_widths_of_another_model(tmp_path):
 
 @pytest.mark.parametrize("text,match", [
     ('{"version": 1, "alpha0": 0.5}', "switch state has no 'theta' object"),
-    ('{"version": 1, "theta": {"0": [0, 0, 0, 0]}}', "with a numeric alpha0"),
     ('{"version": 1, "alpha0": 0.5, "theta": {"0": [0, 0', "not valid JSON"),
     ('{"version": 1, "alpha0": 0.5, "theta": [0]}', "no 'theta' object"),
     ('{"version": 1, "alpha0": 0.5, "theta": {"one": [0, 0, 0, 0]}}',
@@ -634,8 +653,12 @@ def test_load_states_rejects_widths_of_another_model(tmp_path):
      "keys \\['0', '00'\\] are not distinct layer indices"),
     ('{"version": 1, "alpha0": 0.5, "theta": {"0": ["a", 0, 0, 0]}}',
      "switch state for layer 0 is not a number vector"),
-], ids=["no-theta", "no-alpha0", "truncated", "theta-not-an-object", "bad-layer",
-        "repeated-layer", "bad-value"])
+    ('{"version": 1, "theta": {"0": [0, NaN, 0, 0]}}',
+     "switch state for layer 0 holds a non-finite theta"),
+    ('{"version": 1, "theta": {"0": [0, 0, -Infinity, 0]}}',
+     "switch state for layer 0 holds a non-finite theta"),
+], ids=["no-theta", "truncated", "theta-not-an-object", "bad-layer",
+        "repeated-layer", "bad-value", "nan-theta", "infinite-theta"])
 def test_load_states_malformed_file_rejected(tmp_path, text, match):
     model, _, _ = _small_problem(seed=55)
     path = tmp_path / "switches.json"
