@@ -20,7 +20,7 @@ w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 b = Tensor(np.zeros(2), requires_grad=True)
 
 with T.Tape():
-    hidden = T.relu(T.broadcast_add_channels(T.matmul(x, w), b))
+    hidden = T.relu(T.matmul(x, w, bias=b))
     loss = T.softmax_cross_entropy(hidden, labels)
 T.backward(loss)
 
@@ -35,7 +35,7 @@ eps = 1e-6
 def loss_at(w00):
     wv = w.data.copy()
     wv[0, 0] = w00
-    out = T.relu(T.broadcast_add_channels(T.matmul(x, Tensor(wv)), b))
+    out = T.relu(T.matmul(x, Tensor(wv), bias=b))
     return T.softmax_cross_entropy(out, labels).item()
 
 

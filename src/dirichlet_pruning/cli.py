@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, load_config, require
-from .errors import ConfigError, ContractError, FormatError, PipelineError
+from .errors import (ConfigError, ContractError, DomainError, FormatError, NumericError,
+                     PipelineError, ShapeError)
 from .models import evaluate, save_model
 from .pipeline import (artifact_path, build_or_load_model, export_feature_maps,
                        finetune_from_config, load_dataset, plan_from_config,
@@ -170,8 +171,8 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         write_resolved_config(cfg)
         _COMMANDS[args.command](cfg)
-    except (ConfigError, ContractError, FormatError, PipelineError,
-            FileNotFoundError) as e:
+    except (ConfigError, ContractError, DomainError, FormatError, NumericError,
+            PipelineError, ShapeError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

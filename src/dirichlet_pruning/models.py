@@ -264,11 +264,10 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     for i in range(start, stop):
         spec = model.layers[i]
         if isinstance(spec, Conv2d):
-            h = T.conv2d(h, input_weight(i), stride=spec.stride, padding=spec.pad)
-            h = T.broadcast_add_channels(h, weight(f"layer{i}.bias"))
+            h = T.conv2d(h, input_weight(i), stride=spec.stride, padding=spec.pad,
+                         bias=weight(f"layer{i}.bias"))
         elif isinstance(spec, FullyConnected):
-            h = T.matmul(h, input_weight(i))
-            h = T.broadcast_add_channels(h, weight(f"layer{i}.bias"))
+            h = T.matmul(h, input_weight(i), bias=weight(f"layer{i}.bias"))
         elif isinstance(spec, Relu):
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):
@@ -310,15 +309,19 @@ def _he_initialized(layers, input_shape, family: str, rng, seed) -> ModelGraph:
 
 
 def build_lenet5(widths, rng=None, seed: int | None = None) -> ModelGraph:
-    """LeNet-5 for 1x28x28 inputs: conv5x5 -> pool -> conv5x5 -> pool ->
-    fc -> fc -> fc(10), widths = [c1, c2, f1, f2]."""
+    """LeNet-5 for 1x28x28 inputs: conv5x5 -> pool -> relu -> conv5x5 ->
+    pool -> relu -> fc -> fc -> fc(10), widths = [c1, c2, f1, f2].
+
+    Each pool comes before its ReLU: max-pooling and ReLU commute exactly,
+    values and gradients alike, and ReLU then runs on a quarter of the
+    elements. A graph in the other order loads and runs unchanged."""
     widths = [int(w) for w in widths]
     if len(widths) != 4 or any(w < 1 for w in widths):
         raise ContractError(f"widths must be four positive ints, got {widths}")
     c1, c2, f1, f2 = widths
     rng = rng if rng is not None else np.random.default_rng(seed or 0)
-    layers = [Conv2d(1, c1, 5, 5), Relu(), MaxPool2d(2, 2),
-              Conv2d(c1, c2, 5, 5), Relu(), MaxPool2d(2, 2), Flatten(),
+    layers = [Conv2d(1, c1, 5, 5), MaxPool2d(2, 2), Relu(),
+              Conv2d(c1, c2, 5, 5), MaxPool2d(2, 2), Relu(), Flatten(),
               FullyConnected(c2 * 16, f1), Relu(),
               FullyConnected(f1, f2), Relu(),
               FullyConnected(f2, 10)]

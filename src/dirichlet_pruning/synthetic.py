@@ -70,7 +70,11 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
     b2 = np.zeros(d_out)
 
     x = rng.standard_normal((n, d_x))
-    h = np.maximum(true_switch * (x @ w1 + b1), 0.0)
+    # relu(true_switch * (x @ w1 + b1)), built in the one (n, d_h) buffer
+    h = x @ w1
+    h += b1
+    h *= true_switch
+    np.maximum(h, 0.0, out=h)
     # simplex-scale switches shrink the activations by ~d_h, which would
     # leave near-zero logit margins and no per-channel signal in the
     # likelihood; rescale the output layer so the true network is decisive

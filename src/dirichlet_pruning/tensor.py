@@ -1,19 +1,21 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 The primitive set is exactly what ``models.forward`` and its loss need:
-matmul, conv2d (im2col), relu, per-channel broadcast multiply and add,
-max-pooling, reshape (behind ``flatten_batch``) and softmax cross-entropy,
-which is the only reduction to a scalar loss. There is no elementwise
-arithmetic between tensors and no operator overloading.
+matmul and conv2d (im2col), each with an optional bias added inside the op,
+relu, per-channel broadcast multiply, max-pooling, reshape (behind
+``flatten_batch``) and softmax cross-entropy, which is the only reduction
+to a scalar loss. There is no elementwise arithmetic between tensors and no
+operator overloading.
 Ops record onto the innermost active ``Tape``; ``backward`` replays the
-tape in reverse insertion order and then clears it.
+tape in reverse insertion order, popping each node as it runs, so a node's
+saved arrays are freed as soon as its gradient is taken.
 
-Backward contract: a node's ``backward_fn`` returns one gradient per input,
-and ``None`` for an input whose ``requires_grad`` is False; it computes
-nothing for that input. Work that only a backward pass reads (im2col
-matrices, ReLU masks, first-maximum masks, softmax probabilities) is kept or
-built only when the op is recorded, so an untaped or frozen forward pays
-for none of it.
+Backward contract: a node's ``backward_fn`` returns one gradient per
+recorded input, and ``None`` for an input whose ``requires_grad`` is False;
+it computes nothing for that input. Work that only a backward pass reads
+(im2col matrices, ReLU masks, first-maximum masks, softmax probabilities)
+is kept or built only when the op is recorded, so an untaped or frozen
+forward pays for none of it.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves.
@@ -117,10 +119,11 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar produced on a live tape; traversal is strict
     reverse insertion order, so every node's output gradient is complete by
-    the time the node is visited. The sweep consumes the tape: clearing it
-    breaks the output -> tape -> node -> output cycle, so saved activations
-    are freed at once, not by a later cyclic GC pass. A second backward on
-    the same tape raises ContractError.
+    the time the node is visited. The sweep consumes the tape: each node is
+    popped before its backward runs, which breaks the output -> tape -> node
+    -> output cycle node by node, so a node's saved arrays are freed as soon
+    as it is done, not at the end of the sweep or by a later cyclic GC pass.
+    A second backward on the same tape raises ContractError.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -136,7 +139,9 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(tape._nodes):
+    nodes = tape._nodes
+    while nodes:
+        node = nodes.pop()
         g_out = grads.pop(id(node.output), None)
         if g_out is None:
             continue
@@ -150,7 +155,6 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[key] = g
                 holders[key] = t
-    tape.clear()
     for key, t in holders.items():
         if not t._recorded:  # leaves only; recorded orphans lie on other branches
             _accumulate_leaf(t, grads[key])
@@ -169,8 +173,9 @@ def _accumulate_leaf(t: Tensor, g: np.ndarray) -> None:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
-    # out > 0 exactly where x > 0, so the mask waits for the backward pass
-    return _record(out, (x,), lambda g: (g * (out.data > 0.0),))
+    # out > 0 exactly where x > 0, so the mask waits for the backward pass;
+    # np.where, not g * mask: an inf gradient at an inactive unit stays 0
+    return _record(out, (x,), lambda g: (np.where(out.data > 0.0, g, 0.0),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -188,16 +193,34 @@ def flatten_batch(x: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_bias(bias, width: int, what: str) -> None:
+    if bias.data.ndim != 1 or bias.shape[0] != width:
+        raise ShapeError(f"{what} bias must be ({width},), got {bias.shape}")
+
+
+def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None) -> Tensor:
+    """a @ b, plus bias[j] on every row's column j when a bias is given.
+
+    The bias is added in place to the fresh product, so no second (N, d)
+    array is made; its gradient is g summed over the rows. The backward
+    returns one gradient per recorded input: (a, b), or (a, b, bias).
+    """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    prod = a.data @ b.data
+    if bias is not None:
+        _check_bias(bias, b.shape[1], "matmul")
+        prod += bias.data
+    out = Tensor(prod)
 
     def bwd(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        grads = (g @ b.data.T if a.requires_grad else None,
+                 a.data.T @ g if b.requires_grad else None)
+        if bias is None:
+            return grads
+        return grads + (g.sum(axis=0) if bias.requires_grad else None,)
 
-    return _record(out, (a, b), bwd)
+    return _record(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
@@ -216,23 +239,6 @@ def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
                 (g * h.data).sum(axis=axes) if s.requires_grad else None)
 
     return _record(out, (h, s), bwd)
-
-
-def broadcast_add_channels(h: Tensor, b: Tensor) -> Tensor:
-    """Add b[j] to every element of channel j."""
-    if b.data.ndim != 1:
-        raise ShapeError(f"channel shift must be 1-d, got {b.shape}")
-    if h.data.ndim < 2 or h.shape[1] != b.shape[0]:
-        raise ShapeError(f"channel count mismatch: h {h.shape} vs b {b.shape}")
-    view = b.data.reshape((1, b.shape[0]) + (1,) * (h.data.ndim - 2))
-    out = Tensor(h.data + view)
-
-    def bwd(g):
-        axes = (0,) + tuple(range(2, h.data.ndim))
-        return (g if h.requires_grad else None,
-                g.sum(axis=axes) if b.requires_grad else None)
-
-    return _record(out, (h, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +277,30 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: in
     return cols.reshape(c * kh * kw, n * h_out * w_out)
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 2-d cross-correlation by im2col, NCHW layout, no kernel flip.
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
+           bias: Optional[Tensor] = None) -> Tensor:
+    """Batched 2-d cross-correlation by im2col, NCHW layout, no kernel flip,
+    plus bias[o] on every element of output channel o when a bias is given.
 
     The forward is one GEMM, (c_out, C*kh*kw) @ cols, on the tap-major
-    (C*kh*kw, N*H'*W') im2col matrix; its (c_out, N, H', W') result becomes
-    NCHW by a transpose that copies contiguous H'*W' runs. The matrix is kept
-    only when the kernel needs a gradient, which is g (c_out, N*H'*W') @
-    cols.T, read through a view with no copy. The input gradient is one small
-    GEMM per kernel tap, (H'*W'*N, c_out) @ kernel[:, :, i, j], accumulated
-    into an (H, W, N, C) buffer whose strided tap windows are runs of
-    contiguous N*C rows, and transposed to NCHW once.
+    (C*kh*kw, N*H'*W') im2col matrix; the bias is added in place to its
+    (c_out, N*H'*W') result, whose (c_out, N, H', W') view becomes NCHW by a
+    transpose that copies contiguous H'*W' runs. The matrix is kept only
+    when the kernel needs a gradient, which is g (c_out, N*H'*W') @ cols.T,
+    read through a view with no copy. The input gradient is one small GEMM
+    per kernel tap, (H'*W'*N, c_out) @ kernel[:, :, i, j], accumulated into
+    an (H, W, N, C) buffer whose strided tap windows are runs of contiguous
+    N*C rows, and transposed to NCHW once. The bias gradient is g summed
+    over N, H' and W'. The backward returns one gradient per recorded
+    input: (x, kernel), or (x, kernel, bias).
     """
     n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     cols = _im2col(xp, kh, kw, stride, h_out, w_out)
     planes = kernel.data.reshape(c_out, -1) @ cols  # one row per output channel
+    if bias is not None:
+        _check_bias(bias, c_out, "conv2d")
+        planes += bias.data[:, None]
     out = Tensor(planes.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3))
     kernel_cols = cols if kernel.requires_grad else None
     h, w = x.shape[2], x.shape[3]
@@ -306,9 +320,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
                         tap.reshape(h_out, w_out, n, c_in)
             grad_x = np.ascontiguousarray(
                 gxp[padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1))
-        return grad_x, grad_k
+        if bias is None:
+            return grad_x, grad_k
+        return grad_x, grad_k, (g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
-    return _record(out, (x, kernel), bwd)
+    return _record(out, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:

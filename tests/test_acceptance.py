@@ -138,10 +138,12 @@ def test_criterion_2_gradient_suite():
         ("flatten", lambda x: tsum(mul(T.flatten_batch(x), cflat)), [h]),
         ("broadcast_mul", lambda x, s: tsum(mul(T.broadcast_mul_channels(x, s),
                                                 Tensor(np.ones_like(h)))), [h, s3]),
-        ("broadcast_add", lambda x, b: tsum(mul(T.broadcast_add_channels(x, b), c34)),
-         [a34, rng.normal(size=4)]),
+        ("matmul_bias", lambda x, w, b: tsum(mul(T.matmul(x, w, bias=b), c34)),
+         [mat(3, 5), rng.normal(size=(5, 4)), rng.normal(size=4)]),
         ("conv2d", lambda x, k: tsum(mul(T.conv2d(x, k, stride=2, padding=1), cconv)),
          [xc, kc]),
+        ("conv2d_bias", lambda x, k, b: tsum(mul(T.conv2d(x, k, stride=2, padding=1, bias=b),
+                                                 cconv)), [xc, kc, rng.normal(size=3)]),
         ("maxpool2d", lambda x: tsum(mul(T.maxpool2d(x, 2, 2), cpool)), [xp]),
         ("cross_entropy", lambda z: T.softmax_cross_entropy(z, labels), [logits]),
     ]

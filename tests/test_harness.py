@@ -1,6 +1,7 @@
 """Config parsing, dataset IO, synthetic task, pipeline, and the CLI."""
 
 import gzip
+import inspect
 import json
 import math
 import pathlib
@@ -25,7 +26,7 @@ from dirichlet_pruning.pipeline import (export_feature_maps, load_dataset,
                                         run_pipeline, run_posterior_compare)
 from dirichlet_pruning.pruning import LayerRanking, RankingReport
 from dirichlet_pruning.synthetic import gen_synthetic, make_true_switch, task_model
-from dirichlet_pruning import cli
+from dirichlet_pruning import cli, errors
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +563,30 @@ def test_cli_switch_train_with_zero_epochs_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "epochs" in err
     assert not (tmp_path / "out" / "switches.json").exists()
+
+
+def test_cli_switch_train_on_a_nan_weight_exits_one(tmp_path, capsys):
+    model = build_mlp(8, 4, 2, rng=np.random.default_rng(31))
+    model.weights["layer2.weight"][0, 0] = np.nan
+    save_model(model, tmp_path / "nan.dpm1")
+    text = _base_cfg_text(tmp_path / "out") + f"model_in = {tmp_path / 'nan.dpm1'}\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "n.cfg", text), "switch-train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "neg_elbo is nan at epoch 1, batch 1" in err
+    assert not (tmp_path / "out" / "switches.json").exists()
+
+
+def test_cli_reports_every_package_error(tmp_path, capsys, monkeypatch):
+    kinds = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+             if c.__module__ == errors.__name__]
+    assert len(kinds) >= 7
+    cfg = _write_cfg(tmp_path, "e.cfg", _base_cfg_text(tmp_path / "out"))
+    for kind in kinds:
+        def fail(cfg, kind=kind):
+            raise kind(f"a {kind.__name__}")
+        monkeypatch.setitem(cli._COMMANDS, "eval", fail)
+        assert cli.main(["--config", cfg, "eval"]) == 1, kind
+        assert capsys.readouterr().err == f"error: a {kind.__name__}\n"
 
 
 def _mlp_with_ranking_csv(tmp_path):

@@ -61,10 +61,41 @@ def test_lenet_minimum_widths():
 def test_lenet_structure():
     model = build_lenet5([6, 8, 40, 20], rng=np.random.default_rng(0))
     kinds = [type(l) for l in model.layers]
-    assert kinds == [Conv2d, Relu, MaxPool2d, Conv2d, Relu, MaxPool2d, Flatten,
+    assert kinds == [Conv2d, MaxPool2d, Relu, Conv2d, MaxPool2d, Relu, Flatten,
                      FullyConnected, Relu, FullyConnected, Relu, FullyConnected]
     assert prunable_indices(model) == [0, 3, 7, 9]
     assert switch_consumers(model) == [3, 7, 9, 11]
+
+
+def test_lenet_in_the_relu_then_pool_order_gives_identical_logits(tmp_path):
+    # a graph written before the pool moved ahead of the ReLU: its linear
+    # layers keep their indices, so the same weights load and run unchanged,
+    # and train to the same weight gradients bit for bit
+    model = build_lenet5([6, 8, 40, 20], rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for n, w in model.weights.items():  # nonzero biases too
+        model.weights[n] = w + 0.05 * rng.standard_normal(w.shape)
+    old = copy_model(model)
+    for i in (1, 4):
+        old.layers[i], old.layers[i + 1] = old.layers[i + 1], old.layers[i]
+    assert [type(l) for l in old.layers[:6]] == [Conv2d, Relu, MaxPool2d] * 2
+    save_model(old, tmp_path / "old.dpm1")
+    loaded = load_model(tmp_path / "old.dpm1")
+    assert loaded.layers == old.layers
+    x = rng.standard_normal((4, 1, 28, 28))
+    want = forward(model, x).data
+    assert np.array_equal(forward(loaded, x).data, want)
+
+    def weight_grads(m):
+        params = {n: Tensor(w, requires_grad=True) for n, w in m.weights.items()}
+        with Tape():
+            loss = T.softmax_cross_entropy(forward(m, x, params=params), np.arange(4))
+        T.backward(loss)
+        return {n: p.grad for n, p in params.items()}
+
+    new_grads, old_grads = weight_grads(model), weight_grads(old)
+    for n in model.weights:
+        assert np.array_equal(old_grads[n], new_grads[n]), n
 
 
 def test_lenet_bad_widths():
@@ -180,9 +211,9 @@ def _activation_scaling_forward(model, x, switches):
         w = T._lift(model.weights.get(f"layer{i}.weight", np.zeros(0)))
         b = T._lift(model.weights.get(f"layer{i}.bias", np.zeros(0)))
         if isinstance(spec, Conv2d):
-            h = T.broadcast_add_channels(T.conv2d(h, w, spec.stride, spec.pad), b)
+            h = T.conv2d(h, w, spec.stride, spec.pad, bias=b)
         elif isinstance(spec, FullyConnected):
-            h = T.broadcast_add_channels(T.matmul(h, w), b)
+            h = T.matmul(h, w, bias=b)
         elif isinstance(spec, Relu):
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):

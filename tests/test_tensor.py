@@ -1,6 +1,7 @@
 """Autodiff engine: forward values, tape mechanics, gradients vs finite differences."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from dirichlet_pruning import tensor as T
 from dirichlet_pruning.errors import ContractError, ShapeError
-from dirichlet_pruning.tensor import Tape, Tensor
+from dirichlet_pruning.tensor import Tape, Tensor, _record
 
 from conftest import central_fd, grad_err
 from tape_ops import add, div, mul, softplus, tsum
@@ -22,6 +23,12 @@ def _grad_of(op, args, wrt, out_reduce=tsum):
         loss = out_reduce(out)
     T.backward(loss)
     return tensors[wrt].grad
+
+
+def _seed(out, g):
+    """A scalar loss on the current tape whose gradient w.r.t. out is g, with
+    no forward product: a non-finite g then never meets a zero output."""
+    return _record(Tensor(np.asarray(0.0)), (out,), lambda _: (g,))
 
 
 def _fd_of(op, args, wrt, eps=1e-6):
@@ -253,12 +260,40 @@ def test_reshape_and_flatten_grads():
     assert grad_err(_grad_of(T.flatten_batch, (x,), 0), _fd_of(T.flatten_batch, (x,), 0)) <= 1e-5
 
 
-def test_broadcast_add_channels_grad():
+@pytest.mark.parametrize("op,shapes", [
+    (lambda a, b, c: T.matmul(a, b, bias=c), [(3, 4), (4, 5), (5,)]),
+    (lambda a, b, c: T.conv2d(a, b, stride=2, padding=1, bias=c),
+     [(1, 2, 5, 5), (3, 2, 3, 3), (3,)]),
+], ids=["matmul", "conv2d"])
+def test_bias_grads_match_fd(op, shapes):
     rng = np.random.default_rng(10)
-    h = rng.uniform(-2, 2, (3, 5))
-    b = rng.uniform(-2, 2, 5)
-    assert grad_err(_grad_of(T.broadcast_add_channels, (h, b), 1),
-                    _fd_of(T.broadcast_add_channels, (h, b), 1)) <= 1e-5
+    args = [rng.uniform(-2, 2, s) for s in shapes]
+    for wrt in range(3):
+        assert grad_err(_grad_of(op, args, wrt), _fd_of(op, args, wrt)) <= 1e-5, wrt
+
+
+def test_bias_is_added_per_output_channel():
+    rng = np.random.default_rng(21)
+    a, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
+    assert np.array_equal(T.matmul(Tensor(a), Tensor(w), bias=Tensor(b)).data, a @ w + b)
+    x, k, c = (rng.standard_normal((2, 3, 6, 6)), rng.standard_normal((4, 3, 3, 3)),
+               rng.standard_normal(4))
+    got = T.conv2d(Tensor(x), Tensor(k), padding=1, bias=Tensor(c)).data
+    want = T.conv2d(Tensor(x), Tensor(k), padding=1).data + c[:, None, None]
+    assert np.array_equal(got, want)
+    with pytest.raises(ShapeError, match=r"bias must be \(4,\)"):
+        T.conv2d(Tensor(x), Tensor(k), bias=Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match=r"bias must be \(2,\)"):
+        T.matmul(Tensor(a), Tensor(w), bias=Tensor(np.zeros((1, 2))))
+
+
+@pytest.mark.parametrize("op", [T.conv2d, T.matmul], ids=lambda op: op.__name__)
+def test_bias_is_keyword_only(op):
+    # the benchmark's trace hooks read conv2d's third positional argument
+    # as the stride, so a bias passed by position would be misread there
+    param = inspect.signature(op).parameters["bias"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY
+    assert param.default is None
 
 
 def _maxpool_naive(x, k, stride, g):
@@ -316,6 +351,49 @@ def test_maxpool2d_sends_non_finite_gradient_to_the_maximum_only(k, stride):
     _, ref_gx = _maxpool_naive(x, k, stride, g)
     assert np.array_equal(xt.grad, ref_gx, equal_nan=True)
     assert np.count_nonzero(xt.grad) <= out.data.size
+
+
+def test_relu_sends_non_finite_gradient_to_active_units_only():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((4, 6))
+    x[0, :2] = 0.0
+    g = rng.standard_normal(x.shape)
+    g.flat[::3] = np.inf
+    g.flat[1::5] = np.nan
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        loss = _seed(T.relu(xt), g)
+    T.backward(loss)
+    assert np.array_equal(xt.grad, np.where(x > 0.0, g, 0.0), equal_nan=True)
+    assert np.all(xt.grad[x <= 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (2, 1)])
+def test_pool_then_relu_equals_relu_then_pool(k, stride):
+    # the two orders must agree bit for bit, forward and input gradient:
+    # values rounded to 0.1 tie often, and the top-left windows are all
+    # negative, where both orders must send no gradient at all
+    rng = np.random.default_rng(23)
+    x = np.round(rng.standard_normal((2, 3, 9, 10)), 1)
+    x[:, :, :4, :4] = -np.abs(x[:, :, :4, :4]) - 0.1
+    pool = lambda t: T.maxpool2d(t, k, stride)
+    results = []
+    for ops in ((pool, T.relu), (T.relu, pool)):
+        xt = Tensor(x, requires_grad=True)
+        with Tape():
+            h = xt
+            for op in ops:
+                h = op(h)
+            g = np.random.default_rng(24).standard_normal(h.shape)
+            g *= 10.0 ** np.random.default_rng(25).uniform(-8, 8, h.shape)
+            g.flat[::7] = np.inf
+            loss = _seed(h, g)
+        T.backward(loss)
+        results.append((h.data, xt.grad))
+    (out_a, grad_a), (out_b, grad_b) = results
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(grad_a, grad_b)
+    assert np.all(grad_a[:, :, :4 - k + 1, :4 - k + 1] == 0.0)
 
 
 def test_maxpool2d_forward_and_grad():
@@ -379,7 +457,9 @@ _MULTI_INPUT_OPS = [
     (T.matmul, [(3, 4), (4, 2)]),
     (lambda a, b: T.conv2d(a, b, stride=2, padding=1), [(2, 3, 6, 6), (4, 3, 3, 3)]),
     (T.broadcast_mul_channels, [(2, 4, 3, 3), (4,)]),
-    (T.broadcast_add_channels, [(2, 4, 3, 3), (4,)]),
+    (lambda a, b, c: T.matmul(a, b, bias=c), [(3, 4), (4, 2), (2,)]),
+    (lambda a, b, c: T.conv2d(a, b, stride=2, padding=1, bias=c),
+     [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
 ]
 
 
@@ -396,26 +476,26 @@ def test_gradients_of_any_input_subset_match_all_inputs_run(op, shapes):
         T.backward(loss)
         return [t.grad for t in tensors]
 
-    full = grads({0, 1})
-    for wanted in ({0}, {1}):
+    full = grads(set(range(len(args))))
+    for wanted in ({i} for i in range(len(args))):
         got = grads(wanted)
-        for i in range(2):
+        for i in range(len(args)):
             if i in wanted:
                 assert np.array_equal(got[i], full[i]), (wanted, i)
             else:
                 assert got[i] is None
 
 
-@pytest.mark.parametrize("op,shapes", [_MULTI_INPUT_OPS[4], _MULTI_INPUT_OPS[5]])
+@pytest.mark.parametrize("op,shapes", [_MULTI_INPUT_OPS[i] for i in (4, 5, 7, 8)])
 def test_frozen_weight_gets_no_gradient_computed(op, shapes):
     rng = np.random.default_rng(20)
     x = Tensor(rng.standard_normal(shapes[0]), requires_grad=True)
-    weight = Tensor(rng.standard_normal(shapes[1]))
+    frozen = [Tensor(rng.standard_normal(s)) for s in shapes[1:]]  # weight, bias
     with Tape() as tape:
-        out = op(x, weight)
+        out = op(x, *frozen)
     (node,) = tape._nodes
-    grad_x, grad_w = node.backward_fn(np.ones(out.shape))
-    assert grad_w is None
+    grad_x, *frozen_grads = node.backward_fn(np.ones(out.shape))
+    assert frozen_grads == [None] * len(frozen)
     assert grad_x.shape == x.shape
 
 
@@ -453,6 +533,34 @@ def test_backward_consumes_the_tape():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_backward_frees_each_node_as_it_goes():
+    # each node leaves the tape before its backward runs, so what a later
+    # node saved is gone by the time an earlier node's backward runs
+    late, alive_then = [], []
+
+    def scale_by_fresh_array(t):
+        saved = np.full(t.shape, 2.0)
+        late.append(weakref.ref(saved))
+        return _record(Tensor(t.data * saved), (t,), lambda g: (g * saved,))
+
+    def probe(t):
+        def bwd(g):
+            alive_then.append(late[0]() is not None)
+            return (g,)
+        return _record(Tensor(t.data.copy()), (t,), bwd)
+
+    gc.disable()
+    try:
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        with Tape():
+            loss = tsum(scale_by_fresh_array(probe(x)))
+        T.backward(loss)
+    finally:
+        gc.enable()
+    assert alive_then == [False]
+    assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_backward_rejects_non_scalar():
@@ -494,14 +602,14 @@ def test_two_layer_mlp_grads_match_fd():
     }
 
     def loss_value(p):
-        h = T.broadcast_add_channels(T.matmul(Tensor(x), Tensor(p["w1"])), Tensor(p["b1"]))
-        z = T.broadcast_add_channels(T.matmul(T.relu(h), Tensor(p["w2"])), Tensor(p["b2"]))
+        h = T.matmul(Tensor(x), Tensor(p["w1"]), bias=Tensor(p["b1"]))
+        z = T.matmul(T.relu(h), Tensor(p["w2"]), bias=Tensor(p["b2"]))
         return T.softmax_cross_entropy(z, labels).item()
 
     tensors = {n: Tensor(v, requires_grad=True) for n, v in params.items()}
     with Tape():
-        h = T.broadcast_add_channels(T.matmul(Tensor(x), tensors["w1"]), tensors["b1"])
-        z = T.broadcast_add_channels(T.matmul(T.relu(h), tensors["w2"]), tensors["b2"])
+        h = T.matmul(Tensor(x), tensors["w1"], bias=tensors["b1"])
+        z = T.matmul(T.relu(h), tensors["w2"], bias=tensors["b2"])
         loss = T.softmax_cross_entropy(z, labels)
     T.backward(loss)
     for name in params:
@@ -534,7 +642,7 @@ def test_forward_outputs_finite():
     # logits of size 1e3 overflow exp unless the loss shifts by the maximum
     outs = [T.matmul(x, x), T.relu(x), T.flatten_batch(image),
             T.broadcast_mul_channels(x, Tensor(np.arange(4.0))),
-            T.broadcast_add_channels(x, Tensor(np.arange(4.0))), T.maxpool2d(image, 2, 2),
+            T.matmul(x, x, bias=Tensor(np.arange(4.0))), T.maxpool2d(image, 2, 2),
             T.softmax_cross_entropy(Tensor(1e3 * x.data), np.arange(4))]
     for o in outs:
         assert np.all(np.isfinite(o.data))
