@@ -11,9 +11,15 @@ same entry points, so everything below is also reachable as
 or phase by phase with the train / switch-train / rank / prune / finetune /
 eval subcommands. The subcommands and `pipeline` run the same phase
 functions from dirichlet_pruning.pipeline.
+
+Progress lines (each epoch, each phase's seconds) go to the
+`dirichlet_pruning` logger at INFO; the library itself stays silent, so
+the demo turns them on with logging.basicConfig.
 """
 
+import logging
 import pathlib
+import sys
 import tempfile
 
 from dirichlet_pruning.config import parse_config_text
@@ -45,11 +51,13 @@ finetune_epochs = 5
 finetune_lr = 0.05
 """
 
+logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+
 with tempfile.TemporaryDirectory() as tmp:
     cfg = parse_config_text(CONFIG, base=None)
     cfg.out_dir = str(pathlib.Path(tmp) / "run")
 
-    result = run_pipeline(cfg, log=print)
+    result = run_pipeline(cfg)
 
     print(f"\narchitecture      {result.arch_string}")
     print(f"baseline error    {result.baseline_error:.2f}%")

@@ -3,12 +3,15 @@
 Every subcommand reads settings from --config (flat key=value file) with
 --seed overriding the configured seed. Subcommands are batch phases; they
 write artifacts to paths named in the config and print a one-line summary.
+The progress lines the library logs to the ``dirichlet_pruning`` logger
+(epochs, phases) go to stdout for the length of the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import os
 import sys
 
@@ -44,7 +47,7 @@ def _setup(cfg: ExperimentConfig):
 def cmd_train(cfg: ExperimentConfig) -> None:
     rng, dataset, model = _setup(cfg)
     if cfg.train_epochs > 0:  # a loaded model_in trains further
-        train_from_config(cfg, model, dataset, rng, log=print)
+        train_from_config(cfg, model, dataset, rng)
     path = artifact_path(cfg, "model_out", "model.dpm1")
     save_model(model, path)
     err = evaluate(model, dataset.x_test, dataset.y_test)
@@ -57,8 +60,7 @@ def cmd_switch_train(cfg: ExperimentConfig) -> None:
     if not states:
         raise ContractError("model has no prunable layer to put a switch on")
     # epochs = 0 is an error here, not a skip: the schedule rejects it
-    train_switches_from_config(cfg, model, states, dataset.x_train, dataset.y_train,
-                               rng, log=print)
+    train_switches_from_config(cfg, model, states, dataset.x_train, dataset.y_train, rng)
     path = artifact_path(cfg, "switches_path", "switches.json")
     save_states(states, path)
     top = ", ".join(f"layer{st.layer}:{np.argmax(st.posterior_mean())}"
@@ -104,7 +106,7 @@ def cmd_prune(cfg: ExperimentConfig) -> None:
 def cmd_finetune(cfg: ExperimentConfig) -> None:
     require(cfg, "model_in")
     rng, dataset, model = _setup(cfg)
-    model, val_err = finetune_from_config(cfg, model, dataset, rng, log=print)
+    model, val_err = finetune_from_config(cfg, model, dataset, rng)
     path = artifact_path(cfg, "model_out", "finetuned.dpm1")
     save_model(model, path)
     print(f"finetuned {model.arch_string}: val error {val_err:.2f}%, saved {path}")
@@ -118,7 +120,7 @@ def cmd_eval(cfg: ExperimentConfig) -> None:
 
 
 def cmd_posterior_compare(cfg: ExperimentConfig) -> None:
-    result = run_posterior_compare(cfg, log=print)
+    result = run_posterior_compare(cfg)
     print(f"posterior comparison saved to {result.csv_path}; "
           f"epoch seconds mc={sum(result.epoch_seconds_mc):.2f} "
           f"am={sum(result.epoch_seconds_am):.2f}")
@@ -129,13 +131,17 @@ def cmd_export_maps(cfg: ExperimentConfig) -> None:
     _, dataset, model = _setup(cfg)
     ranking_path = artifact_path(cfg, "ranking_path", "ranking.csv")
     report = ranking_from_csv(ranking_path) if os.path.exists(ranking_path) else None
+    n_test = dataset.x_test.shape[0]
+    if cfg.image_index >= n_test:
+        raise ConfigError(f"key 'image_index': need an index below the test split's "
+                          f"{n_test} images, got {cfg.image_index}")
     image = dataset.x_test[cfg.image_index]
     paths = export_feature_maps(model, image, cfg.layer, cfg.out_dir, report)
     print(f"wrote {len(paths)} feature maps to {cfg.out_dir}")
 
 
 def cmd_pipeline(cfg: ExperimentConfig) -> None:
-    result = run_pipeline(cfg, log=print)
+    result = run_pipeline(cfg)
     print(f"pipeline done: {result.arch_string}, final error "
           f"{result.final_error:.2f}%, params {result.params}, flops {result.flops}")
 
@@ -165,6 +171,11 @@ def main(argv=None) -> int:
         sub.add_parser(name)
     args = parser.parse_args(argv)
 
+    package_logger = logging.getLogger("dirichlet_pruning")
+    handler = logging.StreamHandler(sys.stdout)
+    old_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(logging.INFO)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
@@ -172,9 +183,12 @@ def main(argv=None) -> int:
         write_resolved_config(cfg)
         _COMMANDS[args.command](cfg)
     except (ConfigError, ContractError, DomainError, FormatError, NumericError,
-            PipelineError, ShapeError, FileNotFoundError) as e:
+            PipelineError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(old_level)
     return 0
 
 

@@ -140,6 +140,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("keep_counts", cfg.model_in or not cfg.keep_counts
          or len(cfg.keep_counts) == _PRUNABLE_LAYERS[cfg.arch],
          f"one entry per prunable layer of {cfg.arch} ({_PRUNABLE_LAYERS[cfg.arch]})"),
+        ("image_index", cfg.image_index >= 0, "image_index >= 0"),
         ("dims", len(cfg.dims) == 2, "two values (d_x, d_h)"),
         ("widths", cfg.arch != "lenet5" or len(cfg.widths) == 4,
          "four values for lenet5 (conv1, conv2, fc1, fc2)"),

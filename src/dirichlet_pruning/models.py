@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import json
+import logging
 import math
 import struct
 import time
@@ -33,6 +34,7 @@ from . import tensor as T
 from .errors import ContractError, FormatError, NumericError, ShapeError
 from .tensor import Tape, Tensor
 
+logger = logging.getLogger(__name__)
 MAGIC = b"DPM1"
 
 
@@ -484,6 +486,13 @@ class TrainSchedule:
     momentum: float = 0.9
 
 
+def output_width(model: ModelGraph) -> int:
+    """Outputs of the last conv or fc layer: the number of classes the model
+    can tell apart."""
+    last = [l for l in model.layers if isinstance(l, (Conv2d, FullyConnected))][-1]
+    return last.c_out if isinstance(last, Conv2d) else last.d_out
+
+
 def loss_bound(model: ModelGraph) -> float:
     """1e9 times log(classes), the cross-entropy of a uniform guess: a finite
     loss above it means the run has diverged. A diverging run grows by orders
@@ -491,9 +500,7 @@ def loss_bound(model: ModelGraph) -> float:
     a tighter one; a tighter one would stop the planted-weight MLP's
     fine-tune (its large output weights give batch losses up to about 6e5 at
     lr 0.05, and it still lowers the error)."""
-    last = [l for l in model.layers if isinstance(l, (Conv2d, FullyConnected))][-1]
-    classes = last.c_out if isinstance(last, Conv2d) else last.d_out
-    return 1e9 * math.log(max(classes, 2))
+    return 1e9 * math.log(max(output_width(model), 2))
 
 
 def _batches(n, batch_size, rng=None):
@@ -504,10 +511,10 @@ def _batches(n, batch_size, rng=None):
         yield idx[start:start + batch_size]
 
 
-def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
-                log=None) -> list[float]:
+def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[float]:
     """Minibatch SGD with momentum on the cross-entropy, with no switch.
-    Mutates model.weights in place; returns per-epoch mean loss.
+    Mutates model.weights in place; returns per-epoch mean loss and logs it
+    at INFO, one line per epoch.
     Raises NumericError, naming the epoch and batch, at the first batch
     whose loss is not finite or exceeds ``loss_bound``, before its step
     touches the weights."""
@@ -545,9 +552,8 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng,
             total += loss.item()
             nb += 1
         losses.append(total / max(nb, 1))
-        if log is not None:
-            log(f"epoch {epoch + 1}/{schedule.epochs}: "
-                f"loss {losses[-1]:.4f} ({time.perf_counter() - t0:.2f}s)")
+        logger.info("epoch %d/%d: loss %.4f (%.2fs)", epoch + 1, schedule.epochs,
+                    losses[-1], time.perf_counter() - t0)
     model.metadata.setdefault("training_history", []).append(
         {"epochs": schedule.epochs, "lr": schedule.lr,
          "batch_size": schedule.batch_size, "final_loss": losses[-1]})

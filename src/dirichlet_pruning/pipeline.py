@@ -9,6 +9,11 @@ phase is one function here, and the CLI subcommands call the same ones.
 Deterministic outputs (metrics, rankings, plans, models) depend only on
 (config, seed); wall-clock numbers go to a separate timings CSV so the
 deterministic files are byte-stable across reruns.
+
+Progress lines (each phase's seconds here, each epoch in the training
+loops) go to the ``dirichlet_pruning`` logger at INFO. The library adds no
+handler, so they show only where the caller configures logging; the CLI
+prints them to stdout.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import logging
 import os
 import time
 from dataclasses import dataclass, field
@@ -28,7 +34,7 @@ from .data import load_mnist_idx, train_val_split
 from .errors import ConfigError, ContractError, PipelineError
 from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
                      count_flops, count_params, evaluate, forward, load_model,
-                     prunable_indices, save_model, train_model)
+                     output_width, prunable_indices, save_model, train_model)
 from .pgm import to_u8, write_pgm
 from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
                       make_plan, plan_to_json, rank_derivative, rank_dirichlet,
@@ -37,6 +43,8 @@ from .switch import (AnalyticMean, ImplicitMC, SwitchTrainSchedule,
                      init_switch_states, posterior_report, save_states,
                      train_switches)
 from .synthetic import gen_synthetic, task_model
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -51,11 +59,10 @@ class Dataset:
 
 
 class _Phases:
-    """Wraps each phase for timing and error attribution."""
+    """Wraps each phase for timing, error attribution and a progress line."""
 
-    def __init__(self, log=None):
+    def __init__(self):
         self.seconds: dict[str, float] = {}
-        self.log = log
 
     @contextlib.contextmanager
     def run(self, name: str):
@@ -65,8 +72,7 @@ class _Phases:
         except Exception as e:
             raise PipelineError(f"phase {name!r} failed: {e}") from e
         self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
-        if self.log is not None:
-            self.log(f"phase {name}: {self.seconds[name]:.2f}s")
+        logger.info("phase %s: %.2fs", name, self.seconds[name])
 
 
 def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
@@ -112,22 +118,31 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def build_or_load_model(cfg: ExperimentConfig, dataset: Dataset, rng) -> ModelGraph:
+    """The model_in model, else a fresh one of the configured arch. Raises
+    ConfigError, naming the key the model came from, if it has fewer outputs
+    than the data has classes."""
     if cfg.model_in:
-        return load_model(cfg.model_in)
-    if cfg.arch == "lenet5":
-        return build_lenet5(cfg.widths, rng=rng, seed=cfg.seed)
-    if cfg.arch == "mlp":
+        model, key = load_model(cfg.model_in), "model_in"
+    elif cfg.arch == "lenet5":
+        model, key = build_lenet5(cfg.widths, rng=rng, seed=cfg.seed), "arch"
+    elif cfg.arch == "mlp":
         d_x, d_h = cfg.dims
-        return build_mlp(d_x, d_h, dataset.n_classes, rng=rng, seed=cfg.seed)
-    raise choice_error(cfg, "arch")
+        model, key = build_mlp(d_x, d_h, dataset.n_classes, rng=rng, seed=cfg.seed), "arch"
+    else:
+        raise choice_error(cfg, "arch")
+    width = output_width(model)
+    if width < dataset.n_classes:
+        raise ConfigError(f"key {key!r}: the model has {width} outputs, but the "
+                          f"data has {dataset.n_classes} classes")
+    return model
 
 
 def train_from_config(cfg: ExperimentConfig, model: ModelGraph, dataset: Dataset,
-                      rng, log=None) -> list[float]:
+                      rng) -> list[float]:
     """Baseline SGD on the training split under the configured train_* schedule."""
     return train_model(model, dataset.x_train, dataset.y_train,
                        TrainSchedule(cfg.train_epochs, cfg.train_batch_size,
-                                     cfg.train_lr, cfg.train_momentum), rng, log=log)
+                                     cfg.train_lr, cfg.train_momentum), rng)
 
 
 def estimator_from(cfg: ExperimentConfig):
@@ -139,13 +154,13 @@ def estimator_from(cfg: ExperimentConfig):
 
 
 def train_switches_from_config(cfg: ExperimentConfig, model: ModelGraph, states,
-                               x, y, rng, log=None):
+                               x, y, rng):
     """Fit the switch posteriors under the configured SwitchTrainSchedule; a
     negative kl_weight selects the default 1/n."""
     schedule = SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr,
                                    estimator_from(cfg), cfg.alpha0,
                                    None if cfg.kl_weight < 0 else cfg.kl_weight)
-    return train_switches(model, states, x, y, schedule, rng, log=log)
+    return train_switches(model, states, x, y, schedule, rng)
 
 
 def rank_by_method(cfg: ExperimentConfig, model: ModelGraph, states,
@@ -180,12 +195,12 @@ def prune_with_states(model: ModelGraph, plan: PruningPlan, states) -> ModelGrap
 
 
 def finetune_from_config(cfg: ExperimentConfig, model: ModelGraph, dataset: Dataset,
-                         rng, log=None) -> tuple[ModelGraph, float]:
+                         rng) -> tuple[ModelGraph, float]:
     """Fine-tuning under the configured finetune_* schedule: (best model,
     its validation error %)."""
     return finetune(model, dataset.x_train, dataset.y_train, dataset.x_val, dataset.y_val,
                     TrainSchedule(cfg.finetune_epochs, cfg.finetune_batch_size,
-                                  cfg.finetune_lr, cfg.finetune_momentum), rng, log=log)
+                                  cfg.finetune_lr, cfg.finetune_momentum), rng)
 
 
 @dataclass
@@ -204,11 +219,11 @@ class PipelineResult:
     metrics_path: str = ""
 
 
-def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
+def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     validate_config(cfg)
     write_resolved_config(cfg)
     rng = np.random.default_rng(cfg.seed)
-    phases = _Phases(log)
+    phases = _Phases()
 
     with phases.run("data"):
         dataset = load_dataset(cfg, rng)
@@ -216,14 +231,14 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
     with phases.run("train"):
         model = build_or_load_model(cfg, dataset, rng)
         if not cfg.model_in and cfg.train_epochs > 0:
-            train_from_config(cfg, model, dataset, rng, log)
+            train_from_config(cfg, model, dataset, rng)
         baseline_error = evaluate(model, dataset.x_test, dataset.y_test)
 
     with phases.run("switch_train"):
         states = init_switch_states(model)
         if states and cfg.epochs > 0:
             train_switches_from_config(cfg, model, states, dataset.x_train,
-                                       dataset.y_train, rng, log)
+                                       dataset.y_train, rng)
         save_states(states, artifact_path(cfg, "switches_path", "switches.json"))
 
     with phases.run("rank"):
@@ -244,7 +259,7 @@ def run_pipeline(cfg: ExperimentConfig, log=None) -> PipelineResult:
 
     with phases.run("finetune"):
         if cfg.finetune_epochs > 0:
-            pruned, _ = finetune_from_config(cfg, pruned, dataset, rng, log)
+            pruned, _ = finetune_from_config(cfg, pruned, dataset, rng)
         save_model(pruned, artifact_path(cfg, "model_out", "finetuned.dpm1"))
 
     with phases.run("eval"):
@@ -294,7 +309,7 @@ class PosteriorCompareResult:
     timings_path: str = ""
 
 
-def run_posterior_compare(cfg: ExperimentConfig, log=None) -> PosteriorCompareResult:
+def run_posterior_compare(cfg: ExperimentConfig) -> PosteriorCompareResult:
     """Train the same frozen true-weight model twice, once per estimator,
     and report per-channel posterior mean/std next to the simulated truth."""
     d_x, d_h = cfg.dims
@@ -306,7 +321,7 @@ def run_posterior_compare(cfg: ExperimentConfig, log=None) -> PosteriorCompareRe
         run_cfg = dataclasses.replace(cfg, estimator=estimator)
         states = init_switch_states(model)
         hist = train_switches_from_config(run_cfg, model, states, x, y,
-                                          np.random.default_rng(seed), log)
+                                          np.random.default_rng(seed))
         mean, std = posterior_report(states[0])
         return mean, std, [h.seconds for h in hist]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,8 @@ from .models import (Conv2d, Flatten, FullyConnected, ModelGraph,
                      propagate_shapes, prunable_indices, prunable_widths,
                      read_json, train_model, validate_model)
 from .switch import SwitchState
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +159,17 @@ class PruningPlan:
 
 def make_plan(report: RankingReport, keep_counts=None, rate: float | None = None) -> PruningPlan:
     """Top-k of each layer's ranking; k from explicit per-layer counts or a
-    global pruning rate, where rate r keeps ceil((1-r)*width) channels."""
+    global pruning rate, where rate r keeps ceil((1-r)*width) channels.
+    keep_counts is a list (entry i for prunable ordinal i) or a dict keyed by
+    ordinal, with exactly one count per ranked layer."""
     if (keep_counts is None) == (rate is None):
         raise ContractError("give exactly one of keep_counts or rate")
+    if keep_counts is not None:
+        given = keep_counts if isinstance(keep_counts, dict) else range(len(keep_counts))
+        ranked = [lr.layer for lr in report.per_layer]
+        if sorted(given) != sorted(ranked):
+            raise ContractError(f"keep_counts: need one count for each ranked layer "
+                                f"{ranked}, got {keep_counts}")
     keep = {}
     for lr in report.per_layer:
         width = lr.scores.size
@@ -253,11 +264,12 @@ def apply_plan(model: ModelGraph, plan: PruningPlan,
 
 
 def finetune(model: ModelGraph, x_train, y_train, x_val, y_val,
-             schedule: TrainSchedule, rng, log=None) -> tuple[ModelGraph, float]:
+             schedule: TrainSchedule, rng) -> tuple[ModelGraph, float]:
     """SGD-with-momentum retraining; returns (best model, best val error %)
     across the schedule, where epoch 0 (the input model) also competes.
-    An epoch whose training diverges (``train_model`` raises NumericError)
-    ends the schedule, since no later epoch could be trusted; the best
+    Each epoch's validation error is logged at INFO. An epoch whose training
+    diverges (``train_model`` raises NumericError) ends the schedule, since
+    no later epoch could be trusted; the error is logged and the best
     earlier model is returned. A zero-epoch schedule returns an unchanged
     copy."""
     if np.asarray(x_train).shape[0] == 0 or np.asarray(x_val).shape[0] == 0:
@@ -272,12 +284,10 @@ def finetune(model: ModelGraph, x_train, y_train, x_val, y_val,
         try:
             train_model(work, x_train, y_train, one, rng)
         except NumericError as e:
-            if log is not None:
-                log(f"finetune epoch {epoch + 1}/{schedule.epochs}: {e}; stopped")
+            logger.info("finetune epoch %d/%d: %s; stopped", epoch + 1, schedule.epochs, e)
             break
         err = evaluate(work, x_val, y_val)
-        if log is not None:
-            log(f"finetune epoch {epoch + 1}/{schedule.epochs}: val error {err:.2f}%")
+        logger.info("finetune epoch %d/%d: val error %.2f%%", epoch + 1, schedule.epochs, err)
         if err < best_err:
             best_err = err
             best = copy_model(work)

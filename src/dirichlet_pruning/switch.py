@@ -38,6 +38,7 @@ Model weights stay frozen throughout; only theta moves.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -51,6 +52,7 @@ from .models import (ModelGraph, _batches, forward, loss_bound, prunable_widths,
                      read_json, switch_consumers)
 from .tensor import Tape, Tensor
 
+logger = logging.getLogger(__name__)
 _PHI_SHIFT = 1e-6
 _THETA_INIT = math.log(math.expm1(1.0))  # softplus(theta) = 1
 
@@ -297,11 +299,12 @@ def _advance(model, states, h, start, stop, batch_size):
 
 
 def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
-                   schedule: SwitchTrainSchedule, rng, log=None) -> list[EpochStats]:
+                   schedule: SwitchTrainSchedule, rng) -> list[EpochStats]:
     """Plain SGD on theta. per_layer mode sweeps the switches in ordinal
     order, updating one layer's theta per sweep while the others sit at
     their posterior mean; joint mode updates all thetas together. Mutates
-    state.theta in place and returns per-epoch statistics.
+    state.theta in place and returns per-epoch statistics, each also logged
+    at INFO.
 
     The first sweep reads x. Before each later per_layer sweep, one untaped
     pass carries every row from the previous sweep's entry to the input of
@@ -354,7 +357,6 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
             stats = EpochStats(scope, epoch + 1, total / max(nb, 1),
                                time.perf_counter() - t0)
             history.append(stats)
-            if log is not None:
-                log(f"{stats.scope} epoch {stats.epoch}/{schedule.epochs}: "
-                    f"neg_elbo {stats.mean_neg_elbo:.4f} ({stats.seconds:.2f}s)")
+            logger.info("%s epoch %d/%d: neg_elbo %.4f (%.2fs)", stats.scope, stats.epoch,
+                        schedule.epochs, stats.mean_neg_elbo, stats.seconds)
     return history

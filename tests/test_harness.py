@@ -3,6 +3,7 @@
 import gzip
 import inspect
 import json
+import logging
 import math
 import pathlib
 import re
@@ -99,7 +100,7 @@ def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
 @pytest.mark.parametrize("key,value", [
     ("estimator", "implcit"), ("rate", 1.5), ("alpha0", 0.0), ("kl_weight", math.nan),
     ("train_batch_size", 0), ("batch_size", 0), ("finetune_batch_size", 0),
-    ("keep_counts", (3, 3)), ("keep_counts", (0,)),
+    ("keep_counts", (3, 3)), ("keep_counts", (0,)), ("image_index", -1),
 ])
 def test_bad_config_writes_no_artifact(tmp_path, key, value):
     out = tmp_path / "run"
@@ -688,6 +689,75 @@ def test_cli_export_maps_reads_default_ranking(tmp_path):
         "map_000_channel_001.pgm", "map_001_channel_000.pgm"]
 
 
+def test_cli_export_maps_index_past_the_test_split_exits_one(tmp_path, capsys):
+    out, cfg = _export_maps_cfg(tmp_path)
+    text = pathlib.Path(cfg).read_text().replace("image_index = 1", "image_index = 4")
+    assert cli.main(["--config", _write_cfg(tmp_path, "far.cfg", text), "export-maps"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'image_index'" in err and "4 images" in err
+    assert not list(out.glob("*.pgm"))
+
+
+def _lenet_on_twelve_classes(tmp_path, extra=""):
+    """A LeNet config on IDX files whose labels run 0-11, two more classes
+    than LeNet's 10 outputs."""
+    pixels = np.random.default_rng(22).integers(0, 256, size=(12, 28, 28))
+    ip = _write(tmp_path, "imgs12.idx", _idx_images(pixels))
+    lp = _write(tmp_path, "labels12.idx", _idx_labels(np.arange(12)))
+    text = (f"out_dir = {tmp_path / 'out'}\n"
+            "data = mnist\n"
+            f"mnist_images = {ip}\nmnist_labels = {lp}\n"
+            f"mnist_test_images = {ip}\nmnist_test_labels = {lp}\n"
+            "arch = lenet5\nwidths = 2,2,8,4\n" + extra)
+    return _write_cfg(tmp_path, "twelve.cfg", text)
+
+
+def test_cli_train_rejects_a_model_with_fewer_outputs_than_classes(tmp_path, capsys):
+    cfg = _lenet_on_twelve_classes(tmp_path)
+    assert cli.main(["--config", cfg, "train"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: key 'arch': the model has 10 outputs, but the data "
+                   "has 12 classes\n")
+    assert not (tmp_path / "out" / "model.dpm1").exists()
+
+
+def test_cli_rejects_a_model_in_with_fewer_outputs_than_classes(tmp_path, capsys):
+    model_path = tmp_path / "lenet.dpm1"
+    save_model(build_lenet5([2, 2, 8, 4], rng=np.random.default_rng(23)), model_path)
+    cfg = _lenet_on_twelve_classes(tmp_path, f"model_in = {model_path}\n")
+    assert cli.main(["--config", cfg, "eval"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'model_in'") and "10 outputs" in err
+    assert "12 classes" in err
+
+
+@pytest.mark.parametrize("counts", ["2, 2", "2, 2, 2, 2, 9"])
+def test_cli_prune_keep_counts_not_one_per_layer_exits_one(tmp_path, capsys, counts):
+    # validate_config cannot count the layers of a model_in, so make_plan does
+    _, cfg = _export_maps_cfg(tmp_path)
+    text = pathlib.Path(cfg).read_text() + f"method = l1\nkeep_counts = {counts}\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "k.cfg", text), "prune"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: keep_counts:")
+    assert "[0, 1, 2, 3]" in err and f"[{counts}]" in err
+    assert not (tmp_path / "maps" / "pruned.dpm1").exists()
+
+
+def test_cli_config_that_is_a_directory_exits_one(tmp_path, capsys):
+    assert cli.main(["--config", str(tmp_path), "train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_cli_out_dir_that_is_a_file_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    cfg = _write_cfg(tmp_path, "f.cfg", _base_cfg_text(blocker))
+    assert cli.main(["--config", cfg, "train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocker) in err
+
+
 def test_cli_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "bad.cfg", "seeed = 1\n")
     assert cli.main(["--config", cfg, "train"]) == 1
@@ -721,3 +791,66 @@ def test_cli_module_entry_point(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "pipeline done" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# progress lines: the dirichlet_pruning logger, printed by the CLI
+
+
+def _mask_seconds(text):
+    return re.sub(r"\d+\.\d+s\b", "Xs", text)
+
+
+def test_cli_pipeline_stdout_lines(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "p.cfg", _base_cfg_text(tmp_path / "pout"))
+    assert cli.main(["--config", cfg, "pipeline"]) == 0
+    # fine-tuning runs train_model one epoch at a time, so each fine-tune
+    # epoch line follows that epoch's own loss line
+    assert _mask_seconds(capsys.readouterr().out).splitlines() == [
+        "phase data: Xs",
+        "epoch 1/1: loss 1.4158 (Xs)",
+        "phase train: Xs",
+        "layer0 epoch 1/1: neg_elbo 0.7152 (Xs)",
+        "phase switch_train: Xs",
+        "phase rank: Xs",
+        "phase plan: Xs",
+        "phase prune: Xs",
+        "epoch 1/1: loss 0.6753 (Xs)",
+        "finetune epoch 1/1: val error 25.00%",
+        "phase finetune: Xs",
+        "phase eval: Xs",
+        "pipeline done: 2, final error 55.00%, params 20, flops 20",
+    ]
+
+
+def test_cli_main_twice_prints_each_line_once_and_restores_the_logger(tmp_path, capsys):
+    package_logger = logging.getLogger("dirichlet_pruning")
+    old_level = package_logger.level
+    package_logger.setLevel(logging.ERROR)
+    try:
+        cfg = _write_cfg(tmp_path, "t.cfg", _base_cfg_text(tmp_path / "out"))
+        outs = []
+        for _ in range(2):
+            assert cli.main(["--config", cfg, "train"]) == 0
+            outs.append(_mask_seconds(capsys.readouterr().out).splitlines())
+            assert package_logger.handlers == []
+            assert package_logger.level == logging.ERROR
+        assert outs[0] == outs[1]
+        assert len(outs[0]) == 2 and outs[0][0].startswith("epoch 1/1: loss ")
+        assert outs[0][1].startswith("trained 4: test error ")
+    finally:
+        package_logger.setLevel(old_level)
+
+
+def test_run_pipeline_without_logging_configured_is_silent(tmp_path):
+    # a fresh interpreter, so no logging setup of the test runner applies
+    code = ("import sys\n"
+            "from dirichlet_pruning.config import load_config\n"
+            "from dirichlet_pruning.pipeline import run_pipeline\n"
+            "run_pipeline(load_config(sys.argv[1]))\n")
+    cfg = _write_cfg(tmp_path, "q.cfg", _base_cfg_text(tmp_path / "qout"))
+    proc = subprocess.run([sys.executable, "-c", code, cfg],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("", "")
+    assert (tmp_path / "qout" / "metrics.csv").exists()

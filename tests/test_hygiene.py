@@ -152,6 +152,37 @@ def test_no_dead_public_names():
     assert _dead_public_names(_package_sources(), _demo_sources()) == []
 
 
+def _print_calls(sources: dict[str, str]) -> list[str]:
+    """Calls to ``print`` in the package modules of ``sources`` other than
+    cli.py; the library reports progress through the ``dirichlet_pruning``
+    logger, and only the command line writes to stdout."""
+    found = []
+    for module, source in sources.items():
+        if module == "cli.py":
+            continue
+        found += [f"{module}: line {node.lineno}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "print"]
+    return sorted(found)
+
+
+def test_print_scan_sees_calls_outside_the_cli():
+    sources = {
+        "cli.py": "print('summary')\n",
+        "a.py": "def f(log):\n    log('x')\n    print('y', file=None)\n",
+        "b.py": "pprint = print\nx = 'print(1)'\n",
+    }
+    assert _print_calls(sources) == ["a.py: line 3"]
+    # a print put back into the library is caught in the real package too
+    sources = _package_sources()
+    sources["pruning.py"] += "\n\ndef _say(msg):\n    print(msg)\n"
+    assert [f.split(": ")[0] for f in _print_calls(sources)] == ["pruning.py"]
+
+
+def test_no_print_outside_the_cli():
+    assert _print_calls(_package_sources()) == []
+
+
 def _imports_module(source: str, module: str) -> bool:
     """Whether ``source`` imports ``module`` (dotted) or any name from it."""
     package, _, leaf = module.rpartition(".")

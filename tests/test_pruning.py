@@ -1,6 +1,7 @@
 """Channel ranking, pruning plans, physical pruning, and fine-tuning."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -306,6 +307,16 @@ def test_make_plan_count_bounds():
         make_plan(report, keep_counts=[5])
 
 
+@pytest.mark.parametrize("counts", [[2], [2, 2, 2], {0: 2}, {1: 2, 2: 2}],
+                         ids=["short_list", "long_list", "dict_missing_key", "dict_wrong_key"])
+def test_make_plan_needs_one_count_per_ranked_layer(counts):
+    report = _report_for_widths([4, 6], np.random.default_rng(5))
+    with pytest.raises(ContractError) as info:
+        make_plan(report, keep_counts=counts)
+    assert str(info.value) == (f"keep_counts: need one count for each ranked layer "
+                               f"[0, 1], got {counts}")
+
+
 def test_make_plan_rate_bounds():
     report = _report_for_widths([4], np.random.default_rng(4))
     for rate in (0.0, 1.0, -0.2, 1.5):
@@ -537,12 +548,13 @@ def test_finetune_returns_best_epoch_not_last():
         np.testing.assert_array_equal(tuned.weights[name], model.weights[name])
 
 
-def test_finetune_stops_at_a_diverged_epoch():
+def test_finetune_stops_at_a_diverged_epoch(caplog):
     x_tr, y_tr, x_val, y_val = _finetune_data(250)
     model = build_mlp(10, 6, 2, rng=np.random.default_rng(251))
-    lines = []
+    caplog.set_level(logging.INFO, logger="dirichlet_pruning")
     tuned, err = finetune(model, x_tr, y_tr, x_val, y_val, TrainSchedule(3, 50, 1e6),
-                          np.random.default_rng(253), log=lines.append)
+                          np.random.default_rng(253))
+    lines = caplog.messages
     assert len(lines) == 1
     assert lines[0].startswith("finetune epoch 1/3: training loss ")
     assert "exceeds the divergence bound 6.93147e+08 at epoch 1, batch 2; stopped" in lines[0]
