@@ -54,7 +54,7 @@ finetune_lr = 0.05
 logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
 
 with tempfile.TemporaryDirectory() as tmp:
-    cfg = parse_config_text(CONFIG, base=None)
+    cfg = parse_config_text(CONFIG)
     cfg.out_dir = str(pathlib.Path(tmp) / "run")
 
     result = run_pipeline(cfg)

@@ -98,8 +98,8 @@ def _coerce(name: str, text: str):
         raise ConfigError(f"key {name!r}: cannot parse {text!r}") from None
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = dataclasses.replace(base) if base is not None else ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     unknown = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -142,6 +142,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
          f"one entry per prunable layer of {cfg.arch} ({_PRUNABLE_LAYERS[cfg.arch]})"),
         ("image_index", cfg.image_index >= 0, "image_index >= 0"),
         ("dims", len(cfg.dims) == 2, "two values (d_x, d_h)"),
+        ("n", cfg.data != "synthetic" or (cfg.n >= 2 and cfg.n % 2 == 0),
+         "an even n >= 2 for synthetic data"),
+        # a dims of another length fails the row above first
+        ("dims", cfg.data != "synthetic" or len(cfg.dims) != 2
+         or (cfg.dims[0] >= 1 and cfg.dims[1] >= 4),
+         "d_x >= 1 and d_h >= 4 for synthetic data"),
         ("widths", cfg.arch != "lenet5" or len(cfg.widths) == 4,
          "four values for lenet5 (conv1, conv2, fc1, fc2)"),
     )
@@ -156,9 +162,9 @@ def choice_error(cfg: ExperimentConfig, key: str) -> ConfigError:
                        f"got {getattr(cfg, key)!r}")
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as f:
-        return parse_config_text(f.read(), base)
+        return parse_config_text(f.read())
 
 
 def require(cfg: ExperimentConfig, *keys: str) -> None:

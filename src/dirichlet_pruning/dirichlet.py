@@ -13,7 +13,6 @@ from .errors import DomainError, NumericError, ShapeError
 from .special import (_psi_recurrence, gamma_implicit_grad_batch, gamma_sample_batch,
                       lgamma_batch)
 
-_INTERIOR_CLAMP = 1e-12
 # Gamma draws are floored at the smallest subnormal to keep them positive, so
 # "everything underflowed" shows up as a denormal-scale total, not an exact 0.
 _UNDERFLOW_TOTAL = 1e-280
@@ -60,7 +59,7 @@ def dirichlet_kl(q_conc, p_conc) -> tuple[float, np.ndarray]:
     ext = np.concatenate((q, [q.sum()], p, [p.sum()]))  # elementwise kernels: one call each
     lg = lgamma_batch(ext)
     lg_q, lg_p = lg[:q.size + 1], lg[q.size + 1:]
-    psi, psi1 = _psi_recurrence(ext[:q.size + 1], True, True)
+    psi, psi1 = _psi_recurrence(ext[:q.size + 1], True)
     diff = q - p
     kl = lg_q[-1] - lg_p[-1]
     kl -= lg_q[:-1].sum()
@@ -68,13 +67,3 @@ def dirichlet_kl(q_conc, p_conc) -> tuple[float, np.ndarray]:
     kl += (diff * (psi[:-1] - psi[-1])).sum()
     return float(kl), diff * psi1[:-1] - psi1[-1] * diff.sum()
 
-
-def dirichlet_log_pdf_batch(conc, samples: np.ndarray) -> np.ndarray:
-    """Log density for each row of ``samples`` (k, D), entries clamped up to 1e-12."""
-    conc = validate_concentration(conc)
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != conc.size:
-        raise ShapeError(f"samples shape {samples.shape} does not match concentration {conc.shape}")
-    s = np.maximum(samples, _INTERIOR_CLAMP)
-    lg = lgamma_batch(np.append(conc, conc.sum()))
-    return np.log(s) @ (conc - 1.0) - (float(lg[:-1].sum()) - float(lg[-1]))

@@ -504,6 +504,8 @@ def loss_bound(model: ModelGraph) -> float:
 
 
 def _batches(n, batch_size, rng=None):
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     idx = np.arange(n)
     if rng is not None:
         rng.shuffle(idx)

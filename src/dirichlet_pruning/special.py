@@ -3,12 +3,13 @@
 Everything here is scale-1 Gamma: density x^(a-1) e^(-x) / Gamma(a). Each
 job has exactly one numpy kernel, and it works elementwise on arrays (a
 Python float is a 0-d array): ``lgamma_batch``, ``digamma_batch``,
-``trigamma_batch``, ``gamma_regularized_P_batch``, ``gamma_log_pdf``,
-``gamma_sample_batch`` and ``gamma_implicit_grad_batch``; psi and psi' share
-one (``_psi_recurrence``, which the KL calls once for both). There is no
-quantile: sampling is by Marsaglia-Tsang, and the implicit gradient needs
-only P and its shape derivative. Every kernel rejects NaN and out-of-domain
-input with a DomainError that names the offending value.
+``gamma_log_pdf``, ``gamma_sample_batch`` and ``gamma_implicit_grad_batch``.
+psi and psi' share one recurrence (``_psi_recurrence``, which the KL calls
+once for both). There is no quantile and no P: sampling is by
+Marsaglia-Tsang, and the implicit gradient needs only the incomplete-gamma
+series or fraction and its shape derivative (``_incomplete_gamma_terms``).
+Every public kernel rejects NaN and out-of-domain input with a DomainError
+that names the offending value.
 """
 
 from __future__ import annotations
@@ -70,16 +71,16 @@ def _rounds_below_ten(v) -> int:
     return rounds
 
 
-def _psi_recurrence(x, want_psi: bool, want_psi1: bool):
-    """(psi(x), psi'(x)) for x > 0 (checked by the caller), None for the one
-    not wanted: psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2
-    below 10, then the asymptotic series. Each step is an in-place ufunc
-    with no boolean indexing; ``step`` is 0.0 at or above 10, where 0/x and
-    x + 0 change nothing, so an element's float operations do not depend on
-    what shares the call. Adding 1 is monotone, so ``step`` is fixed until
-    the largest element below 10 gets there."""
+def _psi_recurrence(x, want_psi1: bool):
+    """(psi(x), psi'(x)) for x > 0 (checked by the caller), with None for
+    psi' unless ``want_psi1``: psi(x) = psi(x + 1) - 1/x and psi'(x) =
+    psi'(x + 1) + 1/x^2 below 10, then the asymptotic series. Each step is
+    an in-place ufunc with no boolean indexing; ``step`` is 0.0 at or above
+    10, where 0/x and x + 0 change nothing, so an element's float operations
+    do not depend on what shares the call. Adding 1 is monotone, so ``step``
+    is fixed until the largest element below 10 gets there."""
     x = np.array(x, dtype=np.float64)  # advanced in place
-    psi = np.zeros(x.shape) if want_psi else None
+    psi = np.zeros(x.shape)
     psi1 = np.zeros(x.shape) if want_psi1 else None
     r = np.empty_like(x)
     step = np.less(x, 10.0, out=np.empty_like(x))
@@ -90,21 +91,19 @@ def _psi_recurrence(x, want_psi: bool, want_psi1: bool):
         for i in range(_rounds_below_ten(np.min(x, initial=np.inf))):
             if i >= fixed:
                 np.less(x, 10.0, out=step)
-            if want_psi:
-                np.divide(step, x, out=r)
-                np.subtract(psi, r, out=psi)
+            np.divide(step, x, out=r)
+            np.subtract(psi, r, out=psi)
             if want_psi1:
                 np.multiply(x, x, out=r)
                 np.divide(step, r, out=r)
                 np.add(psi1, r, out=psi1)
             np.add(x, step, out=x)
-        inv2 = 1.0 / (x * x) if want_psi else None
+        inv2 = 1.0 / (x * x)
     del r, step  # free the loop buffers before the series allocate theirs
-    if want_psi:
-        # Bernoulli tail: 1/12 - 1/120 z + 1/252 z^2 - 1/240 z^3 + 1/132 z^4 - 691/32760 z^5
-        tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
-            1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
-        psi = (psi + np.log(x) - 0.5 / x - tail)[()]
+    # Bernoulli tail: 1/12 - 1/120 z + 1/252 z^2 - 1/240 z^3 + 1/132 z^4 - 691/32760 z^5
+    tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
+        1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
+    psi = (psi + np.log(x) - 0.5 / x - tail)[()]
     if want_psi1:
         inv = 1.0 / x
         inv2 = inv * inv
@@ -118,14 +117,7 @@ def digamma_batch(x: np.ndarray) -> np.ndarray:
     """psi(x) for x > 0, elementwise."""
     x = np.asarray(x, dtype=np.float64)
     _check_domain("digamma", "x > 0", x, x > 0.0)
-    return _psi_recurrence(x, True, False)[0]
-
-
-def trigamma_batch(x: np.ndarray) -> np.ndarray:
-    """psi'(x) for x > 0, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_domain("trigamma", "x > 0", x, x > 0.0)
-    return _psi_recurrence(x, False, True)[1]
+    return _psi_recurrence(x, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +128,22 @@ _P_MAX_ITER = 500
 _P_EPS = 1e-15
 
 
-def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
+def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray):
     """The one series / continued-fraction loop behind P(a, x) and dP/da.
 
     ``a`` and ``x`` are flat arrays with x > 0. For x < a + 1 the series
     gives F = sum_n x^n / (a (a+1) ... (a+n)) and P = front * F; otherwise
     the modified Lentz continued fraction gives F with Q = 1 - P = front * F.
-    Here front = exp(a log x - x - lgamma(a)). With ``with_grad``, dF/da is
-    carried forward-mode through the same recurrence (Moore, AS 187, 1982),
-    and each element iterates until both F and dF/da have converged.
+    Here front = exp(a log x - x - lgamma(a)). dF/da is carried forward-mode
+    through the same recurrence (Moore, AS 187, 1982), and each element
+    iterates until both F and dF/da have converged.
 
     Returns (series, F, dF) with ``series`` the mask of elements on the
-    series branch; dF is None without ``with_grad``.
+    series branch.
     """
     series = x < a + 1.0
     f = np.empty_like(a)
-    df = np.empty_like(a) if with_grad else None
+    df = np.empty_like(a)
 
     if np.any(series):
         aa = a[series]
@@ -160,20 +152,16 @@ def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
         total = term.copy()
         denom = aa.copy()
         live = np.ones(aa.shape, dtype=bool)
-        if with_grad:
-            dterm = -term / aa
-            dtotal = dterm.copy()
-            live_d = live.copy()
-        else:
-            live_d = np.zeros(aa.shape, dtype=bool)
+        dterm = -term / aa
+        dtotal = dterm.copy()
+        live_d = live.copy()
         for _ in range(_P_MAX_ITER):
             denom += 1.0
             ratio = xx / denom
-            if with_grad:
-                # t_n = t_(n-1) x/(a+n), so dt_n = x/(a+n) (dt_(n-1) - t_(n-1)/(a+n))
-                dterm = ratio * (dterm - term / denom)
-                dtotal = np.where(live_d, dtotal + dterm, dtotal)
-                live_d &= np.abs(dterm) >= np.abs(dtotal) * _P_EPS
+            # t_n = t_(n-1) x/(a+n), so dt_n = x/(a+n) (dt_(n-1) - t_(n-1)/(a+n))
+            dterm = ratio * (dterm - term / denom)
+            dtotal = np.where(live_d, dtotal + dterm, dtotal)
+            live_d &= np.abs(dterm) >= np.abs(dtotal) * _P_EPS
             term *= ratio
             total = np.where(live, total + term, total)
             live &= np.abs(term) >= np.abs(total) * _P_EPS
@@ -182,8 +170,7 @@ def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
         else:
             raise NumericError("P series failed to converge on a batch element")
         f[series] = total
-        if with_grad:
-            df[series] = dtotal
+        df[series] = dtotal
 
     frac = ~series
     if np.any(frac):
@@ -195,32 +182,27 @@ def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
         d = np.where(b != 0.0, 1.0 / np.where(b == 0.0, 1.0, b), 1.0 / tiny)
         h = d.copy()
         live = np.ones(aa.shape, dtype=bool)
-        if with_grad:
-            # every b_i has db/da = -1 and a_i = -i (i - a) has da_i/da = i;
-            # c_0 does not depend on a, d_0 = 1/b_0 has dd/da = d_0^2
-            dc = np.zeros_like(xx)
-            dd = d * d
-            dh = dd.copy()
-            live_d = live.copy()
-        else:
-            live_d = np.zeros(aa.shape, dtype=bool)
+        # every b_i has db/da = -1 and a_i = -i (i - a) has da_i/da = i;
+        # c_0 does not depend on a, d_0 = 1/b_0 has dd/da = d_0^2
+        dc = np.zeros_like(xx)
+        dd = d * d
+        dh = dd.copy()
+        live_d = live.copy()
         for i in range(1, _P_MAX_ITER + 1):
             an = -i * (i - aa)
             b += 2.0
-            if with_grad:
-                dden = i * d + an * dd - 1.0
-                dc = (i - an / c * dc) / c - 1.0
+            dden = i * d + an * dd - 1.0
+            dc = (i - an / c * dc) / c - 1.0
             d = an * d + b
             np.copyto(d, tiny, where=np.abs(d) < tiny)
             c = b + an / c
             np.copyto(c, tiny, where=np.abs(c) < tiny)
             d = 1.0 / d
             delta = d * c
-            if with_grad:
-                dd = -dden * d * d
-                step = dh * (delta - 1.0) + h * (dc * d + c * dd)
-                dh = np.where(live_d, dh + step, dh)
-                live_d &= np.abs(step) >= np.abs(dh) * _P_EPS
+            dd = -dden * d * d
+            step = dh * (delta - 1.0) + h * (dc * d + c * dd)
+            dh = np.where(live_d, dh + step, dh)
+            live_d &= np.abs(step) >= np.abs(dh) * _P_EPS
             h = np.where(live, h * delta, h)
             live &= np.abs(delta - 1.0) >= _P_EPS
             if not (live.any() or live_d.any()):
@@ -228,32 +210,9 @@ def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray, with_grad: bool):
         else:
             raise NumericError("P continued fraction failed to converge on a batch element")
         f[frac] = h
-        if with_grad:
-            df[frac] = dh
+        df[frac] = dh
 
     return series, f, df
-
-
-def gamma_regularized_P_batch(shape: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P(shape, x) elementwise for shape > 0 and x >= 0; shapes broadcast.
-
-    Power series for x < shape + 1, continued fraction (modified Lentz) for
-    the complement otherwise. P(shape, 0) = 0 and P(shape, inf) = 1.
-    """
-    shape = np.asarray(shape, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    shape, x = np.broadcast_arrays(shape, x)
-    _check_domain("gamma_regularized_P", "shape > 0", shape, shape > 0.0)
-    _check_domain("gamma_regularized_P", "x >= 0", x, x >= 0.0)
-    out = np.where(x == np.inf, 1.0, 0.0)
-    pos = (x > 0.0) & (x < np.inf)
-    if np.any(pos):
-        a = shape[pos]
-        xx = x[pos]
-        series, f, _ = _incomplete_gamma_terms(a, xx, with_grad=False)
-        front_f = np.exp(a * np.log(xx) - xx - lgamma_batch(a)) * f
-        out[pos] = np.where(series, np.minimum(1.0, front_f), np.maximum(0.0, 1.0 - front_f))
-    return out
 
 
 def gamma_log_pdf(shape, x):
@@ -338,7 +297,7 @@ def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndar
             f"value={values[tuple(bad)]}")
     a = shapes.ravel()
     y = values.ravel()
-    series, f, df = _incomplete_gamma_terms(a, y, with_grad=True)
+    series, f, df = _incomplete_gamma_terms(a, y)
     psi = np.broadcast_to(digamma_batch(distinct), shapes.shape).ravel()
     scaled = y * (f * (np.log(y) - psi) + df)
     return np.where(series, -scaled, scaled).reshape(shapes.shape)

@@ -60,10 +60,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def clear(self) -> None:
-        """Drop all nodes, freeing saved activations."""
-        self._nodes.clear()
-
 
 class Tensor:
     """n-d array of float64 in row-major order, optionally tracked for gradients."""

@@ -1,5 +1,6 @@
 """The masked-loop psi and psi' kernels, kept as the bitwise oracle for
-``special.digamma_batch``, ``special.trigamma_batch`` and the KL gradient.
+``special.digamma_batch``, the psi' half of ``special._psi_recurrence`` and
+the KL gradient.
 
 Each kernel pushes the elements below 10 up by one per round through
 boolean gather and scatter, then finishes with the asymptotic series. The

@@ -1,4 +1,4 @@
-"""Dirichlet distribution: sampling, mean, KL divergence, log-density."""
+"""Dirichlet distribution: sampling, mean, KL divergence."""
 
 import math
 
@@ -8,10 +8,8 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
-from dirichlet_pruning.dirichlet import (dirichlet_kl, dirichlet_log_pdf_batch,
-                                         dirichlet_marginal_std,
-                                         dirichlet_sample_batch,
-                                         validate_concentration)
+from dirichlet_pruning.dirichlet import (dirichlet_kl, dirichlet_marginal_std,
+                                         dirichlet_sample_batch, validate_concentration)
 from dirichlet_pruning.errors import DomainError, NumericError, ShapeError
 from dirichlet_pruning.special import lgamma_batch
 from dirichlet_pruning.switch import AnalyticMean, _sigmoid_np
@@ -49,11 +47,6 @@ def _mean(conc):
     """The posterior-mean switch row that the analytic estimator plugs in."""
     (mean,), _, _ = AnalyticMean().draw(np.asarray(conc, dtype=np.float64), rng=None)
     return mean
-
-
-def _log_pdf(conc, s):
-    """The log density at one simplex point, as a batch of one row."""
-    return float(dirichlet_log_pdf_batch(conc, np.asarray(s, dtype=np.float64)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,8 @@ def test_kl_matches_monte_carlo():
     s = rng.dirichlet(q, size=n)  # independent sampler
     s = np.clip(s, 1e-12, None)
     s /= s.sum(axis=1, keepdims=True)
-    diffs = dirichlet_log_pdf_batch(q, s) - dirichlet_log_pdf_batch(p, s)
+    # scipy's density takes one column per point
+    diffs = scipy.stats.dirichlet.logpdf(s.T, q) - scipy.stats.dirichlet.logpdf(s.T, p)
     est = diffs.mean()
     se = diffs.std(ddof=1) / math.sqrt(n)
     assert abs(dirichlet_kl(q, p)[0] - est) <= 4 * se
@@ -253,63 +247,3 @@ def test_kl_value_is_bitwise_the_separate_kernel_sum():
         kl += ((q - p) * (psi_q[:-1] - psi_q[-1])).sum()
         assert dirichlet_kl(q, p)[0] == float(kl)
 
-
-# ---------------------------------------------------------------------------
-# log-density
-
-
-def test_log_pdf_uniform_dirichlet_is_zero():
-    ones = np.array([1.0, 1.0])
-    for s1 in (0.1, 0.33, 0.5, 0.9):
-        assert abs(_log_pdf(ones, np.array([s1, 1.0 - s1]))) <= 1e-12
-
-
-def test_log_pdf_integrates_to_one():
-    phi = np.array([2.5, 1.7])
-    val, err = scipy.integrate.quad(
-        lambda s: math.exp(_log_pdf(phi, np.array([s, 1.0 - s]))),
-        0.0, 1.0, epsabs=1e-10, epsrel=1e-10)
-    assert err < 1e-8
-    assert abs(val - 1.0) <= 1e-6
-
-
-def test_log_pdf_matches_scipy():
-    rng = np.random.default_rng(211)
-    for _ in range(20):
-        d = int(rng.integers(2, 6))
-        phi = rng.uniform(0.3, 6.0, d)
-        s = rng.dirichlet(np.full(d, 2.0))
-        ref = float(scipy.stats.dirichlet.logpdf(s[:-1] if d > 2 else s, phi)
-                    if False else scipy.stats.dirichlet(phi).logpdf(s))
-        assert abs(_log_pdf(phi, s) - ref) <= 1e-10
-
-
-def test_log_pdf_permutation_invariance():
-    phi2 = np.array([3.0, 3.0])
-    s2 = np.array([0.3, 0.7])
-    assert _log_pdf(phi2, s2) == _log_pdf(phi2, s2[::-1])
-    phi4 = np.full(4, 1.8)
-    s4 = np.array([0.1, 0.2, 0.3, 0.4])
-    base = _log_pdf(phi4, s4)
-    rng = np.random.default_rng(212)
-    for _ in range(5):
-        perm = rng.permutation(4)
-        assert abs(_log_pdf(phi4, s4[perm]) - base) <= 1e-12
-
-
-def test_log_pdf_boundary_with_small_concentration():
-    # the density is infinite at this boundary point; entries are clamped up
-    # to 1e-12, so the value is the finite density just inside the simplex
-    phi = np.array([0.5, 2.0])
-    value = _log_pdf(phi, np.array([0.0, 1.0]))
-    assert math.isfinite(value)
-    assert value == _log_pdf(phi, np.array([1e-12, 1.0]))
-
-
-def test_log_pdf_batch_matches_scalar():
-    rng = np.random.default_rng(213)
-    phi = np.array([0.7, 2.0, 3.3])
-    s = rng.dirichlet(np.full(3, 2.0), size=10)
-    batch = dirichlet_log_pdf_batch(phi, s)
-    ref = np.array([_log_pdf(phi, row) for row in s])  # one row at a time
-    assert np.allclose(batch, ref, rtol=1e-12, atol=1e-12)

@@ -79,6 +79,10 @@ def test_config_line_without_equals():
     ("finetune_lr = nan", "finetune_lr"),
     ("k = 0", "k"),
     ("dims = 8", "dims"),
+    ("n = 0", "n"),
+    ("n = 4001", "n"),
+    ("dims = 100, 3", "dims"),
+    ("dims = 0, 20", "dims"),
     ("arch = lenet5\nwidths = 2, 2, 8", "widths"),
     ("alpha0 = 0", "alpha0"),
     ("alpha0 = nan", "alpha0"),
@@ -111,14 +115,6 @@ def test_bad_config_writes_no_artifact(tmp_path, key, value):
     path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + f"{key} = {text}\n")
     assert cli.main(["--config", path, "pipeline"]) == 1
     assert not out.exists()
-
-
-def test_config_base_overlay_keeps_other_fields():
-    base = parse_config_text("seed = 3\nn = 500\n")
-    cfg = parse_config_text("seed = 9\n", base=base)
-    assert cfg.seed == 9
-    assert cfg.n == 500
-    assert base.seed == 3  # overlay must not mutate the base
 
 
 def test_config_require_reports_empty_keys():

@@ -152,6 +152,48 @@ def test_no_dead_public_names():
     assert _dead_public_names(_package_sources(), _demo_sources()) == []
 
 
+def _uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the package modules in ``sources``
+    that no library module reads, by a name or an attribute. ``__init__.py``
+    does not count, and neither does an import: code kept only for tests
+    and demos belongs with them, not in the library."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for module, tree in trees.items():
+        if module != "__init__.py":
+            used.update(node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Name, ast.Attribute)))
+    return sorted(f"{module}: {node.name} (line {node.lineno})"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in used)
+
+
+def test_uncalled_definition_scan_sees_test_only_code():
+    sources = {
+        "__init__.py": "from .a import exported, oracle\n",
+        "a.py": ("def helper():\n    return 1\n"
+                 "def exported():\n    return helper()\n"
+                 "class Shape:\n    pass\n"
+                 "def oracle():\n    pass\n"),
+        "b.py": "from .a import Shape, exported\nimport a\na.Shape()\n",
+    }
+    assert _uncalled_definitions(sources) == ["a.py: exported (line 3)",
+                                              "a.py: oracle (line 7)"]
+    # a kernel that only tests call is caught in the real package too, even
+    # when __init__.py re-exports it
+    sources = _package_sources()
+    sources["special.py"] += "\n\ndef trigamma_batch(x):\n    return x\n"
+    sources["__init__.py"] += "from .special import trigamma_batch\n"
+    assert [f.split(" (")[0] for f in _uncalled_definitions(sources)] == [
+        "special.py: trigamma_batch"]
+
+
+def test_every_library_definition_has_a_library_caller():
+    assert _uncalled_definitions(_package_sources()) == []
+
+
 def _print_calls(sources: dict[str, str]) -> list[str]:
     """Calls to ``print`` in the package modules of ``sources`` other than
     cli.py; the library reports progress through the ``dirichlet_pruning``

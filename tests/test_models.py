@@ -17,6 +17,7 @@ from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       save_model, switch_consumers,
                                       train_model, validate_model)
 from dirichlet_pruning import tensor as T
+from dirichlet_pruning.switch import SwitchTrainSchedule, init_switch_states, train_switches
 from dirichlet_pruning.synthetic import gen_synthetic
 from dirichlet_pruning.tensor import Tape, Tensor
 
@@ -532,6 +533,27 @@ def test_evaluate_ignores_batch_size(arch):
     errors = {evaluate(model, x, y, batch_size=b) for b in (100, 500, n)}
     assert len(errors) == 1
     assert 0.0 < errors.pop() < 100.0
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("entry", ["evaluate", "train_model", "train_switches"])
+def test_batch_size_below_one_is_rejected_naming_it(entry, batch_size):
+    # a negative size used to run no batch at all (0% error, a loss of 0.0
+    # per epoch) and a zero one to die inside numpy's range()
+    rng = np.random.default_rng(26)
+    model = build_mlp(4, 6, 2, rng=rng)
+    x = rng.standard_normal((20, 4))
+    y = rng.integers(0, 2, 20)
+    before = {k: v.copy() for k, v in model.weights.items()}
+    with pytest.raises(ContractError, match=f"batch_size must be >= 1, got {batch_size}"):
+        if entry == "evaluate":
+            evaluate(model, x, y, batch_size=batch_size)
+        elif entry == "train_model":
+            train_model(model, x, y, TrainSchedule(batch_size=batch_size), rng)
+        else:
+            train_switches(model, init_switch_states(model), x, y,
+                           SwitchTrainSchedule(batch_size=batch_size), rng)
+    assert all(np.array_equal(model.weights[k], v) for k, v in before.items())
 
 
 def _peak_mib(fn):

@@ -20,9 +20,7 @@ from dirichlet_pruning import special
 from dirichlet_pruning.dirichlet import dirichlet_sample_batch
 from dirichlet_pruning.errors import DomainError, NumericError
 from dirichlet_pruning.special import (digamma_batch, gamma_implicit_grad_batch,
-                                       gamma_log_pdf, gamma_regularized_P_batch,
-                                       gamma_sample_batch, lgamma_batch,
-                                       trigamma_batch)
+                                       gamma_log_pdf, gamma_sample_batch, lgamma_batch)
 
 from conftest import rel_err
 from psi_oracle import digamma_masked, trigamma_masked
@@ -88,6 +86,11 @@ def test_lgamma_batch_matches_scalar():
 # digamma / trigamma
 
 
+def trigamma(x):
+    """psi'(x) from the recurrence the KL gradient uses."""
+    return special._psi_recurrence(x, True)[1]
+
+
 def test_digamma_one_is_minus_euler_gamma():
     # oracle: Euler's constant as the limit of H_n - ln n, with the two
     # leading correction terms so n = 1e5 already gives ~1e-16 accuracy
@@ -136,16 +139,12 @@ def test_digamma_batch_matches_scalar():
 
 
 def test_trigamma_basics():
-    assert abs(trigamma_batch(1.0) - math.pi**2 / 6.0) <= 1e-12
-    assert abs(trigamma_batch(3.7) - TRIGAMMA_3_7) <= 1e-12
+    assert abs(trigamma(1.0) - math.pi**2 / 6.0) <= 1e-12
+    assert abs(trigamma(3.7) - TRIGAMMA_3_7) <= 1e-12
     for x in [0.4, 2.2, 15.0]:
-        assert abs(trigamma_batch(x + 1.0) - trigamma_batch(x) + 1.0 / x**2) <= 1e-12
-    with pytest.raises(DomainError):
-        trigamma_batch(-1.0)
-    with pytest.raises(DomainError, match="nan"):
-        trigamma_batch(np.array([2.0, math.nan]))
+        assert abs(trigamma(x + 1.0) - trigamma(x) + 1.0 / x**2) <= 1e-12
     xs = np.array([0.2, 1.0, 9.0])
-    assert np.array_equal(trigamma_batch(xs), np.array([trigamma_batch(float(x)) for x in xs]))
+    assert np.array_equal(trigamma(xs), np.array([trigamma(float(x)) for x in xs]))
 
 
 def _psi_grid():
@@ -157,7 +156,7 @@ def _psi_grid():
 
 
 @pytest.mark.parametrize("kernel,oracle", [(digamma_batch, digamma_masked),
-                                           (trigamma_batch, trigamma_masked)],
+                                           (trigamma, trigamma_masked)],
                          ids=["digamma", "trigamma"])
 def test_psi_kernels_bitwise_match_masked_loop_oracle(kernel, oracle):
     grid = _psi_grid()
@@ -181,9 +180,9 @@ def test_psi_extremes_are_exact_without_warnings():
     # 1/x^2 underflows to inf and x^2 overflows to a zero tail: both are the
     # correctly rounded answers, so neither may warn
     assert digamma_batch(1e300) == 690.7755278982137
-    assert trigamma_batch(1e-170) == np.inf
+    assert trigamma(1e-170) == np.inf
     assert digamma_batch(1e-310) == -np.inf
-    assert trigamma_batch(1e300) == 1e-300
+    assert trigamma(1e300) == 1e-300
 
 
 def test_digamma_allocation_peak_on_broadcast_rows():
@@ -204,18 +203,33 @@ def test_digamma_allocation_peak_on_broadcast_rows():
 # regularized incomplete gamma
 
 
+def front_times_f(a, x):
+    """(series, front * F) from the implicit gradient's series / continued-
+    fraction loop, for x > 0: front * F is P(a, x) on the series branch and
+    Q = 1 - P on the fraction branch."""
+    a, x = (np.ravel(np.asarray(v, dtype=np.float64)) for v in np.broadcast_arrays(a, x))
+    series, f, _ = special._incomplete_gamma_terms(a, x)
+    return series, np.exp(a * np.log(x) - x - lgamma_batch(a)) * f
+
+
+def gamma_P(a, x):
+    series, front_f = front_times_f(a, x)
+    return np.where(series, front_f, 1.0 - front_f)
+
+
 def test_gamma_P_exponential_case():
     for x in [0.1, 1.0, 5.0]:
-        assert abs(gamma_regularized_P_batch(1.0, x) - (1.0 - math.exp(-x))) <= 1e-12
+        assert abs(gamma_P(1.0, x)[0] - (1.0 - math.exp(-x))) <= 1e-12
 
 
 def test_gamma_P_endpoints():
+    # the loop takes x > 0, so the ends are approached from inside: P is 0
+    # to within 1e-12 at a tiny x and 1 to within 1e-12 far in the tail
     for a in [0.3, 1.0, 4.5]:
-        assert gamma_regularized_P_batch(a, 0.0) == 0.0
-        assert abs(gamma_regularized_P_batch(a, 700.0) - 1.0) <= 1e-12
-        assert gamma_regularized_P_batch(a, math.inf) == 1.0
-    got = gamma_regularized_P_batch(np.array([0.3, 2.0, 2.0]), np.array([math.inf, 0.0, 1.0]))
-    assert got[0] == 1.0 and got[1] == 0.0 and 0.0 < got[2] < 1.0
+        assert abs(gamma_P(a, 1e-300)[0]) <= 1e-12
+        assert abs(gamma_P(a, 700.0)[0] - 1.0) <= 1e-12
+    got = gamma_P(np.array([0.3, 2.0, 2.0]), np.array([700.0, 1e-300, 1.0]))
+    assert abs(got[0] - 1.0) <= 1e-12 and abs(got[1]) <= 1e-12 and 0.0 < got[2] < 1.0
 
 
 def test_gamma_P_against_quadrature():
@@ -224,33 +238,24 @@ def test_gamma_P_against_quadrature():
         lambda t: t**1.5 * np.exp(-t) / scipy.special.gamma(2.5), 0.0, 3.0,
         epsabs=1e-13, epsrel=1e-13)
     assert quad_err < 1e-10
-    assert abs(gamma_regularized_P_batch(2.5, 3.0) - val) <= 1e-10
+    assert abs(gamma_P(2.5, 3.0)[0] - val) <= 1e-10
 
 
 def test_gamma_P_against_scipy_grid():
     for a in [0.1, 0.7, 1.0, 2.5, 10.0, 80.0]:
         for x in [1e-3, 0.5, 1.0, 3.0, 20.0, 150.0]:
-            ref = float(scipy.special.gammainc(a, x))
-            assert abs(gamma_regularized_P_batch(a, x) - ref) <= 1e-10, (a, x)
-
-
-def test_gamma_P_domain_errors():
-    with pytest.raises(DomainError):
-        gamma_regularized_P_batch(1.0, -0.1)
-    with pytest.raises(DomainError):
-        gamma_regularized_P_batch(0.0, 1.0)
-    with pytest.raises(DomainError, match="nan"):
-        gamma_regularized_P_batch(2.0, math.nan)
-    with pytest.raises(DomainError, match="nan"):
-        gamma_regularized_P_batch(np.array([1.0, math.nan]), 1.0)
+            (series,), (front_f,) = front_times_f(a, x)
+            ref = scipy.special.gammainc(a, x) if series else scipy.special.gammaincc(a, x)
+            assert abs(front_f - ref) <= 1e-10, (a, x)
 
 
 def test_gamma_P_batch_matches_scalar():
     a = np.array([0.5, 1.0, 3.0, 3.0])
-    x = np.array([0.2, 1.0, 0.0, 9.0])
-    got = gamma_regularized_P_batch(a, x)
-    assert np.array_equal(got, np.array([gamma_regularized_P_batch(float(ai), float(xi))
-                                         for ai, xi in zip(a, x)]))
+    x = np.array([0.2, 1.0, 0.5, 9.0])
+    series, f, df = special._incomplete_gamma_terms(a, x)
+    for i in range(a.size):
+        one = special._incomplete_gamma_terms(a[i:i + 1], x[i:i + 1])
+        assert (one[0][0], one[1][0], one[2][0]) == (series[i], f[i], df[i])
 
 
 def test_gamma_log_pdf_matches_scipy():
@@ -291,7 +296,7 @@ def test_gamma_sample_fields_and_positivity():
         assert values.shape == grads.shape == (200,)
         assert np.all(values > 0.0)
         assert np.all(grads > 0.0)
-        u = gamma_regularized_P_batch(shape, values)
+        u = scipy.special.gammainc(shape, values)
         assert np.all((u > 0.0) & (u < 1.0))
 
 
@@ -300,7 +305,7 @@ def test_gamma_sample_ks_against_cdf():
     n = 10_000
     for shape in [0.5, 3.0]:
         vals = np.sort(gamma_sample_batch(np.full(n, shape), rng))
-        u = gamma_regularized_P_batch(np.full(n, shape), vals)
+        u = scipy.special.gammainc(shape, vals)
         grid = np.arange(1, n + 1) / n
         ks = float(np.max(np.maximum(grid - u, u - (grid - 1.0 / n))))
         threshold = math.sqrt(-0.5 * math.log(0.01 / 2.0)) / math.sqrt(n)
@@ -425,7 +430,7 @@ def _implicit_grad_every_element(shapes, values):
                                          np.asarray(values, dtype=np.float64))
     a, y = np.ascontiguousarray(shapes).ravel(), values.ravel()
     assert np.all(gamma_log_pdf(a, y) >= -700.0)
-    series, f, df = special._incomplete_gamma_terms(a, y, with_grad=True)
+    series, f, df = special._incomplete_gamma_terms(a, y)
     scaled = y * (f * (np.log(y) - digamma_batch(a)) + df)
     return np.where(series, -scaled, scaled).reshape(shapes.shape)
 

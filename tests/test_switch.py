@@ -431,7 +431,7 @@ def test_kl_gradient_only_for_trained_layers(monkeypatch):
                                       np.random.default_rng(0),
                                       train_indices=[states[1].layer])
     assert list(grads) == [states[1].layer]
-    assert len(kl_calls) == 4 and psi_calls == [(True, True)] * 4
+    assert len(kl_calls) == 4 and psi_calls == [(True,)] * 4
     # the KL term still sums every layer, trained or not
     expected_kl = sum(kl(st.phi(), np.full(st.theta.shape, 0.5))[0] for st in states)
     assert value.kl_term == pytest.approx(expected_kl, rel=1e-12)

@@ -51,16 +51,6 @@ def test_tensor_shape_matches_data():
     assert t.grad is None
 
 
-def test_tape_clear_drops_nodes():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
-        y = mul(x, x)
-        tsum(y)
-        assert len(tape) == 2
-        tape.clear()
-        assert len(tape) == 0
-
-
 def test_ops_do_not_record_without_grad():
     x = Tensor(np.ones(3))
     with Tape() as tape:
