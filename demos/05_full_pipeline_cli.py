@@ -2,15 +2,17 @@
 
 Experiments are described by flat key=value config files. run_pipeline reads
 one, runs every phase, and leaves an auditable directory behind: the resolved
-config, the trained and pruned models, the learned posterior, the ranking
+config, the pruned and fine-tuned models, the learned posterior, the ranking
 CSV, the pruning plan, and a metrics summary. The command line wraps the
 same entry points, so everything below is also reachable as
 
     dirichlet-pruning --config exp.cfg pipeline
 
 or phase by phase with the train / switch-train / rank / prune / finetune /
-eval subcommands. The subcommands and `pipeline` run the same phase
-functions from dirichlet_pruning.pipeline.
+eval subcommands. Each phase is one step of dirichlet_pruning.pipeline.Run,
+which also writes the artifacts: `pipeline` runs the steps in order on one
+Run, and each subcommand opens a Run from the config and the files an
+earlier one left in out_dir, then runs its one step.
 
 Progress lines (each epoch, each phase's seconds) go to the
 `dirichlet_pruning` logger at INFO; the library itself stays silent, so

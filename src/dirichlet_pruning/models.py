@@ -116,29 +116,31 @@ class ModelGraph:
         return "-".join(str(w) for w in prunable_widths(self))
 
 
-def _linear_indices(model: ModelGraph) -> list[int]:
+def linear_indices(model: ModelGraph) -> list[int]:
+    """Graph positions of the conv and fc layers, in order."""
     return [i for i, l in enumerate(model.layers) if isinstance(l, (Conv2d, FullyConnected))]
 
 
 def prunable_indices(model: ModelGraph) -> list[int]:
     """Graph positions of prunable layers, by ordinal: every conv/fc except
     the final linear layer, which holds the class outputs."""
-    return _linear_indices(model)[:-1]
+    return linear_indices(model)[:-1]
 
 
 def switch_consumers(model: ModelGraph) -> list[int]:
     """Graph position of each switch's consumer, by ordinal: the conv or fc
     layer after prunable layer ``o``, whose input weights switch ``o``
     scales."""
-    return _linear_indices(model)[1:]
+    return linear_indices(model)[1:]
+
+
+def _width(spec) -> int:
+    """Output channels of a conv layer, output units of an fc layer."""
+    return spec.c_out if isinstance(spec, Conv2d) else spec.d_out
 
 
 def prunable_widths(model: ModelGraph) -> list[int]:
-    out = []
-    for i in prunable_indices(model):
-        l = model.layers[i]
-        out.append(l.c_out if isinstance(l, Conv2d) else l.d_out)
-    return out
+    return [_width(model.layers[i]) for i in prunable_indices(model)]
 
 
 def _conv_out_hw(h, w, spec: Conv2d):
@@ -474,6 +476,14 @@ def read_json(path, what: str, by_layer: str) -> dict:
     return payload
 
 
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as the version-1 JSON artifact ``read_json`` reads:
+    indented, keys sorted, one trailing newline."""
+    with open(path, "w") as f:
+        json.dump({"version": 1, **payload}, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # plain supervised training and evaluation
 
@@ -489,8 +499,7 @@ class TrainSchedule:
 def output_width(model: ModelGraph) -> int:
     """Outputs of the last conv or fc layer: the number of classes the model
     can tell apart."""
-    last = [l for l in model.layers if isinstance(l, (Conv2d, FullyConnected))][-1]
-    return last.c_out if isinstance(last, Conv2d) else last.d_out
+    return _width(model.layers[linear_indices(model)[-1]])
 
 
 def loss_bound(model: ModelGraph) -> float:

@@ -4,7 +4,10 @@ run_pipeline chains train -> switch-train -> rank -> plan -> prune ->
 finetune -> eval and drops its artifacts (resolved config, ranking CSV, plan
 JSON, pruned/finetuned models, metrics CSV) into the configured output
 directory. Any phase failure aborts with the phase name and cause. Each
-phase is one function here, and the CLI subcommands call the same ones.
+phase is one method of ``Run``, which also owns each artifact's path
+(``ARTIFACTS``) and write; run_pipeline calls the phases in order on one
+Run, and each CLI subcommand calls one on a Run it opens from the config
+and the artifacts an earlier subcommand left in out_dir.
 
 Deterministic outputs (metrics, rankings, plans, models) depend only on
 (config, seed); wall-clock numbers go to a separate timings CSV so the
@@ -40,7 +43,7 @@ from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
                       make_plan, plan_to_json, rank_derivative, rank_dirichlet,
                       rank_magnitude, rank_random, ranking_to_csv)
 from .switch import (AnalyticMean, ImplicitMC, SwitchTrainSchedule,
-                     init_switch_states, posterior_report, save_states,
+                     init_switch_states, load_states, posterior_report, save_states,
                      train_switches)
 from .synthetic import gen_synthetic, task_model
 
@@ -58,21 +61,16 @@ class Dataset:
     n_classes: int
 
 
-class _Phases:
-    """Wraps each phase for timing, error attribution and a progress line."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-
-    @contextlib.contextmanager
-    def run(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        except Exception as e:
-            raise PipelineError(f"phase {name!r} failed: {e}") from e
-        self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
-        logger.info("phase %s: %.2fs", name, self.seconds[name])
+@contextlib.contextmanager
+def _phase(seconds: dict[str, float], name: str):
+    """Time one phase into ``seconds``, name it in any error, log its seconds."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as e:
+        raise PipelineError(f"phase {name!r} failed: {e}") from e
+    seconds[name] = time.perf_counter() - t0
+    logger.info("phase %s: %.2fs", name, seconds[name])
 
 
 def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
@@ -95,9 +93,16 @@ def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
     return Dataset(x_train, y_train, x_val, y_val, x_test, y_test, n_classes)
 
 
-def artifact_path(cfg: ExperimentConfig, key: str, default_name: str) -> str:
-    """The path configured under ``key``, else ``default_name`` in out_dir."""
-    return getattr(cfg, key) or os.path.join(cfg.out_dir, default_name)
+# Each artifact's config key, which names its path, and its file name in
+# out_dir while that key is empty. model_out names a command's last model.
+ARTIFACTS = {
+    "trained": ("model_out", "model.dpm1"),
+    "switches": ("switches_path", "switches.json"),
+    "ranking": ("ranking_path", "ranking.csv"),
+    "plan": ("plan_path", "plan.json"),
+    "pruned": ("model_out", "pruned.dpm1"),
+    "finetuned": ("model_out", "finetuned.dpm1"),
+}
 
 
 def write_resolved_config(cfg: ExperimentConfig) -> None:
@@ -113,79 +118,12 @@ def _write_csv(path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-# ---------------------------------------------------------------------------
-# phases: run_pipeline and every CLI subcommand call these
-
-
-def build_or_load_model(cfg: ExperimentConfig, dataset: Dataset, rng) -> ModelGraph:
-    """The model_in model, else a fresh one of the configured arch. Raises
-    ConfigError, naming the key the model came from, if it has fewer outputs
-    than the data has classes."""
-    if cfg.model_in:
-        model, key = load_model(cfg.model_in), "model_in"
-    elif cfg.arch == "lenet5":
-        model, key = build_lenet5(cfg.widths, rng=rng, seed=cfg.seed), "arch"
-    elif cfg.arch == "mlp":
-        d_x, d_h = cfg.dims
-        model, key = build_mlp(d_x, d_h, dataset.n_classes, rng=rng, seed=cfg.seed), "arch"
-    else:
-        raise choice_error(cfg, "arch")
-    width = output_width(model)
-    if width < dataset.n_classes:
-        raise ConfigError(f"key {key!r}: the model has {width} outputs, but the "
-                          f"data has {dataset.n_classes} classes")
-    return model
-
-
-def train_from_config(cfg: ExperimentConfig, model: ModelGraph, dataset: Dataset,
-                      rng) -> list[float]:
-    """Baseline SGD on the training split under the configured train_* schedule."""
-    return train_model(model, dataset.x_train, dataset.y_train,
-                       TrainSchedule(cfg.train_epochs, cfg.train_batch_size,
-                                     cfg.train_lr, cfg.train_momentum), rng)
-
-
-def estimator_from(cfg: ExperimentConfig):
-    if cfg.estimator == "analytic":
-        return AnalyticMean()
-    if cfg.estimator == "implicit":
-        return ImplicitMC(cfg.k)
-    raise choice_error(cfg, "estimator")
-
-
-def train_switches_from_config(cfg: ExperimentConfig, model: ModelGraph, states,
-                               x, y, rng):
-    """Fit the switch posteriors under the configured SwitchTrainSchedule; a
+def switch_schedule(cfg: ExperimentConfig) -> SwitchTrainSchedule:
+    """The configured switch training (``estimator`` a validated choice); a
     negative kl_weight selects the default 1/n."""
-    schedule = SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr,
-                                   estimator_from(cfg), cfg.alpha0,
-                                   None if cfg.kl_weight < 0 else cfg.kl_weight)
-    return train_switches(model, states, x, y, schedule, rng)
-
-
-def rank_by_method(cfg: ExperimentConfig, model: ModelGraph, states,
-                   dataset: Dataset, rng) -> RankingReport:
-    if cfg.method == "dirichlet":
-        if not states:
-            raise ContractError("dirichlet ranking needs trained switch states")
-        return rank_dirichlet(states)
-    if cfg.method in ("l1", "l2"):
-        return rank_magnitude(model, cfg.method.upper())
-    if cfg.method == "derivative":
-        nb = min(cfg.batch_size, dataset.x_train.shape[0])
-        return rank_derivative(model, dataset.x_train[:nb], dataset.y_train[:nb])
-    if cfg.method == "random":
-        return rank_random(model, rng)
-    raise choice_error(cfg, "method")
-
-
-def plan_from_config(cfg: ExperimentConfig, report: RankingReport) -> PruningPlan:
-    """The plan a ranking gives under the configured rate or keep_counts."""
-    if cfg.rate > 0.0:
-        return make_plan(report, rate=cfg.rate)
-    if cfg.keep_counts:
-        return make_plan(report, keep_counts=list(cfg.keep_counts))
-    raise ConfigError("need keep_counts or rate")
+    estimator = ImplicitMC(cfg.k) if cfg.estimator == "implicit" else AnalyticMean()
+    return SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr, estimator,
+                               cfg.alpha0, None if cfg.kl_weight < 0 else cfg.kl_weight)
 
 
 def prune_with_states(model: ModelGraph, plan: PruningPlan, states) -> ModelGraph:
@@ -194,13 +132,107 @@ def prune_with_states(model: ModelGraph, plan: PruningPlan, states) -> ModelGrap
     return apply_plan(model, plan, switch_means=means)
 
 
-def finetune_from_config(cfg: ExperimentConfig, model: ModelGraph, dataset: Dataset,
-                         rng) -> tuple[ModelGraph, float]:
-    """Fine-tuning under the configured finetune_* schedule: (best model,
-    its validation error %)."""
-    return finetune(model, dataset.x_train, dataset.y_train, dataset.x_val, dataset.y_val,
-                    TrainSchedule(cfg.finetune_epochs, cfg.finetune_batch_size,
-                                  cfg.finetune_lr, cfg.finetune_momentum), rng)
+# ---------------------------------------------------------------------------
+# phases: run_pipeline runs them in order, each CLI subcommand one of them
+
+
+class Run:
+    """One run in memory: the data, the model and its switch states. Its
+    phase methods work under the configured schedule, and it writes each
+    artifact at the path ``path`` resolves from ``ARTIFACTS``."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        """Open the configured data and the model_in model, else a fresh one of
+        the configured arch, with untrained switch states. Raises ConfigError,
+        naming the key the model came from, if it takes rows of another shape
+        than the data's or has fewer outputs than the data has classes."""
+        validate_config(cfg)  # so arch, method and estimator hold known choices
+        self.cfg = cfg
+        self.rng = rng = np.random.default_rng(cfg.seed)
+        self.dataset = data = load_dataset(cfg, rng)
+        if cfg.model_in:
+            model, key = load_model(cfg.model_in), "model_in"
+        elif cfg.arch == "lenet5":
+            model, key = build_lenet5(cfg.widths, rng=rng, seed=cfg.seed), "arch"
+        else:
+            model = build_mlp(*cfg.dims, data.n_classes, rng=rng, seed=cfg.seed)
+            key = "arch"
+        rows, width = data.x_train.shape[1:], output_width(model)
+        if tuple(model.input_shape) != rows:
+            raise ConfigError(f"key {key!r}: the model takes rows of shape "
+                              f"{tuple(model.input_shape)}, but the data's are {rows}")
+        if width < data.n_classes:
+            raise ConfigError(f"key {key!r}: the model has {width} outputs, but the "
+                              f"data has {data.n_classes} classes")
+        self.model, self.states = model, init_switch_states(model)
+
+    def path(self, artifact: str) -> str:
+        key, name = ARTIFACTS[artifact]
+        return getattr(self.cfg, key) or os.path.join(self.cfg.out_dir, name)
+
+    def test_error(self) -> float:
+        return evaluate(self.model, self.dataset.x_test, self.dataset.y_test)
+
+    def train(self) -> None:
+        cfg = self.cfg
+        train_model(self.model, self.dataset.x_train, self.dataset.y_train,
+                    TrainSchedule(cfg.train_epochs, cfg.train_batch_size, cfg.train_lr,
+                                  cfg.train_momentum), self.rng)
+
+    def train_switches(self) -> None:
+        train_switches(self.model, self.states, self.dataset.x_train, self.dataset.y_train,
+                       switch_schedule(self.cfg), self.rng)
+
+    def read_states(self) -> None:
+        """The states an earlier switch-train wrote, or none if it wrote none."""
+        path = self.path("switches")
+        self.states = load_states(path, self.model) if os.path.exists(path) else []
+
+    def write_states(self) -> None:
+        save_states(self.states, self.path("switches"))
+
+    def ranking(self) -> RankingReport:
+        """The configured method's ranking, not written."""
+        cfg, data = self.cfg, self.dataset
+        if cfg.method == "dirichlet":
+            if not self.states:
+                raise ConfigError(f"key 'switches_path': dirichlet ranking needs switch "
+                                  f"states, and there are none at {self.path('switches')}")
+            return rank_dirichlet(self.states)
+        if cfg.method in ("l1", "l2"):
+            return rank_magnitude(self.model, cfg.method.upper())
+        if cfg.method == "derivative":  # on the first training batch
+            return rank_derivative(self.model, data.x_train[:cfg.batch_size],
+                                   data.y_train[:cfg.batch_size])
+        return rank_random(self.model, self.rng)
+
+    def rank(self) -> RankingReport:
+        report = self.ranking()
+        ranking_to_csv(report, self.path("ranking"))
+        return report
+
+    def plan_pruning(self, report: RankingReport) -> PruningPlan:
+        """The plan under the configured rate, else keep_counts."""
+        if self.cfg.rate > 0.0:
+            plan = make_plan(report, rate=self.cfg.rate)
+        elif self.cfg.keep_counts:
+            plan = make_plan(report, keep_counts=list(self.cfg.keep_counts))
+        else:
+            raise ConfigError("need keep_counts or rate")
+        plan_to_json(plan, self.path("plan"))
+        return plan
+
+    def finetune(self) -> float:
+        """Keep the best model of the fine-tuning; returns its validation error %."""
+        cfg, data = self.cfg, self.dataset
+        self.model, val_error = finetune(
+            self.model, data.x_train, data.y_train, data.x_val, data.y_val,
+            TrainSchedule(cfg.finetune_epochs, cfg.finetune_batch_size, cfg.finetune_lr,
+                          cfg.finetune_momentum), self.rng)
+        return val_error
+
+    def write_model(self, artifact: str) -> None:
+        save_model(self.model, self.path(artifact))
 
 
 @dataclass
@@ -213,73 +245,57 @@ class PipelineResult:
     params: int
     flops: int
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    pruned_model_path: str = ""
-    ranking_path: str = ""
-    plan_path: str = ""
-    metrics_path: str = ""
 
 
 def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
-    validate_config(cfg)
+    validate_config(cfg)  # before any file is written
     write_resolved_config(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    phases = _Phases()
+    seconds: dict[str, float] = {}
 
-    with phases.run("data"):
-        dataset = load_dataset(cfg, rng)
+    with _phase(seconds, "data"):
+        run = Run(cfg)
 
-    with phases.run("train"):
-        model = build_or_load_model(cfg, dataset, rng)
-        if not cfg.model_in and cfg.train_epochs > 0:
-            train_from_config(cfg, model, dataset, rng)
-        baseline_error = evaluate(model, dataset.x_test, dataset.y_test)
+    with _phase(seconds, "train"):
+        if not cfg.model_in and cfg.train_epochs > 0:  # a model_in is trained already
+            run.train()
+        baseline_error = run.test_error()
 
-    with phases.run("switch_train"):
-        states = init_switch_states(model)
-        if states and cfg.epochs > 0:
-            train_switches_from_config(cfg, model, states, dataset.x_train,
-                                       dataset.y_train, rng)
-        save_states(states, artifact_path(cfg, "switches_path", "switches.json"))
+    with _phase(seconds, "switch_train"):
+        if run.states and cfg.epochs > 0:
+            run.train_switches()
+        run.write_states()
 
-    with phases.run("rank"):
-        report = rank_by_method(cfg, model, states, dataset, rng)
-        ranking_path = artifact_path(cfg, "ranking_path", "ranking.csv")
-        ranking_to_csv(report, ranking_path)
+    with _phase(seconds, "rank"):
+        report = run.rank()
 
-    with phases.run("plan"):
-        plan = plan_from_config(cfg, report)
-        plan_path = artifact_path(cfg, "plan_path", "plan.json")
-        plan_to_json(plan, plan_path)
+    with _phase(seconds, "plan"):
+        plan = run.plan_pruning(report)
 
-    with phases.run("prune"):
-        pruned = prune_with_states(model, plan, states)
-        prefinetune_error = evaluate(pruned, dataset.x_test, dataset.y_test)
-        pruned_path = os.path.join(cfg.out_dir, "pruned.dpm1")
-        save_model(pruned, pruned_path)
+    with _phase(seconds, "prune"):
+        run.model = prune_with_states(run.model, plan, run.states)
+        prefinetune_error = run.test_error()
+        # model_out names the final model, so the pruned one stays in out_dir
+        save_model(run.model, os.path.join(cfg.out_dir, ARTIFACTS["pruned"][1]))
 
-    with phases.run("finetune"):
+    with _phase(seconds, "finetune"):
         if cfg.finetune_epochs > 0:
-            pruned, _ = finetune_from_config(cfg, pruned, dataset, rng)
-        save_model(pruned, artifact_path(cfg, "model_out", "finetuned.dpm1"))
+            run.finetune()
+        run.write_model("finetuned")
 
-    with phases.run("eval"):
-        final_error = evaluate(pruned, dataset.x_test, dataset.y_test)
+    with _phase(seconds, "eval"):
+        final_error = run.test_error()
 
     result = PipelineResult(
         out_dir=cfg.out_dir,
-        arch_string=pruned.arch_string,
+        arch_string=run.model.arch_string,
         baseline_error=baseline_error,
         prefinetune_error=prefinetune_error,
         final_error=final_error,
-        params=count_params(pruned),
-        flops=count_flops(pruned),
-        phase_seconds=dict(phases.seconds),
-        pruned_model_path=pruned_path,
-        ranking_path=ranking_path,
-        plan_path=plan_path,
-        metrics_path=os.path.join(cfg.out_dir, "metrics.csv"),
+        params=count_params(run.model),
+        flops=count_flops(run.model),
+        phase_seconds=seconds,
     )
-    _write_csv(result.metrics_path, ["metric", "value"], [
+    _write_csv(os.path.join(cfg.out_dir, "metrics.csv"), ["metric", "value"], [
         ("arch_string", result.arch_string),
         ("baseline_error_percent", repr(baseline_error)),
         ("prefinetune_error_percent", repr(prefinetune_error)),
@@ -288,7 +304,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
         ("flops", result.flops),
     ])
     _write_csv(os.path.join(cfg.out_dir, "timings.csv"), ["phase", "seconds"],
-               [(name, f"{secs:.6f}") for name, secs in phases.seconds.items()])
+               [(name, f"{secs:.6f}") for name, secs in seconds.items()])
     return result
 
 
@@ -320,8 +336,8 @@ def run_posterior_compare(cfg: ExperimentConfig) -> PosteriorCompareResult:
     def train(estimator, seed):
         run_cfg = dataclasses.replace(cfg, estimator=estimator)
         states = init_switch_states(model)
-        hist = train_switches_from_config(run_cfg, model, states, x, y,
-                                          np.random.default_rng(seed))
+        hist = train_switches(model, states, x, y, switch_schedule(run_cfg),
+                              np.random.default_rng(seed))
         mean, std = posterior_report(states[0])
         return mean, std, [h.seconds for h in hist]
 

@@ -16,7 +16,6 @@ the masked switched forward exactly.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .errors import ContractError, FormatError, NumericError, ShapeError
 from .models import (Conv2d, Flatten, FullyConnected, ModelGraph,
                      TrainSchedule, Tensor, copy_model, evaluate, forward,
                      propagate_shapes, prunable_indices, prunable_widths,
-                     read_json, train_model, validate_model)
+                     read_json, train_model, validate_model, write_json)
 from .switch import SwitchState
 
 logger = logging.getLogger(__name__)
@@ -271,7 +270,11 @@ def finetune(model: ModelGraph, x_train, y_train, x_val, y_val,
     diverges (``train_model`` raises NumericError) ends the schedule, since
     no later epoch could be trusted; the error is logged and the best
     earlier model is returned. A zero-epoch schedule returns an unchanged
-    copy."""
+    copy.
+
+    Each epoch is its own one-epoch ``train_model`` call, so the momentum
+    velocity restarts at zero every epoch, and the model's
+    ``training_history`` gains one entry per epoch, not one per schedule."""
     if np.asarray(x_train).shape[0] == 0 or np.asarray(x_val).shape[0] == 0:
         raise ContractError("fine-tuning data is empty")
     best = copy_model(model)
@@ -341,11 +344,8 @@ def ranking_from_csv(path) -> RankingReport:
 
 
 def plan_to_json(plan: PruningPlan, path) -> None:
-    payload = {"version": 1,
-               "keep": {str(k): [int(v) for v in kept] for k, kept in sorted(plan.keep.items())}}
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, {"keep": {str(k): [int(v) for v in kept]
+                               for k, kept in sorted(plan.keep.items())}})
 
 
 def plan_from_json(path) -> PruningPlan:

@@ -37,7 +37,6 @@ Model weights stay frozen throughout; only theta moves.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -49,7 +48,7 @@ from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
 from .models import (ModelGraph, _batches, forward, loss_bound, prunable_widths,
-                     read_json, switch_consumers)
+                     read_json, switch_consumers, write_json)
 from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
@@ -242,10 +241,7 @@ def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=N
 def save_states(states: list[SwitchState], path) -> None:
     """Each layer's theta as JSON, keyed by ordinal. The run's settings
     (alpha0, kl_weight, estimator) are in its resolved config, not here."""
-    payload = {"version": 1, "theta": {str(st.layer): st.theta.tolist() for st in states}}
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, {"theta": {str(st.layer): st.theta.tolist() for st in states}})
 
 
 def load_states(path, model: ModelGraph) -> list[SwitchState]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .models import ModelGraph, build_mlp
+from .models import ModelGraph, build_mlp, linear_indices
 
 
 @dataclass
@@ -98,9 +98,7 @@ def task_model(task: SyntheticTask) -> ModelGraph:
     """The true weights as a model graph; the truth switch is NOT folded in,
     so running it with switch 0 at the truth reproduces the label process."""
     model = build_mlp(task.d_x, task.d_h, task.w2.shape[1], rng=np.random.default_rng(0))
-    fc = [i for i, _ in enumerate(model.layers)
-          if f"layer{i}.weight" in model.weights]
-    first, last = fc[0], fc[-1]
+    first, last = linear_indices(model)
     model.weights[f"layer{first}.weight"] = task.w1.copy()
     model.weights[f"layer{first}.bias"] = task.b1.copy()
     model.weights[f"layer{last}.weight"] = task.w2.copy()

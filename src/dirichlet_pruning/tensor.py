@@ -242,6 +242,9 @@ def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
 
 
 def _conv_geometry(x_shape, k_shape, stride, padding):
+    if len(x_shape) != 4 or len(k_shape) != 4:
+        raise ShapeError(f"conv2d needs NCHW input and (c_out, C, kh, kw) kernel, "
+                         f"got {x_shape} and {k_shape}")
     n, c_in, h, w = x_shape
     c_out, kc, kh, kw = k_shape
     if kc != c_in:

@@ -25,7 +25,8 @@ from dirichlet_pruning.models import (build_lenet5, build_mlp, forward, load_mod
 from dirichlet_pruning.pgm import to_u8, write_pgm
 from dirichlet_pruning.pipeline import (export_feature_maps, load_dataset,
                                         run_pipeline, run_posterior_compare)
-from dirichlet_pruning.pruning import LayerRanking, RankingReport
+from dirichlet_pruning.pruning import (LayerRanking, RankingReport, make_plan,
+                                       plan_to_json, rank_magnitude)
 from dirichlet_pruning.synthetic import gen_synthetic, make_true_switch, task_model
 from dirichlet_pruning import cli, errors
 
@@ -607,6 +608,36 @@ def test_cli_prune_plans_from_existing_ranking_csv(tmp_path):
     assert (out / "pruned.dpm1").exists()
 
 
+def _saved_mlp(tmp_path, seed=32):
+    model = build_mlp(8, 4, 2, rng=np.random.default_rng(seed))
+    save_model(model, tmp_path / "mlp.dpm1")
+    return model, tmp_path / "mlp.dpm1"
+
+
+def test_cli_prune_without_a_ranking_plans_from_a_fresh_one(tmp_path):
+    # no ranking.csv in out_dir: prune ranks the model itself and writes
+    # only the plan and the pruned model
+    out = tmp_path / "out"
+    model, model_path = _saved_mlp(tmp_path)
+    text = _base_cfg_text(out) + f"model_in = {model_path}\nmethod = l1\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "p.cfg", text), "prune"]) == 0
+    plan_to_json(make_plan(rank_magnitude(model, "L1"), rate=0.5), tmp_path / "want.json")
+    assert (out / "plan.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert not (out / "ranking.csv").exists()
+    assert (out / "pruned.dpm1").exists()
+
+
+def test_cli_prune_dirichlet_without_switches_or_ranking_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    _, model_path = _saved_mlp(tmp_path)
+    text = _base_cfg_text(out) + f"model_in = {model_path}\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "p.cfg", text), "prune"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "switches_path" in err
+    assert not (out / "plan.json").exists()
+    assert not (out / "pruned.dpm1").exists()
+
+
 @pytest.mark.parametrize("name,text,cfg_line,match", [
     ("ranking.csv", "layer,channel,score,rank\n0,0,0.5,0\n0,1,0.5,0\n0,2,0.5,2\n"
      "0,3,0.5,3\n", "", "no channel has rank 1"),
@@ -725,6 +756,30 @@ def test_cli_rejects_a_model_in_with_fewer_outputs_than_classes(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: key 'model_in'") and "10 outputs" in err
     assert "12 classes" in err
+
+
+def test_cli_rejects_an_arch_whose_input_does_not_fit_the_data(tmp_path, capsys):
+    # LeNet-5 takes 28x28 images; the synthetic rows are flat vectors of 8
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, "l.cfg", _base_cfg_text(out) + "arch = lenet5\n")
+    assert cli.main(["--config", cfg, "train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'arch'") and "(1, 28, 28)" in err and "(8,)" in err
+    assert not (out / "model.dpm1").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "pipeline"])
+def test_cli_rejects_a_model_in_whose_input_does_not_fit_the_data(tmp_path, capsys,
+                                                                   command):
+    model_path = tmp_path / "wide.dpm1"
+    save_model(build_mlp(10, 4, 2, rng=np.random.default_rng(33)), model_path)
+    out = tmp_path / "out"
+    text = _base_cfg_text(out) + f"model_in = {model_path}\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "w.cfg", text), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "key 'model_in'" in err
+    assert "(10,)" in err and "(8,)" in err
+    assert not list(out.glob("*.dpm1"))
 
 
 @pytest.mark.parametrize("counts", ["2, 2", "2, 2, 2, 2, 9"])

@@ -252,3 +252,27 @@ def test_masked_oracle_imports_nothing_from_pruning():
     # the oracle checks apply_plan; sharing its code would share its mistakes
     source = (ROOT / "tests" / "masked_oracle.py").read_text()
     assert not _imports_module(source, "dirichlet_pruning.pruning")
+
+
+def _artifact_names(source: str) -> list[str]:
+    """String constants in ``source``, f-string parts included, that end like
+    an artifact file name (.json, .csv, .dpm1)."""
+    return sorted(f"{node.value} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.endswith((".json", ".csv", ".dpm1")))
+
+
+def test_artifact_name_scan_sees_every_literal():
+    source = ('PLAN = "plan.json"\n'
+              'def f(out):\n'
+              '    return f"{out}/ranking.csv", "m.dpm1", "a.json.gz", "csv"\n')
+    assert _artifact_names(source) == ["/ranking.csv (line 3)", "m.dpm1 (line 3)",
+                                       "plan.json (line 1)"]
+    # a default name put back into the real cli.py is caught too
+    source = (PACKAGE / "cli.py").read_text() + '\n\nDEFAULT = "switches.json"\n'
+    assert [n.split(" (")[0] for n in _artifact_names(source)] == ["switches.json"]
+
+
+def test_cli_spells_no_artifact_name():
+    # each artifact's config key and default file name live in pipeline.py
+    assert _artifact_names((PACKAGE / "cli.py").read_text()) == []

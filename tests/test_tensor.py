@@ -142,6 +142,16 @@ def test_conv2d_kernel_too_large():
         T.conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 5, 5))))
 
 
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((4, 8), (2, 1, 3, 3)),          # a batch of flat rows
+    ((1, 5, 5), (2, 1, 3, 3)),       # one CHW image, no batch axis
+    ((1, 1, 5, 5), (2, 1, 3)),       # a kernel without its width axis
+])
+def test_conv2d_rejects_a_tensor_that_is_not_4d(x_shape, k_shape):
+    with pytest.raises(ShapeError, match="conv2d needs NCHW input"):
+        T.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)))
+
+
 def test_conv2d_grads_match_fd():
     rng = np.random.default_rng(4)
     x = rng.uniform(-2, 2, (1, 2, 5, 5))
