@@ -52,8 +52,9 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     if images.shape[0] != labels.shape[0]:
         raise FormatError(f"{images_path}: {images.shape[0]} images but "
                           f"{labels.shape[0]} labels")
-    x = images.astype(np.float64)[:, None, :, :] / 255.0
-    return x, labels.astype(np.int64)
+    x = images.astype(np.float64)
+    x /= 255.0  # in place: one float64 copy of the images at a time
+    return x[:, None, :, :], labels.astype(np.int64)
 
 
 def train_val_split(x, y, val_fraction: float, rng) -> tuple:

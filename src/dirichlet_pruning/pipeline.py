@@ -73,7 +73,15 @@ def _phase(seconds: dict[str, float], name: str):
     logger.info("phase %s: %.2fs", name, seconds[name])
 
 
+def _split_error(cfg: ExperimentConfig, n_train: int, n_val: int, need: str) -> ConfigError:
+    return ConfigError(f"key 'val_fraction': {cfg.val_fraction!r} splits {n_train + n_val} "
+                       f"rows into {n_train} training and {n_val} validation rows; "
+                       f"need {need}")
+
+
 def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
+    """The configured data, split; raises ConfigError naming val_fraction if
+    the split leaves no training row."""
     if cfg.data == "synthetic":
         d_x, d_h = cfg.dims
         n_test = max(2, (cfg.n // 4) // 2 * 2)
@@ -89,6 +97,8 @@ def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
     else:
         raise choice_error(cfg, "data")
     x_train, y_train, x_val, y_val = train_val_split(x_train, y_train, cfg.val_fraction, rng)
+    if y_train.size == 0:
+        raise _split_error(cfg, 0, y_val.size, "a training row")
     n_classes = int(max(y_train.max(), y_test.max())) + 1
     return Dataset(x_train, y_train, x_val, y_val, x_test, y_test, n_classes)
 
@@ -222,8 +232,17 @@ class Run:
         plan_to_json(plan, self.path("plan"))
         return plan
 
+    def check_validation_rows(self) -> None:
+        """Raise ConfigError naming val_fraction if the split left no
+        validation row to fine-tune against."""
+        data = self.dataset
+        if data.y_val.size == 0:
+            raise _split_error(self.cfg, data.y_train.size, 0,
+                               "a validation row to fine-tune against")
+
     def finetune(self) -> float:
         """Keep the best model of the fine-tuning; returns its validation error %."""
+        self.check_validation_rows()
         cfg, data = self.cfg, self.dataset
         self.model, val_error = finetune(
             self.model, data.x_train, data.y_train, data.x_val, data.y_val,
@@ -254,6 +273,8 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
 
     with _phase(seconds, "data"):
         run = Run(cfg)
+        if cfg.finetune_epochs > 0:  # before any training
+            run.check_validation_rows()
 
     with _phase(seconds, "train"):
         if not cfg.model_in and cfg.train_epochs > 0:  # a model_in is trained already

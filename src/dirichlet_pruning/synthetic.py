@@ -47,6 +47,27 @@ def make_true_switch(d_h: int, rng) -> np.ndarray:
     return s / s.sum()
 
 
+# hidden-layer values in one row block of gen_synthetic (2 MiB of float64)
+_BLOCK_VALUES = 2 ** 18
+
+
+def _switched_logits(x, true_switch, w1, b1, w2) -> np.ndarray:
+    """relu(true_switch * (x @ w1 + b1)) @ w2, holding one row block of the
+    hidden layer at a time."""
+    n = x.shape[0]
+    rows = min(n, max(1, _BLOCK_VALUES // w1.shape[1]))
+    block = np.empty((rows, w1.shape[1]))
+    logits = np.empty((n, w2.shape[1]))
+    for i in range(0, n, rows):
+        h = block[:n - i]  # the last block may be short
+        np.matmul(x[i:i + rows], w1, out=h)
+        h += b1
+        h *= true_switch
+        np.maximum(h, 0.0, out=h)
+        np.matmul(h, w2, out=logits[i:i + rows])
+    return logits
+
+
 def gen_synthetic(d_x: int, d_h: int, n: int, rng,
                   d_out: int = 2) -> tuple[SyntheticTask, np.ndarray, np.ndarray]:
     """Draw the true network and a labeled dataset of n standard-normal
@@ -58,6 +79,13 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
     by the switched pathway itself, not by a cluster offset, or the hidden
     channels' importances leave no footprint in the likelihood and cannot be
     recovered.
+
+    The hidden layer is built in row blocks of ``_BLOCK_VALUES`` values, so
+    memory is O(n*d_x + block*d_h), not O(n*d_h). Up to one block, every
+    output is bitwise that of a one-buffer build. Past one block, BLAS need
+    not round a row block's product as it rounds those rows of the full
+    product, so w2 and b2 can differ from a one-buffer build in the last
+    bit; x is the same draw either way.
     """
     if n < 2 or n % 2 != 0:
         raise ContractError(f"n must be even and >= 2, got {n}")
@@ -70,25 +98,17 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
     b2 = np.zeros(d_out)
 
     x = rng.standard_normal((n, d_x))
-    # relu(true_switch * (x @ w1 + b1)), built in the one (n, d_h) buffer
-    h = x @ w1
-    h += b1
-    h *= true_switch
-    np.maximum(h, 0.0, out=h)
     # simplex-scale switches shrink the activations by ~d_h, which would
     # leave near-zero logit margins and no per-channel signal in the
     # likelihood; rescale the output layer so the true network is decisive
-    logits = h @ w2
+    logits = _switched_logits(x, true_switch, w1, b1, w2)
     spread = logits.std(axis=0).mean()
     if spread > 0.0:
         w2 = w2 * (3.0 / spread)
-        logits = h @ w2
-    logits = logits + b2
+        logits = _switched_logits(x, true_switch, w1, b1, w2)
     if d_out == 2:
-        margin = logits[:, 1] - logits[:, 0]
-        b2 = b2.copy()
-        b2[1] -= np.median(margin)
-        logits = h @ w2 + b2
+        b2[1] -= np.median(logits[:, 1] - logits[:, 0])
+    logits += b2
     y = logits.argmax(axis=1).astype(np.int64)
     task = SyntheticTask(d_x, d_h, n, true_switch, w1, b1, w2, b2)
     return task, x, y

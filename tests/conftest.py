@@ -1,4 +1,7 @@
-"""Shared helpers for the test suite: finite differences and error metrics."""
+"""Shared helpers for the test suite: finite differences, error metrics and
+allocation peaks."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -30,3 +33,13 @@ def grad_err(approx, exact):
 def rel_err(approx, exact):
     """Strict relative error for scalars known to be away from zero."""
     return abs(approx - exact) / abs(exact)
+
+
+def peak_mib(fn):
+    """Peak traced allocation of fn(), in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -27,8 +27,12 @@ from dirichlet_pruning.pipeline import (export_feature_maps, load_dataset,
                                         run_pipeline, run_posterior_compare)
 from dirichlet_pruning.pruning import (LayerRanking, RankingReport, make_plan,
                                        plan_to_json, rank_magnitude)
-from dirichlet_pruning.synthetic import gen_synthetic, make_true_switch, task_model
+from dirichlet_pruning.synthetic import (_BLOCK_VALUES, gen_synthetic, make_true_switch,
+                                         task_model)
 from dirichlet_pruning import cli, errors
+
+from conftest import peak_mib
+from synthetic_oracle import one_buffer_synthetic
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,16 @@ def test_idx_count_mismatch(tmp_path):
         load_mnist_idx(ip, lp)
 
 
+def test_idx_allocation_peak_is_one_float_copy(tmp_path):
+    # scaling the float64 copy in place: 1.1x x; a second copy for the
+    # division peaked at 2.1x
+    pixels = np.random.default_rng(12).integers(0, 256, (2000, 28, 28))
+    ip = _write(tmp_path, "imgs", _idx_images(pixels))
+    lp = _write(tmp_path, "labels", _idx_labels(np.arange(2000) % 10))
+    x_mib = 2000 * 28 * 28 * 8 / 2 ** 20
+    assert peak_mib(lambda: load_mnist_idx(ip, lp)) <= 1.25 * x_mib
+
+
 def test_train_val_split_partitions():
     x = np.arange(40, dtype=np.float64).reshape(20, 2)
     y = np.arange(20)
@@ -304,6 +318,35 @@ def test_synthetic_contracts():
         gen_synthetic(0, 8, 100, rng)
     with pytest.raises(ContractError):
         gen_synthetic(10, 8, 100, rng, d_out=1)
+
+
+_BLOCK_ROWS = _BLOCK_VALUES // 64  # rows of one hidden block at d_h = 64
+
+
+@pytest.mark.parametrize("n,d_out", [
+    (100, 2), (_BLOCK_ROWS, 2), (3 * _BLOCK_ROWS, 2), (2 * _BLOCK_ROWS + 202, 2),
+    (2 * _BLOCK_ROWS + 202, 3),
+])
+def test_synthetic_matches_the_one_buffer_oracle(n, d_out):
+    task, x, y = gen_synthetic(10, 64, n, np.random.default_rng(n + d_out), d_out=d_out)
+    switch, w1, b1, w2, b2, x_want, y_want = one_buffer_synthetic(
+        10, 64, n, np.random.default_rng(n + d_out), d_out=d_out)
+    assert np.array_equal(x, x_want) and np.array_equal(y, y_want)
+    for got, want in ((task.true_switch, switch), (task.w1, w1), (task.b1, b1)):
+        assert np.array_equal(got, want)
+    if n <= _BLOCK_ROWS:
+        assert np.array_equal(task.w2, w2) and np.array_equal(task.b2, b2)
+    else:  # a block's product may round apart from those rows of the full one
+        np.testing.assert_allclose(task.w2, w2, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(task.b2, b2, rtol=1e-13, atol=1e-13)
+
+
+def test_synthetic_allocation_peak_is_x_plus_one_block():
+    # x is 7.6 MiB; the rest is one 2 MiB hidden block and the (n, 2)
+    # logits: 4.3 MiB, where the one (n, d_h) hidden buffer took 29.0 MiB
+    x_mib = 50_000 * 20 * 8 / 2 ** 20
+    peak = peak_mib(lambda: gen_synthetic(20, 64, 50_000, np.random.default_rng(13)))
+    assert peak - x_mib <= 8.0
 
 
 def test_task_model_at_truth_reproduces_labels():
@@ -671,6 +714,45 @@ def test_cli_pipeline_subcommand(tmp_path, capsys):
     assert cli.main(["--config", cfg, "pipeline"]) == 0
     assert "pipeline done" in capsys.readouterr().out
     assert (tmp_path / "pout" / "finetuned.dpm1").exists()
+
+
+@pytest.mark.parametrize("extra,command,split", [
+    ("val_fraction = 0\n", "pipeline", "0.0 splits 80 rows into 80 training and 0 "
+                                       "validation rows; need a validation row to "
+                                       "fine-tune against"),
+    ("n = 10\nval_fraction = 0.96\n", "pipeline", "0.96 splits 10 rows into 0 training "
+                                                   "and 10 validation rows; need a "
+                                                   "training row"),
+    ("n = 10\nval_fraction = 0.96\n", "train", "0.96 splits 10 rows into 0 training "
+                                                "and 10 validation rows; need a "
+                                                "training row"),
+])
+def test_cli_rejects_a_val_fraction_that_empties_a_split(tmp_path, capsys, extra, command,
+                                                         split):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, "v.cfg", _base_cfg_text(out) + extra)
+    assert cli.main(["--config", cfg, command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"key 'val_fraction': {split}\n" in err
+    assert not (out / "model.dpm1").exists() and not (out / "switches.json").exists()
+
+
+def test_cli_finetune_without_validation_rows_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    _, model_path = _saved_mlp(tmp_path)
+    text = _base_cfg_text(out) + f"model_in = {model_path}\nval_fraction = 0\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "f.cfg", text), "finetune"]) == 1
+    assert capsys.readouterr().err == (
+        "error: key 'val_fraction': 0.0 splits 80 rows into 80 training and 0 "
+        "validation rows; need a validation row to fine-tune against\n")
+    assert not (out / "finetuned.dpm1").exists()
+
+
+def test_cli_pipeline_without_validation_rows_runs_when_not_finetuning(tmp_path):
+    out = tmp_path / "out"
+    text = _base_cfg_text(out) + "val_fraction = 0\nfinetune_epochs = 0\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, "v.cfg", text), "pipeline"]) == 0
+    assert (out / "finetuned.dpm1").exists()
 
 
 def test_cli_seed_override_reaches_config(tmp_path):

@@ -2,7 +2,6 @@
 
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from dirichlet_pruning import tensor as T
 from dirichlet_pruning.switch import SwitchTrainSchedule, init_switch_states, train_switches
 from dirichlet_pruning.synthetic import gen_synthetic
 from dirichlet_pruning.tensor import Tape, Tensor
+
+from conftest import peak_mib
 
 
 def _fc_only(d_in=4, d_out=3):
@@ -556,15 +557,6 @@ def test_batch_size_below_one_is_rejected_naming_it(entry, batch_size):
     assert all(np.array_equal(model.weights[k], v) for k, v in before.items())
 
 
-def _peak_mib(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 def _full_lenet_task(n):
     model = build_lenet5([20, 50, 800, 500], rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
@@ -575,7 +567,7 @@ def test_evaluate_allocation_peak_full_lenet():
     # 100-row batches and a tap-major im2col: 32.1 MiB; 500-row batches
     # with a pixel-major im2col and its layout copies peaked at 160.5 MiB
     model, x, y = _full_lenet_task(500)
-    assert _peak_mib(lambda: evaluate(model, x, y)) <= 48.0
+    assert peak_mib(lambda: evaluate(model, x, y)) <= 48.0
 
 
 def test_train_step_allocation_peak_full_lenet():
@@ -584,7 +576,7 @@ def test_train_step_allocation_peak_full_lenet():
     model, x, y = _full_lenet_task(100)
     step = lambda: train_model(model, x, y, TrainSchedule(1, 100, 0.01, 0.9),
                                np.random.default_rng(2))
-    assert _peak_mib(step) <= 115.0
+    assert peak_mib(step) <= 115.0
 
 
 def test_copy_model_is_independent():

@@ -8,7 +8,6 @@ recompute them where the oracle library is importable.
 import math
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from dirichlet_pruning.errors import DomainError, NumericError
 from dirichlet_pruning.special import (digamma_batch, gamma_implicit_grad_batch,
                                        gamma_log_pdf, gamma_sample_batch, lgamma_batch)
 
-from conftest import rel_err
+from conftest import peak_mib, rel_err
 from psi_oracle import digamma_masked, trigamma_masked
 
 # mpmath, 50 digits
@@ -190,13 +189,7 @@ def test_digamma_allocation_peak_on_broadcast_rows():
     # the input; an (iterations, N) table of the loop would need ~13 MiB here
     shapes = np.broadcast_to(np.random.default_rng(215).uniform(0.1, 5.0, 500), (100, 500))
     digamma_batch(shapes)
-    tracemalloc.start()
-    try:
-        digamma_batch(shapes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 2**20, peak / 2**20
+    assert peak_mib(lambda: digamma_batch(shapes)) <= 3.0
 
 
 # ---------------------------------------------------------------------------
