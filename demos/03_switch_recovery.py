@@ -38,11 +38,11 @@ def run(schedule, seed):
 
 # a schedule holds every setting of a run, the estimator, the prior
 # Dir(alpha0) and the KL weight among them; a layer's state is its theta
-am_sched = SwitchTrainSchedule(mode="per_layer", epochs=8, batch_size=100, lr=0.5,
+am_sched = SwitchTrainSchedule(epochs=8, batch_size=100, lr=0.5,
                                estimator=AnalyticMean(), alpha0=0.5, kl_weight=1.0 / N)
 mean_am, std_am = run(am_sched, seed=11)
 
-mc_sched = SwitchTrainSchedule(mode="per_layer", epochs=3, batch_size=100, lr=3.0,
+mc_sched = SwitchTrainSchedule(epochs=3, batch_size=100, lr=3.0,
                                estimator=ImplicitMC(k=10), alpha0=0.5, kl_weight=1.0 / N)
 mean_mc, std_mc = run(mc_sched, seed=12)
 

@@ -47,7 +47,7 @@ print(f"dense model: {count_params(model)} weights, {count_flops(model)} MACs, "
 # Posterior over channel importance, trained with the model frozen.
 states = init_switch_states(model)
 train_switches(model, states, x_tr, y_tr,
-               SwitchTrainSchedule("per_layer", 4, 100, 0.5),
+               SwitchTrainSchedule(4, 100, 0.5),
                np.random.default_rng(9300))
 means = {st.layer: st.posterior_mean() for st in states}
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .switch import SWITCH_MODES
 
 
 @dataclass
@@ -43,7 +42,7 @@ class ExperimentConfig:
     estimator: str = "analytic"      # analytic | implicit
     k: int = 1
     kl_weight: float = -1.0          # -1 means 1/N
-    mode: str = "per_layer"          # per_layer | joint
+    mode: str = "per_layer"          # the only mode; kept so existing configs parse
     epochs: int = 1
     batch_size: int = 100
     lr: float = 0.1
@@ -74,7 +73,7 @@ _CHOICES = {
     "data": ("synthetic", "mnist"),
     "arch": ("mlp", "lenet5"),
     "estimator": ("analytic", "implicit"),
-    "mode": SWITCH_MODES,
+    "mode": ("per_layer",),
     "method": ("dirichlet", "l1", "l2", "derivative", "random"),
 }
 # prunable layers of each built arch: one keep_counts entry each
@@ -125,6 +124,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if getattr(cfg, key) not in choices:
             raise choice_error(cfg, key)
     checks = (
+        *((key, getattr(cfg, key) >= 0, f"{key} >= 0")
+          for key in ("subset", "train_epochs", "epochs", "finetune_epochs")),
         ("rate", 0.0 <= cfg.rate < 1.0, "0 <= rate < 1"),
         ("val_fraction", 0.0 <= cfg.val_fraction < 1.0, "0 <= val_fraction < 1"),
         ("train_lr", cfg.train_lr > 0.0, "train_lr > 0"),

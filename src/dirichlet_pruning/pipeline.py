@@ -9,9 +9,12 @@ phase is one method of ``Run``, which also owns each artifact's path
 Run, and each CLI subcommand calls one on a Run it opens from the config
 and the artifacts an earlier subcommand left in out_dir.
 
-Deterministic outputs (metrics, rankings, plans, models) depend only on
-(config, seed); wall-clock numbers go to a separate timings CSV so the
-deterministic files are byte-stable across reruns.
+Deterministic outputs (switches, rankings, plans, models, metrics) depend
+only on (config, seed, BLAS thread count); wall-clock numbers go to a
+separate timings CSV so the deterministic files are byte-stable across
+reruns with the same thread count. Another thread count can change the
+last bits of a BLAS product, and with them switches.json, ranking.csv and
+both models (a 1000x500 MLP does so between 1 and 2 OpenBLAS threads).
 
 Progress lines (each phase's seconds here, each epoch in the training
 loops) go to the ``dirichlet_pruning`` logger at INFO. The library adds no
@@ -132,7 +135,7 @@ def switch_schedule(cfg: ExperimentConfig) -> SwitchTrainSchedule:
     """The configured switch training (``estimator`` a validated choice); a
     negative kl_weight selects the default 1/n."""
     estimator = ImplicitMC(cfg.k) if cfg.estimator == "implicit" else AnalyticMean()
-    return SwitchTrainSchedule(cfg.mode, cfg.epochs, cfg.batch_size, cfg.lr, estimator,
+    return SwitchTrainSchedule(cfg.epochs, cfg.batch_size, cfg.lr, estimator,
                                cfg.alpha0, None if cfg.kl_weight < 0 else cfg.kl_weight)
 
 

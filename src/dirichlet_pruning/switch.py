@@ -10,9 +10,10 @@ Dir(alpha0). The objective on a minibatch is
 
 with kl_weight defaulting to 1/dataset_size. A layer's state is its theta
 alone: alpha0, kl_weight and the gradient estimator are settings of the run,
-held by ``SwitchTrainSchedule`` with mode, epochs, batch size and lr. Both
-estimators run the same path; they differ only in the rows they draw for
-each trained layer:
+held by ``SwitchTrainSchedule`` with epochs, batch size and lr. Training
+fits one switch at a time, in ordinal order, while the others sit at their
+posterior mean. Both estimators run the same path; they differ only in the
+rows they draw for the trained switch:
 
   - ImplicitMC(k): k reparameterized posterior samples. Each switch sample
     is s = y / sum(y) with y ~ Gamma(phi, 1), and dy/dphi are the analytic
@@ -23,14 +24,14 @@ each trained layer:
 
 A switch scales the input weights of its consumer, the conv or fc layer
 after its own (``models.forward``). Per batch the path costs one untaped pass
-through the layers before the first trained switch's consumer and one taped
-pass through the rest of the graph per row; backprop stops at the
-consumer's kernel gradient, whose contraction with the kernel is dL/ds, and
-one vectorized chain rule carries the (k, D) dL/ds rows to theta. The KL
-gradient is added in closed form. In per_layer mode the untaped pass is not
-repeated per batch after the first sweep: every row's activation at the
-next sweep's consumer is computed once, when the finished switches are
-fixed, so a later sweep's batch costs only its taped suffix.
+through the layers before the trained switch's consumer and one taped pass
+through the rest of the graph per row; backprop stops at the consumer's
+kernel gradient, whose contraction with the kernel is dL/ds, and one
+vectorized chain rule carries the (k, D) dL/ds rows to theta. The KL
+gradient is added in closed form. The untaped pass is not repeated per batch
+after the first sweep: every row's activation at the next sweep's consumer
+is computed once, when the finished switches are fixed, so a later sweep's
+batch costs only its taped suffix.
 
 Model weights stay frozen throughout; only theta moves.
 """
@@ -112,16 +113,12 @@ def posterior_report(state: SwitchState) -> tuple[np.ndarray, np.ndarray]:
     return state.posterior_mean(), dirichlet_marginal_std(state.phi())
 
 
-SWITCH_MODES = ("per_layer", "joint")
-
-
 @dataclass(frozen=True)
 class SwitchTrainSchedule:
     """The settings of one switch-training run, shared by every layer:
     the SGD schedule, the gradient estimator, the symmetric prior Dir(alpha0)
     and the KL weight (None means 1/n for n training rows)."""
 
-    mode: str = "per_layer"  # one of SWITCH_MODES
     epochs: int = 1
     batch_size: int = 100
     lr: float = 0.1
@@ -132,7 +129,6 @@ class SwitchTrainSchedule:
     def __post_init__(self):
         kl = self.kl_weight
         for key, ok, need in (
-                ("mode", self.mode in SWITCH_MODES, f"one of {', '.join(SWITCH_MODES)}"),
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("lr", self.lr > 0.0, "> 0"),
                 ("estimator", isinstance(self.estimator, (AnalyticMean, ImplicitMC)),
@@ -162,55 +158,49 @@ def _check_batch(xb, yb):
     return xb, yb
 
 
-def _nll_and_grads(model, states, hb, yb, draws, start=0):
-    """Estimate of E_q[NLL] and its phi gradients from the estimator's rows.
+def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
+    """Estimate of E_q[NLL] and its phi gradient for switch ``layer``.
 
-    ``hb`` is the batch's activation entering layer ``start``. ``draws`` maps
-    each trained layer to its (S, Y, dY/dphi) arrays, each of shape (k, D),
+    ``hb`` is the batch's activation entering layer ``start``. ``draw`` is the
+    estimator's (S, Y, dY/dphi) arrays for ``layer``, each of shape (k, D),
     with S = Y / sum(Y) row by row. A switch acts at its consumer's input
-    weights, so the layers before the first trained switch's consumer do not
-    depend on the rows: they run once per batch, untaped, with the other
-    switches at their posterior mean. Only the suffix from that consumer on
-    runs per row, each on its own tape: one prefix pass plus k suffix passes
-    per batch, and the memory of one suffix tape. Backprop stops at the
-    consumers' kernel gradients, since nothing before them needs one. The
-    per-row dL/ds are collected into (k, D) arrays and pushed to phi in one
-    vectorized chain rule.
+    weights, so the layers before that consumer do not depend on the rows:
+    they run once per batch, untaped, with the other switches at their
+    posterior mean. Only the suffix from the consumer on runs per row, each
+    on its own tape: one prefix pass plus k suffix passes per batch, and the
+    memory of one suffix tape. Backprop stops at the consumer's kernel
+    gradient; the per-row dL/ds are pushed to phi in one vectorized chain
+    rule.
     """
-    mean_switches = {st.layer: st.posterior_mean() for st in states if st.layer not in draws}
-    entry = switch_consumers(model)[min(draws)]
+    s, y, dy_dphi = draw
+    k = len(s)
+    mean_switches = {st.layer: st.posterior_mean() for st in states if st.layer != layer}
+    entry = switch_consumers(model)[layer]
     h = forward(model, hb, switches=mean_switches, start=start, stop=entry)
-    k = len(next(iter(draws.values()))[0])
-    g_s = {idx: np.zeros_like(s) for idx, (s, _, _) in draws.items()}
+    g = np.zeros_like(s)
     nll_acc = 0.0
     for j in range(k):
-        leaves = {idx: Tensor(s[j], requires_grad=True) for idx, (s, _, _) in draws.items()}
+        leaf = Tensor(s[j], requires_grad=True)
         with Tape():
-            logits = forward(model, h, switches={**mean_switches, **leaves}, start=entry)
+            logits = forward(model, h, switches={**mean_switches, layer: leaf}, start=entry)
             nll = T.softmax_cross_entropy(logits, yb)
         T.backward(nll)
         nll_acc += nll.item()
-        for idx, leaf in leaves.items():
-            if leaf.grad is not None:
-                g_s[idx][j] = leaf.grad
-    grads = {}
-    for idx, (s, y, dy_dphi) in draws.items():
-        g = g_s[idx]
-        # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
-        dphi = dy_dphi * (g - (g * s).sum(axis=1, keepdims=True)) / y.sum(axis=1, keepdims=True)
-        grads[idx] = dphi.sum(axis=0) / k
-    return nll_acc / k, grads
+        if leaf.grad is not None:
+            g[j] = leaf.grad
+    # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
+    dphi = dy_dphi * (g - (g * s).sum(axis=1, keepdims=True)) / y.sum(axis=1, keepdims=True)
+    return nll_acc / k, dphi.sum(axis=0) / k
 
 
-def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=None,
-                       *, start=0, schedule=SwitchTrainSchedule()):
-    """Minibatch objective and d(neg_elbo)/d(theta) for the trained layers.
+def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, *, layer, start=0,
+                       schedule=SwitchTrainSchedule()):
+    """Minibatch objective and d(neg_elbo)/d(theta) for switch ``layer``.
 
     ``hb`` is the batch's activation entering layer ``start`` (the input
-    batch by default), which must not lie after the first trained switch's
-    consumer. train_indices selects which switches, by ordinal, carry
-    gradients (all by default); the others run at their posterior mean.
-    The estimator, alpha0 and kl_weight come from ``schedule``.
+    batch by default), which must not lie after that switch's consumer. The
+    other switches run at their posterior mean; the KL sums every layer. The
+    estimator, alpha0 and kl_weight come from ``schedule``.
     """
     hb, yb = _check_batch(hb, yb)
     if not states:
@@ -219,23 +209,20 @@ def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, train_indices=N
         raise ContractError(f"dataset_size must be >= 1, got {dataset_size}")
     kl_weight = 1.0 / dataset_size if schedule.kl_weight is None else schedule.kl_weight
     phis = {st.layer: st.phi() for st in states}
-    train_set = set(phis) if train_indices is None else set(train_indices)
-    if not train_set <= phis.keys():
-        raise ContractError(f"train_indices {sorted(train_set - phis.keys())} "
-                            "name no switch state")
-    draws = {idx: schedule.estimator.draw(phis[idx], rng) for idx in sorted(train_set)}
-    nll, nll_grads = _nll_and_grads(model, states, hb, yb, draws, start)
-    # the KL sums every layer; its phi gradient is kept for the trained ones,
-    # and both phi gradients reach theta through one dphi/dtheta = sigmoid
-    kl, grads = 0.0, {}
+    if layer not in phis:
+        raise ContractError(f"layer {layer!r} names no switch state")
+    draw = schedule.estimator.draw(phis[layer], rng)
+    nll, nll_grad = _nll_and_grads(model, states, hb, yb, layer, draw, start)
+    # both phi gradients reach theta through one dphi/dtheta = sigmoid
+    kl = 0.0
     for st in states:
         phi = phis[st.layer]
         layer_kl, kl_grad = dirichlet_kl(phi, np.full_like(phi, schedule.alpha0))
         kl += layer_kl
-        if st.layer in train_set:
+        if st.layer == layer:
             sig = _sigmoid_np(st.theta)
-            grads[st.layer] = nll_grads[st.layer] * sig + kl_weight * (kl_grad * sig)
-    return SwitchObjectiveValue(nll + kl_weight * kl, nll, kl, kl_weight), grads
+            grad = nll_grad * sig + kl_weight * (kl_grad * sig)
+    return SwitchObjectiveValue(nll + kl_weight * kl, nll, kl, kl_weight), grad
 
 
 def save_states(states: list[SwitchState], path) -> None:
@@ -296,17 +283,15 @@ def _advance(model, states, h, start, stop, batch_size):
 
 def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
                    schedule: SwitchTrainSchedule, rng) -> list[EpochStats]:
-    """Plain SGD on theta. per_layer mode sweeps the switches in ordinal
-    order, updating one layer's theta per sweep while the others sit at
-    their posterior mean; joint mode updates all thetas together. Mutates
-    state.theta in place and returns per-epoch statistics, each also logged
-    at INFO.
+    """Plain SGD on theta, one switch per sweep in ordinal order while the
+    others sit at their posterior mean. Mutates state.theta in place and
+    returns per-epoch statistics, each also logged at INFO.
 
-    The first sweep reads x. Before each later per_layer sweep, one untaped
-    pass carries every row from the previous sweep's entry to the input of
-    this sweep's consumer (the finished switches are fixed by then), so no
-    batch runs the graph before that consumer again. The first entry is x
-    itself; only later ones are stored.
+    The first sweep reads x. Before each later sweep, one untaped pass
+    carries every row from the previous sweep's entry to the input of this
+    sweep's consumer (the finished switches are fixed by then), so no batch
+    runs the graph before that consumer again. The first entry is x itself;
+    only later ones are stored.
 
     Raises NumericError, naming the scope, epoch and batch, at the first
     batch whose neg_elbo is not finite or whose expected NLL exceeds the
@@ -320,34 +305,29 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
         raise ContractError("no switch states given")
     n = x.shape[0]
     by_index = {st.layer: st for st in states}
-    if schedule.mode == "per_layer":
-        groups = [(f"layer{o}", [o]) for o in sorted(by_index)]
-    else:
-        groups = [("joint", sorted(by_index))]
     consumers = switch_consumers(model)
     bound = loss_bound(model)
     entry, start = x, 0  # every row's activation entering layer `start`
     history = []
-    for g, (scope, train_indices) in enumerate(groups):
-        if g > 0:
-            stop = consumers[train_indices[0]]
+    for sweep, layer in enumerate(sorted(by_index)):
+        if sweep > 0:
+            stop = consumers[layer]
             entry = _advance(model, states, entry, start, stop, schedule.batch_size)
             start = stop
+        scope, st = f"layer{layer}", by_index[layer]
         for epoch in range(schedule.epochs):
             t0 = time.perf_counter()
             total, nb = 0.0, 0
             for sel in _batches(n, schedule.batch_size, rng):
-                value, grads = neg_elbo_and_grads(states, model, entry[sel], y[sel], n, rng,
-                                                  train_indices, start=start,
-                                                  schedule=schedule)
+                value, grad = neg_elbo_and_grads(states, model, entry[sel], y[sel], n, rng,
+                                                 layer=layer, start=start, schedule=schedule)
                 where = f"at epoch {epoch + 1}, batch {nb + 1}"
                 if not math.isfinite(value.neg_elbo):
                     raise NumericError(f"{scope} neg_elbo is {value.neg_elbo} {where}")
                 if value.expected_nll > bound:
                     raise NumericError(f"{scope} expected NLL {value.expected_nll:.6g} exceeds "
                                        f"the divergence bound {bound:.6g} {where}")
-                for li in train_indices:
-                    by_index[li].theta = by_index[li].theta - schedule.lr * grads[li]
+                st.theta = st.theta - schedule.lr * grad
                 total += value.neg_elbo
                 nb += 1
             stats = EpochStats(scope, epoch + 1, total / max(nb, 1),

@@ -157,16 +157,16 @@ def test_criterion_2_gradient_suite():
     states = init_switch_states(model)
     xb = rng.normal(size=(20, 6))
     yb = rng.integers(0, 3, size=20)
-    value, grads = neg_elbo_and_grads(states, model, xb, yb, 200,
-                                      np.random.default_rng(0))
     st = states[0]
+    _, grad = neg_elbo_and_grads(states, model, xb, yb, 200,
+                                 np.random.default_rng(0), layer=st.layer)
 
     def f_theta(theta):
         probe = SwitchState(st.layer, np.asarray(theta, dtype=np.float64))
         return neg_elbo_and_grads([probe], model, xb, yb, 200,
-                                  np.random.default_rng(0))[0].neg_elbo
+                                  np.random.default_rng(0), layer=st.layer)[0].neg_elbo
 
-    elbo_err = grad_err(grads[st.layer], central_fd(f_theta, st.theta))
+    elbo_err = grad_err(grad, central_fd(f_theta, st.theta))
 
     elapsed = time.perf_counter() - t0
     ok = worst_prim <= 1e-5 and elbo_err <= 1e-4 and elapsed < 60.0
@@ -255,8 +255,8 @@ def test_criterion_5_posterior_recovery_both_estimators():
         rho = scipy.stats.spearmanr(mean, task.true_switch).statistic
         return rho, std
 
-    rho_am, std_am = run(SwitchTrainSchedule("per_layer", 8, 100, 0.5, AnalyticMean()), 11)
-    rho_mc, std_mc = run(SwitchTrainSchedule("per_layer", 3, 100, 3.0, ImplicitMC(10)), 12)
+    rho_am, std_am = run(SwitchTrainSchedule(8, 100, 0.5, AnalyticMean()), 11)
+    rho_mc, std_mc = run(SwitchTrainSchedule(3, 100, 3.0, ImplicitMC(10)), 12)
     tighter = float(np.mean(std_mc <= std_am))
 
     elapsed = time.perf_counter() - t0
@@ -281,7 +281,7 @@ def test_criterion_6_analytic_epoch_speedup():
     def epoch_seconds(estimator, seed):
         states = init_switch_states(model)
         stats = train_switches(model, states, x, y,
-                               SwitchTrainSchedule("per_layer", 1, 100, 0.5, estimator),
+                               SwitchTrainSchedule(1, 100, 0.5, estimator),
                                np.random.default_rng(seed))
         return stats[0].seconds
 
@@ -391,7 +391,7 @@ def test_criterion_8_end_to_end_mnist_pruning():
 
     states = init_switch_states(model)
     train_switches(model, states, x_tr[:2000], y_tr[:2000],
-                   SwitchTrainSchedule("per_layer", 2, 100, 0.5), rng)
+                   SwitchTrainSchedule(2, 100, 0.5), rng)
     plan = make_plan(rank_dirichlet(states), keep_counts=[6, 8, 40, 20])
     means = {st.layer: st.posterior_mean() for st in states}
     pruned = apply_plan(model, plan, switch_means=means)
@@ -429,7 +429,7 @@ def test_criterion_9_ranking_beats_random():
                     np.random.default_rng(9200 + seed))
         states = init_switch_states(model)
         train_switches(model, states, x_tr, y_tr,
-                       SwitchTrainSchedule("per_layer", 4, 100, 0.5),
+                       SwitchTrainSchedule(4, 100, 0.5),
                        np.random.default_rng(9300 + seed))
         means = {st.layer: st.posterior_mean() for st in states}
         plan_post = make_plan(rank_dirichlet(states), rate=0.5)

@@ -1,6 +1,7 @@
 """Config parsing, dataset IO, synthetic task, pipeline, and the CLI."""
 
 import gzip
+import importlib.util
 import inspect
 import json
 import logging
@@ -77,6 +78,7 @@ def test_config_line_without_equals():
     ("data = imagenet", "data"),
     ("arch = vgg", "arch"),
     ("mode = both", "mode"),
+    ("mode = joint", "mode"),
     ("method = l3", "method"),
     ("val_fraction = 1.0", "val_fraction"),
     ("train_lr = 0", "train_lr"),
@@ -100,6 +102,10 @@ def test_config_line_without_equals():
     ("keep_counts = 3, 0", "keep_counts"),
     ("keep_counts = 3, 3", "keep_counts"),
     ("arch = lenet5\nkeep_counts = 2, 2, 8", "keep_counts"),
+    ("subset = -1", "subset"),
+    ("train_epochs = -2", "train_epochs"),
+    ("epochs = -1", "epochs"),
+    ("finetune_epochs = -3", "finetune_epochs"),
 ])
 def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
     with pytest.raises(ConfigError, match=f"key '{key}'"):
@@ -110,6 +116,8 @@ def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
     ("estimator", "implcit"), ("rate", 1.5), ("alpha0", 0.0), ("kl_weight", math.nan),
     ("train_batch_size", 0), ("batch_size", 0), ("finetune_batch_size", 0),
     ("keep_counts", (3, 3)), ("keep_counts", (0,)), ("image_index", -1),
+    ("mode", "joint"), ("subset", -1), ("train_epochs", -2), ("epochs", -1),
+    ("finetune_epochs", -3),
 ])
 def test_bad_config_writes_no_artifact(tmp_path, key, value):
     out = tmp_path / "run"
@@ -120,6 +128,23 @@ def test_bad_config_writes_no_artifact(tmp_path, key, value):
     path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + f"{key} = {text}\n")
     assert cli.main(["--config", path, "pipeline"]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["MLP_ANALYTIC_CONFIG", "LENET_ANALYTIC_CONFIG",
+                                  "MLP_IMPLICIT_CONFIG"])
+def test_benchmark_configs_parse(name):
+    # a key or choice the benchmark's configs use must not go away unnoticed;
+    # perfbench is not a package, so its workloads module is loaded by path
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    text = getattr(workloads, name).format(
+        seed=48, model_in="true.dpm1", images="train-images", labels="train-labels",
+        test_images="test-images", test_labels="test-labels",
+        widths=",".join(map(str, workloads.LENET_WIDTHS)))
+    cfg = parse_config_text(text)
+    assert cfg.seed == 48 and cfg.mode == "per_layer"
 
 
 def test_config_require_reports_empty_keys():

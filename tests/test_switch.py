@@ -1,4 +1,4 @@
-"""Variational switch training: objective, estimators, training modes."""
+"""Variational switch training: objective, estimators, per-layer sweeps."""
 
 import json
 import math
@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from dirichlet_pruning import dirichlet as dirichlet_module
 from dirichlet_pruning import switch as switch_module
@@ -96,18 +95,21 @@ def test_neg_elbo_decomposition_identity():
     model, x, y = _small_problem()
     states = init_switch_states(model)
     for _ in range(3):
-        v = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(0))[0]
+        v = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(0),
+                               layer=0)[0]
         assert v.neg_elbo == v.expected_nll + v.kl_weight * v.kl_term
 
 
 def test_kl_term_zero_iff_phi_equals_prior():
     model, x, y = _small_problem()
     states = init_switch_states(model)
-    v_init = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))[0]
+    v_init = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0),
+                                layer=0)[0]
     assert v_init.kl_term > 1e-6  # phi starts at 1, the default prior at 0.5
     for st in states:
         st.theta = _theta_for_phi(np.full(st.theta.shape, 0.5))
-    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0))[0]
+    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0),
+                           layer=0)[0]
     assert abs(v.kl_term) <= 1e-9
 
 
@@ -116,21 +118,23 @@ def test_expected_nll_is_log_k_for_zero_weights():
     for name in model.weights:
         model.weights[name] = np.zeros_like(model.weights[name])
     states = init_switch_states(model)
-    v = neg_elbo_and_grads(states, model, x[:16], y[:16], 60, np.random.default_rng(0))[0]
+    v = neg_elbo_and_grads(states, model, x[:16], y[:16], 60, np.random.default_rng(0),
+                           layer=0)[0]
     assert abs(v.expected_nll - math.log(2.0)) <= 1e-12
     # a sampled estimator sees the same constant surface
     v_mc = neg_elbo_and_grads(states, model, x[:16], y[:16], 60, np.random.default_rng(1),
-                              schedule=SwitchTrainSchedule(estimator=ImplicitMC(3)))[0]
+                              layer=0, schedule=SwitchTrainSchedule(estimator=ImplicitMC(3)))[0]
     assert abs(v_mc.expected_nll - math.log(2.0)) <= 1e-12
 
 
 def test_default_kl_weight_is_one_over_n():
     model, x, y = _small_problem()
     states = init_switch_states(model)
-    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0))[0]
+    v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0),
+                           layer=0)[0]
     assert v.kl_weight == 1.0 / 250
     v = neg_elbo_and_grads(states, model, x[:10], y[:10], 250, np.random.default_rng(0),
-                           schedule=SwitchTrainSchedule(kl_weight=0.03))[0]
+                           layer=0, schedule=SwitchTrainSchedule(kl_weight=0.03))[0]
     assert v.kl_weight == 0.03
 
 
@@ -138,15 +142,15 @@ def test_empty_batch_rejected():
     model, x, y = _small_problem()
     states = init_switch_states(model)
     with pytest.raises(ContractError):
-        neg_elbo_and_grads(states, model, x[:0], y[:0], 60, np.random.default_rng(0))
+        neg_elbo_and_grads(states, model, x[:0], y[:0], 60, np.random.default_rng(0), layer=0)
 
 
-def test_train_indices_must_name_switch_states():
+def test_layer_must_name_a_switch_state():
     model, x, y = _small_problem()
     states = init_switch_states(model)
-    with pytest.raises(ContractError, match=r"\[7\] name no switch state"):
+    with pytest.raises(ContractError, match="layer 7 names no switch state"):
         neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0),
-                           train_indices=[states[0].layer, 7])
+                           layer=7)
 
 
 def test_analytic_grad_matches_fd():
@@ -154,26 +158,28 @@ def test_analytic_grad_matches_fd():
     states = init_switch_states(model)
     idx = states[0].layer
     theta0 = states[0].theta.copy()
-    _, grads = neg_elbo_and_grads(states, model, x[:25], y[:25], 60,
-                                  np.random.default_rng(0))
+    _, grad = neg_elbo_and_grads(states, model, x[:25], y[:25], 60,
+                                 np.random.default_rng(0), layer=idx)
 
     def value(theta):
         states[0].theta = theta
-        v = neg_elbo_and_grads(states, model, x[:25], y[:25], 60, np.random.default_rng(0))[0]
+        v = neg_elbo_and_grads(states, model, x[:25], y[:25], 60, np.random.default_rng(0),
+                               layer=idx)[0]
         states[0].theta = theta0
         return v.neg_elbo
 
-    assert grad_err(grads[idx], central_fd(value, theta0)) <= 1e-4
+    assert grad_err(grad, central_fd(value, theta0)) <= 1e-4
 
 
 def test_analytic_objective_deterministic():
     model, x, y = _small_problem(seed=44)
     states = init_switch_states(model)
-    v1, g1 = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(5))
-    v2, g2 = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(99))
+    v1, g1 = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(5),
+                                layer=0)
+    v2, g2 = neg_elbo_and_grads(states, model, x[:20], y[:20], 60, np.random.default_rng(99),
+                                layer=0)
     assert v1.neg_elbo == v2.neg_elbo
-    for k in g1:
-        assert np.array_equal(g1[k], g2[k])
+    assert np.array_equal(g1, g2)
 
 
 def test_implicit_mc_concentrates_with_k():
@@ -184,7 +190,7 @@ def test_implicit_mc_concentrates_with_k():
         vals = []
         for r in range(reps):
             v = neg_elbo_and_grads(init_switch_states(model), model, xb, yb, 64,
-                                   np.random.default_rng(1000 + r),
+                                   np.random.default_rng(1000 + r), layer=0,
                                    schedule=SwitchTrainSchedule(estimator=ImplicitMC(k)))[0]
             vals.append(v.expected_nll)
         vals = np.array(vals)
@@ -203,42 +209,35 @@ def test_implicit_mc_underflowed_draws_raise_numeric_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericError):
             neg_elbo_and_grads(states, model, x[:10], y[:10], 60, np.random.default_rng(0),
-                               schedule=SwitchTrainSchedule(estimator=ImplicitMC(4)))
+                               layer=0, schedule=SwitchTrainSchedule(estimator=ImplicitMC(4)))
 
 
-def _per_sample_oracle(model, states, train_set, xb, yb, draws):
+def _per_sample_oracle(model, states, layer, xb, yb, draw):
     """The estimator before batching: k full forward passes, each on its own
-    tape, with the chain rule to theta applied sample by sample. ``draws``
-    maps ordinal to the (S, Y, dY/dphi) arrays the batched estimator
-    drew; only the raw Gamma values and their gradients are used."""
-    by_index = {st.layer: st for st in states}
-    mean_switches = {st.layer: st.posterior_mean()
-                     for st in states if st.layer not in train_set}
-    k = len(next(iter(draws.values()))[1])
+    tape, with the chain rule to theta applied sample by sample. ``draw`` is
+    the (S, Y, dY/dphi) arrays the batched estimator drew for ``layer``; only
+    the raw Gamma values and their gradients are used."""
+    st = next(st for st in states if st.layer == layer)
+    mean_switches = {o.layer: o.posterior_mean() for o in states if o.layer != layer}
+    _, y_all, dy_all = draw
+    k = len(y_all)
     nll_acc = 0.0
-    grads = {idx: np.zeros_like(by_index[idx].theta) for idx in train_set}
+    grad = np.zeros_like(st.theta)
     for j in range(k):
-        leaves = {}
-        switches = dict(mean_switches)
-        for idx in train_set:
-            _, y_all, dy_all = draws[idx]
-            y, dy_dphi = y_all[j], dy_all[j]
-            total = y.sum()
-            s_t = Tensor(y / total, requires_grad=True)
-            switches[idx] = s_t
-            leaves[idx] = (s_t, total, dy_dphi, by_index[idx])
+        y, dy_dphi = y_all[j], dy_all[j]
+        total = y.sum()
+        s_t = Tensor(y / total, requires_grad=True)
         with Tape():
-            logits = forward(model, xb, switches=switches)
+            logits = forward(model, xb, switches={**mean_switches, layer: s_t})
             nll = T.softmax_cross_entropy(logits, yb)
         T.backward(nll)
         nll_acc += nll.item()
-        for idx, (s_t, total, dy_dphi, st) in leaves.items():
-            if s_t.grad is None:
-                continue
-            g_s = s_t.grad
-            dphi = dy_dphi * (g_s - float(g_s @ s_t.data)) / total
-            grads[idx] += dphi * (1.0 / (1.0 + np.exp(-st.theta)))
-    return nll_acc / k, {idx: g / k for idx, g in grads.items()}
+        if s_t.grad is None:
+            continue
+        g_s = s_t.grad
+        dphi = dy_dphi * (g_s - float(g_s @ s_t.data)) / total
+        grad += dphi * (1.0 / (1.0 + np.exp(-st.theta)))
+    return nll_acc / k, grad / k
 
 
 def _taped_mean(theta: Tensor) -> Tensor:
@@ -247,45 +246,39 @@ def _taped_mean(theta: Tensor) -> Tensor:
     return div(phi, tsum(phi))
 
 
-def _taped_mean_oracle(model, states, train_set, xb, yb):
+def _taped_mean_oracle(model, states, layer, xb, yb):
     """The analytic estimator without the shared sampled path: one full
     forward pass at the posterior mean, taped from theta, with the theta
-    gradients from backward."""
-    theta_t = {}
+    gradient from backward."""
     switches = {}
     with Tape():
         for st in states:
-            if st.layer in train_set:
-                th = Tensor(st.theta, requires_grad=True)
-                switches[st.layer] = _taped_mean(th)
-                theta_t[st.layer] = th
+            if st.layer == layer:
+                theta = Tensor(st.theta, requires_grad=True)
+                switches[st.layer] = _taped_mean(theta)
             else:
                 switches[st.layer] = st.posterior_mean()
         logits = forward(model, xb, switches=switches)
         nll = T.softmax_cross_entropy(logits, yb)
     T.backward(nll)
-    return nll.item(), {idx: th.grad for idx, th in theta_t.items()}
+    return nll.item(), theta.grad
 
 
-def _assert_matches_oracle(estimator, model, states, train_set, xb, yb):
+def _assert_matches_oracle(estimator, model, states, layer, xb, yb):
     """The shared estimator path against the per-sample oracle (ImplicitMC)
     or the taped-mean oracle (AnalyticMean), on the same draws."""
     assert any(np.any(st.theta < 0.0) for st in states)
-    rng = np.random.default_rng(60)
-    draws = {st.layer: estimator.draw(st.phi(), rng)
-             for st in states if st.layer in train_set}
-    nll, dphi = switch_module._nll_and_grads(model, states, xb, yb, draws)
-    by_index = {st.layer: st for st in states}
-    grads = {idx: g * switch_module._sigmoid_np(by_index[idx].theta) for idx, g in dphi.items()}
+    st = next(st for st in states if st.layer == layer)
+    draw = estimator.draw(st.phi(), np.random.default_rng(60))
+    nll, dphi = switch_module._nll_and_grads(model, states, xb, yb, layer, draw)
+    grad = dphi * switch_module._sigmoid_np(st.theta)
     if isinstance(estimator, AnalyticMean):
-        nll_ref, grads_ref = _taped_mean_oracle(model, states, train_set, xb, yb)
+        nll_ref, grad_ref = _taped_mean_oracle(model, states, layer, xb, yb)
     else:
-        nll_ref, grads_ref = _per_sample_oracle(model, states, train_set, xb, yb, draws)
+        nll_ref, grad_ref = _per_sample_oracle(model, states, layer, xb, yb, draw)
     np.testing.assert_allclose(nll, nll_ref, rtol=1e-10, atol=0)
-    assert set(grads) == set(train_set)
-    for idx in train_set:
-        assert np.any(grads_ref[idx] != 0.0)
-        np.testing.assert_allclose(grads[idx], grads_ref[idx], rtol=1e-10, atol=0)
+    assert np.any(grad_ref != 0.0)
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-10, atol=0)
 
 
 def _spread_thetas(states, seed):
@@ -298,14 +291,7 @@ def _mlp_per_layer_case():
     model, x, y = _small_problem(seed=53, d_x=7, d_h=6, n=30, k_classes=3)
     states = init_switch_states(model)
     _spread_thetas(states, 54)
-    return model, states, {0}, x, y
-
-
-def _mlp_joint_case():
-    model, x, y = _two_switch_model()
-    states = init_switch_states(model)
-    _spread_thetas(states, 55)
-    return model, states, {0, 1}, x[:40], y[:40]
+    return model, states, 0, x, y
 
 
 def _lenet_third_switch_case():
@@ -316,24 +302,19 @@ def _lenet_third_switch_case():
     y = rng.integers(0, 10, 6)
     states = init_switch_states(model)
     _spread_thetas(states, 57)
-    return model, states, {2}, x, y
+    return model, states, 2, x, y
 
 
 def test_implicit_mc_matches_per_sample_oracle_mlp_per_layer():
     _assert_matches_oracle(ImplicitMC(9), *_mlp_per_layer_case())
 
 
-def test_implicit_mc_matches_per_sample_oracle_mlp_joint():
-    _assert_matches_oracle(ImplicitMC(7), *_mlp_joint_case())
-
-
 def test_implicit_mc_matches_per_sample_oracle_lenet_third_switch():
     _assert_matches_oracle(ImplicitMC(5), *_lenet_third_switch_case())
 
 
-@pytest.mark.parametrize("case", [_mlp_per_layer_case, _mlp_joint_case,
-                                  _lenet_third_switch_case],
-                         ids=["mlp_per_layer", "mlp_joint", "lenet_third_switch"])
+@pytest.mark.parametrize("case", [_mlp_per_layer_case, _lenet_third_switch_case],
+                         ids=["mlp_per_layer", "lenet_third_switch"])
 def test_analytic_mean_matches_taped_oracle(case):
     _assert_matches_oracle(AnalyticMean(), *case())
 
@@ -363,7 +344,7 @@ def test_train_switches_mutates_theta_not_weights():
     states = init_switch_states(model)
     theta_before = states[0].theta.copy()
     stats = train_switches(model, states, x, y,
-                           SwitchTrainSchedule(mode="per_layer", epochs=2, batch_size=20, lr=0.3),
+                           SwitchTrainSchedule(epochs=2, batch_size=20, lr=0.3),
                            np.random.default_rng(48))
     assert len(stats) == 2
     assert not np.array_equal(states[0].theta, theta_before)
@@ -374,8 +355,6 @@ def test_train_switches_mutates_theta_not_weights():
 def test_schedule_validation():
     with pytest.raises(ContractError):
         SwitchTrainSchedule(epochs=0)
-    with pytest.raises(ContractError):
-        SwitchTrainSchedule(mode="both")
     with pytest.raises(ContractError):
         SwitchTrainSchedule(lr=0.0)
 
@@ -427,10 +406,9 @@ def test_kl_gradient_only_for_trained_layers(monkeypatch):
                         lambda *a: kl_calls.append(1) or kl(*a))
     monkeypatch.setattr(dirichlet_module, "_psi_recurrence",
                         lambda *a: psi_calls.append(a[1:]) or psi(*a))
-    value, grads = neg_elbo_and_grads(states, model, x[:10], y[:10], 40,
-                                      np.random.default_rng(0),
-                                      train_indices=[states[1].layer])
-    assert list(grads) == [states[1].layer]
+    value, grad = neg_elbo_and_grads(states, model, x[:10], y[:10], 40,
+                                     np.random.default_rng(0), layer=states[1].layer)
+    assert grad.shape == states[1].theta.shape
     assert len(kl_calls) == 4 and psi_calls == [(True,)] * 4
     # the KL term still sums every layer, trained or not
     expected_kl = sum(kl(st.phi(), np.full(st.theta.shape, 0.5))[0] for st in states)
@@ -438,7 +416,7 @@ def test_kl_gradient_only_for_trained_layers(monkeypatch):
     kl_calls.clear()
     psi_calls.clear()
     train_switches(model, states, x, y,
-                   SwitchTrainSchedule(mode="per_layer", epochs=1, batch_size=20, lr=0.1),
+                   SwitchTrainSchedule(epochs=1, batch_size=20, lr=0.1),
                    np.random.default_rng(50))
     # 4 layers x 2 batches steps, each with one KL pass per layer
     assert len(kl_calls) == len(psi_calls) == 4 * 2 * 4
@@ -465,7 +443,7 @@ def test_train_switches_raises_on_diverged_expected_nll():
 
 
 def _per_layer_from_x(model, states, x, y, schedule, rng):
-    """per_layer training as it ran before sweeps were chained: every batch
+    """Switch training as it ran before sweeps were chained: every batch
     of every sweep runs the graph from x through ``neg_elbo_and_grads``
     with the default ``start``.
     Returns each epoch's mean neg_elbo."""
@@ -478,10 +456,9 @@ def _per_layer_from_x(model, states, x, y, schedule, rng):
             total = 0.0
             for lo in range(0, n, schedule.batch_size):
                 sel = idx[lo:lo + schedule.batch_size]
-                value, grads = neg_elbo_and_grads(states, model, x[sel], y[sel], n, rng,
-                                                  train_indices=[st.layer],
-                                                  schedule=schedule)
-                st.theta = st.theta - schedule.lr * grads[st.layer]
+                value, grad = neg_elbo_and_grads(states, model, x[sel], y[sel], n, rng,
+                                                 layer=st.layer, schedule=schedule)
+                st.theta = st.theta - schedule.lr * grad
                 total += value.neg_elbo
             means.append(total / math.ceil(n / schedule.batch_size))
     return means
@@ -498,8 +475,7 @@ def test_chained_sweeps_match_sweeps_from_x(estimator, arch, monkeypatch):
     else:
         model, x, y = _two_switch_model()
         x, y = x[:90], y[:90]
-    schedule = SwitchTrainSchedule(mode="per_layer", epochs=2, batch_size=20, lr=0.5,
-                                   estimator=estimator)
+    schedule = SwitchTrainSchedule(epochs=2, batch_size=20, lr=0.5, estimator=estimator)
     states = init_switch_states(model)
     _spread_thetas(states, 59)
     thetas = [st.theta.copy() for st in states]
@@ -520,15 +496,12 @@ def test_chained_sweeps_match_sweeps_from_x(estimator, arch, monkeypatch):
         np.testing.assert_allclose(st.theta, ref.theta, rtol=1e-12, atol=0)
 
 
-def test_single_switch_and_joint_runs_store_no_entry(monkeypatch):
+def test_single_switch_run_stores_no_entry(monkeypatch):
     calls = []
     monkeypatch.setattr(switch_module, "_advance", lambda *a: calls.append(a))
     model, x, y = _small_problem(seed=61)
     train_switches(model, init_switch_states(model), x, y, SwitchTrainSchedule(batch_size=20),
                    np.random.default_rng(62))
-    model, x, y = _two_switch_model()
-    train_switches(model, init_switch_states(model), x[:60], y[:60],
-                   SwitchTrainSchedule(mode="joint", batch_size=20), np.random.default_rng(63))
     assert calls == []
 
 
@@ -543,7 +516,7 @@ def test_kl_descends_when_loss_ignores_switch():
     prior = np.full(st.theta.shape, 0.5)
     kl_before = dirichlet_kl(st.phi(), prior)[0]
     train_switches(model, states, x, y,
-                   SwitchTrainSchedule(mode="per_layer", epochs=3, batch_size=25, lr=0.5),
+                   SwitchTrainSchedule(epochs=3, batch_size=25, lr=0.5),
                    np.random.default_rng(50))
     kl_after = dirichlet_kl(st.phi(), prior)[0]
     assert kl_after < kl_before
@@ -554,7 +527,7 @@ def test_ground_truth_switch_recovery():
     model = task_model(task)
     states = init_switch_states(model)
     train_switches(model, states, x, y,
-                   SwitchTrainSchedule(mode="per_layer", epochs=20, batch_size=100, lr=1.0),
+                   SwitchTrainSchedule(epochs=20, batch_size=100, lr=1.0),
                    np.random.default_rng(32))
     mean, _ = posterior_report(states[0])
     weak = task.true_switch < 1e-3
@@ -583,23 +556,6 @@ def _two_switch_model():
     logits = forward(model, x).data
     y = logits.argmax(axis=1)
     return model, x, y
-
-
-def test_joint_and_per_layer_rankings_agree():
-    model, x, y = _two_switch_model()
-
-    def run(mode, seed):
-        states = init_switch_states(model)
-        train_switches(model, states, x, y,
-                       SwitchTrainSchedule(mode=mode, epochs=4, batch_size=50, lr=0.5),
-                       np.random.default_rng(seed))
-        return [posterior_report(st)[0] for st in states]
-
-    per_layer = run("per_layer", 34)
-    joint = run("joint", 34)
-    for m_pl, m_j in zip(per_layer, joint):
-        rho = scipy.stats.spearmanr(m_pl, m_j).statistic
-        assert rho >= 0.7, (m_pl, m_j)
 
 
 # ---------------------------------------------------------------------------
