@@ -22,8 +22,8 @@ import numpy as np
 from .config import ExperimentConfig, load_config, require
 from .errors import (ConfigError, ContractError, DomainError, FormatError, NumericError,
                      PipelineError, ShapeError)
-from .pipeline import (Run, export_feature_maps, prune_with_states, run_pipeline,
-                       run_posterior_compare, write_resolved_config)
+from .pipeline import (Run, check_pipeline_config, export_feature_maps, prune_with_states,
+                       run_pipeline, run_posterior_compare, write_resolved_config)
 from .pruning import plan_from_json, ranking_from_csv
 
 
@@ -147,6 +147,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
+        if args.command == "pipeline":
+            check_pipeline_config(cfg)  # before anything is written
         write_resolved_config(cfg)
         _COMMANDS[args.command](cfg)
     except (ConfigError, ContractError, DomainError, FormatError, NumericError,

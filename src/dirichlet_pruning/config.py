@@ -128,6 +128,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
           for key in ("subset", "train_epochs", "epochs", "finetune_epochs")),
         ("rate", 0.0 <= cfg.rate < 1.0, "0 <= rate < 1"),
         ("val_fraction", 0.0 <= cfg.val_fraction < 1.0, "0 <= val_fraction < 1"),
+        *((key, 0.0 <= getattr(cfg, key) < 1.0, f"0 <= {key} < 1")
+          for key in ("train_momentum", "finetune_momentum")),
         ("train_lr", cfg.train_lr > 0.0, "train_lr > 0"),
         ("lr", cfg.lr > 0.0, "lr > 0"),
         ("finetune_lr", cfg.finetune_lr > 0.0, "finetune_lr > 0"),

@@ -22,7 +22,7 @@ def validate_concentration(conc) -> np.ndarray:
     conc = np.asarray(conc, dtype=np.float64)
     if conc.ndim != 1 or conc.size < 2:
         raise DomainError(f"concentration must be a vector of length >= 2, got shape {conc.shape}")
-    if not np.all(conc > 0.0):
+    if not np.minimum.reduce(conc) > 0.0:  # NaN is no minimum > 0
         raise DomainError("concentration entries must all be > 0")
     return conc
 
@@ -56,14 +56,19 @@ def dirichlet_kl(q_conc, p_conc) -> tuple[float, np.ndarray]:
     p = validate_concentration(p_conc)
     if q.shape != p.shape:
         raise ShapeError(f"concentration length mismatch: {q.shape} vs {p.shape}")
-    ext = np.concatenate((q, [q.sum()], p, [p.sum()]))  # elementwise kernels: one call each
+    d = q.size
+    # rows (q, sum q) and (p, sum p): one lgamma call covers both, one psi/psi'
+    # pass the first, and each pair of sums is one reduce
+    ext = np.empty((2, d + 1))
+    ext[0, :d] = q
+    ext[1, :d] = p
+    np.add.reduce(ext[:, :d], axis=1, out=ext[:, d])
     lg = lgamma_batch(ext)
-    lg_q, lg_p = lg[:q.size + 1], lg[q.size + 1:]
-    psi, psi1 = _psi_recurrence(ext[:q.size + 1], True)
+    psi, psi1 = _psi_recurrence(ext[0], True)
     diff = q - p
-    kl = lg_q[-1] - lg_p[-1]
-    kl -= lg_q[:-1].sum()
-    kl += lg_p[:-1].sum()
-    kl += (diff * (psi[:-1] - psi[-1])).sum()
-    return float(kl), diff * psi1[:-1] - psi1[-1] * diff.sum()
-
+    lg_sums = np.add.reduce(lg[:, :d], axis=1)
+    kl = lg[0, d] - lg[1, d]
+    kl -= lg_sums[0]
+    kl += lg_sums[1]
+    kl += np.add.reduce(diff * (psi[:-1] - psi[-1]))
+    return float(kl), diff * psi1[:-1] - psi1[-1] * np.add.reduce(diff)

@@ -228,50 +228,36 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     unscaled, and a switch on a layer before ``start`` still scales a
     consumer at or after it. The default runs the whole graph.
     """
-    switches = switches or {}
-    params = params or {}
     h = T._lift(x)
     if h.data.ndim not in (2, 4):
         raise ShapeError(f"input must be (N, d) or (N, C, H, W), got {h.data.shape}")
-    feeding, widths = {}, []
+    layers, weights, params = model.layers, model.weights, params or {}
+    feeding = {}
     if switches:
-        widths = prunable_widths(model)
+        linear = linear_indices(model)
         for o in switches:
-            if o not in range(len(widths)):
+            if o not in range(len(linear) - 1):
                 raise ContractError(f"switch key {o!r} is not a prunable ordinal "
-                                    f"in range({len(widths)})")
-        feeding = {c: o for o, c in enumerate(switch_consumers(model))}
-
-    def weight(name):
-        if name in params:
-            return params[name]
-        return T._lift(model.weights[name])
-
-    def input_weight(i):
-        w = weight(f"layer{i}.weight")
-        s = switches.get(feeding.get(i))
-        if s is None:
-            return w
-        s = T._lift(s)
-        if np.any(s.data < 0.0):
-            raise ContractError(f"switch {feeding[i]} has a negative entry; only a "
-                                f"non-negative scale folds into layer {i}")
-        if isinstance(model.layers[i], Conv2d):  # (c_out, c_in, kh, kw): c_in is axis 1
-            return T.broadcast_mul_channels(w, s)
-        groups = T.reshape(w, (1, widths[feeding[i]], -1))
-        return T.reshape(T.broadcast_mul_channels(groups, s), w.shape)
-
-    stop = len(model.layers) if stop is None else stop
-    if not 0 <= start <= stop <= len(model.layers):
+                                    f"in range({len(linear) - 1})")
+        feeding = {c: o for o, c in enumerate(linear[1:]) if switches.get(o) is not None}
+    stop = len(layers) if stop is None else stop
+    if not 0 <= start <= stop <= len(layers):
         raise ContractError(
-            f"layer range [{start}, {stop}) outside a graph of {len(model.layers)} layers")
+            f"layer range [{start}, {stop}) outside a graph of {len(layers)} layers")
     for i in range(start, stop):
-        spec = model.layers[i]
-        if isinstance(spec, Conv2d):
-            h = T.conv2d(h, input_weight(i), stride=spec.stride, padding=spec.pad,
-                         bias=weight(f"layer{i}.bias"))
-        elif isinstance(spec, FullyConnected):
-            h = T.matmul(h, input_weight(i), bias=weight(f"layer{i}.bias"))
+        spec = layers[i]
+        if isinstance(spec, (FullyConnected, Conv2d)):
+            name, bias_name = f"layer{i}.weight", f"layer{i}.bias"
+            w = params.get(name) or Tensor(weights[name])
+            b = params.get(bias_name) or Tensor(weights[bias_name])
+            if i in feeding:
+                o = feeding[i]
+                w = _fold_switch(w, T._lift(switches[o]), spec, i, o,
+                                 _width(layers[linear[o]]))
+            if isinstance(spec, FullyConnected):
+                h = T.matmul(h, w, bias=b)
+            else:
+                h = T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b)
         elif isinstance(spec, Relu):
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):
@@ -279,6 +265,17 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
     return h
+
+
+def _fold_switch(w, s, spec, i: int, ordinal: int, width: int):
+    """Consumer weight ``w`` of layer i with switch ``s`` folded into its inputs."""
+    if (s.data < 0.0).any():
+        raise ContractError(f"switch {ordinal} has a negative entry; only a "
+                            f"non-negative scale folds into layer {i}")
+    if isinstance(spec, Conv2d):  # (c_out, c_in, kh, kw): c_in is axis 1
+        return T.broadcast_mul_channels(w, s)
+    groups = T.reshape(w, (1, width, -1))
+    return T.reshape(T.broadcast_mul_channels(groups, s), w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +521,9 @@ def _batches(n, batch_size, rng=None):
 
 def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[float]:
     """Minibatch SGD with momentum on the cross-entropy, with no switch.
-    Mutates model.weights in place; returns per-epoch mean loss and logs it
-    at INFO, one line per epoch.
+    Replaces each linear layer's weight and bias in model.weights with a
+    view of one new buffer that the steps update in place; returns per-epoch
+    mean loss and logs it at INFO, one line per epoch.
     Raises NumericError, naming the epoch and batch, at the first batch
     whose loss is not finite or exceeds ``loss_bound``, before its step
     touches the weights."""
@@ -535,32 +533,45 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[f
         raise ContractError("training data is empty")
     if schedule.epochs < 1:
         raise ContractError(f"epochs must be >= 1, got {schedule.epochs}")
-    names = sorted(model.weights)
     bound = loss_bound(model)
-    velocity = {n: np.zeros_like(model.weights[n]) for n in names}
+    # one buffer makes a step's update four in-place ufuncs, not four per
+    # weight, and as a copy it leaves arrays shared with another model alone
+    names = [f"layer{i}.{kind}" for i in linear_indices(model) for kind in ("weight", "bias")]
+    flat = np.concatenate([model.weights[n] for n in names], axis=None, dtype=np.float64)
+    params, start = {}, 0
+    for n in names:
+        shape = model.weights[n].shape
+        view = flat[start:start + math.prod(shape)].reshape(shape)
+        start += view.size
+        model.weights[n] = view
+        params[n] = Tensor(view, requires_grad=True)
+    velocity = np.zeros_like(flat)
+    step = np.empty_like(flat)
     losses = []
     for epoch in range(schedule.epochs):
         t0 = time.perf_counter()
         total, nb = 0.0, 0
         for idx in _batches(x.shape[0], schedule.batch_size, rng):
-            params = {n: Tensor(model.weights[n], requires_grad=True) for n in names}
+            for p in params.values():
+                p.grad = None
             with Tape():
-                logits = forward(model, x[idx], params=params)
-                loss = T.softmax_cross_entropy(logits, y[idx])
-            where = f"at epoch {epoch + 1}, batch {nb + 1}"
-            if not np.isfinite(loss.data):
-                raise NumericError(f"training loss is {loss.item()} {where}")
-            if loss.item() > bound:
-                raise NumericError(f"training loss {loss.item():.6g} exceeds the "
+                logits = forward(model, x.take(idx, axis=0), params=params)
+                loss = T.softmax_cross_entropy(logits, y.take(idx))
+            value = loss.item()
+            if not value <= bound:  # NaN fails this test as well
+                where = f"at epoch {epoch + 1}, batch {nb + 1}"
+                if not math.isfinite(value):
+                    raise NumericError(f"training loss is {value} {where}")
+                raise NumericError(f"training loss {value:.6g} exceeds the "
                                    f"divergence bound {bound:.6g} {where}")
             T.backward(loss)
-            for n in names:
-                g = params[n].grad
-                if g is None:
-                    continue
-                velocity[n] = schedule.momentum * velocity[n] - schedule.lr * g
-                model.weights[n] = model.weights[n] + velocity[n]
-            total += loss.item()
+            # v = momentum * v - lr * g; w = w + v
+            np.concatenate([p.grad for p in params.values()], axis=None, out=step)
+            step *= schedule.lr
+            velocity *= schedule.momentum
+            velocity -= step
+            flat += velocity
+            total += value
             nb += 1
         losses.append(total / max(nb, 1))
         logger.info("epoch %d/%d: loss %.4f (%.2fs)", epoch + 1, schedule.epochs,

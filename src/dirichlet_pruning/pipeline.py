@@ -269,8 +269,19 @@ class PipelineResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
+def check_pipeline_config(cfg: ExperimentConfig) -> None:
+    """``validate_config``, and reject method dirichlet with epochs = 0: its
+    untrained posterior is uniform, so every score would be 1/D and the plan
+    would keep channels by index. A config may still say so for the CLI's
+    rank on switches an earlier run trained."""
+    validate_config(cfg)
+    if cfg.method == "dirichlet" and cfg.epochs == 0:
+        raise ConfigError("key 'epochs': need epochs >= 1 for method dirichlet, "
+                          "which ranks by the trained switches, got 0")
+
+
 def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
-    validate_config(cfg)  # before any file is written
+    check_pipeline_config(cfg)  # before any file is written
     write_resolved_config(cfg)
     seconds: dict[str, float] = {}
 

@@ -35,28 +35,50 @@ _LANCZOS_C = (
 _HALF_LOG_2PI = 0.9189385332046727  # log(2*pi)/2
 
 
-def _check_domain(fn: str, requirement: str, x: np.ndarray, ok: np.ndarray) -> None:
-    """Raise DomainError naming the first entry of x where ``ok`` fails.
+def _check_positive(fn: str, name: str, x: np.ndarray) -> None:
+    """Raise DomainError naming the first entry of x that is not > 0; a NaN
+    is not, and its minimum is NaN."""
+    if not np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0:
+        raise DomainError(f"{fn} requires {name} > 0, got {x[~(x > 0.0)].flat[0]}")
 
-    ``ok`` is a comparison such as x > 0, which is False at NaN.
-    """
-    if not np.all(ok):
-        raise DomainError(f"{fn} requires {requirement}, got {x[~ok].flat[0]}")
+
+# The Lanczos sum and the psi recurrence lay their terms or rounds along a
+# leading axis, form them in a few whole-table ufuncs and add them up one row
+# at a time, in the order a loop over terms or rounds adds them. Inputs go
+# through in blocks of this many elements, so a table stays under 1 MiB.
+_BLOCK = 4096
+_LANCZOS_SHIFT = np.arange(1.0, 9.0)[:, None]  # (8, 1): the i of C_i / (x - 1 + i)
+_LANCZOS_TAIL = np.array(_LANCZOS_C[1:])[:, None]
+
+
+def _blocks(n: int):
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+
+
+def _lanczos_sum(xm1: np.ndarray) -> np.ndarray:
+    """C_0 + C_1 / (xm1 + 1) + ... + C_8 / (xm1 + 8), added left to right."""
+    flat = np.ravel(xm1)
+    a = np.empty(flat.shape)
+    for part in _blocks(flat.size):
+        terms = np.divide(_LANCZOS_TAIL, np.add(flat[part], _LANCZOS_SHIFT))
+        acc = a[part]
+        np.add(_LANCZOS_C[0], terms[0], out=acc)
+        for row in terms[1:]:
+            acc += row
+    return a.reshape(np.shape(xm1))
 
 
 def lgamma_batch(x: np.ndarray) -> np.ndarray:
     """log Gamma(x) for x > 0, elementwise, by the Lanczos sum."""
     x = np.asarray(x, dtype=np.float64)
-    _check_domain("lgamma", "x > 0", x, x > 0.0)
+    _check_positive("lgamma", "x", x)
     small = x < 0.5
     xs = np.where(small, 1.0 - x, x)  # reflection keeps the Lanczos sum in its sweet spot
     xm1 = xs - 1.0
-    a = np.full_like(xs, _LANCZOS_C[0])
-    for i in range(1, 9):
-        a += _LANCZOS_C[i] / (xm1 + i)
+    a = _lanczos_sum(xm1)
     t = xm1 + _LANCZOS_G + 0.5
     main = _HALF_LOG_2PI + (xm1 + 0.5) * np.log(t) - t + np.log(a)
-    if np.any(small):
+    if small.any():
         with np.errstate(invalid="ignore"):
             refl = np.log(np.pi / np.sin(np.pi * x)) - main
         return np.where(small, refl, main)
@@ -71,35 +93,52 @@ def _rounds_below_ten(v) -> int:
     return rounds
 
 
+def _psi_rounds(x: np.ndarray, psi: np.ndarray, psi1) -> None:
+    """The recurrence's rounds on one flat block, in place: each round takes
+    every element below 10 to x + 1, subtracting 1/x from psi and adding
+    1/x^2 to psi1 (unless None). x ends at 10 or above."""
+    # row i: x after i steps of +1, each rounded as a loop would round it
+    xs = np.empty((_rounds_below_ten(x.min()) + 1, x.size))
+    xs[0] = x
+    xs[1:] = 1.0
+    np.add.accumulate(xs, axis=0, out=xs)
+    # adding 1 is monotone, so round i moves exactly the elements whose row i
+    # is below 10, and its row i then equals the loop's x; every other
+    # element adds 0/x = 0. psi adds its terms negated, as a - b = a + -b
+    below = xs[:-1] < 10.0
+    terms = np.empty((len(below), 1 if psi1 is None else 2, x.size))
+    np.divide(below, xs[:-1], out=terms[:, 0])
+    np.negative(terms[:, 0], out=terms[:, 0])
+    if psi1 is not None:
+        np.divide(below, np.multiply(xs[:-1], xs[:-1]), out=terms[:, 1])
+    sums = np.zeros(terms.shape[1:])
+    for row in terms:
+        sums += row
+    psi[...] = sums[0]
+    if psi1 is not None:
+        psi1[...] = sums[1]
+    # the loop stops an element at its first row at or above 10, its least
+    np.minimum.reduce(xs, axis=0, out=x, where=xs >= 10.0, initial=np.inf)
+
+
 def _psi_recurrence(x, want_psi1: bool):
     """(psi(x), psi'(x)) for x > 0 (checked by the caller), with None for
     psi' unless ``want_psi1``: psi(x) = psi(x + 1) - 1/x and psi'(x) =
-    psi'(x + 1) + 1/x^2 below 10, then the asymptotic series. Each step is
-    an in-place ufunc with no boolean indexing; ``step`` is 0.0 at or above
-    10, where 0/x and x + 0 change nothing, so an element's float operations
-    do not depend on what shares the call. Adding 1 is monotone, so ``step``
-    is fixed until the largest element below 10 gets there."""
-    x = np.array(x, dtype=np.float64)  # advanced in place
-    psi = np.zeros(x.shape)
-    psi1 = np.zeros(x.shape) if want_psi1 else None
-    r = np.empty_like(x)
-    step = np.less(x, 10.0, out=np.empty_like(x))
-    fixed = _rounds_below_ten(np.max(x, where=x < 10.0, initial=0.0))
+    psi'(x + 1) + 1/x^2 below 10 (``_psi_rounds``), then the asymptotic
+    series. An element's float operations do not depend on what shares the
+    call."""
+    x = np.array(x, dtype=np.float64, order="C")  # advanced in place, through flat views
+    psi = np.empty(x.shape)
+    psi1 = np.empty(x.shape) if want_psi1 else None
+    flat_x, flat_psi = x.reshape(-1), psi.reshape(-1)
+    flat_psi1 = psi1.reshape(-1) if want_psi1 else None
     # -inf, inf and a zero tail are the correctly rounded answers where 1/x
     # (x < 5.6e-309), 1/x^2 (x < 7.5e-155) or x^2 (x > 1.3e154) is out of range
     with np.errstate(over="ignore", divide="ignore"):
-        for i in range(_rounds_below_ten(np.min(x, initial=np.inf))):
-            if i >= fixed:
-                np.less(x, 10.0, out=step)
-            np.divide(step, x, out=r)
-            np.subtract(psi, r, out=psi)
-            if want_psi1:
-                np.multiply(x, x, out=r)
-                np.divide(step, r, out=r)
-                np.add(psi1, r, out=psi1)
-            np.add(x, step, out=x)
+        for part in _blocks(x.size):
+            _psi_rounds(flat_x[part], flat_psi[part],
+                        flat_psi1[part] if want_psi1 else None)
         inv2 = 1.0 / (x * x)
-    del r, step  # free the loop buffers before the series allocate theirs
     # Bernoulli tail: 1/12 - 1/120 z + 1/252 z^2 - 1/240 z^3 + 1/132 z^4 - 691/32760 z^5
     tail = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (1 / 252.0 - inv2 * (
         1 / 240.0 - inv2 * (1 / 132.0 - inv2 * (691.0 / 32760.0))))))
@@ -116,7 +155,7 @@ def _psi_recurrence(x, want_psi1: bool):
 def digamma_batch(x: np.ndarray) -> np.ndarray:
     """psi(x) for x > 0, elementwise."""
     x = np.asarray(x, dtype=np.float64)
-    _check_domain("digamma", "x > 0", x, x > 0.0)
+    _check_positive("digamma", "x", x)
     return _psi_recurrence(x, False)[0]
 
 
@@ -220,7 +259,7 @@ def gamma_log_pdf(shape, x):
     broadcast. Scalar input gives a scalar."""
     shape = np.asarray(shape, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    _check_domain("gamma_log_pdf", "x > 0", x, x > 0.0)
+    _check_positive("gamma_log_pdf", "x", x)
     return ((shape - 1.0) * np.log(x) - x - lgamma_batch(shape))[()]
 
 
@@ -236,7 +275,7 @@ def gamma_sample_batch(shapes: np.ndarray, rng) -> np.ndarray:
     draws' gradients; it consumes no randomness.
     """
     shapes = np.asarray(shapes, dtype=np.float64)
-    _check_domain("gamma_sample", "shape > 0", shapes, shapes > 0.0)
+    _check_positive("gamma_sample", "shape", shapes)
     flat = shapes.ravel()
     small = flat < 1.0
     eff = np.where(small, flat + 1.0, flat)
@@ -282,8 +321,8 @@ def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndar
     """
     shapes = np.asarray(shapes, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    _check_domain("gamma_implicit_grad", "shape > 0", shapes, shapes > 0.0)
-    _check_domain("gamma_implicit_grad", "value > 0", values, values > 0.0)
+    _check_positive("gamma_implicit_grad", "shape", shapes)
+    _check_positive("gamma_implicit_grad", "value", values)
     shapes, values = np.broadcast_arrays(shapes, values)
     # psi and lgamma are elementwise, so they run once per distinct shape:
     # an axis the shapes only repeat (stride 0, as a broadcast leaves it,

@@ -33,6 +33,14 @@ after the first sweep: every row's activation at the next sweep's consumer
 is computed once, when the finished switches are fixed, so a later sweep's
 batch costs only its taped suffix.
 
+Cost: a step on the README MLP (20-64-2, 100 rows, D = 64, AnalyticMean)
+makes about 160 numpy calls, most on arrays too small for their arithmetic
+to matter. About 300 us on a shared 2-vCPU box (numpy 2.4.6, one BLAS
+thread) splits as: the closed-form KL 140 us (lgamma, then psi and psi'
+from one recurrence pass), the untaped prefix 30, the taped suffix 35, its
+cross-entropy 25, backward 30, the chain rule to phi 12, and phi, the
+draw, sigmoid and the gradient sum 30.
+
 Model weights stay frozen throughout; only theta moves.
 """
 
@@ -61,7 +69,7 @@ _THETA_INIT = math.log(math.expm1(1.0))  # softplus(theta) = 1
 class AnalyticMean:
     def draw(self, phi, rng):
         """One row (s, y, dy/dphi) at the posterior mean: y = phi, s = y / sum(y)."""
-        return (phi / phi.sum())[None], phi[None], np.ones((1, phi.shape[0]))
+        return (phi / np.add.reduce(phi))[None], phi[None], np.ones((1, phi.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -78,12 +86,10 @@ class ImplicitMC:
 
 
 def _sigmoid_np(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both as
+    num / (1 + e) with e = e^-|x|, so neither exponential overflows."""
+    e = np.exp(-np.abs(x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
 
 @dataclass
@@ -177,7 +183,7 @@ def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
     mean_switches = {st.layer: st.posterior_mean() for st in states if st.layer != layer}
     entry = switch_consumers(model)[layer]
     h = forward(model, hb, switches=mean_switches, start=start, stop=entry)
-    g = np.zeros_like(s)
+    g = np.zeros(s.shape)
     nll_acc = 0.0
     for j in range(k):
         leaf = Tensor(s[j], requires_grad=True)
@@ -189,8 +195,9 @@ def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
         if leaf.grad is not None:
             g[j] = leaf.grad
     # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
-    dphi = dy_dphi * (g - (g * s).sum(axis=1, keepdims=True)) / y.sum(axis=1, keepdims=True)
-    return nll_acc / k, dphi.sum(axis=0) / k
+    dphi = (dy_dphi * (g - np.add.reduce(g * s, axis=1, keepdims=True))
+            / np.add.reduce(y, axis=1, keepdims=True))
+    return nll_acc / k, np.add.reduce(dphi, axis=0) / k
 
 
 def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, *, layer, start=0,
@@ -217,7 +224,7 @@ def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, *, layer, start
     kl = 0.0
     for st in states:
         phi = phis[st.layer]
-        layer_kl, kl_grad = dirichlet_kl(phi, np.full_like(phi, schedule.alpha0))
+        layer_kl, kl_grad = dirichlet_kl(phi, np.full(phi.shape, schedule.alpha0))
         kl += layer_kl
         if st.layer == layer:
             sig = _sigmoid_np(st.theta)

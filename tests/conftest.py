@@ -1,9 +1,16 @@
-"""Shared helpers for the test suite: finite differences, error metrics and
-allocation peaks."""
+"""Shared helpers for the test suite: finite differences, error metrics,
+allocation peaks and the environment of a child interpreter."""
 
+import os
+import pathlib
 import tracemalloc
 
 import numpy as np
+
+import dirichlet_pruning
+
+# the directory that holds the package under test
+PACKAGE_ROOT = str(pathlib.Path(dirichlet_pruning.__file__).resolve().parent.parent)
 
 
 def central_fd(f, x, eps=1e-6):
@@ -43,3 +50,10 @@ def peak_mib(fn):
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def child_env():
+    """This process's environment with PACKAGE_ROOT first on PYTHONPATH, so a
+    child interpreter imports the same package from any working directory."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

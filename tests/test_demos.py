@@ -1,7 +1,6 @@
 """Smoke test: every demo script and every README python block runs to
 completion."""
 
-import os
 import pathlib
 import re
 import subprocess
@@ -9,15 +8,12 @@ import sys
 
 import pytest
 
-import dirichlet_pruning
+from conftest import child_env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
                            re.DOTALL | re.MULTILINE)
-# the demos run from a scratch directory, so a relative PYTHONPATH would not
-# find the package; put the directory that holds it first
-PACKAGE_ROOT = str(pathlib.Path(dirichlet_pruning.__file__).resolve().parent.parent)
 
 
 def test_demos_found():
@@ -25,9 +21,9 @@ def test_demos_found():
 
 
 def _run(args, cwd):
-    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path),
+    # the demos run from a scratch directory, where a relative PYTHONPATH
+    # would not find the package
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=300)
 
 

@@ -32,7 +32,7 @@ from dirichlet_pruning.synthetic import (_BLOCK_VALUES, gen_synthetic, make_true
                                          task_model)
 from dirichlet_pruning import cli, errors
 
-from conftest import peak_mib
+from conftest import child_env, peak_mib
 from synthetic_oracle import one_buffer_synthetic
 
 
@@ -106,6 +106,8 @@ def test_config_line_without_equals():
     ("train_epochs = -2", "train_epochs"),
     ("epochs = -1", "epochs"),
     ("finetune_epochs = -3", "finetune_epochs"),
+    ("train_momentum = 1.5", "train_momentum"),
+    ("finetune_momentum = -0.2", "finetune_momentum"),
 ])
 def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
     with pytest.raises(ConfigError, match=f"key '{key}'"):
@@ -117,7 +119,7 @@ def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
     ("train_batch_size", 0), ("batch_size", 0), ("finetune_batch_size", 0),
     ("keep_counts", (3, 3)), ("keep_counts", (0,)), ("image_index", -1),
     ("mode", "joint"), ("subset", -1), ("train_epochs", -2), ("epochs", -1),
-    ("finetune_epochs", -3),
+    ("finetune_epochs", -3), ("train_momentum", 1.5), ("finetune_momentum", -0.2),
 ])
 def test_bad_config_writes_no_artifact(tmp_path, key, value):
     out = tmp_path / "run"
@@ -128,6 +130,24 @@ def test_bad_config_writes_no_artifact(tmp_path, key, value):
     path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + f"{key} = {text}\n")
     assert cli.main(["--config", path, "pipeline"]) == 1
     assert not out.exists()
+
+
+def test_dirichlet_pipeline_without_switch_epochs_writes_no_artifact(tmp_path):
+    # untrained switches rank by the uniform posterior: every score 1/D and
+    # a plan that keeps channels by index
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="key 'epochs'"):
+        run_pipeline(_nano_config(out, epochs=0))
+    assert not out.exists()
+    path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + "epochs = 0\n")
+    assert cli.main(["--config", path, "pipeline"]) == 1
+    assert not out.exists()
+    # the config itself is valid: rank reads the switches an earlier run trained
+    run_pipeline(_nano_config(out))
+    assert cli.main(["--config", path, "rank"]) == 0
+    # and a method that needs no switches runs without switch training
+    run_pipeline(_nano_config(tmp_path / "l1", epochs=0, method="l1"))
+    assert (tmp_path / "l1" / "plan.json").exists()
 
 
 @pytest.mark.parametrize("name", ["MLP_ANALYTIC_CONFIG", "LENET_ANALYTIC_CONFIG",
@@ -462,7 +482,7 @@ def test_pipeline_artifacts_share_the_prunable_ordinals(tmp_path):
 
 def test_pipeline_failure_names_the_phase(tmp_path):
     cfg = _nano_config(tmp_path / "run", rate=0.0, keep_counts=(),
-                       train_epochs=0, epochs=0)
+                       train_epochs=0, epochs=0, method="l1")
     with pytest.raises(PipelineError, match="phase 'plan' failed"):
         run_pipeline(cfg)
     cfg = _nano_config(tmp_path / "run2", data="mnist")
@@ -943,10 +963,10 @@ def test_cli_eval_malformed_model_header_exits_one(tmp_path, capsys):
 
 def test_cli_module_entry_point(tmp_path):
     cfg = _write_cfg(tmp_path, "m.cfg", _base_cfg_text(tmp_path / "mout")
-                     + "train_epochs = 0\nepochs = 0\nfinetune_epochs = 0\n")
+                     + "train_epochs = 0\nepochs = 0\nfinetune_epochs = 0\nmethod = l1\n")
     proc = subprocess.run([sys.executable, "-m", "dirichlet_pruning",
                            "--config", cfg, "pipeline"],
-                          capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "pipeline done" in proc.stdout
 
@@ -1007,7 +1027,7 @@ def test_run_pipeline_without_logging_configured_is_silent(tmp_path):
             "from dirichlet_pruning.pipeline import run_pipeline\n"
             "run_pipeline(load_config(sys.argv[1]))\n")
     cfg = _write_cfg(tmp_path, "q.cfg", _base_cfg_text(tmp_path / "qout"))
-    proc = subprocess.run([sys.executable, "-c", code, cfg],
+    proc = subprocess.run([sys.executable, "-c", code, cfg], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (proc.stdout, proc.stderr) == ("", "")

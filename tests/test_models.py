@@ -480,6 +480,76 @@ def test_train_model_reduces_loss_and_error():
     assert model.metadata["training_history"][-1]["epochs"] == 5
 
 
+def _numpy_momentum_sgd(weights, x, y, order, batch, lr, momentum):
+    """The weights before each step and after the last, and the final
+    velocities, of momentum SGD on fc -> relu -> fc restated in plain numpy:
+    softmax cross-entropy backward, then v = momentum * v - lr * g and
+    w = w + v."""
+    w = {k: a.copy() for k, a in weights.items()}
+    v = {k: np.zeros_like(a) for k, a in w.items()}
+    seen = []
+    for start in range(0, len(order), batch):
+        seen.append({k: a.copy() for k, a in w.items()})
+        idx = order[start:start + batch]
+        xb, yb, n = x[idx], y[idx], len(idx)
+        h = xb @ w["layer0.weight"]
+        h += w["layer0.bias"]
+        a = np.maximum(h, 0.0)
+        z = a @ w["layer2.weight"]
+        z += w["layer2.bias"]
+        ez = np.exp(z - z.max(axis=1, keepdims=True))
+        gz = ez / ez.sum(axis=1, keepdims=True)
+        gz[np.arange(n), yb] -= 1.0
+        gz = gz * (1.0 / n)
+        gh = np.where(a > 0.0, gz @ w["layer2.weight"].T, 0.0)
+        grads = {"layer0.weight": xb.T @ gh, "layer0.bias": gh.sum(axis=0),
+                 "layer2.weight": a.T @ gz, "layer2.bias": gz.sum(axis=0)}
+        for k in w:
+            v[k] = momentum * v[k] - lr * grads[k]
+            w[k] = w[k] + v[k]
+    seen.append(w)
+    return seen, v
+
+
+def test_train_model_matches_numpy_momentum_sgd_bitwise(monkeypatch):
+    # three steps pin the update rule: the weights before each step and after
+    # the last equal the plain-numpy restatement bit for bit, and from the
+    # second step on they depend on the velocities
+    rng = np.random.default_rng(44)
+    model = build_mlp(6, 5, 3, seed=45)
+    x, y = rng.standard_normal((12, 6)), rng.integers(0, 3, 12)
+    order = np.arange(12)
+    np.random.default_rng(46).shuffle(order)  # as train_model's batches draw it
+    want, velocity = _numpy_momentum_sgd(model.weights, x, y, order, 4, 0.3, 0.9)
+    assert all(np.any(v != 0.0) for v in velocity.values())
+
+    seen, backward = [], T.backward
+
+    def spy(loss):
+        seen.append({k: a.copy() for k, a in model.weights.items()})
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", spy)
+    train_model(model, x, y, TrainSchedule(1, 4, 0.3, 0.9), np.random.default_rng(46))
+    seen.append(model.weights)
+    assert len(seen) == len(want) == 4
+    for got, expected in zip(seen, want):
+        assert sorted(got) == sorted(expected)
+        assert all(np.array_equal(got[k], expected[k]) for k in expected)
+
+
+def test_train_model_leaves_arrays_shared_with_another_model_alone():
+    # the step updates the weights in place, so it must work on its own copies
+    source = build_mlp(6, 5, 3, seed=47)
+    before = {k: a.copy() for k, a in source.weights.items()}
+    sharing = ModelGraph(source.layers, dict(source.weights), source.input_shape)
+    rng = np.random.default_rng(48)
+    train_model(sharing, rng.standard_normal((8, 6)), rng.integers(0, 3, 8),
+                TrainSchedule(1, 4, 0.3), rng)
+    assert all(np.array_equal(source.weights[k], before[k]) for k in before)
+    assert not np.array_equal(sharing.weights["layer0.weight"], before["layer0.weight"])
+
+
 def test_train_model_contract_errors():
     model = build_mlp(4, 3, 2, rng=np.random.default_rng(23))
     with pytest.raises(ContractError):

@@ -21,7 +21,8 @@ from dirichlet_pruning.errors import DomainError, NumericError
 from dirichlet_pruning.special import (digamma_batch, gamma_implicit_grad_batch,
                                        gamma_log_pdf, gamma_sample_batch, lgamma_batch)
 
-from conftest import peak_mib, rel_err
+from conftest import child_env, peak_mib, rel_err
+from lanczos_oracle import lgamma_loop
 from psi_oracle import digamma_masked, trigamma_masked
 
 # mpmath, 50 digits
@@ -174,6 +175,22 @@ def test_psi_kernels_bitwise_match_masked_loop_oracle(kernel, oracle):
     assert kernel(np.empty((0, 3))).shape == (0, 3)
 
 
+def test_lgamma_bitwise_matches_per_element_lanczos_loop():
+    # the vectorized Lanczos sum adds its terms in the loop's order; the grid
+    # spans more than one block of the sum's table
+    grid = _psi_grid()
+    with np.errstate(all="ignore"):  # both overflow to inf or NaN at the far ends
+        got, want = lgamma_batch(grid), lgamma_loop(grid)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x in (1.0, 0.37, 10.0, 123.5):
+        assert lgamma_batch(x) == lgamma_loop(x)
+    square = grid[2000:4000].reshape(40, 50)
+    assert np.array_equal(lgamma_batch(square), lgamma_loop(square))
+    row = np.random.default_rng(216).uniform(0.05, 12.0, 50)
+    assert np.array_equal(lgamma_batch(np.broadcast_to(row, (30, 50))),
+                          np.broadcast_to(lgamma_loop(row), (30, 50)))
+
+
 @pytest.mark.filterwarnings("error")
 def test_psi_extremes_are_exact_without_warnings():
     # 1/x^2 underflows to inf and x^2 overflows to a zero tail: both are the
@@ -185,8 +202,9 @@ def test_psi_extremes_are_exact_without_warnings():
 
 
 def test_digamma_allocation_peak_on_broadcast_rows():
-    # the in-place recurrence works on one copy plus one scratch buffer of
-    # the input; an (iterations, N) table of the loop would need ~13 MiB here
+    # the recurrence works on one copy of the input and tables of at most
+    # 4096 columns; an (iterations, N) table of the whole input would need
+    # ~13 MiB here
     shapes = np.broadcast_to(np.random.default_rng(215).uniform(0.1, 5.0, 500), (100, 500))
     digamma_batch(shapes)
     assert peak_mib(lambda: digamma_batch(shapes)) <= 3.0
@@ -317,8 +335,8 @@ def test_gamma_sample_batch_rejects_nan_shape():
             "    print(e)\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "nan" in proc.stdout
 
