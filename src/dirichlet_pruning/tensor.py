@@ -14,9 +14,11 @@ Backward contract: a node's ``backward_fn`` returns one gradient per
 recorded input, and ``None`` for an input whose ``requires_grad`` is False;
 it computes nothing for that input. Each gradient is a fresh array or a
 view of g, so a leaf takes its sum as it is, with no copy. Work that only a
-backward pass reads (im2col matrices, ReLU masks, first-maximum masks,
-softmax probabilities) is kept or built only when the op is recorded, so an
-untaped or frozen forward pays for none of it.
+backward pass reads (ReLU masks, first-maximum masks, softmax probabilities)
+is kept or built only when the op is recorded, so an untaped or frozen
+forward pays for none of it. conv2d keeps no im2col matrix at all: it works
+in row blocks of bounded size and its backward rebuilds each block's
+columns from the input, which the tape holds anyway.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves.
@@ -278,6 +280,13 @@ def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
 # convolution / pooling
 
 
+# Row blocks of conv2d hold at most this many im2col values: 2 MiB of
+# float64, about one core's L2 cache, so a block's GEMMs read its columns
+# from cache and no conv buffer but the input, output and gradients grows
+# with the batch.
+_BLOCK_VALUES = 2 ** 18
+
+
 def _conv_geometry(x_shape, k_shape, stride, padding):
     if len(x_shape) != 4 or len(k_shape) != 4:
         raise ShapeError(f"conv2d needs NCHW input and (c_out, C, kh, kw) kernel, "
@@ -299,18 +308,40 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
     return n, c_in, c_out, kh, kw, h_out, w_out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int):
-    """The tap-major (C*kh*kw, N*H'*W') patch matrix of a padded NCHW input.
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int,
+            buf: np.ndarray) -> np.ndarray:
+    """The tap-major (C*kh*kw, n*H'*W') patch matrix of the padded NCHW rows
+    xp, built in the front of the flat buffer buf.
 
     Row (c, i, j) holds tap (i, j) of channel c for every output pixel in
     (n, y, x) order, so the one gather copies runs of W' input pixels.
     """
+    n, c = xp.shape[0], xp.shape[1]
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
-    # (N, C, H', W', kh, kw) -> (C, kh, kw, N, H', W')
-    n, c = xp.shape[0], xp.shape[1]
-    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    cols = buf[:c * kh * kw * n * h_out * w_out].reshape(c, kh, kw, n, h_out, w_out)
+    # (n, C, H', W', kh, kw) -> (C, kh, kw, n, H', W')
+    np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
     return cols.reshape(c * kh * kw, n * h_out * w_out)
+
+
+def _col_blocks(x: np.ndarray, rows: int, kh: int, kw: int, stride: int, padding: int,
+                h_out: int, w_out: int):
+    """Yield (start, stop, cols) for each block of ``rows`` rows of the NCHW
+    array x, the last one ragged: cols is the im2col matrix of x[start:stop]
+    zero-padded by ``padding``. Every block is built in the same buffer (and
+    padded in one more), so a block's matrix lives until the next is yielded."""
+    n, c, h, w = x.shape
+    buf = np.empty(c * kh * kw * rows * h_out * w_out)
+    if padding:
+        xp = np.zeros((rows, c, h + 2 * padding, w + 2 * padding))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = x[start:stop]
+        if padding:
+            block = xp[:stop - start]
+            block[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
+        yield start, stop, _im2col(block, kh, kw, stride, h_out, w_out, buf)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
@@ -318,49 +349,69 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     """Batched 2-d cross-correlation by im2col, NCHW layout, no kernel flip,
     plus bias[o] on every element of output channel o when a bias is given.
 
-    The forward is one GEMM, (c_out, C*kh*kw) @ cols, on the tap-major
-    (C*kh*kw, N*H'*W') im2col matrix; the bias is added in place to its
-    (c_out, N*H'*W') result, whose (c_out, N, H', W') view becomes NCHW by a
-    transpose that copies contiguous H'*W' runs. The matrix is kept only
-    when the kernel needs a gradient, which is g (c_out, N*H'*W') @ cols.T,
-    read through a view with no copy. The input gradient is one small GEMM
-    per kernel tap, (H'*W'*N, c_out) @ kernel[:, :, i, j], accumulated into
-    an (H, W, N, C) buffer whose strided tap windows are runs of contiguous
-    N*C rows, and transposed to NCHW once. The bias gradient is g summed
-    over N, H' and W'. The backward returns one gradient per recorded
-    input: (x, kernel), or (x, kernel, bias).
+    The batch runs in blocks of rows whose tap-major im2col matrix holds at
+    most ``_BLOCK_VALUES`` values, built in one buffer that every block of
+    the call reuses, so no buffer but the input, output and gradients grows
+    with the batch. The forward is one GEMM per row, (c_out, C*kh*kw) @
+    (C*kh*kw, H'*W'), written straight into that row's slot of the NCHW
+    output; the bias is added to the output in place. Nothing is kept for
+    the backward but the input: the kernel gradient rebuilds each block's
+    matrix and adds g (c_out, rows*H'*W') @ cols.T, read through a view with
+    no copy. The input gradient of a block is one GEMM for all taps,
+    (kh*kw*C, c_out) @ g (c_out, H'*W'*rows), so it rounds as a col2im GEMM
+    does even at C = 1, where a per-tap product would be a GEMV. Tap (i, j)
+    of it is added to a strided window of a (C, H, W, rows) buffer, a run of
+    W'*rows contiguous values per output row at stride 1, which is then
+    transposed into NCHW. The bias gradient is g summed over N, H' and W'.
+    The backward returns one gradient per recorded input: (x, kernel), or
+    (x, kernel, bias).
     """
     n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    planes = kernel.data.reshape(c_out, -1) @ cols  # one row per output channel
     if bias is not None:
         _check_bias(bias, c_out, "conv2d")
-        planes += bias.data[:, None]
-    out = Tensor(planes.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3))
-    kernel_cols = cols if kernel.requires_grad else None
+    hw = h_out * w_out
+    depth = c_in * kh * kw
+    rows = max(1, min(n, _BLOCK_VALUES // max(1, depth * hw)))  # depth is 0 at C = 0
+    out = np.empty((n, c_out, h_out, w_out))
+    k2 = kernel.data.reshape(c_out, depth)
+    for start, stop, cols in _col_blocks(x.data, rows, kh, kw, stride, padding, h_out, w_out):
+        b = stop - start
+        np.matmul(k2, cols.reshape(depth, b, hw).transpose(1, 0, 2),
+                  out=out[start:stop].reshape(b, c_out, hw))
+    if bias is not None:
+        out += bias.data[:, None, None]
     h, w = x.shape[2], x.shape[3]
 
     def bwd(g):
         grad_k = grad_x = None
         if kernel.requires_grad:
-            g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)  # copies H'*W' runs
-            grad_k = (g2 @ kernel_cols.T).reshape(kernel.shape)
+            grad_k = np.zeros((c_out, depth))
+            for start, stop, cols in _col_blocks(x.data, rows, kh, kw, stride, padding,
+                                                 h_out, w_out):
+                g2 = g[start:stop].transpose(1, 0, 2, 3).reshape(c_out, -1)  # copies H'*W' runs
+                grad_k += g2 @ cols.T
+            grad_k = grad_k.reshape(kernel.shape)
         if x.requires_grad:
-            gt = g.transpose(2, 3, 0, 1).reshape(h_out * w_out * n, c_out)
-            gxp = np.zeros((h + 2 * padding, w + 2 * padding, n, c_in))
-            for i in range(kh):
-                for j in range(kw):
-                    tap = gt @ kernel.data[:, :, i, j]
-                    gxp[i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
-                        tap.reshape(h_out, w_out, n, c_in)
-            grad_x = np.ascontiguousarray(
-                gxp[padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1))
+            grad_x = np.empty(x.shape)
+            taps_k = kernel.data.transpose(2, 3, 1, 0).reshape(-1, c_out)  # rows (i, j, c)
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                b = stop - start
+                # columns (y, x, n), so a tap's window rows are runs of W'*b values
+                gt = g[start:stop].transpose(1, 2, 3, 0).reshape(c_out, hw * b)
+                taps = (taps_k @ gt).reshape(kh, kw, c_in, h_out, w_out, b)
+                gxp = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b))
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, i:i + stride * h_out:stride,
+                            j:j + stride * w_out:stride] += taps[i, j]
+                grad_x[start:stop] = \
+                    gxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2)
         if bias is None:
             return grad_x, grad_k
         return grad_x, grad_k, (g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
 
-    return _record(out, (x, kernel) if bias is None else (x, kernel, bias), bwd)
+    return _record(_output(out), (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
@@ -372,6 +423,8 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
+    if k < 1 or stride < 1:
+        raise ContractError(f"pool window and stride must be >= 1, got k={k}, stride={stride}")
     n, c, h, w = x.shape
     if k > h or k > w:
         raise ShapeError(f"pool window {k} larger than input {x.shape}")

@@ -43,13 +43,20 @@ def rel_err(approx, exact):
 
 
 def peak_mib(fn):
-    """Peak traced allocation of fn(), in MiB."""
-    tracemalloc.start()
+    """Peak traced allocation of fn() above what was traced when it began, in
+    MiB. Under an outer trace (``python -X tracemalloc``) the peak is reset
+    first and the trace keeps running."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         fn()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
     finally:
-        tracemalloc.stop()
+        if not outer:
+            tracemalloc.stop()
 
 
 def child_env():

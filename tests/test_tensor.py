@@ -11,7 +11,7 @@ from dirichlet_pruning import tensor as T
 from dirichlet_pruning.errors import ContractError, ShapeError
 from dirichlet_pruning.tensor import Tape, Tensor, _record
 
-from conftest import central_fd, grad_err
+from conftest import central_fd, grad_err, peak_mib
 from tape_ops import add, div, mul, softplus, tsum
 
 
@@ -182,21 +182,65 @@ def _conv2d_grads_col2im(x, k, g, stride, padding):
     return gxp[:, :, padding:padding + h, padding:padding + w], grad_k
 
 
+def _conv2d_einsum(x, k, stride, padding):
+    """Reference conv2d forward: one einsum over the strided sliding windows."""
+    h_out = (x.shape[2] + 2 * padding - k.shape[2]) // stride + 1
+    w_out = (x.shape[3] + 2 * padding - k.shape[3]) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k.shape[2:], axis=(2, 3))
+    return np.einsum("ncyxij,ocij->noyx",
+                     windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out], k)
+
+
+# 2400 rows are at least three row blocks of conv2d, the last one ragged,
+# for each (stride, padding) and c_in below that it is tried with
+BLOCKED_ROWS = 2400
+
+
 @pytest.mark.parametrize("c_in", [1, 3])
-@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
-def test_conv2d_grads_match_col2im_oracle(stride, padding, c_in):
+@pytest.mark.parametrize("stride,padding,n", [
+    (1, 0, 3), (2, 1, 3), (3, 2, 3), (1, 0, BLOCKED_ROWS), (2, 1, BLOCKED_ROWS),
+], ids=["1-0", "2-1", "3-2", "1-0-blocked", "2-1-blocked"])
+def test_conv2d_grads_match_col2im_oracle(stride, padding, n, c_in):
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((3, c_in, 9, 10))
+    x = rng.standard_normal((n, c_in, 9, 10))
     k = rng.standard_normal((4, c_in, 3, 3))
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
     with Tape():
         out = T.conv2d(xt, kt, stride=stride, padding=padding)
         g = rng.standard_normal(out.shape)
         loss = tsum(mul(out, Tensor(g)))
+    if n == BLOCKED_ROWS:
+        rows = T._BLOCK_VALUES // (c_in * 9 * out.shape[2] * out.shape[3])
+        assert n >= 2 * rows + 1 and n % rows != 0
+    assert np.max(np.abs(out.data - _conv2d_einsum(x, k, stride, padding))) <= 1e-12
     T.backward(loss)
     gx, gk = _conv2d_grads_col2im(x, k, g, stride, padding)
     np.testing.assert_allclose(xt.grad, gx, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(kt.grad, gk, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((0, 2, 6, 6), (3, 2, 3, 3)),    # an empty batch
+    ((2, 0, 6, 6), (3, 0, 3, 3)),    # no input channel: every sum is empty
+])
+def test_conv2d_of_an_empty_batch_or_no_channels(x_shape, k_shape):
+    rng = np.random.default_rng(30)
+    x, k, bias = rng.standard_normal(x_shape), rng.standard_normal(k_shape), np.arange(3.0)
+    out = T.conv2d(Tensor(x), Tensor(k), bias=Tensor(bias)).data
+    ref = _conv2d_einsum(x, k, 1, 0) + bias[:, None, None]
+    assert out.shape == ref.shape and np.array_equal(out, ref)
+
+
+def test_conv2d_allocation_peak_is_its_output_plus_one_block():
+    # LeNet conv2 on 400 rows: 11.7 MiB, the 9.8 MiB output and one 2 MiB
+    # im2col block; a whole-batch im2col, GEMM result and NCHW copy peaked
+    # at 117.2 MiB
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.standard_normal((400, 20, 12, 12)))
+    k = Tensor(rng.standard_normal((50, 20, 5, 5)))
+    out_mib = 400 * 50 * 8 * 8 * 8 / 2 ** 20
+    assert peak_mib(lambda: T.conv2d(x, k)) <= out_mib + 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +438,13 @@ def test_pool_then_relu_equals_relu_then_pool(k, stride):
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(grad_a, grad_b)
     assert np.all(grad_a[:, :, :4 - k + 1, :4 - k + 1] == 0.0)
+
+
+@pytest.mark.parametrize("k,stride", [(2, 0), (0, 1), (-1, 2)])
+def test_maxpool2d_rejects_a_window_or_stride_below_one(k, stride):
+    # a zero stride or window used to raise a bare ZeroDivisionError
+    with pytest.raises(ContractError, match=f"got k={k}, stride={stride}"):
+        T.maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), k, stride)
 
 
 def test_maxpool2d_forward_and_grad():
