@@ -531,7 +531,9 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[f
     """Minibatch SGD with momentum on the cross-entropy, with no switch.
     Replaces each linear layer's weight and bias in model.weights with a
     view of one new buffer that the steps update in place; returns per-epoch
-    mean loss and logs it at INFO, one line per epoch.
+    mean loss and logs it at INFO, one line per epoch. A step forms lr * g
+    only after its backward, in a buffer freed before the next batch's
+    forward, so no step buffer is held through a backward.
     Raises NumericError, naming the epoch and batch, at the first batch
     whose loss is not finite or exceeds ``loss_bound``, before its step
     touches the weights."""
@@ -554,7 +556,6 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[f
         model.weights[n] = view
         params[n] = Tensor(view, requires_grad=True)
     velocity = np.zeros_like(flat)
-    step = np.empty_like(flat)
     losses = []
     for epoch in range(schedule.epochs):
         t0 = time.perf_counter()
@@ -574,11 +575,12 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[f
                                    f"divergence bound {bound:.6g} {where}")
             T.backward(loss)
             # v = momentum * v - lr * g; w = w + v
-            np.concatenate([p.grad for p in params.values()], axis=None, out=step)
+            step = np.concatenate([p.grad for p in params.values()], axis=None)
             step *= schedule.lr
             velocity *= schedule.momentum
             velocity -= step
             flat += velocity
+            del step  # not held through the next batch's forward and backward
             total += value
             nb += 1
         losses.append(total / max(nb, 1))

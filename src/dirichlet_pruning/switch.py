@@ -77,8 +77,10 @@ class ImplicitMC:
     k: int = 1
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ContractError(f"k (the sample count) must be an int, got {self.k!r}")
         if self.k < 1:
-            raise ContractError(f"sample count must be >= 1, got {self.k}")
+            raise ContractError(f"k (the sample count) must be >= 1, got {self.k}")
 
     def draw(self, phi, rng):
         """k rows (s, y, dy/dphi) of reparameterized Dir(phi) samples."""
@@ -136,6 +138,7 @@ class SwitchTrainSchedule:
         kl = self.kl_weight
         for key, ok, need in (
                 ("epochs", self.epochs >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
                 ("lr", self.lr > 0.0, "> 0"),
                 ("estimator", isinstance(self.estimator, (AnalyticMean, ImplicitMC)),
                  "AnalyticMean or ImplicitMC"),

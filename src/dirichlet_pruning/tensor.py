@@ -10,6 +10,15 @@ Ops record onto the innermost active ``Tape``; ``backward`` replays the
 tape in reverse insertion order, popping each node as it runs, so a node's
 saved arrays are freed as soon as its gradient is taken.
 
+What a node keeps: its backward closure, and for each recorded input a
+route, which is the input's slot when a recorded op on the same tape made
+it and the Tensor itself only when it is a leaf that needs a gradient.
+``_record`` gives each recorded Tensor its slot, the index of its node on
+its tape; backward routes gradients by slot, never by id(), since an
+intermediate Tensor dies as soon as the forward drops it and its id can
+then be handed to a new one. So an activation lives only while the forward
+or some closure holds its array.
+
 Backward contract: a node's ``backward_fn`` returns one gradient per
 recorded input, and ``None`` for an input whose ``requires_grad`` is False;
 it computes nothing for that input. Each gradient is a fresh array or a
@@ -18,7 +27,10 @@ backward pass reads (ReLU masks, first-maximum masks, softmax probabilities)
 is kept or built only when the op is recorded, so an untaped or frozen
 forward pays for none of it. conv2d keeps no im2col matrix at all: it works
 in row blocks of bounded size and its backward rebuilds each block's
-columns from the input, which the tape holds anyway.
+columns from the input, which its closure holds. maxpool2d builds its
+first-maximum masks in the recorded forward and keeps neither its input
+nor its output, so LeNet's largest activation, conv1's output, is freed as
+soon as the pool after it has run.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves.
@@ -26,12 +38,13 @@ into ``.grad`` on leaves.
 Cost: at the tens of rows of the synthetic MLP's steps, an op's time is
 mostly fixed per-call overhead of about 1 us per numpy call, not
 arithmetic, so each op makes as few calls as it can. An op's result is
-wrapped without Tensor's conversion (``_output``); recording checks the
-inputs in a plain loop; backward keys gradients by id. relu's backward
-selects with an AND of bit patterns, because np.where branches per element
-and mispredicts on each step's fresh mask (about 25 us against 9 us for a
-50 x 64 batch). softmax_cross_entropy takes the log-probabilities at the
-labels only, and its gather checks the top of the label range.
+wrapped without Tensor's conversion (``_output``); recording routes the
+inputs in one plain loop, and backward looks each route up in one dict.
+relu's backward selects with an AND of bit patterns, because np.where
+branches per element and mispredicts on each step's fresh mask (about 25 us
+against 9 us for a 50 x 64 batch). softmax_cross_entropy takes the
+log-probabilities at the labels only, and its gather checks the top of the
+label range.
 """
 
 from __future__ import annotations
@@ -46,19 +59,26 @@ _TAPES: list = []  # the open tapes, innermost last; nothing here starts a threa
 
 
 class _Node:
-    """One recorded op: its output, inputs and a closure computing input grads."""
+    """One recorded op: its closure and where each gradient it returns goes.
 
-    __slots__ = ("output", "inputs", "backward_fn")
+    ``routes`` has one entry per recorded input: that input's slot when a
+    recorded op on the same tape made it, the Tensor itself when it is a leaf
+    that needs a gradient, else None (the gradient is dropped). The node holds
+    no intermediate Tensor, so an activation lives only while the forward or
+    some backward closure holds its array.
+    """
 
-    def __init__(self, output: "Tensor", inputs: Sequence["Tensor"],
+    __slots__ = ("routes", "backward_fn")
+
+    def __init__(self, routes: tuple,
                  backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]):
-        self.output = output
-        self.inputs = tuple(inputs)
+        self.routes = routes
         self.backward_fn = backward_fn
 
 
 class Tape:
-    """Append-only op record; topological order equals insertion order."""
+    """Append-only op record; topological order equals insertion order. The
+    node at index i made the Tensor whose slot is i."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
@@ -77,7 +97,7 @@ class Tape:
 class Tensor:
     """n-d array of float64 in row-major order, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_recorded")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_recorded", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -86,6 +106,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._tape: Optional[Tape] = None
         self._recorded = False  # True iff produced by a recorded op
+        # _slot, set only by _record: this Tensor's node index on _tape
 
     @property
     def shape(self) -> tuple:
@@ -126,16 +147,24 @@ def _lift(x) -> Tensor:
 
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     """Put ``out`` on the innermost open tape if any of ``inputs`` needs a
-    gradient; ``inputs`` is the tuple ``backward_fn`` returns gradients for."""
+    gradient; ``inputs`` is the tuple ``backward_fn`` returns gradients for.
+    The node keeps each input's route (see ``_Node``), not the input."""
     if _TAPES:
-        for t in inputs:
+        tape = _TAPES[-1]
+        routes, needed = (), False
+        for t in inputs:  # one plain loop: a comprehension is one more call
             if t.requires_grad:
-                tape = _TAPES[-1]
-                out.requires_grad = True
-                out._tape = tape
-                out._recorded = True
-                tape._nodes.append(_Node(out, inputs, backward_fn))
-                break
+                needed = True
+                routes += (t._slot if t._tape is tape else None if t._recorded else t,)
+            else:
+                routes += (None,)
+        if needed:
+            nodes = tape._nodes
+            out.requires_grad = True
+            out._tape = tape
+            out._recorded = True
+            out._slot = len(nodes)
+            nodes.append(_Node(routes, backward_fn))
     return out
 
 
@@ -145,10 +174,11 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be a scalar produced on a live tape; traversal is strict
     reverse insertion order, so every node's output gradient is complete by
     the time the node is visited. The sweep consumes the tape: each node is
-    popped before its backward runs, which breaks the output -> tape -> node
-    -> output cycle node by node, so a node's saved arrays are freed as soon
-    as it is done, not at the end of the sweep or by a later cyclic GC pass.
-    A second backward on the same tape raises ContractError.
+    popped before its backward runs, which breaks the Tensor -> tape -> node
+    -> closure -> Tensor cycle of a closure holding a recorded input node by
+    node, so a node's saved arrays are freed as soon as it is done, not at
+    the end of the sweep or by a later cyclic GC pass. A second backward on
+    the same tape raises ContractError.
 
     A leaf takes the sum of its gradients from this sweep as it is, with no
     copy: a backward_fn returns fresh arrays or views of its g, which nothing
@@ -167,26 +197,21 @@ def backward(loss: Tensor) -> None:
     if not nodes:
         raise ContractError("the loss's tape was already consumed by backward")
 
-    grads = {id(loss): np.array(1.0).reshape(loss.data.shape)}
-    leaves = []  # recorded orphans lie on other branches and are no leaves
+    # keyed by slot for a recorded Tensor and by the Tensor itself for a leaf
+    grads = {loss._slot: np.array(1.0).reshape(loss.data.shape)}
     while nodes:
         node = nodes.pop()
-        g_out = grads.pop(id(node.output), None)
+        g_out = grads.pop(len(nodes), None)  # the popped node's slot
         if g_out is None:
             continue
-        for t, g in zip(node.inputs, node.backward_fn(g_out)):
-            if g is None or not t.requires_grad:
+        for key, g in zip(node.routes, node.backward_fn(g_out)):
+            if g is None or key is None:
                 continue
-            key = id(t)
             prev = grads.get(key)
-            if prev is None:
-                grads[key] = g
-                if not t._recorded:
-                    leaves.append(t)
-            else:
-                grads[key] = prev + g
-    for t in leaves:
-        _accumulate_leaf(t, grads[id(t)])
+            grads[key] = g if prev is None else prev + g
+    # every slot was popped with its node: the leaves are left, first seen first
+    for t, g in grads.items():
+        _accumulate_leaf(t, g)
 
 
 def _accumulate_leaf(t: Tensor, g: np.ndarray) -> None:
@@ -419,7 +444,10 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
     The forward is a running maximum over the k*k strided taps. The backward
     routes each window's gradient to its first maximum in row-major window
-    order, as argmax would pick it.
+    order, as argmax would pick it. A recorded forward finds those maxima
+    right away, as one boolean mask per tap of the output's shape, and its
+    backward keeps only the masks and the shapes: not the input, whose array
+    is freed as soon as nothing else holds it, nor the output.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
@@ -439,26 +467,32 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     best = tap(x.data, 0).copy()
     for t in range(1, k * k):
         np.maximum(best, tap(x.data, t), out=best)
-    out = _output(best)
+    if not (_TAPES and x.requires_grad):  # exactly when _record records nothing
+        return _output(best)
+    free = np.ones(best.shape, dtype=bool)
+    first = []
+    for t in range(k * k):
+        hit = tap(x.data, t) == best
+        hit &= free
+        free ^= hit
+        first.append(hit)
 
     def bwd(g):
-        free = np.ones(best.shape, dtype=bool)
-        first = []
-        for t in range(k * k):
-            hit = tap(x.data, t) == best
-            hit &= free
-            free ^= hit
-            first.append(hit)
         gx = np.zeros((n, c, h, w))
-        # last tap first: an input shared by overlapping windows then sums
-        # its gradients in window order, exactly as a scatter over windows
-        # np.where, not g * mask: an inf or NaN gradient then reaches only
-        # the window's maximum, as a scatter would send it
+        # each tap adds np.where(mask, g, 0.0), not g * mask: an inf or NaN
+        # gradient then reaches only the window's maximum, as a scatter
+        # would send it. As in relu, the select is an AND of g's bits with
+        # an all-ones or all-zeros word, in one buffer that every tap reuses
+        # (np.add(..., where=mask) runs a masked loop, 3x slower). Last tap
+        # first: an input shared by overlapping windows then sums its
+        # gradients in window order, exactly as a scatter over windows
+        bits, keep = g.view(np.int64), np.empty(g.shape, dtype=np.int64)
         for t in reversed(range(k * k)):
-            tap(gx, t)[...] += np.where(first[t], g, 0.0)
+            np.negative(first[t], out=keep, dtype=np.int64)
+            tap(gx, t)[...] += np.bitwise_and(bits, keep, out=keep).view(np.float64)
         return (gx,)
 
-    return _record(out, (x,), bwd)
+    return _record(_output(best), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +513,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n, k = z.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.dtype.kind not in "iu":  # a float label would fail the gather as out of range
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if np.minimum.reduce(labels) < 0:  # the gather below checks the top of the range
         raise IndexError(f"label out of range [0, {k})")
     rows = np.arange(n)

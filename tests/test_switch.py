@@ -55,8 +55,13 @@ def test_phi_always_positive():
 
 def test_implicit_mc_requires_positive_k():
     ImplicitMC(1)
+    ImplicitMC(np.int64(3))
     with pytest.raises(ContractError):
         ImplicitMC(0)
+    # a non-integer k would pass the >= 1 check and fail in the first draw
+    for bad in (2.5, True):
+        with pytest.raises(ContractError, match="k .*must be an int"):
+            ImplicitMC(bad)
 
 
 def test_init_switch_states():
@@ -294,27 +299,51 @@ def _mlp_per_layer_case():
     return model, states, 0, x, y
 
 
-def _lenet_third_switch_case():
-    # the prefix holds conv, pool and the first two switches at their means
+def _lenet_case(layer):
     rng = np.random.default_rng(56)
     model = build_lenet5([3, 4, 8, 6], rng=rng)
     x = rng.standard_normal((6, 1, 28, 28))
     y = rng.integers(0, 10, 6)
     states = init_switch_states(model)
     _spread_thetas(states, 57)
-    return model, states, 2, x, y
+    return model, states, layer, x, y
+
+
+def _lenet_first_switch_case():
+    # the consumer is conv2, so dL/ds comes from a conv kernel gradient
+    return _lenet_case(0)
+
+
+def _lenet_second_switch_case():
+    # the consumer is fc1 after the flatten: s scales its rows group by group
+    return _lenet_case(1)
+
+
+def _lenet_third_switch_case():
+    # the prefix holds conv, pool and the first two switches at their means
+    return _lenet_case(2)
 
 
 def test_implicit_mc_matches_per_sample_oracle_mlp_per_layer():
     _assert_matches_oracle(ImplicitMC(9), *_mlp_per_layer_case())
 
 
+def test_implicit_mc_matches_per_sample_oracle_lenet_first_switch():
+    _assert_matches_oracle(ImplicitMC(5), *_lenet_first_switch_case())
+
+
+def test_implicit_mc_matches_per_sample_oracle_lenet_second_switch():
+    _assert_matches_oracle(ImplicitMC(5), *_lenet_second_switch_case())
+
+
 def test_implicit_mc_matches_per_sample_oracle_lenet_third_switch():
     _assert_matches_oracle(ImplicitMC(5), *_lenet_third_switch_case())
 
 
-@pytest.mark.parametrize("case", [_mlp_per_layer_case, _lenet_third_switch_case],
-                         ids=["mlp_per_layer", "lenet_third_switch"])
+@pytest.mark.parametrize("case", [_mlp_per_layer_case, _lenet_first_switch_case,
+                                  _lenet_second_switch_case, _lenet_third_switch_case],
+                         ids=["mlp_per_layer", "lenet_first_switch", "lenet_second_switch",
+                              "lenet_third_switch"])
 def test_analytic_mean_matches_taped_oracle(case):
     _assert_matches_oracle(AnalyticMean(), *case())
 
@@ -357,6 +386,8 @@ def test_schedule_validation():
         SwitchTrainSchedule(epochs=0)
     with pytest.raises(ContractError):
         SwitchTrainSchedule(lr=0.0)
+    with pytest.raises(ContractError, match="batch_size must be >= 1, got 0"):
+        SwitchTrainSchedule(batch_size=0)
 
 
 def test_schedule_holds_the_run_settings():

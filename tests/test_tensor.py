@@ -480,6 +480,17 @@ def test_cross_entropy_label_out_of_range():
         T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
 
 
+def test_cross_entropy_rejects_float_labels_by_dtype():
+    # 0.0 and 1.0 are in range; the error must say what is wrong with them
+    for labels in (np.array([0.0, 1.0]), np.array([0.0, 1.0], dtype=np.float32),
+                   np.array([True, False])):
+        with pytest.raises(ContractError, match=f"labels must be integers, got dtype "
+                                                f"{labels.dtype}"):
+            T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), labels)
+    for dtype in (np.uint8, np.int32, np.int64):
+        T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 2], dtype=dtype))
+
+
 def test_cross_entropy_grad_matches_fd_and_formula():
     rng = np.random.default_rng(12)
     logits = rng.uniform(-2, 2, (5, 3))
@@ -567,8 +578,9 @@ def test_backward_square():
 
 
 def test_backward_consumes_the_tape():
-    # outputs point at their tape and its nodes point back at the outputs;
-    # backward must break that cycle, so the tape dies by reference counting
+    # recorded Tensors point at their tape, and mul's closure on the tape
+    # holds relu's recorded output; backward must break that cycle, so the
+    # tape dies by reference counting
     gc.disable()
     try:
         x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
@@ -612,6 +624,47 @@ def test_backward_frees_each_node_as_it_goes():
         gc.enable()
     assert alive_then == [False]
     assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_recorded_conv_and_pool_outputs_die_with_the_forward():
+    # max-pool keeps its first-max masks, not its input, and no node keeps
+    # its output, so each activation dies once the next op has run
+    gc.disable()
+    try:
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 1, 8, 8)))
+        kernel = Tensor(rng.standard_normal((3, 1, 3, 3)), requires_grad=True)
+        with Tape():
+            conv = T.conv2d(x, kernel)
+            pooled = T.maxpool2d(conv, 2, 2)
+            refs = [weakref.ref(conv.data), weakref.ref(pooled.data)]
+            del conv
+            act = T.relu(pooled)
+            del pooled
+            loss = tsum(act)
+        alive = [r() is not None for r in refs]
+        T.backward(loss)
+    finally:
+        gc.enable()
+    assert alive == [False, False]
+    expected = _grad_of(lambda k: tsum(T.relu(T.maxpool2d(T.conv2d(x, k), 2, 2))),
+                        [kernel.data], 0)
+    assert np.array_equal(kernel.grad, expected)
+
+
+def test_backward_routes_by_slot_through_freed_intermediates():
+    # reshape and relu keep no Tensor, so each intermediate below dies as
+    # soon as the next op has run and CPython may hand its id to a later
+    # one: gradients must go by tape slot, not by id
+    x = Tensor(np.array([-2.0, 1.0, 3.0, -1.0, 5.0, 0.5]), requires_grad=True)
+    w = Tensor(np.arange(1.0, 7.0))
+    with Tape():
+        h = x
+        for shape in [(2, 3), (6,), (3, 2), (6,)]:
+            h = T.relu(T.reshape(h, shape))
+        loss = tsum(mul(h, w))
+    T.backward(loss)
+    assert np.array_equal(x.grad, np.where(x.data > 0.0, w.data, 0.0))
 
 
 def test_backward_rejects_non_scalar():
