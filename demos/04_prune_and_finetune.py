@@ -19,7 +19,6 @@ from dirichlet_pruning.models import (
 )
 from dirichlet_pruning.pruning import (
     apply_plan,
-    finetune,
     make_plan,
     rank_derivative,
     rank_dirichlet,
@@ -67,8 +66,9 @@ for name, report in rankings.items():
     plan = make_plan(report, rate=0.5)
     small = apply_plan(model, plan, switch_means=means)
     err = evaluate(small, x_te, y_te)
-    tuned, err_tuned = finetune(small, x_tr, y_tr, x_te, y_te, tune,
-                                np.random.default_rng(77))
+    # a validation set makes train_model keep its best epoch, here in place
+    train_model(small, x_tr, y_tr, tune, np.random.default_rng(77), val=(x_te, y_te))
+    err_tuned = small.metadata["training_history"][-1]["val_error"]
     kept = plan.keep[0].tolist()
     print(f"{name:<12} {str(kept):<32} {err:5.2f}%   {err_tuned:5.2f}%")
 

@@ -14,9 +14,8 @@ from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
                      count_flops, count_params, evaluate, forward, load_model,
                      save_model, train_model)
 from .pipeline import (export_feature_maps, run_pipeline, run_posterior_compare)
-from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
-                      make_plan, rank_derivative, rank_dirichlet, rank_magnitude,
-                      rank_random)
+from .pruning import (PruningPlan, RankingReport, apply_plan, make_plan,
+                      rank_derivative, rank_dirichlet, rank_magnitude, rank_random)
 from .special import (digamma_batch, gamma_implicit_grad_batch, gamma_sample_batch,
                       lgamma_batch)
 from .switch import (AnalyticMean, ImplicitMC, SwitchState, SwitchTrainSchedule,

@@ -493,12 +493,32 @@ def write_json(path, payload: dict) -> None:
 # plain supervised training and evaluation
 
 
+def _check_count(key: str, value, least: int) -> None:
+    """Raise ContractError naming ``key`` unless ``value`` is an int of at
+    least ``least``; a numpy int counts, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{key} must be an int, got {value!r}")
+    if value < least:
+        raise ContractError(f"{key} must be >= {least}, got {value}")
+
+
 @dataclass
 class TrainSchedule:
+    """Momentum SGD settings. Zero epochs is a schedule only for a fine-tune,
+    whose starting weights ``train_model`` scores on its validation set."""
+
     epochs: int = 1
     batch_size: int = 100
     lr: float = 0.05
     momentum: float = 0.9
+
+    def __post_init__(self):
+        _check_count("epochs", self.epochs, 0)
+        _check_count("batch_size", self.batch_size, 1)
+        for key, ok, need in (("lr", math.isfinite(self.lr) and self.lr > 0.0, "finite and > 0"),
+                              ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)")):
+            if not ok:
+                raise ContractError(f"{key} must be {need}, got {getattr(self, key)!r}")
 
 
 def output_width(model: ModelGraph) -> int:
@@ -517,6 +537,18 @@ def loss_bound(model: ModelGraph) -> float:
     return 1e9 * math.log(max(output_width(model), 2))
 
 
+def _check_rows(x, y, what: str):
+    """``x`` as float64 and ``y`` as an array; ContractError, naming ``what``,
+    if there is no row or the row and label counts differ."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    if x.shape[0] == 0:
+        raise ContractError(f"{what} is empty")
+    if y.shape[:1] != x.shape[:1]:
+        raise ContractError(f"{what} has {x.shape[0]} rows but {y.size} labels")
+    return x, y
+
+
 def _batches(n, batch_size, rng=None):
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -527,22 +559,31 @@ def _batches(n, batch_size, rng=None):
         yield idx[start:start + batch_size]
 
 
-def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[float]:
-    """Minibatch SGD with momentum on the cross-entropy, with no switch.
-    Replaces each linear layer's weight and bias in model.weights with a
-    view of one new buffer that the steps update in place; returns per-epoch
-    mean loss and logs it at INFO, one line per epoch. A step forms lr * g
+def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
+                val=None) -> list[float]:
+    """Minibatch SGD with momentum on the cross-entropy, with no switch;
+    returns per-epoch mean loss, each logged at INFO, and appends one
+    ``training_history`` entry. Replaces each linear layer's weight and bias
+    in model.weights with a view of one new buffer that the steps update in
+    place; the velocity lives across the whole schedule. A step forms lr * g
     only after its backward, in a buffer freed before the next batch's
-    forward, so no step buffer is held through a backward.
-    Raises NumericError, naming the epoch and batch, at the first batch
-    whose loss is not finite or exceeds ``loss_bound``, before its step
-    touches the weights."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.shape[0] == 0:
-        raise ContractError("training data is empty")
-    if schedule.epochs < 1:
-        raise ContractError(f"epochs must be >= 1, got {schedule.epochs}")
+    forward. Raises NumericError, naming the epoch and batch, at the first
+    batch whose loss is not finite or exceeds ``loss_bound``, before its
+    step touches the weights.
+
+    With ``val=(x_val, y_val)`` it is a fine-tune: the starting weights
+    (epoch 0) and each epoch's are scored on the validation rows, each
+    epoch's error is logged, and the best (the earliest on a tie) end in
+    place; the history entry adds their ``kept_epoch`` and ``val_error`` %.
+    A NumericError then ends the schedule, logged, since no later epoch
+    could be trusted. Zero epochs, a ContractError without ``val``, only
+    scores the weights."""
+    x, y = _check_rows(x, y, "training data")
+    if val is not None:
+        x_val, y_val = _check_rows(*val, "validation data")
+    elif schedule.epochs < 1:
+        raise ContractError(f"epochs must be >= 1 without a validation set, "
+                            f"got {schedule.epochs}")
     bound = loss_bound(model)
     # one buffer makes a step's update four in-place ufuncs, not four per
     # weight, and as a copy it leaves arrays shared with another model alone
@@ -556,39 +597,57 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng) -> list[f
         model.weights[n] = view
         params[n] = Tensor(view, requires_grad=True)
     velocity = np.zeros_like(flat)
+    if val is not None:
+        best, best_err, kept = flat.copy(), evaluate(model, x_val, y_val), 0
     losses = []
     for epoch in range(schedule.epochs):
         t0 = time.perf_counter()
         total, nb = 0.0, 0
-        for idx in _batches(x.shape[0], schedule.batch_size, rng):
-            for p in params.values():
-                p.grad = None
-            with Tape():
-                logits = forward(model, x.take(idx, axis=0), params=params)
-                loss = T.softmax_cross_entropy(logits, y.take(idx))
-            value = loss.item()
-            if not value <= bound:  # NaN fails this test as well
-                where = f"at epoch {epoch + 1}, batch {nb + 1}"
-                if not math.isfinite(value):
-                    raise NumericError(f"training loss is {value} {where}")
-                raise NumericError(f"training loss {value:.6g} exceeds the "
-                                   f"divergence bound {bound:.6g} {where}")
-            T.backward(loss)
-            # v = momentum * v - lr * g; w = w + v
-            step = np.concatenate([p.grad for p in params.values()], axis=None)
-            step *= schedule.lr
-            velocity *= schedule.momentum
-            velocity -= step
-            flat += velocity
-            del step  # not held through the next batch's forward and backward
-            total += value
-            nb += 1
+        try:
+            for idx in _batches(x.shape[0], schedule.batch_size, rng):
+                for p in params.values():
+                    p.grad = None
+                with Tape():
+                    logits = forward(model, x.take(idx, axis=0), params=params)
+                    loss = T.softmax_cross_entropy(logits, y.take(idx))
+                value = loss.item()
+                if not value <= bound:  # NaN fails this test as well
+                    where = f"at epoch {epoch + 1}, batch {nb + 1}"
+                    if not math.isfinite(value):
+                        raise NumericError(f"training loss is {value} {where}")
+                    raise NumericError(f"training loss {value:.6g} exceeds the "
+                                       f"divergence bound {bound:.6g} {where}")
+                T.backward(loss)
+                # v = momentum * v - lr * g; w = w + v
+                step = np.concatenate([p.grad for p in params.values()], axis=None)
+                step *= schedule.lr
+                velocity *= schedule.momentum
+                velocity -= step
+                flat += velocity
+                del step  # not held through the next batch's forward and backward
+                total += value
+                nb += 1
+        except NumericError as e:
+            if val is None:
+                raise
+            logger.info("finetune epoch %d/%d: %s; stopped", epoch + 1, schedule.epochs, e)
+            break
         losses.append(total / max(nb, 1))
         logger.info("epoch %d/%d: loss %.4f (%.2fs)", epoch + 1, schedule.epochs,
                     losses[-1], time.perf_counter() - t0)
-    model.metadata.setdefault("training_history", []).append(
-        {"epochs": schedule.epochs, "lr": schedule.lr,
-         "batch_size": schedule.batch_size, "final_loss": losses[-1]})
+        if val is not None:
+            err = evaluate(model, x_val, y_val)
+            logger.info("finetune epoch %d/%d: val error %.2f%%", epoch + 1,
+                        schedule.epochs, err)
+            if err < best_err:
+                best[:] = flat
+                best_err, kept = err, epoch + 1
+    entry = {"epochs": schedule.epochs, "lr": schedule.lr, "batch_size": schedule.batch_size,
+             "final_loss": losses[-1] if losses else None}
+    if val is not None:
+        flat[:] = best
+        entry.update(kept_epoch=kept, val_error=best_err)
+    model.metadata.setdefault("training_history", []).append(entry)
     return losses
 
 
@@ -600,17 +659,9 @@ def evaluate(model: ModelGraph, x, y, batch_size: int = 100) -> float:
     rows full LeNet's largest buffer is conv1's 9.2 MB output, and at 500
     rows 46 MB; conv2d's im2col never exceeds one 2 MiB row block.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.shape[0] == 0:
-        raise ContractError("evaluation data is empty")
+    x, y = _check_rows(x, y, "evaluation data")
     wrong = 0
     for idx in _batches(x.shape[0], batch_size):
         logits = forward(model, x[idx])
         wrong += int((logits.data.argmax(axis=1) != y[idx]).sum())
     return 100.0 * wrong / x.shape[0]
-
-
-def copy_model(model: ModelGraph) -> ModelGraph:
-    return ModelGraph([*model.layers], {k: v.copy() for k, v in model.weights.items()},
-                      tuple(model.input_shape), json.loads(json.dumps(model.metadata)))

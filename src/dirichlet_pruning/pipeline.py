@@ -42,9 +42,9 @@ from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
                      count_flops, count_params, evaluate, forward, load_model,
                      output_width, prunable_indices, save_model, train_model)
 from .pgm import to_u8, write_pgm
-from .pruning import (PruningPlan, RankingReport, apply_plan, finetune,
-                      make_plan, plan_to_json, rank_derivative, rank_dirichlet,
-                      rank_magnitude, rank_random, ranking_to_csv)
+from .pruning import (PruningPlan, RankingReport, apply_plan, make_plan, plan_to_json,
+                      rank_derivative, rank_dirichlet, rank_magnitude, rank_random,
+                      ranking_to_csv)
 from .switch import (AnalyticMean, ImplicitMC, SwitchTrainSchedule,
                      init_switch_states, load_states, posterior_report, save_states,
                      train_switches)
@@ -244,14 +244,14 @@ class Run:
                                "a validation row to fine-tune against")
 
     def finetune(self) -> float:
-        """Keep the best model of the fine-tuning; returns its validation error %."""
+        """Fine-tune the model in place, keeping its best epoch on the
+        validation rows; returns that epoch's validation error %."""
         self.check_validation_rows()
         cfg, data = self.cfg, self.dataset
-        self.model, val_error = finetune(
-            self.model, data.x_train, data.y_train, data.x_val, data.y_val,
-            TrainSchedule(cfg.finetune_epochs, cfg.finetune_batch_size, cfg.finetune_lr,
-                          cfg.finetune_momentum), self.rng)
-        return val_error
+        train_model(self.model, data.x_train, data.y_train,
+                    TrainSchedule(cfg.finetune_epochs, cfg.finetune_batch_size, cfg.finetune_lr,
+                                  cfg.finetune_momentum), self.rng, val=(data.x_val, data.y_val))
+        return self.model.metadata["training_history"][-1]["val_error"]
 
     def write_model(self, artifact: str) -> None:
         save_model(self.model, self.path(artifact))

@@ -1,4 +1,4 @@
-"""Channel ranking, pruning plans, physical channel removal, fine-tuning.
+"""Channel ranking, pruning plans, physical channel removal.
 
 Rankings, plans and switches address prunable layers by ordinal: 0 for
 the first conv/fc layer in the graph, 1 for the next, and so on (the final
@@ -10,27 +10,24 @@ Physical removal slices output channels of each pruned layer and the
 matching input slices of the next linear layer (expanding across flatten to
 all spatial positions). A layer given a switch mean has each kept channel's
 weights and bias scaled by its mean value, so the pruned network reproduces
-the masked switched forward exactly.
+the masked switched forward exactly. The short fine-tune that follows is
+``models.train_model`` given a validation set.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, FormatError, NumericError, ShapeError
-from .models import (Conv2d, Flatten, FullyConnected, ModelGraph,
-                     TrainSchedule, Tensor, copy_model, evaluate, forward,
-                     propagate_shapes, prunable_indices, prunable_widths,
-                     read_json, train_model, validate_model, write_json)
+from .errors import ContractError, FormatError, ShapeError
+from .models import (Conv2d, Flatten, FullyConnected, ModelGraph, Tensor, _check_rows,
+                     forward, propagate_shapes, prunable_indices, prunable_widths,
+                     read_json, validate_model, write_json)
 from .switch import SwitchState
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +100,7 @@ def rank_derivative(model: ModelGraph, xb, yb) -> RankingReport:
     Each layer's h is reached by an untaped pass that continues from the
     previous layer's h; a taped pass from h, whose only leaf is h itself,
     gives dC/dh. No weight gradient is computed."""
-    xb = np.asarray(xb, dtype=np.float64)
-    yb = np.asarray(yb)
-    if xb.shape[0] == 0:
-        raise ContractError("ranking batch is empty")
+    xb, yb = _check_rows(xb, yb, "ranking batch")
     per_layer = []
     h, start = xb, 0
     for ordinal, gi in enumerate(prunable_indices(model)):
@@ -256,45 +250,6 @@ def apply_plan(model: ModelGraph, plan: PruningPlan,
                         dict(model.metadata, pruned_from=model.arch_string))
     validate_model(pruned)
     return pruned
-
-
-# ---------------------------------------------------------------------------
-# fine-tuning
-
-
-def finetune(model: ModelGraph, x_train, y_train, x_val, y_val,
-             schedule: TrainSchedule, rng) -> tuple[ModelGraph, float]:
-    """SGD-with-momentum retraining; returns (best model, best val error %)
-    across the schedule, where epoch 0 (the input model) also competes.
-    Each epoch's validation error is logged at INFO. An epoch whose training
-    diverges (``train_model`` raises NumericError) ends the schedule, since
-    no later epoch could be trusted; the error is logged and the best
-    earlier model is returned. A zero-epoch schedule returns an unchanged
-    copy.
-
-    Each epoch is its own one-epoch ``train_model`` call, so the momentum
-    velocity restarts at zero every epoch, and the model's
-    ``training_history`` gains one entry per epoch, not one per schedule."""
-    if np.asarray(x_train).shape[0] == 0 or np.asarray(x_val).shape[0] == 0:
-        raise ContractError("fine-tuning data is empty")
-    best = copy_model(model)
-    best_err = evaluate(model, x_val, y_val)
-    if schedule.epochs == 0:
-        return best, best_err
-    work = copy_model(model)
-    one = TrainSchedule(1, schedule.batch_size, schedule.lr, schedule.momentum)
-    for epoch in range(schedule.epochs):
-        try:
-            train_model(work, x_train, y_train, one, rng)
-        except NumericError as e:
-            logger.info("finetune epoch %d/%d: %s; stopped", epoch + 1, schedule.epochs, e)
-            break
-        err = evaluate(work, x_val, y_val)
-        logger.info("finetune epoch %d/%d: val error %.2f%%", epoch + 1, schedule.epochs, err)
-        if err < best_err:
-            best_err = err
-            best = copy_model(work)
-    return best, best_err
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
-from .models import (ModelGraph, _batches, forward, loss_bound, prunable_widths,
-                     read_json, switch_consumers, write_json)
+from .models import (ModelGraph, _batches, _check_count, _check_rows, forward, loss_bound,
+                     prunable_widths, read_json, switch_consumers, write_json)
 from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
@@ -77,10 +77,7 @@ class ImplicitMC:
     k: int = 1
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ContractError(f"k (the sample count) must be an int, got {self.k!r}")
-        if self.k < 1:
-            raise ContractError(f"k (the sample count) must be >= 1, got {self.k}")
+        _check_count("k (the sample count)", self.k, 1)
 
     def draw(self, phi, rng):
         """k rows (s, y, dy/dphi) of reparameterized Dir(phi) samples."""
@@ -135,10 +132,10 @@ class SwitchTrainSchedule:
     kl_weight: float | None = None
 
     def __post_init__(self):
+        _check_count("epochs", self.epochs, 1)
+        _check_count("batch_size", self.batch_size, 1)
         kl = self.kl_weight
         for key, ok, need in (
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("batch_size", self.batch_size >= 1, ">= 1"),
                 ("lr", self.lr > 0.0, "> 0"),
                 ("estimator", isinstance(self.estimator, (AnalyticMean, ImplicitMC)),
                  "AnalyticMean or ImplicitMC"),
@@ -155,16 +152,6 @@ class SwitchObjectiveValue:
     expected_nll: float
     kl_term: float
     kl_weight: float
-
-
-def _check_batch(xb, yb):
-    xb = np.asarray(xb, dtype=np.float64)
-    yb = np.asarray(yb)
-    if xb.shape[0] == 0:
-        raise ContractError("minibatch is empty")
-    if yb.shape[0] != xb.shape[0]:
-        raise ContractError(f"batch size mismatch: {xb.shape[0]} inputs, {yb.shape[0]} labels")
-    return xb, yb
 
 
 def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
@@ -212,7 +199,7 @@ def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, *, layer, start
     other switches run at their posterior mean; the KL sums every layer. The
     estimator, alpha0 and kl_weight come from ``schedule``.
     """
-    hb, yb = _check_batch(hb, yb)
+    hb, yb = _check_rows(hb, yb, "minibatch")
     if not states:
         raise ContractError("no switch states given")
     if dataset_size < 1:
@@ -307,10 +294,7 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
     batch whose neg_elbo is not finite or whose expected NLL exceeds the
     divergence bound (``models.loss_bound``), before its step touches theta.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.shape[0] == 0:
-        raise ContractError("training data is empty")
+    x, y = _check_rows(x, y, "training data")
     if not states:
         raise ContractError("no switch states given")
     n = x.shape[0]

@@ -25,8 +25,7 @@ from dirichlet_pruning.models import (TrainSchedule, build_lenet5, build_mlp,
                                       count_flops, count_params, evaluate,
                                       prunable_widths, train_model)
 from dirichlet_pruning.data import load_mnist_idx
-from dirichlet_pruning.pruning import (apply_plan, finetune, make_plan,
-                                       rank_dirichlet, rank_random)
+from dirichlet_pruning.pruning import apply_plan, make_plan, rank_dirichlet, rank_random
 from dirichlet_pruning.special import gamma_implicit_grad_batch, gamma_sample_batch
 from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
                                       SwitchTrainSchedule, init_switch_states,
@@ -394,9 +393,9 @@ def test_criterion_8_end_to_end_mnist_pruning():
                    SwitchTrainSchedule(2, 100, 0.5), rng)
     plan = make_plan(rank_dirichlet(states), keep_counts=[6, 8, 40, 20])
     means = {st.layer: st.posterior_mean() for st in states}
-    pruned = apply_plan(model, plan, switch_means=means)
-    tuned, _ = finetune(pruned, x_tr, y_tr, x_val, y_val,
-                        TrainSchedule(6 if full else 3, 100, 0.02, 0.9), rng)
+    tuned = apply_plan(model, plan, switch_means=means)  # fine-tuned in place below
+    train_model(tuned, x_tr, y_tr, TrainSchedule(6 if full else 3, 100, 0.02, 0.9), rng,
+                val=(x_val, y_val))
     final = evaluate(tuned, x_test, y_test)
     params, flops = count_params(tuned), count_flops(tuned)
 

@@ -982,8 +982,8 @@ def _mask_seconds(text):
 def test_cli_pipeline_stdout_lines(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "p.cfg", _base_cfg_text(tmp_path / "pout"))
     assert cli.main(["--config", cfg, "pipeline"]) == 0
-    # fine-tuning runs train_model one epoch at a time, so each fine-tune
-    # epoch line follows that epoch's own loss line
+    # the fine-tune is train_model with the validation rows: each epoch's
+    # loss line is followed by that epoch's validation error line
     assert _mask_seconds(capsys.readouterr().out).splitlines() == [
         "phase data: Xs",
         "epoch 1/1: loss 1.4158 (Xs)",

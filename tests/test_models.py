@@ -1,6 +1,9 @@
 """Model graphs: builders, forward, counting conventions, DPM1 serialization."""
 
+import copy
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -9,14 +12,16 @@ import pytest
 from dirichlet_pruning.errors import ContractError, FormatError, NumericError, ShapeError
 from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       MaxPool2d, ModelGraph, Relu, TrainSchedule,
-                                      build_lenet5, build_mlp, copy_model,
+                                      build_lenet5, build_mlp,
                                       count_flops, count_params, evaluate,
                                       forward, load_model, propagate_shapes,
                                       prunable_indices, prunable_widths,
                                       save_model, switch_consumers,
                                       train_model, validate_model)
+from dirichlet_pruning import models as M
 from dirichlet_pruning import tensor as T
-from dirichlet_pruning.switch import SwitchTrainSchedule, init_switch_states, train_switches
+from dirichlet_pruning.switch import (SwitchTrainSchedule, init_switch_states,
+                                      neg_elbo_and_grads, train_switches)
 from dirichlet_pruning.synthetic import gen_synthetic
 from dirichlet_pruning.tensor import Tape, Tensor
 
@@ -77,7 +82,7 @@ def test_lenet_in_the_relu_then_pool_order_gives_identical_logits(tmp_path):
     rng = np.random.default_rng(4)
     for n, w in model.weights.items():  # nonzero biases too
         model.weights[n] = w + 0.05 * rng.standard_normal(w.shape)
-    old = copy_model(model)
+    old = copy.deepcopy(model)
     for i in (1, 4):
         old.layers[i], old.layers[i + 1] = old.layers[i + 1], old.layers[i]
     assert [type(l) for l in old.layers[:6]] == [Conv2d, Relu, MaxPool2d] * 2
@@ -670,10 +675,92 @@ def test_train_step_allocation_peak_full_lenet():
     assert peak_mib(step) <= 50.0
 
 
-def test_copy_model_is_independent():
-    model = build_mlp(3, 2, 2, rng=np.random.default_rng(24))
-    clone = copy_model(model)
-    clone.weights["layer0.weight"][:] = 0.0
-    clone.metadata["training_history"].append({"epochs": 1})
-    assert not np.array_equal(model.weights["layer0.weight"], clone.weights["layer0.weight"])
-    assert model.metadata["training_history"] == []
+_BAD_SCHEDULES = [
+    (TrainSchedule, "epochs", 2.5, "epochs must be an int, got 2.5"),
+    (TrainSchedule, "epochs", True, "epochs must be an int, got True"),
+    (TrainSchedule, "epochs", -1, "epochs must be >= 0, got -1"),
+    (TrainSchedule, "batch_size", 2.5, "batch_size must be an int, got 2.5"),
+    (TrainSchedule, "batch_size", True, "batch_size must be an int, got True"),
+    (TrainSchedule, "batch_size", 0, "batch_size must be >= 1, got 0"),
+    (TrainSchedule, "lr", -0.1, "lr must be finite and > 0, got -0.1"),
+    (TrainSchedule, "lr", 0.0, "lr must be finite and > 0, got 0.0"),
+    (TrainSchedule, "lr", math.nan, "lr must be finite and > 0, got nan"),
+    (TrainSchedule, "lr", math.inf, "lr must be finite and > 0, got inf"),
+    (TrainSchedule, "momentum", 1.5, "momentum must be in [0, 1), got 1.5"),
+    (TrainSchedule, "momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+    (TrainSchedule, "momentum", -0.1, "momentum must be in [0, 1), got -0.1"),
+    (TrainSchedule, "momentum", math.nan, "momentum must be in [0, 1), got nan"),
+    (SwitchTrainSchedule, "epochs", 2.5, "epochs must be an int, got 2.5"),
+    (SwitchTrainSchedule, "epochs", True, "epochs must be an int, got True"),
+    (SwitchTrainSchedule, "batch_size", 2.5, "batch_size must be an int, got 2.5"),
+    (SwitchTrainSchedule, "batch_size", True, "batch_size must be an int, got True"),
+]
+
+
+@pytest.mark.parametrize("schedule,key,value,match", _BAD_SCHEDULES,
+                         ids=[f"{c.__name__}-{k}-{v}" for c, k, v, _ in _BAD_SCHEDULES])
+def test_schedules_reject_a_bad_setting_naming_it(schedule, key, value, match):
+    # TrainSchedule(1, 2.5, 0.1, 0.9) used to die at the first batch with a
+    # bare TypeError, a negative lr to run gradient ascent, and a momentum of
+    # 1.5 to train without error
+    with pytest.raises(ContractError, match=re.escape(match)):
+        schedule(**{key: value})
+
+
+def test_schedules_accept_numpy_ints():
+    assert TrainSchedule(np.int64(0), np.int32(5)).batch_size == 5
+    assert SwitchTrainSchedule(np.int64(2), np.uint8(5)).epochs == 2
+
+
+@pytest.mark.parametrize("entry,rows,labels", [
+    ("evaluate", 10, 5), ("evaluate", 5, 10), ("train_model", 10, 5),
+    ("train_model", 5, 10), ("validation", 10, 5), ("neg_elbo_and_grads", 10, 5)])
+def test_rows_and_labels_must_match(entry, rows, labels):
+    # evaluate on 10 rows and 5 labels used to die with a bare IndexError, and
+    # on 5 rows and 10 labels to score the 5 rows
+    rng = np.random.default_rng(27)
+    model = build_mlp(4, 3, 2, rng=rng)
+    x, y = rng.standard_normal((rows, 4)), rng.integers(0, 2, labels)
+    good_x, good_y = rng.standard_normal((6, 4)), rng.integers(0, 2, 6)
+    before = {k: v.copy() for k, v in model.weights.items()}
+    with pytest.raises(ContractError, match=f"has {rows} rows but {labels} labels"):
+        if entry == "evaluate":
+            evaluate(model, x, y)
+        elif entry == "train_model":
+            train_model(model, x, y, TrainSchedule(1, 4), rng)
+        elif entry == "validation":
+            train_model(model, good_x, good_y, TrainSchedule(1, 4), rng, val=(x, y))
+        else:
+            neg_elbo_and_grads(init_switch_states(model), model, x, y, 10, rng, layer=0)
+    assert all(np.array_equal(model.weights[k], v) for k, v in before.items())
+
+
+def _finetune_task():
+    _, x, y = gen_synthetic(10, 8, 600, np.random.default_rng(300))
+    model = build_mlp(10, 6, 2, rng=np.random.default_rng(400))
+    return model, x[:400], y[:400], (x[400:], y[400:])
+
+
+def test_finetune_evaluates_the_start_and_each_epoch_once(monkeypatch):
+    model, x, y, val = _finetune_task()
+    calls, evaluate_ = [], M.evaluate
+    monkeypatch.setattr(M, "evaluate", lambda *a, **k: calls.append(a) or evaluate_(*a, **k))
+    train_model(model, x, y, TrainSchedule(3, 50, 0.05), np.random.default_rng(500), val=val)
+    assert len(calls) == 4
+
+
+def test_finetune_momentum_carries_across_epochs():
+    model, x, y, val = _finetune_task()
+    tuned = copy.deepcopy(model)
+    train_model(tuned, x, y, TrainSchedule(2, 50, 0.05), np.random.default_rng(500), val=val)
+    history = tuned.metadata["training_history"]
+    assert len(history) == 1 and history[0]["kept_epoch"] == 2  # the last epoch is best
+    assert history[0]["val_error"] == evaluate(tuned, *val)
+    plain = copy.deepcopy(model)
+    train_model(plain, x, y, TrainSchedule(2, 50, 0.05), np.random.default_rng(500))
+    assert all(np.array_equal(tuned.weights[k], plain.weights[k]) for k in model.weights)
+    # two one-epoch calls restart the velocity at zero, as fine-tuning once did
+    reset, rng = copy.deepcopy(model), np.random.default_rng(500)
+    for _ in range(2):
+        train_model(reset, x, y, TrainSchedule(1, 50, 0.05), rng)
+    assert not np.array_equal(tuned.weights["layer0.weight"], reset.weights["layer0.weight"])

@@ -1,5 +1,6 @@
 """Channel ranking, pruning plans, physical pruning, and fine-tuning."""
 
+import copy
 import json
 import logging
 
@@ -9,12 +10,12 @@ import pytest
 from dirichlet_pruning.errors import ContractError, FormatError, ShapeError
 from dirichlet_pruning.models import (Conv2d, Flatten, FullyConnected,
                                       ModelGraph, Relu, TrainSchedule,
-                                      build_lenet5, build_mlp, copy_model,
-                                      count_params, evaluate, forward,
-                                      prunable_widths)
+                                      build_lenet5, build_mlp, count_params,
+                                      evaluate, forward, prunable_widths,
+                                      train_model)
 from dirichlet_pruning.pruning import (LayerRanking, PruningPlan,
-                                       RankingReport, apply_plan, finetune,
-                                       make_plan, plan_from_json, plan_to_json,
+                                       RankingReport, apply_plan, make_plan,
+                                       plan_from_json, plan_to_json,
                                        rank_derivative, rank_dirichlet,
                                        rank_magnitude, rank_random,
                                        ranking_from_csv, ranking_to_csv)
@@ -117,7 +118,7 @@ def test_rank_magnitude_bias_contributes():
 
 def test_rank_magnitude_l2_global_scale_invariance():
     model = build_mlp(6, 5, 3, rng=np.random.default_rng(7))
-    scaled = copy_model(model)
+    scaled = copy.deepcopy(model)
     for name in scaled.weights:
         scaled.weights[name] = scaled.weights[name] * 3.7
     a = rank_magnitude(model, "L2").layer(0)
@@ -194,7 +195,7 @@ def test_rank_derivative_matches_ablation_oracle():
     scores = rank_derivative(model, x, y).layer(0).scores
     delta = 1e-5
     for j in range(2):
-        ablated = copy_model(model)
+        ablated = copy.deepcopy(model)
         ablated.weights["layer0.weight"][:, j] *= 1.0 - delta
         ablated.weights["layer0.bias"][j] *= 1.0 - delta
         oracle = abs(ce(ablated) - base) / delta
@@ -509,11 +510,19 @@ def _finetune_data(seed, n=600):
     return x[:cut], y[:cut], x[cut:], y[cut:]
 
 
+def _finetune(model, x_tr, y_tr, x_val, y_val, schedule, rng):
+    """``train_model``'s fine-tune of a copy of ``model``: the copy with its
+    best epoch in place, and that epoch's validation error %."""
+    tuned = copy.deepcopy(model)
+    train_model(tuned, x_tr, y_tr, schedule, rng, val=(x_val, y_val))
+    return tuned, tuned.metadata["training_history"][-1]["val_error"]
+
+
 def test_finetune_zero_epochs_returns_unchanged_copy():
     x_tr, y_tr, x_val, y_val = _finetune_data(210)
     model = build_mlp(10, 6, 2, rng=np.random.default_rng(211))
-    tuned, err = finetune(model, x_tr, y_tr, x_val, y_val,
-                          TrainSchedule(0, 50, 0.1), np.random.default_rng(212))
+    tuned, err = _finetune(model, x_tr, y_tr, x_val, y_val,
+                           TrainSchedule(0, 50, 0.1), np.random.default_rng(212))
     assert err == evaluate(model, x_val, y_val)
     assert tuned is not model
     for name in model.weights:
@@ -526,8 +535,8 @@ def test_finetune_one_epoch_helps_across_seeds():
     for seed in range(5):
         model = build_mlp(10, 6, 2, rng=np.random.default_rng(230 + seed))
         b = evaluate(model, x_val, y_val)
-        _, a = finetune(model, x_tr, y_tr, x_val, y_val,
-                        TrainSchedule(1, 50, 0.2), np.random.default_rng(240 + seed))
+        _, a = _finetune(model, x_tr, y_tr, x_val, y_val,
+                         TrainSchedule(1, 50, 0.2), np.random.default_rng(240 + seed))
         before.append(b)
         after.append(a)
         assert a <= b  # best-of includes the starting model
@@ -537,12 +546,12 @@ def test_finetune_one_epoch_helps_across_seeds():
 def test_finetune_returns_best_epoch_not_last():
     x_tr, y_tr, x_val, y_val = _finetune_data(250)
     model = build_mlp(10, 6, 2, rng=np.random.default_rng(251))
-    model, _ = finetune(model, x_tr, y_tr, x_val, y_val,
-                        TrainSchedule(2, 50, 0.2), np.random.default_rng(252))
+    model, _ = _finetune(model, x_tr, y_tr, x_val, y_val,
+                         TrainSchedule(2, 50, 0.2), np.random.default_rng(252))
     start_err = evaluate(model, x_val, y_val)
     # an absurd step size can only hurt; best-of must fall back to the input
-    tuned, err = finetune(model, x_tr, y_tr, x_val, y_val,
-                          TrainSchedule(3, 50, 1e6), np.random.default_rng(253))
+    tuned, err = _finetune(model, x_tr, y_tr, x_val, y_val,
+                           TrainSchedule(3, 50, 1e6), np.random.default_rng(253))
     assert err == start_err
     for name in model.weights:
         np.testing.assert_array_equal(tuned.weights[name], model.weights[name])
@@ -552,8 +561,8 @@ def test_finetune_stops_at_a_diverged_epoch(caplog):
     x_tr, y_tr, x_val, y_val = _finetune_data(250)
     model = build_mlp(10, 6, 2, rng=np.random.default_rng(251))
     caplog.set_level(logging.INFO, logger="dirichlet_pruning")
-    tuned, err = finetune(model, x_tr, y_tr, x_val, y_val, TrainSchedule(3, 50, 1e6),
-                          np.random.default_rng(253))
+    tuned, err = _finetune(model, x_tr, y_tr, x_val, y_val, TrainSchedule(3, 50, 1e6),
+                           np.random.default_rng(253))
     lines = caplog.messages
     assert len(lines) == 1
     assert lines[0].startswith("finetune epoch 1/3: training loss ")
@@ -568,24 +577,23 @@ def test_finetune_empty_data_rejected():
     good_x = np.zeros((4, 10))
     good_y = np.zeros(4, dtype=np.int64)
     with pytest.raises(ContractError):
-        finetune(model, x, y, good_x, good_y, TrainSchedule(1, 4, 0.1),
-                 np.random.default_rng(261))
+        _finetune(model, x, y, good_x, good_y, TrainSchedule(1, 4, 0.1),
+                  np.random.default_rng(261))
     with pytest.raises(ContractError):
-        finetune(model, good_x, good_y, x, y, TrainSchedule(1, 4, 0.1),
-                 np.random.default_rng(262))
+        _finetune(model, good_x, good_y, x, y, TrainSchedule(1, 4, 0.1),
+                  np.random.default_rng(262))
 
 
 def test_finetune_recovers_accuracy_after_pruning():
     _, x, y = gen_synthetic(12, 8, 900, np.random.default_rng(270))
     x_tr, y_tr, x_val, y_val = x[:600], y[:600], x[600:], y[600:]
     model = build_mlp(12, 8, 2, rng=np.random.default_rng(271))
-    from dirichlet_pruning.models import train_model
     train_model(model, x_tr, y_tr, TrainSchedule(4, 50, 0.3), np.random.default_rng(272))
     plan = make_plan(rank_magnitude(model, "L2"), rate=0.5)
     pruned = apply_plan(model, plan)
     err_pruned = evaluate(pruned, x_val, y_val)
-    tuned, err_tuned = finetune(pruned, x_tr, y_tr, x_val, y_val,
-                                TrainSchedule(3, 50, 0.3), np.random.default_rng(273))
+    tuned, err_tuned = _finetune(pruned, x_tr, y_tr, x_val, y_val,
+                                 TrainSchedule(3, 50, 0.3), np.random.default_rng(273))
     assert err_tuned <= err_pruned
     assert count_params(tuned) < count_params(model)
 
