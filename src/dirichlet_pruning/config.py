@@ -130,11 +130,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("val_fraction", 0.0 <= cfg.val_fraction < 1.0, "0 <= val_fraction < 1"),
         *((key, 0.0 <= getattr(cfg, key) < 1.0, f"0 <= {key} < 1")
           for key in ("train_momentum", "finetune_momentum")),
-        ("train_lr", cfg.train_lr > 0.0, "train_lr > 0"),
-        ("lr", cfg.lr > 0.0, "lr > 0"),
-        ("finetune_lr", cfg.finetune_lr > 0.0, "finetune_lr > 0"),
+        *((key, math.isfinite(getattr(cfg, key)) and getattr(cfg, key) > 0.0,
+           f"a finite {key} > 0") for key in ("train_lr", "lr", "finetune_lr")),
         ("k", cfg.k >= 1, "k >= 1"),
-        ("alpha0", cfg.alpha0 > 0.0, "alpha0 > 0"),
+        ("alpha0", math.isfinite(cfg.alpha0) and cfg.alpha0 > 0.0, "a finite alpha0 > 0"),
         ("kl_weight", math.isfinite(cfg.kl_weight), "a finite kl_weight (< 0 selects 1/n)"),
         ("train_batch_size", cfg.train_batch_size >= 1, "train_batch_size >= 1"),
         ("batch_size", cfg.batch_size >= 1, "batch_size >= 1"),

@@ -262,10 +262,7 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
                 o = feeding[i]
                 w = _fold_switch(w, T._lift(switches[o]), spec, i, o,
                                  _width(layers[linear[o]]))
-            if isinstance(spec, FullyConnected):
-                h = T.matmul(h, w, bias=b)
-            else:
-                h = T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b)
+            h = apply_linear(spec, h, w, b)
         elif isinstance(spec, Relu):
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):
@@ -273,6 +270,13 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
     return h
+
+
+def apply_linear(spec, h, w, b):
+    """The conv or fc layer ``spec`` on ``h`` with weight ``w`` and bias ``b``."""
+    if isinstance(spec, FullyConnected):
+        return T.matmul(h, w, bias=b)
+    return T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b)
 
 
 def _fold_switch(w, s, spec, i: int, ordinal: int, width: int):

@@ -194,16 +194,25 @@ def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray):
         dterm = -term / aa
         dtotal = dterm.copy()
         live_d = live.copy()
+        # term and total stay finite and > 0, dterm and dtotal < 0. So the
+        # tests |term| >= |total| eps and |dterm| >= |dtotal| eps need no abs,
+        # and a converged element adds term * False = +-0, which leaves its
+        # sum as it is: an in-place add, not a select into a new array. Every
+        # step writes into one of three buffers, allocating nothing
+        ratio, tmp = np.empty_like(aa), np.empty_like(aa)
+        flag = np.empty(aa.shape, dtype=bool)
         for _ in range(_P_MAX_ITER):
             denom += 1.0
-            ratio = xx / denom
+            np.divide(xx, denom, out=ratio)
             # t_n = t_(n-1) x/(a+n), so dt_n = x/(a+n) (dt_(n-1) - t_(n-1)/(a+n))
-            dterm = ratio * (dterm - term / denom)
-            dtotal = np.where(live_d, dtotal + dterm, dtotal)
-            live_d &= np.abs(dterm) >= np.abs(dtotal) * _P_EPS
+            np.divide(term, denom, out=tmp)
+            dterm -= tmp
+            dterm *= ratio
+            dtotal += np.multiply(dterm, live_d, out=tmp)
+            live_d &= np.less_equal(dterm, np.multiply(dtotal, _P_EPS, out=tmp), out=flag)
             term *= ratio
-            total = np.where(live, total + term, total)
-            live &= np.abs(term) >= np.abs(total) * _P_EPS
+            total += np.multiply(term, live, out=tmp)
+            live &= np.greater_equal(term, np.multiply(total, _P_EPS, out=tmp), out=flag)
             if not (live.any() or live_d.any()):
                 break
         else:
@@ -291,9 +300,10 @@ def gamma_sample_batch(shapes: np.ndarray, rng) -> np.ndarray:
         ok = v > 0.0
         v = v * v * v
         u = rng.random(idx.size)
+        x2 = x * x  # x^4 as (x*x)*(x*x): the generic pow was a third of the call
         with np.errstate(invalid="ignore", divide="ignore"):
-            squeeze = u < 1.0 - 0.0331 * x ** 4
-            full = np.log(u) < 0.5 * x * x + d[idx] * (1.0 - v + np.log(np.where(ok, v, 1.0)))
+            squeeze = u < 1.0 - 0.0331 * (x2 * x2)
+            full = np.log(u) < 0.5 * x2 + d[idx] * (1.0 - v + np.log(np.where(ok, v, 1.0)))
         accept = ok & (squeeze | full)
         take = idx[accept]
         values[take] = d[take] * v[accept]

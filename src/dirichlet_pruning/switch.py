@@ -25,13 +25,16 @@ rows they draw for the trained switch:
 A switch scales the input weights of its consumer, the conv or fc layer
 after its own (``models.forward``). Per batch the path costs one untaped pass
 through the layers before the trained switch's consumer and one taped pass
-through the rest of the graph per row; backprop stops at the consumer's
-kernel gradient, whose contraction with the kernel is dL/ds, and one
-vectorized chain rule carries the (k, D) dL/ds rows to theta. The KL
-gradient is added in closed form. The untaped pass is not repeated per batch
-after the first sweep: every row's activation at the next sweep's consumer
-is computed once, when the finished switches are fixed, so a later sweep's
-batch costs only its taped suffix.
+through the rest of the graph for all k rows at once: the rows are stacked
+into the consumer as k scaled copies of its weight, so the suffix runs on
+k * N activation rows. Backprop stops at the stacked weight, whose gradient
+contracted with the weight is every row's dL/ds, and one vectorized chain
+rule carries the (k, D) dL/ds rows to theta. The rows go through in chunks
+under one budget of stacked values (``_STACK_VALUES``), each chunk on its
+own tape. The KL gradient is added in closed form. The untaped pass is not
+repeated per batch after the first sweep: every row's activation at the
+next sweep's consumer is computed once, when the finished switches are
+fixed, so a later sweep's batch costs only its taped suffix.
 
 Cost: a step on the README MLP (20-64-2, 100 rows, D = 64, AnalyticMean)
 makes about 160 numpy calls, most on arrays too small for their arithmetic
@@ -39,7 +42,11 @@ to matter. About 300 us on a shared 2-vCPU box (numpy 2.4.6, one BLAS
 thread) splits as: the closed-form KL 140 us (lgamma, then psi and psi'
 from one recurrence pass), the untaped prefix 30, the taped suffix 35, its
 cross-entropy 25, backward 30, the chain rule to phi 12, and phi, the
-draw, sigmoid and the gradient sum 30.
+draw, sigmoid and the gradient sum 30. With ``ImplicitMC(100)`` on the
+planted 1000-500-2 MLP (the ``mlp_implicit`` benchmark), a 100-row step
+takes about 40 ms on the same box, most of it in the sampler: the implicit
+gradients of the 50,000 Gamma draws 19-26 ms, the draws 3-4, and the
+stacked pass, with the 1000 x 500 prefix GEMM, 7-10.
 
 Model weights stay frozen throughout; only theta moves.
 """
@@ -56,13 +63,21 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
-from .models import (ModelGraph, _batches, _check_count, _check_rows, forward, loss_bound,
-                     prunable_widths, read_json, switch_consumers, write_json)
+from .models import (Conv2d, ModelGraph, _batches, _check_count, _check_rows, _conv_out_hw,
+                     apply_linear, forward, loss_bound, prunable_widths, read_json,
+                     switch_consumers, write_json)
 from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
 _PHI_SHIFT = 1e-6
 _THETA_INIT = math.log(math.expm1(1.0))  # softplus(theta) = 1
+# A switch step stacks its draws into the consumer in chunks whose stacked
+# weight and output hold at most this many values together (8 MiB of
+# float64), at least one draw per chunk. A draw adds one weight copy and N
+# output rows, and no later activation of LeNet or the MLP is larger than the
+# consumer's output, so this bounds the taped suffix's memory. A row count
+# could not: a LeNet conv2 output row holds 3,200 values, an MLP logit row 2.
+_STACK_VALUES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -136,7 +151,7 @@ class SwitchTrainSchedule:
         _check_count("batch_size", self.batch_size, 1)
         kl = self.kl_weight
         for key, ok, need in (
-                ("lr", self.lr > 0.0, "> 0"),
+                ("lr", math.isfinite(self.lr) and self.lr > 0.0, "finite and > 0"),
                 ("estimator", isinstance(self.estimator, (AnalyticMean, ImplicitMC)),
                  "AnalyticMean or ImplicitMC"),
                 ("alpha0", math.isfinite(self.alpha0) and self.alpha0 > 0.0, "finite and > 0"),
@@ -154,6 +169,35 @@ class SwitchObjectiveValue:
     kl_weight: float
 
 
+def _stacked_weight(w, rows):
+    """The consumer weight ``w`` once per row of ``rows`` (c, C), each copy
+    with its C input channels scaled by its row, side by side along the
+    output axis: a conv kernel (c * c_out, c_in, kh, kw), or an fc weight
+    (d_in, c * d_out) whose d_in rows form C groups, one per channel of the
+    flattened activation."""
+    c, width = rows.shape
+    if w.ndim == 4:
+        return (rows[:, None, :, None, None] * w).reshape((c * w.shape[0],) + w.shape[1:])
+    d_in, d_out = w.shape
+    out = np.empty((width, d_in // width, c, d_out))
+    # written through a (.., d_out, c) view, so the inner loop runs over the
+    # c copies, not over d_out, which is 2 for the MLP's logits
+    np.multiply(w.reshape(width, -1, d_out, 1), rows.T.reshape(width, 1, 1, c),
+                out=out.transpose(0, 1, 3, 2))
+    return out.reshape(d_in, c * d_out)
+
+
+def _row_grads(grad, w, rows):
+    """dL/d(rows), (c, C), from the gradient of ``_stacked_weight(w, rows)``:
+    each copy's block contracted with ``w`` over all but the input channel."""
+    c, width = rows.shape
+    if w.ndim == 4:
+        return np.add.reduce(grad.reshape((c,) + w.shape) * w, axis=(1, 3, 4))
+    d_out = w.shape[1]
+    return np.add.reduce(grad.reshape(width, -1, c, d_out) * w.reshape(width, -1, 1, d_out),
+                         axis=(1, 3)).T
+
+
 def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
     """Estimate of E_q[NLL] and its phi gradient for switch ``layer``.
 
@@ -162,28 +206,45 @@ def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
     with S = Y / sum(Y) row by row. A switch acts at its consumer's input
     weights, so the layers before that consumer do not depend on the rows:
     they run once per batch, untaped, with the other switches at their
-    posterior mean. Only the suffix from the consumer on runs per row, each
-    on its own tape: one prefix pass plus k suffix passes per batch, and the
-    memory of one suffix tape. Backprop stops at the consumer's kernel
-    gradient; the per-row dL/ds are pushed to phi in one vectorized chain
-    rule.
+    posterior mean. The rows are stacked into the consumer instead
+    (``_stacked_weight``): the consumer runs once on the N batch rows with k
+    scaled copies of its weight, one conv im2col or one fc GEMM for all of
+    them, and its output, reshaped to N * k rows (row n * k + j is batch row
+    n under draw j), runs the rest of the graph once on one tape. The loss
+    is the sum of the k per-draw mean NLLs, so each draw's gradient is the
+    one its own pass would give. Backprop stops at the stacked weight, whose
+    gradient contracted with the weight is every draw's dL/ds
+    (``_row_grads``); one vectorized chain rule pushes them to phi. The draws
+    go through in chunks, each on its own tape, whose stacked weight and
+    output hold at most ``_STACK_VALUES`` values (at least one draw each).
+    AnalyticMean's one row is a chunk of one.
     """
     s, y, dy_dphi = draw
-    k = len(s)
+    k, n = len(s), hb.shape[0]
     mean_switches = {st.layer: st.posterior_mean() for st in states if st.layer != layer}
     entry = switch_consumers(model)[layer]
+    spec = model.layers[entry]
+    w, b = model.weights[f"layer{entry}.weight"], model.weights[f"layer{entry}.bias"]
     h = forward(model, hb, switches=mean_switches, start=start, stop=entry)
-    g = np.zeros(s.shape)
+    g = np.empty(s.shape)
     nll_acc = 0.0
-    for j in range(k):
-        leaf = Tensor(s[j], requires_grad=True)
+    if isinstance(spec, Conv2d):
+        out_row = spec.c_out * math.prod(_conv_out_hw(*h.shape[2:], spec))
+    else:
+        out_row = spec.d_out
+    per = max(1, _STACK_VALUES // (w.size + n * out_row))
+    for lo in range(0, k, per):
+        rows = s[lo:lo + per]
+        c = len(rows)
+        leaf = Tensor(_stacked_weight(w, rows), requires_grad=True)
         with Tape():
-            logits = forward(model, h, switches={**mean_switches, layer: leaf}, start=entry)
-            nll = T.softmax_cross_entropy(logits, yb)
+            z = apply_linear(spec, h, leaf, Tensor(np.concatenate((b,) * c)))
+            z = T.reshape(z, (n * c, z.shape[1] // c) + z.shape[2:])
+            logits = forward(model, z, switches=mean_switches, start=entry + 1)
+            nll = T.softmax_cross_entropy(logits, yb.repeat(c), copies=c)
         T.backward(nll)
         nll_acc += nll.item()
-        if leaf.grad is not None:
-            g[j] = leaf.grad
+        g[lo:lo + c] = _row_grads(leaf.grad, w, rows)
     # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
     dphi = (dy_dphi * (g - np.add.reduce(g * s, axis=1, keepdims=True))
             / np.add.reduce(y, axis=1, keepdims=True))

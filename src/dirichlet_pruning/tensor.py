@@ -499,12 +499,15 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 # loss
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels, copies: int = 1) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], max-shifted for stability.
 
     The mean is taken as np.mean takes it, the row sum divided by N, over the
     labelled entries only; the softmax probabilities are formed in the
-    backward pass.
+    backward pass. With ``copies`` > 1 the N rows hold that many batches of
+    N / copies rows each, in any order, and the loss is the sum of their
+    means: the row sum divided by N / copies, so each batch's gradient is
+    the one its own mean would give.
     """
     labels = np.asarray(labels)
     z = logits.data
@@ -513,6 +516,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     n, k = z.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    if copies < 1 or n % copies:
+        raise ContractError(f"{n} rows do not split into {copies} equal batches")
     if labels.dtype.kind not in "iu":  # a float label would fail the gather as out of range
         raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if np.minimum.reduce(labels) < 0:  # the gather below checks the top of the range
@@ -527,11 +532,12 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     except IndexError:
         raise IndexError(f"label out of range [0, {k})") from None
     picked -= np.log(sez[:, 0])
-    out = _output(np.asarray(-(np.add.reduce(picked) / n)))
+    per = n // copies
+    out = _output(np.asarray(-(np.add.reduce(picked) / per)))
 
     def bwd(g):
         grad = ez / sez  # the softmax probabilities
         grad[rows, labels] -= 1.0
-        return (grad * (g / n),)
+        return (grad * (g / per),)
 
     return _record(out, (logits,), bwd)

@@ -84,6 +84,10 @@ def test_config_line_without_equals():
     ("train_lr = 0", "train_lr"),
     ("lr = -0.5", "lr"),
     ("finetune_lr = nan", "finetune_lr"),
+    ("train_lr = inf", "train_lr"),
+    ("lr = inf", "lr"),
+    ("finetune_lr = inf", "finetune_lr"),
+    ("alpha0 = inf", "alpha0"),
     ("k = 0", "k"),
     ("dims = 8", "dims"),
     ("n = 0", "n"),
@@ -120,6 +124,7 @@ def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
     ("keep_counts", (3, 3)), ("keep_counts", (0,)), ("image_index", -1),
     ("mode", "joint"), ("subset", -1), ("train_epochs", -2), ("epochs", -1),
     ("finetune_epochs", -3), ("train_momentum", 1.5), ("finetune_momentum", -0.2),
+    ("train_lr", math.inf), ("lr", math.inf), ("finetune_lr", math.inf), ("alpha0", math.inf),
 ])
 def test_bad_config_writes_no_artifact(tmp_path, key, value):
     out = tmp_path / "run"
@@ -443,13 +448,15 @@ def test_pipeline_smoke_writes_all_artifacts(tmp_path):
     assert lines[1] == "arch_string,2"
 
 
-def test_pipeline_deterministic_artifacts_are_byte_stable(tmp_path):
+@pytest.mark.parametrize("estimator", [{}, {"estimator": "implicit", "k": 3}],
+                         ids=["analytic", "implicit"])
+def test_pipeline_deterministic_artifacts_are_byte_stable(tmp_path, estimator):
     out = tmp_path / "run"
     stable = ("resolved_config.txt", "switches.json", "ranking.csv",
               "plan.json", "pruned.dpm1", "finetuned.dpm1", "metrics.csv")
-    run_pipeline(_nano_config(out))
+    run_pipeline(_nano_config(out, **estimator))
     first = {name: (out / name).read_bytes() for name in stable}
-    run_pipeline(_nano_config(out))
+    run_pipeline(_nano_config(out, **estimator))
     for name in stable:
         assert (out / name).read_bytes() == first[name], name
 

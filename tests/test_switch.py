@@ -14,7 +14,7 @@ from dirichlet_pruning.dirichlet import dirichlet_kl
 from dirichlet_pruning.errors import ContractError, FormatError, NumericError
 from dirichlet_pruning.models import (Conv2d, FullyConnected, ModelGraph, Relu,
                                       build_lenet5, build_mlp, forward,
-                                      prunable_widths)
+                                      prunable_widths, switch_consumers)
 from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
                                       SwitchTrainSchedule, init_switch_states,
                                       load_states, neg_elbo_and_grads,
@@ -340,6 +340,27 @@ def test_implicit_mc_matches_per_sample_oracle_lenet_third_switch():
     _assert_matches_oracle(ImplicitMC(5), *_lenet_third_switch_case())
 
 
+@pytest.mark.parametrize("case", [_lenet_first_switch_case, _lenet_second_switch_case,
+                                  _mlp_per_layer_case],
+                         ids=["lenet_conv_consumer", "lenet_fc_consumer", "mlp_fc_consumer"])
+def test_implicit_mc_in_ragged_chunks_matches_per_sample_oracle(case, monkeypatch):
+    # a stack budget of two draws splits five draws into chunks of 2, 2 and 1
+    model, states, layer, x, y = case()
+    entry = switch_consumers(model)[layer]
+    out_row = forward(model, x[:1], stop=entry + 1).data.size
+    per_draw = model.weights[f"layer{entry}.weight"].size + x.shape[0] * out_row
+    monkeypatch.setattr(switch_module, "_STACK_VALUES", 2 * per_draw + 1)
+    chunks, loss = [], T.softmax_cross_entropy
+
+    def counted(logits, labels, copies=1):
+        chunks.append(copies)
+        return loss(logits, labels, copies)
+
+    monkeypatch.setattr(T, "softmax_cross_entropy", counted)
+    _assert_matches_oracle(ImplicitMC(5), model, states, layer, x, y)
+    assert chunks[:3] == [2, 2, 1]  # the oracle's own passes follow, one draw each
+
+
 @pytest.mark.parametrize("case", [_mlp_per_layer_case, _lenet_first_switch_case,
                                   _lenet_second_switch_case, _lenet_third_switch_case],
                          ids=["mlp_per_layer", "lenet_first_switch", "lenet_second_switch",
@@ -397,6 +418,8 @@ def test_schedule_holds_the_run_settings():
 
 
 @pytest.mark.parametrize("setting,value,match", [
+    ("lr", math.inf, "lr must be finite and > 0, got inf"),
+    ("lr", math.nan, "lr must be finite and > 0, got nan"),
     ("alpha0", 0.0, "alpha0 must be finite and > 0"),
     ("alpha0", -1.0, "alpha0 must be finite and > 0"),
     ("alpha0", math.nan, "alpha0 must be finite and > 0"),

@@ -507,6 +507,29 @@ def test_cross_entropy_grad_matches_fd_and_formula():
     assert grad_err(t.grad, fd) <= 1e-6
 
 
+def test_cross_entropy_of_copies_is_the_sum_of_their_means():
+    # three batches of four rows, interleaved: the loss sums their means, and
+    # each row's gradient is the one its own batch's mean gives it
+    rng = np.random.default_rng(13)
+    logits = rng.uniform(-2, 2, (12, 3))
+    labels = rng.integers(0, 3, 12)
+    t = Tensor(logits, requires_grad=True)
+    with Tape():
+        loss = T.softmax_cross_entropy(t, labels, copies=3)
+    T.backward(loss)
+    parts = [(logits[j::3], labels[j::3]) for j in range(3)]
+    assert loss.item() == pytest.approx(
+        sum(T.softmax_cross_entropy(Tensor(z), y).item() for z, y in parts), rel=1e-14)
+    for j, (z, y) in enumerate(parts):
+        part = Tensor(z, requires_grad=True)
+        with Tape():
+            one = T.softmax_cross_entropy(part, y)
+        T.backward(one)
+        np.testing.assert_allclose(t.grad[j::3], part.grad, rtol=1e-14, atol=1e-16)
+    with pytest.raises(ContractError, match="12 rows do not split into 5 equal batches"):
+        T.softmax_cross_entropy(t, labels, copies=5)
+
+
 # ---------------------------------------------------------------------------
 # backward mechanics
 
