@@ -58,9 +58,25 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train_val_split(x, y, val_fraction: float, rng) -> tuple:
-    """Shuffled split; validation gets round(val_fraction * N) examples."""
+    """(x_train, y_train, x_val, y_val): a shuffled split, validation gets
+    the first round(val_fraction * N) shuffled rows.
+
+    Shuffles x and y in place and returns views of them, so every row is
+    held once. A non-C-contiguous x is copied once first; y is shuffled
+    where it lies. The rows, the labels and every later draw of ``rng`` are
+    those of the fancy-index split ``x[rng.permutation(N)]``:
+    ``rng.shuffle`` on one item per row makes the same swaps as the
+    permutation, and y replays them from the same generator state.
+    """
     n = x.shape[0]
     n_val = int(round(val_fraction * n))
-    idx = rng.permutation(n)
-    val, train = idx[:n_val], idx[n_val:]
-    return x[train], y[train], x[val], y[val]
+    x = np.ascontiguousarray(x)  # so the row view below is x, not a copy
+    state = rng.bit_generator.state
+    if x.size:  # rows of zero width have nothing to move
+        # one void item per row, so shuffle takes its 1-d path, which swaps
+        # whole rows in C; its n-d path loops over rows in Python
+        rows = x.reshape(n, -1)
+        rng.shuffle(rows.view(np.dtype((np.void, rows.shape[1] * x.itemsize)))[:, 0])
+        rng.bit_generator.state = state
+    rng.shuffle(y)
+    return x[n_val:], y[n_val:], x[:n_val], y[:n_val]

@@ -55,6 +55,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class Dataset:
+    """The split rows of a run. The training and validation rows are views
+    of one shuffled array (for the synthetic task, the x whose last rows are
+    the test rows), so no row is held twice."""
+
     x_train: np.ndarray
     y_train: np.ndarray
     x_val: np.ndarray
@@ -84,7 +88,11 @@ def _split_error(cfg: ExperimentConfig, n_train: int, n_val: int, need: str) -> 
 
 def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
     """The configured data, split; raises ConfigError naming val_fraction if
-    the split leaves no training row."""
+    the split leaves no training row.
+
+    The training rows (the first ``subset`` of an IDX file, copied so they do
+    not keep the whole file alive) go through ``train_val_split``, which
+    shuffles them in place, so the dataset holds no row twice."""
     if cfg.data == "synthetic":
         d_x, d_h = cfg.dims
         n_test = max(2, (cfg.n // 4) // 2 * 2)
@@ -95,8 +103,8 @@ def load_dataset(cfg: ExperimentConfig, rng) -> Dataset:
         require(cfg, "mnist_images", "mnist_labels", "mnist_test_images", "mnist_test_labels")
         x_train, y_train = load_mnist_idx(cfg.mnist_images, cfg.mnist_labels)
         x_test, y_test = load_mnist_idx(cfg.mnist_test_images, cfg.mnist_test_labels)
-        if cfg.subset > 0:
-            x_train, y_train = x_train[:cfg.subset], y_train[:cfg.subset]
+        if 0 < cfg.subset < y_train.size:  # copies, so the rows cut off are freed
+            x_train, y_train = x_train[:cfg.subset].copy(), y_train[:cfg.subset].copy()
     else:
         raise choice_error(cfg, "data")
     x_train, y_train, x_val, y_val = train_val_split(x_train, y_train, cfg.val_fraction, rng)

@@ -51,21 +51,19 @@ def make_true_switch(d_h: int, rng) -> np.ndarray:
 _BLOCK_VALUES = 2 ** 18
 
 
-def _switched_logits(x, true_switch, w1, b1, w2) -> np.ndarray:
-    """relu(true_switch * (x @ w1 + b1)) @ w2, holding one row block of the
-    hidden layer at a time."""
+def _switched_logits(x, true_switch, w1, b1, w2, out) -> None:
+    """relu(true_switch * (x @ w1 + b1)) @ w2 into ``out``, holding one row
+    block of the hidden layer at a time."""
     n = x.shape[0]
     rows = min(n, max(1, _BLOCK_VALUES // w1.shape[1]))
     block = np.empty((rows, w1.shape[1]))
-    logits = np.empty((n, w2.shape[1]))
     for i in range(0, n, rows):
         h = block[:n - i]  # the last block may be short
         np.matmul(x[i:i + rows], w1, out=h)
         h += b1
         h *= true_switch
         np.maximum(h, 0.0, out=h)
-        np.matmul(h, w2, out=logits[i:i + rows])
-    return logits
+        np.matmul(h, w2, out=out[i:i + rows])
 
 
 def gen_synthetic(d_x: int, d_h: int, n: int, rng,
@@ -101,13 +99,18 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
     # simplex-scale switches shrink the activations by ~d_h, which would
     # leave near-zero logit margins and no per-channel signal in the
     # likelihood; rescale the output layer so the true network is decisive
-    logits = _switched_logits(x, true_switch, w1, b1, w2)
+    logits = np.empty((n, d_out))
+    _switched_logits(x, true_switch, w1, b1, w2, logits)
     spread = logits.std(axis=0).mean()
     if spread > 0.0:
         w2 = w2 * (3.0 / spread)
-        logits = _switched_logits(x, true_switch, w1, b1, w2)
+        _switched_logits(x, true_switch, w1, b1, w2, logits)
     if d_out == 2:
-        b2[1] -= np.median(logits[:, 1] - logits[:, 0])
+        # np.median's arithmetic (mean of the two middle values; n is even)
+        # without its first call's numpy.ma import
+        gap = logits[:, 1] - logits[:, 0]
+        gap.partition((n // 2 - 1, n // 2))
+        b2[1] -= (gap[n // 2 - 1] + gap[n // 2]) / 2
     logits += b2
     y = logits.argmax(axis=1).astype(np.int64)
     task = SyntheticTask(d_x, d_h, n, true_switch, w1, b1, w2, b2)

@@ -42,21 +42,28 @@ def rel_err(approx, exact):
     return abs(approx - exact) / abs(exact)
 
 
-def peak_mib(fn):
-    """Peak traced allocation of fn() above what was traced when it began, in
-    MiB. Under an outer trace (``python -X tracemalloc``) the peak is reset
-    first and the trace keeps running."""
+def traced_mib(fn):
+    """(peak, held): the peak traced allocation of fn() and what is still
+    traced when it returns, with its result alive, both above what was
+    traced when it began, in MiB. Under an outer trace (``python -X
+    tracemalloc``) the peak is reset first and the trace keeps running."""
     outer = tracemalloc.is_tracing()
     if not outer:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+        result = fn()  # noqa: F841 - alive while the held bytes are read
+        held, peak = tracemalloc.get_traced_memory()
+        return (peak - base) / 2 ** 20, (held - base) / 2 ** 20
     finally:
         if not outer:
             tracemalloc.stop()
+
+
+def peak_mib(fn):
+    """The peak of ``traced_mib``."""
+    return traced_mib(fn)[0]
 
 
 def child_env():

@@ -1,6 +1,7 @@
 """Config parsing, dataset IO, synthetic task, pipeline, and the CLI."""
 
 import gzip
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -32,7 +33,7 @@ from dirichlet_pruning.synthetic import (_BLOCK_VALUES, gen_synthetic, make_true
                                          task_model)
 from dirichlet_pruning import cli, errors
 
-from conftest import child_env, peak_mib
+from conftest import child_env, peak_mib, traced_mib
 from synthetic_oracle import one_buffer_synthetic
 
 
@@ -278,12 +279,40 @@ def test_idx_allocation_peak_is_one_float_copy(tmp_path):
     assert peak_mib(lambda: load_mnist_idx(ip, lp)) <= 1.25 * x_mib
 
 
+def _permutation_split(x, y, val_fraction, rng):
+    """The split as fancy-index copies through one ``rng.permutation``: the
+    reference the in-place shuffle must match row for row and draw for draw."""
+    n = x.shape[0]
+    n_val = int(round(val_fraction * n))
+    idx = rng.permutation(n)
+    val, train = idx[:n_val], idx[n_val:]
+    return x[train], y[train], x[val], y[val]
+
+
 def test_train_val_split_partitions():
-    x = np.arange(40, dtype=np.float64).reshape(20, 2)
-    y = np.arange(20)
-    x_tr, y_tr, x_val, y_val = train_val_split(x, y, 0.25, np.random.default_rng(0))
-    assert x_val.shape == (5, 2) and x_tr.shape == (15, 2)
-    assert sorted(np.concatenate([y_tr, y_val]).tolist()) == list(range(20))
+    base = np.random.default_rng(3).standard_normal((203, 12))
+    idx = base[:, :8].copy().reshape(203, 1, 2, 4)
+    # rows that no view flattens: a strided one, and one whose flattening copies
+    cases = {"2-d": base, "idx": idx, "strided": base[:, ::3],
+             "transposed": idx.transpose(0, 1, 3, 2)}
+    for name, x in cases.items():  # each case copies its x before the split
+        x_ref, y = x.copy(), np.arange(203)
+        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+        want = _permutation_split(x_ref, y.copy(), 0.25, ref_rng)
+        got = train_val_split(x, y, 0.25, rng)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name  # rows and labels, bit for bit
+        assert got[2].shape[0] == 51 and got[0].shape[0] == 152, name
+        assert rng.random() == ref_rng.random(), name  # the same later draws
+        # each row comes back with its label: y numbers the rows of x
+        assert np.array_equal(np.concatenate([got[0], got[2]]).reshape(203, -1),
+                              x_ref[np.concatenate([got[1], got[3]])].reshape(203, -1)), name
+        for part in got[1], got[3]:
+            assert np.shares_memory(part, y), name
+        if x.flags.c_contiguous:
+            for part in got[0], got[2]:
+                assert np.shares_memory(part, x), name
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +403,7 @@ _BLOCK_ROWS = _BLOCK_VALUES // 64  # rows of one hidden block at d_h = 64
 
 
 @pytest.mark.parametrize("n,d_out", [
-    (100, 2), (_BLOCK_ROWS, 2), (3 * _BLOCK_ROWS, 2), (2 * _BLOCK_ROWS + 202, 2),
+    (2, 2), (100, 2), (_BLOCK_ROWS, 2), (3 * _BLOCK_ROWS, 2), (2 * _BLOCK_ROWS + 202, 2),
     (2 * _BLOCK_ROWS + 202, 3),
 ])
 def test_synthetic_matches_the_one_buffer_oracle(n, d_out):
@@ -384,7 +413,7 @@ def test_synthetic_matches_the_one_buffer_oracle(n, d_out):
     assert np.array_equal(x, x_want) and np.array_equal(y, y_want)
     for got, want in ((task.true_switch, switch), (task.w1, w1), (task.b1, b1)):
         assert np.array_equal(got, want)
-    if n <= _BLOCK_ROWS:
+    if n <= _BLOCK_ROWS:  # b2 too: its median is np.median's, bit for bit
         assert np.array_equal(task.w2, w2) and np.array_equal(task.b2, b2)
     else:  # a block's product may round apart from those rows of the full one
         np.testing.assert_allclose(task.w2, w2, rtol=1e-13, atol=1e-13)
@@ -397,6 +426,44 @@ def test_synthetic_allocation_peak_is_x_plus_one_block():
     x_mib = 50_000 * 20 * 8 / 2 ** 20
     peak = peak_mib(lambda: gen_synthetic(20, 64, 50_000, np.random.default_rng(13)))
     assert peak - x_mib <= 8.0
+
+
+def test_load_dataset_allocation_peak_is_x_plus_one_block():
+    # x holds the training, validation and test rows (7.6 MiB); beyond it the
+    # peak is gen_synthetic's one 2 MiB hidden block and (n, 2) logits. The
+    # split shuffles the rows in place, where copying the 40,000 training
+    # and validation rows added 6.1 MiB to the peak and to what stays held.
+    cfg = ExperimentConfig()
+    cfg.dims, cfg.n = (20, 64), 40_000
+    rows = cfg.n + cfg.n // 4
+    x_mib, logits_mib = rows * 20 * 8 / 2 ** 20, rows * 2 * 8 / 2 ** 20
+    block_mib = _BLOCK_VALUES * 8 / 2 ** 20
+    rng = np.random.default_rng(14)  # out of the trace: it imports numpy.random
+    peak, held = traced_mib(lambda: load_dataset(cfg, rng))
+    assert peak <= x_mib + block_mib + logits_mib + 0.5
+    assert held <= x_mib + rows * 8 / 2 ** 20 + 0.1  # x and the int64 labels
+
+
+def test_load_dataset_keeps_only_the_subset_rows(tmp_path):
+    # a view of the first 200 rows would keep all 2,000 (12 MiB) alive
+    cfg = _idx_data_config(tmp_path, 2000, 100, 28, subset=200)
+    row_mib = 28 * 28 * 8 / 2 ** 20
+    rng = np.random.default_rng(15)
+    _, held = traced_mib(lambda: load_dataset(cfg, rng))
+    assert held <= (200 + 100) * row_mib + 0.1
+
+
+def test_gen_synthetic_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call: 10-17 ms per process
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from dirichlet_pruning.synthetic import gen_synthetic\n"
+            "gen_synthetic(10, 8, 100, np.random.default_rng(0))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_task_model_at_truth_reproduces_labels():
@@ -495,6 +562,49 @@ def test_pipeline_failure_names_the_phase(tmp_path):
     cfg = _nano_config(tmp_path / "run2", data="mnist")
     with pytest.raises(PipelineError, match="phase 'data' failed"):
         run_pipeline(cfg)
+
+
+def _idx_data_config(tmp_path, n_train, n_test, side, **overrides):
+    """An ``mnist`` config over generated IDX files of side x side images."""
+    rng = np.random.default_rng(n_train + side)
+    cfg = ExperimentConfig()
+    cfg.data = "mnist"
+    for key, n in (("mnist", n_train), ("mnist_test", n_test)):
+        pixels = rng.integers(0, 256, size=(n, side, side))
+        setattr(cfg, f"{key}_images", str(_write(tmp_path, f"{key}.img", _idx_images(pixels))))
+        labels = _idx_labels(rng.integers(0, 10, n))
+        setattr(cfg, f"{key}_labels", str(_write(tmp_path, f"{key}.lbl", labels)))
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    return cfg
+
+
+def _dataset_digest(data) -> str:
+    """SHA-256 of the dtype, shape and bytes of a Dataset's six arrays."""
+    digest = hashlib.sha256()
+    for a in (data.x_train, data.y_train, data.x_val, data.y_val, data.x_test, data.y_test):
+        digest.update(f"{a.dtype.str} {a.shape}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+# computed with the split by fancy-index copies of one rng.permutation, so
+# any change to the split order, the centering or the draws shows here
+_DATASET_DIGESTS = {
+    "synthetic": "a14e53006ceec0603a7b3d0dfd82284622fb92551e8d1dc0c94e4208a9ca5a0c",
+    "mnist": "b062879abf34d2d48d98f129864e6b404d9b325ca884f868811c69fbe7ed053f",
+}
+
+
+@pytest.mark.parametrize("data", ["synthetic", "mnist"])
+def test_load_dataset_bytes_are_pinned(tmp_path, data):
+    if data == "synthetic":
+        cfg = ExperimentConfig()
+        cfg.dims, cfg.n, cfg.val_fraction = (12, 8), 300, 0.2
+    else:
+        cfg = _idx_data_config(tmp_path, 90, 30, 9, subset=64, val_fraction=0.25)
+    dataset = load_dataset(cfg, np.random.default_rng(21))
+    assert _dataset_digest(dataset) == _DATASET_DIGESTS[data]
 
 
 def test_load_dataset_rejects_unknown_source():
