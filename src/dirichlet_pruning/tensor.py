@@ -27,10 +27,10 @@ backward pass reads (ReLU masks, first-maximum masks, softmax probabilities)
 is kept or built only when the op is recorded, so an untaped or frozen
 forward pays for none of it. conv2d keeps no im2col matrix at all: it works
 in row blocks of bounded size and its backward rebuilds each block's
-columns from the input, which its closure holds. maxpool2d builds its
-first-maximum masks in the recorded forward and keeps neither its input
-nor its output, so LeNet's largest activation, conv1's output, is freed as
-soon as the pool after it has run.
+columns (im2col, or a kw-only lowering) from the input, which its closure
+holds. maxpool2d builds its first-maximum masks in the recorded forward and
+keeps neither its input nor its output, so LeNet's largest activation,
+conv1's output, is freed as soon as the pool after it has run.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves.
@@ -49,6 +49,7 @@ label range.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -305,10 +306,10 @@ def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
 # convolution / pooling
 
 
-# Row blocks of conv2d hold at most this many im2col values: 2 MiB of
-# float64, about one core's L2 cache, so a block's GEMMs read its columns
-# from cache and no conv buffer but the input, output and gradients grows
-# with the batch.
+# A row block of conv2d or maxpool2d keeps its buffers within this many
+# values: 2 MiB of float64, about one core's L2 cache, so a block's GEMMs,
+# adds and copies read their operands from cache and no conv or pool buffer
+# but the input, output, gradients and pool masks grows with the batch.
 _BLOCK_VALUES = 2 ** 18
 
 
@@ -333,105 +334,185 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
     return n, c_in, c_out, kh, kw, h_out, w_out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int,
-            buf: np.ndarray) -> np.ndarray:
-    """The tap-major (C*kh*kw, n*H'*W') patch matrix of the padded NCHW rows
-    xp, built in the front of the flat buffer buf.
-
-    Row (c, i, j) holds tap (i, j) of channel c for every output pixel in
-    (n, y, x) order, so the one gather copies runs of W' input pixels.
-    """
-    n, c = xp.shape[0], xp.shape[1]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
-    cols = buf[:c * kh * kw * n * h_out * w_out].reshape(c, kh, kw, n, h_out, w_out)
-    # (n, C, H', W', kh, kw) -> (C, kh, kw, n, H', W')
-    np.copyto(cols, windows.transpose(1, 4, 5, 0, 2, 3))
-    return cols.reshape(c * kh * kw, n * h_out * w_out)
-
-
-def _col_blocks(x: np.ndarray, rows: int, kh: int, kw: int, stride: int, padding: int,
-                h_out: int, w_out: int):
+def _conv_blocks(x: np.ndarray, rows: int, kh: int, kw: int, stride: int, padding: int,
+                 h_out: int, w_out: int, lowered: bool):
     """Yield (start, stop, cols) for each block of ``rows`` rows of the NCHW
-    array x, the last one ragged: cols is the im2col matrix of x[start:stop]
-    zero-padded by ``padding``. Every block is built in the same buffer (and
-    padded in one more), so a block's matrix lives until the next is yielded."""
+    array x, the last one ragged, with x zero-padded by ``padding``.
+
+    cols is the block's tap-major im2col matrix, shaped (C, kh, kw, rows, H',
+    W'), so the one gather copies runs of W' input pixels. With ``lowered``
+    it is instead the kw-only lowering of MEC (Cho and Brand, ICML 2017),
+    shaped (C, kw, Hp, W', rows) with Hp the padded height: entry (c, j, y,
+    x, n) is input pixel (y, x*stride + j) of row n, so rows i, i+stride, ...
+    of it hold kernel row i's taps for every output pixel, with columns in
+    (y, x, n) order, and a stride-1 slice of H' rows is one matrix with no
+    copy. Every block is built in the same buffer (and padded in one more),
+    whose sliding-window view is made once, so a block's matrix lives until
+    the next is yielded."""
     n, c, h, w = x.shape
-    buf = np.empty(c * kh * kw * rows * h_out * w_out)
+    src = x
     if padding:
-        xp = np.zeros((rows, c, h + 2 * padding, w + 2 * padding))
+        src = np.zeros((rows, c, h + 2 * padding, w + 2 * padding))
+    if lowered:  # (N, C, Hp, W', kw) -> (C, kw, Hp, W', N)
+        windows = np.lib.stride_tricks.sliding_window_view(src, kw, axis=3)
+        windows, order = windows[:, :, :, ::stride][:, :, :, :w_out], (1, 4, 2, 3, 0)
+    else:  # (N, C, H', W', kh, kw) -> (C, kh, kw, N, H', W')
+        windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
+        windows, order = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out], (1, 4, 5, 0, 2, 3)
+    per_row = math.prod(windows.shape[1:])
+    buf = np.empty(per_row * rows)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        block = x[start:stop]
         if padding:
-            block = xp[:stop - start]
-            block[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
-        yield start, stop, _im2col(block, kh, kw, stride, h_out, w_out, buf)
+            src[:stop - start, :, padding:padding + h, padding:padding + w] = x[start:stop]
+            block = windows[:stop - start].transpose(order)
+        else:
+            block = windows[start:stop].transpose(order)
+        cols = buf[:block.size].reshape(block.shape)
+        np.copyto(cols, block)
+        yield start, stop, cols
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
            bias: Optional[Tensor] = None) -> Tensor:
-    """Batched 2-d cross-correlation by im2col, NCHW layout, no kernel flip,
-    plus bias[o] on every element of output channel o when a bias is given.
+    """Batched 2-d cross-correlation, NCHW layout, no kernel flip, plus
+    bias[o] on every element of output channel o when a bias is given.
 
-    The batch runs in blocks of rows whose tap-major im2col matrix holds at
-    most ``_BLOCK_VALUES`` values, built in one buffer that every block of
-    the call reuses, so no buffer but the input, output and gradients grows
-    with the batch. The forward is one GEMM per row, (c_out, C*kh*kw) @
-    (C*kh*kw, H'*W'), written straight into that row's slot of the NCHW
-    output; the bias is added to the output in place. Nothing is kept for
-    the backward but the input: the kernel gradient rebuilds each block's
-    matrix and adds g (c_out, rows*H'*W') @ cols.T, read through a view with
-    no copy. The input gradient of a block is one GEMM for all taps,
-    (kh*kw*C, c_out) @ g (c_out, H'*W'*rows), so it rounds as a col2im GEMM
-    does even at C = 1, where a per-tap product would be a GEMV. Tap (i, j)
-    of it is added to a strided window of a (C, H, W, rows) buffer, a run of
-    W'*rows contiguous values per output row at stride 1, which is then
-    transposed into NCHW. The bias gradient is g summed over N, H' and W'.
-    The backward returns one gradient per recorded input: (x, kernel), or
-    (x, kernel, bias).
+    The batch runs in blocks of rows, each block buffer holding at most
+    ``_BLOCK_VALUES`` values and reused by every block of the call, so no
+    buffer but the input, output and gradients grows with the batch. The
+    GEMMs take the form the layer's shape favours:
+
+    - Where a row has at least as many output pixels as taps (H'*W' >=
+      C*kh*kw, LeNet's conv1) a block is a tap-major im2col matrix. The
+      forward is one GEMM per row, (c_out, C*kh*kw) @ (C*kh*kw, H'*W'),
+      written straight into that row's slot of the NCHW output, and the
+      kernel gradient sums the per-row products g (c_out, H'*W') @ cols.T,
+      which read g in place.
+    - Elsewhere (LeNet's conv2) a block is the kw-only MEC lowering of its
+      input (see ``_conv_blocks``), 1/kh of im2col's size at stride 1. The
+      forward sums kh GEMMs, (c_out, C*kw) @ (C*kw, H'*W'*rows), one per
+      kernel row, in a block buffer that one copy transposes into NCHW; the
+      kernel gradient is kh GEMMs, g @ lowered.T.
+
+    Either way a block's bias is added while the block is in cache. Nothing
+    is kept for the backward but the input, from which it rebuilds each
+    block. The backward copies each block of g once into (c_out, H'*W'*rows)
+    order, which the lowered kernel gradient and the input gradient share.
+    Tap (i, j) of a block's input gradient is one GEMM, g.T @ kernel[:, :,
+    i, j], (H'*W'*rows, C); at C = 1 one GEMM makes every tap, since a
+    per-tap product would be a GEMV, which rounds otherwise. Each tap is
+    added, in col2im's order and so with its rounding, to its window of a
+    (Hp, Wp, rows, C) buffer: W'*rows*C contiguous values per output row at
+    stride 1, one 1-d add each, since numpy buffers a strided add of short
+    runs and runs it several times slower. One copy then transposes the
+    buffer into NCHW. The bias gradient is g summed over N, H' and W'. The
+    backward returns one gradient per recorded input: (x, kernel), or (x,
+    kernel, bias).
     """
     n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
     if bias is not None:
         _check_bias(bias, c_out, "conv2d")
+    h, w = x.shape[2], x.shape[3]
+    hp, wp = h + 2 * padding, w + 2 * padding
     hw = h_out * w_out
     depth = c_in * kh * kw
-    rows = max(1, min(n, _BLOCK_VALUES // max(1, depth * hw)))  # depth is 0 at C = 0
+    lowered = hw < depth
+    tap_values = (kh * kw if c_in == 1 else c_in) * hw  # one row's input-gradient taps
+    # values one row puts in the block buffers, which together hold at most
+    # _BLOCK_VALUES: its im2col matrix or lowered input, g or the forward's
+    # two partial outputs, the input gradient's taps and the padded input or
+    # its gradient
+    per_row = (c_in * kw * hp * w_out if lowered else depth * hw) \
+        + 2 * c_out * hw + tap_values + c_in * hp * wp
+    rows = max(1, min(n, _BLOCK_VALUES // max(1, per_row)))
+    kd = kernel.data
     out = np.empty((n, c_out, h_out, w_out))
-    k2 = kernel.data.reshape(c_out, depth)
-    for start, stop, cols in _col_blocks(x.data, rows, kh, kw, stride, padding, h_out, w_out):
-        b = stop - start
-        np.matmul(k2, cols.reshape(depth, b, hw).transpose(1, 0, 2),
-                  out=out[start:stop].reshape(b, c_out, hw))
-    if bias is not None:
-        out += bias.data[:, None, None]
-    h, w = x.shape[2], x.shape[3]
+    # the bias as one (c_out, H'*W') plane: numpy adds a plane broadcast over
+    # a block's rows about twice as fast as a (c_out, 1) column
+    bias_plane = None if bias is None else np.repeat(bias.data, hw).reshape(c_out, hw)
+
+    def kernel_row(low, i):
+        """Kernel row i's taps of a lowered block: (C*kw, H'*W'*rows)."""
+        return low[:, :, i:i + stride * (h_out - 1) + 1:stride].reshape(c_in * kw, -1)
+
+    if lowered:
+        k_rows = kd.transpose(2, 0, 1, 3).reshape(kh, c_out, c_in * kw)  # row i: (o, (c, j))
+        acc, part = np.empty(c_out * hw * rows), np.empty(c_out * hw * rows)
+        for start, stop, low in _conv_blocks(x.data, rows, kh, kw, stride, padding,
+                                             h_out, w_out, True):
+            b = stop - start
+            o = acc[:c_out * hw * b].reshape(c_out, -1)
+            np.matmul(k_rows[0], kernel_row(low, 0), out=o)
+            p = part[:c_out * hw * b].reshape(c_out, -1)
+            for i in range(1, kh):
+                o += np.matmul(k_rows[i], kernel_row(low, i), out=p)
+            block = out[start:stop].reshape(b, c_out, hw)
+            np.copyto(block, o.reshape(c_out, hw, b).transpose(2, 0, 1))
+            if bias_plane is not None:
+                block += bias_plane
+    else:
+        k2 = kd.reshape(c_out, depth)
+        for start, stop, cols in _conv_blocks(x.data, rows, kh, kw, stride, padding,
+                                              h_out, w_out, False):
+            b = stop - start
+            block = out[start:stop].reshape(b, c_out, hw)
+            np.matmul(k2, cols.reshape(depth, b, hw).transpose(1, 0, 2), out=block)
+            if bias_plane is not None:
+                block += bias_plane
 
     def bwd(g):
         grad_k = grad_x = None
-        if kernel.requires_grad:
+        if kernel.requires_grad and not lowered:
             grad_k = np.zeros((c_out, depth))
-            for start, stop, cols in _col_blocks(x.data, rows, kh, kw, stride, padding,
-                                                 h_out, w_out):
-                g2 = g[start:stop].transpose(1, 0, 2, 3).reshape(c_out, -1)  # copies H'*W' runs
-                grad_k += g2 @ cols.T
-            grad_k = grad_k.reshape(kernel.shape)
-        if x.requires_grad:
-            grad_x = np.empty(x.shape)
-            taps_k = kernel.data.transpose(2, 3, 1, 0).reshape(-1, c_out)  # rows (i, j, c)
-            for start in range(0, n, rows):
-                stop = min(start + rows, n)
+            for start, stop, cols in _conv_blocks(x.data, rows, kh, kw, stride, padding,
+                                                  h_out, w_out, False):
                 b = stop - start
-                # columns (y, x, n), so a tap's window rows are runs of W'*b values
-                gt = g[start:stop].transpose(1, 2, 3, 0).reshape(c_out, hw * b)
-                taps = (taps_k @ gt).reshape(kh, kw, c_in, h_out, w_out, b)
-                gxp = np.zeros((c_in, h + 2 * padding, w + 2 * padding, b))
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, i:i + stride * h_out:stride,
-                            j:j + stride * w_out:stride] += taps[i, j]
-                grad_x[start:stop] = \
-                    gxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2)
+                grad_k += np.add.reduce(np.matmul(g[start:stop].reshape(b, c_out, hw),
+                                                  cols.reshape(depth, b, hw).transpose(1, 2, 0)),
+                                        axis=0)
+            grad_k = grad_k.reshape(kernel.shape)
+        lower = kernel.requires_grad and lowered  # the kernel gradient reads lowered blocks
+        if x.requires_grad or lower:
+            if lower:
+                grad_rows = np.zeros((kh, c_out, c_in * kw))
+                blocks = _conv_blocks(x.data, rows, kh, kw, stride, padding, h_out, w_out, True)
+            else:
+                blocks = ((start, min(start + rows, n), None) for start in range(0, n, rows))
+            if x.requires_grad:
+                grad_x = np.empty(x.shape)
+                k_taps = kd.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in)  # tap (i, j)
+                tap_buf, pad_buf = np.empty(tap_values * rows), np.empty(hp * wp * c_in * rows)
+            gt_buf = np.empty(c_out * hw * rows)
+            for start, stop, low in blocks:
+                b = stop - start
+                gt = gt_buf[:c_out * hw * b].reshape(c_out, h_out, w_out, b)
+                np.copyto(gt, g[start:stop].transpose(1, 2, 3, 0))
+                gt = gt.reshape(c_out, -1)  # columns (y, x, n)
+                if lower:
+                    for i in range(kh):
+                        grad_rows[i] += gt @ kernel_row(low, i).T
+                if x.requires_grad:
+                    if c_in == 1:
+                        taps = np.matmul(k_taps[:, :, 0], gt,
+                                         out=tap_buf[:tap_values * b].reshape(kh * kw, -1))
+                    else:
+                        tap_out = tap_buf[:tap_values * b].reshape(-1, c_in)
+                    gxp = pad_buf[:hp * wp * b * c_in].reshape(hp, wp, -1)  # (Hp, Wp, b*C)
+                    gxp.fill(0.0)
+                    for t in range(kh * kw):
+                        i, j = divmod(t, kw)
+                        tap = taps[t] if c_in == 1 else np.matmul(gt.T, k_taps[t], out=tap_out)
+                        tap_rows = tap.reshape(h_out, w_out, -1)
+                        window = gxp[:, j:j + stride * (w_out - 1) + 1:stride]
+                        for y in range(h_out):
+                            row = window[i + stride * y]
+                            np.add(row, tap_rows[y], out=row)
+                    grad_x[start:stop] = gxp.reshape(hp, wp, b, c_in)[
+                        padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1)
+            if lower:
+                grad_k = np.ascontiguousarray(
+                    grad_rows.reshape(kh, c_out, c_in, kw).transpose(1, 2, 0, 3))
         if bias is None:
             return grad_x, grad_k
         return grad_x, grad_k, (g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
@@ -447,7 +528,9 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     order, as argmax would pick it. A recorded forward finds those maxima
     right away, as one boolean mask per tap of the output's shape, and its
     backward keeps only the masks and the shapes: not the input, whose array
-    is freed as soon as nothing else holds it, nor the output.
+    is freed as soon as nothing else holds it, nor the output. Where the
+    windows tile the input exactly (k == stride, H = k*H', W = k*W'; every
+    LeNet pool) ``_maxpool_tiles`` does the same work in row blocks.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
@@ -458,6 +541,8 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ShapeError(f"pool window {k} larger than input {x.shape}")
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
+    if stride == k and h == k * h_out and w == k * w_out:
+        return _maxpool_tiles(x, k)
 
     def tap(a, t):
         """The view of a (N, C, H, W) array that tap t of every window reads."""
@@ -493,6 +578,89 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         return (gx,)
 
     return _record(_output(best), (x,), bwd)
+
+
+def _maxpool_tiles(x: Tensor, k: int) -> Tensor:
+    """maxpool2d with stride k on an input that k x k windows tile exactly.
+
+    Each input pixel then lies in one window, at one tap, and the work runs
+    in blocks of rows on contiguous arrays where it can: numpy's ufuncs run
+    several times slower on a strided view of short runs, where a copy does
+    not. A recorded forward copies a block tap-major, (k*k, rows, C, H', W'),
+    takes the running maximum over its taps and compares each tap with it
+    for the first-max masks, one array per tap for the whole batch.
+    An untaped forward needs no masks and no copy: it takes the maximum over
+    each window row's k pixels, then over the window's k rows. The backward
+    selects g for each tap with an AND of bit patterns, as relu does, and
+    copies it into that tap's pixels of the uninitialised input gradient,
+    so each pixel is written once.
+    """
+    n, c, h, w = x.shape
+    h_out, w_out, taps = h // k, w // k, k * k
+    per_row = c * h * w
+    # a block's input rows and their tap-major copy together hold at most
+    # _BLOCK_VALUES values, and so does the backward's block of selected g
+    # with the input gradient rows it fills
+    rows = max(1, min(n, _BLOCK_VALUES // max(1, 2 * per_row)))
+    best = np.empty((n, c, h_out, w_out))
+    recorded = bool(_TAPES and x.requires_grad)  # exactly when _record records
+    if recorded:
+        first = [np.empty((n, c, h_out, w_out), dtype=bool) for _ in range(taps)]
+        free_buf = np.empty(per_row // taps * rows, dtype=bool)
+    buf = np.empty((per_row if recorded else per_row // k) * rows)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        b = stop - start
+        top = best[start:stop]
+        if not recorded:
+            pixels = x.data[start:stop].reshape(b, c, h, w_out, k)
+            row_max = buf[:per_row // k * b].reshape(b, c, h, w_out)
+            _running_max([pixels[..., j] for j in range(k)], row_max)
+            row_max = row_max.reshape(b, c, h_out, k, w_out)
+            _running_max([row_max[:, :, :, i] for i in range(k)], top)
+            continue
+        block = buf[:per_row * b].reshape(k, k, b, c, h_out, w_out)
+        np.copyto(block, x.data[start:stop].reshape(b, c, h_out, k, w_out, k)
+                  .transpose(3, 5, 0, 1, 2, 4))
+        block = block.reshape(taps, b, c, h_out, w_out)
+        _running_max(block, top)
+        free = free_buf[:per_row // taps * b].reshape(top.shape)
+        free.fill(True)
+        for t in range(taps):
+            hit = first[t][start:stop]
+            np.equal(block[t], top, out=hit)
+            hit &= free
+            free ^= hit
+    if not recorded:
+        return _output(best)
+
+    def bwd(g):
+        gx = np.empty((n, c, h, w))
+        keep_buf = np.empty(per_row // taps * rows, dtype=np.int64)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            b = stop - start
+            bits, keep = g[start:stop].view(np.int64), keep_buf[:per_row // taps * b]
+            keep = keep.reshape(bits.shape)
+            pixels = gx[start:stop].reshape(b, c, h_out, k, w_out, k)
+            for t in range(taps):  # g where the mask holds, else +0.0, even for inf or NaN
+                i, j = divmod(t, k)
+                np.negative(first[t][start:stop], out=keep, dtype=np.int64)
+                np.bitwise_and(keep, bits, out=keep)
+                np.copyto(pixels[:, :, :, i, :, j], keep.view(np.float64))
+        return (gx,)
+
+    return _record(_output(best), (x,), bwd)
+
+
+def _running_max(arrays, out: np.ndarray) -> None:
+    """out = the elementwise maximum of ``arrays``, taken left to right."""
+    if len(arrays) == 1:
+        np.copyto(out, arrays[0])
+        return
+    np.maximum(arrays[0], arrays[1], out=out)
+    for a in arrays[2:]:
+        np.maximum(out, a, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -515,15 +515,32 @@ def test_pipeline_smoke_writes_all_artifacts(tmp_path):
     assert lines[1] == "arch_string,2"
 
 
-@pytest.mark.parametrize("estimator", [{}, {"estimator": "implicit", "k": 3}],
-                         ids=["analytic", "implicit"])
-def test_pipeline_deterministic_artifacts_are_byte_stable(tmp_path, estimator):
+def _nano_lenet_config(tmp_path, out_dir, widths=(2, 3, 6, 4)):
+    """``_nano_config`` for LeNet on 40 generated 28 x 28 IDX images, which
+    it both trains and tests on."""
+    rng = np.random.default_rng(35)
+    pixels = rng.integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
+    ip = _write(tmp_path, "imgs.idx", _idx_images(pixels))
+    lp = _write(tmp_path, "labels.idx", _idx_labels(rng.integers(0, 10, 40)))
+    return _nano_config(out_dir, data="mnist", arch="lenet5", widths=widths,
+                        mnist_images=ip, mnist_labels=lp,
+                        mnist_test_images=ip, mnist_test_labels=lp)
+
+
+@pytest.mark.parametrize("config", [
+    lambda tmp_path, out: _nano_config(out),
+    lambda tmp_path, out: _nano_config(out, estimator="implicit", k=3),
+    # conv1's width 3 makes conv2 lower its input by kw (H'*W' = 64 < 75
+    # taps) while conv1 builds im2col, and both pools tile their input
+    lambda tmp_path, out: _nano_lenet_config(tmp_path, out, widths=(3, 3, 6, 4)),
+], ids=["analytic", "implicit", "lenet"])
+def test_pipeline_deterministic_artifacts_are_byte_stable(tmp_path, config):
     out = tmp_path / "run"
     stable = ("resolved_config.txt", "switches.json", "ranking.csv",
               "plan.json", "pruned.dpm1", "finetuned.dpm1", "metrics.csv")
-    run_pipeline(_nano_config(out, **estimator))
+    run_pipeline(config(tmp_path, out))
     first = {name: (out / name).read_bytes() for name in stable}
-    run_pipeline(_nano_config(out, **estimator))
+    run_pipeline(config(tmp_path, out))
     for name in stable:
         assert (out / name).read_bytes() == first[name], name
 
@@ -539,14 +556,8 @@ def test_pipeline_writes_switches_to_switches_path(tmp_path):
 def test_pipeline_artifacts_share_the_prunable_ordinals(tmp_path):
     # switches.json, ranking.csv and plan.json all address LeNet's four
     # prunable layers as 0..3, not by graph position
-    rng = np.random.default_rng(35)
-    pixels = rng.integers(0, 256, size=(40, 28, 28)).astype(np.uint8)
-    ip = _write(tmp_path, "imgs.idx", _idx_images(pixels))
-    lp = _write(tmp_path, "labels.idx", _idx_labels(rng.integers(0, 10, 40)))
     out = tmp_path / "run"
-    run_pipeline(_nano_config(out, data="mnist", arch="lenet5", widths=(2, 3, 6, 4),
-                              mnist_images=ip, mnist_labels=lp,
-                              mnist_test_images=ip, mnist_test_labels=lp))
+    run_pipeline(_nano_lenet_config(tmp_path, out))
     ordinals = ["0", "1", "2", "3"]
     assert sorted(json.loads((out / "switches.json").read_text())["theta"]) == ordinals
     assert sorted(json.loads((out / "plan.json").read_text())["keep"]) == ordinals

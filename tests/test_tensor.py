@@ -192,6 +192,48 @@ def _conv2d_einsum(x, k, stride, padding):
                      windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out], k)
 
 
+@pytest.fixture
+def conv_blocks(monkeypatch):
+    """(lowered, start, stop) of every row block conv2d builds, in order."""
+    log = []
+    build = T._conv_blocks
+
+    def logged(x, rows, kh, kw, stride, padding, h_out, w_out, lowered):
+        for start, stop, cols in build(x, rows, kh, kw, stride, padding, h_out, w_out, lowered):
+            log.append((lowered, start, stop))
+            yield start, stop, cols
+
+    monkeypatch.setattr(T, "_conv_blocks", logged)
+    return log
+
+
+def _check_conv_against_oracles(x, k, g_draw, stride, padding, blocks):
+    """conv2d's output against the einsum oracle at 1e-12 abs, and its input
+    and kernel gradients, for the output gradient g_draw(shape), against the
+    col2im oracle at rtol 1e-12; returns the (lowered, start, stop) of the
+    row blocks its forward built."""
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Tape():
+        out = T.conv2d(xt, kt, stride=stride, padding=padding)
+        forward_blocks = list(blocks)
+        g = g_draw(out.shape)
+        loss = tsum(mul(out, Tensor(g)))
+    assert np.max(np.abs(out.data - _conv2d_einsum(x, k, stride, padding))) <= 1e-12
+    T.backward(loss)
+    gx, gk = _conv2d_grads_col2im(x, k, g, stride, padding)
+    np.testing.assert_allclose(xt.grad, gx, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(kt.grad, gk, rtol=1e-12, atol=0.0)
+    return forward_blocks
+
+
+def _assert_ragged_blocks(blocks, n):
+    """At least three row blocks that cover the n rows in order, the last one
+    shorter than the others."""
+    sizes = [stop - start for _, start, stop in blocks]
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0] and sum(sizes) == n
+    assert [start for _, start, _ in blocks] == [0] + list(np.cumsum(sizes[:-1]))
+
+
 # 2400 rows are at least three row blocks of conv2d, the last one ragged,
 # for each (stride, padding) and c_in below that it is tried with
 BLOCKED_ROWS = 2400
@@ -201,23 +243,50 @@ BLOCKED_ROWS = 2400
 @pytest.mark.parametrize("stride,padding,n", [
     (1, 0, 3), (2, 1, 3), (3, 2, 3), (1, 0, BLOCKED_ROWS), (2, 1, BLOCKED_ROWS),
 ], ids=["1-0", "2-1", "3-2", "1-0-blocked", "2-1-blocked"])
-def test_conv2d_grads_match_col2im_oracle(stride, padding, n, c_in):
+def test_conv2d_grads_match_col2im_oracle(stride, padding, n, c_in, conv_blocks):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((n, c_in, 9, 10))
     k = rng.standard_normal((4, c_in, 3, 3))
-    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-    with Tape():
-        out = T.conv2d(xt, kt, stride=stride, padding=padding)
-        g = rng.standard_normal(out.shape)
-        loss = tsum(mul(out, Tensor(g)))
+    blocks = _check_conv_against_oracles(x, k, rng.standard_normal, stride, padding, conv_blocks)
     if n == BLOCKED_ROWS:
-        rows = T._BLOCK_VALUES // (c_in * 9 * out.shape[2] * out.shape[3])
-        assert n >= 2 * rows + 1 and n % rows != 0
-    assert np.max(np.abs(out.data - _conv2d_einsum(x, k, stride, padding))) <= 1e-12
-    T.backward(loss)
-    gx, gk = _conv2d_grads_col2im(x, k, g, stride, padding)
-    np.testing.assert_allclose(xt.grad, gx, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(kt.grad, gk, rtol=1e-12, atol=0.0)
+        _assert_ragged_blocks(blocks, n)
+
+
+# conv2d lowers a block by kw only (MEC) where a row has fewer output pixels
+# than taps, H'*W' < C*kh*kw, and builds im2col elsewhere: cases on both
+# sides of that rule, at its boundary, with padding, stride > 1 and, at 1000
+# rows, three or more row blocks with a ragged last one. The data are
+# positive, so no sum cancels and rtol 1e-12 holds in any summation order:
+# with mixed signs a kernel-gradient entry summed from 20,000 products can
+# land near zero, where a blocked sum misses the one-GEMM oracle by more
+# (it did at mec-1-0-blocked, by 3.3e-12, for the parent's kernel too)
+@pytest.mark.parametrize("x_hw,c_in,k_hw,stride,padding,n,lowered", [
+    ((7, 6), 8, (3, 3), 1, 0, 4, True),      # H'*W' = 20 < 72
+    ((7, 6), 8, (3, 3), 1, 1, 4, True),      # 42 < 72
+    ((7, 6), 8, (3, 3), 2, 1, 4, True),      # 12 < 72
+    ((7, 6), 8, (3, 3), 1, 0, 1000, True),
+    ((7, 6), 8, (3, 3), 2, 1, 1000, True),
+    ((8, 7), 4, (3, 3), 1, 0, 4, True),      # 30 < 36, just below the boundary
+    ((8, 8), 4, (3, 3), 1, 0, 4, False),     # 36 = 36, on it
+    ((9, 10), 2, (2, 3), 1, 0, 4, False),    # 64 >= 12
+    ((9, 10), 2, (2, 3), 2, 1, 4, False),    # 25 >= 12
+    ((9, 10), 2, (2, 3), 1, 0, 1000, False),
+    ((9, 10), 2, (2, 3), 2, 1, 1000, False),
+], ids=["mec-1-0", "mec-1-1", "mec-2-1", "mec-1-0-blocked", "mec-2-1-blocked",
+        "mec-boundary", "im2col-boundary", "im2col-1-0", "im2col-2-1",
+        "im2col-1-0-blocked", "im2col-2-1-blocked"])
+def test_conv2d_gemm_forms_match_col2im_oracle(x_hw, c_in, k_hw, stride, padding, n, lowered,
+                                               conv_blocks):
+    rng = np.random.default_rng(32)
+
+    def positive(shape):
+        return rng.uniform(0.5, 2.0, shape)
+
+    x, k = positive((n, c_in) + x_hw), positive((5, c_in) + k_hw)
+    blocks = _check_conv_against_oracles(x, k, positive, stride, padding, conv_blocks)
+    assert {form for form, _, _ in blocks} == {lowered}
+    if n == 1000:
+        _assert_ragged_blocks(blocks, n)
 
 
 @pytest.mark.parametrize("x_shape,k_shape", [
@@ -241,6 +310,23 @@ def test_conv2d_allocation_peak_is_its_output_plus_one_block():
     k = Tensor(rng.standard_normal((50, 20, 5, 5)))
     out_mib = 400 * 50 * 8 * 8 * 8 / 2 ** 20
     assert peak_mib(lambda: T.conv2d(x, k)) <= out_mib + 3.0
+
+
+def test_conv2d_backward_allocation_peak_is_its_gradients_plus_one_block():
+    # LeNet conv2's recorded backward on 400 rows: 10.9 MiB, the 8.8 MiB
+    # input gradient, the 0.2 MiB kernel gradient and the block buffers,
+    # which together hold at most one block; a fresh g transpose, tap
+    # matrix and padded gradient per block peaked at 15.6 MiB
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.standard_normal((400, 20, 12, 12)), requires_grad=True)
+    k = Tensor(rng.standard_normal((50, 20, 5, 5)), requires_grad=True)
+    with Tape() as tape:
+        out = T.conv2d(x, k)
+    g = rng.standard_normal(out.shape)
+    (node,) = tape._nodes
+    grads_mib = (x.size + k.size) * 8 / 2 ** 20
+    block_mib = T._BLOCK_VALUES * 8 / 2 ** 20
+    assert peak_mib(lambda: node.backward_fn(g)) <= grads_mib + block_mib + 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +448,26 @@ def _maxpool_naive(x, k, stride, g):
     return out, gx
 
 
-@pytest.mark.parametrize("hw", [(9, 11), (10, 12)])
+# k x k windows at stride k tile (9, 12) at k = 3 and (10, 12) and (12, 12)
+# at k = 2, the shapes maxpool2d pools in tap-major row blocks; (9, 11) at
+# k = 2 and (10, 12) at k = 3 leave a last row over (H = k*H' + 1)
+@pytest.mark.parametrize("hw", [(9, 11), (10, 12), (9, 12), (12, 12)])
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
 def test_maxpool2d_matches_naive_loop_with_ties(k, stride, hw):
+    _check_pool_against_naive_loop((2, 3) + hw, k, stride)
+
+
+def test_maxpool2d_tiles_match_naive_loop_across_row_blocks(monkeypatch):
+    # a block budget of three rows' tap-major copy and input: 7 rows make
+    # blocks of 3, 3 and 1
+    monkeypatch.setattr(T, "_BLOCK_VALUES", 3 * 2 * (3 * 8 * 12))
+    _check_pool_against_naive_loop((7, 3, 8, 12), 2, 2)
+
+
+def _check_pool_against_naive_loop(x_shape, k, stride):
     rng = np.random.default_rng(18)
     # ReLU zeros and values rounded to 0.1 give many tied windows
-    x = np.round(np.maximum(rng.standard_normal((2, 3) + hw), 0.0), 1)
+    x = np.round(np.maximum(rng.standard_normal(x_shape), 0.0), 1)
     xt = Tensor(x, requires_grad=True)
     with Tape():
         out = T.maxpool2d(xt, k, stride)
@@ -378,12 +478,26 @@ def test_maxpool2d_matches_naive_loop_with_ties(k, stride, hw):
     ref_out, ref_gx = _maxpool_naive(x, k, stride, g)
     assert np.array_equal(out.data, ref_out)
     assert np.array_equal(xt.grad, ref_gx)
+    # an untaped forward keeps no masks and, on tiles, takes the maximum by rows
+    assert np.array_equal(T.maxpool2d(Tensor(x), k, stride).data, ref_out)
 
 
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)])
 def test_maxpool2d_sends_non_finite_gradient_to_the_maximum_only(k, stride):
+    _check_non_finite_pool_gradient((1, 2, 9, 11), k, stride)
+
+
+@pytest.mark.parametrize("hw,k", [((8, 12), 2), ((9, 12), 3), ((9, 12), 2), ((10, 12), 3)],
+                         ids=["tiles-2", "tiles-3", "row-over-2", "row-over-3"])
+def test_maxpool2d_tiled_or_not_sends_non_finite_gradient_to_the_maximum_only(hw, k):
+    # the tap-major path where k x k windows tile the input at stride k, the
+    # general one where one row is left over (H = k*H' + 1)
+    _check_non_finite_pool_gradient((1, 2) + hw, k, k)
+
+
+def _check_non_finite_pool_gradient(x_shape, k, stride):
     rng = np.random.default_rng(19)
-    x = rng.permutation(2 * 9 * 11).astype(np.float64).reshape(1, 2, 9, 11)
+    x = rng.permutation(int(np.prod(x_shape))).astype(np.float64).reshape(x_shape)
     xt = Tensor(x, requires_grad=True)
     with Tape():
         out = T.maxpool2d(xt, k, stride)
