@@ -378,10 +378,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     """Batched 2-d cross-correlation, NCHW layout, no kernel flip, plus
     bias[o] on every element of output channel o when a bias is given.
 
-    The batch runs in blocks of rows, each block buffer holding at most
-    ``_BLOCK_VALUES`` values and reused by every block of the call, so no
-    buffer but the input, output and gradients grows with the batch. The
-    GEMMs take the form the layer's shape favours:
+    The batch runs in blocks of rows whose buffers, reused by every block of
+    the call, together hold at most ``_BLOCK_VALUES`` values (one row's
+    where one row needs more), so no buffer but the input, output and
+    gradients grows with the batch. The GEMMs take the form the layer's
+    shape favours:
 
     - Where a row has at least as many output pixels as taps (H'*W' >=
       C*kh*kw, LeNet's conv1) a block is a tap-major im2col matrix. The
@@ -420,11 +421,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     lowered = hw < depth
     tap_values = (kh * kw if c_in == 1 else c_in) * hw  # one row's input-gradient taps
     # values one row puts in the block buffers, which together hold at most
-    # _BLOCK_VALUES: its im2col matrix or lowered input, g or the forward's
-    # two partial outputs, the input gradient's taps and the padded input or
-    # its gradient
+    # _BLOCK_VALUES: its im2col matrix or lowered input and, when padded, the
+    # zero-bordered input they are gathered from; g or the forward's two
+    # partial outputs; the input gradient's taps and its padded gradient;
+    # and at stride > 1 the copy of a kernel row's taps a lowered GEMM reads
     per_row = (c_in * kw * hp * w_out if lowered else depth * hw) \
-        + 2 * c_out * hw + tap_values + c_in * hp * wp
+        + (c_in * hp * wp if padding else 0) + 2 * c_out * hw + tap_values \
+        + c_in * hp * wp + (c_in * kw * hw if lowered and stride > 1 else 0)
     rows = max(1, min(n, _BLOCK_VALUES // max(1, per_row)))
     kd = kernel.data
     out = np.empty((n, c_out, h_out, w_out))
@@ -442,9 +445,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
         for start, stop, low in _conv_blocks(x.data, rows, kh, kw, stride, padding,
                                              h_out, w_out, True):
             b = stop - start
-            o = acc[:c_out * hw * b].reshape(c_out, -1)
+            o = acc[:c_out * hw * b].reshape(c_out, hw * b)
             np.matmul(k_rows[0], kernel_row(low, 0), out=o)
-            p = part[:c_out * hw * b].reshape(c_out, -1)
+            p = part[:c_out * hw * b].reshape(c_out, hw * b)
             for i in range(1, kh):
                 o += np.matmul(k_rows[i], kernel_row(low, i), out=p)
             block = out[start:stop].reshape(b, c_out, hw)
@@ -488,22 +491,22 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
                 b = stop - start
                 gt = gt_buf[:c_out * hw * b].reshape(c_out, h_out, w_out, b)
                 np.copyto(gt, g[start:stop].transpose(1, 2, 3, 0))
-                gt = gt.reshape(c_out, -1)  # columns (y, x, n)
+                gt = gt.reshape(c_out, hw * b)  # columns (y, x, n)
                 if lower:
                     for i in range(kh):
                         grad_rows[i] += gt @ kernel_row(low, i).T
                 if x.requires_grad:
                     if c_in == 1:
                         taps = np.matmul(k_taps[:, :, 0], gt,
-                                         out=tap_buf[:tap_values * b].reshape(kh * kw, -1))
+                                         out=tap_buf[:tap_values * b].reshape(kh * kw, hw * b))
                     else:
-                        tap_out = tap_buf[:tap_values * b].reshape(-1, c_in)
-                    gxp = pad_buf[:hp * wp * b * c_in].reshape(hp, wp, -1)  # (Hp, Wp, b*C)
+                        tap_out = tap_buf[:tap_values * b].reshape(hw * b, c_in)
+                    gxp = pad_buf[:hp * wp * b * c_in].reshape(hp, wp, b * c_in)
                     gxp.fill(0.0)
                     for t in range(kh * kw):
                         i, j = divmod(t, kw)
                         tap = taps[t] if c_in == 1 else np.matmul(gt.T, k_taps[t], out=tap_out)
-                        tap_rows = tap.reshape(h_out, w_out, -1)
+                        tap_rows = tap.reshape(h_out, w_out, b * c_in)
                         window = gxp[:, j:j + stride * (w_out - 1) + 1:stride]
                         for y in range(h_out):
                             row = window[i + stride * y]
@@ -530,7 +533,7 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     backward keeps only the masks and the shapes: not the input, whose array
     is freed as soon as nothing else holds it, nor the output. Where the
     windows tile the input exactly (k == stride, H = k*H', W = k*W'; every
-    LeNet pool) ``_maxpool_tiles`` does the same work in row blocks.
+    LeNet pool) ``_maxpool_tiles`` does a recorded pool's work in row blocks.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
@@ -541,7 +544,8 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ShapeError(f"pool window {k} larger than input {x.shape}")
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
-    if stride == k and h == k * h_out and w == k * w_out:
+    recorded = bool(_TAPES and x.requires_grad)  # exactly when _record records
+    if recorded and stride == k and h == k * h_out and w == k * w_out:
         return _maxpool_tiles(x, k)
 
     def tap(a, t):
@@ -552,7 +556,7 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     best = tap(x.data, 0).copy()
     for t in range(1, k * k):
         np.maximum(best, tap(x.data, t), out=best)
-    if not (_TAPES and x.requires_grad):  # exactly when _record records nothing
+    if not recorded:
         return _output(best)
     free = np.ones(best.shape, dtype=bool)
     first = []
@@ -581,19 +585,18 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
 
 def _maxpool_tiles(x: Tensor, k: int) -> Tensor:
-    """maxpool2d with stride k on an input that k x k windows tile exactly.
+    """A recorded maxpool2d with stride k on an input that k x k windows tile
+    exactly.
 
     Each input pixel then lies in one window, at one tap, and the work runs
-    in blocks of rows on contiguous arrays where it can: numpy's ufuncs run
-    several times slower on a strided view of short runs, where a copy does
-    not. A recorded forward copies a block tap-major, (k*k, rows, C, H', W'),
-    takes the running maximum over its taps and compares each tap with it
-    for the first-max masks, one array per tap for the whole batch.
-    An untaped forward needs no masks and no copy: it takes the maximum over
-    each window row's k pixels, then over the window's k rows. The backward
-    selects g for each tap with an AND of bit patterns, as relu does, and
-    copies it into that tap's pixels of the uninitialised input gradient,
-    so each pixel is written once.
+    in blocks of rows on contiguous arrays: numpy's ufuncs run several times
+    slower on a strided view of short runs, where a copy does not. The
+    forward copies a block tap-major, (k*k, rows, C, H', W'), takes the
+    maximum over its taps and compares each tap with it for the first-max
+    masks, one array per tap for the whole batch. The backward selects g for
+    each tap with an AND of bit patterns, as relu does, and copies it into
+    that tap's pixels of the uninitialised input gradient, so each pixel is
+    written once.
     """
     n, c, h, w = x.shape
     h_out, w_out, taps = h // k, w // k, k * k
@@ -603,27 +606,18 @@ def _maxpool_tiles(x: Tensor, k: int) -> Tensor:
     # with the input gradient rows it fills
     rows = max(1, min(n, _BLOCK_VALUES // max(1, 2 * per_row)))
     best = np.empty((n, c, h_out, w_out))
-    recorded = bool(_TAPES and x.requires_grad)  # exactly when _record records
-    if recorded:
-        first = [np.empty((n, c, h_out, w_out), dtype=bool) for _ in range(taps)]
-        free_buf = np.empty(per_row // taps * rows, dtype=bool)
-    buf = np.empty((per_row if recorded else per_row // k) * rows)
+    first = [np.empty((n, c, h_out, w_out), dtype=bool) for _ in range(taps)]
+    free_buf = np.empty(per_row // taps * rows, dtype=bool)
+    buf = np.empty(per_row * rows)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         b = stop - start
         top = best[start:stop]
-        if not recorded:
-            pixels = x.data[start:stop].reshape(b, c, h, w_out, k)
-            row_max = buf[:per_row // k * b].reshape(b, c, h, w_out)
-            _running_max([pixels[..., j] for j in range(k)], row_max)
-            row_max = row_max.reshape(b, c, h_out, k, w_out)
-            _running_max([row_max[:, :, :, i] for i in range(k)], top)
-            continue
         block = buf[:per_row * b].reshape(k, k, b, c, h_out, w_out)
         np.copyto(block, x.data[start:stop].reshape(b, c, h_out, k, w_out, k)
                   .transpose(3, 5, 0, 1, 2, 4))
         block = block.reshape(taps, b, c, h_out, w_out)
-        _running_max(block, top)
+        np.maximum.reduce(block, axis=0, out=top)
         free = free_buf[:per_row // taps * b].reshape(top.shape)
         free.fill(True)
         for t in range(taps):
@@ -631,8 +625,6 @@ def _maxpool_tiles(x: Tensor, k: int) -> Tensor:
             np.equal(block[t], top, out=hit)
             hit &= free
             free ^= hit
-    if not recorded:
-        return _output(best)
 
     def bwd(g):
         gx = np.empty((n, c, h, w))
@@ -651,16 +643,6 @@ def _maxpool_tiles(x: Tensor, k: int) -> Tensor:
         return (gx,)
 
     return _record(_output(best), (x,), bwd)
-
-
-def _running_max(arrays, out: np.ndarray) -> None:
-    """out = the elementwise maximum of ``arrays``, taken left to right."""
-    if len(arrays) == 1:
-        np.copyto(out, arrays[0])
-        return
-    np.maximum(arrays[0], arrays[1], out=out)
-    for a in arrays[2:]:
-        np.maximum(out, a, out=out)
 
 
 # ---------------------------------------------------------------------------

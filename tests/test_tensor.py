@@ -299,6 +299,20 @@ def test_conv2d_of_an_empty_batch_or_no_channels(x_shape, k_shape):
     out = T.conv2d(Tensor(x), Tensor(k), bias=Tensor(bias)).data
     ref = _conv2d_einsum(x, k, 1, 0) + bias[:, None, None]
     assert out.shape == ref.shape and np.array_equal(out, ref)
+    # recorded, padded and strided too: every gradient but the bias's is a
+    # sum over no terms
+    for stride, padding in [(1, 0), (1, 1), (2, 1)]:
+        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, bias))
+        with Tape():
+            out = T.conv2d(xt, kt, stride, padding, bias=bt)
+            assert np.array_equal(out.data, _conv2d_einsum(x, k, stride, padding)
+                                  + bias[:, None, None])
+            g = rng.standard_normal(out.shape)
+            loss = _seed(out, g)
+        T.backward(loss)
+        assert np.array_equal(xt.grad, np.zeros(x.shape))
+        assert np.array_equal(kt.grad, np.zeros(k.shape))
+        assert np.array_equal(bt.grad, g.sum(axis=(0, 2, 3)))
 
 
 def test_conv2d_allocation_peak_is_its_output_plus_one_block():
@@ -327,6 +341,27 @@ def test_conv2d_backward_allocation_peak_is_its_gradients_plus_one_block():
     grads_mib = (x.size + k.size) * 8 / 2 ** 20
     block_mib = T._BLOCK_VALUES * 8 / 2 ** 20
     assert peak_mib(lambda: node.backward_fn(g)) <= grads_mib + block_mib + 0.5
+
+
+@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 2)])
+def test_conv2d_padded_or_strided_block_buffers_stay_within_one_block(stride, padding):
+    # LeNet conv2's shape on 400 rows, padded and at stride 2 or 1: the
+    # zero-bordered input a block is gathered from, and at stride 2 the copy
+    # of each kernel row's taps, count against the block too; at (2, 1) the
+    # forward and backward peaked 2.4 and 2.7 MiB above their arrays when
+    # they did not, and read 1.7 and 1.8 MiB now
+    rng = np.random.default_rng(34)
+    x = Tensor(rng.standard_normal((400, 20, 12, 12)), requires_grad=True)
+    k = Tensor(rng.standard_normal((50, 20, 5, 5)), requires_grad=True)
+    block_mib = T._BLOCK_VALUES * 8 / 2 ** 20
+    with Tape() as tape:
+        out = T.conv2d(x, k, stride, padding)
+    out_mib = out.size * 8 / 2 ** 20
+    assert peak_mib(lambda: T.conv2d(x, k, stride, padding)) <= out_mib + block_mib + 0.25
+    g = rng.standard_normal(out.shape)
+    (node,) = tape._nodes
+    grads_mib = (x.size + k.size) * 8 / 2 ** 20
+    assert peak_mib(lambda: node.backward_fn(g)) <= grads_mib + block_mib + 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +513,7 @@ def _check_pool_against_naive_loop(x_shape, k, stride):
     ref_out, ref_gx = _maxpool_naive(x, k, stride, g)
     assert np.array_equal(out.data, ref_out)
     assert np.array_equal(xt.grad, ref_gx)
-    # an untaped forward keeps no masks and, on tiles, takes the maximum by rows
+    # an untaped forward keeps no masks and takes the general path, tiles or not
     assert np.array_equal(T.maxpool2d(Tensor(x), k, stride).data, ref_out)
 
 
