@@ -150,8 +150,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("dims", cfg.data != "synthetic" or len(cfg.dims) != 2
          or (cfg.dims[0] >= 1 and cfg.dims[1] >= 4),
          "d_x >= 1 and d_h >= 4 for synthetic data"),
-        ("widths", cfg.arch != "lenet5" or len(cfg.widths) == 4,
-         "four values for lenet5 (conv1, conv2, fc1, fc2)"),
+        ("widths", cfg.arch != "lenet5" or (len(cfg.widths) == 4
+                                            and all(w >= 1 for w in cfg.widths)),
+         "four positive values for lenet5 (conv1, conv2, fc1, fc2)"),
     )
     for key, ok, need in checks:
         if not ok:

@@ -497,6 +497,12 @@ def write_json(path, payload: dict) -> None:
 # plain supervised training and evaluation
 
 
+# train_model steps a parameter of at least this many values inside the
+# backward sweep, in chunks of at most this many (512 KiB of float64); a
+# smaller one steps with the rest after the sweep, in one concatenated update
+_STEP_VALUES = 2 ** 16
+
+
 def _check_count(key: str, value, least: int) -> None:
     """Raise ContractError naming ``key`` unless ``value`` is an int of at
     least ``least``; a numpy int counts, a bool does not."""
@@ -569,9 +575,14 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
     returns per-epoch mean loss, each logged at INFO, and appends one
     ``training_history`` entry. Replaces each linear layer's weight and bias
     in model.weights with a view of one new buffer that the steps update in
-    place; the velocity lives across the whole schedule. A step forms lr * g
-    only after its backward, in a buffer freed before the next batch's
-    forward. Raises NumericError, naming the epoch and batch, at the first
+    place; the velocity lives across the whole schedule. A parameter of at
+    least ``_STEP_VALUES`` values (LeNet's fc1 and fc2 weights) takes its
+    step inside the backward sweep, as soon as ``tensor.backward`` hands its
+    gradient over, in chunks of at most that many values, and its gradient
+    is dropped right then, so no whole-model gradient is held; the smaller
+    ones step together after the sweep, from one concatenated lr * g freed
+    before the next batch's forward. Each element takes the same operations
+    on either path. Raises NumericError, naming the epoch and batch, at the first
     batch whose loss is not finite or exceeds ``loss_bound``, before its
     step touches the weights.
 
@@ -589,18 +600,45 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
         raise ContractError(f"epochs must be >= 1 without a validation set, "
                             f"got {schedule.epochs}")
     bound = loss_bound(model)
-    # one buffer makes a step's update four in-place ufuncs, not four per
-    # weight, and as a copy it leaves arrays shared with another model alone
+    # one buffer, as a copy, leaves arrays shared with another model alone;
+    # the small parameters lie first in it, so their step is four in-place
+    # ufuncs on its head, not four per weight
     names = [f"layer{i}.{kind}" for i in linear_indices(model) for kind in ("weight", "bias")]
+    names.sort(key=lambda n: model.weights[n].size >= _STEP_VALUES)  # stable: small first
     flat = np.concatenate([model.weights[n] for n in names], axis=None, dtype=np.float64)
-    params, start = {}, 0
+    velocity = np.zeros_like(flat)
+    params, small, large, start = {}, [], {}, 0
     for n in names:
         shape = model.weights[n].shape
-        view = flat[start:start + math.prod(shape)].reshape(shape)
-        start += view.size
+        stop = start + math.prod(shape)
+        view = flat[start:stop].reshape(shape)
         model.weights[n] = view
-        params[n] = Tensor(view, requires_grad=True)
-    velocity = np.zeros_like(flat)
+        params[n] = p = Tensor(view, requires_grad=True)
+        if stop - start < _STEP_VALUES:
+            small.append(p)
+        else:
+            large[p] = (flat[start:stop], velocity[start:stop])
+        start = stop
+    n_small = sum(p.size for p in small)
+    head, v_head = flat[:n_small], velocity[:n_small]
+
+    def step_now(p):
+        """The momentum step of a large parameter whose gradient is final, in
+        chunks of at most _STEP_VALUES values; then its gradient is dropped."""
+        if p not in large:
+            return
+        w, v = large[p]
+        g, p.grad = p.grad.reshape(-1), None
+        chunk = np.empty(min(g.size, _STEP_VALUES))  # alive only during the step
+        for lo in range(0, g.size, _STEP_VALUES):
+            hi = min(lo + _STEP_VALUES, g.size)
+            step = np.multiply(g[lo:hi], schedule.lr, out=chunk[:hi - lo])
+            part = v[lo:hi]
+            part *= schedule.momentum
+            part -= step
+            w[lo:hi] += part
+
+    on_leaf = step_now if large else None  # with none, backward scans no routes
     if val is not None:
         best, best_err, kept = flat.copy(), evaluate(model, x_val, y_val), 0
     losses = []
@@ -609,8 +647,6 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
         total, nb = 0.0, 0
         try:
             for idx in _batches(x.shape[0], schedule.batch_size, rng):
-                for p in params.values():
-                    p.grad = None
                 with Tape():
                     logits = forward(model, x.take(idx, axis=0), params=params)
                     loss = T.softmax_cross_entropy(logits, y.take(idx))
@@ -621,14 +657,16 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
                         raise NumericError(f"training loss is {value} {where}")
                     raise NumericError(f"training loss {value:.6g} exceeds the "
                                        f"divergence bound {bound:.6g} {where}")
-                T.backward(loss)
+                T.backward(loss, on_leaf=on_leaf)
                 # v = momentum * v - lr * g; w = w + v
-                step = np.concatenate([p.grad for p in params.values()], axis=None)
+                step = np.concatenate([p.grad for p in small], axis=None)
                 step *= schedule.lr
-                velocity *= schedule.momentum
-                velocity -= step
-                flat += velocity
+                v_head *= schedule.momentum
+                v_head -= step
+                head += v_head
                 del step  # not held through the next batch's forward and backward
+                for p in small:
+                    p.grad = None
                 total += value
                 nb += 1
         except NumericError as e:

@@ -78,6 +78,10 @@ _THETA_INIT = math.log(math.expm1(1.0))  # softplus(theta) = 1
 # consumer's output, so this bounds the taped suffix's memory. A row count
 # could not: a LeNet conv2 output row holds 3,200 values, an MLP logit row 2.
 _STACK_VALUES = 2 ** 20
+# ``_row_grads`` contracts an fc consumer's stacked gradient with its weight
+# in chunks of channel groups whose product holds at most this many values
+# (512 KiB of float64)
+_ROW_GRAD_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -189,13 +193,21 @@ def _stacked_weight(w, rows):
 
 def _row_grads(grad, w, rows):
     """dL/d(rows), (c, C), from the gradient of ``_stacked_weight(w, rows)``:
-    each copy's block contracted with ``w`` over all but the input channel."""
+    each copy's block contracted with ``w`` over all but the input channel.
+    An fc weight's product is formed a few channel groups at a time, at
+    most ``_ROW_GRAD_VALUES`` values (one group where a group holds more),
+    not as one more array of the stacked gradient's size; each channel's
+    sum is the one the whole product would give, bit for bit."""
     c, width = rows.shape
     if w.ndim == 4:
         return np.add.reduce(grad.reshape((c,) + w.shape) * w, axis=(1, 3, 4))
     d_out = w.shape[1]
-    return np.add.reduce(grad.reshape(width, -1, c, d_out) * w.reshape(width, -1, 1, d_out),
-                         axis=(1, 3)).T
+    grad, w = grad.reshape(width, -1, c, d_out), w.reshape(width, -1, 1, d_out)
+    out = np.empty((width, c))
+    per = max(1, _ROW_GRAD_VALUES // max(1, grad[0].size))  # channel groups a chunk
+    for lo in range(0, width, per):
+        np.add.reduce(grad[lo:lo + per] * w[lo:lo + per], axis=(1, 3), out=out[lo:lo + per])
+    return out.T
 
 
 def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):

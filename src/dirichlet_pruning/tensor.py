@@ -33,7 +33,17 @@ keeps neither its input nor its output, so LeNet's largest activation,
 conv1's output, is freed as soon as the pool after it has run.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
-into ``.grad`` on leaves.
+into ``.grad`` on leaves. By default every leaf takes its gradient when the
+sweep ends. ``backward(loss, on_leaf=f)`` hands each leaf over earlier: the
+leaf takes its gradient, and f is called with it, right after the sweep has
+run the earliest recorded node that routes to it, the last node that can
+add to it. That node and every later one have then run their backward, and
+no earlier node takes the leaf as an input, so f may write the leaf's array
+in place and drop its gradient while the sweep goes on. That is the
+invariant an in-sweep parameter step relies on: a parameter buffer is
+written only after every recorded op that read it, or a view of it, has run
+its backward. ``models.train_model`` steps LeNet's fc weights this way, so
+their gradients never wait for the conv backward to finish.
 
 Cost: at the tens of rows of the synthetic MLP's steps, an op's time is
 mostly fixed per-call overhead of about 1 us per numpy call, not
@@ -169,7 +179,8 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor,
+             on_leaf: Optional[Callable[[Tensor], None]] = None) -> None:
     """Accumulate d(loss)/dx into ``.grad`` of every tracked leaf reachable from loss.
 
     ``loss`` must be a scalar produced on a live tape; traversal is strict
@@ -183,7 +194,15 @@ def backward(loss: Tensor) -> None:
 
     A leaf takes the sum of its gradients from this sweep as it is, with no
     copy: a backward_fn returns fresh arrays or views of its g, which nothing
-    else holds once the sweep ends.
+    else holds once the sweep ends. Without ``on_leaf`` every leaf takes its
+    sum after the sweep. With it, a leaf takes its sum as soon as the sweep
+    has run the earliest recorded node that routes to it, the last node that
+    can add to it, and ``on_leaf(leaf)`` is called right then, once per leaf
+    the sweep reached. Every node that read the leaf's array has run its
+    backward by then, so the callback may write that array in place (a
+    momentum step) and drop ``.grad``, which frees the gradient before the
+    sweep goes on. A leaf that no path from the loss reaches is not handed
+    over.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -192,24 +211,41 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad and not loss._recorded:
             # a bare leaf: d(leaf)/d(leaf) = 1
             _accumulate_leaf(loss, np.array(1.0).reshape(loss.data.shape))
+            if on_leaf is not None:
+                on_leaf(loss)
             return
         raise ContractError("loss is not attached to a live tape")
     nodes = tape._nodes
     if not nodes:
         raise ContractError("the loss's tape was already consumed by backward")
 
+    # the leaves each slot's node is the last in the sweep to route to: the
+    # first node in insertion order that routes to a leaf
+    last = {}
+    if on_leaf is not None:
+        seen = set()
+        for slot, node in enumerate(nodes):
+            for key in node.routes:
+                if isinstance(key, Tensor) and key not in seen:
+                    seen.add(key)
+                    last.setdefault(slot, []).append(key)
     # keyed by slot for a recorded Tensor and by the Tensor itself for a leaf
     grads = {loss._slot: np.array(1.0).reshape(loss.data.shape)}
     while nodes:
         node = nodes.pop()
-        g_out = grads.pop(len(nodes), None)  # the popped node's slot
-        if g_out is None:
-            continue
-        for key, g in zip(node.routes, node.backward_fn(g_out)):
-            if g is None or key is None:
-                continue
-            prev = grads.get(key)
-            grads[key] = g if prev is None else prev + g
+        slot = len(nodes)  # the popped node's
+        g_out = grads.pop(slot, None)
+        if g_out is not None:
+            for key, g in zip(node.routes, node.backward_fn(g_out)):
+                if g is None or key is None:
+                    continue
+                prev = grads.get(key)
+                grads[key] = g if prev is None else prev + g
+        for t in last.pop(slot, ()):
+            g = grads.pop(t, None)
+            if g is not None:
+                _accumulate_leaf(t, g)
+                on_leaf(t)
     # every slot was popped with its node: the leaves are left, first seen first
     for t, g in grads.items():
         _accumulate_leaf(t, g)

@@ -96,6 +96,8 @@ def test_config_line_without_equals():
     ("dims = 100, 3", "dims"),
     ("dims = 0, 20", "dims"),
     ("arch = lenet5\nwidths = 2, 2, 8", "widths"),
+    ("arch = lenet5\nwidths = 20, 0, 800, 500", "widths"),
+    ("arch = lenet5\nwidths = 20, 50, -3, 500", "widths"),
     ("alpha0 = 0", "alpha0"),
     ("alpha0 = nan", "alpha0"),
     ("kl_weight = nan", "kl_weight"),
@@ -126,14 +128,17 @@ def test_config_rejects_bad_choice_or_range_naming_the_key(text, key):
     ("mode", "joint"), ("subset", -1), ("train_epochs", -2), ("epochs", -1),
     ("finetune_epochs", -3), ("train_momentum", 1.5), ("finetune_momentum", -0.2),
     ("train_lr", math.inf), ("lr", math.inf), ("finetune_lr", math.inf), ("alpha0", math.inf),
+    ("widths", (20, 0, 800, 500)), ("widths", (20, 50, -3, 500)),
 ])
 def test_bad_config_writes_no_artifact(tmp_path, key, value):
     out = tmp_path / "run"
+    lenet = {"arch": "lenet5"} if key == "widths" else {}  # only lenet5 reads widths
     with pytest.raises(ConfigError, match=f"key '{key}'"):
-        run_pipeline(_nano_config(out, **{key: value}))
+        run_pipeline(_nano_config(out, **lenet, **{key: value}))
     assert not out.exists()
     text = ", ".join(map(str, value)) if isinstance(value, tuple) else value
-    path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + f"{key} = {text}\n")
+    extra = "".join(f"{k} = {v}\n" for k, v in lenet.items())
+    path = _write_cfg(tmp_path, "bad.cfg", _base_cfg_text(out) + extra + f"{key} = {text}\n")
     assert cli.main(["--config", path, "pipeline"]) == 1
     assert not out.exists()
 

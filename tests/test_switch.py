@@ -23,7 +23,7 @@ from dirichlet_pruning.switch import (AnalyticMean, ImplicitMC, SwitchState,
 from dirichlet_pruning.synthetic import gen_synthetic, task_model
 from dirichlet_pruning.tensor import Tape, Tensor
 
-from conftest import central_fd, grad_err
+from conftest import central_fd, grad_err, peak_mib
 from tape_ops import add, div, softplus, tsum
 
 PHI_SHIFT = 1e-6
@@ -367,6 +367,42 @@ def test_implicit_mc_in_ragged_chunks_matches_per_sample_oracle(case, monkeypatc
                               "lenet_third_switch"])
 def test_analytic_mean_matches_taped_oracle(case):
     _assert_matches_oracle(AnalyticMean(), *case())
+
+
+@pytest.mark.parametrize("d_in,d_out,width,c,budget", [
+    (800, 800, 50, 1, None), (800, 500, 800, 1, None), (500, 2, 500, 100, None),
+    (800, 800, 50, 3, None),  # LeNet's fc1 and fc2 consumers, the MLP's logits
+    (96, 5, 12, 3, 5 * 8 * 3 * 5),  # chunks of 5, 5 and 2 channel groups
+    (96, 5, 12, 3, 1),  # one group a chunk
+])
+def test_fc_row_grads_in_chunks_equal_the_whole_product_bitwise(d_in, d_out, width, c, budget,
+                                                                 monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(switch_module, "_ROW_GRAD_VALUES", budget)
+    rng = np.random.default_rng(d_in + d_out + width + c)
+    w, rows = rng.standard_normal((d_in, d_out)), rng.random((c, width))
+    grad = rng.standard_normal((d_in, c * d_out))
+    whole = np.add.reduce(grad.reshape(width, -1, c, d_out) * w.reshape(width, -1, 1, d_out),
+                          axis=(1, 3)).T
+    got = switch_module._row_grads(grad, w, rows)
+    assert got.shape == (c, width) and np.array_equal(got, whole)
+
+
+def test_fc_consumer_switch_step_allocation_peak_full_lenet():
+    # conv2's switch scales fc1's (800, 800) weight: a step holds the stacked
+    # weight and its gradient, 4.9 MiB each, and contracts that gradient
+    # with the weight in chunks of 0.5 MiB. 11.0 MiB here; one whole product
+    # of the gradient's size peaked at 15.3 MiB
+    model = build_lenet5([20, 50, 800, 500], rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x, y = rng.uniform(0.0, 1.0, (100, 1, 28, 28)), rng.integers(0, 10, 100)
+    entry = switch_consumers(model)[1]
+    h = forward(model, x, stop=entry).data
+    states = init_switch_states(model)
+    w_mib = model.weights[f"layer{entry}.weight"].nbytes / 2 ** 20
+    step = lambda: neg_elbo_and_grads(states, model, h, y, 1000, np.random.default_rng(2),
+                                      layer=1, start=entry)
+    assert peak_mib(step) <= 2 * w_mib + 1.5
 
 
 def test_no_model_weight_gradients_with_frozen_weights():

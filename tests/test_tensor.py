@@ -839,6 +839,62 @@ def test_backward_routes_by_slot_through_freed_intermediates():
     assert np.array_equal(x.grad, np.where(x.data > 0.0, w.data, 0.0))
 
 
+_C1, _C2 = np.array([1.5, -2.0, 0.25]), np.array([0.5, 3.0, -1.0])
+
+
+def _two_route_graph(on_leaf=None):
+    """Backward of loss = sum((x * c1 + x * c2) * w) and of an op on u that
+    the loss does not use: two early recorded ops route to x, one late op to
+    w, and no path from the loss leads to u. Returns the leaves (x, w, u)."""
+    x = Tensor(np.array([2.0, -1.0, 4.0]), requires_grad=True)
+    w = Tensor(np.array([-3.0, 0.5, 2.0]), requires_grad=True)
+    u = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with Tape():
+        dead = mul(u, u)  # noqa: F841 - on the tape, off every path to the loss
+        loss = tsum(mul(add(mul(x, Tensor(_C1)), mul(x, Tensor(_C2))), w))
+    leaves = (x, w, u)
+    T.backward(loss, on_leaf=None if on_leaf is None else lambda t: on_leaf(t, leaves))
+    return leaves
+
+
+def test_backward_hands_a_leaf_over_once_after_its_last_route():
+    # w's only route is the late mul, so it is handed over while x still
+    # waits for the two earlier ones; x then comes once, with their sum
+    handed = []
+    x, w, u = _two_route_graph(
+        lambda t, leaves: handed.append((t, t.grad.copy(), [v.grad is None for v in leaves])))
+    assert [t for t, _, _ in handed] == [w, x]
+    assert handed[0][2] == [True, False, True]  # x's gradient is not final yet
+    assert np.array_equal(handed[1][1], w.data * _C1 + w.data * _C2)
+    assert np.array_equal(handed[0][1], x.data * _C1 + x.data * _C2)
+
+
+def test_backward_never_hands_over_a_leaf_no_path_reaches():
+    handed = []
+    x, w, u = _two_route_graph(lambda t, leaves: handed.append(t))
+    assert u not in handed and len(handed) == 2
+    assert u.grad is None
+
+
+def test_backward_without_a_callback_sets_grad_as_with_one():
+    # the callback changes when a leaf takes its gradient, not its value; a
+    # gradient already on a leaf is added to either way
+    plain, called = _two_route_graph(), _two_route_graph(lambda t, leaves: None)
+    for a, b in zip(plain, called):
+        assert (a.grad is None and b.grad is None) or np.array_equal(a.grad, b.grad)
+    x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    for on_leaf in (None, lambda t: None):
+        x.grad = np.array([10.0, 20.0])
+        with Tape():
+            loss = tsum(mul(x, x))
+        T.backward(loss, on_leaf=on_leaf)
+        assert np.array_equal(x.grad, np.array([14.0, 18.0]))
+    handed = []
+    bare = Tensor(np.asarray(3.0), requires_grad=True)
+    T.backward(bare, on_leaf=handed.append)  # a bare leaf is its own loss
+    assert handed == [bare] and bare.grad == 1.0
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape():
