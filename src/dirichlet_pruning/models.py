@@ -235,6 +235,12 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     runs, so an activation between a prunable layer and its consumer is
     unscaled, and a switch on a layer before ``start`` still scales a
     consumer at or after it. The default runs the whole graph.
+
+    A conv followed by a max-pool that ``fused_pool`` accepts, both inside
+    [start, stop), runs as one op, ``conv2d(..., pool=k)``, which never makes
+    the conv's whole output (LeNet's conv1 and conv2). A ``stop`` between
+    the two, or a ReLU between them as in a graph of the older order, runs
+    them as separate ops; the values and gradients are the same either way.
     """
     h = T._lift(x)
     if h.data.ndim not in (2, 4):
@@ -252,6 +258,7 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     if not 0 <= start <= stop <= len(layers):
         raise ContractError(
             f"layer range [{start}, {stop}) outside a graph of {len(layers)} layers")
+    pooled = None  # the index of a max-pool that ran inside the conv before it
     for i in range(start, stop):
         spec = layers[i]
         if isinstance(spec, (FullyConnected, Conv2d)):
@@ -262,21 +269,39 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
                 o = feeding[i]
                 w = _fold_switch(w, T._lift(switches[o]), spec, i, o,
                                  _width(layers[linear[o]]))
-            h = apply_linear(spec, h, w, b)
+            pool = fused_pool(layers, i, stop, h.data.shape) if isinstance(spec, Conv2d) else None
+            h = apply_linear(spec, h, w, b, pool)
+            if pool is not None:
+                pooled = i + 1
         elif isinstance(spec, Relu):
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):
-            h = T.maxpool2d(h, k=spec.k, stride=spec.stride)
+            if i != pooled:
+                h = T.maxpool2d(h, k=spec.k, stride=spec.stride)
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
     return h
 
 
-def apply_linear(spec, h, w, b):
-    """The conv or fc layer ``spec`` on ``h`` with weight ``w`` and bias ``b``."""
+def fused_pool(layers, i: int, stop: int, shape) -> int | None:
+    """The window k of the max-pool that conv layer i runs inside its own op
+    on an input of ``shape``: that of a MaxPool2d right after it, before
+    ``stop``, at stride k, whose windows tile the conv's output. None for
+    any other layer or pool."""
+    spec, nxt = layers[i], layers[i + 1] if i + 1 < stop else None
+    if not (isinstance(spec, Conv2d) and isinstance(nxt, MaxPool2d)
+            and nxt.k == nxt.stride and len(shape) == 4):  # else conv2d names a bad input
+        return None
+    oh, ow = _conv_out_hw(shape[2], shape[3], spec)
+    return nxt.k if oh % nxt.k == 0 and ow % nxt.k == 0 else None
+
+
+def apply_linear(spec, h, w, b, pool=None):
+    """The conv or fc layer ``spec`` on ``h`` with weight ``w`` and bias ``b``,
+    and for a conv with ``pool=k`` the k x k max-pool after it."""
     if isinstance(spec, FullyConnected):
         return T.matmul(h, w, bias=b)
-    return T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b)
+    return T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b, pool=pool)
 
 
 def _fold_switch(w, s, spec, i: int, ordinal: int, width: int):
@@ -697,9 +722,11 @@ def evaluate(model: ModelGraph, x, y, batch_size: int = 100) -> float:
     """Classification error in percent, with no switch.
 
     Rows run in batches of ``batch_size``, the training batch size of every
-    shipped config. The batch size sets the memory, not the answer: at 100
-    rows full LeNet's largest buffer is conv1's 9.2 MB output, and at 500
-    rows 46 MB; conv2d's im2col never exceeds one 2 MiB row block.
+    shipped config. The batch size sets the memory, not the answer: each
+    conv runs with its pool (``forward``), so at 100 rows full LeNet's
+    largest activation is pool1's 2.3 MB output, and at 500 rows 11.5 MB;
+    no pass makes conv1's whole output, and conv2d's block buffers never
+    exceed one 2 MiB row block.
     """
     x, y = _check_rows(x, y, "evaluation data")
     wrong = 0

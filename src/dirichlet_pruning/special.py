@@ -236,23 +236,44 @@ def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray):
         dd = d * d
         dh = dd.copy()
         live_d = live.copy()
+        # every step writes into these buffers, allocating nothing; each
+        # product and sum is the one the plain formulas give, up to operand
+        # order, which IEEE products and sums do not depend on
+        an, q, dden, delta, dm1, step, tmp = (np.empty_like(xx) for _ in range(7))
+        flag = np.empty(aa.shape, dtype=bool)
         for i in range(1, _P_MAX_ITER + 1):
-            an = -i * (i - aa)
+            np.subtract(i, aa, out=an)
+            an *= -i  # a_i = -i (i - a)
             b += 2.0
-            dden = i * d + an * dd - 1.0
-            dc = (i - an / c * dc) / c - 1.0
-            d = an * d + b
-            np.copyto(d, tiny, where=np.abs(d) < tiny)
-            c = b + an / c
-            np.copyto(c, tiny, where=np.abs(c) < tiny)
-            d = 1.0 / d
-            delta = d * c
-            dd = -dden * d * d
-            step = dh * (delta - 1.0) + h * (dc * d + c * dd)
-            dh = np.where(live_d, dh + step, dh)
-            live_d &= np.abs(step) >= np.abs(dh) * _P_EPS
-            h = np.where(live, h * delta, h)
-            live &= np.abs(delta - 1.0) >= _P_EPS
+            np.multiply(i, d, out=dden)  # i d + a_i dd - 1
+            dden += np.multiply(an, dd, out=tmp)
+            dden -= 1.0
+            np.divide(an, c, out=q)  # a_i / c, at the old c
+            dc *= q  # dc = (i - a_i / c dc) / c - 1
+            np.subtract(i, dc, out=dc)
+            dc /= c
+            dc -= 1.0
+            d *= an  # d = 1 / (a_i d + b), kept at least tiny in magnitude
+            d += b
+            np.copyto(d, tiny, where=np.less(np.abs(d, out=tmp), tiny, out=flag))
+            np.add(b, q, out=c)  # c = b + a_i / c, likewise
+            np.copyto(c, tiny, where=np.less(np.abs(c, out=tmp), tiny, out=flag))
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=delta)
+            np.negative(dden, out=dd)  # dd = -dden d d
+            dd *= d
+            dd *= d
+            # step = dh (delta - 1) + h (dc d + c dd)
+            np.multiply(dc, d, out=step)
+            step += np.multiply(c, dd, out=tmp)
+            step *= h
+            np.subtract(delta, 1.0, out=dm1)
+            step += np.multiply(dh, dm1, out=tmp)
+            np.add(dh, step, out=dh, where=live_d)
+            np.multiply(np.abs(dh, out=tmp), _P_EPS, out=tmp)
+            live_d &= np.greater_equal(np.abs(step, out=step), tmp, out=flag)
+            np.multiply(h, delta, out=h, where=live)
+            live &= np.greater_equal(np.abs(dm1, out=dm1), _P_EPS, out=flag)
             if not (live.any() or live_d.any()):
                 break
         else:

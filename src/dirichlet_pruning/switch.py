@@ -64,8 +64,8 @@ from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
 from .models import (Conv2d, ModelGraph, _batches, _check_count, _check_rows, _conv_out_hw,
-                     apply_linear, forward, loss_bound, prunable_widths, read_json,
-                     switch_consumers, write_json)
+                     apply_linear, forward, fused_pool, loss_bound, prunable_widths,
+                     read_json, switch_consumers, write_json)
 from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
@@ -245,14 +245,18 @@ def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
     else:
         out_row = spec.d_out
     per = max(1, _STACK_VALUES // (w.size + n * out_row))
+    # a conv consumer runs the pool after it in its own op; pooling acts on
+    # each channel alone, so it commutes with splitting the stacked channels
+    pool = fused_pool(model.layers, entry, len(model.layers), h.shape)
+    after = entry + 1 + (pool is not None)
     for lo in range(0, k, per):
         rows = s[lo:lo + per]
         c = len(rows)
         leaf = Tensor(_stacked_weight(w, rows), requires_grad=True)
         with Tape():
-            z = apply_linear(spec, h, leaf, Tensor(np.concatenate((b,) * c)))
+            z = apply_linear(spec, h, leaf, Tensor(np.concatenate((b,) * c)), pool)
             z = T.reshape(z, (n * c, z.shape[1] // c) + z.shape[2:])
-            logits = forward(model, z, switches=mean_switches, start=entry + 1)
+            logits = forward(model, z, switches=mean_switches, start=after)
             nll = T.softmax_cross_entropy(logits, yb.repeat(c), copies=c)
         T.backward(nll)
         nll_acc += nll.item()

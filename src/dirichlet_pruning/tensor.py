@@ -2,7 +2,8 @@
 
 The primitive set is exactly what ``models.forward`` and its loss need:
 matmul and conv2d (im2col), each with an optional bias added inside the op,
-relu, per-channel broadcast multiply, max-pooling, reshape (behind
+relu, per-channel broadcast multiply, max-pooling (alone, or inside conv2d
+when its windows tile the conv's output), reshape (behind
 ``flatten_batch``) and softmax cross-entropy, which is the only reduction
 to a scalar loss. There is no elementwise arithmetic between tensors and no
 operator overloading.
@@ -29,8 +30,10 @@ forward pays for none of it. conv2d keeps no im2col matrix at all: it works
 in row blocks of bounded size and its backward rebuilds each block's
 columns (im2col, or a kw-only lowering) from the input, which its closure
 holds. maxpool2d builds its first-maximum masks in the recorded forward and
-keeps neither its input nor its output, so LeNet's largest activation,
-conv1's output, is freed as soon as the pool after it has run.
+keeps neither its input nor its output. conv2d with ``pool`` pools each row
+block of its output while the block is in cache and its backward rebuilds
+each block's output gradient from the pooled one, so LeNet's largest
+activation, conv1's output, and pool1's input gradient never exist whole.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves. By default every leaf takes its gradient when the
@@ -342,10 +345,11 @@ def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
 # convolution / pooling
 
 
-# A row block of conv2d or maxpool2d keeps its buffers within this many
-# values: 2 MiB of float64, about one core's L2 cache, so a block's GEMMs,
-# adds and copies read their operands from cache and no conv or pool buffer
-# but the input, output, gradients and pool masks grows with the batch.
+# A row block of conv2d, with or without its pool, keeps its buffers within
+# this many values: 2 MiB of float64, about one core's L2 cache, so a
+# block's GEMMs, adds, copies and pooling read their operands from cache
+# and no conv buffer but the input, output, gradients and pool masks grows
+# with the batch.
 _BLOCK_VALUES = 2 ** 18
 
 
@@ -410,9 +414,11 @@ def _conv_blocks(x: np.ndarray, rows: int, kh: int, kw: int, stride: int, paddin
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
-           bias: Optional[Tensor] = None) -> Tensor:
+           bias: Optional[Tensor] = None, pool: Optional[int] = None) -> Tensor:
     """Batched 2-d cross-correlation, NCHW layout, no kernel flip, plus
-    bias[o] on every element of output channel o when a bias is given.
+    bias[o] on every element of output channel o when a bias is given, and
+    with ``pool=k`` then maxpool2d(k, k), whose windows must tile the
+    output (k divides H' and W').
 
     The batch runs in blocks of rows whose buffers, reused by every block of
     the call, together hold at most ``_BLOCK_VALUES`` values (one row's
@@ -443,13 +449,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     (Hp, Wp, rows, C) buffer: W'*rows*C contiguous values per output row at
     stride 1, one 1-d add each, since numpy buffers a strided add of short
     runs and runs it several times slower. One copy then transposes the
-    buffer into NCHW. The bias gradient is g summed over N, H' and W'. The
-    backward returns one gradient per recorded input: (x, kernel), or (x,
-    kernel, bias).
+    buffer into NCHW. The bias gradient sums g over each row's H' and W',
+    then over the rows. The backward returns one gradient per recorded
+    input: (x, kernel), or (x, kernel, bias).
+
+    With ``pool`` the NCHW block goes to a block buffer, not the output, and
+    is pooled there while in cache (``_pool_tiles``): only the pooled rows
+    and, when recorded, the first-max masks are written, so no array of the
+    whole conv output is made. The backward rebuilds each block's conv
+    output gradient from the pooled g and the masks in a block buffer
+    (``_unpool_tiles``) and hands it to that block's GEMMs. The blocks, and
+    so every GEMM and sum, are those of the conv alone, and max is exact:
+    values and gradients equal conv2d then maxpool2d bit for bit.
     """
     n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
     if bias is not None:
         _check_bias(bias, c_out, "conv2d")
+    if pool is not None and (pool < 1 or h_out % pool or w_out % pool):
+        raise ContractError(f"pool window {pool} does not tile the conv output "
+                            f"{(h_out, w_out)}")
     h, w = x.shape[2], x.shape[3]
     hp, wp = h + 2 * padding, w + 2 * padding
     hw = h_out * w_out
@@ -458,26 +476,46 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     tap_values = (kh * kw if c_in == 1 else c_in) * hw  # one row's input-gradient taps
     # values one row puts in the block buffers, which together hold at most
     # _BLOCK_VALUES: its im2col matrix or lowered input and, when padded, the
-    # zero-bordered input they are gathered from; g or the forward's two
-    # partial outputs; the input gradient's taps and its padded gradient;
-    # and at stride > 1 the copy of a kernel row's taps a lowered GEMM reads
+    # zero-bordered input they are gathered from; two conv-output blocks
+    # (the forward's two partial outputs, or with pool its output and that
+    # output's tap-major copy; the backward's transposed g and with pool the
+    # rebuilt conv-output gradient); the input gradient's taps and its padded
+    # gradient; and at stride > 1 the copy of a kernel row's taps a lowered
+    # GEMM reads
     per_row = (c_in * kw * hp * w_out if lowered else depth * hw) \
         + (c_in * hp * wp if padding else 0) + 2 * c_out * hw + tap_values \
         + c_in * hp * wp + (c_in * kw * hw if lowered and stride > 1 else 0)
     rows = max(1, min(n, _BLOCK_VALUES // max(1, per_row)))
     kd = kernel.data
-    out = np.empty((n, c_out, h_out, w_out))
     # the bias as one (c_out, H'*W') plane: numpy adds a plane broadcast over
     # a block's rows about twice as fast as a (c_out, 1) column
     bias_plane = None if bias is None else np.repeat(bias.data, hw).reshape(c_out, hw)
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    if pool is None:
+        out, first = np.empty((n, c_out, h_out, w_out)), None
+    else:
+        out = np.empty((n, c_out, h_out // pool, w_out // pool))
+        # first-max masks, kept only when _record will record
+        recorded = bool(_TAPES) and any(t.requires_grad for t in inputs)
+        first = np.empty((pool * pool,) + out.shape, dtype=bool) if recorded else None
+
+    def finish(block, start, stop, spare):
+        """Add the bias to a (b, c_out, H'*W') block of conv output and, with
+        pool, pool it into out; ``spare`` is a free buffer of the block's size."""
+        if bias_plane is not None:
+            block += bias_plane
+        if pool is not None:
+            _pool_tiles(block, pool, out[start:stop],
+                        None if first is None else first[:, start:stop], spare)
 
     def kernel_row(low, i):
         """Kernel row i's taps of a lowered block: (C*kw, H'*W'*rows)."""
         return low[:, :, i:i + stride * (h_out - 1) + 1:stride].reshape(c_in * kw, -1)
 
+    if lowered or pool is not None:  # two conv-output block buffers
+        acc, part = np.empty(c_out * hw * rows), np.empty(c_out * hw * rows)
     if lowered:
         k_rows = kd.transpose(2, 0, 1, 3).reshape(kh, c_out, c_in * kw)  # row i: (o, (c, j))
-        acc, part = np.empty(c_out * hw * rows), np.empty(c_out * hw * rows)
         for start, stop, low in _conv_blocks(x.data, rows, kh, kw, stride, padding,
                                              h_out, w_out, True):
             b = stop - start
@@ -486,77 +524,140 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
             p = part[:c_out * hw * b].reshape(c_out, hw * b)
             for i in range(1, kh):
                 o += np.matmul(k_rows[i], kernel_row(low, i), out=p)
-            block = out[start:stop].reshape(b, c_out, hw)
+            block = (out[start:stop] if pool is None else p).reshape(b, c_out, hw)
             np.copyto(block, o.reshape(c_out, hw, b).transpose(2, 0, 1))
-            if bias_plane is not None:
-                block += bias_plane
+            finish(block, start, stop, acc)
     else:
         k2 = kd.reshape(c_out, depth)
         for start, stop, cols in _conv_blocks(x.data, rows, kh, kw, stride, padding,
                                               h_out, w_out, False):
             b = stop - start
-            block = out[start:stop].reshape(b, c_out, hw)
+            block = (out[start:stop] if pool is None else part[:c_out * hw * b]).reshape(
+                b, c_out, hw)
             np.matmul(k2, cols.reshape(depth, b, hw).transpose(1, 0, 2), out=block)
-            if bias_plane is not None:
-                block += bias_plane
+            finish(block, start, stop, None if pool is None else acc)
 
     def bwd(g):
-        grad_k = grad_x = None
-        if kernel.requires_grad and not lowered:
-            grad_k = np.zeros((c_out, depth))
-            for start, stop, cols in _conv_blocks(x.data, rows, kh, kw, stride, padding,
-                                                  h_out, w_out, False):
-                b = stop - start
-                grad_k += np.add.reduce(np.matmul(g[start:stop].reshape(b, c_out, hw),
-                                                  cols.reshape(depth, b, hw).transpose(1, 2, 0)),
-                                        axis=0)
-            grad_k = grad_k.reshape(kernel.shape)
+        grad_x = grad_k = None
+        need_b = bias is not None and bias.requires_grad
         lower = kernel.requires_grad and lowered  # the kernel gradient reads lowered blocks
-        if x.requires_grad or lower:
-            if lower:
-                grad_rows = np.zeros((kh, c_out, c_in * kw))
-                blocks = _conv_blocks(x.data, rows, kh, kw, stride, padding, h_out, w_out, True)
-            else:
-                blocks = ((start, min(start + rows, n), None) for start in range(0, n, rows))
-            if x.requires_grad:
-                grad_x = np.empty(x.shape)
-                k_taps = kd.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in)  # tap (i, j)
-                tap_buf, pad_buf = np.empty(tap_values * rows), np.empty(hp * wp * c_in * rows)
+        im2col = kernel.requires_grad and not lowered  # ... or im2col blocks
+        if lower or im2col:
+            blocks = _conv_blocks(x.data, rows, kh, kw, stride, padding, h_out, w_out, lowered)
+        else:
+            blocks = ((start, min(start + rows, n), None) for start in range(0, n, rows))
+        if im2col:
+            grad_k = np.zeros((c_out, depth))
+        if lower:
+            grad_rows = np.zeros((kh, c_out, c_in * kw))
+        if x.requires_grad:
+            grad_x = np.empty(x.shape)
+            k_taps = kd.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in)  # tap (i, j)
+            tap_buf, pad_buf = np.empty(tap_values * rows), np.empty(hp * wp * c_in * rows)
+        if need_b:  # per row, so the sum is g.sum(axis=(0, 2, 3)) at c_out > 1
+            row_sums = np.empty((n, c_out))
+        transposed = x.requires_grad or lower
+        if transposed or pool is not None:
+            # with pool, the unpool's select words live here until g's copy
             gt_buf = np.empty(c_out * hw * rows)
-            for start, stop, low in blocks:
-                b = stop - start
-                gt = gt_buf[:c_out * hw * b].reshape(c_out, h_out, w_out, b)
-                np.copyto(gt, g[start:stop].transpose(1, 2, 3, 0))
-                gt = gt.reshape(c_out, hw * b)  # columns (y, x, n)
-                if lower:
-                    for i in range(kh):
-                        grad_rows[i] += gt @ kernel_row(low, i).T
-                if x.requires_grad:
-                    if c_in == 1:
-                        taps = np.matmul(k_taps[:, :, 0], gt,
-                                         out=tap_buf[:tap_values * b].reshape(kh * kw, hw * b))
-                    else:
-                        tap_out = tap_buf[:tap_values * b].reshape(hw * b, c_in)
-                    gxp = pad_buf[:hp * wp * b * c_in].reshape(hp, wp, b * c_in)
-                    gxp.fill(0.0)
-                    for t in range(kh * kw):
-                        i, j = divmod(t, kw)
-                        tap = taps[t] if c_in == 1 else np.matmul(gt.T, k_taps[t], out=tap_out)
-                        tap_rows = tap.reshape(h_out, w_out, b * c_in)
-                        window = gxp[:, j:j + stride * (w_out - 1) + 1:stride]
-                        for y in range(h_out):
-                            row = window[i + stride * y]
-                            np.add(row, tap_rows[y], out=row)
-                    grad_x[start:stop] = gxp.reshape(hp, wp, b, c_in)[
-                        padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1)
+        if pool is not None:
+            g_buf = np.empty(c_out * hw * rows)
+        for start, stop, cols in blocks:
+            b = stop - start
+            if pool is None:
+                gb = g[start:stop].reshape(b, c_out, hw)
+            else:
+                gb = g_buf[:c_out * hw * b].reshape(b, c_out, hw)
+                _unpool_tiles(g[start:stop], first[:, start:stop], pool, gb,
+                              gt_buf.view(np.int64))
+            if need_b:
+                np.add.reduce(gb, axis=2, out=row_sums[start:stop])
+            if im2col:
+                grad_k += np.add.reduce(
+                    np.matmul(gb, cols.reshape(depth, b, hw).transpose(1, 2, 0)), axis=0)
+            if not transposed:
+                continue
+            gt = gt_buf[:c_out * hw * b].reshape(c_out, h_out, w_out, b)
+            np.copyto(gt, gb.reshape(b, c_out, h_out, w_out).transpose(1, 2, 3, 0))
+            gt = gt.reshape(c_out, hw * b)  # columns (y, x, n)
             if lower:
-                grad_k = np.ascontiguousarray(
-                    grad_rows.reshape(kh, c_out, c_in, kw).transpose(1, 2, 0, 3))
+                for i in range(kh):
+                    grad_rows[i] += gt @ kernel_row(cols, i).T
+            if x.requires_grad:
+                if c_in == 1:
+                    taps = np.matmul(k_taps[:, :, 0], gt,
+                                     out=tap_buf[:tap_values * b].reshape(kh * kw, hw * b))
+                else:
+                    tap_out = tap_buf[:tap_values * b].reshape(hw * b, c_in)
+                gxp = pad_buf[:hp * wp * b * c_in].reshape(hp, wp, b * c_in)
+                gxp.fill(0.0)
+                for t in range(kh * kw):
+                    i, j = divmod(t, kw)
+                    tap = taps[t] if c_in == 1 else np.matmul(gt.T, k_taps[t], out=tap_out)
+                    tap_rows = tap.reshape(h_out, w_out, b * c_in)
+                    window = gxp[:, j:j + stride * (w_out - 1) + 1:stride]
+                    for y in range(h_out):
+                        row = window[i + stride * y]
+                        np.add(row, tap_rows[y], out=row)
+                grad_x[start:stop] = gxp.reshape(hp, wp, b, c_in)[
+                    padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1)
+        if im2col:
+            grad_k = grad_k.reshape(kernel.shape)
+        if lower:
+            grad_k = np.ascontiguousarray(
+                grad_rows.reshape(kh, c_out, c_in, kw).transpose(1, 2, 0, 3))
         if bias is None:
             return grad_x, grad_k
-        return grad_x, grad_k, (g.sum(axis=(0, 2, 3)) if bias.requires_grad else None)
+        return grad_x, grad_k, np.add.reduce(row_sums, axis=0) if need_b else None
 
-    return _record(_output(out), (x, kernel) if bias is None else (x, kernel, bias), bwd)
+    return _record(_output(out), inputs, bwd)
+
+
+def _pool_tiles(block: np.ndarray, k: int, top: np.ndarray,
+                first: Optional[np.ndarray], spare: np.ndarray) -> None:
+    """Max-pool one row block of conv output, a contiguous array of b rows
+    of C channels of H' x W' pixels, in the k x k windows at stride k that
+    tile it, into ``top`` (b, C, H'/k, W'/k). With ``first``, a (k*k,) +
+    top.shape bool array, each window's first maximum in row-major window
+    order, the one argmax picks, is marked at its tap.
+
+    numpy's ufuncs run several times slower on a strided view of short runs
+    than on a copy, so the block is first copied tap-major into ``spare``,
+    (k*k, b, C, H'/k, W'/k). The block's own buffer is then free, and its
+    first bytes hold the mask of windows whose maximum no earlier tap has.
+    """
+    b, c, h_out, w_out = top.shape
+    tiles = spare[:block.size].reshape(k, k, b, c, h_out, w_out)
+    np.copyto(tiles, block.reshape(b, c, h_out, k, w_out, k).transpose(3, 5, 0, 1, 2, 4))
+    tiles = tiles.reshape(k * k, b, c, h_out, w_out)
+    np.maximum.reduce(tiles, axis=0, out=top)
+    if first is None:
+        return
+    free = block.reshape(-1).view(np.bool_)[:top.size].reshape(top.shape)
+    free.fill(True)
+    for t in range(k * k):
+        hit = first[t]
+        np.equal(tiles[t], top, out=hit)
+        hit &= free
+        free ^= hit
+
+
+def _unpool_tiles(g: np.ndarray, first: np.ndarray, k: int, grad: np.ndarray,
+                  keep: np.ndarray) -> None:
+    """Write into ``grad``, a contiguous block of conv output gradient, the
+    gradient of the block that ``_pool_tiles`` pooled with masks ``first``:
+    each window's pooled g (b, C, H'/k, W'/k) at its first maximum and +0.0
+    elsewhere, even for an inf or NaN g, each pixel written once. As in
+    relu, the select is an AND of g's bits with an all-ones or all-zeros
+    word, made in ``keep``, an int64 buffer of at least g's size."""
+    b, c, h_out, w_out = g.shape
+    bits, keep = g.view(np.int64), keep[:g.size].reshape(g.shape)
+    pixels = grad.reshape(b, c, h_out, k, w_out, k)
+    for t in range(k * k):
+        i, j = divmod(t, k)
+        np.negative(first[t], out=keep, dtype=np.int64)
+        np.bitwise_and(keep, bits, out=keep)
+        np.copyto(pixels[:, :, :, i, :, j], keep.view(np.float64))
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
@@ -567,9 +668,10 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     order, as argmax would pick it. A recorded forward finds those maxima
     right away, as one boolean mask per tap of the output's shape, and its
     backward keeps only the masks and the shapes: not the input, whose array
-    is freed as soon as nothing else holds it, nor the output. Where the
-    windows tile the input exactly (k == stride, H = k*H', W = k*W'; every
-    LeNet pool) ``_maxpool_tiles`` does a recorded pool's work in row blocks.
+    is freed as soon as nothing else holds it, nor the output. A pool whose
+    windows tile the output of the conv right before it (every LeNet pool)
+    runs inside that conv instead (``conv2d(..., pool=k)``), which never
+    makes the conv's whole output; ``models.forward`` picks that op.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
@@ -580,9 +682,6 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ShapeError(f"pool window {k} larger than input {x.shape}")
     h_out = (h - k) // stride + 1
     w_out = (w - k) // stride + 1
-    recorded = bool(_TAPES and x.requires_grad)  # exactly when _record records
-    if recorded and stride == k and h == k * h_out and w == k * w_out:
-        return _maxpool_tiles(x, k)
 
     def tap(a, t):
         """The view of a (N, C, H, W) array that tap t of every window reads."""
@@ -592,7 +691,7 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     best = tap(x.data, 0).copy()
     for t in range(1, k * k):
         np.maximum(best, tap(x.data, t), out=best)
-    if not recorded:
+    if not (_TAPES and x.requires_grad):  # exactly when _record records
         return _output(best)
     free = np.ones(best.shape, dtype=bool)
     first = []
@@ -615,67 +714,6 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         for t in reversed(range(k * k)):
             np.negative(first[t], out=keep, dtype=np.int64)
             tap(gx, t)[...] += np.bitwise_and(bits, keep, out=keep).view(np.float64)
-        return (gx,)
-
-    return _record(_output(best), (x,), bwd)
-
-
-def _maxpool_tiles(x: Tensor, k: int) -> Tensor:
-    """A recorded maxpool2d with stride k on an input that k x k windows tile
-    exactly.
-
-    Each input pixel then lies in one window, at one tap, and the work runs
-    in blocks of rows on contiguous arrays: numpy's ufuncs run several times
-    slower on a strided view of short runs, where a copy does not. The
-    forward copies a block tap-major, (k*k, rows, C, H', W'), takes the
-    maximum over its taps and compares each tap with it for the first-max
-    masks, one array per tap for the whole batch. The backward selects g for
-    each tap with an AND of bit patterns, as relu does, and copies it into
-    that tap's pixels of the uninitialised input gradient, so each pixel is
-    written once.
-    """
-    n, c, h, w = x.shape
-    h_out, w_out, taps = h // k, w // k, k * k
-    per_row = c * h * w
-    # a block's input rows and their tap-major copy together hold at most
-    # _BLOCK_VALUES values, and so does the backward's block of selected g
-    # with the input gradient rows it fills
-    rows = max(1, min(n, _BLOCK_VALUES // max(1, 2 * per_row)))
-    best = np.empty((n, c, h_out, w_out))
-    first = [np.empty((n, c, h_out, w_out), dtype=bool) for _ in range(taps)]
-    free_buf = np.empty(per_row // taps * rows, dtype=bool)
-    buf = np.empty(per_row * rows)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        b = stop - start
-        top = best[start:stop]
-        block = buf[:per_row * b].reshape(k, k, b, c, h_out, w_out)
-        np.copyto(block, x.data[start:stop].reshape(b, c, h_out, k, w_out, k)
-                  .transpose(3, 5, 0, 1, 2, 4))
-        block = block.reshape(taps, b, c, h_out, w_out)
-        np.maximum.reduce(block, axis=0, out=top)
-        free = free_buf[:per_row // taps * b].reshape(top.shape)
-        free.fill(True)
-        for t in range(taps):
-            hit = first[t][start:stop]
-            np.equal(block[t], top, out=hit)
-            hit &= free
-            free ^= hit
-
-    def bwd(g):
-        gx = np.empty((n, c, h, w))
-        keep_buf = np.empty(per_row // taps * rows, dtype=np.int64)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            b = stop - start
-            bits, keep = g[start:stop].view(np.int64), keep_buf[:per_row // taps * b]
-            keep = keep.reshape(bits.shape)
-            pixels = gx[start:stop].reshape(b, c, h_out, k, w_out, k)
-            for t in range(taps):  # g where the mask holds, else +0.0, even for inf or NaN
-                i, j = divmod(t, k)
-                np.negative(first[t][start:stop], out=keep, dtype=np.int64)
-                np.bitwise_and(keep, bits, out=keep)
-                np.copyto(pixels[:, :, :, i, :, j], keep.view(np.float64))
         return (gx,)
 
     return _record(_output(best), (x,), bwd)

@@ -209,6 +209,44 @@ def test_forward_layer_range_composes_to_full_graph():
         forward(model, x, stop=len(model.layers) + 1)
 
 
+def test_forward_pools_inside_each_conv_unless_a_stop_or_relu_splits_them(monkeypatch):
+    # LeNet's two convs run with their pools as one op; a stop between a conv
+    # and its pool, or a ReLU between them, runs them as separate ops, with
+    # the same loss and weight gradients bit for bit
+    model = build_lenet5([3, 4, 10, 6], rng=np.random.default_rng(15))
+    rng = np.random.default_rng(16)
+    for n, w in model.weights.items():  # nonzero biases too
+        model.weights[n] = w + 0.05 * rng.standard_normal(w.shape)
+    old = copy.deepcopy(model)  # conv, relu, pool: the older order
+    for i in (1, 4):
+        old.layers[i], old.layers[i + 1] = old.layers[i + 1], old.layers[i]
+    x, y = np.round(rng.standard_normal((5, 1, 28, 28)), 1), np.arange(5)
+    calls = []
+    for op in ("conv2d", "maxpool2d"):
+        def logged(*args, _op=getattr(T, op), _name=op, **kwargs):
+            calls.append((_name, kwargs.get("pool")))
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(T, op, logged)
+
+    def run(m, cut):
+        params = {n: Tensor(w, requires_grad=True) for n, w in m.weights.items()}
+        calls.clear()
+        with Tape():
+            h = forward(m, x, params=params, stop=cut)
+            loss = T.softmax_cross_entropy(forward(m, h, params=params, start=cut), y)
+        T.backward(loss)
+        return loss.item(), {n: p.grad for n, p in params.items()}, list(calls)
+
+    fused_loss, fused_grads, fused_calls = run(model, 0)
+    assert fused_calls == [("conv2d", 2)] * 2
+    for m, cut in ((model, 1), (model, 4), (old, 0)):
+        loss, grads, ops = run(m, cut)
+        assert ("maxpool2d", None) in ops and ("conv2d", None) in ops
+        assert loss == fused_loss
+        for n in model.weights:
+            assert np.array_equal(grads[n], fused_grads[n]), (cut, n)
+
+
 def _activation_scaling_forward(model, x, switches):
     """The forward before switches were folded into weights: switch o
     multiplies the activations leaving prunable layer o, channel by channel."""
@@ -687,26 +725,29 @@ def _full_lenet_task(n):
 
 
 def test_evaluate_allocation_peak_full_lenet():
-    # 100-row batches and conv2d in row blocks of at most 2 MiB of im2col:
-    # 11.7 MiB; one whole-batch im2col and its GEMM result per conv call
-    # peaked at 32.1 MiB, and 500-row batches at 160.5 MiB
+    # 100-row batches, conv2d in row blocks of at most 2 MiB, and each pool
+    # run inside its conv, so conv1's 9.2 MB output is never made: 5.3 MiB.
+    # Making that output peaked at 11.7 MiB; one whole-batch im2col and its
+    # GEMM result per conv call at 32.1, and 500-row batches at 160.5
     model, x, y = _full_lenet_task(500)
-    assert peak_mib(lambda: evaluate(model, x, y)) <= 20.0
+    assert peak_mib(lambda: evaluate(model, x, y)) <= 9.0
 
 
 def test_train_step_allocation_peak_full_lenet():
-    # one batch-100 step: 30.1 MiB, with no array kept that no backward
-    # reads, and fc1's and fc2's weights stepped, in 0.5 MiB chunks, as soon
-    # as backward hands their gradients over, so no whole-model gradient or
-    # step buffer is held. Keeping every gradient to the end of the sweep and
-    # concatenating an 8.6 MB step buffer peaked at 37.5 MiB; also keeping
-    # conv1's 9.2 MB output and pool1's 2.3 MB output for pool1's backward at
-    # 60.1; also keeping conv2's 25.6 MB im2col matrix, and building each
-    # conv's whole-batch matrix, at 97.0
+    # one batch-100 step: 27.8 MiB, set in fc1's backward, with no array
+    # kept that no backward reads, each pool run inside its conv, so neither
+    # conv1's 9.2 MB output nor pool1's input gradient is made, and fc1's
+    # and fc2's weights stepped, in 0.5 MiB chunks, as soon as backward hands
+    # their gradients over, so no whole-model gradient or step buffer is
+    # held. Making pool1's input gradient peaked at 30.1 MiB; also keeping
+    # every gradient to the end of the sweep and concatenating an 8.6 MB step
+    # buffer at 37.5; also keeping conv1's output and pool1's 2.3 MB output
+    # for pool1's backward at 60.1; also keeping conv2's 25.6 MB im2col
+    # matrix, and building each conv's whole-batch matrix, at 97.0
     model, x, y = _full_lenet_task(100)
     step = lambda: train_model(model, x, y, TrainSchedule(1, 100, 0.01, 0.9),
                                np.random.default_rng(2))
-    assert peak_mib(step) <= 33.0
+    assert peak_mib(step) <= 30.5
 
 
 _BAD_SCHEDULES = [

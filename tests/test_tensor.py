@@ -11,7 +11,7 @@ from dirichlet_pruning import tensor as T
 from dirichlet_pruning.errors import ContractError, ShapeError
 from dirichlet_pruning.tensor import Tape, Tensor, _record
 
-from conftest import central_fd, grad_err, peak_mib
+from conftest import central_fd, grad_err, peak_mib, traced_mib
 from tape_ops import add, div, mul, softplus, tsum
 
 
@@ -364,6 +364,191 @@ def test_conv2d_padded_or_strided_block_buffers_stay_within_one_block(stride, pa
     assert peak_mib(lambda: node.backward_fn(g)) <= grads_mib + block_mib + 0.25
 
 
+def _small_ints(rng, shape):
+    """Integers in [-8, 8] as float64: every product and partial sum of a
+    conv on them is an integer far below 2**53, so float64 sums them
+    exactly in any order, and an exact check tests the taps, transposes and
+    strides, not the summation order."""
+    return rng.integers(-8, 9, shape).astype(np.float64)
+
+
+def _conv2d_grads_einsum(x, k, g, stride, padding):
+    """Reference conv2d backward from the strided sliding windows: the kernel
+    gradient is one einsum; the input gradient adds, for each kernel tap,
+    one einsum to that tap's strided window of the padded input."""
+    h, w = x.shape[2:]
+    kh, kw = k.shape[2:]
+    h_out, w_out = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    grad_k = np.einsum("ncyxij,noyx->ocij",
+                       windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out], g)
+    gxp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
+                np.einsum("noyx,oc->ncyx", g, k[:, :, i, j])
+    return gxp[:, :, padding:padding + h, padding:padding + w], grad_k
+
+
+def _tile_pool_oracle(y, k, g):
+    """Max-pool of y in the k x k windows at stride k that tile it, and the
+    pooled gradient g routed to each window's first maximum in row-major
+    window order, the one np.argmax picks; +0.0 elsewhere."""
+    n, c, h, w = y.shape
+    shape = (n, c, h // k, w // k, k * k)
+    win = y.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5).reshape(shape)
+    pick = win.argmax(axis=-1)[..., None]
+    gy = np.zeros(shape)
+    np.put_along_axis(gy, pick, g[..., None], axis=-1)
+    gy = gy.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(y.shape)
+    return np.take_along_axis(win, pick, axis=-1)[..., 0], gy
+
+
+def _recorded_conv(x, k, bias, g, stride, padding, pool=None, separate=False):
+    """(output, x, kernel and bias gradients) of a recorded conv2d for the
+    output gradient g: with ``pool`` as one op, or with ``separate`` as
+    conv2d then maxpool2d."""
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, bias))
+    with Tape():
+        if separate:
+            out = T.maxpool2d(T.conv2d(xt, kt, stride, padding, bias=bt), pool, pool)
+        else:
+            out = T.conv2d(xt, kt, stride, padding, bias=bt, pool=pool)
+        loss = _seed(out, g)
+    T.backward(loss)
+    return out.data, xt.grad, kt.grad, bt.grad
+
+
+# the exact cases: LeNet's conv1 (im2col) and conv2 (MEC) at batch 100, each
+# form padded and strided, and each form over 1000 rows, three or more row
+# blocks with a ragged last one; with pool, windows that tile the output
+EXACT_CASES = {
+    "lenet-conv1": ((100, 1, 28, 28), (20, 1, 5, 5), 1, 0, False, 2),
+    "lenet-conv2": ((100, 20, 12, 12), (50, 20, 5, 5), 1, 0, True, 2),
+    "im2col-2-1": ((6, 2, 10, 12), (5, 2, 2, 3), 2, 1, False, 3),    # H'*W' = 36 >= 12
+    "mec-2-1": ((6, 8, 7, 8), (5, 8, 3, 3), 2, 1, True, 2),           # 16 < 72
+    "im2col-blocked": ((1000, 2, 9, 10), (5, 2, 2, 3), 1, 0, False, 4),  # 64 >= 12
+    "mec-blocked": ((1000, 8, 8, 6), (5, 8, 3, 3), 1, 0, True, 2),        # 24 < 72
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_conv2d_equals_sliding_window_einsum_exactly_on_small_integers(case, conv_blocks):
+    x_shape, k_shape, stride, padding, lowered, _ = EXACT_CASES[case]
+    rng = np.random.default_rng(40)
+    x, k, bias = _small_ints(rng, x_shape), _small_ints(rng, k_shape), _small_ints(rng, k_shape[0])
+    want = _conv2d_einsum(x, k, stride, padding) + bias[:, None, None]
+    g = _small_ints(rng, want.shape)
+    out, gx, gk, gb = _recorded_conv(x, k, bias, g, stride, padding)
+    assert {form for form, _, _ in conv_blocks} == {lowered}
+    if x_shape[0] == 1000:
+        _assert_ragged_blocks(conv_blocks[:len(conv_blocks) // 2], 1000)  # the forward's
+    ref_gx, ref_gk = _conv2d_grads_einsum(x, k, g, stride, padding)
+    assert np.array_equal(out, want)
+    assert np.array_equal(gx, ref_gx)
+    assert np.array_equal(gk, ref_gk)
+    assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_conv2d_pool_equals_einsum_then_first_max_exactly_on_small_integers(case):
+    # small integers tie often, so the first maximum of a window matters
+    x_shape, k_shape, stride, padding, _, pool = EXACT_CASES[case]
+    rng = np.random.default_rng(41)
+    x, k, bias = _small_ints(rng, x_shape), _small_ints(rng, k_shape), _small_ints(rng, k_shape[0])
+    conv = _conv2d_einsum(x, k, stride, padding) + bias[:, None, None]
+    g = _small_ints(rng, conv[:, :, ::pool, ::pool].shape)
+    want, g_conv = _tile_pool_oracle(conv, pool, g)
+    out, gx, gk, gb = _recorded_conv(x, k, bias, g, stride, padding, pool)
+    ref_gx, ref_gk = _conv2d_grads_einsum(x, k, g_conv, stride, padding)
+    assert np.array_equal(out, want)
+    assert np.array_equal(gx, ref_gx)
+    assert np.array_equal(gk, ref_gk)
+    assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("data", ["normal", "tied", "non-finite"])
+@pytest.mark.parametrize("case", ["im2col", "mec", "im2col-2-1", "mec-2-1", "mec-1-2",
+                                  "im2col-blocked", "mec-blocked"])
+def test_conv2d_pool_equals_conv2d_then_maxpool2d_bit_for_bit(case, data, monkeypatch,
+                                                              conv_blocks):
+    x_shape, k_shape, stride, padding, lowered, pool = {
+        "im2col": ((3, 1, 12, 12), (4, 1, 5, 5), 1, 0, False, 2),
+        "mec": ((3, 4, 8, 8), (6, 4, 5, 5), 1, 0, True, 2),
+        "im2col-2-1": ((3, 2, 10, 12), (5, 2, 2, 3), 2, 1, False, 3),
+        "mec-2-1": ((3, 8, 7, 8), (5, 8, 3, 3), 2, 1, True, 2),
+        "mec-1-2": ((3, 8, 6, 6), (5, 8, 5, 5), 1, 2, True, 3),  # 36 < 200
+        # under a budget of 3 rows' block buffers (3,856 and 1,152 values a
+        # row), 10 rows make blocks of 3, 3, 3 and 1
+        "im2col-blocked": ((10, 1, 12, 12), (4, 1, 5, 5), 1, 0, False, 2),
+        "mec-blocked": ((10, 4, 8, 8), (6, 4, 5, 5), 1, 0, True, 2),
+    }[case]
+    if case.endswith("blocked"):
+        monkeypatch.setattr(T, "_BLOCK_VALUES", 3 * (1152 if lowered else 3856))
+    rng = np.random.default_rng(42)
+    if data == "tied":  # a conv of small integers is an integer: windows tie
+        x, k = rng.integers(-2, 3, x_shape) * 1.0, rng.integers(-1, 2, k_shape) * 1.0
+    else:
+        x, k = rng.standard_normal(x_shape), rng.standard_normal(k_shape)
+    bias = np.round(rng.standard_normal(k_shape[0]), 1)
+    conv = _conv2d_einsum(x, k, stride, padding)
+    g = rng.standard_normal(conv[:, :, ::pool, ::pool].shape)
+    g *= 10.0 ** rng.uniform(-8, 8, g.shape)  # so a different summation order shows
+    if data == "non-finite":
+        g.flat[::7] = np.inf
+        g.flat[3::11] = np.nan
+    with np.errstate(invalid="ignore"):  # inf - inf in the GEMMs of non-finite g
+        fused = _recorded_conv(x, k, bias, g, stride, padding, pool)
+        fused_blocks = list(conv_blocks)
+        separate = _recorded_conv(x, k, bias, g, stride, padding, pool, separate=True)
+    for name, a, b in zip(("output", "x grad", "kernel grad", "bias grad"), fused, separate):
+        assert _same_bits(a, b), name
+    assert fused_blocks == conv_blocks[len(fused_blocks):]  # the same row blocks
+    assert {form for form, _, _ in fused_blocks} == {lowered}
+    if case.endswith("blocked"):
+        _assert_ragged_blocks(fused_blocks[:len(fused_blocks) // 2], x_shape[0])
+    # and untaped, with no mask
+    plain = T.conv2d(Tensor(x), Tensor(k), stride, padding, bias=Tensor(bias), pool=pool)
+    assert _same_bits(plain.data, fused[0])
+
+
+def test_conv2d_pool_must_tile_the_conv_output():
+    x, k = Tensor(np.zeros((1, 1, 7, 8))), Tensor(np.zeros((2, 1, 2, 2)))  # output 6 x 7
+    with pytest.raises(ContractError,
+                       match=r"pool window 2 does not tile the conv output \(6, 7\)"):
+        T.conv2d(x, k, pool=2)
+    with pytest.raises(ContractError, match="pool window 0"):
+        T.conv2d(x, k, pool=0)
+
+
+def test_conv2d_pool_never_makes_a_whole_conv_output():
+    # LeNet's conv1 and pool1 as one op on 400 rows. The forward holds the
+    # pooled output and the first-max masks and, for the rest, one block;
+    # the backward holds the kernel and bias gradients and one block. Either
+    # alone is below the 35.2 MiB of conv1's whole output, or of pool1's
+    # whole input gradient, which the separate ops make
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.uniform(0.0, 1.0, (400, 1, 28, 28)))
+    k = Tensor(rng.standard_normal((20, 1, 5, 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(20), requires_grad=True)
+    conv_mib = 400 * 20 * 24 * 24 * 8 / 2 ** 20
+    block_mib = T._BLOCK_VALUES * 8 / 2 ** 20
+    with Tape() as tape:
+        fwd_peak, held = traced_mib(lambda: T.conv2d(x, k, bias=b, pool=2))
+    out_mib = 400 * 20 * 12 * 12 * 8 / 2 ** 20
+    masks_mib = 4 * 400 * 20 * 12 * 12 / 2 ** 20
+    assert held <= out_mib + masks_mib + 0.05
+    assert fwd_peak <= out_mib + masks_mib + block_mib + 0.25 < conv_mib / 2
+    (node,) = tape._nodes
+    g = rng.standard_normal((400, 20, 12, 12))
+    assert peak_mib(lambda: node.backward_fn(g)) <= block_mib + 0.25
+
+
 # ---------------------------------------------------------------------------
 # elementwise suite
 
@@ -484,28 +669,37 @@ def _maxpool_naive(x, k, stride, g):
 
 
 # k x k windows at stride k tile (9, 12) at k = 3 and (10, 12) and (12, 12)
-# at k = 2, the shapes maxpool2d pools in tap-major row blocks; (9, 11) at
-# k = 2 and (10, 12) at k = 3 leave a last row over (H = k*H' + 1)
+# at k = 2, the shapes a conv pools inside its own op; (9, 11) at k = 2 and
+# (10, 12) at k = 3 leave a last row over (H = k*H' + 1)
 @pytest.mark.parametrize("hw", [(9, 11), (10, 12), (9, 12), (12, 12)])
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
 def test_maxpool2d_matches_naive_loop_with_ties(k, stride, hw):
     _check_pool_against_naive_loop((2, 3) + hw, k, stride)
 
 
-def test_maxpool2d_tiles_match_naive_loop_across_row_blocks(monkeypatch):
-    # a block budget of three rows' tap-major copy and input: 7 rows make
-    # blocks of 3, 3 and 1
-    monkeypatch.setattr(T, "_BLOCK_VALUES", 3 * 2 * (3 * 8 * 12))
-    _check_pool_against_naive_loop((7, 3, 8, 12), 2, 2)
+def _unit_conv_pool(k):
+    """conv2d with a 1 x 1 kernel of 1.0 and ``pool=k``: on one channel, a
+    max-pool of its input in the conv's row blocks, whose input gradient is
+    the pool's, each entry times 1.0."""
+    return lambda t: T.conv2d(t, Tensor(np.ones((1, 1, 1, 1))), pool=k)
 
 
-def _check_pool_against_naive_loop(x_shape, k, stride):
+def test_conv2d_pool_tiles_match_naive_loop_across_row_blocks(monkeypatch, conv_blocks):
+    # a block budget of three rows' buffers (480 values a row for a 1 x 1
+    # kernel on 8 x 12 pixels): 7 rows make blocks of 3, 3 and 1
+    monkeypatch.setattr(T, "_BLOCK_VALUES", 3 * 480)
+    _check_pool_against_naive_loop((7, 1, 8, 12), 2, 2, _unit_conv_pool(2))
+    assert [stop - start for _, start, stop in conv_blocks] == [3, 3, 1] * 2
+
+
+def _check_pool_against_naive_loop(x_shape, k, stride, op=None):
+    op = op or (lambda t: T.maxpool2d(t, k, stride))
     rng = np.random.default_rng(18)
     # ReLU zeros and values rounded to 0.1 give many tied windows
     x = np.round(np.maximum(rng.standard_normal(x_shape), 0.0), 1)
     xt = Tensor(x, requires_grad=True)
     with Tape():
-        out = T.maxpool2d(xt, k, stride)
+        out = op(xt)
         # gradients over 16 decades, so a different summation order shows
         g = rng.standard_normal(out.shape) * 10.0 ** rng.uniform(-8, 8, out.shape)
         loss = tsum(mul(out, Tensor(g)))
@@ -513,8 +707,8 @@ def _check_pool_against_naive_loop(x_shape, k, stride):
     ref_out, ref_gx = _maxpool_naive(x, k, stride, g)
     assert np.array_equal(out.data, ref_out)
     assert np.array_equal(xt.grad, ref_gx)
-    # an untaped forward keeps no masks and takes the general path, tiles or not
-    assert np.array_equal(T.maxpool2d(Tensor(x), k, stride).data, ref_out)
+    # an untaped forward keeps no masks
+    assert np.array_equal(op(Tensor(x)).data, ref_out)
 
 
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)])
@@ -525,17 +719,25 @@ def test_maxpool2d_sends_non_finite_gradient_to_the_maximum_only(k, stride):
 @pytest.mark.parametrize("hw,k", [((8, 12), 2), ((9, 12), 3), ((9, 12), 2), ((10, 12), 3)],
                          ids=["tiles-2", "tiles-3", "row-over-2", "row-over-3"])
 def test_maxpool2d_tiled_or_not_sends_non_finite_gradient_to_the_maximum_only(hw, k):
-    # the tap-major path where k x k windows tile the input at stride k, the
-    # general one where one row is left over (H = k*H' + 1)
+    # windows at stride k that tile the input, and one row left over (H =
+    # k*H' + 1)
     _check_non_finite_pool_gradient((1, 2) + hw, k, k)
 
 
-def _check_non_finite_pool_gradient(x_shape, k, stride):
+@pytest.mark.parametrize("hw,k", [((8, 12), 2), ((9, 12), 3)], ids=["tiles-2", "tiles-3"])
+def test_conv2d_pool_sends_non_finite_gradient_to_the_first_maximum_only(hw, k):
+    _check_non_finite_pool_gradient((2, 1) + hw, k, k, _unit_conv_pool(k), tied=True)
+
+
+def _check_non_finite_pool_gradient(x_shape, k, stride, op=None, tied=False):
+    op = op or (lambda t: T.maxpool2d(t, k, stride))
     rng = np.random.default_rng(19)
     x = rng.permutation(int(np.prod(x_shape))).astype(np.float64).reshape(x_shape)
+    if tied:  # each value three times, so that windows tie
+        x //= 3
     xt = Tensor(x, requires_grad=True)
     with Tape():
-        out = T.maxpool2d(xt, k, stride)
+        out = op(xt)
         g = rng.standard_normal(out.shape)
         g.flat[::3] = np.inf
         g.flat[1::5] = np.nan
