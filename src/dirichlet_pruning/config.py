@@ -42,7 +42,7 @@ class ExperimentConfig:
     estimator: str = "analytic"      # analytic | implicit
     k: int = 1
     kl_weight: float = -1.0          # -1 means 1/N
-    mode: str = "per_layer"          # the only mode; kept so existing configs parse
+    mode: str = "per_layer"          # unread, kept: the demo and benchmark configs set it
     epochs: int = 1
     batch_size: int = 100
     lr: float = 0.1

@@ -8,7 +8,8 @@ prunable ordinal. The scale is folded into the input weights of the switch's
 consumer, the next conv or fc layer, so the activations themselves are never
 multiplied. That is exact because only ReLU, max-pooling and flatten can lie
 between two linear layers, and they commute with a non-negative per-channel
-scale.
+scale. A (c, C) switch folds c scales at once, one copy of the consumer's
+weight each, and the graph after the consumer runs on c times the rows.
 
 Conventions used throughout:
   - conv weights are (c_out, c_in, kh, kw), fc weights are (d_in, d_out)
@@ -223,11 +224,16 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     maps a prunable ordinal to a non-negative scale on that layer's output
     channels (array or Tensor); a missing entry acts as identity, and a key
     that is no ordinal raises ContractError. A switch acts at its consumer
-    (see ``switch_consumers``): a conv kernel is scaled along c_in, an fc
-    weight row group by row group, a group being the H*W rows one channel
-    fills after a flatten. A negative entry raises ContractError, since the
-    fold is exact only for s >= 0. ``params`` overrides weights by name with
-    Tensors, for gradient-carrying passes.
+    (see ``switch_consumers``) through ``tensor.scale_input_channels``: a
+    conv kernel is scaled along c_in, an fc weight row group by row group, a
+    group being the H*W rows one channel fills after a flatten. A negative
+    entry raises ContractError, since the fold is exact only for s >= 0, and
+    a width other than its layer's raises ShapeError. A (c, C) switch folds
+    c scales at once: the consumer runs with c scaled copies of its weight
+    and its untracked bias tiled c times, and its output, pooled if its conv
+    pools, becomes N * c rows, row n * c + j being batch row n under scale
+    j. ``params`` overrides weights by name with Tensors, for
+    gradient-carrying passes (a tracked weight takes no switch).
 
     ``start`` and ``stop`` run only layers[start:stop]; x is then the
     activation that enters layer ``start``, and the result is the one that
@@ -236,7 +242,7 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     unscaled, and a switch on a layer before ``start`` still scales a
     consumer at or after it. The default runs the whole graph.
 
-    A conv followed by a max-pool that ``fused_pool`` accepts, both inside
+    A conv followed by a max-pool that ``_fused_pool`` accepts, both inside
     [start, stop), runs as one op, ``conv2d(..., pool=k)``, which never makes
     the conv's whole output (LeNet's conv1 and conv2). A ``stop`` between
     the two, or a ReLU between them as in a graph of the older order, runs
@@ -265,14 +271,33 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             name, bias_name = f"layer{i}.weight", f"layer{i}.bias"
             w = params.get(name) or Tensor(weights[name])
             b = params.get(bias_name) or Tensor(weights[bias_name])
+            copies = 1
             if i in feeding:
                 o = feeding[i]
-                w = _fold_switch(w, T._lift(switches[o]), spec, i, o,
-                                 _width(layers[linear[o]]))
-            pool = fused_pool(layers, i, stop, h.data.shape) if isinstance(spec, Conv2d) else None
-            h = apply_linear(spec, h, w, b, pool)
-            if pool is not None:
-                pooled = i + 1
+                s = T._lift(switches[o])
+                if (s.data < 0.0).any():
+                    raise ContractError(f"switch {o} has a negative entry; only a "
+                                        f"non-negative scale folds into layer {i}")
+                width = _width(layers[linear[o]])
+                if s.shape[-1:] != (width,):
+                    raise ShapeError(f"switch {o} has shape {s.shape}; layer {linear[o]} "
+                                     f"has {width} output channels")
+                w = T.scale_input_channels(w, s)
+                if s.data.ndim == 2 and s.shape[0] > 1:
+                    copies = s.shape[0]
+                    if b.requires_grad:
+                        raise ContractError(f"layer {i}'s bias is tracked, but a switch of "
+                                            f"{copies} rows tiles it untaped")
+                    b = Tensor(np.concatenate((b.data,) * copies))
+            if isinstance(spec, FullyConnected):
+                h = T.matmul(h, w, bias=b)
+            else:
+                pool = _fused_pool(layers, i, stop, h.data.shape)
+                h = T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b, pool=pool)
+                if pool is not None:
+                    pooled = i + 1
+            if copies > 1:  # row n * copies + j: batch row n under switch row j
+                h = T.reshape(h, (h.shape[0] * copies, h.shape[1] // copies) + h.shape[2:])
         elif isinstance(spec, Relu):
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):
@@ -283,36 +308,17 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     return h
 
 
-def fused_pool(layers, i: int, stop: int, shape) -> int | None:
+def _fused_pool(layers, i: int, stop: int, shape) -> int | None:
     """The window k of the max-pool that conv layer i runs inside its own op
     on an input of ``shape``: that of a MaxPool2d right after it, before
     ``stop``, at stride k, whose windows tile the conv's output. None for
-    any other layer or pool."""
-    spec, nxt = layers[i], layers[i + 1] if i + 1 < stop else None
-    if not (isinstance(spec, Conv2d) and isinstance(nxt, MaxPool2d)
-            and nxt.k == nxt.stride and len(shape) == 4):  # else conv2d names a bad input
+    any other pool."""
+    nxt = layers[i + 1] if i + 1 < stop else None
+    if not (isinstance(nxt, MaxPool2d) and nxt.k == nxt.stride
+            and len(shape) == 4):  # else conv2d names a bad input
         return None
-    oh, ow = _conv_out_hw(shape[2], shape[3], spec)
+    oh, ow = _conv_out_hw(shape[2], shape[3], layers[i])
     return nxt.k if oh % nxt.k == 0 and ow % nxt.k == 0 else None
-
-
-def apply_linear(spec, h, w, b, pool=None):
-    """The conv or fc layer ``spec`` on ``h`` with weight ``w`` and bias ``b``,
-    and for a conv with ``pool=k`` the k x k max-pool after it."""
-    if isinstance(spec, FullyConnected):
-        return T.matmul(h, w, bias=b)
-    return T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b, pool=pool)
-
-
-def _fold_switch(w, s, spec, i: int, ordinal: int, width: int):
-    """Consumer weight ``w`` of layer i with switch ``s`` folded into its inputs."""
-    if (s.data < 0.0).any():
-        raise ContractError(f"switch {ordinal} has a negative entry; only a "
-                            f"non-negative scale folds into layer {i}")
-    if isinstance(spec, Conv2d):  # (c_out, c_in, kh, kw): c_in is axis 1
-        return T.broadcast_mul_channels(w, s)
-    groups = T.reshape(w, (1, width, -1))
-    return T.reshape(T.broadcast_mul_channels(groups, s), w.shape)
 
 
 # ---------------------------------------------------------------------------

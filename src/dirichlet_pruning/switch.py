@@ -25,16 +25,17 @@ rows they draw for the trained switch:
 A switch scales the input weights of its consumer, the conv or fc layer
 after its own (``models.forward``). Per batch the path costs one untaped pass
 through the layers before the trained switch's consumer and one taped pass
-through the rest of the graph for all k rows at once: the rows are stacked
-into the consumer as k scaled copies of its weight, so the suffix runs on
-k * N activation rows. Backprop stops at the stacked weight, whose gradient
-contracted with the weight is every row's dL/ds, and one vectorized chain
-rule carries the (k, D) dL/ds rows to theta. The rows go through in chunks
-under one budget of stacked values (``_STACK_VALUES``), each chunk on its
-own tape. The KL gradient is added in closed form. The untaped pass is not
-repeated per batch after the first sweep: every row's activation at the
-next sweep's consumer is computed once, when the finished switches are
-fixed, so a later sweep's batch costs only its taped suffix.
+through the rest of the graph for all k rows at once: ``forward`` takes the
+rows as one (k, D) switch and folds them into the consumer as k scaled
+copies of its weight, so the suffix runs on k * N activation rows. Backprop
+ends at that switch, whose gradient is every row's dL/ds, and one
+vectorized chain rule carries the (k, D) dL/ds rows to theta. The rows go
+through in chunks under one budget of stacked values (``_STACK_VALUES``),
+each chunk on its own tape. The KL gradient is added in closed form. The
+untaped pass is not repeated per batch after the first sweep: every row's
+activation at the next sweep's consumer is computed once, when the
+finished switches are fixed, so a later sweep's batch costs only its taped
+suffix.
 
 Cost: a step on the README MLP (20-64-2, 100 rows, D = 64, AnalyticMean)
 makes about 160 numpy calls, most on arrays too small for their arithmetic
@@ -63,9 +64,9 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
-from .models import (Conv2d, ModelGraph, _batches, _check_count, _check_rows, _conv_out_hw,
-                     apply_linear, forward, fused_pool, loss_bound, prunable_widths,
-                     read_json, switch_consumers, write_json)
+from .models import (ModelGraph, _batches, _check_count, _check_rows, forward, loss_bound,
+                     propagate_shapes, prunable_widths, read_json, switch_consumers,
+                     write_json)
 from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
@@ -78,10 +79,6 @@ _THETA_INIT = math.log(math.expm1(1.0))  # softplus(theta) = 1
 # consumer's output, so this bounds the taped suffix's memory. A row count
 # could not: a LeNet conv2 output row holds 3,200 values, an MLP logit row 2.
 _STACK_VALUES = 2 ** 20
-# ``_row_grads`` contracts an fc consumer's stacked gradient with its weight
-# in chunks of channel groups whose product holds at most this many values
-# (512 KiB of float64)
-_ROW_GRAD_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -173,43 +170,6 @@ class SwitchObjectiveValue:
     kl_weight: float
 
 
-def _stacked_weight(w, rows):
-    """The consumer weight ``w`` once per row of ``rows`` (c, C), each copy
-    with its C input channels scaled by its row, side by side along the
-    output axis: a conv kernel (c * c_out, c_in, kh, kw), or an fc weight
-    (d_in, c * d_out) whose d_in rows form C groups, one per channel of the
-    flattened activation."""
-    c, width = rows.shape
-    if w.ndim == 4:
-        return (rows[:, None, :, None, None] * w).reshape((c * w.shape[0],) + w.shape[1:])
-    d_in, d_out = w.shape
-    out = np.empty((width, d_in // width, c, d_out))
-    # written through a (.., d_out, c) view, so the inner loop runs over the
-    # c copies, not over d_out, which is 2 for the MLP's logits
-    np.multiply(w.reshape(width, -1, d_out, 1), rows.T.reshape(width, 1, 1, c),
-                out=out.transpose(0, 1, 3, 2))
-    return out.reshape(d_in, c * d_out)
-
-
-def _row_grads(grad, w, rows):
-    """dL/d(rows), (c, C), from the gradient of ``_stacked_weight(w, rows)``:
-    each copy's block contracted with ``w`` over all but the input channel.
-    An fc weight's product is formed a few channel groups at a time, at
-    most ``_ROW_GRAD_VALUES`` values (one group where a group holds more),
-    not as one more array of the stacked gradient's size; each channel's
-    sum is the one the whole product would give, bit for bit."""
-    c, width = rows.shape
-    if w.ndim == 4:
-        return np.add.reduce(grad.reshape((c,) + w.shape) * w, axis=(1, 3, 4))
-    d_out = w.shape[1]
-    grad, w = grad.reshape(width, -1, c, d_out), w.reshape(width, -1, 1, d_out)
-    out = np.empty((width, c))
-    per = max(1, _ROW_GRAD_VALUES // max(1, grad[0].size))  # channel groups a chunk
-    for lo in range(0, width, per):
-        np.add.reduce(grad[lo:lo + per] * w[lo:lo + per], axis=(1, 3), out=out[lo:lo + per])
-    return out.T
-
-
 def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
     """Estimate of E_q[NLL] and its phi gradient for switch ``layer``.
 
@@ -218,49 +178,37 @@ def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
     with S = Y / sum(Y) row by row. A switch acts at its consumer's input
     weights, so the layers before that consumer do not depend on the rows:
     they run once per batch, untaped, with the other switches at their
-    posterior mean. The rows are stacked into the consumer instead
-    (``_stacked_weight``): the consumer runs once on the N batch rows with k
-    scaled copies of its weight, one conv im2col or one fc GEMM for all of
-    them, and its output, reshaped to N * k rows (row n * k + j is batch row
-    n under draw j), runs the rest of the graph once on one tape. The loss
-    is the sum of the k per-draw mean NLLs, so each draw's gradient is the
-    one its own pass would give. Backprop stops at the stacked weight, whose
-    gradient contracted with the weight is every draw's dL/ds
-    (``_row_grads``); one vectorized chain rule pushes them to phi. The draws
-    go through in chunks, each on its own tape, whose stacked weight and
-    output hold at most ``_STACK_VALUES`` values (at least one draw each).
-    AnalyticMean's one row is a chunk of one.
+    posterior mean. From the consumer on, ``forward`` runs once per chunk
+    of rows on one tape, with the chunk as a (c, D) switch leaf: the
+    consumer runs once on the N batch rows with c scaled copies of its
+    weight, one conv im2col or one fc GEMM for all of them, and the rest of
+    the graph on N * c rows (row n * c + j is batch row n under draw j). The
+    loss is the sum of the c per-draw mean NLLs, so each draw's gradient is
+    the one its own pass would give, and the leaf's gradient is every
+    draw's dL/ds; one vectorized chain rule pushes them to phi. A chunk's
+    stacked weight and consumer output hold at most ``_STACK_VALUES`` values
+    (at least one draw each). AnalyticMean's one row is a chunk of one.
     """
     s, y, dy_dphi = draw
     k, n = len(s), hb.shape[0]
     mean_switches = {st.layer: st.posterior_mean() for st in states if st.layer != layer}
     entry = switch_consumers(model)[layer]
-    spec = model.layers[entry]
-    w, b = model.weights[f"layer{entry}.weight"], model.weights[f"layer{entry}.bias"]
     h = forward(model, hb, switches=mean_switches, start=start, stop=entry)
+    per = 1  # draws a chunk; AnalyticMean's one row needs no budget
+    if k > 1:
+        out_row = math.prod(propagate_shapes(model.layers[entry:entry + 1], h.shape[1:])[0])
+        per = max(1, _STACK_VALUES // (model.weights[f"layer{entry}.weight"].size + n * out_row))
     g = np.empty(s.shape)
     nll_acc = 0.0
-    if isinstance(spec, Conv2d):
-        out_row = spec.c_out * math.prod(_conv_out_hw(*h.shape[2:], spec))
-    else:
-        out_row = spec.d_out
-    per = max(1, _STACK_VALUES // (w.size + n * out_row))
-    # a conv consumer runs the pool after it in its own op; pooling acts on
-    # each channel alone, so it commutes with splitting the stacked channels
-    pool = fused_pool(model.layers, entry, len(model.layers), h.shape)
-    after = entry + 1 + (pool is not None)
     for lo in range(0, k, per):
-        rows = s[lo:lo + per]
-        c = len(rows)
-        leaf = Tensor(_stacked_weight(w, rows), requires_grad=True)
+        leaf = Tensor(s[lo:lo + per], requires_grad=True)
+        c = leaf.shape[0]
         with Tape():
-            z = apply_linear(spec, h, leaf, Tensor(np.concatenate((b,) * c)), pool)
-            z = T.reshape(z, (n * c, z.shape[1] // c) + z.shape[2:])
-            logits = forward(model, z, switches=mean_switches, start=after)
+            logits = forward(model, h, switches={**mean_switches, layer: leaf}, start=entry)
             nll = T.softmax_cross_entropy(logits, yb.repeat(c), copies=c)
         T.backward(nll)
         nll_acc += nll.item()
-        g[lo:lo + c] = _row_grads(leaf.grad, w, rows)
+        g[lo:lo + c] = leaf.grad
     # s_m = y_m / sum(y): d(nll)/dphi_m = dy_dphi_m * (g_m - g.s) / sum(y)
     dphi = (dy_dphi * (g - np.add.reduce(g * s, axis=1, keepdims=True))
             / np.add.reduce(y, axis=1, keepdims=True))

@@ -2,8 +2,8 @@
 
 The primitive set is exactly what ``models.forward`` and its loss need:
 matmul and conv2d (im2col), each with an optional bias added inside the op,
-relu, per-channel broadcast multiply, max-pooling (alone, or inside conv2d
-when its windows tile the conv's output), reshape (behind
+relu, the switch fold ``scale_input_channels``, max-pooling (alone, or
+inside conv2d when its windows tile the conv's output), reshape (behind
 ``flatten_batch``) and softmax cross-entropy, which is the only reduction
 to a scalar loss. There is no elementwise arithmetic between tensors and no
 operator overloading.
@@ -323,22 +323,59 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None) -> Tensor:
     return _record(_output(prod), inputs, bwd)
 
 
-def broadcast_mul_channels(h: Tensor, s: Tensor) -> Tensor:
-    """Multiply every element of channel j (axis 1 of h, or axis 1 of an (N,C)
-    matrix) by s[j]."""
-    hd, sd = h.data, s.data
-    if sd.ndim != 1:
-        raise ShapeError(f"channel scale must be 1-d, got {s.shape}")
-    if hd.ndim < 2 or hd.shape[1] != sd.shape[0]:
-        raise ShapeError(f"channel count mismatch: h {h.shape} vs s {s.shape}")
-    view = sd.reshape((1, sd.shape[0]) + (1,) * (hd.ndim - 2))
+# scale_input_channels' backward contracts an fc weight's gradient with the
+# weight in chunks of channel groups whose product holds at most this many
+# values (512 KiB of float64)
+_ROW_GRAD_VALUES = 2 ** 16
+
+
+def scale_input_channels(w: Tensor, rows: Tensor) -> Tensor:
+    """The weight ``w`` once per row of ``rows`` (c, C), or of a 1-d switch
+    (C,), each copy with its C input channels scaled by its row, side by
+    side on the output axis: a conv kernel (c * c_out, C, kh, kw), or an fc
+    weight (d_in, c * d_out) whose d_in rows form C equal groups, one per
+    channel of the flattened activation.
+
+    Only ``rows`` takes a gradient: each copy's block of g contracted with
+    ``w`` over all but the input channel, for an fc weight a few channel
+    groups at a time, at most ``_ROW_GRAD_VALUES`` values (one group where a
+    group holds more), each channel's sum the whole product's bit for bit.
+    A tracked ``w`` raises ContractError: its gradient would be dropped.
+    """
+    wd, rd = w.data, rows.data
+    if w.requires_grad:
+        raise ContractError(f"scale_input_channels drops a tracked weight's gradient {w.shape}")
+    if rd.ndim not in (1, 2):
+        raise ShapeError(f"channel scales must be (C,) or (c, C), got {rows.shape}")
+    table = rd[None] if rd.ndim == 1 else rd
+    c, width = table.shape
+    if not (wd.ndim == 4 and wd.shape[1] == width
+            or wd.ndim == 2 and width and wd.shape[0] % width == 0):
+        raise ShapeError(f"{width} channel scales do not fit weight {w.shape}")
+    if wd.ndim == 4:
+        out = (table[:, None, :, None, None] * wd).reshape((c * wd.shape[0],) + wd.shape[1:])
+    else:
+        d_in, d_out = wd.shape
+        out = np.empty((width, d_in // width, c, d_out))
+        # written through a (.., d_out, c) view, so the inner loop runs over the
+        # c copies, not over d_out, which is 2 for the MLP's logits
+        np.multiply(wd.reshape(width, -1, d_out, 1), table.T.reshape(width, 1, 1, c),
+                    out=out.transpose(0, 1, 3, 2))
+        out = out.reshape(d_in, c * d_out)
 
     def bwd(g):
-        return (g * view if h.requires_grad else None,
-                np.add.reduce(g * hd, axis=(0,) + tuple(range(2, hd.ndim)))
-                if s.requires_grad else None)
+        if wd.ndim == 4:
+            grad = np.add.reduce(g.reshape((c,) + wd.shape) * wd, axis=(1, 3, 4))
+            return (grad.reshape(rd.shape),)
+        g, groups = g.reshape(width, -1, c, d_out), wd.reshape(width, -1, 1, d_out)
+        grad = np.empty((width, c))
+        per = max(1, _ROW_GRAD_VALUES // max(1, g[0].size))  # channel groups a chunk
+        for lo in range(0, width, per):
+            np.add.reduce(g[lo:lo + per] * groups[lo:lo + per], axis=(1, 3),
+                          out=grad[lo:lo + per])
+        return (grad.T.reshape(rd.shape),)
 
-    return _record(_output(hd * view), (h, s), bwd)
+    return _record(_output(out), (rows,), bwd)
 
 
 # ---------------------------------------------------------------------------

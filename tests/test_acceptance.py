@@ -125,6 +125,10 @@ def test_criterion_2_gradient_suite():
     cflat = Tensor(rng.normal(size=(2, 48)))
     logits = rng.normal(size=(6, 4)) * 2.0
     labels = rng.integers(0, 4, size=6)
+    rows = np.stack([s3, s3[::-1]])  # two rows of three channel scales
+
+    def ramp(*shape):
+        return Tensor(np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape))
 
     # every op that models.forward and its loss record; tsum(mul(out, c))
     # from the test-side ops turns an output into a scalar loss
@@ -135,8 +139,11 @@ def test_criterion_2_gradient_suite():
         ("reshape", lambda x: tsum(mul(T.reshape(x, (2, 6)), Tensor(np.ones((2, 6))))),
          [mat(3, 4)[:2, :3].reshape(2, 3).repeat(2, axis=1)]),
         ("flatten", lambda x: tsum(mul(T.flatten_batch(x), cflat)), [h]),
-        ("broadcast_mul", lambda x, s: tsum(mul(T.broadcast_mul_channels(x, s),
-                                                Tensor(np.ones_like(h)))), [h, s3]),
+        ("scale_input_channels_conv",
+         lambda s: tsum(mul(T.scale_input_channels(cconv, s), ramp(4, 3, 3, 3))), [rows]),
+        ("scale_input_channels_fc",
+         lambda s: tsum(mul(T.scale_input_channels(Tensor(h.reshape(12, 8)), s), ramp(12, 16))),
+         [rows]),
         ("matmul_bias", lambda x, w, b: tsum(mul(T.matmul(x, w, bias=b), c34)),
          [mat(3, 5), rng.normal(size=(5, 4)), rng.normal(size=4)]),
         ("conv2d", lambda x, k: tsum(mul(T.conv2d(x, k, stride=2, padding=1), cconv)),

@@ -276,3 +276,23 @@ def test_artifact_name_scan_sees_every_literal():
 def test_cli_spells_no_artifact_name():
     # each artifact's config key and default file name live in pipeline.py
     assert _artifact_names((PACKAGE / "cli.py").read_text()) == []
+
+
+# the layer specs, and the tensor ops that apply a layer or fold a switch
+_LAYER_NAMES = {"Conv2d", "FullyConnected", "Relu", "MaxPool2d", "Flatten",
+                "matmul", "conv2d", "maxpool2d", "scale_input_channels"}
+
+
+def test_layer_name_scan_sees_the_fold_in_models():
+    # models.forward applies every layer and folds every switch, so a scan
+    # that misses any of these names there would miss it in switch.py too
+    assert _LAYER_NAMES <= _references(ast.parse((PACKAGE / "models.py").read_text()))
+
+
+def test_switch_module_leaves_layers_and_the_fold_to_forward():
+    # the fold's layout (a conv kernel scaled along c_in, an fc weight in
+    # groups of H*W rows, draws stacked on the output axis) lives in
+    # tensor.scale_input_channels and models.forward only; switch.py runs
+    # its consumer through forward
+    source = (PACKAGE / "switch.py").read_text()
+    assert sorted(_LAYER_NAMES & _references(ast.parse(source))) == []

@@ -26,6 +26,7 @@ from dirichlet_pruning.synthetic import gen_synthetic
 from dirichlet_pruning.tensor import Tape, Tensor
 
 from conftest import peak_mib
+from tape_ops import mul
 
 
 def _fc_only(d_in=4, d_out=3):
@@ -266,7 +267,8 @@ def _activation_scaling_forward(model, x, switches):
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
         if ordinal_of.get(i) in switches:
-            h = T.broadcast_mul_channels(h, T._lift(switches[ordinal_of[i]]))
+            s = T._lift(switches[ordinal_of[i]])
+            h = mul(h, T.reshape(s, (1, s.shape[0]) + (1,) * (h.ndim - 2)))
     return h
 
 
@@ -314,6 +316,47 @@ def test_forward_rejects_negative_switch_entry():
     with pytest.raises(ContractError, match="switch 0 has a negative entry"):
         forward(model, x, switches={0: np.array([0.5, 0.6, -0.2, 0.1])})
     forward(model, x, switches={0: np.array([0.5, 0.5, 0.0, 0.0])})
+
+
+@pytest.mark.parametrize("ordinal,length", [(0, 2), (1, 2), (1, 8), (2, 4)],
+                         ids=["conv-consumer", "fc-after-flatten-2", "fc-after-flatten-8",
+                              "fc-consumer"])
+def test_forward_rejects_switch_of_another_width_than_its_producer(ordinal, length):
+    # LeNet [3, 4, 10, 6]: conv1's switch scales conv2's 3 input channels,
+    # conv2's fc1's 64 rows in 4 groups of 16, fc1's fc2's 10 rows. A length
+    # that divides the rows (2 or 8 of 64) would fold without the check
+    model = build_lenet5([3, 4, 10, 6], rng=np.random.default_rng(17))
+    x = np.random.default_rng(18).standard_normal((2, 1, 28, 28))
+    for s in (np.full(length, 1.0 / length), np.full((3, length), 1.0 / length)):
+        with pytest.raises(ShapeError):
+            forward(model, x, switches={ordinal: s})
+
+
+def test_forward_runs_each_row_of_a_switch_on_every_batch_row():
+    # a (c, C) switch: output row n * c + j is batch row n under row j
+    rng = np.random.default_rng(19)
+    model = build_lenet5([3, 4, 10, 6], rng=rng)
+    x = rng.standard_normal((2, 1, 28, 28))
+    for o, width in enumerate(prunable_widths(model)):
+        rows = rng.dirichlet(np.ones(width), size=3)
+        got = forward(model, x, switches={o: rows}).data
+        assert got.shape == (6, 10)
+        for j in range(3):
+            np.testing.assert_allclose(got[j::3], forward(model, x, switches={o: rows[j]}).data,
+                                       rtol=1e-10, atol=1e-12, err_msg=f"switch {o}, row {j}")
+
+
+def test_forward_rejects_a_tracked_parameter_that_a_switch_would_drop():
+    # the fold returns no weight gradient, and a tiled bias no bias gradient
+    model = build_mlp(5, 4, 2, rng=np.random.default_rng(15))
+    x = np.random.default_rng(16).standard_normal((3, 5))
+    tracked = {n: Tensor(w, requires_grad=True) for n, w in model.weights.items()}
+    rows = np.full((3, 4), 0.25)
+    with pytest.raises(ContractError, match="bias is tracked"):
+        forward(model, x, switches={0: rows}, params={"layer2.bias": tracked["layer2.bias"]})
+    with pytest.raises(ContractError, match="tracked weight"):
+        forward(model, x, switches={0: rows[0]}, params=tracked)
+    forward(model, x, switches={0: rows[:1]}, params={"layer2.bias": tracked["layer2.bias"]})
 
 
 @pytest.mark.parametrize("key", [1, 4, -1, "0"])

@@ -377,22 +377,29 @@ def test_analytic_mean_matches_taped_oracle(case):
 ])
 def test_fc_row_grads_in_chunks_equal_the_whole_product_bitwise(d_in, d_out, width, c, budget,
                                                                  monkeypatch):
+    # the row gradient of T.scale_input_channels for an fc consumer's weight
     if budget is not None:
-        monkeypatch.setattr(switch_module, "_ROW_GRAD_VALUES", budget)
+        monkeypatch.setattr(T, "_ROW_GRAD_VALUES", budget)
     rng = np.random.default_rng(d_in + d_out + width + c)
     w, rows = rng.standard_normal((d_in, d_out)), rng.random((c, width))
     grad = rng.standard_normal((d_in, c * d_out))
     whole = np.add.reduce(grad.reshape(width, -1, c, d_out) * w.reshape(width, -1, 1, d_out),
                           axis=(1, 3)).T
-    got = switch_module._row_grads(grad, w, rows)
+    with Tape() as tape:
+        T.scale_input_channels(Tensor(w), Tensor(rows, requires_grad=True))
+    (node,) = tape._nodes
+    (got,) = node.backward_fn(grad)
     assert got.shape == (c, width) and np.array_equal(got, whole)
 
 
 def test_fc_consumer_switch_step_allocation_peak_full_lenet():
-    # conv2's switch scales fc1's (800, 800) weight: a step holds the stacked
-    # weight and its gradient, 4.9 MiB each, and contracts that gradient
-    # with the weight in chunks of 0.5 MiB. 11.0 MiB here; one whole product
-    # of the gradient's size peaked at 15.3 MiB
+    # conv2's switch scales fc1's (800, 800) weight: a step holds a draw's
+    # scaled weight and its gradient, 4.9 MiB each, and contracts that
+    # gradient with the weight in chunks of 0.5 MiB. Eight draws run one a
+    # chunk, and each chunk's scaled weight and gradient are freed on its
+    # own tape. About 10.4 MiB for either estimator; one whole product of
+    # the gradient's size peaked at 15.3 MiB, and so did eight draws whose
+    # scaled weight and gradient lived on while the next draw's was made
     model = build_lenet5([20, 50, 800, 500], rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x, y = rng.uniform(0.0, 1.0, (100, 1, 28, 28)), rng.integers(0, 10, 100)
@@ -400,9 +407,11 @@ def test_fc_consumer_switch_step_allocation_peak_full_lenet():
     h = forward(model, x, stop=entry).data
     states = init_switch_states(model)
     w_mib = model.weights[f"layer{entry}.weight"].nbytes / 2 ** 20
-    step = lambda: neg_elbo_and_grads(states, model, h, y, 1000, np.random.default_rng(2),
-                                      layer=1, start=entry)
-    assert peak_mib(step) <= 2 * w_mib + 1.5
+    for estimator in (AnalyticMean(), ImplicitMC(8)):
+        schedule = SwitchTrainSchedule(estimator=estimator)
+        step = lambda: neg_elbo_and_grads(states, model, h, y, 1000, np.random.default_rng(2),
+                                          layer=1, start=entry, schedule=schedule)
+        assert peak_mib(step) <= 2 * w_mib + 1.5, estimator
 
 
 def test_no_model_weight_gradients_with_frozen_weights():

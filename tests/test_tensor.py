@@ -553,37 +553,94 @@ def test_conv2d_pool_never_makes_a_whole_conv_output():
 # elementwise suite
 
 
-def test_broadcast_mul_channels_identity():
+def test_scale_input_channels_at_ones_is_the_weight():
     rng = np.random.default_rng(5)
-    h = rng.standard_normal((2, 4, 3, 3))
-    out = T.broadcast_mul_channels(Tensor(h), Tensor(np.ones(4)))
-    assert np.array_equal(out.data, h)
+    for shape in [(2, 4, 3, 3), (12, 5)]:
+        w = rng.standard_normal(shape)
+        out = T.scale_input_channels(Tensor(w), Tensor(np.ones(4)))
+        assert np.array_equal(out.data, w)
 
 
-def test_broadcast_mul_channels_one_hot():
+def test_scale_input_channels_one_hot_keeps_one_channel():
     rng = np.random.default_rng(6)
-    h = rng.standard_normal((2, 4, 3, 3)) + 5.0
     s = np.zeros(4)
     s[1] = 1.0
-    out = T.broadcast_mul_channels(Tensor(h), Tensor(s)).data
-    assert np.array_equal(out[:, 1], h[:, 1])
+    k = rng.standard_normal((2, 4, 3, 3)) + 5.0
+    out = T.scale_input_channels(Tensor(k), Tensor(s)).data
+    assert np.array_equal(out[:, 1], k[:, 1])
     assert np.all(out[:, [0, 2, 3]] == 0.0)
+    w = rng.standard_normal((12, 5)) + 5.0  # four groups of three rows
+    out = T.scale_input_channels(Tensor(w), Tensor(s)).data
+    assert np.array_equal(out[3:6], w[3:6])
+    assert np.all(out[:3] == 0.0) and np.all(out[6:] == 0.0)
 
 
-def test_broadcast_mul_channels_grad_wrt_s():
+@pytest.mark.parametrize("w_shape", [(2, 4, 3, 3), (12, 5)], ids=["conv", "fc"])
+@pytest.mark.parametrize("r_shape", [(4,), (3, 4)], ids=["1-d", "3-rows"])
+def test_scale_input_channels_row_grad_matches_fd(w_shape, r_shape):
     rng = np.random.default_rng(7)
-    for shape in [(3, 5), (2, 4, 3, 3)]:
-        h = rng.uniform(-2, 2, shape)
-        s = rng.uniform(0.1, 2, shape[1])
-        g = _grad_of(T.broadcast_mul_channels, (h, s), wrt=1)
-        axes = (0,) + tuple(range(2, len(shape)))
-        assert np.allclose(g, h.sum(axis=axes), atol=1e-12)
-        assert grad_err(g, _fd_of(T.broadcast_mul_channels, (h, s), 1)) <= 1e-6
+    w, rows = rng.uniform(-2, 2, w_shape), rng.uniform(0.1, 2, r_shape)
+    op = T.scale_input_channels
+    g_out = rng.standard_normal(op(Tensor(w), Tensor(rows)).shape)
+    g = _grad_of(op, (w, rows), wrt=1, out_reduce=lambda out: tsum(mul(out, Tensor(g_out))))
+    fd = central_fd(lambda r: float((op(Tensor(w), Tensor(r)).data * g_out).sum()), rows)
+    assert g.shape == rows.shape
+    assert grad_err(g, fd) <= 1e-6
 
 
-def test_broadcast_mul_channels_mismatch():
-    with pytest.raises(ShapeError):
-        T.broadcast_mul_channels(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)))
+def _scale_input_channels_einsum(w, table, g):
+    """The op's output and its (c, C) row gradient for the output gradient
+    g, by einsum: a conv kernel's copies stacked on c_out, an fc weight's on
+    d_out, its rows in C groups."""
+    c, width = table.shape
+    if w.ndim == 4:
+        out = np.einsum("jc,ocab->jocab", table, w).reshape((-1,) + w.shape[1:])
+        return out, np.einsum("jocab,ocab->jc", g.reshape((c,) + w.shape), w)
+    groups = w.reshape(width, -1, w.shape[1])
+    out = np.einsum("jc,crq->crjq", table, groups).reshape(w.shape[0], -1)
+    return out, np.einsum("crjq,crq->jc", g.reshape(width, -1, c, w.shape[1]), groups)
+
+
+@pytest.mark.parametrize("r_shape", [(4,), (1, 4), (3, 4)], ids=["1-d", "1-row", "3-rows"])
+@pytest.mark.parametrize("w_shape,per", [
+    ((6, 4, 3, 3), None),  # a conv kernel, C = c_in
+    ((64, 5), None),  # an fc weight after a flatten: 4 channels of H*W = 16 rows
+    ((64, 5), 3),  # the same, its row gradient in chunks of 3 and 1 channel groups
+    ((64, 5), 1),  # one group a chunk
+], ids=["conv", "fc", "fc-chunks-3-1", "fc-chunks-1"])
+def test_scale_input_channels_equals_einsum_exactly_on_small_integers(w_shape, per, r_shape,
+                                                                      monkeypatch):
+    # on integers in [-8, 8] every product and sum is exact in any order
+    rng = np.random.default_rng(43)
+    w, rows = _small_ints(rng, w_shape), _small_ints(rng, r_shape)
+    table = rows.reshape(-1, 4)
+    if per is not None:  # per groups fit, per + 1 do not
+        group = 16 * len(table) * 5  # values of one channel group of the stacked gradient
+        monkeypatch.setattr(T, "_ROW_GRAD_VALUES", per * group + group - 1)
+    leaf = Tensor(rows, requires_grad=True)
+    with Tape():
+        out = T.scale_input_channels(Tensor(w), leaf)
+        g = _small_ints(rng, out.shape)
+        loss = _seed(out, g)
+    T.backward(loss)
+    want, want_grad = _scale_input_channels_einsum(w, table, g)
+    assert np.array_equal(out.data, want)
+    assert leaf.grad.shape == rows.shape
+    assert np.array_equal(leaf.grad.reshape(table.shape), want_grad)
+
+
+def test_scale_input_channels_rejects_a_tracked_weight():
+    # the op returns no weight gradient, so a tracked weight would lose it
+    w = Tensor(np.ones((6, 4)), requires_grad=True)
+    with pytest.raises(ContractError, match="tracked weight"):
+        T.scale_input_channels(w, Tensor(np.ones(2)))
+
+
+def test_scale_input_channels_mismatch():
+    for w_shape, r_shape in [((2, 3, 1, 1), (4,)), ((10, 2), (4,)), ((8, 2), (2, 2, 2)),
+                             ((8, 2, 1), (2,)), ((8, 2), (0,))]:
+        with pytest.raises(ShapeError):
+            T.scale_input_channels(Tensor(np.ones(w_shape)), Tensor(np.ones(r_shape)))
 
 
 @pytest.mark.parametrize("op,n_args", [
@@ -885,6 +942,13 @@ def test_cross_entropy_of_copies_is_the_sum_of_their_means():
 # backward mechanics
 
 
+def _switched_conv(rows, x):
+    """x convolved with a fixed kernel whose input channels each row of
+    ``rows`` scales, one output copy per row."""
+    kernel = Tensor(np.linspace(-1.0, 1.0, 4 * 3 * 2 * 2).reshape(4, 3, 2, 2))
+    return T.conv2d(x, T.scale_input_channels(kernel, rows))
+
+
 _MULTI_INPUT_OPS = [
     (add, [(3, 4), (3, 4)]),
     (lambda a, b: T.conv2d(a, b), [(2, 3, 5, 5), (4, 3, 2, 2)]),
@@ -892,7 +956,7 @@ _MULTI_INPUT_OPS = [
     (div, [(3, 4), (3, 4)]),
     (T.matmul, [(3, 4), (4, 2)]),
     (lambda a, b: T.conv2d(a, b, stride=2, padding=1), [(2, 3, 6, 6), (4, 3, 3, 3)]),
-    (T.broadcast_mul_channels, [(2, 4, 3, 3), (4,)]),
+    (_switched_conv, [(2, 3), (2, 3, 5, 5)]),
     (lambda a, b, c: T.matmul(a, b, bias=c), [(3, 4), (4, 2), (2,)]),
     (lambda a, b, c: T.conv2d(a, b, stride=2, padding=1, bias=c),
      [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
@@ -1175,7 +1239,7 @@ def test_forward_outputs_finite():
     image = Tensor(rng.uniform(-2, 2, (1, 4, 4, 4)))
     # logits of size 1e3 overflow exp unless the loss shifts by the maximum
     outs = [T.matmul(x, x), T.relu(x), T.flatten_batch(image),
-            T.broadcast_mul_channels(x, Tensor(np.arange(4.0))),
+            T.scale_input_channels(x, Tensor(np.arange(4.0))),
             T.matmul(x, x, bias=Tensor(np.arange(4.0))), T.maxpool2d(image, 2, 2),
             T.softmax_cross_entropy(Tensor(1e3 * x.data), np.arange(4))]
     for o in outs:
