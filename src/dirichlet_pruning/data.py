@@ -46,15 +46,17 @@ def _parse_idx(raw: bytes, magic: int, ndim: int, what: str) -> np.ndarray:
 
 
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) with x float64 (N, 1, 28, 28) scaled to [0, 1] and y int64 (N,)."""
+    """(x, y) with x the uint8 (N, 1, H, W) pixels the file stores, as one
+    writable copy, and y int64 (N,).
+
+    A pixel stays one byte for the whole run (1/8 of float64); only a batch
+    entering the graph is scaled to [0, 1], by ``models.forward``."""
     images = _parse_idx(_read_bytes(images_path), _IMAGE_MAGIC, 3, f"{images_path}")
     labels = _parse_idx(_read_bytes(labels_path), _LABEL_MAGIC, 1, f"{labels_path}")
     if images.shape[0] != labels.shape[0]:
         raise FormatError(f"{images_path}: {images.shape[0]} images but "
                           f"{labels.shape[0]} labels")
-    x = images.astype(np.float64)
-    x /= 255.0  # in place: one float64 copy of the images at a time
-    return x[:, None, :, :], labels.astype(np.int64)
+    return images[:, None].copy(), labels.astype(np.int64)
 
 
 def train_val_split(x, y, val_fraction: float, rng) -> tuple:

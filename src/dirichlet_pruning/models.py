@@ -220,20 +220,24 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             params: dict | None = None, *, start: int = 0, stop: int | None = None):
     """Run the graph on a batch.
 
-    x is (N, C, H, W) for conv models or (N, d) for dense ones. ``switches``
-    maps a prunable ordinal to a non-negative scale on that layer's output
-    channels (array or Tensor); a missing entry acts as identity, and a key
-    that is no ordinal raises ContractError. A switch acts at its consumer
-    (see ``switch_consumers``) through ``tensor.scale_input_channels``: a
-    conv kernel is scaled along c_in, an fc weight row group by row group, a
-    group being the H*W rows one channel fills after a flatten. A negative
-    entry raises ContractError, since the fold is exact only for s >= 0, and
-    a width other than its layer's raises ShapeError. A (c, C) switch folds
-    c scales at once: the consumer runs with c scaled copies of its weight
-    and its untracked bias tiled c times, and its output, pooled if its conv
-    pools, becomes N * c rows, row n * c + j being batch row n under scale
-    j. ``params`` overrides weights by name with Tensors, for
-    gradient-carrying passes (a tracked weight takes no switch).
+    x is (N, C, H, W) for conv models or (N, d) for dense ones. A uint8 x
+    holds 8-bit pixels (``data.load_mnist_idx``) and enters the graph as
+    float64 ``x / 255.0``, in [0, 1]; any other x enters as float64.
+
+    ``switches`` maps a prunable ordinal to a non-negative scale on that
+    layer's output channels (array or Tensor); a missing entry acts as
+    identity, and a key that is no ordinal raises ContractError. A switch
+    acts at its consumer (see ``switch_consumers``) through
+    ``tensor.scale_input_channels``: a conv kernel is scaled along c_in, an
+    fc weight row group by row group, a group being the H*W rows one
+    channel fills after a flatten. A negative entry raises ContractError,
+    since the fold is exact only for s >= 0, and a width other than its
+    layer's raises ShapeError. A (c, C) switch folds c scales at once: the
+    consumer runs with c scaled copies of its weight and its untracked bias
+    tiled c times, and its output, pooled if its conv pools, becomes N * c
+    rows, row n * c + j being batch row n under scale j. ``params``
+    overrides weights by name with Tensors, for gradient-carrying passes (a
+    tracked weight takes no switch).
 
     ``start`` and ``stop`` run only layers[start:stop]; x is then the
     activation that enters layer ``start``, and the result is the one that
@@ -248,6 +252,8 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     the two, or a ReLU between them as in a graph of the older order, runs
     them as separate ops; the values and gradients are the same either way.
     """
+    if isinstance(x, np.ndarray) and x.dtype == np.uint8:
+        x = x / 255.0  # the graph's only input scale: 8-bit pixels to [0, 1]
     h = T._lift(x)
     if h.data.ndim not in (2, 4):
         raise ShapeError(f"input must be (N, d) or (N, C, H, W), got {h.data.shape}")
@@ -579,9 +585,12 @@ def loss_bound(model: ModelGraph) -> float:
 
 
 def _check_rows(x, y, what: str):
-    """``x`` as float64 and ``y`` as an array; ContractError, naming ``what``,
-    if there is no row or the row and label counts differ."""
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as float64, or as it is if it holds uint8 pixels (``forward``
+    scales each batch of those), and ``y`` as an array; ContractError,
+    naming ``what``, if there is no row or the row and label counts differ."""
+    x = np.asarray(x)
+    if x.dtype != np.uint8:
+        x = x.astype(np.float64, copy=False)
     y = np.asarray(y)
     if x.shape[0] == 0:
         raise ContractError(f"{what} is empty")

@@ -57,7 +57,9 @@ logger = logging.getLogger(__name__)
 class Dataset:
     """The split rows of a run. The training and validation rows are views
     of one shuffled array (for the synthetic task, the x whose last rows are
-    the test rows), so no row is held twice."""
+    the test rows), so no row is held twice. IDX images stay the uint8
+    pixels their files store, one byte each; ``models.forward`` scales a
+    batch of them to [0, 1]. Synthetic rows are float64."""
 
     x_train: np.ndarray
     y_train: np.ndarray
@@ -409,8 +411,8 @@ def export_feature_maps(model: ModelGraph, image, layer_index: int, out_dir,
                         report: RankingReport | None = None) -> list[str]:
     """One min-max-normalized PGM per channel of the layer's output map,
     filenames prefixed by rank (from the report if given, else by channel
-    index)."""
-    image = np.asarray(image, dtype=np.float64)
+    index). A uint8 image is read as ``forward`` reads 8-bit pixels."""
+    image = np.asarray(image)
     if image.ndim == 3:
         image = image[None]
     if image.ndim != 4 or image.shape[0] != 1:

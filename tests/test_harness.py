@@ -1,5 +1,6 @@
 """Config parsing, dataset IO, synthetic task, pipeline, and the CLI."""
 
+import dataclasses
 import gzip
 import hashlib
 import importlib.util
@@ -32,6 +33,7 @@ from dirichlet_pruning.pruning import (LayerRanking, RankingReport, make_plan,
 from dirichlet_pruning.synthetic import (_BLOCK_VALUES, gen_synthetic, make_true_switch,
                                          task_model)
 from dirichlet_pruning import cli, errors
+from dirichlet_pruning import pipeline as pipeline_module
 
 from conftest import child_env, peak_mib, traced_mib
 from synthetic_oracle import one_buffer_synthetic
@@ -221,6 +223,12 @@ def _write(tmp_path, name, raw):
     return path
 
 
+def _graph_input(x):
+    """What ``forward`` makes of ``x`` as the graph's input (no layer runs)."""
+    model = build_lenet5([2, 2, 8, 4], rng=np.random.default_rng(0))
+    return forward(model, x, stop=0).data
+
+
 def test_idx_roundtrip_and_scaling(tmp_path):
     pixels = np.zeros((2, 3, 3), dtype=np.uint8)
     pixels[0, 0, 0] = 255
@@ -228,10 +236,15 @@ def test_idx_roundtrip_and_scaling(tmp_path):
     ip = _write(tmp_path, "imgs", _idx_images(pixels))
     lp = _write(tmp_path, "labels", _idx_labels([3, 1]))
     x, y = load_mnist_idx(ip, lp)
-    assert x.shape == (2, 1, 3, 3) and x.dtype == np.float64
-    assert x[0, 0, 0, 0] == 1.0
-    assert x[1, 0, 2, 1] == 128 / 255
-    assert x.min() == 0.0
+    assert x.shape == (2, 1, 3, 3) and x.dtype == np.uint8
+    assert x.flags.writeable and x.flags.c_contiguous
+    assert np.array_equal(x[:, 0], pixels)
+    # the graph reads the stored pixels scaled to [0, 1]
+    scaled = _graph_input(x)
+    assert scaled.dtype == np.float64
+    assert scaled[0, 0, 0, 0] == 1.0
+    assert scaled[1, 0, 2, 1] == 128 / 255
+    assert scaled.min() == 0.0
     assert y.tolist() == [3, 1] and y.dtype == np.int64
 
 
@@ -240,7 +253,8 @@ def test_idx_gzip_transparent(tmp_path):
     ip = _write(tmp_path, "imgs.gz", gzip.compress(_idx_images(pixels)))
     lp = _write(tmp_path, "labels.gz", gzip.compress(_idx_labels([0, 1])))
     x, y = load_mnist_idx(ip, lp)
-    np.testing.assert_allclose(x[:, 0], pixels / 255.0)
+    assert x.dtype == np.uint8 and np.array_equal(x[:, 0], pixels)
+    assert _graph_input(x)[:, 0].tobytes() == (pixels / 255.0).tobytes()
     assert y.tolist() == [0, 1]
 
 
@@ -274,14 +288,14 @@ def test_idx_count_mismatch(tmp_path):
         load_mnist_idx(ip, lp)
 
 
-def test_idx_allocation_peak_is_one_float_copy(tmp_path):
-    # scaling the float64 copy in place: 1.1x x; a second copy for the
-    # division peaked at 2.1x
+def test_idx_allocation_peak_is_one_uint8_copy(tmp_path):
+    # the file's bytes and the one uint8 copy of its pixels: 2.01x the pixel
+    # bytes
     pixels = np.random.default_rng(12).integers(0, 256, (2000, 28, 28))
     ip = _write(tmp_path, "imgs", _idx_images(pixels))
     lp = _write(tmp_path, "labels", _idx_labels(np.arange(2000) % 10))
-    x_mib = 2000 * 28 * 28 * 8 / 2 ** 20
-    assert peak_mib(lambda: load_mnist_idx(ip, lp)) <= 1.25 * x_mib
+    pixel_mib = 2000 * 28 * 28 / 2 ** 20
+    assert peak_mib(lambda: load_mnist_idx(ip, lp)) <= 2.5 * pixel_mib
 
 
 def _permutation_split(x, y, val_fraction, rng):
@@ -318,6 +332,21 @@ def test_train_val_split_partitions():
         if x.flags.c_contiguous:
             for part in got[0], got[2]:
                 assert np.shares_memory(part, x), name
+
+
+def test_train_val_split_moves_pixels_as_their_float_form():
+    # whole rows swap through a void view of any item size, so uint8 pixels
+    # and their float64 form split alike and leave rng in the same state
+    pixels = np.random.default_rng(5).integers(0, 256, (203, 1, 4, 4)).astype(np.uint8)
+    rng8, rngf = np.random.default_rng(6), np.random.default_rng(6)
+    got8 = train_val_split(pixels.copy(), np.arange(203), 0.25, rng8)
+    gotf = train_val_split(pixels / 255.0, np.arange(203), 0.25, rngf)
+    for rows8, rowsf in zip(got8[::2], gotf[::2]):
+        assert rows8.dtype == np.uint8
+        assert (rows8 / 255.0).tobytes() == rowsf.tobytes()
+    for labels8, labelsf in zip(got8[1::2], gotf[1::2]):
+        assert np.array_equal(labels8, labelsf)
+    assert rng8.bit_generator.state == rngf.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +479,9 @@ def test_load_dataset_allocation_peak_is_x_plus_one_block():
 
 
 def test_load_dataset_keeps_only_the_subset_rows(tmp_path):
-    # a view of the first 200 rows would keep all 2,000 (12 MiB) alive
+    # a view of the first 200 rows would keep all 2,000 (1.5 MiB) alive
     cfg = _idx_data_config(tmp_path, 2000, 100, 28, subset=200)
-    row_mib = 28 * 28 * 8 / 2 ** 20
+    row_mib = 28 * 28 / 2 ** 20  # one byte a pixel
     rng = np.random.default_rng(15)
     _, held = traced_mib(lambda: load_dataset(cfg, rng))
     assert held <= (200 + 100) * row_mib + 0.1
@@ -532,6 +561,11 @@ def _nano_lenet_config(tmp_path, out_dir, widths=(2, 3, 6, 4)):
                         mnist_test_images=ip, mnist_test_labels=lp)
 
 
+# every artifact a pipeline run writes but timings.csv
+_STABLE_ARTIFACTS = ("resolved_config.txt", "switches.json", "ranking.csv",
+                     "plan.json", "pruned.dpm1", "finetuned.dpm1", "metrics.csv")
+
+
 @pytest.mark.parametrize("config", [
     lambda tmp_path, out: _nano_config(out),
     lambda tmp_path, out: _nano_config(out, estimator="implicit", k=3),
@@ -541,13 +575,31 @@ def _nano_lenet_config(tmp_path, out_dir, widths=(2, 3, 6, 4)):
 ], ids=["analytic", "implicit", "lenet"])
 def test_pipeline_deterministic_artifacts_are_byte_stable(tmp_path, config):
     out = tmp_path / "run"
-    stable = ("resolved_config.txt", "switches.json", "ranking.csv",
-              "plan.json", "pruned.dpm1", "finetuned.dpm1", "metrics.csv")
     run_pipeline(config(tmp_path, out))
-    first = {name: (out / name).read_bytes() for name in stable}
+    first = {name: (out / name).read_bytes() for name in _STABLE_ARTIFACTS}
     run_pipeline(config(tmp_path, out))
-    for name in stable:
+    for name in _STABLE_ARTIFACTS:
         assert (out / name).read_bytes() == first[name], name
+
+
+def test_pipeline_on_pixels_matches_the_float64_rows(tmp_path, monkeypatch):
+    # the uint8 pixels enter the graph as x / 255.0, bit for bit the rows
+    # the float64 loader held, so every artifact is the same
+    out = tmp_path / "run"
+    cfg = _nano_lenet_config(tmp_path, out, widths=(3, 3, 6, 4))
+    run_pipeline(cfg)
+    shipped = {name: (out / name).read_bytes() for name in _STABLE_ARTIFACTS}
+
+    def float64_rows(images_path, labels_path):
+        x, y = load_mnist_idx(images_path, labels_path)
+        rows = x.astype(np.float64)
+        rows /= 255.0
+        return rows, y
+
+    monkeypatch.setattr(pipeline_module, "load_mnist_idx", float64_rows)
+    run_pipeline(cfg)
+    for name in _STABLE_ARTIFACTS:
+        assert (out / name).read_bytes() == shipped[name], name
 
 
 def test_pipeline_writes_switches_to_switches_path(tmp_path):
@@ -605,10 +657,13 @@ def _dataset_digest(data) -> str:
 
 
 # computed with the split by fancy-index copies of one rng.permutation, so
-# any change to the split order, the centering or the draws shows here
+# any change to the split order, the centering or the draws shows here;
+# "mnist" pins the IDX rows as the graph reads them (each x / 255.0, the
+# rows the float64 loader made), "mnist_pixels" the uint8 rows as loaded
 _DATASET_DIGESTS = {
     "synthetic": "a14e53006ceec0603a7b3d0dfd82284622fb92551e8d1dc0c94e4208a9ca5a0c",
     "mnist": "b062879abf34d2d48d98f129864e6b404d9b325ca884f868811c69fbe7ed053f",
+    "mnist_pixels": "309abefca7c2292348e5aca7fca931d095163666627f6079aba4aa6216008d52",
 }
 
 
@@ -620,6 +675,10 @@ def test_load_dataset_bytes_are_pinned(tmp_path, data):
     else:
         cfg = _idx_data_config(tmp_path, 90, 30, 9, subset=64, val_fraction=0.25)
     dataset = load_dataset(cfg, np.random.default_rng(21))
+    if data == "mnist":
+        assert _dataset_digest(dataset) == _DATASET_DIGESTS["mnist_pixels"]
+        dataset = dataclasses.replace(dataset, **{
+            key: getattr(dataset, key) / 255.0 for key in ("x_train", "x_val", "x_test")})
     assert _dataset_digest(dataset) == _DATASET_DIGESTS[data]
 
 
@@ -965,6 +1024,21 @@ def test_cli_export_maps_on_mnist_files(tmp_path, capsys):
     assert "wrote 2 feature maps" in capsys.readouterr().out
     assert (out / "map_000_channel_000.pgm").exists()
     assert (out / "map_001_channel_001.pgm").exists()
+
+
+def test_cli_export_maps_reads_pixels_as_their_float_form(tmp_path):
+    # the test split's uint8 image (image_index = 1; the test split is not
+    # shuffled) writes the PGM bytes of its float form, x / 255.0
+    out, cfg = _export_maps_cfg(tmp_path)
+    assert cli.main(["--config", cfg, "export-maps"]) == 0
+    x, _ = load_mnist_idx(tmp_path / "imgs.idx", tmp_path / "labels.idx")
+    assert x.dtype == np.uint8
+    model = load_model(tmp_path / "lenet.dpm1")
+    paths = export_feature_maps(model, x[1] / 255.0, 0, tmp_path / "float")
+    assert len(paths) == 2
+    for path in paths:
+        name = pathlib.Path(path).name
+        assert (out / name).read_bytes() == pathlib.Path(path).read_bytes(), name
 
 
 def test_cli_export_maps_reads_default_ranking(tmp_path):

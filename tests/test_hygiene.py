@@ -296,3 +296,38 @@ def test_switch_module_leaves_layers_and_the_fold_to_forward():
     # its consumer through forward
     source = (PACKAGE / "switch.py").read_text()
     assert sorted(_LAYER_NAMES & _references(ast.parse(source))) == []
+
+
+def _pixel_scale_sites(sources: dict[str, str]) -> list[str]:
+    """``module: function`` of each function (by its innermost def) that
+    divides by 255, the 8-bit pixel scale, as ``a / 255`` or ``a /= 255``."""
+    sites = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(divisor, ast.Constant) and divisor.value == 255:
+                sites.append(f"{module}: {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sites
+
+
+def test_pixel_scale_scan_sees_every_form():
+    source = ("def a(x):\n    return x / 255.0\n"
+              "def b(x):\n    x /= 255\n    return x * 255.0\n"
+              "def c(x):\n    def inner():\n        return x / 255\n    return inner\n"
+              "d = 3 / 255\n")
+    assert _pixel_scale_sites({"m.py": source}) == [
+        "m.py: a", "m.py: b", "m.py: inner", "m.py: <module>"]
+
+
+def test_pixel_scale_lives_in_forward_only():
+    # IDX images stay uint8; models.forward is the one place that turns a
+    # batch of them into the graph's float64 [0, 1] input
+    assert _pixel_scale_sites(_package_sources()) == ["models.py: forward"]
