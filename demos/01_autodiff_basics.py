@@ -49,8 +49,8 @@ print(f"|difference|   {abs(fd - w.grad[0, 0]):.2e}")
 image = Tensor(rng.normal(size=(1, 1, 6, 6)), requires_grad=True)
 kernel = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
 with T.Tape():
-    maps = T.conv2d(image, kernel, stride=1, padding=1)
-    pooled = T.maxpool2d(maps, 2, 2)
+    maps = T.conv2d(image, kernel, padding=1)
+    pooled = T.maxpool2d(maps, 2)
     objective = T.softmax_cross_entropy(T.flatten_batch(pooled), np.array([0]))
 T.backward(objective)
 print("\nconv output map shape ", maps.data.shape)

@@ -8,6 +8,7 @@ dimension, then raw bytes. Gzipped files are accepted transparently.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 
 import numpy as np
@@ -18,15 +19,25 @@ _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
 
 
-def _read_bytes(path) -> bytes:
+def _read_bytes(path) -> bytearray:
+    """The file's bytes, gunzipped if it is gzipped, in one writable buffer,
+    so the array parsed from it is a writable view and the data is held once."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        size, gzipped = os.fstat(f.fileno()).st_size, f.read(2) == b"\x1f\x8b"
+        if gzipped:  # a gzip file ends with its data's size mod 2**32 (RFC 1952)
+            f.seek(max(0, size - 4))
+            size = int.from_bytes(f.read(4), "little")
+    raw, filled = bytearray(size), 0
+    with (gzip.open if gzipped else open)(path, "rb") as f:
+        with memoryview(raw) as view:  # in 64 KiB pieces: gzip copies no more
+            while n := f.readinto(view[filled:filled + 2 ** 16]):
+                filled += n
+        del raw[filled:]
+        raw += f.read()  # the rest of a file bigger than its size said
     return raw
 
 
-def _parse_idx(raw: bytes, magic: int, ndim: int, what: str) -> np.ndarray:
+def _parse_idx(raw: bytearray, magic: int, ndim: int, what: str) -> np.ndarray:
     if len(raw) < 4:
         raise FormatError(f"{what}: truncated at byte {len(raw)}, magic missing")
     (got,) = struct.unpack(">I", raw[:4])
@@ -46,8 +57,8 @@ def _parse_idx(raw: bytes, magic: int, ndim: int, what: str) -> np.ndarray:
 
 
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) with x the uint8 (N, 1, H, W) pixels the file stores, as one
-    writable copy, and y int64 (N,).
+    """(x, y) with x the uint8 (N, 1, H, W) pixels the file stores, a
+    writable view of the one buffer the file is read into, and y int64 (N,).
 
     A pixel stays one byte for the whole run (1/8 of float64); only a batch
     entering the graph is scaled to [0, 1], by ``models.forward``."""
@@ -56,7 +67,7 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     if images.shape[0] != labels.shape[0]:
         raise FormatError(f"{images_path}: {images.shape[0]} images but "
                           f"{labels.shape[0]} labels")
-    return images[:, None].copy(), labels.astype(np.int64)
+    return images[:, None], labels.astype(np.int64)
 
 
 def train_val_split(x, y, val_fraction: float, rng) -> tuple:

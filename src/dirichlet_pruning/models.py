@@ -144,27 +144,23 @@ def prunable_widths(model: ModelGraph) -> list[int]:
     return [_width(model.layers[i]) for i in prunable_indices(model)]
 
 
-def _conv_out_hw(h, w, spec: Conv2d):
-    oh = (h + 2 * spec.pad - spec.kh) // spec.stride + 1
-    ow = (w + 2 * spec.pad - spec.kw) // spec.stride + 1
-    return oh, ow
-
-
 def propagate_shapes(layers, input_shape) -> list[tuple]:
-    """Output shape (without batch dim) after each layer; raises ShapeError
-    on any mismatch, including non-positive spatial dims, and on a conv or
-    pool whose kernel, window or stride is below 1 or whose pad is negative."""
+    """Output shape (without batch dim) after each layer; raises ShapeError,
+    naming the layer, on any mismatch, including non-positive spatial dims,
+    and on a geometry the tensor ops do not run: a conv at a stride other
+    than 1, and a max-pool whose k x k windows at stride k do not tile."""
     shape = tuple(int(v) for v in input_shape)
     shapes = []
     for i, spec in enumerate(layers):
         if isinstance(spec, Conv2d):
-            if min(spec.kh, spec.kw, spec.stride) < 1 or spec.pad < 0:
-                raise ShapeError(f"layer {i}: conv2d needs kernel and stride >= 1 and pad >= 0, "
+            if min(spec.kh, spec.kw) < 1 or spec.stride != 1 or spec.pad < 0:
+                raise ShapeError(f"layer {i}: conv2d needs kernel >= 1, stride 1 and pad >= 0, "
                                  f"got kh={spec.kh}, kw={spec.kw}, stride={spec.stride}, "
                                  f"pad={spec.pad}")
             if len(shape) != 3 or shape[0] != spec.c_in:
                 raise ShapeError(f"layer {i}: conv2d expects ({spec.c_in}, H, W), got {shape}")
-            oh, ow = _conv_out_hw(shape[1], shape[2], spec)
+            oh = shape[1] + 2 * spec.pad - spec.kh + 1
+            ow = shape[2] + 2 * spec.pad - spec.kw + 1
             if oh <= 0 or ow <= 0:
                 raise ShapeError(f"layer {i}: conv2d output spatial dims ({oh}, {ow}) not positive")
             shape = (spec.c_out, oh, ow)
@@ -173,16 +169,13 @@ def propagate_shapes(layers, input_shape) -> list[tuple]:
                 raise ShapeError(f"layer {i}: fc expects ({spec.d_in},), got {shape}")
             shape = (spec.d_out,)
         elif isinstance(spec, MaxPool2d):
-            if spec.k < 1 or spec.stride < 1:
-                raise ShapeError(f"layer {i}: maxpool2d needs window and stride >= 1, "
-                                 f"got k={spec.k}, stride={spec.stride}")
             if len(shape) != 3:
                 raise ShapeError(f"layer {i}: maxpool2d expects (C, H, W), got {shape}")
-            oh = (shape[1] - spec.k) // spec.stride + 1
-            ow = (shape[2] - spec.k) // spec.stride + 1
-            if oh <= 0 or ow <= 0:
-                raise ShapeError(f"layer {i}: maxpool2d output spatial dims ({oh}, {ow}) not positive")
-            shape = (shape[0], oh, ow)
+            k = spec.k
+            if k < 1 or spec.stride != k or shape[1] % k or shape[2] % k or 0 in shape[1:]:
+                raise ShapeError(f"layer {i}: maxpool2d needs k x k windows at stride k that "
+                                 f"tile its {shape[1:]} input, got k={k}, stride={spec.stride}")
+            shape = (shape[0], shape[1] // k, shape[2] // k)
         elif isinstance(spec, Flatten):
             shape = (int(np.prod(shape)),)
         elif isinstance(spec, Relu):
@@ -246,11 +239,13 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     unscaled, and a switch on a layer before ``start`` still scales a
     consumer at or after it. The default runs the whole graph.
 
-    A conv followed by a max-pool that ``_fused_pool`` accepts, both inside
-    [start, stop), runs as one op, ``conv2d(..., pool=k)``, which never makes
-    the conv's whole output (LeNet's conv1 and conv2). A ``stop`` between
-    the two, or a ReLU between them as in a graph of the older order, runs
-    them as separate ops; the values and gradients are the same either way.
+    A conv followed by a max-pool, both inside [start, stop), runs as one
+    op, ``conv2d(..., pool=k)``, which never makes the conv's whole output
+    (LeNet's conv1 and conv2). A ``stop`` between the two, or a ReLU between
+    them as in a graph of the older order, runs them as separate ops; the
+    values and gradients are the same either way. An input on which a pool
+    does not tile, as one of another size than the graph's, raises
+    ContractError.
     """
     if isinstance(x, np.ndarray) and x.dtype == np.uint8:
         x = x / 255.0  # the graph's only input scale: 8-bit pixels to [0, 1]
@@ -298,8 +293,9 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             if isinstance(spec, FullyConnected):
                 h = T.matmul(h, w, bias=b)
             else:
-                pool = _fused_pool(layers, i, stop, h.data.shape)
-                h = T.conv2d(h, w, stride=spec.stride, padding=spec.pad, bias=b, pool=pool)
+                nxt = layers[i + 1] if i + 1 < stop else None
+                pool = nxt.k if isinstance(nxt, MaxPool2d) else None
+                h = T.conv2d(h, w, padding=spec.pad, bias=b, pool=pool)
                 if pool is not None:
                     pooled = i + 1
             if copies > 1:  # row n * copies + j: batch row n under switch row j
@@ -308,23 +304,10 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):
             if i != pooled:
-                h = T.maxpool2d(h, k=spec.k, stride=spec.stride)
+                h = T.maxpool2d(h, spec.k)
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
     return h
-
-
-def _fused_pool(layers, i: int, stop: int, shape) -> int | None:
-    """The window k of the max-pool that conv layer i runs inside its own op
-    on an input of ``shape``: that of a MaxPool2d right after it, before
-    ``stop``, at stride k, whose windows tile the conv's output. None for
-    any other pool."""
-    nxt = layers[i + 1] if i + 1 < stop else None
-    if not (isinstance(nxt, MaxPool2d) and nxt.k == nxt.stride
-            and len(shape) == 4):  # else conv2d names a bad input
-        return None
-    oh, ow = _conv_out_hw(shape[2], shape[3], layers[i])
-    return nxt.k if oh % nxt.k == 0 and ow % nxt.k == 0 else None
 
 
 # ---------------------------------------------------------------------------

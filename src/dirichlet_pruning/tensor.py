@@ -1,12 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 The primitive set is exactly what ``models.forward`` and its loss need:
-matmul and conv2d (im2col), each with an optional bias added inside the op,
-relu, the switch fold ``scale_input_channels``, max-pooling (alone, or
-inside conv2d when its windows tile the conv's output), reshape (behind
-``flatten_batch``) and softmax cross-entropy, which is the only reduction
-to a scalar loss. There is no elementwise arithmetic between tensors and no
-operator overloading.
+matmul and conv2d (im2col, zero padding), each with an optional bias added
+inside the op, relu, the switch fold ``scale_input_channels``, max-pooling
+in k x k windows that tile the input (alone, or inside conv2d), reshape
+(behind ``flatten_batch``) and softmax cross-entropy, which is the only
+reduction to a scalar loss. There is no elementwise arithmetic between
+tensors and no operator overloading.
 Ops record onto the innermost active ``Tape``; ``backward`` replays the
 tape in reverse insertion order, popping each node as it runs, so a node's
 saved arrays are freed as soon as its gradient is taken.
@@ -29,11 +29,12 @@ is kept or built only when the op is recorded, so an untaped or frozen
 forward pays for none of it. conv2d keeps no im2col matrix at all: it works
 in row blocks of bounded size and its backward rebuilds each block's
 columns (im2col, or a kw-only lowering) from the input, which its closure
-holds. maxpool2d builds its first-maximum masks in the recorded forward and
-keeps neither its input nor its output. conv2d with ``pool`` pools each row
-block of its output while the block is in cache and its backward rebuilds
-each block's output gradient from the pooled one, so LeNet's largest
-activation, conv1's output, and pool1's input gradient never exist whole.
+holds. Both pools run in row blocks on one kernel (``_pool_tiles``) and
+keep neither their input nor their output. conv2d with ``pool`` pools each
+row block of its output while the block is in cache and its backward
+rebuilds each block's output gradient from the pooled one, so LeNet's
+largest activation, conv1's output, and pool1's input gradient never exist
+whole.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves. By default every leaf takes its gradient when the
@@ -382,15 +383,15 @@ def scale_input_channels(w: Tensor, rows: Tensor) -> Tensor:
 # convolution / pooling
 
 
-# A row block of conv2d, with or without its pool, keeps its buffers within
-# this many values: 2 MiB of float64, about one core's L2 cache, so a
-# block's GEMMs, adds, copies and pooling read their operands from cache
-# and no conv buffer but the input, output, gradients and pool masks grows
-# with the batch.
+# A row block of conv2d, with or without its pool, or of maxpool2d keeps
+# its buffers within this many values: 2 MiB of float64, about one core's
+# L2 cache, so a block's GEMMs, adds, copies and pooling read their
+# operands from cache and no buffer but the input, output, gradients and
+# pool masks grows with the batch.
 _BLOCK_VALUES = 2 ** 18
 
 
-def _conv_geometry(x_shape, k_shape, stride, padding):
+def _conv_geometry(x_shape, k_shape, padding):
     if len(x_shape) != 4 or len(k_shape) != 4:
         raise ShapeError(f"conv2d needs NCHW input and (c_out, C, kh, kw) kernel, "
                          f"got {x_shape} and {k_shape}")
@@ -398,21 +399,16 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
     c_out, kc, kh, kw = k_shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {x_shape} vs kernel {k_shape}")
-    if stride < 1:
-        raise ContractError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ContractError(f"padding must be >= 0, got {padding}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(
             f"kernel {k_shape} larger than padded input {(n, c_in, hp, wp)}")
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
-    return n, c_in, c_out, kh, kw, h_out, w_out
+    return n, c_in, c_out, kh, kw, hp - kh + 1, wp - kw + 1
 
 
-def _conv_blocks(x: np.ndarray, rows: int, kh: int, kw: int, stride: int, padding: int,
-                 h_out: int, w_out: int, lowered: bool):
+def _conv_blocks(x: np.ndarray, rows: int, kh: int, kw: int, padding: int, lowered: bool):
     """Yield (start, stop, cols) for each block of ``rows`` rows of the NCHW
     array x, the last one ragged, with x zero-padded by ``padding``.
 
@@ -420,22 +416,21 @@ def _conv_blocks(x: np.ndarray, rows: int, kh: int, kw: int, stride: int, paddin
     W'), so the one gather copies runs of W' input pixels. With ``lowered``
     it is instead the kw-only lowering of MEC (Cho and Brand, ICML 2017),
     shaped (C, kw, Hp, W', rows) with Hp the padded height: entry (c, j, y,
-    x, n) is input pixel (y, x*stride + j) of row n, so rows i, i+stride, ...
-    of it hold kernel row i's taps for every output pixel, with columns in
-    (y, x, n) order, and a stride-1 slice of H' rows is one matrix with no
-    copy. Every block is built in the same buffer (and padded in one more),
-    whose sliding-window view is made once, so a block's matrix lives until
-    the next is yielded."""
+    x, n) is input pixel (y, x + j) of row n, so its rows i to i + H' - 1
+    are kernel row i's taps for every output pixel, one matrix with columns
+    in (y, x, n) order. Every block is built in the same buffer (and padded
+    in one more), whose sliding-window view is made once, so a block's
+    matrix lives until the next is yielded."""
     n, c, h, w = x.shape
     src = x
     if padding:
         src = np.zeros((rows, c, h + 2 * padding, w + 2 * padding))
     if lowered:  # (N, C, Hp, W', kw) -> (C, kw, Hp, W', N)
         windows = np.lib.stride_tricks.sliding_window_view(src, kw, axis=3)
-        windows, order = windows[:, :, :, ::stride][:, :, :, :w_out], (1, 4, 2, 3, 0)
+        order = (1, 4, 2, 3, 0)
     else:  # (N, C, H', W', kh, kw) -> (C, kh, kw, N, H', W')
         windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(2, 3))
-        windows, order = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out], (1, 4, 5, 0, 2, 3)
+        order = (1, 4, 5, 0, 2, 3)
     per_row = math.prod(windows.shape[1:])
     buf = np.empty(per_row * rows)
     for start in range(0, n, rows):
@@ -450,12 +445,13 @@ def _conv_blocks(x: np.ndarray, rows: int, kh: int, kw: int, stride: int, paddin
         yield start, stop, cols
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
+def conv2d(x: Tensor, kernel: Tensor, *, padding: int = 0,
            bias: Optional[Tensor] = None, pool: Optional[int] = None) -> Tensor:
-    """Batched 2-d cross-correlation, NCHW layout, no kernel flip, plus
-    bias[o] on every element of output channel o when a bias is given, and
-    with ``pool=k`` then maxpool2d(k, k), whose windows must tile the
-    output (k divides H' and W').
+    """Batched 2-d cross-correlation at stride 1, NCHW layout, no kernel
+    flip, on x zero-padded by ``padding`` on each side, plus bias[o] on
+    every element of output channel o when a bias is given, and with
+    ``pool=k`` then maxpool2d(k), whose windows must tile the output (k
+    divides H' and W').
 
     The batch runs in blocks of rows whose buffers, reused by every block of
     the call, together hold at most ``_BLOCK_VALUES`` values (one row's
@@ -470,7 +466,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
       kernel gradient sums the per-row products g (c_out, H'*W') @ cols.T,
       which read g in place.
     - Elsewhere (LeNet's conv2) a block is the kw-only MEC lowering of its
-      input (see ``_conv_blocks``), 1/kh of im2col's size at stride 1. The
+      input (see ``_conv_blocks``), 1/kh of im2col's size. The
       forward sums kh GEMMs, (c_out, C*kw) @ (C*kw, H'*W'*rows), one per
       kernel row, in a block buffer that one copy transposes into NCHW; the
       kernel gradient is kh GEMMs, g @ lowered.T.
@@ -483,8 +479,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     i, j], (H'*W'*rows, C); at C = 1 one GEMM makes every tap, since a
     per-tap product would be a GEMV, which rounds otherwise. Each tap is
     added, in col2im's order and so with its rounding, to its window of a
-    (Hp, Wp, rows, C) buffer: W'*rows*C contiguous values per output row at
-    stride 1, one 1-d add each, since numpy buffers a strided add of short
+    (Hp, Wp, rows, C) buffer: W'*rows*C contiguous values per output row,
+    one 1-d add each, since numpy buffers a strided add of short
     runs and runs it several times slower. One copy then transposes the
     buffer into NCHW. The bias gradient sums g over each row's H' and W',
     then over the rows. The backward returns one gradient per recorded
@@ -499,7 +495,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     so every GEMM and sum, are those of the conv alone, and max is exact:
     values and gradients equal conv2d then maxpool2d bit for bit.
     """
-    n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, stride, padding)
+    n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, padding)
     if bias is not None:
         _check_bias(bias, c_out, "conv2d")
     if pool is not None and (pool < 1 or h_out % pool or w_out % pool):
@@ -517,11 +513,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     # (the forward's two partial outputs, or with pool its output and that
     # output's tap-major copy; the backward's transposed g and with pool the
     # rebuilt conv-output gradient); the input gradient's taps and its padded
-    # gradient; and at stride > 1 the copy of a kernel row's taps a lowered
-    # GEMM reads
+    # gradient
     per_row = (c_in * kw * hp * w_out if lowered else depth * hw) \
         + (c_in * hp * wp if padding else 0) + 2 * c_out * hw + tap_values \
-        + c_in * hp * wp + (c_in * kw * hw if lowered and stride > 1 else 0)
+        + c_in * hp * wp
     rows = max(1, min(n, _BLOCK_VALUES // max(1, per_row)))
     kd = kernel.data
     # the bias as one (c_out, H'*W') plane: numpy adds a plane broadcast over
@@ -536,25 +531,24 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
         recorded = bool(_TAPES) and any(t.requires_grad for t in inputs)
         first = np.empty((pool * pool,) + out.shape, dtype=bool) if recorded else None
 
-    def finish(block, start, stop, spare):
+    def finish(block, start, stop):
         """Add the bias to a (b, c_out, H'*W') block of conv output and, with
-        pool, pool it into out; ``spare`` is a free buffer of the block's size."""
+        pool, pool it into out through acc, which the block no longer needs."""
         if bias_plane is not None:
             block += bias_plane
         if pool is not None:
             _pool_tiles(block, pool, out[start:stop],
-                        None if first is None else first[:, start:stop], spare)
+                        None if first is None else first[:, start:stop], acc, block)
 
     def kernel_row(low, i):
         """Kernel row i's taps of a lowered block: (C*kw, H'*W'*rows)."""
-        return low[:, :, i:i + stride * (h_out - 1) + 1:stride].reshape(c_in * kw, -1)
+        return low[:, :, i:i + h_out].reshape(c_in * kw, -1)
 
     if lowered or pool is not None:  # two conv-output block buffers
         acc, part = np.empty(c_out * hw * rows), np.empty(c_out * hw * rows)
     if lowered:
         k_rows = kd.transpose(2, 0, 1, 3).reshape(kh, c_out, c_in * kw)  # row i: (o, (c, j))
-        for start, stop, low in _conv_blocks(x.data, rows, kh, kw, stride, padding,
-                                             h_out, w_out, True):
+        for start, stop, low in _conv_blocks(x.data, rows, kh, kw, padding, True):
             b = stop - start
             o = acc[:c_out * hw * b].reshape(c_out, hw * b)
             np.matmul(k_rows[0], kernel_row(low, 0), out=o)
@@ -563,16 +557,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
                 o += np.matmul(k_rows[i], kernel_row(low, i), out=p)
             block = (out[start:stop] if pool is None else p).reshape(b, c_out, hw)
             np.copyto(block, o.reshape(c_out, hw, b).transpose(2, 0, 1))
-            finish(block, start, stop, acc)
+            finish(block, start, stop)
     else:
         k2 = kd.reshape(c_out, depth)
-        for start, stop, cols in _conv_blocks(x.data, rows, kh, kw, stride, padding,
-                                              h_out, w_out, False):
+        for start, stop, cols in _conv_blocks(x.data, rows, kh, kw, padding, False):
             b = stop - start
             block = (out[start:stop] if pool is None else part[:c_out * hw * b]).reshape(
                 b, c_out, hw)
             np.matmul(k2, cols.reshape(depth, b, hw).transpose(1, 0, 2), out=block)
-            finish(block, start, stop, None if pool is None else acc)
+            finish(block, start, stop)
 
     def bwd(g):
         grad_x = grad_k = None
@@ -580,7 +573,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
         lower = kernel.requires_grad and lowered  # the kernel gradient reads lowered blocks
         im2col = kernel.requires_grad and not lowered  # ... or im2col blocks
         if lower or im2col:
-            blocks = _conv_blocks(x.data, rows, kh, kw, stride, padding, h_out, w_out, lowered)
+            blocks = _conv_blocks(x.data, rows, kh, kw, padding, lowered)
         else:
             blocks = ((start, min(start + rows, n), None) for start in range(0, n, rows))
         if im2col:
@@ -632,9 +625,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
                     i, j = divmod(t, kw)
                     tap = taps[t] if c_in == 1 else np.matmul(gt.T, k_taps[t], out=tap_out)
                     tap_rows = tap.reshape(h_out, w_out, b * c_in)
-                    window = gxp[:, j:j + stride * (w_out - 1) + 1:stride]
+                    window = gxp[:, j:j + w_out]
                     for y in range(h_out):
-                        row = window[i + stride * y]
+                        row = window[i + y]
                         np.add(row, tap_rows[y], out=row)
                 grad_x[start:stop] = gxp.reshape(hp, wp, b, c_in)[
                     padding:padding + h, padding:padding + w].transpose(2, 3, 0, 1)
@@ -650,40 +643,41 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0, *,
     return _record(_output(out), inputs, bwd)
 
 
-def _pool_tiles(block: np.ndarray, k: int, top: np.ndarray,
-                first: Optional[np.ndarray], spare: np.ndarray) -> None:
-    """Max-pool one row block of conv output, a contiguous array of b rows
-    of C channels of H' x W' pixels, in the k x k windows at stride k that
-    tile it, into ``top`` (b, C, H'/k, W'/k). With ``first``, a (k*k,) +
-    top.shape bool array, each window's first maximum in row-major window
-    order, the one argmax picks, is marked at its tap.
+def _pool_tiles(block: np.ndarray, k: int, top: np.ndarray, first: Optional[np.ndarray],
+                tiles: np.ndarray, free: Optional[np.ndarray]) -> None:
+    """Max-pool one row block, a contiguous array of b rows of C channels of
+    H x W pixels, in the k x k windows that tile it, into ``top`` (b, C,
+    H/k, W/k). With ``first``, a (k*k,) + top.shape bool array, each
+    window's first maximum in row-major window order, the one argmax picks,
+    is marked at its tap.
 
     numpy's ufuncs run several times slower on a strided view of short runs
-    than on a copy, so the block is first copied tap-major into ``spare``,
-    (k*k, b, C, H'/k, W'/k). The block's own buffer is then free, and its
-    first bytes hold the mask of windows whose maximum no earlier tap has.
+    than on a copy, so the block is first copied tap-major into ``tiles``,
+    (k*k, b, C, H/k, W/k). With ``first``, the first top.size bytes of
+    ``free``, which may be the copied block, hold the mask of windows whose
+    maximum no earlier tap has.
     """
     b, c, h_out, w_out = top.shape
-    tiles = spare[:block.size].reshape(k, k, b, c, h_out, w_out)
-    np.copyto(tiles, block.reshape(b, c, h_out, k, w_out, k).transpose(3, 5, 0, 1, 2, 4))
-    tiles = tiles.reshape(k * k, b, c, h_out, w_out)
-    np.maximum.reduce(tiles, axis=0, out=top)
+    taps = tiles[:block.size].reshape(k, k, b, c, h_out, w_out)
+    np.copyto(taps, block.reshape(b, c, h_out, k, w_out, k).transpose(3, 5, 0, 1, 2, 4))
+    taps = taps.reshape(k * k, b, c, h_out, w_out)
+    np.maximum.reduce(taps, axis=0, out=top)
     if first is None:
         return
-    free = block.reshape(-1).view(np.bool_)[:top.size].reshape(top.shape)
+    free = free.reshape(-1).view(np.bool_)[:top.size].reshape(top.shape)
     free.fill(True)
     for t in range(k * k):
         hit = first[t]
-        np.equal(tiles[t], top, out=hit)
+        np.equal(taps[t], top, out=hit)
         hit &= free
         free ^= hit
 
 
 def _unpool_tiles(g: np.ndarray, first: np.ndarray, k: int, grad: np.ndarray,
                   keep: np.ndarray) -> None:
-    """Write into ``grad``, a contiguous block of conv output gradient, the
+    """Write into ``grad``, a contiguous block of input gradient, the
     gradient of the block that ``_pool_tiles`` pooled with masks ``first``:
-    each window's pooled g (b, C, H'/k, W'/k) at its first maximum and +0.0
+    each window's pooled g (b, C, H/k, W/k) at its first maximum and +0.0
     elsewhere, even for an inf or NaN g, each pixel written once. As in
     relu, the select is an AND of g's bits with an all-ones or all-zeros
     word, made in ``keep``, an int64 buffer of at least g's size."""
@@ -697,63 +691,45 @@ def _unpool_tiles(g: np.ndarray, first: np.ndarray, k: int, grad: np.ndarray,
         np.copyto(pixels[:, :, :, i, :, j], keep.view(np.float64))
 
 
-def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Max pooling over k x k windows with the given stride (NCHW).
+def maxpool2d(x: Tensor, k: int) -> Tensor:
+    """Max pooling over the k x k windows that tile the NCHW input (k
+    divides H and W), on the kernel of the pool inside conv2d, in row blocks
+    whose tap-major copy holds at most ``_BLOCK_VALUES`` values (one row's
+    where one row needs more).
 
-    The forward is a running maximum over the k*k strided taps. The backward
-    routes each window's gradient to its first maximum in row-major window
-    order, as argmax would pick it. A recorded forward finds those maxima
-    right away, as one boolean mask per tap of the output's shape, and its
-    backward keeps only the masks and the shapes: not the input, whose array
-    is freed as soon as nothing else holds it, nor the output. A pool whose
-    windows tile the output of the conv right before it (every LeNet pool)
-    runs inside that conv instead (``conv2d(..., pool=k)``), which never
-    makes the conv's whole output; ``models.forward`` picks that op.
+    The backward routes each window's gradient to its first maximum in
+    row-major window order, as argmax would pick it. A recorded forward
+    marks those maxima right away (``_pool_tiles``), and its backward keeps
+    only the masks: not the input, nor the output. A pool right after a
+    conv (every LeNet pool) runs inside that conv instead (``conv2d(...,
+    pool=k)``), which never makes the conv's whole output; ``models.forward``
+    picks that op.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
-    if k < 1 or stride < 1:
-        raise ContractError(f"pool window and stride must be >= 1, got k={k}, stride={stride}")
     n, c, h, w = x.shape
-    if k > h or k > w:
-        raise ShapeError(f"pool window {k} larger than input {x.shape}")
-    h_out = (h - k) // stride + 1
-    w_out = (w - k) // stride + 1
-
-    def tap(a, t):
-        """The view of a (N, C, H, W) array that tap t of every window reads."""
-        i, j = divmod(t, k)
-        return a[:, :, i:i + stride * (h_out - 1) + 1:stride, j:j + stride * (w_out - 1) + 1:stride]
-
-    best = tap(x.data, 0).copy()
-    for t in range(1, k * k):
-        np.maximum(best, tap(x.data, t), out=best)
-    if not (_TAPES and x.requires_grad):  # exactly when _record records
-        return _output(best)
-    free = np.ones(best.shape, dtype=bool)
-    first = []
-    for t in range(k * k):
-        hit = tap(x.data, t) == best
-        hit &= free
-        free ^= hit
-        first.append(hit)
+    if k < 1 or h % k or w % k:
+        raise ContractError(f"pool window {k} does not tile the input {(h, w)}")
+    out, first = np.empty((n, c, h // k, w // k)), None
+    if _TAPES and x.requires_grad:  # exactly when _record records
+        first = np.empty((k * k,) + out.shape, dtype=bool)
+    # the free mask and the backward's select words are at most a copy's size
+    rows = max(1, min(n, _BLOCK_VALUES // max(1, c * h * w)))
+    tiles, pooled = np.empty(c * h * w * rows), rows * c * (h // k) * (w // k)
+    free = None if first is None else np.empty(pooled, dtype=bool)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        _pool_tiles(x.data[start:stop], k, out[start:stop],
+                    None if first is None else first[:, start:stop], tiles, free)
 
     def bwd(g):
-        gx = np.zeros((n, c, h, w))
-        # each tap adds np.where(mask, g, 0.0), not g * mask: an inf or NaN
-        # gradient then reaches only the window's maximum, as a scatter
-        # would send it. As in relu, the select is an AND of g's bits with
-        # an all-ones or all-zeros word, in one buffer that every tap reuses
-        # (np.add(..., where=mask) runs a masked loop, 3x slower). Last tap
-        # first: an input shared by overlapping windows then sums its
-        # gradients in window order, exactly as a scatter over windows
-        bits, keep = g.view(np.int64), np.empty(g.shape, dtype=np.int64)
-        for t in reversed(range(k * k)):
-            np.negative(first[t], out=keep, dtype=np.int64)
-            tap(gx, t)[...] += np.bitwise_and(bits, keep, out=keep).view(np.float64)
+        gx, keep = np.empty((n, c, h, w)), np.empty(pooled, dtype=np.int64)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            _unpool_tiles(g[start:stop], first[:, start:stop], k, gx[start:stop], keep)
         return (gx,)
 
-    return _record(_output(best), (x,), bwd)
+    return _record(_output(out), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

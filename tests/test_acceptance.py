@@ -146,11 +146,11 @@ def test_criterion_2_gradient_suite():
          [rows]),
         ("matmul_bias", lambda x, w, b: tsum(mul(T.matmul(x, w, bias=b), c34)),
          [mat(3, 5), rng.normal(size=(5, 4)), rng.normal(size=4)]),
-        ("conv2d", lambda x, k: tsum(mul(T.conv2d(x, k, stride=2, padding=1), cconv)),
+        ("conv2d", lambda x, k: tsum(mul(T.conv2d(x, k, padding=1), ramp(2, 3, 5, 5))),
          [xc, kc]),
-        ("conv2d_bias", lambda x, k, b: tsum(mul(T.conv2d(x, k, stride=2, padding=1, bias=b),
-                                                 cconv)), [xc, kc, rng.normal(size=3)]),
-        ("maxpool2d", lambda x: tsum(mul(T.maxpool2d(x, 2, 2), cpool)), [xp]),
+        ("conv2d_bias", lambda x, k, b: tsum(mul(T.conv2d(x, k, padding=1, bias=b),
+                                                 ramp(2, 3, 5, 5))), [xc, kc, rng.normal(size=3)]),
+        ("maxpool2d", lambda x: tsum(mul(T.maxpool2d(x, 2), cpool)), [xp]),
         ("cross_entropy", lambda z: T.softmax_cross_entropy(z, labels), [logits]),
     ]
     worst = {}

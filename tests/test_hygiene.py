@@ -298,24 +298,35 @@ def test_switch_module_leaves_layers_and_the_fold_to_forward():
     assert sorted(_LAYER_NAMES & _references(ast.parse(source))) == []
 
 
-def _pixel_scale_sites(sources: dict[str, str]) -> list[str]:
-    """``module: function`` of each function (by its innermost def) that
-    divides by 255, the 8-bit pixel scale, as ``a / 255`` or ``a /= 255``."""
+def _sites(sources: dict[str, str], hit) -> list[str]:
+    """``module: function`` of each node for which ``hit(node)`` holds, by
+    the innermost def around it."""
     sites = []
 
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            divisor = node.right if isinstance(node, ast.BinOp) else node.value
-            if isinstance(divisor, ast.Constant) and divisor.value == 255:
-                sites.append(f"{module}: {where}")
+        if hit(node):
+            sites.append(f"{module}: {where}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for module, source in sources.items():
         visit(ast.parse(source), module, "<module>")
     return sites
+
+
+def _divides_by_255(node) -> bool:
+    """A division by 255, the 8-bit pixel scale: ``a / 255`` or ``a /= 255``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        divisor = node.right if isinstance(node, ast.BinOp) else node.value
+        return isinstance(divisor, ast.Constant) and divisor.value == 255
+    return False
+
+
+def _pixel_scale_sites(sources: dict[str, str]) -> list[str]:
+    """``module: function`` of each function that divides by 255."""
+    return _sites(sources, _divides_by_255)
 
 
 def test_pixel_scale_scan_sees_every_form():
@@ -331,3 +342,51 @@ def test_pixel_scale_lives_in_forward_only():
     # IDX images stay uint8; models.forward is the one place that turns a
     # batch of them into the graph's float64 [0, 1] input
     assert _pixel_scale_sites(_package_sources()) == ["models.py: forward"]
+
+
+def _xor_sites(sources: dict[str, str]) -> list[str]:
+    """``module: function`` of each function that takes a bitwise XOR, as
+    ``a ^ b``, ``a ^= b``, ``np.logical_xor`` or ``np.bitwise_xor``: how a
+    first-maximum mask drops the windows an earlier tap already took."""
+    return _sites(sources, lambda node: (
+        isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitXor)
+        or isinstance(node, ast.Attribute) and node.attr in ("logical_xor", "bitwise_xor")))
+
+
+def test_xor_scan_sees_every_form():
+    source = ("def a(f, h):\n    f ^= h\n"
+              "def b(f, h):\n    return f ^ h\n"
+              "def c(f, h):\n    return np.logical_xor(f, h)\n"
+              "def d(f, h):\n    return np.bitwise_xor(f, h) | (f & h)\n")
+    assert _xor_sites({"m.py": source}) == ["m.py: a", "m.py: b", "m.py: c", "m.py: d"]
+    # the reference pool, put back into tensor.py, is caught too
+    sources = _package_sources()
+    sources["tensor.py"] += (ROOT / "tests" / "pool_oracle.py").read_text()
+    assert _xor_sites(sources) == ["tensor.py: _pool_tiles", "tensor.py: maxpool2d"]
+
+
+def test_one_library_function_builds_first_max_masks():
+    # maxpool2d and the pool inside conv2d share one pool kernel
+    assert _xor_sites(_package_sources()) == ["tensor.py: _pool_tiles"]
+
+
+def _stride_parameters(source: str) -> list[str]:
+    """``function(parameter)`` of each parameter, of any function, whose name
+    holds ``stride``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            found += [f"{getattr(node, 'name', 'lambda')}({a.arg})"
+                      for a in args.posonlyargs + args.args + args.kwonlyargs
+                      if "stride" in a.arg]
+    return found
+
+
+def test_no_tensor_op_takes_a_stride():
+    # every conv runs at stride 1 and every pool at its window; the scan sees
+    # the signatures the ops once had
+    assert _stride_parameters("def conv2d(x, k, stride=1, padding=0): pass\n"
+                              "def maxpool2d(x, k, *, stride): pass\n") == [
+        "conv2d(stride)", "maxpool2d(stride)"]
+    assert _stride_parameters((PACKAGE / "tensor.py").read_text()) == []

@@ -257,13 +257,13 @@ def _activation_scaling_forward(model, x, switches):
         w = T._lift(model.weights.get(f"layer{i}.weight", np.zeros(0)))
         b = T._lift(model.weights.get(f"layer{i}.bias", np.zeros(0)))
         if isinstance(spec, Conv2d):
-            h = T.conv2d(h, w, spec.stride, spec.pad, bias=b)
+            h = T.conv2d(h, w, padding=spec.pad, bias=b)
         elif isinstance(spec, FullyConnected):
             h = T.matmul(h, w, bias=b)
         elif isinstance(spec, Relu):
             h = T.relu(h)
         elif isinstance(spec, MaxPool2d):
-            h = T.maxpool2d(h, spec.k, spec.stride)
+            h = T.maxpool2d(h, spec.k)
         elif isinstance(spec, Flatten):
             h = T.flatten_batch(h)
         if ordinal_of.get(i) in switches:
@@ -545,6 +545,40 @@ def test_load_rejects_a_conv_or_pool_that_would_divide_by_zero(tmp_path, layer, 
     with pytest.raises(FormatError, match=f"layer {layer}: {kind} needs .*{field}={value}") as e:
         load_model(p)
     assert str(p) in str(e.value)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h["layers"][0].update(stride=2), r"layer 0: conv2d needs .* got .*stride=2"),
+    (lambda h: h["layers"][1].update(k=3, stride=2),
+     r"layer 1: maxpool2d needs .* tile .* got k=3, stride=2"),
+    (lambda h: h.update(input_shape=[1, 29, 29]),
+     r"layer 1: maxpool2d needs .* tile its \(25, 25\) input, got k=2, stride=2"),
+], ids=["conv-stride-2", "pool-3-stride-2", "pool-2-on-odd-input"])
+def test_load_rejects_a_geometry_the_tensor_ops_do_not_run(tmp_path, edit, match):
+    # every conv runs at stride 1 and every pool in windows that tile; the
+    # odd input used to load and pool its 25 x 25 conv1 maps to 12 x 12
+    model = build_lenet5([2, 3, 4, 5], rng=np.random.default_rng(27))
+    p = tmp_path / "m.dpm1"
+    save_model(model, p)
+    _rewrite_header(p, edit)
+    with pytest.raises(FormatError, match=match) as e:
+        load_model(p)
+    assert str(p) in str(e.value)
+
+
+def test_forward_raises_where_a_pool_does_not_tile_its_input():
+    # a 30 x 30 input gives conv2 9 x 9 maps; pool2 used to floor them to
+    # 4 x 4, the size fc1 takes, and the forward ran. Both orders raise, with
+    # each pool inside its conv and with each pool alone after a ReLU
+    model = build_lenet5([2, 3, 4, 5], rng=np.random.default_rng(28))
+    old = copy.deepcopy(model)
+    for i in (1, 4):
+        old.layers[i], old.layers[i + 1] = old.layers[i + 1], old.layers[i]
+    x = np.zeros((2, 1, 30, 30))
+    for m, what in ((model, "conv output"), (old, "input")):
+        with pytest.raises(ContractError, match=rf"pool window 2 does not tile the {what} "
+                                                r"\(9, 9\)"):
+            forward(m, x)
 
 
 def test_load_bad_version(tmp_path):

@@ -12,6 +12,7 @@ from dirichlet_pruning.errors import ContractError, ShapeError
 from dirichlet_pruning.tensor import Tape, Tensor, _record
 
 from conftest import central_fd, grad_err, peak_mib, traced_mib
+from pool_oracle import maxpool2d as reference_maxpool2d
 from tape_ops import add, div, mul, softplus, tsum
 
 
@@ -96,19 +97,17 @@ def test_matmul_grad_analytic_and_fd():
 # conv2d
 
 
-def _conv_naive(x, k, stride, padding):
+def _conv_naive(x, k, padding):
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
+    h_out, w_out = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
     out = np.zeros((n, c_out, h_out, w_out))
     for i in range(n):
         for o in range(c_out):
             for r in range(h_out):
                 for s in range(w_out):
-                    patch = xp[i, :, r * stride:r * stride + kh, s * stride:s * stride + kw]
-                    out[i, o, r, s] = float((patch * k[o]).sum())
+                    out[i, o, r, s] = float((xp[i, :, r:r + kh, s:s + kw] * k[o]).sum())
     return out
 
 
@@ -127,13 +126,14 @@ def test_conv2d_zero_kernel():
     assert np.all(T.conv2d(x, k).data == 0.0)
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
-def test_conv2d_matches_naive_loops(stride, padding):
+# case ids are "stride-padding"; every conv runs at stride 1
+@pytest.mark.parametrize("padding", [0, 1, 2], ids=["1-0", "1-1", "1-2"])
+def test_conv2d_matches_naive_loops(padding):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3, 8, 8))
     k = rng.standard_normal((4, 3, 3, 3))
-    got = T.conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
-    ref = _conv_naive(x, k, stride, padding)
+    got = T.conv2d(Tensor(x), Tensor(k), padding=padding).data
+    ref = _conv_naive(x, k, padding)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -156,20 +156,19 @@ def test_conv2d_grads_match_fd():
     rng = np.random.default_rng(4)
     x = rng.uniform(-2, 2, (1, 2, 5, 5))
     k = rng.uniform(-2, 2, (3, 2, 3, 3))
-    op = lambda a, b: T.conv2d(a, b, stride=2, padding=1)
+    op = lambda a, b: T.conv2d(a, b, padding=1)
     assert grad_err(_grad_of(op, (x, k), 0), _fd_of(op, (x, k), 0)) <= 1e-5
     assert grad_err(_grad_of(op, (x, k), 1), _fd_of(op, (x, k), 1)) <= 1e-5
 
 
-def _conv2d_grads_col2im(x, k, g, stride, padding):
+def _conv2d_grads_col2im(x, k, g, padding):
     """Reference conv2d backward: im2col GEMMs, then a col2im scatter of the
-    (N*H'*W', C*kh*kw) column gradient, one strided add per kernel tap."""
+    (N*H'*W', C*kh*kw) column gradient, one add per kernel tap."""
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
     h_out, w_out = g.shape[2], g.shape[3]
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c_in * kh * kw)
     g2 = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
     grad_k = (g2.T @ cols).reshape(k.shape)
@@ -178,18 +177,15 @@ def _conv2d_grads_col2im(x, k, g, stride, padding):
     gxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += gc[:, :, i, j]
+            gxp[:, :, i:i + h_out, j:j + w_out] += gc[:, :, i, j]
     return gxp[:, :, padding:padding + h, padding:padding + w], grad_k
 
 
-def _conv2d_einsum(x, k, stride, padding):
-    """Reference conv2d forward: one einsum over the strided sliding windows."""
-    h_out = (x.shape[2] + 2 * padding - k.shape[2]) // stride + 1
-    w_out = (x.shape[3] + 2 * padding - k.shape[3]) // stride + 1
+def _conv2d_einsum(x, k, padding):
+    """Reference conv2d forward: one einsum over the sliding windows."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, k.shape[2:], axis=(2, 3))
-    return np.einsum("ncyxij,ocij->noyx",
-                     windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out], k)
+    return np.einsum("ncyxij,ocij->noyx", windows, k)
 
 
 @pytest.fixture
@@ -198,8 +194,8 @@ def conv_blocks(monkeypatch):
     log = []
     build = T._conv_blocks
 
-    def logged(x, rows, kh, kw, stride, padding, h_out, w_out, lowered):
-        for start, stop, cols in build(x, rows, kh, kw, stride, padding, h_out, w_out, lowered):
+    def logged(x, rows, kh, kw, padding, lowered):
+        for start, stop, cols in build(x, rows, kh, kw, padding, lowered):
             log.append((lowered, start, stop))
             yield start, stop, cols
 
@@ -207,20 +203,20 @@ def conv_blocks(monkeypatch):
     return log
 
 
-def _check_conv_against_oracles(x, k, g_draw, stride, padding, blocks):
+def _check_conv_against_oracles(x, k, g_draw, padding, blocks):
     """conv2d's output against the einsum oracle at 1e-12 abs, and its input
     and kernel gradients, for the output gradient g_draw(shape), against the
     col2im oracle at rtol 1e-12; returns the (lowered, start, stop) of the
     row blocks its forward built."""
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
     with Tape():
-        out = T.conv2d(xt, kt, stride=stride, padding=padding)
+        out = T.conv2d(xt, kt, padding=padding)
         forward_blocks = list(blocks)
         g = g_draw(out.shape)
         loss = tsum(mul(out, Tensor(g)))
-    assert np.max(np.abs(out.data - _conv2d_einsum(x, k, stride, padding))) <= 1e-12
+    assert np.max(np.abs(out.data - _conv2d_einsum(x, k, padding))) <= 1e-12
     T.backward(loss)
-    gx, gk = _conv2d_grads_col2im(x, k, g, stride, padding)
+    gx, gk = _conv2d_grads_col2im(x, k, g, padding)
     np.testing.assert_allclose(xt.grad, gx, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(kt.grad, gk, rtol=1e-12, atol=0.0)
     return forward_blocks
@@ -235,47 +231,47 @@ def _assert_ragged_blocks(blocks, n):
 
 
 # 2400 rows are at least three row blocks of conv2d, the last one ragged,
-# for each (stride, padding) and c_in below that it is tried with
+# at padding 0 and each c_in below; at padding 1 and c_in 1 a block is 100
+# rows, so that case takes 50 more
 BLOCKED_ROWS = 2400
 
 
 @pytest.mark.parametrize("c_in", [1, 3])
-@pytest.mark.parametrize("stride,padding,n", [
-    (1, 0, 3), (2, 1, 3), (3, 2, 3), (1, 0, BLOCKED_ROWS), (2, 1, BLOCKED_ROWS),
-], ids=["1-0", "2-1", "3-2", "1-0-blocked", "2-1-blocked"])
-def test_conv2d_grads_match_col2im_oracle(stride, padding, n, c_in, conv_blocks):
+@pytest.mark.parametrize("padding,n", [
+    (0, 3), (1, 3), (2, 3), (0, BLOCKED_ROWS), (1, BLOCKED_ROWS + 50),
+], ids=["1-0", "1-1", "1-2", "1-0-blocked", "1-1-blocked"])  # stride-padding
+def test_conv2d_grads_match_col2im_oracle(padding, n, c_in, conv_blocks):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((n, c_in, 9, 10))
     k = rng.standard_normal((4, c_in, 3, 3))
-    blocks = _check_conv_against_oracles(x, k, rng.standard_normal, stride, padding, conv_blocks)
-    if n == BLOCKED_ROWS:
+    blocks = _check_conv_against_oracles(x, k, rng.standard_normal, padding, conv_blocks)
+    if n >= BLOCKED_ROWS:
         _assert_ragged_blocks(blocks, n)
 
 
 # conv2d lowers a block by kw only (MEC) where a row has fewer output pixels
 # than taps, H'*W' < C*kh*kw, and builds im2col elsewhere: cases on both
-# sides of that rule, at its boundary, with padding, stride > 1 and, at 1000
-# rows, three or more row blocks with a ragged last one. The data are
-# positive, so no sum cancels and rtol 1e-12 holds in any summation order:
+# sides of that rule, at its boundary, with padding and, at 1000 rows, three
+# or more row blocks with a ragged last one (ids: form-stride-padding). The
+# data are positive, so no sum cancels and rtol 1e-12 holds in any summation order:
 # with mixed signs a kernel-gradient entry summed from 20,000 products can
 # land near zero, where a blocked sum misses the one-GEMM oracle by more
 # (it did at mec-1-0-blocked, by 3.3e-12, for the parent's kernel too)
-@pytest.mark.parametrize("x_hw,c_in,k_hw,stride,padding,n,lowered", [
-    ((7, 6), 8, (3, 3), 1, 0, 4, True),      # H'*W' = 20 < 72
-    ((7, 6), 8, (3, 3), 1, 1, 4, True),      # 42 < 72
-    ((7, 6), 8, (3, 3), 2, 1, 4, True),      # 12 < 72
-    ((7, 6), 8, (3, 3), 1, 0, 1000, True),
-    ((7, 6), 8, (3, 3), 2, 1, 1000, True),
-    ((8, 7), 4, (3, 3), 1, 0, 4, True),      # 30 < 36, just below the boundary
-    ((8, 8), 4, (3, 3), 1, 0, 4, False),     # 36 = 36, on it
-    ((9, 10), 2, (2, 3), 1, 0, 4, False),    # 64 >= 12
-    ((9, 10), 2, (2, 3), 2, 1, 4, False),    # 25 >= 12
-    ((9, 10), 2, (2, 3), 1, 0, 1000, False),
-    ((9, 10), 2, (2, 3), 2, 1, 1000, False),
-], ids=["mec-1-0", "mec-1-1", "mec-2-1", "mec-1-0-blocked", "mec-2-1-blocked",
-        "mec-boundary", "im2col-boundary", "im2col-1-0", "im2col-2-1",
-        "im2col-1-0-blocked", "im2col-2-1-blocked"])
-def test_conv2d_gemm_forms_match_col2im_oracle(x_hw, c_in, k_hw, stride, padding, n, lowered,
+@pytest.mark.parametrize("x_hw,c_in,k_hw,padding,n,lowered", [
+    ((7, 6), 8, (3, 3), 0, 4, True),      # H'*W' = 20 < 72
+    ((7, 6), 8, (3, 3), 1, 4, True),      # 42 < 72
+    ((7, 6), 8, (3, 3), 0, 1000, True),
+    ((7, 6), 8, (3, 3), 1, 1000, True),
+    ((8, 7), 4, (3, 3), 0, 4, True),      # 30 < 36, just below the boundary
+    ((8, 8), 4, (3, 3), 0, 4, False),     # 36 = 36, on it
+    ((9, 10), 2, (2, 3), 0, 4, False),    # 64 >= 12
+    ((9, 10), 2, (2, 3), 1, 4, False),    # 80 >= 12
+    ((9, 10), 2, (2, 3), 0, 1000, False),
+    ((9, 10), 2, (2, 3), 1, 1000, False),
+], ids=["mec-1-0", "mec-1-1", "mec-1-0-blocked", "mec-1-1-blocked",
+        "mec-boundary", "im2col-boundary", "im2col-1-0", "im2col-1-1",
+        "im2col-1-0-blocked", "im2col-1-1-blocked"])
+def test_conv2d_gemm_forms_match_col2im_oracle(x_hw, c_in, k_hw, padding, n, lowered,
                                                conv_blocks):
     rng = np.random.default_rng(32)
 
@@ -283,7 +279,7 @@ def test_conv2d_gemm_forms_match_col2im_oracle(x_hw, c_in, k_hw, stride, padding
         return rng.uniform(0.5, 2.0, shape)
 
     x, k = positive((n, c_in) + x_hw), positive((5, c_in) + k_hw)
-    blocks = _check_conv_against_oracles(x, k, positive, stride, padding, conv_blocks)
+    blocks = _check_conv_against_oracles(x, k, positive, padding, conv_blocks)
     assert {form for form, _, _ in blocks} == {lowered}
     if n == 1000:
         _assert_ragged_blocks(blocks, n)
@@ -297,15 +293,15 @@ def test_conv2d_of_an_empty_batch_or_no_channels(x_shape, k_shape):
     rng = np.random.default_rng(30)
     x, k, bias = rng.standard_normal(x_shape), rng.standard_normal(k_shape), np.arange(3.0)
     out = T.conv2d(Tensor(x), Tensor(k), bias=Tensor(bias)).data
-    ref = _conv2d_einsum(x, k, 1, 0) + bias[:, None, None]
+    ref = _conv2d_einsum(x, k, 0) + bias[:, None, None]
     assert out.shape == ref.shape and np.array_equal(out, ref)
-    # recorded, padded and strided too: every gradient but the bias's is a
-    # sum over no terms
-    for stride, padding in [(1, 0), (1, 1), (2, 1)]:
+    # recorded and padded too: every gradient but the bias's is a sum over
+    # no terms
+    for padding in (0, 1, 2):
         xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, bias))
         with Tape():
-            out = T.conv2d(xt, kt, stride, padding, bias=bt)
-            assert np.array_equal(out.data, _conv2d_einsum(x, k, stride, padding)
+            out = T.conv2d(xt, kt, padding=padding, bias=bt)
+            assert np.array_equal(out.data, _conv2d_einsum(x, k, padding)
                                   + bias[:, None, None])
             g = rng.standard_normal(out.shape)
             loss = _seed(out, g)
@@ -343,21 +339,18 @@ def test_conv2d_backward_allocation_peak_is_its_gradients_plus_one_block():
     assert peak_mib(lambda: node.backward_fn(g)) <= grads_mib + block_mib + 0.5
 
 
-@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 2)])
-def test_conv2d_padded_or_strided_block_buffers_stay_within_one_block(stride, padding):
-    # LeNet conv2's shape on 400 rows, padded and at stride 2 or 1: the
-    # zero-bordered input a block is gathered from, and at stride 2 the copy
-    # of each kernel row's taps, count against the block too; at (2, 1) the
-    # forward and backward peaked 2.4 and 2.7 MiB above their arrays when
-    # they did not, and read 1.7 and 1.8 MiB now
+@pytest.mark.parametrize("padding", [1, 2])
+def test_conv2d_padded_block_buffers_stay_within_one_block(padding):
+    # LeNet conv2's shape on 400 rows, padded: the zero-bordered input a
+    # block is gathered from counts against the block too
     rng = np.random.default_rng(34)
     x = Tensor(rng.standard_normal((400, 20, 12, 12)), requires_grad=True)
     k = Tensor(rng.standard_normal((50, 20, 5, 5)), requires_grad=True)
     block_mib = T._BLOCK_VALUES * 8 / 2 ** 20
     with Tape() as tape:
-        out = T.conv2d(x, k, stride, padding)
+        out = T.conv2d(x, k, padding=padding)
     out_mib = out.size * 8 / 2 ** 20
-    assert peak_mib(lambda: T.conv2d(x, k, stride, padding)) <= out_mib + block_mib + 0.25
+    assert peak_mib(lambda: T.conv2d(x, k, padding=padding)) <= out_mib + block_mib + 0.25
     g = rng.standard_normal(out.shape)
     (node,) = tape._nodes
     grads_mib = (x.size + k.size) * 8 / 2 ** 20
@@ -368,26 +361,24 @@ def _small_ints(rng, shape):
     """Integers in [-8, 8] as float64: every product and partial sum of a
     conv on them is an integer far below 2**53, so float64 sums them
     exactly in any order, and an exact check tests the taps, transposes and
-    strides, not the summation order."""
+    padding, not the summation order."""
     return rng.integers(-8, 9, shape).astype(np.float64)
 
 
-def _conv2d_grads_einsum(x, k, g, stride, padding):
-    """Reference conv2d backward from the strided sliding windows: the kernel
+def _conv2d_grads_einsum(x, k, g, padding):
+    """Reference conv2d backward from the sliding windows: the kernel
     gradient is one einsum; the input gradient adds, for each kernel tap,
-    one einsum to that tap's strided window of the padded input."""
+    one einsum to that tap's window of the padded input."""
     h, w = x.shape[2:]
     kh, kw = k.shape[2:]
     h_out, w_out = g.shape[2:]
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    grad_k = np.einsum("ncyxij,noyx->ocij",
-                       windows[:, :, ::stride, ::stride][:, :, :h_out, :w_out], g)
+    grad_k = np.einsum("ncyxij,noyx->ocij", windows, g)
     gxp = np.zeros(xp.shape)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += \
-                np.einsum("noyx,oc->ncyx", g, k[:, :, i, j])
+            gxp[:, :, i:i + h_out, j:j + w_out] += np.einsum("noyx,oc->ncyx", g, k[:, :, i, j])
     return gxp[:, :, padding:padding + h, padding:padding + w], grad_k
 
 
@@ -405,46 +396,47 @@ def _tile_pool_oracle(y, k, g):
     return np.take_along_axis(win, pick, axis=-1)[..., 0], gy
 
 
-def _recorded_conv(x, k, bias, g, stride, padding, pool=None, separate=False):
+def _recorded_conv(x, k, bias, g, padding, pool=None, pool_op=None):
     """(output, x, kernel and bias gradients) of a recorded conv2d for the
-    output gradient g: with ``pool`` as one op, or with ``separate`` as
-    conv2d then maxpool2d."""
+    output gradient g: with ``pool`` as one op, or with ``pool_op`` as
+    conv2d then pool_op(conv, pool)."""
     xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, bias))
     with Tape():
-        if separate:
-            out = T.maxpool2d(T.conv2d(xt, kt, stride, padding, bias=bt), pool, pool)
+        if pool_op is not None:
+            out = pool_op(T.conv2d(xt, kt, padding=padding, bias=bt), pool)
         else:
-            out = T.conv2d(xt, kt, stride, padding, bias=bt, pool=pool)
+            out = T.conv2d(xt, kt, padding=padding, bias=bt, pool=pool)
         loss = _seed(out, g)
     T.backward(loss)
     return out.data, xt.grad, kt.grad, bt.grad
 
 
 # the exact cases: LeNet's conv1 (im2col) and conv2 (MEC) at batch 100, each
-# form padded and strided, and each form over 1000 rows, three or more row
-# blocks with a ragged last one; with pool, windows that tile the output
+# form padded, and each form over 1000 rows, three or more row blocks with a
+# ragged last one; with pool, windows that tile the output. Each case is
+# (x shape, kernel shape, padding, lowered, pool); ids are form-stride-padding
 EXACT_CASES = {
-    "lenet-conv1": ((100, 1, 28, 28), (20, 1, 5, 5), 1, 0, False, 2),
-    "lenet-conv2": ((100, 20, 12, 12), (50, 20, 5, 5), 1, 0, True, 2),
-    "im2col-2-1": ((6, 2, 10, 12), (5, 2, 2, 3), 2, 1, False, 3),    # H'*W' = 36 >= 12
-    "mec-2-1": ((6, 8, 7, 8), (5, 8, 3, 3), 2, 1, True, 2),           # 16 < 72
-    "im2col-blocked": ((1000, 2, 9, 10), (5, 2, 2, 3), 1, 0, False, 4),  # 64 >= 12
-    "mec-blocked": ((1000, 8, 8, 6), (5, 8, 3, 3), 1, 0, True, 2),        # 24 < 72
+    "lenet-conv1": ((100, 1, 28, 28), (20, 1, 5, 5), 0, False, 2),
+    "lenet-conv2": ((100, 20, 12, 12), (50, 20, 5, 5), 0, True, 2),
+    "im2col-1-1": ((6, 2, 11, 12), (5, 2, 2, 3), 1, False, 3),     # H'*W' = 144 >= 12
+    "mec-1-1": ((6, 8, 8, 8), (5, 8, 3, 3), 1, True, 2),           # 64 < 72
+    "im2col-blocked": ((1000, 2, 9, 10), (5, 2, 2, 3), 0, False, 4),  # 64 >= 12
+    "mec-blocked": ((1000, 8, 8, 6), (5, 8, 3, 3), 0, True, 2),        # 24 < 72
 }
 
 
 @pytest.mark.parametrize("case", list(EXACT_CASES))
 def test_conv2d_equals_sliding_window_einsum_exactly_on_small_integers(case, conv_blocks):
-    x_shape, k_shape, stride, padding, lowered, _ = EXACT_CASES[case]
+    x_shape, k_shape, padding, lowered, _ = EXACT_CASES[case]
     rng = np.random.default_rng(40)
     x, k, bias = _small_ints(rng, x_shape), _small_ints(rng, k_shape), _small_ints(rng, k_shape[0])
-    want = _conv2d_einsum(x, k, stride, padding) + bias[:, None, None]
+    want = _conv2d_einsum(x, k, padding) + bias[:, None, None]
     g = _small_ints(rng, want.shape)
-    out, gx, gk, gb = _recorded_conv(x, k, bias, g, stride, padding)
+    out, gx, gk, gb = _recorded_conv(x, k, bias, g, padding)
     assert {form for form, _, _ in conv_blocks} == {lowered}
     if x_shape[0] == 1000:
         _assert_ragged_blocks(conv_blocks[:len(conv_blocks) // 2], 1000)  # the forward's
-    ref_gx, ref_gk = _conv2d_grads_einsum(x, k, g, stride, padding)
+    ref_gx, ref_gk = _conv2d_grads_einsum(x, k, g, padding)
     assert np.array_equal(out, want)
     assert np.array_equal(gx, ref_gx)
     assert np.array_equal(gk, ref_gk)
@@ -454,39 +446,147 @@ def test_conv2d_equals_sliding_window_einsum_exactly_on_small_integers(case, con
 @pytest.mark.parametrize("case", list(EXACT_CASES))
 def test_conv2d_pool_equals_einsum_then_first_max_exactly_on_small_integers(case):
     # small integers tie often, so the first maximum of a window matters
-    x_shape, k_shape, stride, padding, _, pool = EXACT_CASES[case]
+    x_shape, k_shape, padding, _, pool = EXACT_CASES[case]
     rng = np.random.default_rng(41)
     x, k, bias = _small_ints(rng, x_shape), _small_ints(rng, k_shape), _small_ints(rng, k_shape[0])
-    conv = _conv2d_einsum(x, k, stride, padding) + bias[:, None, None]
+    conv = _conv2d_einsum(x, k, padding) + bias[:, None, None]
     g = _small_ints(rng, conv[:, :, ::pool, ::pool].shape)
     want, g_conv = _tile_pool_oracle(conv, pool, g)
-    out, gx, gk, gb = _recorded_conv(x, k, bias, g, stride, padding, pool)
-    ref_gx, ref_gk = _conv2d_grads_einsum(x, k, g_conv, stride, padding)
+    out, gx, gk, gb = _recorded_conv(x, k, bias, g, padding, pool)
+    ref_gx, ref_gk = _conv2d_grads_einsum(x, k, g_conv, padding)
     assert np.array_equal(out, want)
     assert np.array_equal(gx, ref_gx)
     assert np.array_equal(gk, ref_gk)
     assert np.array_equal(gb, g.sum(axis=(0, 2, 3)))
 
 
+# Rounded cases: standard-normal data, checked against a bound that holds
+# for any summation order. A float64 sum of n products a_i b_i, taken in
+# any order, is within gamma_n * sum |a_i b_i| of the exact sum, gamma_n =
+# n u / (1 - n u) with u the unit roundoff (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., 2002, ch. 3). The reference sums in long
+# double, whose own error adds the same bound at its roundoff.
+_ROUNDOFFS = (np.finfo(np.float64).eps / 2, np.finfo(np.longdouble).eps / 2)
+
+
+def _assert_within_gamma_n(got, spec, a, b, n, extra=None):
+    """Each entry of ``got`` is within (gamma_n + long double gamma_n) * sum
+    |a_i b_i| of y = einsum(spec, a, b), plus ``extra`` (one more term, a
+    bias) when given, both summed in long double."""
+    a, b = a.astype(np.longdouble), b.astype(np.longdouble)
+    y, size = np.einsum(spec, a, b), np.einsum(spec, np.abs(a), np.abs(b))
+    if extra is not None:
+        extra = extra.astype(np.longdouble)
+        y, size, n = y + extra, size + np.abs(extra), n + 1
+    gamma = sum(n * u / (1 - n * u) for u in _ROUNDOFFS)
+    assert got.shape == y.shape
+    excess = np.abs(got - y) - gamma * size
+    assert np.all(excess <= 0.0), float(excess.max())
+
+
+@pytest.mark.parametrize("x_shape,k_shape,padding,lowered", [
+    ((6, 1, 28, 28), (20, 1, 5, 5), 0, False),    # LeNet conv1: H'*W' = 576 >= 25
+    ((5, 2, 9, 10), (4, 2, 3, 3), 1, False),      # 90 >= 18
+    ((6, 20, 12, 12), (50, 20, 5, 5), 0, True),   # LeNet conv2: 64 < 500
+    ((5, 8, 6, 7), (5, 8, 3, 3), 1, True),        # 42 < 72
+    ((900, 2, 9, 10), (4, 2, 3, 3), 1, False),
+    ((900, 8, 6, 7), (5, 8, 3, 3), 1, True),
+], ids=["im2col-1-0", "im2col-1-1", "mec-1-0", "mec-1-1", "im2col-1-1-blocked",
+        "mec-1-1-blocked"])
+def test_conv2d_is_within_gamma_n_of_the_exact_sums(x_shape, k_shape, padding, lowered,
+                                                     conv_blocks):
+    (n, c_in, h, w), (c_out, _, kh, kw) = x_shape, k_shape
+    h_out, w_out = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    rng = np.random.default_rng(44)
+    x, k = rng.standard_normal(x_shape), rng.standard_normal(k_shape)
+    bias, g = rng.standard_normal(c_out), rng.standard_normal((n, c_out, h_out, w_out))
+    out, gx, gk, gb = _recorded_conv(x, k, bias, g, padding)
+    assert {form for form, _, _ in conv_blocks} == {lowered}
+    if n == 900:
+        _assert_ragged_blocks(conv_blocks[:len(conv_blocks) // 2], n)  # the forward's
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    _assert_within_gamma_n(out, "ncyxij,ocij->noyx", windows, k, c_in * kh * kw,
+                           np.broadcast_to(bias[:, None, None], out.shape))
+    _assert_within_gamma_n(gk, "ncyxij,noyx->ocij", windows, g, n * h_out * w_out)
+    _assert_within_gamma_n(gb, "noyx,noyx->o", g, np.ones(g.shape), n * h_out * w_out)
+    # the input gradient is the correlation of g, padded by the kernel less
+    # one, with the flipped kernel, less the input's padding
+    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    g_windows = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
+    g_windows = g_windows[:, :, padding:padding + h, padding:padding + w]
+    _assert_within_gamma_n(gx, "noyxij,ocij->ncyx", g_windows, k[:, :, ::-1, ::-1],
+                           c_out * kh * kw)
+
+
+def test_matmul_is_within_gamma_n_of_the_exact_sums():
+    rng = np.random.default_rng(46)
+    a, b, bias = (rng.standard_normal(s) for s in ((60, 300), (300, 40), (40,)))
+    g = rng.standard_normal((60, 40))
+    at, bt, biast = (Tensor(v, requires_grad=True) for v in (a, b, bias))
+    with Tape():
+        out = T.matmul(at, bt, bias=biast)
+        loss = _seed(out, g)
+    T.backward(loss)
+    _assert_within_gamma_n(out.data, "ij,jk->ik", a, b, 300, np.broadcast_to(bias, g.shape))
+    _assert_within_gamma_n(at.grad, "ik,jk->ij", g, b, 40)
+    _assert_within_gamma_n(bt.grad, "ij,ik->jk", a, g, 60)
+    _assert_within_gamma_n(biast.grad, "ik,ik->k", g, np.ones(g.shape), 60)
+
+
+@pytest.mark.parametrize("w_shape,per", [
+    ((12, 5, 3, 3), None),  # a conv kernel, C = 5
+    ((320, 30), None),      # an fc weight after a flatten: 5 channels of 64 rows
+    ((320, 30), 2),         # the same, its row gradient in chunks of 2 channel groups
+], ids=["conv", "fc", "fc-chunks-2"])
+def test_scale_input_channels_row_grad_is_within_gamma_n_of_the_exact_sums(w_shape, per,
+                                                                           monkeypatch):
+    rng = np.random.default_rng(47)
+    w, rows = rng.standard_normal(w_shape), rng.standard_normal((3, 5))
+    if per is not None:  # per groups fit, per + 1 do not
+        group = 64 * 3 * 30  # values of one channel group of the stacked gradient
+        monkeypatch.setattr(T, "_ROW_GRAD_VALUES", per * group + group - 1)
+    leaf = Tensor(rows, requires_grad=True)
+    with Tape():
+        out = T.scale_input_channels(Tensor(w), leaf)
+        g = rng.standard_normal(out.shape)
+        loss = _seed(out, g)
+    T.backward(loss)
+    if w.ndim == 4:
+        _assert_within_gamma_n(leaf.grad, "jocab,ocab->jc", g.reshape((3,) + w_shape), w,
+                               w_shape[0] * 9)
+    else:
+        _assert_within_gamma_n(leaf.grad, "crjq,crq->jc", g.reshape(5, 64, 3, 30),
+                               w.reshape(5, 64, 30), 64 * 30)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _reference_pool(t, k):
+    """The reference max-pool (``pool_oracle``) in the k x k windows at
+    stride k."""
+    return reference_maxpool2d(t, k, k)
+
+
 @pytest.mark.parametrize("data", ["normal", "tied", "non-finite"])
-@pytest.mark.parametrize("case", ["im2col", "mec", "im2col-2-1", "mec-2-1", "mec-1-2",
+@pytest.mark.parametrize("case", ["im2col", "mec", "im2col-1-1", "mec-1-1", "mec-1-2",
                                   "im2col-blocked", "mec-blocked"])
 def test_conv2d_pool_equals_conv2d_then_maxpool2d_bit_for_bit(case, data, monkeypatch,
                                                               conv_blocks):
-    x_shape, k_shape, stride, padding, lowered, pool = {
-        "im2col": ((3, 1, 12, 12), (4, 1, 5, 5), 1, 0, False, 2),
-        "mec": ((3, 4, 8, 8), (6, 4, 5, 5), 1, 0, True, 2),
-        "im2col-2-1": ((3, 2, 10, 12), (5, 2, 2, 3), 2, 1, False, 3),
-        "mec-2-1": ((3, 8, 7, 8), (5, 8, 3, 3), 2, 1, True, 2),
-        "mec-1-2": ((3, 8, 6, 6), (5, 8, 5, 5), 1, 2, True, 3),  # 36 < 200
+    # conv2d(..., pool=k), and conv2d then maxpool2d(k), each against conv2d
+    # then the reference pool, which shares no kernel with either
+    x_shape, k_shape, padding, lowered, pool = {
+        "im2col": ((3, 1, 12, 12), (4, 1, 5, 5), 0, False, 2),
+        "mec": ((3, 4, 8, 8), (6, 4, 5, 5), 0, True, 2),
+        "im2col-1-1": ((3, 2, 11, 12), (5, 2, 2, 3), 1, False, 3),   # 144 >= 12
+        "mec-1-1": ((3, 8, 8, 8), (5, 8, 3, 3), 1, True, 2),         # 64 < 72
+        "mec-1-2": ((3, 8, 6, 6), (5, 8, 5, 5), 2, True, 3),         # 36 < 200
         # under a budget of 3 rows' block buffers (3,856 and 1,152 values a
         # row), 10 rows make blocks of 3, 3, 3 and 1
-        "im2col-blocked": ((10, 1, 12, 12), (4, 1, 5, 5), 1, 0, False, 2),
-        "mec-blocked": ((10, 4, 8, 8), (6, 4, 5, 5), 1, 0, True, 2),
+        "im2col-blocked": ((10, 1, 12, 12), (4, 1, 5, 5), 0, False, 2),
+        "mec-blocked": ((10, 4, 8, 8), (6, 4, 5, 5), 0, True, 2),
     }[case]
     if case.endswith("blocked"):
         monkeypatch.setattr(T, "_BLOCK_VALUES", 3 * (1152 if lowered else 3856))
@@ -496,25 +596,31 @@ def test_conv2d_pool_equals_conv2d_then_maxpool2d_bit_for_bit(case, data, monkey
     else:
         x, k = rng.standard_normal(x_shape), rng.standard_normal(k_shape)
     bias = np.round(rng.standard_normal(k_shape[0]), 1)
-    conv = _conv2d_einsum(x, k, stride, padding)
+    conv = _conv2d_einsum(x, k, padding)
     g = rng.standard_normal(conv[:, :, ::pool, ::pool].shape)
     g *= 10.0 ** rng.uniform(-8, 8, g.shape)  # so a different summation order shows
     if data == "non-finite":
         g.flat[::7] = np.inf
         g.flat[3::11] = np.nan
-    with np.errstate(invalid="ignore"):  # inf - inf in the GEMMs of non-finite g
-        fused = _recorded_conv(x, k, bias, g, stride, padding, pool)
-        fused_blocks = list(conv_blocks)
-        separate = _recorded_conv(x, k, bias, g, stride, padding, pool, separate=True)
-    for name, a, b in zip(("output", "x grad", "kernel grad", "bias grad"), fused, separate):
-        assert _same_bits(a, b), name
-    assert fused_blocks == conv_blocks[len(fused_blocks):]  # the same row blocks
-    assert {form for form, _, _ in fused_blocks} == {lowered}
+    runs = []
+    for pool_op in (_reference_pool, None, T.maxpool2d):
+        conv_blocks.clear()
+        with np.errstate(invalid="ignore"):  # inf - inf in the GEMMs of non-finite g
+            runs.append((_recorded_conv(x, k, bias, g, padding, pool, pool_op),
+                         list(conv_blocks)))
+    (want, want_blocks), checked = runs[0], runs[1:]
+    for got, blocks in checked:
+        for name, a, b in zip(("output", "x grad", "kernel grad", "bias grad"), got, want):
+            assert _same_bits(a, b), name
+        assert blocks == want_blocks  # the same row blocks
+    assert {form for form, _, _ in want_blocks} == {lowered}
     if case.endswith("blocked"):
-        _assert_ragged_blocks(fused_blocks[:len(fused_blocks) // 2], x_shape[0])
+        _assert_ragged_blocks(want_blocks[:len(want_blocks) // 2], x_shape[0])
     # and untaped, with no mask
-    plain = T.conv2d(Tensor(x), Tensor(k), stride, padding, bias=Tensor(bias), pool=pool)
-    assert _same_bits(plain.data, fused[0])
+    plain = T.conv2d(Tensor(x), Tensor(k), padding=padding, bias=Tensor(bias), pool=pool)
+    assert _same_bits(plain.data, want[0])
+    plain = T.maxpool2d(T.conv2d(Tensor(x), Tensor(k), padding=padding, bias=Tensor(bias)), pool)
+    assert _same_bits(plain.data, want[0])
 
 
 def test_conv2d_pool_must_tile_the_conv_output():
@@ -547,6 +653,25 @@ def test_conv2d_pool_never_makes_a_whole_conv_output():
     (node,) = tape._nodes
     g = rng.standard_normal((400, 20, 12, 12))
     assert peak_mib(lambda: node.backward_fn(g)) <= block_mib + 0.25
+
+
+def test_maxpool2d_never_holds_more_than_one_block_beside_its_arrays():
+    # pool1 alone on LeNet's conv1 output, 200 rows. The forward holds the
+    # pooled output and the first-max masks and, for the rest, one block;
+    # the backward holds the input gradient and one block. Its select words
+    # once spanned the whole pooled gradient (4.4 MiB)
+    rng = np.random.default_rng(44)
+    x = Tensor(rng.standard_normal((200, 20, 24, 24)), requires_grad=True)
+    block_mib = T._BLOCK_VALUES * 8 / 2 ** 20
+    with Tape() as tape:
+        fwd_peak, held = traced_mib(lambda: T.maxpool2d(x, 2))
+    out_mib = 200 * 20 * 12 * 12 * 8 / 2 ** 20
+    masks_mib = 4 * 200 * 20 * 12 * 12 / 2 ** 20
+    assert held <= out_mib + masks_mib + 0.05
+    assert fwd_peak <= out_mib + masks_mib + block_mib + 0.25
+    (node,) = tape._nodes
+    g = rng.standard_normal((200, 20, 12, 12))
+    assert peak_mib(lambda: node.backward_fn(g)) <= x.size * 8 / 2 ** 20 + block_mib + 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +794,7 @@ def test_reshape_and_flatten_grads():
 
 @pytest.mark.parametrize("op,shapes", [
     (lambda a, b, c: T.matmul(a, b, bias=c), [(3, 4), (4, 5), (5,)]),
-    (lambda a, b, c: T.conv2d(a, b, stride=2, padding=1, bias=c),
+    (lambda a, b, c: T.conv2d(a, b, padding=1, bias=c),
      [(1, 2, 5, 5), (3, 2, 3, 3), (3,)]),
 ], ids=["matmul", "conv2d"])
 def test_bias_grads_match_fd(op, shapes):
@@ -703,6 +828,15 @@ def test_bias_is_keyword_only(op):
     assert param.default is None
 
 
+def test_conv2d_padding_is_keyword_only():
+    # conv2d once took a stride before the padding: a call written for it,
+    # conv2d(x, k, 1, 0), fails instead of padding by 1
+    assert inspect.signature(T.conv2d).parameters["padding"].kind is \
+        inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(TypeError):
+        T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), 1, 0)
+
+
 def _maxpool_naive(x, k, stride, g):
     """Loop reference: each window's max, and its gradient routed to the first
     maximum in row-major window order, windows visited in row-major order."""
@@ -725,13 +859,21 @@ def _maxpool_naive(x, k, stride, g):
     return out, gx
 
 
+def _tiles(hw, k, stride):
+    """Whether the k x k windows at ``stride`` tile an input of ``hw``."""
+    return stride == k and hw[0] % k == hw[1] % k == 0
+
+
 # k x k windows at stride k tile (9, 12) at k = 3 and (10, 12) and (12, 12)
-# at k = 2, the shapes a conv pools inside its own op; (9, 11) at k = 2 and
-# (10, 12) at k = 3 leave a last row over (H = k*H' + 1)
+# at k = 2; (9, 11) at k = 2 and (10, 12) at k = 3 leave a last row over (H
+# = k*H' + 1). The reference pool runs every case, maxpool2d each that tiles
 @pytest.mark.parametrize("hw", [(9, 11), (10, 12), (9, 12), (12, 12)])
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (2, 1), (3, 3)])
 def test_maxpool2d_matches_naive_loop_with_ties(k, stride, hw):
-    _check_pool_against_naive_loop((2, 3) + hw, k, stride)
+    _check_pool_against_naive_loop((2, 3) + hw, k, stride,
+                                   lambda t: reference_maxpool2d(t, k, stride))
+    if _tiles(hw, k, stride):
+        _check_pool_against_naive_loop((2, 3) + hw, k, stride, lambda t: T.maxpool2d(t, k))
 
 
 def _unit_conv_pool(k):
@@ -749,8 +891,23 @@ def test_conv2d_pool_tiles_match_naive_loop_across_row_blocks(monkeypatch, conv_
     assert [stop - start for _, start, stop in conv_blocks] == [3, 3, 1] * 2
 
 
-def _check_pool_against_naive_loop(x_shape, k, stride, op=None):
-    op = op or (lambda t: T.maxpool2d(t, k, stride))
+def test_maxpool2d_tiles_match_naive_loop_across_row_blocks(monkeypatch):
+    # a block budget of three rows' tap-major copies (2 x 8 x 12 values):
+    # 7 rows make blocks of 3, 3 and 1, all pooled by the conv's kernel
+    monkeypatch.setattr(T, "_BLOCK_VALUES", 3 * 192)
+    pooled = []
+    kernel = T._pool_tiles
+
+    def logged(block, *args):
+        pooled.append(block.shape[0])
+        kernel(block, *args)
+
+    monkeypatch.setattr(T, "_pool_tiles", logged)
+    _check_pool_against_naive_loop((7, 2, 8, 12), 2, 2, lambda t: T.maxpool2d(t, 2))
+    assert pooled == [3, 3, 1] * 2  # the taped forward, then the untaped one
+
+
+def _check_pool_against_naive_loop(x_shape, k, stride, op):
     rng = np.random.default_rng(18)
     # ReLU zeros and values rounded to 0.1 give many tied windows
     x = np.round(np.maximum(rng.standard_normal(x_shape), 0.0), 1)
@@ -770,15 +927,23 @@ def _check_pool_against_naive_loop(x_shape, k, stride, op=None):
 
 @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)])
 def test_maxpool2d_sends_non_finite_gradient_to_the_maximum_only(k, stride):
-    _check_non_finite_pool_gradient((1, 2, 9, 11), k, stride)
+    # the reference pool on windows that do not tile: a scatter over them
+    _check_non_finite_pool_gradient((1, 2, 9, 11), k, stride,
+                                    lambda t: reference_maxpool2d(t, k, stride))
 
 
 @pytest.mark.parametrize("hw,k", [((8, 12), 2), ((9, 12), 3), ((9, 12), 2), ((10, 12), 3)],
                          ids=["tiles-2", "tiles-3", "row-over-2", "row-over-3"])
 def test_maxpool2d_tiled_or_not_sends_non_finite_gradient_to_the_maximum_only(hw, k):
     # windows at stride k that tile the input, and one row left over (H =
-    # k*H' + 1)
-    _check_non_finite_pool_gradient((1, 2) + hw, k, k)
+    # k*H' + 1), which only the reference pool takes; maxpool2d raises there
+    x_shape = (1, 2) + hw
+    _check_non_finite_pool_gradient(x_shape, k, k, lambda t: reference_maxpool2d(t, k, k))
+    if _tiles(hw, k, k):
+        _check_non_finite_pool_gradient(x_shape, k, k, lambda t: T.maxpool2d(t, k))
+    else:
+        with pytest.raises(ContractError, match=f"pool window {k} does not tile"):
+            T.maxpool2d(Tensor(np.zeros(x_shape)), k)
 
 
 @pytest.mark.parametrize("hw,k", [((8, 12), 2), ((9, 12), 3)], ids=["tiles-2", "tiles-3"])
@@ -786,8 +951,7 @@ def test_conv2d_pool_sends_non_finite_gradient_to_the_first_maximum_only(hw, k):
     _check_non_finite_pool_gradient((2, 1) + hw, k, k, _unit_conv_pool(k), tied=True)
 
 
-def _check_non_finite_pool_gradient(x_shape, k, stride, op=None, tied=False):
-    op = op or (lambda t: T.maxpool2d(t, k, stride))
+def _check_non_finite_pool_gradient(x_shape, k, stride, op, tied=False):
     rng = np.random.default_rng(19)
     x = rng.permutation(int(np.prod(x_shape))).astype(np.float64).reshape(x_shape)
     if tied:  # each value three times, so that windows tie
@@ -820,15 +984,15 @@ def test_relu_sends_non_finite_gradient_to_active_units_only():
     assert np.all(xt.grad[x <= 0.0] == 0.0)
 
 
-@pytest.mark.parametrize("k,stride", [(2, 2), (3, 2), (2, 1)])
-def test_pool_then_relu_equals_relu_then_pool(k, stride):
+@pytest.mark.parametrize("k", [2, 3])
+def test_pool_then_relu_equals_relu_then_pool(k):
     # the two orders must agree bit for bit, forward and input gradient:
     # values rounded to 0.1 tie often, and the top-left windows are all
     # negative, where both orders must send no gradient at all
     rng = np.random.default_rng(23)
-    x = np.round(rng.standard_normal((2, 3, 9, 10)), 1)
+    x = np.round(rng.standard_normal((2, 3, 12, 12)), 1)
     x[:, :, :4, :4] = -np.abs(x[:, :, :4, :4]) - 0.1
-    pool = lambda t: T.maxpool2d(t, k, stride)
+    pool = lambda t: T.maxpool2d(t, k)
     results = []
     for ops in ((pool, T.relu), (T.relu, pool)):
         xt = Tensor(x, requires_grad=True)
@@ -845,21 +1009,26 @@ def test_pool_then_relu_equals_relu_then_pool(k, stride):
     (out_a, grad_a), (out_b, grad_b) = results
     assert np.array_equal(out_a, out_b)
     assert np.array_equal(grad_a, grad_b)
-    assert np.all(grad_a[:, :, :4 - k + 1, :4 - k + 1] == 0.0)
+    negative = 4 // k * k  # the rows and columns of the all-negative windows
+    assert np.all(grad_a[:, :, :negative, :negative] == 0.0)
 
 
-@pytest.mark.parametrize("k,stride", [(2, 0), (0, 1), (-1, 2)])
-def test_maxpool2d_rejects_a_window_or_stride_below_one(k, stride):
-    # a zero stride or window used to raise a bare ZeroDivisionError
-    with pytest.raises(ContractError, match=f"got k={k}, stride={stride}"):
-        T.maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), k, stride)
+@pytest.mark.parametrize("k,hw", [(0, (4, 4)), (-1, (4, 4)), (3, (4, 4)), (2, (5, 4)),
+                                  (2, (4, 5))],
+                         ids=["0", "-1", "3-on-4x4", "2-on-5x4", "2-on-4x5"])
+def test_maxpool2d_rejects_a_window_that_does_not_tile(k, hw):
+    # a zero window used to raise a bare ZeroDivisionError, and one that
+    # does not tile to pool the windows that fit, dropping the rest
+    with pytest.raises(ContractError, match=rf"pool window {k} does not tile the input "
+                                            rf"\({hw[0]}, {hw[1]}\)"):
+        T.maxpool2d(Tensor(np.zeros((1, 1) + hw)), k)
 
 
 def test_maxpool2d_forward_and_grad():
     # values spaced well apart so the argmax never flips under the FD step
     rng = np.random.default_rng(11)
     base = rng.permutation(16 * 6).astype(np.float64).reshape(1, 1, 8, 12) * 0.05
-    op = lambda t: T.maxpool2d(t, 2, 2)
+    op = lambda t: T.maxpool2d(t, 2)
     out = op(Tensor(base)).data
     assert out.shape == (1, 1, 4, 6)
     assert out[0, 0, 0, 0] == base[0, 0, :2, :2].max()
@@ -955,10 +1124,10 @@ _MULTI_INPUT_OPS = [
     (mul, [(3, 4), (3, 4)]),
     (div, [(3, 4), (3, 4)]),
     (T.matmul, [(3, 4), (4, 2)]),
-    (lambda a, b: T.conv2d(a, b, stride=2, padding=1), [(2, 3, 6, 6), (4, 3, 3, 3)]),
+    (lambda a, b: T.conv2d(a, b, padding=1), [(2, 3, 6, 6), (4, 3, 3, 3)]),
     (_switched_conv, [(2, 3), (2, 3, 5, 5)]),
     (lambda a, b, c: T.matmul(a, b, bias=c), [(3, 4), (4, 2), (2,)]),
-    (lambda a, b, c: T.conv2d(a, b, stride=2, padding=1, bias=c),
+    (lambda a, b, c: T.conv2d(a, b, padding=1, bias=c),
      [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
 ]
 
@@ -1074,7 +1243,7 @@ def test_recorded_conv_and_pool_outputs_die_with_the_forward():
         kernel = Tensor(rng.standard_normal((3, 1, 3, 3)), requires_grad=True)
         with Tape():
             conv = T.conv2d(x, kernel)
-            pooled = T.maxpool2d(conv, 2, 2)
+            pooled = T.maxpool2d(conv, 2)
             refs = [weakref.ref(conv.data), weakref.ref(pooled.data)]
             del conv
             act = T.relu(pooled)
@@ -1085,7 +1254,7 @@ def test_recorded_conv_and_pool_outputs_die_with_the_forward():
     finally:
         gc.enable()
     assert alive == [False, False]
-    expected = _grad_of(lambda k: tsum(T.relu(T.maxpool2d(T.conv2d(x, k), 2, 2))),
+    expected = _grad_of(lambda k: tsum(T.relu(T.maxpool2d(T.conv2d(x, k), 2))),
                         [kernel.data], 0)
     assert np.array_equal(kernel.grad, expected)
 
@@ -1240,7 +1409,7 @@ def test_forward_outputs_finite():
     # logits of size 1e3 overflow exp unless the loss shifts by the maximum
     outs = [T.matmul(x, x), T.relu(x), T.flatten_batch(image),
             T.scale_input_channels(x, Tensor(np.arange(4.0))),
-            T.matmul(x, x, bias=Tensor(np.arange(4.0))), T.maxpool2d(image, 2, 2),
+            T.matmul(x, x, bias=Tensor(np.arange(4.0))), T.maxpool2d(image, 2),
             T.softmax_cross_entropy(Tensor(1e3 * x.data), np.arange(4))]
     for o in outs:
         assert np.all(np.isfinite(o.data))
