@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -310,6 +311,21 @@ def forward(model: ModelGraph, x, switches: dict | None = None,
     return h
 
 
+def fold_switches(model: ModelGraph, switches: dict, start: int, stop: int) -> dict:
+    """Each 1-d switch in ``switches`` (by prunable ordinal) folded into the
+    weight of its consumer, where that consumer lies in layers[start:stop],
+    as ``forward``'s ``params``: a pass over that range given them and no
+    switch computes what one given the switches does, bit for bit, while
+    each weight is scaled once however many batches it runs on."""
+    consumers = switch_consumers(model)
+    params = {}
+    for o, s in switches.items():
+        if start <= consumers[o] < stop:
+            name = f"layer{consumers[o]}.weight"
+            params[name] = T.scale_input_channels(Tensor(model.weights[name]), T._lift(s))
+    return params
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -407,6 +423,8 @@ def count_flops(model: ModelGraph) -> int:
 
 
 def save_model(model: ModelGraph, path) -> None:
+    """Write ``model`` as a .dpm1 file. Each weight goes out from its own
+    buffer (a C-contiguous little-endian float64 array is not copied)."""
     names = sorted(model.weights)
     header = {
         "version": 1,
@@ -422,53 +440,62 @@ def save_model(model: ModelGraph, path) -> None:
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         for n in names:
-            f.write(np.ascontiguousarray(model.weights[n], dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(model.weights[n], dtype="<f8"))
 
 
 def load_model(path) -> ModelGraph:
+    """Read a .dpm1 file written by ``save_model``. The header is read first;
+    each weight's byte range is checked against the file's size before its
+    array is allocated, and the bytes are then read straight into that
+    array, so loading holds no copy of the file. A bad magic, a truncated or
+    overlong file, a malformed header or weights that do not fit the layers
+    raise FormatError naming the byte, the file or the key."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise FormatError(f"bad magic {raw[:4]!r} at byte 0, expected {MAGIC!r}")
-    if len(raw) < 8:
-        raise FormatError(f"file truncated at byte {len(raw)}: header length missing")
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + hlen:
-        raise FormatError(f"file truncated at byte {len(raw)}: header runs to {8 + hlen}")
-    try:
-        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"bad JSON header at byte 8: {e}") from None
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    if header.get("version") != 1:
-        raise FormatError(f"unsupported version {header.get('version')!r}")
-    parsed = {}
-    for key, parse in (("layers", lambda v: [_spec_from_dict(d) for d in v]),
-                       ("weights", lambda v: [(e["name"], tuple(e["shape"])) for e in v]),
-                       ("input_shape", tuple)):
-        if key not in header:
-            raise FormatError(f"{path}: header has no {key!r}")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if head[:4] != MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r} at byte 0, expected {MAGIC!r}")
+        if len(head) < 8:
+            raise FormatError(f"file truncated at byte {len(head)}: header length missing")
+        (hlen,) = struct.unpack("<I", head[4:8])
+        if size < 8 + hlen:
+            raise FormatError(f"file truncated at byte {size}: header runs to {8 + hlen}")
         try:
-            parsed[key] = parse(header[key])
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"{path}: header {key!r} is malformed "
-                              f"({type(e).__name__}: {e})") from None
-    offset = 8 + hlen
-    weights = {}
-    for name, shape in parsed["weights"]:
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise FormatError(f"{path}: header 'weights': {name} has shape {list(shape)}")
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
-        if len(raw) < offset + nbytes:
-            raise FormatError(
-                f"file truncated at byte {len(raw)}: weight {name} "
-                f"needs bytes [{offset}, {offset + nbytes})")
-        weights[name] = np.frombuffer(
-            raw[offset:offset + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise FormatError(f"trailing {len(raw) - offset} bytes at byte {offset}")
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"bad JSON header at byte 8: {e}") from None
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header is not a JSON object")
+        if header.get("version") != 1:
+            raise FormatError(f"unsupported version {header.get('version')!r}")
+        parsed = {}
+        for key, parse in (("layers", lambda v: [_spec_from_dict(d) for d in v]),
+                           ("weights", lambda v: [(e["name"], tuple(e["shape"])) for e in v]),
+                           ("input_shape", tuple)):
+            if key not in header:
+                raise FormatError(f"{path}: header has no {key!r}")
+            try:
+                parsed[key] = parse(header[key])
+            except (KeyError, TypeError, ValueError) as e:
+                raise FormatError(f"{path}: header {key!r} is malformed "
+                                  f"({type(e).__name__}: {e})") from None
+        offset = 8 + hlen
+        weights = {}
+        for name, shape in parsed["weights"]:
+            if not all(isinstance(n, int) and n >= 0 for n in shape):
+                raise FormatError(f"{path}: header 'weights': {name} has shape {list(shape)}")
+            nbytes = math.prod(shape) * 8
+            if size < offset + nbytes:
+                raise FormatError(
+                    f"file truncated at byte {size}: weight {name} "
+                    f"needs bytes [{offset}, {offset + nbytes})")
+            array = np.empty(shape, dtype="<f8")
+            if f.readinto(array) != nbytes:
+                raise FormatError(f"{path}: the file shrank while weight {name} was read")
+            weights[name] = array.astype(np.float64, copy=False)  # no copy on a little-endian host
+            offset += nbytes
+    if offset != size:
+        raise FormatError(f"trailing {size - offset} bytes at byte {offset}")
     model = ModelGraph(parsed["layers"], weights, parsed["input_shape"],
                        header.get("metadata", {}))
     try:
@@ -517,9 +544,9 @@ def write_json(path, payload: dict) -> None:
 # plain supervised training and evaluation
 
 
-# train_model steps a parameter of at least this many values inside the
-# backward sweep, in chunks of at most this many (512 KiB of float64); a
-# smaller one steps with the rest after the sweep, in one concatenated update
+# train_model steps a parameter of at least this many values (512 KiB of
+# float64) inside the backward sweep, from its own gradient scaled in place;
+# a smaller one steps with the rest after the sweep, in one concatenated update
 _STEP_VALUES = 2 ** 16
 
 
@@ -601,13 +628,13 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
     place; the velocity lives across the whole schedule. A parameter of at
     least ``_STEP_VALUES`` values (LeNet's fc1 and fc2 weights) takes its
     step inside the backward sweep, as soon as ``tensor.backward`` hands its
-    gradient over, in chunks of at most that many values, and its gradient
-    is dropped right then, so no whole-model gradient is held; the smaller
-    ones step together after the sweep, from one concatenated lr * g freed
-    before the next batch's forward. Each element takes the same operations
-    on either path. Raises NumericError, naming the epoch and batch, at the first
-    batch whose loss is not finite or exceeds ``loss_bound``, before its
-    step touches the weights.
+    gradient over, with that gradient scaled in place into lr * g, and the
+    gradient is dropped right then, so no whole-model gradient or step
+    buffer is held; the smaller ones step together after the sweep, from
+    one concatenated lr * g freed before the next batch's forward. Each
+    element takes the same operations on either path. Raises NumericError,
+    naming the epoch and batch, at the first batch whose loss is not finite
+    or exceeds ``loss_bound``, before its step touches the weights.
 
     With ``val=(x_val, y_val)`` it is a fine-tune: the starting weights
     (epoch 0) and each epoch's are scored on the validation rows, each
@@ -646,20 +673,17 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
     head, v_head = flat[:n_small], velocity[:n_small]
 
     def step_now(p):
-        """The momentum step of a large parameter whose gradient is final, in
-        chunks of at most _STEP_VALUES values; then its gradient is dropped."""
+        """The momentum step of a large parameter whose gradient is final,
+        with the gradient scaled in place (nothing else holds it); then the
+        gradient is dropped."""
         if p not in large:
             return
         w, v = large[p]
         g, p.grad = p.grad.reshape(-1), None
-        chunk = np.empty(min(g.size, _STEP_VALUES))  # alive only during the step
-        for lo in range(0, g.size, _STEP_VALUES):
-            hi = min(lo + _STEP_VALUES, g.size)
-            step = np.multiply(g[lo:hi], schedule.lr, out=chunk[:hi - lo])
-            part = v[lo:hi]
-            part *= schedule.momentum
-            part -= step
-            w[lo:hi] += part
+        g *= schedule.lr
+        v *= schedule.momentum
+        v -= g
+        w += v
 
     on_leaf = step_now if large else None  # with none, backward scans no routes
     if val is not None:

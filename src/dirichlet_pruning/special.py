@@ -51,8 +51,8 @@ _LANCZOS_SHIFT = np.arange(1.0, 9.0)[:, None]  # (8, 1): the i of C_i / (x - 1 +
 _LANCZOS_TAIL = np.array(_LANCZOS_C[1:])[:, None]
 
 
-def _blocks(n: int):
-    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+def _blocks(n: int, size: int = _BLOCK):
+    return (slice(lo, lo + size) for lo in range(0, n, size))
 
 
 def _lanczos_sum(xm1: np.ndarray) -> np.ndarray:
@@ -165,123 +165,134 @@ def digamma_batch(x: np.ndarray) -> np.ndarray:
 
 _P_MAX_ITER = 500
 _P_EPS = 1e-15
+_P_BLOCK = 8192  # elements per block of a series or fraction loop (64 KiB per buffer)
 
 
 def _incomplete_gamma_terms(a: np.ndarray, x: np.ndarray):
     """The one series / continued-fraction loop behind P(a, x) and dP/da.
 
-    ``a`` and ``x`` are flat arrays with x > 0. For x < a + 1 the series
-    gives F = sum_n x^n / (a (a+1) ... (a+n)) and P = front * F; otherwise
-    the modified Lentz continued fraction gives F with Q = 1 - P = front * F.
+    ``a`` broadcasts against ``x``, with x > 0: a repeated shape can come in
+    once, and the results have x's shape. For x < a + 1 the series gives
+    F = sum_n x^n / (a (a+1) ... (a+n)) and P = front * F; otherwise the
+    modified Lentz continued fraction gives F with Q = 1 - P = front * F.
     Here front = exp(a log x - x - lgamma(a)). dF/da is carried forward-mode
     through the same recurrence (Moore, AS 187, 1982), and each element
-    iterates until both F and dF/da have converged.
+    iterates until both F and dF/da have converged. Each branch runs on the
+    elements it gathers, ``_P_BLOCK`` at a time, so its buffers stay under
+    1 MiB; a converged element only adds zeros, so its values do not depend
+    on what shares its block.
 
     Returns (series, F, dF) with ``series`` the mask of elements on the
     series branch.
     """
     series = x < a + 1.0
-    f = np.empty_like(a)
-    df = np.empty_like(a)
-
-    if np.any(series):
-        aa = a[series]
-        xx = x[series]
-        term = 1.0 / aa
-        total = term.copy()
-        denom = aa.copy()
-        live = np.ones(aa.shape, dtype=bool)
-        dterm = -term / aa
-        dtotal = dterm.copy()
-        live_d = live.copy()
-        # term and total stay finite and > 0, dterm and dtotal < 0. So the
-        # tests |term| >= |total| eps and |dterm| >= |dtotal| eps need no abs,
-        # and a converged element adds term * False = +-0, which leaves its
-        # sum as it is: an in-place add, not a select into a new array. Every
-        # step writes into one of three buffers, allocating nothing
-        ratio, tmp = np.empty_like(aa), np.empty_like(aa)
-        flag = np.empty(aa.shape, dtype=bool)
-        for _ in range(_P_MAX_ITER):
-            denom += 1.0
-            np.divide(xx, denom, out=ratio)
-            # t_n = t_(n-1) x/(a+n), so dt_n = x/(a+n) (dt_(n-1) - t_(n-1)/(a+n))
-            np.divide(term, denom, out=tmp)
-            dterm -= tmp
-            dterm *= ratio
-            dtotal += np.multiply(dterm, live_d, out=tmp)
-            live_d &= np.less_equal(dterm, np.multiply(dtotal, _P_EPS, out=tmp), out=flag)
-            term *= ratio
-            total += np.multiply(term, live, out=tmp)
-            live &= np.greater_equal(term, np.multiply(total, _P_EPS, out=tmp), out=flag)
-            if not (live.any() or live_d.any()):
-                break
-        else:
-            raise NumericError("P series failed to converge on a batch element")
-        f[series] = total
-        df[series] = dtotal
-
-    frac = ~series
-    if np.any(frac):
-        aa = a[frac]
-        xx = x[frac]
-        tiny = 1e-300
-        b = xx + 1.0 - aa
-        c = np.full_like(xx, 1.0 / tiny)
-        d = np.where(b != 0.0, 1.0 / np.where(b == 0.0, 1.0, b), 1.0 / tiny)
-        h = d.copy()
-        live = np.ones(aa.shape, dtype=bool)
-        # every b_i has db/da = -1 and a_i = -i (i - a) has da_i/da = i;
-        # c_0 does not depend on a, d_0 = 1/b_0 has dd/da = d_0^2
-        dc = np.zeros_like(xx)
-        dd = d * d
-        dh = dd.copy()
-        live_d = live.copy()
-        # every step writes into these buffers, allocating nothing; each
-        # product and sum is the one the plain formulas give, up to operand
-        # order, which IEEE products and sums do not depend on
-        an, q, dden, delta, dm1, step, tmp = (np.empty_like(xx) for _ in range(7))
-        flag = np.empty(aa.shape, dtype=bool)
-        for i in range(1, _P_MAX_ITER + 1):
-            np.subtract(i, aa, out=an)
-            an *= -i  # a_i = -i (i - a)
-            b += 2.0
-            np.multiply(i, d, out=dden)  # i d + a_i dd - 1
-            dden += np.multiply(an, dd, out=tmp)
-            dden -= 1.0
-            np.divide(an, c, out=q)  # a_i / c, at the old c
-            dc *= q  # dc = (i - a_i / c dc) / c - 1
-            np.subtract(i, dc, out=dc)
-            dc /= c
-            dc -= 1.0
-            d *= an  # d = 1 / (a_i d + b), kept at least tiny in magnitude
-            d += b
-            np.copyto(d, tiny, where=np.less(np.abs(d, out=tmp), tiny, out=flag))
-            np.add(b, q, out=c)  # c = b + a_i / c, likewise
-            np.copyto(c, tiny, where=np.less(np.abs(c, out=tmp), tiny, out=flag))
-            np.divide(1.0, d, out=d)
-            np.multiply(d, c, out=delta)
-            np.negative(dden, out=dd)  # dd = -dden d d
-            dd *= d
-            dd *= d
-            # step = dh (delta - 1) + h (dc d + c dd)
-            np.multiply(dc, d, out=step)
-            step += np.multiply(c, dd, out=tmp)
-            step *= h
-            np.subtract(delta, 1.0, out=dm1)
-            step += np.multiply(dh, dm1, out=tmp)
-            np.add(dh, step, out=dh, where=live_d)
-            np.multiply(np.abs(dh, out=tmp), _P_EPS, out=tmp)
-            live_d &= np.greater_equal(np.abs(step, out=step), tmp, out=flag)
-            np.multiply(h, delta, out=h, where=live)
-            live &= np.greater_equal(np.abs(dm1, out=dm1), _P_EPS, out=flag)
-            if not (live.any() or live_d.any()):
-                break
-        else:
-            raise NumericError("P continued fraction failed to converge on a batch element")
-        f[frac] = h
-        df[frac] = dh
-
+    a = np.broadcast_to(a, np.shape(x))
+    f = np.empty(np.shape(x))
+    df = np.empty(np.shape(x))
+    for mask, branch in ((series, _incomplete_gamma_series),
+                         (~series, _incomplete_gamma_fraction)):
+        aa, xx = a[mask], x[mask]
+        f_m, df_m = np.empty(aa.size), np.empty(aa.size)
+        for part in _blocks(aa.size, _P_BLOCK):
+            f_m[part], df_m[part] = branch(aa[part], xx[part])
+        f[mask], df[mask] = f_m, df_m
     return series, f, df
+
+
+def _incomplete_gamma_series(aa: np.ndarray, xx: np.ndarray):
+    """(F, dF/da) on the series branch, for 1-d ``aa`` and ``xx`` gathered
+    by the caller; ``aa`` is overwritten."""
+    term = 1.0 / aa
+    total = term.copy()
+    dterm = -term / aa
+    dtotal = dterm.copy()
+    denom = aa  # a + n at step n; the shapes are not read again
+    live = np.ones(aa.shape, dtype=bool)
+    live_d = live.copy()
+    # term and total stay finite and > 0, dterm and dtotal < 0. So the
+    # tests |term| >= |total| eps and |dterm| >= |dtotal| eps need no abs,
+    # and a converged element adds term * False = +-0, which leaves its
+    # sum as it is: an in-place add, not a select into a new array. Every
+    # step writes into one of three buffers, allocating nothing
+    ratio, tmp = np.empty_like(aa), np.empty_like(aa)
+    flag = np.empty(aa.shape, dtype=bool)
+    for _ in range(_P_MAX_ITER):
+        denom += 1.0
+        np.divide(xx, denom, out=ratio)
+        # t_n = t_(n-1) x/(a+n), so dt_n = x/(a+n) (dt_(n-1) - t_(n-1)/(a+n))
+        np.divide(term, denom, out=tmp)
+        dterm -= tmp
+        dterm *= ratio
+        dtotal += np.multiply(dterm, live_d, out=tmp)
+        live_d &= np.less_equal(dterm, np.multiply(dtotal, _P_EPS, out=tmp), out=flag)
+        term *= ratio
+        total += np.multiply(term, live, out=tmp)
+        live &= np.greater_equal(term, np.multiply(total, _P_EPS, out=tmp), out=flag)
+        if not (live.any() or live_d.any()):
+            break
+    else:
+        raise NumericError("P series failed to converge on a batch element")
+    return total, dtotal
+
+
+def _incomplete_gamma_fraction(aa: np.ndarray, xx: np.ndarray):
+    """(F, dF/da) on the continued-fraction branch, for 1-d ``aa`` and
+    ``xx`` gathered by the caller."""
+    tiny = 1e-300
+    b = xx + 1.0 - aa
+    c = np.full_like(xx, 1.0 / tiny)
+    d = np.where(b != 0.0, 1.0 / np.where(b == 0.0, 1.0, b), 1.0 / tiny)
+    h = d.copy()
+    live = np.ones(aa.shape, dtype=bool)
+    # every b_i has db/da = -1 and a_i = -i (i - a) has da_i/da = i;
+    # c_0 does not depend on a, d_0 = 1/b_0 has dd/da = d_0^2
+    dc = np.zeros_like(xx)
+    dd = d * d
+    dh = dd.copy()
+    live_d = live.copy()
+    # every step writes into these buffers, allocating nothing; each
+    # product and sum is the one the plain formulas give, up to operand
+    # order, which IEEE products and sums do not depend on
+    an, q, dden, delta, dm1, step, tmp = (np.empty_like(xx) for _ in range(7))
+    flag = np.empty(aa.shape, dtype=bool)
+    for i in range(1, _P_MAX_ITER + 1):
+        np.subtract(i, aa, out=an)
+        an *= -i  # a_i = -i (i - a)
+        b += 2.0
+        np.multiply(i, d, out=dden)  # i d + a_i dd - 1
+        dden += np.multiply(an, dd, out=tmp)
+        dden -= 1.0
+        np.divide(an, c, out=q)  # a_i / c, at the old c
+        dc *= q  # dc = (i - a_i / c dc) / c - 1
+        np.subtract(i, dc, out=dc)
+        dc /= c
+        dc -= 1.0
+        d *= an  # d = 1 / (a_i d + b), kept at least tiny in magnitude
+        d += b
+        np.copyto(d, tiny, where=np.less(np.abs(d, out=tmp), tiny, out=flag))
+        np.add(b, q, out=c)  # c = b + a_i / c, likewise
+        np.copyto(c, tiny, where=np.less(np.abs(c, out=tmp), tiny, out=flag))
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=delta)
+        np.negative(dden, out=dd)  # dd = -dden d d
+        dd *= d
+        dd *= d
+        # step = dh (delta - 1) + h (dc d + c dd)
+        np.multiply(dc, d, out=step)
+        step += np.multiply(c, dd, out=tmp)
+        step *= h
+        np.subtract(delta, 1.0, out=dm1)
+        step += np.multiply(dh, dm1, out=tmp)
+        np.add(dh, step, out=dh, where=live_d)
+        np.multiply(np.abs(dh, out=tmp), _P_EPS, out=tmp)
+        live_d &= np.greater_equal(np.abs(step, out=step), tmp, out=flag)
+        np.multiply(h, delta, out=h, where=live)
+        live &= np.greater_equal(np.abs(dm1, out=dm1), _P_EPS, out=flag)
+        if not (live.any() or live_d.any()):
+            break
+    else:
+        raise NumericError("P continued fraction failed to converge on a batch element")
+    return h, dh
 
 
 def gamma_log_pdf(shape, x):
@@ -297,43 +308,78 @@ def gamma_log_pdf(shape, x):
 # sampling
 
 
+def _distinct(shapes: np.ndarray) -> np.ndarray:
+    """``shapes`` with every axis it only repeats (stride 0, as a broadcast
+    leaves it, e.g. k Dirichlet draws of one D-vector) cut to length 1, so
+    an elementwise function of the shapes runs once per distinct shape and
+    broadcasts back."""
+    return shapes[tuple(slice(0, 1) if st == 0 else slice(None) for st in shapes.strides)]
+
+
 def gamma_sample_batch(shapes: np.ndarray, rng) -> np.ndarray:
     """Draw y ~ Gamma(shape, 1) at each entry of ``shapes`` by Marsaglia-Tsang.
 
     For shape < 1 the draw is taken at shape + 1 and boosted by U^(1/shape),
     which is exact in distribution. ``gamma_implicit_grad_batch`` gives the
     draws' gradients; it consumes no randomness.
+
+    The per-shape terms d = shape' - 1/3 and c = 1 / sqrt(9 d) are formed
+    once per distinct shape (``_distinct``) and gathered for the entries a
+    round still draws, and each round's arithmetic runs in buffers made once.
     """
     shapes = np.asarray(shapes, dtype=np.float64)
     _check_positive("gamma_sample", "shape", shapes)
-    flat = shapes.ravel()
-    small = flat < 1.0
-    eff = np.where(small, flat + 1.0, flat)
-
-    d = eff - 1.0 / 3.0
+    distinct = _distinct(shapes)
+    small = distinct < 1.0
+    d = np.where(small, distinct + 1.0, distinct)
+    d -= 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    values = np.empty_like(flat)
-    pending = np.ones(flat.shape, dtype=bool)
-    while pending.any():
-        idx = np.nonzero(pending)[0]
-        x = rng.standard_normal(idx.size)
-        v = 1.0 + c[idx] * x
-        ok = v > 0.0
-        v = v * v * v
-        u = rng.random(idx.size)
-        x2 = x * x  # x^4 as (x*x)*(x*x): the generic pow was a third of the call
+    d, c = np.broadcast_to(d, shapes.shape), np.broadcast_to(c, shapes.shape)
+    values = np.empty(shapes.shape)
+    pending = np.ones(shapes.shape, dtype=bool)
+    n = pending.size
+    # a round of n proposals works in the first n entries of these
+    tmp, rhs = np.empty(n), np.empty(n)
+    ok_buf, squeeze_buf, accept_buf = (np.empty(n, dtype=bool) for _ in range(3))
+    while n:
+        x = rng.standard_normal(n)
+        v = c[pending]
+        v *= x
+        v += 1.0  # 1 + c x
+        ok = np.greater(v, 0.0, out=ok_buf[:n])
+        t = np.multiply(v, v, out=tmp[:n])
+        np.multiply(t, v, out=v)  # (v v) v
+        u = rng.random(n)
+        x2 = np.multiply(x, x, out=x)  # x^4 as (x*x)*(x*x): the generic pow was a third of the call
         with np.errstate(invalid="ignore", divide="ignore"):
-            squeeze = u < 1.0 - 0.0331 * (x2 * x2)
-            full = np.log(u) < 0.5 * x2 + d[idx] * (1.0 - v + np.log(np.where(ok, v, 1.0)))
-        accept = ok & (squeeze | full)
-        take = idx[accept]
-        values[take] = d[take] * v[accept]
-        pending[take] = False
+            np.multiply(x2, x2, out=t)  # squeeze: u < 1 - 0.0331 x^4
+            t *= 0.0331
+            np.subtract(1.0, t, out=t)
+            squeeze = np.less(u, t, out=squeeze_buf[:n])
+            t.fill(1.0)  # full: log u < x^2 / 2 + d (1 - v + log v), v = 1 where not ok
+            np.copyto(t, v, where=ok)
+            np.log(t, out=t)
+            r = np.subtract(1.0, v, out=rhs[:n])
+            r += t
+            dv = d[pending]
+            r *= dv
+            np.multiply(x2, 0.5, out=t)
+            t += r
+            np.log(u, out=u)
+            accept = np.less(u, t, out=accept_buf[:n])
+        accept |= squeeze
+        accept &= ok
+        # every pending entry takes d v; one still pending is written again
+        # by the round that accepts it
+        dv *= v
+        values[pending] = dv
+        pending[pending] = np.logical_not(accept, out=accept)
+        n = np.count_nonzero(pending)
     if small.any():
-        boost = rng.random(int(small.sum())) ** (1.0 / flat[small])
+        small = np.broadcast_to(small, shapes.shape)
+        boost = rng.random(np.count_nonzero(small)) ** (1.0 / shapes[small])
         values[small] *= boost
-    values = np.maximum(values, 5e-324)
-    return values.reshape(shapes.shape)
+    return np.maximum(values, 5e-324, out=values)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +401,20 @@ def gamma_implicit_grad_batch(shapes: np.ndarray, values: np.ndarray) -> np.ndar
     _check_positive("gamma_implicit_grad", "shape", shapes)
     _check_positive("gamma_implicit_grad", "value", values)
     shapes, values = np.broadcast_arrays(shapes, values)
-    # psi and lgamma are elementwise, so they run once per distinct shape:
-    # an axis the shapes only repeat (stride 0, as a broadcast leaves it,
-    # e.g. k Dirichlet draws of one D-vector) is cut to length 1
-    distinct = shapes[tuple(slice(0, 1) if st == 0 else slice(None) for st in shapes.strides)]
-    log_pdf = gamma_log_pdf(distinct, values)
-    if np.any(log_pdf < -700.0):
-        bad = np.argwhere(log_pdf < -700.0)[0]
+    # psi and lgamma are elementwise, so they run once per distinct shape,
+    # and the shapes are indexed through their broadcast, never copied
+    distinct = _distinct(shapes)
+    low = gamma_log_pdf(distinct, values) < -700.0  # the density is not kept
+    if np.any(low):
+        bad = np.argwhere(low)[0]
         raise NumericError(
             f"gamma density underflow at shape={shapes[tuple(bad)]}, "
             f"value={values[tuple(bad)]}")
-    a = shapes.ravel()
-    y = values.ravel()
-    series, f, df = _incomplete_gamma_terms(a, y)
-    psi = np.broadcast_to(digamma_batch(distinct), shapes.shape).ravel()
-    scaled = y * (f * (np.log(y) - psi) + df)
-    return np.where(series, -scaled, scaled).reshape(shapes.shape)
+    series, grad, df = _incomplete_gamma_terms(distinct, values)
+    # grad = F, then F (log y - psi) + dF, then y times that, negated on the series branch
+    log_y = np.log(values)
+    log_y -= digamma_batch(distinct)
+    grad *= log_y
+    grad += df
+    grad *= values
+    return np.negative(grad, out=grad, where=series)

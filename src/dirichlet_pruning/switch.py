@@ -64,9 +64,9 @@ import numpy as np
 from . import tensor as T
 from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
-from .models import (ModelGraph, _batches, _check_count, _check_rows, forward, loss_bound,
-                     propagate_shapes, prunable_widths, read_json, switch_consumers,
-                     write_json)
+from .models import (ModelGraph, _batches, _check_count, _check_rows, fold_switches, forward,
+                     loss_bound, propagate_shapes, prunable_widths, read_json,
+                     switch_consumers, write_json)
 from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
@@ -292,11 +292,14 @@ class EpochStats:
 def _advance(model, states, h, start, stop, batch_size):
     """Every row of ``h``, the activation entering layer ``start``, run
     untaped to the activation entering layer ``stop``, ``batch_size`` rows at
-    a time, with every switch at its posterior mean."""
+    a time, with every switch at its posterior mean. Each switch whose
+    consumer runs is folded into that consumer's weight once per call, not
+    once per batch (``models.fold_switches``)."""
     means = {st.layer: st.posterior_mean() for st in states}
+    folded = fold_switches(model, means, start, stop)
     out = None
     for rows in _batches(h.shape[0], batch_size):
-        part = forward(model, h[rows], switches=means, start=start, stop=stop).data
+        part = forward(model, h[rows], params=folded, start=start, stop=stop).data
         if out is None:
             out = np.empty((h.shape[0],) + part.shape[1:])
         out[rows] = part

@@ -51,9 +51,10 @@ def make_true_switch(d_h: int, rng) -> np.ndarray:
 _BLOCK_VALUES = 2 ** 18
 
 
-def _switched_logits(x, true_switch, w1, b1, w2, out) -> None:
+def _switched_logits(x, true_switch, w1, b1, w2, out):
     """relu(true_switch * (x @ w1 + b1)) @ w2 into ``out``, holding one row
-    block of the hidden layer at a time."""
+    block of the hidden layer at a time. Returns the hidden layer if one
+    block held every row, else None."""
     n = x.shape[0]
     rows = min(n, max(1, _BLOCK_VALUES // w1.shape[1]))
     block = np.empty((rows, w1.shape[1]))
@@ -64,6 +65,7 @@ def _switched_logits(x, true_switch, w1, b1, w2, out) -> None:
         h *= true_switch
         np.maximum(h, 0.0, out=h)
         np.matmul(h, w2, out=out[i:i + rows])
+    return block if rows == n else None
 
 
 def gen_synthetic(d_x: int, d_h: int, n: int, rng,
@@ -80,10 +82,11 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
 
     The hidden layer is built in row blocks of ``_BLOCK_VALUES`` values, so
     memory is O(n*d_x + block*d_h), not O(n*d_h). Up to one block, every
-    output is bitwise that of a one-buffer build. Past one block, BLAS need
-    not round a row block's product as it rounds those rows of the full
-    product, so w2 and b2 can differ from a one-buffer build in the last
-    bit; x is the same draw either way.
+    output is bitwise that of a one-buffer build, and the rescaled pass
+    reuses the block's hidden layer, so x @ w1 runs once. Past one block,
+    BLAS need not round a row block's product as it rounds those rows of
+    the full product, so w2 and b2 can differ from a one-buffer build in
+    the last bit; x is the same draw either way.
     """
     if n < 2 or n % 2 != 0:
         raise ContractError(f"n must be even and >= 2, got {n}")
@@ -100,11 +103,14 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
     # leave near-zero logit margins and no per-channel signal in the
     # likelihood; rescale the output layer so the true network is decisive
     logits = np.empty((n, d_out))
-    _switched_logits(x, true_switch, w1, b1, w2, logits)
+    hidden = _switched_logits(x, true_switch, w1, b1, w2, logits)
     spread = logits.std(axis=0).mean()
     if spread > 0.0:
         w2 = w2 * (3.0 / spread)
-        _switched_logits(x, true_switch, w1, b1, w2, logits)
+        if hidden is None:
+            _switched_logits(x, true_switch, w1, b1, w2, logits)
+        else:  # the one block's hidden layer does not depend on w2
+            np.matmul(hidden, w2, out=logits)
     if d_out == 2:
         # np.median's arithmetic (mean of the two middle values; n is even)
         # without its first call's numpy.ma import

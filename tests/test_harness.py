@@ -34,6 +34,7 @@ from dirichlet_pruning.synthetic import (_BLOCK_VALUES, gen_synthetic, make_true
                                          task_model)
 from dirichlet_pruning import cli, errors
 from dirichlet_pruning import pipeline as pipeline_module
+from dirichlet_pruning import synthetic as synthetic_module
 
 from conftest import child_env, peak_mib, traced_mib
 from synthetic_oracle import one_buffer_synthetic
@@ -163,15 +164,20 @@ def test_dirichlet_pipeline_without_switch_epochs_writes_no_artifact(tmp_path):
     assert (tmp_path / "l1" / "plan.json").exists()
 
 
-@pytest.mark.parametrize("name", ["MLP_ANALYTIC_CONFIG", "LENET_ANALYTIC_CONFIG",
-                                  "MLP_IMPLICIT_CONFIG"])
-def test_benchmark_configs_parse(name):
-    # a key or choice the benchmark's configs use must not go away unnoticed;
-    # perfbench is not a package, so its workloads module is loaded by path
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["MLP_ANALYTIC_CONFIG", "LENET_ANALYTIC_CONFIG",
+                                  "MLP_IMPLICIT_CONFIG"])
+def test_benchmark_configs_parse(name):
+    # a key or choice the benchmark's configs use must not go away unnoticed
+    workloads = _perfbench_workloads()
     text = getattr(workloads, name).format(
         seed=48, model_in="true.dpm1", images="train-images", labels="train-labels",
         test_images="test-images", test_labels="test-labels",
@@ -457,6 +463,18 @@ def test_synthetic_matches_the_one_buffer_oracle(n, d_out):
         np.testing.assert_allclose(task.b2, b2, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("n,hidden_passes", [(_BLOCK_ROWS, 1), (_BLOCK_ROWS + 2, 2)])
+def test_synthetic_rescaled_pass_reuses_a_one_block_hidden_layer(monkeypatch, n,
+                                                                 hidden_passes):
+    # with every row in one block, the pass after w2's rescale is only the
+    # output GEMM on the kept hidden layer; past one block, x @ w1 runs again
+    passes, switched = [], synthetic_module._switched_logits
+    monkeypatch.setattr(synthetic_module, "_switched_logits",
+                        lambda *a: passes.append(n) or switched(*a))
+    gen_synthetic(10, 64, n, np.random.default_rng(15))
+    assert len(passes) == hidden_passes
+
+
 def test_synthetic_allocation_peak_is_x_plus_one_block():
     # x is 7.6 MiB; the rest is one 2 MiB hidden block and the (n, 2)
     # logits: 4.3 MiB, where the one (n, d_h) hidden buffer took 29.0 MiB
@@ -583,6 +601,19 @@ def test_pipeline_deterministic_artifacts_are_byte_stable(tmp_path, config):
     run_pipeline(config(tmp_path, out))
     for name in _STABLE_ARTIFACTS:
         assert (out / name).read_bytes() == first[name], name
+
+
+def test_model_in_implicit_pipeline_allocation_peak(tmp_path):
+    # the mlp_implicit benchmark job of instance 48: a saved 1000-500-2 model
+    # in (3.8 MiB), 500 rows of 1000 inputs (3.8 MiB) and ImplicitMC(100)
+    # switches. 12.2 MiB, set in the switch step; loading the model through
+    # a whole-file read, a slice and a cast, and forming the sampler's
+    # per-shape terms for all k * D draws, peaked at 15.3
+    cfg = parse_config_text(_perfbench_workloads().make_inputs("mlp_implicit", 48,
+                                                               str(tmp_path / "in")))
+    cfg.out_dir = str(tmp_path / "run")
+    peak, _ = traced_mib(lambda: run_pipeline(cfg))
+    assert peak <= 13.0
 
 
 def test_pipeline_on_pixels_matches_the_float64_rows(tmp_path, monkeypatch):

@@ -477,6 +477,43 @@ def test_load_truncated(tmp_path):
         assert "byte" in str(e.value)
 
 
+def test_load_checks_a_weight_against_the_file_size_before_allocating_it(tmp_path):
+    # a header may name any shape: a 2^40-value weight (8 TiB) in a 200-byte
+    # file is a truncated file, not an allocation to attempt
+    blob = json.dumps({"version": 1, "layers": [], "input_shape": [1],
+                       "weights": [{"name": "w", "shape": [2 ** 40]}]}).encode()
+    start = 8 + len(blob)
+    p = tmp_path / "huge.dpm1"
+    p.write_bytes((b"DPM1" + struct.pack("<I", len(blob)) + blob).ljust(200, b"\0"))
+    with pytest.raises(FormatError, match=re.escape(
+            f"file truncated at byte 200: weight w needs bytes [{start}, {start + 2 ** 43})")):
+        load_model(p)
+
+
+def _four_mib_model(tmp_path):
+    """A 1000-500-2 MLP (3.8 MiB of weights) and the path it is saved at."""
+    model = build_mlp(1000, 500, 2, rng=np.random.default_rng(29))
+    p = tmp_path / "m.dpm1"
+    save_model(model, p)
+    return model, p
+
+
+def test_load_allocation_peak_is_the_weights(tmp_path):
+    # each weight is read straight into its array: 3.83 MiB for 3.83 MiB of
+    # weights, where the whole file's bytes, a slice of them and a cast
+    # peaked at 11.46
+    model, p = _four_mib_model(tmp_path)
+    weights_mib = sum(w.nbytes for w in model.weights.values()) / 2 ** 20
+    assert peak_mib(lambda: load_model(p)) <= weights_mib + 0.25
+
+
+def test_save_allocation_peak_holds_no_weight_copy(tmp_path):
+    # each weight is written from its own buffer: 0.01 MiB, where a
+    # tobytes() copy of the largest weight peaked at 3.82
+    model, p = _four_mib_model(tmp_path)
+    assert peak_mib(lambda: save_model(model, p)) <= 0.25
+
+
 def test_load_trailing_garbage(tmp_path):
     model = build_mlp(3, 2, 2, rng=np.random.default_rng(18))
     p = tmp_path / "m.dpm1"
@@ -811,12 +848,13 @@ def test_evaluate_allocation_peak_full_lenet():
 
 
 def test_train_step_allocation_peak_full_lenet():
-    # one batch-100 step: 27.8 MiB, set in fc1's backward, with no array
+    # one batch-100 step: 27.3 MiB, set in fc1's backward, with no array
     # kept that no backward reads, each pool run inside its conv, so neither
     # conv1's 9.2 MB output nor pool1's input gradient is made, and fc1's
-    # and fc2's weights stepped, in 0.5 MiB chunks, as soon as backward hands
-    # their gradients over, so no whole-model gradient or step buffer is
-    # held. Making pool1's input gradient peaked at 30.1 MiB; also keeping
+    # and fc2's weights stepped as soon as backward hands their gradients
+    # over, each from its own gradient scaled in place, so no whole-model
+    # gradient or step buffer is held. A 0.5 MiB step chunk peaked at
+    # 27.8 MiB; also making pool1's input gradient at 30.1; also keeping
     # every gradient to the end of the sweep and concatenating an 8.6 MB step
     # buffer at 37.5; also keeping conv1's output and pool1's 2.3 MB output
     # for pool1's backward at 60.1; also keeping conv2's 25.6 MB im2col

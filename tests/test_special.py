@@ -373,6 +373,20 @@ def test_gamma_sample_batch_reproducible_and_valid():
     assert np.all(grads_a > 0)
 
 
+def _dirichlet_rows():
+    """(100, 500) shapes as k = 100 Dirichlet draws of one D = 500 vector
+    give them: one row, broadcast."""
+    return np.broadcast_to(np.random.default_rng(216).uniform(0.5, 2.0, 500), (100, 500))
+
+
+def test_gamma_sample_batch_allocation_peak_on_broadcast_rows():
+    # d and c formed once per distinct shape, the rounds run in buffers made
+    # once: 2.9 MiB, 7.6 times one (100, 500) array. Raveled shapes, per-
+    # entry terms and fresh arrays for each step of a round peaked at 6.3
+    shapes = _dirichlet_rows()
+    assert peak_mib(lambda: gamma_sample_batch(shapes, np.random.default_rng(217))) <= 3.25
+
+
 # ---------------------------------------------------------------------------
 # implicit reparameterization gradient
 
@@ -485,6 +499,16 @@ def test_implicit_grad_once_per_shape_is_bitwise_the_per_element_kernel():
         want = _implicit_grad_every_element(shapes, values)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_implicit_grad_allocation_peak_on_broadcast_rows():
+    # the shapes indexed through their broadcast, the density dropped once
+    # checked, and each branch of the incomplete-gamma loop run on 8192
+    # gathered elements at a time: 2.7 MiB. Raveled shapes and psi, a kept
+    # density and whole-branch buffers peaked at 4.9
+    shapes = _dirichlet_rows()
+    values = gamma_sample_batch(shapes, np.random.default_rng(217))
+    assert peak_mib(lambda: gamma_implicit_grad_batch(shapes, values)) <= 3.0
 
 
 def test_implicit_grad_runs_psi_and_lgamma_on_the_distinct_shapes(monkeypatch):

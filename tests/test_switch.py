@@ -595,6 +595,28 @@ def test_chained_sweeps_match_sweeps_from_x(estimator, arch, monkeypatch):
         np.testing.assert_allclose(st.theta, ref.theta, rtol=1e-12, atol=0)
 
 
+def test_advance_folds_each_switch_once_per_call(monkeypatch):
+    # one scaled copy of conv2's and of fc1's weight for the whole call, not
+    # one per batch, and the rows are bit for bit those of per-batch passes
+    # with the mean switches; fc2, where switch 2 acts, is not run
+    rng = np.random.default_rng(63)
+    model = build_lenet5([3, 4, 8, 6], rng=rng)
+    x = rng.uniform(0.0, 1.0, (50, 1, 28, 28))
+    states = init_switch_states(model)
+    _spread_thetas(states, 64)
+    stop = switch_consumers(model)[2]
+    folded, scale = [], T.scale_input_channels
+    monkeypatch.setattr(T, "scale_input_channels",
+                        lambda w, rows: folded.append(w.shape) or scale(w, rows))
+    got = switch_module._advance(model, states, x, 0, stop, 10)
+    assert folded == [model.weights[f"layer{i}.weight"].shape
+                      for i in switch_consumers(model)[:2]]
+    monkeypatch.undo()
+    means = {st.layer: st.posterior_mean() for st in states}
+    want = [forward(model, x[i:i + 10], switches=means, stop=stop).data for i in range(0, 50, 10)]
+    assert np.array_equal(got, np.concatenate(want))
+
+
 def test_single_switch_run_stores_no_entry(monkeypatch):
     calls = []
     monkeypatch.setattr(switch_module, "_advance", lambda *a: calls.append(a))
