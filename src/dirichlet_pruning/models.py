@@ -545,9 +545,10 @@ def write_json(path, payload: dict) -> None:
 
 
 # train_model steps a parameter of at least this many values (512 KiB of
-# float64) inside the backward sweep, from its own gradient scaled in place;
-# a smaller one steps with the rest after the sweep, in one concatenated update
-_STEP_VALUES = 2 ** 16
+# float64) inside the backward sweep, from its own gradient, or each row block
+# of it, scaled in place; a smaller one, whose gradient comes whole, steps
+# with the rest after the sweep, in one concatenated update
+_STEP_VALUES = T._ROW_GRAD_VALUES
 
 
 def _check_count(key: str, value, least: int) -> None:
@@ -629,10 +630,12 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
     least ``_STEP_VALUES`` values (LeNet's fc1 and fc2 weights) takes its
     step inside the backward sweep, as soon as ``tensor.backward`` hands its
     gradient over, with that gradient scaled in place into lr * g, and the
-    gradient is dropped right then, so no whole-model gradient or step
-    buffer is held; the smaller ones step together after the sweep, from
-    one concatenated lr * g freed before the next batch's forward. Each
-    element takes the same operations on either path. Raises NumericError,
+    gradient is dropped right then. An fc weight goes over in row blocks as
+    its matmul's backward forms them, each block stepping its rows, so no
+    whole fc weight gradient, whole-model gradient or step buffer is held;
+    the smaller parameters step together after the sweep, from one
+    concatenated lr * g freed before the next batch's forward. Each element
+    takes the same operations on every path. Raises NumericError,
     naming the epoch and batch, at the first batch whose loss is not finite
     or exceeds ``loss_bound``, before its step touches the weights.
 
@@ -667,25 +670,25 @@ def train_model(model: ModelGraph, x, y, schedule: TrainSchedule, rng, *,
         if stop - start < _STEP_VALUES:
             small.append(p)
         else:
-            large[p] = (flat[start:stop], velocity[start:stop])
+            large[p] = (view, velocity[start:stop].reshape(shape))
         start = stop
     n_small = sum(p.size for p in small)
     head, v_head = flat[:n_small], velocity[:n_small]
 
-    def step_now(p):
-        """The momentum step of a large parameter whose gradient is final,
-        with the gradient scaled in place (nothing else holds it); then the
-        gradient is dropped."""
+    def take(p, rows, g):
+        """The momentum step of rows ``rows`` of a large parameter, whose
+        gradient there is g, final, and held by nothing else, so it is
+        scaled in place and dropped; a small one's whole g waits in .grad."""
         if p not in large:
+            p.grad = g
             return
-        w, v = large[p]
-        g, p.grad = p.grad.reshape(-1), None
+        w, v = (a[rows] for a in large[p])
         g *= schedule.lr
         v *= schedule.momentum
         v -= g
         w += v
 
-    on_leaf = step_now if large else None  # with none, backward scans no routes
+    on_leaf = take if large else None  # with none, backward scans no routes
     if val is not None:
         best, best_err, kept = flat.copy(), evaluate(model, x_val, y_val), 0
     losses = []

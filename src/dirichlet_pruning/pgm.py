@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericError
 
 
 def to_u8(values: np.ndarray) -> np.ndarray:
-    """Min-max normalize a float map to u8; a constant map pins to 0."""
+    """Min-max normalize a float map to u8; a constant map pins to 0. A map
+    holding a NaN or an infinity has no such scale and raises NumericError."""
     values = np.asarray(values, dtype=np.float64)
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise NumericError(f"the map holds {bad} non-finite values of {values.size}")
     lo, hi = float(values.min()), float(values.max())
     if hi <= lo:
         return np.zeros(values.shape, dtype=np.uint8)

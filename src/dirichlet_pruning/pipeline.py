@@ -37,7 +37,7 @@ import numpy as np
 from .config import (ExperimentConfig, choice_error, require, resolved_text,
                      validate_config)
 from .data import load_mnist_idx, train_val_split
-from .errors import ConfigError, ContractError, PipelineError
+from .errors import ConfigError, ContractError, NumericError, PipelineError
 from .models import (ModelGraph, TrainSchedule, build_lenet5, build_mlp,
                      count_flops, count_params, evaluate, forward, load_model,
                      output_width, prunable_indices, save_model, train_model)
@@ -411,7 +411,9 @@ def export_feature_maps(model: ModelGraph, image, layer_index: int, out_dir,
                         report: RankingReport | None = None) -> list[str]:
     """One min-max-normalized PGM per channel of the layer's output map,
     filenames prefixed by rank (from the report if given, else by channel
-    index). A uint8 image is read as ``forward`` reads 8-bit pixels."""
+    index). A uint8 image is read as ``forward`` reads 8-bit pixels. A map
+    that holds a NaN or an infinity, as a diverged model's may, raises
+    NumericError naming the layer and channel."""
     image = np.asarray(image)
     if image.ndim == 3:
         image = image[None]
@@ -430,10 +432,16 @@ def export_feature_maps(model: ModelGraph, image, layer_index: int, out_dir,
         if layer_index not in ordinals:
             raise ContractError(f"layer {layer_index} has no ranking entry")
         order = report.layer(ordinals[layer_index]).order
+    images = []
+    for channel in order:  # every map is checked before any file is written
+        try:
+            images.append(to_u8(maps[0, int(channel)]))
+        except NumericError as e:
+            raise NumericError(f"layer {layer_index}, channel {int(channel)}: {e}") from None
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for rank, channel in enumerate(order):
+    for rank, (channel, pixels) in enumerate(zip(order, images)):
         path = os.path.join(out_dir, f"map_{rank:03d}_channel_{int(channel):03d}.pgm")
-        write_pgm(path, to_u8(maps[0, int(channel)]))
+        write_pgm(path, pixels)
         paths.append(path)
     return paths

@@ -213,25 +213,25 @@ def apply_plan(model: ModelGraph, plan: PruningPlan,
         if isinstance(spec, (Conv2d, FullyConnected)):
             w = model.weights[f"layer{i}.weight"]
             b = model.weights[f"layer{i}.bias"]
+            # take, not w[:, keep], whose copy is column-major and would be
+            # copied once more into row order
+            conv = isinstance(spec, Conv2d)
             if in_keep is not None:
-                w = w[:, in_keep] if isinstance(spec, Conv2d) else w[in_keep, :]
+                w = w.take(in_keep, axis=1 if conv else 0)
             ordinal = ordinal_of.get(i)
             out_keep = None
             if ordinal in plan.keep:
                 out_keep = np.asarray(plan.keep[ordinal])
-                if isinstance(spec, Conv2d):
-                    w, b = w[out_keep], b[out_keep]
-                else:
-                    w, b = w[:, out_keep], b[out_keep]
+                w, b = w.take(out_keep, axis=0 if conv else 1), b.take(out_keep)
             if ordinal in means:
+                # a cut array is a fresh copy, scaled in place; an uncut one
+                # is the source's, so its scaled copy is a new array
                 scale = means[ordinal] if out_keep is None else means[ordinal][out_keep]
-                if isinstance(spec, Conv2d):
-                    w = w * scale[:, None, None, None]
-                    b = b * scale
-                else:
-                    w = w * scale[None, :]
-                    b = b * scale
-            if isinstance(spec, Conv2d):
+                cut = out_keep is not None
+                w = np.multiply(w, scale.reshape((-1, 1, 1, 1) if conv else (1, -1)),
+                                out=w if cut or in_keep is not None else None)
+                b = np.multiply(b, scale, out=b if cut else None)
+            if conv:
                 put(Conv2d(w.shape[1], w.shape[0], spec.kh, spec.kw, spec.stride, spec.pad),
                     weight=w, bias=b)
             else:

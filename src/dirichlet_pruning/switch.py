@@ -289,19 +289,26 @@ class EpochStats:
     seconds: float
 
 
-def _advance(model, states, h, start, stop, batch_size):
+def _advance(model, states, h, start, stop, batch_size, reuse=False):
     """Every row of ``h``, the activation entering layer ``start``, run
     untaped to the activation entering layer ``stop``, ``batch_size`` rows at
     a time, with every switch at its posterior mean. Each switch whose
     consumer runs is folded into that consumer's weight once per call, not
-    once per batch (``models.fold_switches``)."""
+    once per batch (``models.fold_switches``).
+
+    With ``reuse``, for an ``h`` that the caller owns and drops, each batch
+    goes back into the rows of h it was read from when the result has h's
+    row shape (LeNet's fc1 output, entering fc2, has fc1's input shape), so
+    no second entry is allocated; a batch is written only after its forward
+    has read it, and no later batch reads those rows."""
     means = {st.layer: st.posterior_mean() for st in states}
     folded = fold_switches(model, means, start, stop)
     out = None
     for rows in _batches(h.shape[0], batch_size):
         part = forward(model, h[rows], params=folded, start=start, stop=stop).data
         if out is None:
-            out = np.empty((h.shape[0],) + part.shape[1:])
+            same = reuse and part.shape[1:] == h.shape[1:]
+            out = h if same else np.empty((h.shape[0],) + part.shape[1:])
         out[rows] = part
     return out
 
@@ -316,7 +323,8 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
     carries every row from the previous sweep's entry to the input of this
     sweep's consumer (the finished switches are fixed by then), so no batch
     runs the graph before that consumer again. The first entry is x itself;
-    only later ones are stored.
+    only later ones are stored, and a stored entry is overwritten by the
+    next when the two have one shape (``_advance``).
 
     Raises NumericError, naming the scope, epoch and batch, at the first
     batch whose neg_elbo is not finite or whose expected NLL exceeds the
@@ -334,7 +342,9 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
     for sweep, layer in enumerate(sorted(by_index)):
         if sweep > 0:
             stop = consumers[layer]
-            entry = _advance(model, states, entry, start, stop, schedule.batch_size)
+            # the first advance reads x, the training rows; a later one its own entry
+            entry = _advance(model, states, entry, start, stop, schedule.batch_size,
+                             sweep > 1)
             start = stop
         scope, st = f"layer{layer}", by_index[layer]
         for epoch in range(schedule.epochs):

@@ -23,31 +23,35 @@ or some closure holds its array.
 Backward contract: a node's ``backward_fn`` returns one gradient per
 recorded input, and ``None`` for an input whose ``requires_grad`` is False;
 it computes nothing for that input. Each gradient is a fresh array or a
-view of g, so a leaf takes its sum as it is, with no copy. Work that only a
-backward pass reads (ReLU masks, first-maximum masks, softmax probabilities)
-is kept or built only when the op is recorded, so an untaped or frozen
-forward pays for none of it. conv2d keeps no im2col matrix at all: it works
-in row blocks of bounded size and its backward rebuilds each block's
-columns (im2col, or a kw-only lowering) from the input, which its closure
-holds. Both pools run in row blocks on one kernel (``_pool_tiles``) and
-keep neither their input nor their output. conv2d with ``pool`` pools each
-row block of its output while the block is in cache and its backward
-rebuilds each block's output gradient from the pooled one, so LeNet's
-largest activation, conv1's output, and pool1's input gradient never exist
-whole.
+view of g, so a leaf takes its sum as it is, with no copy; matmul's
+gradient for its right operand is ``_WeightGrad``, the product the sweep
+forms when it routes it. Work that only a backward pass reads (ReLU masks,
+first-maximum taps, softmax probabilities) is kept or built only when the
+op is recorded, so an untaped or frozen forward pays for none of it. conv2d
+keeps no im2col matrix at all: it works in row blocks of bounded size and
+its backward rebuilds each block's columns (im2col, or a kw-only lowering)
+from the input, which its closure holds. Both pools run in row blocks on
+one kernel (``_pool_tiles``) and keep neither their input nor their output,
+only one byte per pooled value: the tap of its window's first maximum.
+conv2d with ``pool`` pools each row block of its output while the block is
+in cache and its backward rebuilds each block's output gradient from the
+pooled one, so LeNet's largest activation, conv1's output, and pool1's
+input gradient never exist whole.
 
 Tensors are never mutated in place by ops; gradients accumulate additively
 into ``.grad`` on leaves. By default every leaf takes its gradient when the
-sweep ends. ``backward(loss, on_leaf=f)`` hands each leaf over earlier: the
-leaf takes its gradient, and f is called with it, right after the sweep has
-run the earliest recorded node that routes to it, the last node that can
-add to it. That node and every later one have then run their backward, and
-no earlier node takes the leaf as an input, so f may write the leaf's array
-in place and drop its gradient while the sweep goes on. That is the
-invariant an in-sweep parameter step relies on: a parameter buffer is
-written only after every recorded op that read it, or a view of it, has run
-its backward. ``models.train_model`` steps LeNet's fc weights this way, so
-their gradients never wait for the conv backward to finish.
+sweep ends. ``backward(loss, on_leaf=f)`` hands each leaf's gradient to f
+instead, as soon as it is final: a weight whose one route is a matmul in
+row blocks as that matmul's backward forms them, after its input gradient,
+and any other leaf whole, right after the sweep has run the earliest
+recorded node that routes to it, the last node that can add to it. Every
+node that read the leaf has then run its backward, and no earlier node
+takes the leaf as an input, so f may write the leaf's rows in place and
+drop the gradient while the sweep goes on. That is the invariant an
+in-sweep parameter step relies on: a parameter buffer is written only after
+every recorded op that read it, or a view of it, has run its backward.
+``models.train_model`` steps LeNet's fc weights this way, block by block,
+so no whole fc weight gradient is ever held.
 
 Cost: at the tens of rows of the synthetic MLP's steps, an op's time is
 mostly fixed per-call overhead of about 1 us per numpy call, not
@@ -184,8 +188,9 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor,
-             on_leaf: Optional[Callable[[Tensor], None]] = None) -> None:
-    """Accumulate d(loss)/dx into ``.grad`` of every tracked leaf reachable from loss.
+             on_leaf: Optional[Callable[[Tensor, object, np.ndarray], None]] = None) -> None:
+    """Accumulate d(loss)/dx into ``.grad`` of every tracked leaf reachable
+    from loss, or hand it to ``on_leaf``.
 
     ``loss`` must be a scalar produced on a live tape; traversal is strict
     reverse insertion order, so every node's output gradient is complete by
@@ -199,14 +204,19 @@ def backward(loss: Tensor,
     A leaf takes the sum of its gradients from this sweep as it is, with no
     copy: a backward_fn returns fresh arrays or views of its g, which nothing
     else holds once the sweep ends. Without ``on_leaf`` every leaf takes its
-    sum after the sweep. With it, a leaf takes its sum as soon as the sweep
-    has run the earliest recorded node that routes to it, the last node that
-    can add to it, and ``on_leaf(leaf)`` is called right then, once per leaf
-    the sweep reached. Every node that read the leaf's array has run its
-    backward by then, so the callback may write that array in place (a
-    momentum step) and drop ``.grad``, which frees the gradient before the
-    sweep goes on. A leaf that no path from the loss reaches is not handed
-    over.
+    sum after the sweep. With it, no ``.grad`` is set: each leaf's gradient
+    goes to ``on_leaf(leaf, rows, g)`` as soon as it is final, g being the
+    gradient of ``leaf.data[rows]``. A leaf with one route on the tape that
+    is a matmul's right operand of at least ``_ROW_GRAD_VALUES`` values (an
+    fc weight) goes over in row blocks as the matmul's backward forms them,
+    after its input gradient: rows is then a slice of the first axis, and
+    the blocks cover it once, in order (``_WeightGrad``). Any other leaf
+    goes over once, with rows ``...``, right after the sweep has run the
+    earliest recorded node that routes to it, the last node that can add to
+    it. Either way every node that read the leaf's array has run its
+    backward by then, so the callback may write those rows in place (a
+    momentum step) and drop g, which frees it before the sweep goes on. A
+    leaf that no path from the loss reaches is not handed over.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -214,25 +224,30 @@ def backward(loss: Tensor,
     if tape is None:
         if loss.requires_grad and not loss._recorded:
             # a bare leaf: d(leaf)/d(leaf) = 1
-            _accumulate_leaf(loss, np.array(1.0).reshape(loss.data.shape))
-            if on_leaf is not None:
-                on_leaf(loss)
+            one = np.array(1.0).reshape(loss.data.shape)
+            if on_leaf is None:
+                _accumulate_leaf(loss, one)
+            else:
+                on_leaf(loss, ..., one)
             return
         raise ContractError("loss is not attached to a live tape")
     nodes = tape._nodes
     if not nodes:
         raise ContractError("the loss's tape was already consumed by backward")
 
-    # the leaves each slot's node is the last in the sweep to route to: the
-    # first node in insertion order that routes to a leaf
-    last = {}
+    # the leaves each slot's node is the last in the sweep to route to (the
+    # first node in insertion order that routes to a leaf), and the leaves
+    # with one route, which may go over in blocks
+    last, sole = {}, set()
     if on_leaf is not None:
-        seen = set()
+        routes = {}
         for slot, node in enumerate(nodes):
             for key in node.routes:
-                if isinstance(key, Tensor) and key not in seen:
-                    seen.add(key)
-                    last.setdefault(slot, []).append(key)
+                if isinstance(key, Tensor):
+                    if key not in routes:
+                        last.setdefault(slot, []).append(key)
+                    routes[key] = routes.get(key, 0) + 1
+        sole = {t for t, count in routes.items() if count == 1}
     # keyed by slot for a recorded Tensor and by the Tensor itself for a leaf
     grads = {loss._slot: np.array(1.0).reshape(loss.data.shape)}
     while nodes:
@@ -243,13 +258,18 @@ def backward(loss: Tensor,
             for key, g in zip(node.routes, node.backward_fn(g_out)):
                 if g is None or key is None:
                     continue
+                if type(g) is _WeightGrad:
+                    if key in sole:
+                        for rows, block in g.blocks():
+                            on_leaf(key, rows, block)
+                        continue
+                    g = g.whole()
                 prev = grads.get(key)
                 grads[key] = g if prev is None else prev + g
         for t in last.pop(slot, ()):
             g = grads.pop(t, None)
             if g is not None:
-                _accumulate_leaf(t, g)
-                on_leaf(t)
+                on_leaf(t, ..., g)
     # every slot was popped with its node: the leaves are left, first seen first
     for t, g in grads.items():
         _accumulate_leaf(t, g)
@@ -301,7 +321,10 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None) -> Tensor:
 
     The bias is added in place to the fresh product, so no second (N, d)
     array is made; its gradient is g summed over the rows. The backward
-    returns one gradient per recorded input: (a, b), or (a, b, bias).
+    returns one gradient per recorded input: (a, b), or (a, b, bias). For
+    a leaf b of at least ``_ROW_GRAD_VALUES`` values (an fc weight) b's is
+    ``_WeightGrad``, which the sweep forms after a's: whole, or in row
+    blocks when ``backward`` hands b over as they are formed.
     """
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
@@ -314,9 +337,14 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None) -> Tensor:
         prod += bias.data
         inputs = (a, b, bias)
 
+    # a large leaf b's gradient is left to the sweep, which may form it in blocks
+    later = bd.size >= _ROW_GRAD_VALUES and not b._recorded
+
     def bwd(g):
-        grads = (g @ bd.T if a.requires_grad else None,
-                 ad.T @ g if b.requires_grad else None)
+        grad_b = None
+        if b.requires_grad:
+            grad_b = _WeightGrad(ad, g) if later else ad.T @ g
+        grads = (g @ bd.T if a.requires_grad else None, grad_b)
         if bias is None:
             return grads
         return grads + (np.add.reduce(g, axis=0) if bias.requires_grad else None,)
@@ -324,10 +352,46 @@ def matmul(a: Tensor, b: Tensor, *, bias: Optional[Tensor] = None) -> Tensor:
     return _record(_output(prod), inputs, bwd)
 
 
-# scale_input_channels' backward contracts an fc weight's gradient with the
-# weight in chunks of channel groups whose product holds at most this many
-# values (512 KiB of float64)
+# A weight gradient in row blocks, and scale_input_channels' backward in
+# chunks of channel groups, hold about this many values at a time (512 KiB
+# of float64)
 _ROW_GRAD_VALUES = 2 ** 16
+# Row blocks of a weight gradient start on multiples of _ROW_TILE rows and
+# each takes at least _ROW_MACS multiply-adds. On OpenBLAS with one thread a
+# block equals its rows of the whole product bit for bit only when it starts
+# on the row grid of the dgemm kernel's tiles (12 rows on the x86-64 box it
+# was measured on; 48 is a multiple of 4, 8, 12, 16 and 24) and takes more
+# than 100**3 multiply-adds, below which a small-matrix kernel rounds the
+# edge tiles otherwise. The tests check this on the BLAS in use.
+_ROW_TILE = 48
+_ROW_MACS = 2 ** 20
+
+
+class _WeightGrad:
+    """The gradient a.T @ g of matmul's right operand, formed when the
+    sweep routes it: ``whole()``, or ``blocks()``, the same product's rows
+    in blocks of about ``_ROW_GRAD_VALUES`` values on the grid that keeps
+    them bit for bit."""
+
+    __slots__ = ("a", "g")
+
+    def __init__(self, a: np.ndarray, g: np.ndarray):
+        self.a, self.g = a, g
+
+    def whole(self) -> np.ndarray:
+        return self.a.T @ self.g
+
+    def blocks(self):
+        """Yield (rows, block): a slice of the gradient's rows and those rows."""
+        a, g = self.a, self.g
+        (n, d_in), d_out = a.shape, g.shape[1]
+        tiles = max(1, -(-_ROW_GRAD_VALUES // max(1, d_out * _ROW_TILE)),
+                    -(-_ROW_MACS // max(1, n * d_out * _ROW_TILE)))
+        cuts = list(range(0, d_in, tiles * _ROW_TILE)) + [d_in]
+        if len(cuts) > 2 and (d_in - cuts[-2]) * n * d_out < _ROW_MACS:
+            del cuts[-2]  # too small a last block joins the one before
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield slice(lo, hi), a[:, lo:hi].T @ g
 
 
 def scale_input_channels(w: Tensor, rows: Tensor) -> Tensor:
@@ -387,7 +451,7 @@ def scale_input_channels(w: Tensor, rows: Tensor) -> Tensor:
 # its buffers within this many values: 2 MiB of float64, about one core's
 # L2 cache, so a block's GEMMs, adds, copies and pooling read their
 # operands from cache and no buffer but the input, output, gradients and
-# pool masks grows with the batch.
+# first-max taps grows with the batch.
 _BLOCK_VALUES = 2 ** 18
 
 
@@ -488,12 +552,13 @@ def conv2d(x: Tensor, kernel: Tensor, *, padding: int = 0,
 
     With ``pool`` the NCHW block goes to a block buffer, not the output, and
     is pooled there while in cache (``_pool_tiles``): only the pooled rows
-    and, when recorded, the first-max masks are written, so no array of the
-    whole conv output is made. The backward rebuilds each block's conv
-    output gradient from the pooled g and the masks in a block buffer
-    (``_unpool_tiles``) and hands it to that block's GEMMs. The blocks, and
-    so every GEMM and sum, are those of the conv alone, and max is exact:
-    values and gradients equal conv2d then maxpool2d bit for bit.
+    and, when recorded, each window's first-max tap (one byte per pooled
+    value) are written, so no array of the whole conv output is made. The
+    backward rebuilds each block's conv output gradient from the pooled g
+    and the taps in a block buffer (``_unpool_tiles``) and hands it to that
+    block's GEMMs. The blocks, and so every GEMM and sum, are those of the
+    conv alone, and max is exact: values and gradients equal conv2d then
+    maxpool2d bit for bit.
     """
     n, c_in, c_out, kh, kw, h_out, w_out = _conv_geometry(x.shape, kernel.shape, padding)
     if bias is not None:
@@ -527,9 +592,10 @@ def conv2d(x: Tensor, kernel: Tensor, *, padding: int = 0,
         out, first = np.empty((n, c_out, h_out, w_out)), None
     else:
         out = np.empty((n, c_out, h_out // pool, w_out // pool))
-        # first-max masks, kept only when _record will record
+        # first-max taps, kept only when _record will record, in the least
+        # unsigned type that holds pool * pool, the mark of no maximum
         recorded = bool(_TAPES) and any(t.requires_grad for t in inputs)
-        first = np.empty((pool * pool,) + out.shape, dtype=bool) if recorded else None
+        first = np.empty(out.shape, np.min_scalar_type(pool * pool)) if recorded else None
 
     def finish(block, start, stop):
         """Add the bias to a (b, c_out, H'*W') block of conv output and, with
@@ -538,7 +604,7 @@ def conv2d(x: Tensor, kernel: Tensor, *, padding: int = 0,
             block += bias_plane
         if pool is not None:
             _pool_tiles(block, pool, out[start:stop],
-                        None if first is None else first[:, start:stop], acc, block)
+                        None if first is None else first[start:stop], acc, block)
 
     def kernel_row(low, i):
         """Kernel row i's taps of a lowered block: (C*kw, H'*W'*rows)."""
@@ -598,7 +664,7 @@ def conv2d(x: Tensor, kernel: Tensor, *, padding: int = 0,
                 gb = g[start:stop].reshape(b, c_out, hw)
             else:
                 gb = g_buf[:c_out * hw * b].reshape(b, c_out, hw)
-                _unpool_tiles(g[start:stop], first[:, start:stop], pool, gb,
+                _unpool_tiles(g[start:stop], first[start:stop], pool, gb,
                               gt_buf.view(np.int64))
             if need_b:
                 np.add.reduce(gb, axis=2, out=row_sums[start:stop])
@@ -647,15 +713,16 @@ def _pool_tiles(block: np.ndarray, k: int, top: np.ndarray, first: Optional[np.n
                 tiles: np.ndarray, free: Optional[np.ndarray]) -> None:
     """Max-pool one row block, a contiguous array of b rows of C channels of
     H x W pixels, in the k x k windows that tile it, into ``top`` (b, C,
-    H/k, W/k). With ``first``, a (k*k,) + top.shape bool array, each
+    H/k, W/k). With ``first``, a contiguous array of top's shape, each
     window's first maximum in row-major window order, the one argmax picks,
-    is marked at its tap.
+    is written there as its tap (i * k + j); a window where no tap equals
+    the maximum, as one that holds a NaN, gets k*k.
 
     numpy's ufuncs run several times slower on a strided view of short runs
     than on a copy, so the block is first copied tap-major into ``tiles``,
-    (k*k, b, C, H/k, W/k). With ``first``, the first top.size bytes of
-    ``free``, which may be the copied block, hold the mask of windows whose
-    maximum no earlier tap has.
+    (k*k, b, C, H/k, W/k). With ``first``, the first 2 * top.size bytes of
+    ``free``, which may be the copied block, hold two masks: the windows a
+    tap is a maximum of, and those whose maximum no earlier tap has.
     """
     b, c, h_out, w_out = top.shape
     taps = tiles[:block.size].reshape(k, k, b, c, h_out, w_out)
@@ -664,29 +731,31 @@ def _pool_tiles(block: np.ndarray, k: int, top: np.ndarray, first: Optional[np.n
     np.maximum.reduce(taps, axis=0, out=top)
     if first is None:
         return
-    free = free.reshape(-1).view(np.bool_)[:top.size].reshape(top.shape)
+    hit, free = free.reshape(-1).view(np.bool_)[:2 * top.size].reshape((2,) + top.shape)
     free.fill(True)
-    for t in range(k * k):
-        hit = first[t]
+    first.fill(0)
+    for t in range(k * k):  # first counts the taps before a window's first maximum
         np.equal(taps[t], top, out=hit)
         hit &= free
         free ^= hit
+        first += free.view(np.uint8)
 
 
 def _unpool_tiles(g: np.ndarray, first: np.ndarray, k: int, grad: np.ndarray,
                   keep: np.ndarray) -> None:
     """Write into ``grad``, a contiguous block of input gradient, the
-    gradient of the block that ``_pool_tiles`` pooled with masks ``first``:
-    each window's pooled g (b, C, H/k, W/k) at its first maximum and +0.0
-    elsewhere, even for an inf or NaN g, each pixel written once. As in
-    relu, the select is an AND of g's bits with an all-ones or all-zeros
-    word, made in ``keep``, an int64 buffer of at least g's size."""
+    gradient of the block that ``_pool_tiles`` pooled with first-max taps
+    ``first``: each window's pooled g (b, C, H/k, W/k) at its first maximum
+    and +0.0 elsewhere, even for an inf or NaN g, each pixel written once.
+    As in relu, the select is an AND of g's bits with an all-ones or
+    all-zeros word, made in ``keep``, an int64 buffer of at least g's size."""
     b, c, h_out, w_out = g.shape
     bits, keep = g.view(np.int64), keep[:g.size].reshape(g.shape)
     pixels = grad.reshape(b, c, h_out, k, w_out, k)
     for t in range(k * k):
         i, j = divmod(t, k)
-        np.negative(first[t], out=keep, dtype=np.int64)
+        np.equal(first, t, out=keep)
+        np.negative(keep, out=keep)
         np.bitwise_and(keep, bits, out=keep)
         np.copyto(pixels[:, :, :, i, :, j], keep.view(np.float64))
 
@@ -698,12 +767,14 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     where one row needs more).
 
     The backward routes each window's gradient to its first maximum in
-    row-major window order, as argmax would pick it. A recorded forward
-    marks those maxima right away (``_pool_tiles``), and its backward keeps
-    only the masks: not the input, nor the output. A pool right after a
-    conv (every LeNet pool) runs inside that conv instead (``conv2d(...,
-    pool=k)``), which never makes the conv's whole output; ``models.forward``
-    picks that op.
+    row-major window order, as argmax would pick it, and nowhere in a window
+    where no tap equals the maximum (one that holds a NaN). A recorded
+    forward finds those maxima right away (``_pool_tiles``), and its
+    backward keeps only their taps, one byte per pooled value for k up to
+    15: not the input, nor the output. A pool right after a conv (every
+    LeNet pool) runs inside that conv instead (``conv2d(..., pool=k)``),
+    which never makes the conv's whole output; ``models.forward`` picks that
+    op.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d needs NCHW input, got {x.shape}")
@@ -712,21 +783,21 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
         raise ContractError(f"pool window {k} does not tile the input {(h, w)}")
     out, first = np.empty((n, c, h // k, w // k)), None
     if _TAPES and x.requires_grad:  # exactly when _record records
-        first = np.empty((k * k,) + out.shape, dtype=bool)
-    # the free mask and the backward's select words are at most a copy's size
+        first = np.empty(out.shape, np.min_scalar_type(k * k))  # as in conv2d
+    # the two masks and the backward's select words are at most a copy's size
     rows = max(1, min(n, _BLOCK_VALUES // max(1, c * h * w)))
     tiles, pooled = np.empty(c * h * w * rows), rows * c * (h // k) * (w // k)
-    free = None if first is None else np.empty(pooled, dtype=bool)
+    free = None if first is None else np.empty(2 * pooled, dtype=bool)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         _pool_tiles(x.data[start:stop], k, out[start:stop],
-                    None if first is None else first[:, start:stop], tiles, free)
+                    None if first is None else first[start:stop], tiles, free)
 
     def bwd(g):
         gx, keep = np.empty((n, c, h, w)), np.empty(pooled, dtype=np.int64)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            _unpool_tiles(g[start:stop], first[:, start:stop], k, gx[start:stop], keep)
+            _unpool_tiles(g[start:stop], first[start:stop], k, gx[start:stop], keep)
         return (gx,)
 
     return _record(_output(out), (x,), bwd)

@@ -3,6 +3,8 @@ allocation peaks and the environment of a child interpreter."""
 
 import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -71,3 +73,18 @@ def child_env():
     child interpreter imports the same package from any working directory."""
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+def in_one_blas_thread(module: str, function: str, *args) -> None:
+    """Call ``function(*args)`` of the test module ``module`` in a child
+    interpreter whose BLAS runs on one thread, as the benchmark's does, and
+    fail with the child's stderr if it raises. How a BLAS splits a product
+    among threads sets how it rounds, so a check that two ways of forming
+    one product agree bit for bit names the thread count."""
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    code = (f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r}); "
+            f"import {module}; {module}.{function}(*{args!r})")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

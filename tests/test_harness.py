@@ -22,7 +22,7 @@ from dirichlet_pruning.config import (ExperimentConfig, load_config,
                                       resolved_text)
 from dirichlet_pruning.data import load_mnist_idx, train_val_split
 from dirichlet_pruning.errors import (ConfigError, ContractError, FormatError,
-                                      PipelineError)
+                                      NumericError, PipelineError)
 from dirichlet_pruning.models import (build_lenet5, build_mlp, forward, load_model,
                                       save_model)
 from dirichlet_pruning.pgm import to_u8, write_pgm
@@ -371,6 +371,15 @@ def test_to_u8_min_max_normalizes():
 def test_to_u8_constant_map_pins_to_zero():
     np.testing.assert_array_equal(to_u8(np.full((3, 3), 2.5)),
                                   np.zeros((3, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_to_u8_rejects_a_non_finite_map(bad):
+    # one NaN or infinity used to turn the whole map into zeros, with only
+    # a cast warning
+    values = np.array([[0.0, 0.5], [bad, 0.25]])
+    with pytest.raises(NumericError, match="the map holds 1 non-finite values of 4"):
+        to_u8(values)
 
 
 def _read_pgm(path) -> np.ndarray:
@@ -762,6 +771,17 @@ def test_export_maps_one_pgm_per_channel(tmp_path):
         "map_000_channel_000.pgm", "map_001_channel_001.pgm"]
     for p in paths:
         assert _read_pgm(p).shape == (24, 24)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_export_maps_names_the_layer_and_channel_of_a_non_finite_map(tmp_path, bad):
+    # a diverged model's map would have been written as a blank PGM; no map
+    # of the layer is written
+    model, image = _lenet_and_image()
+    model.weights["layer0.bias"][1] = bad
+    with pytest.raises(NumericError, match="layer 0, channel 1: the map holds 576 non-finite"):
+        export_feature_maps(model, image, 0, tmp_path / "maps")
+    assert not (tmp_path / "maps").exists()
 
 
 def test_export_maps_orders_by_ranking(tmp_path):

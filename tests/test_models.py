@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dirichlet_pruning.switch import (SwitchTrainSchedule, init_switch_states,
 from dirichlet_pruning.synthetic import gen_synthetic
 from dirichlet_pruning.tensor import Tape, Tensor
 
-from conftest import peak_mib
+from conftest import in_one_blas_thread, peak_mib
 from tape_ops import mul
 
 
@@ -685,17 +686,19 @@ def _numpy_momentum_sgd(weights, x, y, order, batch, lr, momentum):
     return seen, v
 
 
-def _assert_matches_numpy_momentum_sgd(monkeypatch, dims, seed):
-    """Three steps of train_model on build_mlp(*dims) against the plain-numpy
-    restatement, bit for bit: the weights before each step and after the
-    last; and no parameter holds a gradient once a step is done. Returns
-    the (leaf, .grad is None) pairs each backward hands over."""
+def _assert_matches_numpy_momentum_sgd(monkeypatch, dims, seed, batch=4):
+    """Three steps of train_model on build_mlp(*dims), ``batch`` rows each,
+    against the plain-numpy restatement, bit for bit: the weights before
+    each step and after the last; and no parameter holds a gradient once a
+    step is done. Returns the (leaf, rows, .grad is None) of each hand-over
+    by backward."""
     rng = np.random.default_rng(seed)
     model = build_mlp(*dims, seed=seed + 1)
-    x, y = rng.standard_normal((12, dims[0])), rng.integers(0, dims[2], 12)
-    order = np.arange(12)
+    n = 3 * batch
+    x, y = rng.standard_normal((n, dims[0])), rng.integers(0, dims[2], n)
+    order = np.arange(n)
     np.random.default_rng(seed + 2).shuffle(order)  # as train_model's batches draw it
-    want, velocity = _numpy_momentum_sgd(model.weights, x, y, order, 4, 0.3, 0.9)
+    want, velocity = _numpy_momentum_sgd(model.weights, x, y, order, batch, 0.3, 0.9)
     assert all(np.any(v != 0.0) for v in velocity.values())
 
     seen, leaves, handed, backward = [], set(), [], T.backward
@@ -705,14 +708,14 @@ def _assert_matches_numpy_momentum_sgd(monkeypatch, dims, seed):
         leaves.update(r for node in loss._tape._nodes for r in node.routes
                       if isinstance(r, Tensor))
 
-        def handing(t):
-            on_leaf(t)
-            handed.append((t, t.grad is None))
+        def handing(t, rows, g):
+            on_leaf(t, rows, g)
+            handed.append((t, rows, t.grad is None))
 
         backward(loss, on_leaf=None if on_leaf is None else handing)
 
     monkeypatch.setattr(T, "backward", spy)
-    train_model(model, x, y, TrainSchedule(1, 4, 0.3, 0.9), np.random.default_rng(seed + 2))
+    train_model(model, x, y, TrainSchedule(1, batch, 0.3, 0.9), np.random.default_rng(seed + 2))
     seen.append(model.weights)
     assert len(seen) == len(want) == 4
     for got, expected in zip(seen, want):
@@ -739,8 +742,29 @@ def test_train_model_steps_a_large_weight_in_the_sweep_bitwise(monkeypatch):
     assert 300 * 250 > M._STEP_VALUES > 250 * 3
     handed = _assert_matches_numpy_momentum_sgd(monkeypatch, (300, 250, 3), 50)
     assert len(handed) == 3 * 4
-    assert all(dropped == (t.size >= M._STEP_VALUES) for t, dropped in handed)
-    assert sum(dropped for _, dropped in handed) == 3
+    assert all(dropped == (t.size >= M._STEP_VALUES) for t, _, dropped in handed)
+    assert sum(dropped for _, _, dropped in handed) == 3
+
+
+def _check_row_block_steps():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        handed = _assert_matches_numpy_momentum_sgd(monkeypatch, (800, 500, 3), 51, batch=100)
+    blocks = [(rows, dropped) for t, rows, dropped in handed if t.shape == (800, 500)]
+    assert len(blocks) % 3 == 0 and len(blocks) > 3 * 2
+    per_step = blocks[:len(blocks) // 3]
+    assert all(dropped for _, dropped in blocks)
+    assert [rows.start for rows, _ in per_step] == [0] + [rows.stop for rows, _ in per_step[:-1]]
+    assert per_step[-1][0].stop == 800
+    assert all(t.data[rows].shape == t.shape for t, rows, _ in handed if t.shape != (800, 500))
+
+
+def test_train_model_steps_an_fc_weight_in_row_blocks_bitwise():
+    # at 100 rows, layer0.weight (800 x 500, fc2's shape) goes over in row
+    # blocks that cover it once, in order, and each steps its rows; every
+    # other parameter comes whole. The weights still equal the numpy
+    # restatement, which forms each whole gradient, bit for bit (with one
+    # BLAS thread, which the benchmark runs)
+    in_one_blas_thread("test_models", "_check_row_block_steps")
 
 
 def test_train_model_leaves_arrays_shared_with_another_model_alone():
@@ -848,21 +872,82 @@ def test_evaluate_allocation_peak_full_lenet():
 
 
 def test_train_step_allocation_peak_full_lenet():
-    # one batch-100 step: 27.3 MiB, set in fc1's backward, with no array
-    # kept that no backward reads, each pool run inside its conv, so neither
-    # conv1's 9.2 MB output nor pool1's input gradient is made, and fc1's
-    # and fc2's weights stepped as soon as backward hands their gradients
-    # over, each from its own gradient scaled in place, so no whole-model
-    # gradient or step buffer is held. A 0.5 MiB step chunk peaked at
-    # 27.8 MiB; also making pool1's input gradient at 30.1; also keeping
-    # every gradient to the end of the sweep and concatenating an 8.6 MB step
-    # buffer at 37.5; also keeping conv1's output and pool1's 2.3 MB output
-    # for pool1's backward at 60.1; also keeping conv2's 25.6 MB im2col
-    # matrix, and building each conv's whole-batch matrix, at 97.0
+    # one batch-100 step: 25.0 MiB, with no array kept that no backward
+    # reads, each pool run inside its conv, so neither conv1's 9.2 MB output
+    # nor pool1's input gradient is made, and fc1's and fc2's weights
+    # stepped in row blocks as backward hands their gradients over, each
+    # block scaled in place, so no whole fc weight gradient, whole-model
+    # gradient or step buffer is held. Whole fc1 and fc2 gradients peaked at
+    # 27.3 MiB; also a 0.5 MiB step chunk at 27.8; also making pool1's input
+    # gradient at 30.1; also keeping every gradient to the end of the sweep
+    # and concatenating an 8.6 MB step buffer at 37.5; also keeping conv1's
+    # output and pool1's 2.3 MB output for pool1's backward at 60.1; also
+    # keeping conv2's 25.6 MB im2col matrix, and building each conv's
+    # whole-batch matrix, at 97.0
     model, x, y = _full_lenet_task(100)
     step = lambda: train_model(model, x, y, TrainSchedule(1, 100, 0.01, 0.9),
                                np.random.default_rng(2))
     assert peak_mib(step) <= 30.5
+
+
+def test_train_step_allocation_peak_above_its_entry_full_lenet(monkeypatch):
+    # one batch-100 step, from its forward's entry to the end of its
+    # backward sweep, above what is held at that entry (the weights, the
+    # velocity and the batch): 8.0 MiB. fc1's and fc2's weight gradients
+    # go over in row blocks of at most about 0.6 MiB, each stepped as it is
+    # formed, and each pool keeps one byte per pooled value. The whole 4.9
+    # MiB fc1 and 3.1 MiB fc2 gradients and four bool first-max masks per
+    # pooled value peaked at 10.4
+    model, x, y = _full_lenet_task(100)
+    marks, forward, backward = [], M.forward, T.backward
+
+    def entering(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return forward(*args, **kwargs)
+
+    def sweeping(*args, **kwargs):
+        backward(*args, **kwargs)
+        marks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(M, "forward", entering)
+    monkeypatch.setattr(T, "backward", sweeping)
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        train_model(model, x, y, TrainSchedule(1, 100, 0.01, 0.9), np.random.default_rng(2))
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    entry, peak = marks
+    assert (peak - entry) / 2 ** 20 <= 9.0
+
+
+def test_train_model_never_forms_a_whole_fc_weight_gradient(monkeypatch):
+    # fc1's (800 x 800) and fc2's (800 x 500) gradients come only in row
+    # blocks; fc3's small weight takes its whole product in matmul's backward
+    model, x, y = _full_lenet_task(100)
+    whole, blocks = [], {}
+    form, split = T._WeightGrad.whole, T._WeightGrad.blocks
+
+    def forming(self):
+        grad = form(self)
+        whole.append(grad.shape)
+        return grad
+
+    def splitting(self):
+        for rows, block in split(self):
+            blocks.setdefault(block.shape[1], []).append(block.size)
+            yield rows, block
+
+    monkeypatch.setattr(T._WeightGrad, "whole", forming)
+    monkeypatch.setattr(T._WeightGrad, "blocks", splitting)
+    train_model(model, x, y, TrainSchedule(1, 100, 0.01, 0.9), np.random.default_rng(2))
+    assert whole == []
+    assert sum(blocks[800]) == 800 * 800 and sum(blocks[500]) == 800 * 500
+    assert max(blocks[800] + blocks[500]) <= T._ROW_GRAD_VALUES + T._ROW_TILE * 800
+    assert sorted(blocks) == [500, 800]
 
 
 _BAD_SCHEDULES = [

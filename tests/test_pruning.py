@@ -23,6 +23,7 @@ from dirichlet_pruning.pipeline import prune_with_states
 from dirichlet_pruning.switch import _PHI_SHIFT, SwitchState, init_switch_states
 from dirichlet_pruning.synthetic import gen_synthetic
 
+from conftest import traced_mib
 from masked_oracle import masked_logits
 
 
@@ -483,6 +484,58 @@ def test_partial_plan_prunes_only_named_layers():
         masked_logits(deep, plan, x, switch_means=_random_means(deep, 182)),
         atol=1e-9)
     del model
+
+
+def _lenet_means(model, seed):
+    rng = np.random.default_rng(seed)
+    return {o: rng.dirichlet(np.ones(w)) for o, w in enumerate(prunable_widths(model))}
+
+
+@pytest.mark.parametrize("cut", [(0, 2), (2,)], ids=["cut-0-2", "cut-2"])
+def test_apply_plan_scales_its_own_slices_and_leaves_the_source_alone(cut):
+    # each cut weight is sliced, then scaled, as w[keep] * scale made it,
+    # byte for byte; a weight that is scaled but neither cut nor sliced (conv1
+    # when layer 0 keeps every channel) gets a new array, and no source
+    # array changes
+    model = build_lenet5([4, 5, 12, 6], rng=np.random.default_rng(192))
+    source = {k: a.copy() for k, a in model.weights.items()}
+    means = _lenet_means(model, 193)
+    keep = {0: np.array([0, 2, 3]), 2: np.array([1, 4, 5, 9, 11])}
+    plan = PruningPlan({o: keep[o] for o in cut})
+    pruned = apply_plan(model, plan, switch_means=means)
+    w, m = model.weights, means
+    k0 = keep[0] if 0 in cut else np.arange(4)
+    k2 = keep[2]
+    want = {
+        "layer0.weight": w["layer0.weight"][k0] * m[0][k0][:, None, None, None],
+        "layer0.bias": w["layer0.bias"][k0] * m[0][k0],
+        "layer3.weight": w["layer3.weight"][:, k0] * m[1][:, None, None, None],
+        "layer3.bias": w["layer3.bias"] * m[1],
+        "layer7.weight": w["layer7.weight"][:, k2] * m[2][k2][None, :],
+        "layer7.bias": w["layer7.bias"][k2] * m[2][k2],
+        "layer9.weight": w["layer9.weight"][k2, :] * m[3][None, :],
+        "layer9.bias": w["layer9.bias"] * m[3],
+        "layer11.weight": w["layer11.weight"], "layer11.bias": w["layer11.bias"],
+    }
+    assert sorted(pruned.weights) == sorted(want)
+    for name, array in want.items():
+        got = pruned.weights[name]
+        assert got.flags.c_contiguous and got.tobytes() == np.ascontiguousarray(array).tobytes()
+        if not name.startswith("layer11"):
+            assert not any(np.shares_memory(got, a) for a in model.weights.values()), name
+    assert all(np.array_equal(model.weights[k], source[k]) for k in source)
+
+
+def test_apply_plan_allocation_peak_is_the_pruned_weights():
+    # the 1000-500-2 MLP of mlp_implicit, cut to 250 hidden units and scaled:
+    # each cut weight is one copy, scaled in place. Slicing into a column-
+    # major copy, then a row-major one, then a scaled one peaked at 3.9 MiB
+    model = build_mlp(1000, 500, 2, rng=np.random.default_rng(194))
+    plan = PruningPlan({0: np.arange(0, 500, 2)})
+    means = {0: np.random.default_rng(195).dirichlet(np.ones(500))}
+    peak, held = traced_mib(lambda: apply_plan(model, plan, switch_means=means))
+    assert held >= 1000 * 250 * 8 / 2 ** 20
+    assert peak <= held + 0.25
 
 
 def test_apply_plan_rejects_incompatible_plan():

@@ -617,6 +617,57 @@ def test_advance_folds_each_switch_once_per_call(monkeypatch):
     assert np.array_equal(got, np.concatenate(want))
 
 
+def test_advance_between_equal_shaped_entries_allocates_no_second_entry():
+    # fc1 of a LeNet whose fc1 keeps its 64 input widths: the entry at fc2
+    # has the entry at fc1's shape, so each batch goes back into the rows it
+    # was read from. The result is bit for bit a fresh entry's, and the
+    # call's peak is a batch's arrays, not a second 1.5 MiB entry
+    rng = np.random.default_rng(65)
+    model = build_lenet5([3, 4, 64, 6], rng=rng)
+    states = init_switch_states(model)
+    _spread_thetas(states, 66)
+    start, stop = switch_consumers(model)[1:3]
+    entry = rng.uniform(0.0, 1.0, (3000, 64))
+    want = switch_module._advance(model, states, entry, start, stop, 100)
+    assert want is not entry
+    peak = peak_mib(lambda: switch_module._advance(model, states, entry, start, stop, 100, True))
+    assert np.array_equal(entry, want)
+    assert peak <= 0.5 < entry.nbytes / 2 ** 20
+
+
+def test_chained_sweeps_write_over_their_own_entries_only(monkeypatch):
+    # four dense layers of one width: every entry has x's shape. The first
+    # advance reads x, the caller's rows, and makes a new entry; the second
+    # writes over that one. x is left alone, and the thetas are bit for bit
+    # those of a run that stores every entry anew
+    rng = np.random.default_rng(67)
+    layers = [FullyConnected(6, 6), Relu(), FullyConnected(6, 6), Relu(),
+              FullyConnected(6, 6), Relu(), FullyConnected(6, 3)]
+    weights = {}
+    for i in (0, 2, 4, 6):
+        weights[f"layer{i}.weight"] = rng.standard_normal((6, layers[i].d_out))
+        weights[f"layer{i}.bias"] = rng.standard_normal(layers[i].d_out) * 0.1
+    model = ModelGraph(layers, weights, (6,))
+    x, y = rng.standard_normal((80, 6)), rng.integers(0, 3, 80)
+    x_before = x.copy()
+    schedule = SwitchTrainSchedule(epochs=1, batch_size=20, lr=0.5)
+    advance, calls = switch_module._advance, []
+
+    def logged(model, states, h, *args):
+        out = advance(model, states, h, *args)
+        calls.append(out is h)
+        return out
+
+    monkeypatch.setattr(switch_module, "_advance", logged)
+    states = init_switch_states(model)
+    train_switches(model, states, x, y, schedule, np.random.default_rng(68))
+    assert calls == [False, True] and np.array_equal(x, x_before)
+    monkeypatch.setattr(switch_module, "_advance", lambda *args: advance(*args[:6]))
+    fresh = init_switch_states(model)
+    train_switches(model, fresh, x, y, schedule, np.random.default_rng(68))
+    assert all(np.array_equal(a.theta, b.theta) for a, b in zip(states, fresh))
+
+
 def test_single_switch_run_stores_no_entry(monkeypatch):
     calls = []
     monkeypatch.setattr(switch_module, "_advance", lambda *a: calls.append(a))

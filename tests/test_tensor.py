@@ -11,7 +11,7 @@ from dirichlet_pruning import tensor as T
 from dirichlet_pruning.errors import ContractError, ShapeError
 from dirichlet_pruning.tensor import Tape, Tensor, _record
 
-from conftest import central_fd, grad_err, peak_mib, traced_mib
+from conftest import central_fd, grad_err, in_one_blas_thread, peak_mib, traced_mib
 from pool_oracle import maxpool2d as reference_maxpool2d
 from tape_ops import add, div, mul, softplus, tsum
 
@@ -674,6 +674,44 @@ def test_maxpool2d_never_holds_more_than_one_block_beside_its_arrays():
     assert peak_mib(lambda: node.backward_fn(g)) <= x.size * 8 / 2 ** 20 + block_mib + 0.25
 
 
+@pytest.mark.parametrize("fused", [True, False], ids=["conv-pool", "maxpool2d"])
+def test_recorded_lenet_pool_keeps_one_byte_per_pooled_value(fused):
+    # pool1 on LeNet's conv1 output at 100 rows: a recorded forward holds
+    # its pooled output and one byte per pooled value, the tap of each
+    # window's first maximum, where four bool masks held four
+    rng = np.random.default_rng(73)
+    if fused:
+        x = Tensor(rng.uniform(0.0, 1.0, (100, 1, 28, 28)))
+        k = Tensor(rng.standard_normal((20, 1, 5, 5)), requires_grad=True)
+        op = lambda: T.conv2d(x, k, pool=2)
+    else:
+        x = Tensor(rng.standard_normal((100, 20, 24, 24)), requires_grad=True)
+        op = lambda: T.maxpool2d(x, 2)
+    with Tape():
+        _, held = traced_mib(op)
+    pooled = 100 * 20 * 12 * 12
+    assert held * 2 ** 20 <= pooled * (8 + 1) + 4096
+
+
+def test_maxpool2d_of_windows_of_more_taps_than_a_byte_counts():
+    # 16 x 16 windows have 256 taps, so their first-max taps and the no-
+    # maximum mark take two bytes; ties and a NaN window route as argmax
+    # and as a NaN window do
+    rng = np.random.default_rng(74)
+    x = np.round(rng.uniform(0.0, 1.0, (2, 1, 16, 32)), 1)
+    x[1, 0, 3, 20] = np.nan
+    xt = Tensor(x, requires_grad=True)
+    with Tape():
+        out = T.maxpool2d(xt, 16)
+        g = rng.standard_normal(out.shape)
+        loss = tsum(mul(out, Tensor(g)))
+    T.backward(loss)
+    want, gx = _tile_pool_oracle(np.nan_to_num(x, nan=-1.0), 16, g)
+    want[1, 0, 0, 1] = np.nan
+    gx[1, 0, :, 16:] = 0.0  # the NaN window: no tap equals its maximum
+    assert np.array_equal(out.data, want, equal_nan=True) and np.array_equal(xt.grad, gx)
+
+
 # ---------------------------------------------------------------------------
 # elementwise suite
 
@@ -1288,46 +1326,123 @@ def _two_route_graph(on_leaf=None):
         dead = mul(u, u)  # noqa: F841 - on the tape, off every path to the loss
         loss = tsum(mul(add(mul(x, Tensor(_C1)), mul(x, Tensor(_C2))), w))
     leaves = (x, w, u)
-    T.backward(loss, on_leaf=None if on_leaf is None else lambda t: on_leaf(t, leaves))
+    T.backward(loss, on_leaf=None if on_leaf is None
+               else lambda t, rows, g: on_leaf(t, rows, g, leaves))
     return leaves
 
 
 def test_backward_hands_a_leaf_over_once_after_its_last_route():
     # w's only route is the late mul, so it is handed over while x still
-    # waits for the two earlier ones; x then comes once, with their sum
+    # waits for the two earlier ones; x then comes once, with their sum.
+    # Neither takes a .grad: the callback has the gradient
     handed = []
-    x, w, u = _two_route_graph(
-        lambda t, leaves: handed.append((t, t.grad.copy(), [v.grad is None for v in leaves])))
-    assert [t for t, _, _ in handed] == [w, x]
-    assert handed[0][2] == [True, False, True]  # x's gradient is not final yet
-    assert np.array_equal(handed[1][1], w.data * _C1 + w.data * _C2)
-    assert np.array_equal(handed[0][1], x.data * _C1 + x.data * _C2)
+    x, w, u = _two_route_graph(lambda t, rows, g, leaves: handed.append(
+        (t, rows, g.copy(), [v.grad is None for v in leaves])))
+    assert [t for t, _, _, _ in handed] == [w, x]
+    assert [rows for _, rows, _, _ in handed] == [..., ...]
+    assert all(flags == [True, True, True] for _, _, _, flags in handed)
+    assert np.array_equal(handed[1][2], w.data * _C1 + w.data * _C2)
+    assert np.array_equal(handed[0][2], x.data * _C1 + x.data * _C2)
 
 
 def test_backward_never_hands_over_a_leaf_no_path_reaches():
     handed = []
-    x, w, u = _two_route_graph(lambda t, leaves: handed.append(t))
+    x, w, u = _two_route_graph(lambda t, rows, g, leaves: handed.append(t))
     assert u not in handed and len(handed) == 2
     assert u.grad is None
 
 
 def test_backward_without_a_callback_sets_grad_as_with_one():
-    # the callback changes when a leaf takes its gradient, not its value; a
-    # gradient already on a leaf is added to either way
-    plain, called = _two_route_graph(), _two_route_graph(lambda t, leaves: None)
-    for a, b in zip(plain, called):
-        assert (a.grad is None and b.grad is None) or np.array_equal(a.grad, b.grad)
+    # the callback takes each gradient that .grad would otherwise sum; a
+    # gradient already on a leaf is added to only without one
+    handed = {}
+    plain = _two_route_graph()
+    _two_route_graph(lambda t, rows, g, leaves: handed.setdefault(leaves.index(t), g))
+    for i, t in enumerate(plain):
+        assert (t.grad is None and i not in handed) or np.array_equal(t.grad, handed[i])
     x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
-    for on_leaf in (None, lambda t: None):
-        x.grad = np.array([10.0, 20.0])
+    x.grad = np.array([10.0, 20.0])
+    with Tape():
+        loss = tsum(mul(x, x))
+    T.backward(loss)
+    assert np.array_equal(x.grad, np.array([14.0, 18.0]))
+    x.grad, handed = np.array([10.0, 20.0]), []
+    with Tape():
+        loss = tsum(mul(x, x))
+    T.backward(loss, on_leaf=lambda t, rows, g: handed.append(g))
+    assert np.array_equal(x.grad, [10.0, 20.0]) and np.array_equal(handed, [[4.0, -2.0]])
+    bare, handed = Tensor(np.asarray(3.0), requires_grad=True), []
+    T.backward(bare, on_leaf=lambda t, rows, g: handed.append((t, rows, g)))  # its own loss
+    assert handed == [(bare, ..., 1.0)] and bare.grad is None
+
+
+def test_backward_hands_a_sole_route_weight_over_in_row_blocks(monkeypatch):
+    # w (9 x 5) feeds one matmul, so it goes over in row blocks of 3 rows,
+    # in order; v feeds two, so its sum goes over once, whole, and so does
+    # x. The handed gradients are the ones .grad takes without a callback
+    monkeypatch.setattr(T, "_ROW_TILE", 3)
+    monkeypatch.setattr(T, "_ROW_GRAD_VALUES", 15)
+    monkeypatch.setattr(T, "_ROW_MACS", 1)
+    rng = np.random.default_rng(71)
+    arrays = [rng.standard_normal(shape) for shape in ((4, 9), (9, 5), (5, 5))]
+    labels = np.array([0, 1, 2, 3])
+
+    def sweep(on_leaf=None):
+        x, w, v = (Tensor(a, requires_grad=True) for a in arrays)
         with Tape():
-            loss = tsum(mul(x, x))
+            loss = T.softmax_cross_entropy(T.matmul(T.matmul(T.matmul(x, w), v), v), labels)
         T.backward(loss, on_leaf=on_leaf)
-        assert np.array_equal(x.grad, np.array([14.0, 18.0]))
+        return x, w, v
+
     handed = []
-    bare = Tensor(np.asarray(3.0), requires_grad=True)
-    T.backward(bare, on_leaf=handed.append)  # a bare leaf is its own loss
-    assert handed == [bare] and bare.grad == 1.0
+    x, w, v = sweep(lambda t, rows, g: handed.append((t, rows, g)))
+    assert [(t, rows) for t, rows, _ in handed] == [
+        (v, ...), (w, slice(0, 3)), (w, slice(3, 6)), (w, slice(6, 9)), (x, ...)]
+    assert all(t.grad is None for t in (x, w, v))
+    plain = sweep()
+    assert np.array_equal(handed[0][2], plain[2].grad)
+    assert np.array_equal(np.concatenate([g for t, _, g in handed if t is w]), plain[1].grad)
+    assert np.array_equal(handed[-1][2], plain[0].grad)
+
+
+def _check_row_blocks_bitwise(d_in, d_out):
+    """The row blocks of a (d_in, d_out) weight gradient, at a batch of 100
+    rows and at ragged last batches, cover it once, in order, each the rows
+    of the whole product bit for bit."""
+    for n in (100, 64, 37, 7, 1):
+        rng = np.random.default_rng(d_in + d_out + n)
+        a = rng.standard_normal((n, d_in))
+        g = rng.standard_normal((n, d_out)) * 10.0 ** rng.uniform(-8, 8, (n, d_out))
+        grad = T._WeightGrad(a, g)
+        whole, blocks = grad.whole(), list(grad.blocks())
+        assert [rows.start for rows, _ in blocks] == [0] + [rows.stop for rows, _ in blocks[:-1]]
+        assert blocks[-1][0].stop == d_in
+        for rows, block in blocks:
+            assert np.array_equal(block, whole[rows]), (n, rows)
+        if n == 100:  # a LeNet batch: blocks of a budget's values, rounded up to the grid
+            assert len(blocks) > 2
+            assert max(b.size for _, b in blocks) <= T._ROW_GRAD_VALUES + T._ROW_TILE * d_out
+
+
+@pytest.mark.parametrize("d_in,d_out", [(800, 800), (800, 500), (1000, 250)],
+                         ids=["lenet-fc1", "lenet-fc2", "mlp-finetune"])
+def test_weight_gradient_row_blocks_equal_the_whole_product_bitwise(d_in, d_out):
+    # with one BLAS thread, as the benchmark runs
+    in_one_blas_thread("test_tensor", "_check_row_blocks_bitwise", d_in, d_out)
+
+
+def test_a_weight_of_fewer_values_than_a_block_goes_over_whole():
+    # so train_model's small parameters, stepped after the sweep, come
+    # whole; a weight of _ROW_GRAD_VALUES values goes over in row blocks
+    rng = np.random.default_rng(72)
+    for d_in, d_out in ((500, 10), (4, 16383), (16383, 4), (255, 257), (256, 256)):
+        x = Tensor(rng.standard_normal((100, d_in)))
+        w = Tensor(rng.standard_normal((d_in, d_out)), requires_grad=True)
+        with Tape():
+            loss = T.softmax_cross_entropy(T.matmul(x, w), np.zeros(100, dtype=np.int64))
+        handed = []
+        T.backward(loss, on_leaf=lambda t, rows, g: handed.append(rows))
+        assert (handed == [...]) == (w.size < T._ROW_GRAD_VALUES)
 
 
 def test_backward_rejects_non_scalar():
