@@ -48,30 +48,27 @@ def dirichlet_sample_batch(conc, k: int, rng):
     return y / totals, y, gamma_implicit_grad_batch(shapes, y)
 
 
-def dirichlet_lgamma_terms(conc) -> tuple[float, float]:
-    """(lgamma(sum conc), sum_j lgamma(conc_j)): what ``dirichlet_kl`` takes
-    of its prior, for a caller that takes many KLs against one prior."""
-    conc = validate_concentration(conc)
-    lg = lgamma_batch(np.append(conc, np.add.reduce(conc)))
-    return lg[-1], np.add.reduce(lg[:-1])
-
-
-def dirichlet_kl(q_conc, p_conc, p_lgamma=None) -> tuple[float, np.ndarray]:
+def dirichlet_kl(q_conc, p_conc) -> tuple[float, np.ndarray]:
     """KL( Dir(q_conc) || Dir(p_conc) ) and its gradient in q_conc, closed form:
     d/dq_j = (q_j - p_j) psi'(q_j) - psi'(sum q) * sum_m (q_m - p_m). One lgamma
-    call and one psi/psi' pass cover q and its total. ``p_lgamma`` is
-    ``dirichlet_lgamma_terms(p_conc)``, formed here when not given."""
+    call covers both vectors and their totals, one psi/psi' pass q and its total."""
     q = validate_concentration(q_conc)
     p = validate_concentration(p_conc)
     if q.shape != p.shape:
         raise ShapeError(f"concentration length mismatch: {q.shape} vs {p.shape}")
-    lg_p_total, lg_p_sum = dirichlet_lgamma_terms(p) if p_lgamma is None else p_lgamma
-    ext = np.append(q, np.add.reduce(q))  # (q, sum q)
+    d = q.size
+    # rows (q, sum q) and (p, sum p): one lgamma call covers both, one psi/psi'
+    # pass the first, and each pair of sums is one reduce
+    ext = np.empty((2, d + 1))
+    ext[0, :d] = q
+    ext[1, :d] = p
+    np.add.reduce(ext[:, :d], axis=1, out=ext[:, d])
     lg = lgamma_batch(ext)
-    psi, psi1 = _psi_recurrence(ext, True)
+    psi, psi1 = _psi_recurrence(ext[0], True)
     diff = q - p
-    kl = lg[-1] - lg_p_total
-    kl -= np.add.reduce(lg[:-1])
-    kl += lg_p_sum
+    lg_sums = np.add.reduce(lg[:, :d], axis=1)
+    kl = lg[0, d] - lg[1, d]
+    kl -= lg_sums[0]
+    kl += lg_sums[1]
     kl += np.add.reduce(diff * (psi[:-1] - psi[-1]))
     return float(kl), diff * psi1[:-1] - psi1[-1] * np.add.reduce(diff)

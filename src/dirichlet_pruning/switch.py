@@ -35,9 +35,7 @@ each chunk on its own tape. The KL gradient is added in closed form. The
 untaped pass is not repeated per batch after the first sweep: every row's
 activation at the next sweep's consumer is computed once, when the
 finished switches are fixed, so a later sweep's batch costs only its taped
-suffix. Nor is what the fixed switches give: each sweep forms their
-posterior means and KL values, and the trained switch's prior with its
-lgamma terms, once, so a step forms only the trained switch's KL.
+suffix.
 
 Cost: a step on the README MLP (20-64-2, 100 rows, D = 64, AnalyticMean)
 makes about 160 numpy calls, most on arrays too small for their arithmetic
@@ -64,8 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .dirichlet import (dirichlet_kl, dirichlet_lgamma_terms, dirichlet_marginal_std,
-                        dirichlet_sample_batch)
+from .dirichlet import dirichlet_kl, dirichlet_marginal_std, dirichlet_sample_batch
 from .errors import ContractError, FormatError, NumericError
 from .models import (ModelGraph, _batches, _check_count, _check_rows, fold_switches, forward,
                      loss_bound, propagate_shapes, prunable_widths, read_json,
@@ -173,33 +170,10 @@ class SwitchObjectiveValue:
     kl_weight: float
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """What every step that trains one switch shares (``_sweep``): the other
-    switches' posterior means, each state's KL in state order (None for the
-    trained switch, whose KL each step forms), and the trained switch's
-    prior with its lgamma terms."""
-
-    means: dict[int, np.ndarray]
-    kls: list[float | None]
-    prior: np.ndarray
-    prior_lgamma: tuple[float, float]
-
-
-def _sweep(states, layer, alpha0) -> _Sweep:
-    """The ``_Sweep`` of training switch ``layer`` with the other states fixed."""
-    kls = [None if st.layer == layer
-           else dirichlet_kl(st.phi(), np.full(st.theta.shape, alpha0))[0] for st in states]
-    prior = np.full({st.layer: st.theta.shape for st in states}[layer], alpha0)
-    means = {st.layer: st.posterior_mean() for st in states if st.layer != layer}
-    return _Sweep(means, kls, prior, dirichlet_lgamma_terms(prior))
-
-
-def _nll_and_grads(model, means, hb, yb, layer, draw, start=0):
+def _nll_and_grads(model, states, hb, yb, layer, draw, start=0):
     """Estimate of E_q[NLL] and its phi gradient for switch ``layer``.
 
-    ``hb`` is the batch's activation entering layer ``start``. ``means``
-    holds every other switch's posterior mean. ``draw`` is the
+    ``hb`` is the batch's activation entering layer ``start``. ``draw`` is the
     estimator's (S, Y, dY/dphi) arrays for ``layer``, each of shape (k, D),
     with S = Y / sum(Y) row by row. A switch acts at its consumer's input
     weights, so the layers before that consumer do not depend on the rows:
@@ -217,8 +191,9 @@ def _nll_and_grads(model, means, hb, yb, layer, draw, start=0):
     """
     s, y, dy_dphi = draw
     k, n = len(s), hb.shape[0]
+    mean_switches = {st.layer: st.posterior_mean() for st in states if st.layer != layer}
     entry = switch_consumers(model)[layer]
-    h = forward(model, hb, switches=means, start=start, stop=entry)
+    h = forward(model, hb, switches=mean_switches, start=start, stop=entry)
     per = 1  # draws a chunk; AnalyticMean's one row needs no budget
     if k > 1:
         out_row = math.prod(propagate_shapes(model.layers[entry:entry + 1], h.shape[1:])[0])
@@ -229,7 +204,7 @@ def _nll_and_grads(model, means, hb, yb, layer, draw, start=0):
         leaf = Tensor(s[lo:lo + per], requires_grad=True)
         c = leaf.shape[0]
         with Tape():
-            logits = forward(model, h, switches={**means, layer: leaf}, start=entry)
+            logits = forward(model, h, switches={**mean_switches, layer: leaf}, start=entry)
             nll = T.softmax_cross_entropy(logits, yb.repeat(c), copies=c)
         T.backward(nll)
         nll_acc += nll.item()
@@ -241,16 +216,13 @@ def _nll_and_grads(model, means, hb, yb, layer, draw, start=0):
 
 
 def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, *, layer, start=0,
-                       schedule=SwitchTrainSchedule(), sweep=None):
+                       schedule=SwitchTrainSchedule()):
     """Minibatch objective and d(neg_elbo)/d(theta) for switch ``layer``.
 
     ``hb`` is the batch's activation entering layer ``start`` (the input
     batch by default), which must not lie after that switch's consumer. The
     other switches run at their posterior mean; the KL sums every layer. The
-    estimator, alpha0 and kl_weight come from ``schedule``. ``sweep`` is
-    what does not change while only switch ``layer`` trains: the other
-    switches' means and KLs and the prior's lgamma terms. ``train_switches``
-    forms it once per sweep; without it the call forms it.
+    estimator, alpha0 and kl_weight come from ``schedule``.
     """
     hb, yb = _check_rows(hb, yb, "minibatch")
     if not states:
@@ -258,21 +230,20 @@ def neg_elbo_and_grads(states, model, hb, yb, dataset_size, rng, *, layer, start
     if dataset_size < 1:
         raise ContractError(f"dataset_size must be >= 1, got {dataset_size}")
     kl_weight = 1.0 / dataset_size if schedule.kl_weight is None else schedule.kl_weight
-    trained = {st.layer: st for st in states}.get(layer)
-    if trained is None:
+    phis = {st.layer: st.phi() for st in states}
+    if layer not in phis:
         raise ContractError(f"layer {layer!r} names no switch state")
-    if sweep is None:
-        sweep = _sweep(states, layer, schedule.alpha0)
-    phi = trained.phi()
-    draw = schedule.estimator.draw(phi, rng)
-    nll, nll_grad = _nll_and_grads(model, sweep.means, hb, yb, layer, draw, start)
-    layer_kl, kl_grad = dirichlet_kl(phi, sweep.prior, sweep.prior_lgamma)
-    kl = 0.0
-    for value in sweep.kls:  # every layer's KL, summed in state order
-        kl += layer_kl if value is None else value
+    draw = schedule.estimator.draw(phis[layer], rng)
+    nll, nll_grad = _nll_and_grads(model, states, hb, yb, layer, draw, start)
     # both phi gradients reach theta through one dphi/dtheta = sigmoid
-    sig = _sigmoid_np(trained.theta)
-    grad = nll_grad * sig + kl_weight * (kl_grad * sig)
+    kl = 0.0
+    for st in states:
+        phi = phis[st.layer]
+        layer_kl, kl_grad = dirichlet_kl(phi, np.full(phi.shape, schedule.alpha0))
+        kl += layer_kl
+        if st.layer == layer:
+            sig = _sigmoid_np(st.theta)
+            grad = nll_grad * sig + kl_weight * (kl_grad * sig)
     return SwitchObjectiveValue(nll + kl_weight * kl, nll, kl, kl_weight), grad
 
 
@@ -376,14 +347,12 @@ def train_switches(model: ModelGraph, states: list[SwitchState], x, y,
                              sweep > 1)
             start = stop
         scope, st = f"layer{layer}", by_index[layer]
-        sweep_terms = _sweep(states, layer, schedule.alpha0)  # the other states stay fixed
         for epoch in range(schedule.epochs):
             t0 = time.perf_counter()
             total, nb = 0.0, 0
             for sel in _batches(n, schedule.batch_size, rng):
                 value, grad = neg_elbo_and_grads(states, model, entry[sel], y[sel], n, rng,
-                                                 layer=layer, start=start, schedule=schedule,
-                                                 sweep=sweep_terms)
+                                                 layer=layer, start=start, schedule=schedule)
                 where = f"at epoch {epoch + 1}, batch {nb + 1}"
                 if not math.isfinite(value.neg_elbo):
                     raise NumericError(f"{scope} neg_elbo is {value.neg_elbo} {where}")

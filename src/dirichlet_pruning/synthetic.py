@@ -47,18 +47,20 @@ def make_true_switch(d_h: int, rng) -> np.ndarray:
     return s / s.sum()
 
 
-# hidden-layer values in one row block of gen_synthetic when the hidden
-# layer is wider than x (256 KiB of float64, 512 rows at d_h = 64)
+# gen_synthetic builds a hidden layer of up to _WHOLE_VALUES values (2 MiB
+# of float64) whole and a larger one in row blocks of _BLOCK_VALUES values
+# (256 KiB, 512 rows at d_h = 64)
+_WHOLE_VALUES = 2 ** 18
 _BLOCK_VALUES = 2 ** 15
 
 
 def _switched_logits(x, true_switch, w1, b1, w2, out):
     """relu(true_switch * (x @ w1 + b1)) @ w2 into ``out``. A hidden layer
-    no wider than x is built whole; a wider one one row block of
-    ``_BLOCK_VALUES`` values at a time. Returns the hidden layer if one
-    block held every row, else None."""
+    of up to ``_WHOLE_VALUES`` values is built whole; a larger one one row
+    block of ``_BLOCK_VALUES`` values at a time. Returns the hidden layer if
+    it was built whole, else None."""
     n, d_h = x.shape[0], w1.shape[1]
-    rows = n if d_h <= x.shape[1] else min(n, max(1, _BLOCK_VALUES // d_h))
+    rows = n if n * d_h <= _WHOLE_VALUES else max(1, _BLOCK_VALUES // d_h)
     block = np.empty((rows, d_h))
     for i in range(0, n, rows):
         h = block[:n - i]  # the last block may be short
@@ -82,19 +84,19 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
     channels' importances leave no footprint in the likelihood and cannot be
     recovered.
 
-    A hidden layer no wider than x (d_h <= d_x, as in the 1000-500 planted
-    task and the README's 20-16 MLP) costs no more than x, so it is built
-    whole, and the rescaled pass reuses it: x @ w1 runs once. A wider one
-    (the 20-64 benchmark MLP) is built in row blocks of ``_BLOCK_VALUES``
-    values, which stay in cache. Beyond x, the generator then holds the
-    (n, d_out) logits and one more array at a time: a block, their std's
-    (n, d_out) temporary, the gap or the labels. That is O(n*d_x + n*d_out
-    + block), not O(n*d_h): 1.6 MiB over x's 7.6 at the benchmark's 50,000
-    rows. Up to one block every output is bitwise that of a one-buffer
-    build, and the one block is reused as above. Past one block, BLAS need
-    not round a row block's product as it rounds those rows of the full
-    product, so w2 and b2 can differ from a one-buffer build in the last
-    bit; x is the same draw either way.
+    A hidden layer of up to ``_WHOLE_VALUES`` values (2 MiB; the 1000-500
+    planted task's 500 rows and the README's 20-16 MLP) is built whole, and
+    the rescaled pass reuses it: x @ w1 runs once. A larger one (the 20-64
+    benchmark MLP's 50,000 rows) is built twice, in row blocks of
+    ``_BLOCK_VALUES`` values, which stay in cache. Beyond x, the generator
+    then holds the (n, d_out) logits and one more array at a time: the
+    whole layer or a block, their std's (n, d_out) temporary, the gap or
+    the labels. That is O(n*d_x + n*d_out) plus at most 2 MiB, not
+    O(n*d_h): 1.6 MiB over x's 7.6 at the benchmark's 50,000 rows. A
+    whole-built layer gives every output bitwise as a one-buffer build
+    does. In blocks, BLAS need not round a row block's product as it rounds
+    those rows of the full product, so w2 and b2 can differ from a
+    one-buffer build in the last bit; x is the same draw either way.
     """
     if n < 2 or n % 2 != 0:
         raise ContractError(f"n must be even and >= 2, got {n}")
@@ -117,7 +119,7 @@ def gen_synthetic(d_x: int, d_h: int, n: int, rng,
         w2 = w2 * (3.0 / spread)
         if hidden is None:
             _switched_logits(x, true_switch, w1, b1, w2, logits)
-        else:  # the one block's hidden layer does not depend on w2
+        else:  # the whole hidden layer does not depend on w2
             np.matmul(hidden, w2, out=logits)
     if d_out == 2:
         # np.median's arithmetic (mean of the two middle values; n is even)

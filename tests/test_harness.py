@@ -30,8 +30,8 @@ from dirichlet_pruning.pipeline import (export_feature_maps, load_dataset,
                                         run_pipeline, run_posterior_compare)
 from dirichlet_pruning.pruning import (LayerRanking, RankingReport, make_plan,
                                        plan_to_json, rank_magnitude)
-from dirichlet_pruning.synthetic import (_BLOCK_VALUES, gen_synthetic, make_true_switch,
-                                         task_model)
+from dirichlet_pruning.synthetic import (_BLOCK_VALUES, _WHOLE_VALUES, gen_synthetic,
+                                         make_true_switch, task_model)
 from dirichlet_pruning import cli, errors
 from dirichlet_pruning import pipeline as pipeline_module
 from dirichlet_pruning import synthetic as synthetic_module
@@ -451,38 +451,35 @@ def test_synthetic_contracts():
         gen_synthetic(10, 8, 100, rng, d_out=1)
 
 
-# The oracle and rescaled-pass cases set their own block size, so each n
-# below names the same case (one block, three, two and a ragged part)
-# whatever block size gen_synthetic ships with.
-_CASE_BLOCK_VALUES = 2 ** 18
-_BLOCK_ROWS = _CASE_BLOCK_VALUES // 64  # rows of one hidden block at d_h = 64
+_WHOLE_ROWS = _WHOLE_VALUES // 64  # most rows of a hidden layer built whole at d_h = 64
+_BLOCK_ROWS = _BLOCK_VALUES // 64  # rows of one hidden block at d_h = 64
 
 
 @pytest.mark.parametrize("n,d_out", [
-    (2, 2), (100, 2), (_BLOCK_ROWS, 2), (3 * _BLOCK_ROWS, 2), (2 * _BLOCK_ROWS + 202, 2),
-    (2 * _BLOCK_ROWS + 202, 3),
+    (2, 2), (100, 2), (_WHOLE_ROWS, 2), (3 * _WHOLE_ROWS, 2), (2 * _WHOLE_ROWS + 202, 2),
+    (2 * _WHOLE_ROWS + 202, 3),
 ])
-def test_synthetic_matches_the_one_buffer_oracle(monkeypatch, n, d_out):
-    monkeypatch.setattr(synthetic_module, "_BLOCK_VALUES", _CASE_BLOCK_VALUES)
+def test_synthetic_matches_the_one_buffer_oracle(n, d_out):
+    # up to _WHOLE_ROWS the hidden layer is built whole; past it, in whole
+    # row blocks and, at 2 * _WHOLE_ROWS + 202, a ragged last one
     task, x, y = gen_synthetic(10, 64, n, np.random.default_rng(n + d_out), d_out=d_out)
     switch, w1, b1, w2, b2, x_want, y_want = one_buffer_synthetic(
         10, 64, n, np.random.default_rng(n + d_out), d_out=d_out)
     assert np.array_equal(x, x_want) and np.array_equal(y, y_want)
     for got, want in ((task.true_switch, switch), (task.w1, w1), (task.b1, b1)):
         assert np.array_equal(got, want)
-    if n <= _BLOCK_ROWS:  # b2 too: its median is np.median's, bit for bit
+    if n <= _WHOLE_ROWS:  # b2 too: its median is np.median's, bit for bit
         assert np.array_equal(task.w2, w2) and np.array_equal(task.b2, b2)
     else:  # a block's product may round apart from those rows of the full one
         np.testing.assert_allclose(task.w2, w2, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(task.b2, b2, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("n,hidden_passes", [(_BLOCK_ROWS, 1), (_BLOCK_ROWS + 2, 2)])
+@pytest.mark.parametrize("n,hidden_passes", [(_WHOLE_ROWS, 1), (_WHOLE_ROWS + 2, 2)])
 def test_synthetic_rescaled_pass_reuses_a_one_block_hidden_layer(monkeypatch, n,
                                                                  hidden_passes):
-    # with every row in one block, the pass after w2's rescale is only the
-    # output GEMM on the kept hidden layer; past one block, x @ w1 runs again
-    monkeypatch.setattr(synthetic_module, "_BLOCK_VALUES", _CASE_BLOCK_VALUES)
+    # with the hidden layer built whole, the pass after w2's rescale is only
+    # the output GEMM on the kept layer; in blocks, x @ w1 runs again
     passes, switched = [], synthetic_module._switched_logits
     monkeypatch.setattr(synthetic_module, "_switched_logits",
                         lambda *a: passes.append(n) or switched(*a))
@@ -490,27 +487,34 @@ def test_synthetic_rescaled_pass_reuses_a_one_block_hidden_layer(monkeypatch, n,
     assert len(passes) == hidden_passes
 
 
-def test_synthetic_keeps_a_hidden_layer_no_wider_than_x_whole(monkeypatch):
-    # a hidden layer no wider than x, as the 1000-500 planted task's, is
-    # built whole and reused however many blocks it spans, so x @ w1 runs
-    # once; the 20-64 MLP's wider one runs in 512-row blocks, twice
-    rows = _BLOCK_VALUES // 64
-    passes, blocks, switched = [], [], synthetic_module._switched_logits
+def test_synthetic_builds_a_hidden_layer_whole_by_its_size_alone(monkeypatch):
+    # whole, and reused by the rescaled pass, while n * d_h fits
+    # _WHOLE_VALUES, as the 1000-500 planted task's 500 rows do; past it, in
+    # blocks of _BLOCK_VALUES, however the hidden width compares with x's
+    passes, shapes = [], []  # arrays allocated from the first hidden pass on
+    switched, empty = synthetic_module._switched_logits, np.empty
 
     def counted(*args):
         passes.append(1)
-        hidden = switched(*args)
-        blocks.append(None if hidden is None else hidden.shape)
-        return hidden
+        return switched(*args)
+
+    def recorded(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if passes:
+            shapes.append(out.shape)
+        return out
 
     monkeypatch.setattr(synthetic_module, "_switched_logits", counted)
-    for d_x, d_h, n in ((1000, 500, 500), (64, 64, 10 * rows)):
+    monkeypatch.setattr(synthetic_module.np, "empty", recorded)
+    for d_x, d_h, n, hidden in ((1000, 500, 500, (500, 500)),
+                                (20, 64, _WHOLE_ROWS, (_WHOLE_ROWS, 64)),
+                                (20, 64, _WHOLE_ROWS + 2, (_BLOCK_ROWS, 64)),
+                                (1000, 500, 526, (_BLOCK_VALUES // 500, 500))):
         gen_synthetic(d_x, d_h, n, np.random.default_rng(48))
-        assert blocks == [(n, d_h)]
+        assert shapes == [hidden] * len(passes), (d_x, d_h, n)
+        assert len(passes) == (1 if n * d_h <= _WHOLE_VALUES else 2)
         passes.clear()
-        blocks.clear()
-    gen_synthetic(20, 64, 2 * rows + 2, np.random.default_rng(48))
-    assert len(passes) == 2 and blocks == [None, None]
+        shapes.clear()
 
 
 # SHA-256 of (x, y, w2, b2) from gen_synthetic at benchmark instance seeds,
@@ -549,6 +553,16 @@ def test_synthetic_allocation_peak_is_x_plus_one_block():
     x_mib = 50_000 * 20 * 8 / 2 ** 20
     peak = peak_mib(lambda: gen_synthetic(20, 64, 50_000, np.random.default_rng(13)))
     assert peak - x_mib <= 2.5
+
+
+def test_synthetic_allocation_peak_of_a_narrow_hidden_layer():
+    # a hidden layer narrower than x past _WHOLE_VALUES runs in blocks too:
+    # x is 7.6 MiB, and beyond it a 0.25 MiB block, the (n, 2) logits and
+    # std's (n, 2) temporary (0.3 MiB each) peak at 0.9 MiB, where the whole
+    # (n, 20) layer alone is 3.1 MiB
+    x_mib = 20_000 * 50 * 8 / 2 ** 20
+    peak = peak_mib(lambda: gen_synthetic(50, 20, 20_000, np.random.default_rng(16)))
+    assert peak - x_mib <= 1.5
 
 
 def test_load_dataset_allocation_peak_is_x_plus_one_block():
